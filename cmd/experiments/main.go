@@ -225,6 +225,23 @@ func dispatch(ctx context.Context, run string, scale float64, instances, draws i
 			}
 			fmt.Println(experiment.RenderOrSplit(r))
 		}
+		// What OR-splitting is still worth on Q4 now that the executor
+		// hashes the unsplit conditions: Figure 4's t⁺/t on both
+		// translations, down to the null-free instance where the wild
+		// lists are empty.
+		for _, raw := range []bool{true, false} {
+			cfg := experiment.Figure4Config{
+				NullRates: []float64{0, 0.01, 0.02, 0.05, 0.10}, Queries: []tpch.QueryID{tpch.Q4}, NoOrSplit: raw,
+				Scale: scale, Seed: seed, Parallelism: par, Limits: limits, TolerateBudget: degrade}
+			if quick {
+				cfg.Instances, cfg.ParamDraws, cfg.Repeats = 1, 1, 1
+			}
+			rows, err := experiment.Figure4(ctx, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("Q4 translated with NoOrSplit=%v\n%s\n", raw, experiment.RenderFigure4(rows))
+		}
 	}
 
 	if !ran {

@@ -53,8 +53,10 @@ func TestDispatchOrSplit(t *testing.T) {
 	out := capture(t, func() error {
 		return dispatch(context.Background(), "orsplit", 0, 0, 0, 1, true, "", 0, guard.Limits{}, false)
 	})
-	if !strings.Contains(out, "OR-splitting on Q2") || !strings.Contains(out, "OR-splitting on Q4") {
-		t.Errorf("orsplit output:\n%s", out)
+	for _, want := range []string{"OR-splitting on Q2", "OR-splitting on Q4", "confused:", "Q4 translated with NoOrSplit=true"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("orsplit output lacks %q:\n%s", want, out)
+		}
 	}
 }
 

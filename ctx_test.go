@@ -129,29 +129,36 @@ func TestQueryContextCancelMidFlightAblations(t *testing.T) {
 // certain answers with Degraded set and a machine-readable warning —
 // and the degraded rows are exactly what the certain route produces.
 func TestDegradeLadder(t *testing.T) {
+	pair := []certsql.Column{{Name: "a", Type: certsql.TInt}, {Name: "b", Type: certsql.TInt}}
 	db := certsql.MustOpen(
-		certsql.Table{Name: "emp", Columns: []certsql.Column{{Name: "id", Type: certsql.TInt}}},
-		certsql.Table{Name: "badge", Columns: []certsql.Column{{Name: "emp_id", Type: certsql.TInt}}},
+		certsql.Table{Name: "seen", Columns: pair},
+		certsql.Table{Name: "known", Columns: pair},
 	)
 	for i := 0; i < 200; i++ {
-		if err := db.Insert("emp", i); err != nil {
+		if err := db.Insert("known", i, i); err != nil {
 			t.Fatal(err)
 		}
-		// Half the badges reference an employee, half do not.
-		if err := db.Insert("badge", 2*i); err != nil {
+		// Half the sightings are known pairs; the rest have an unknown
+		// first component and a second one no known pair carries.
+		var err error
+		if i%2 == 0 {
+			err = db.Insert("seen", i, i)
+		} else {
+			err = db.Insert("seen", certsql.NULL, 1000+i)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Q⋆ of a positive EXISTS runs a quadratic unification semijoin
-	// (~200·200 cost units); Q⁺ of the same query is a plain semijoin
-	// (~10³). The budget is sized between the two, so the Q⋆ route
-	// trips while the certain rerun — under a fresh budget of the same
-	// size — completes. NaivePlanner keeps the quadratic shape: the
-	// cost-based planner would (correctly) notice this data is
-	// null-free and collapse Q⋆'s unifying disjunction into a cheap
-	// hash semijoin, deflating the scenario.
-	q := `SELECT id FROM emp WHERE EXISTS (SELECT * FROM badge WHERE emp_id = id)`
-	opts := certsql.Options{MaxCostUnits: 20_000, NaivePlanner: true}
+	// Q⋆ of an intersection is the unification semijoin seen ⋉⇑ known.
+	// A probe row with a null can unify with build rows of any hash
+	// bucket, so each of the 100 half-unknown sightings scans all 200
+	// known pairs and finds nothing (~2·10⁴ cost units); Q⁺ of the same
+	// query is a plain hashed intersection (~10³). The budget is sized
+	// between the two, so the Q⋆ route trips while the certain rerun —
+	// under a fresh budget of the same size — completes.
+	q := `SELECT a, b FROM seen INTERSECT SELECT a, b FROM known`
+	opts := certsql.Options{MaxCostUnits: 10_000}
 
 	if _, err := db.QueryPossibleWithOptions(q, nil, opts); !errors.Is(err, certsql.ErrBudget) {
 		t.Fatalf("Q⋆ without Degrade: got %v, want ErrBudget", err)
@@ -187,6 +194,43 @@ func TestDegradeLadder(t *testing.T) {
 	cancel()
 	if _, err := db.QueryPossibleWithOptionsContext(ctx, q, nil, opts); !errors.Is(err, certsql.ErrCanceled) {
 		t.Fatalf("canceled degrade-enabled query: got %v, want ErrCanceled", err)
+	}
+}
+
+// TestDifferenceCostBudget is the regression test for the unification
+// antijoin's budget accounting: it used to charge |L|·|R| cost units up
+// front whatever work it was about to do, so a cost budget rejected
+// every sizeable EXCEPT. It now charges per probe and per candidate: a
+// difference of two 2000-row null-free tables is linear and passes, and
+// the same query still trips the budget when every build row is wild —
+// each probe then has to try all 2000 of them.
+func TestDifferenceCostBudget(t *testing.T) {
+	run := func(wild bool) (*certsql.Result, error) {
+		cols := []certsql.Column{{Name: "a", Type: certsql.TInt}, {Name: "b", Type: certsql.TInt}}
+		db := certsql.MustOpen(certsql.Table{Name: "l", Columns: cols}, certsql.Table{Name: "r", Columns: cols})
+		for i := 0; i < 2000; i++ {
+			// r's second column never occurs in l, so no r row unifies
+			// with an l row, null first column or not.
+			var ra any = i + 1000
+			if wild {
+				ra = certsql.NULL
+			}
+			if err := errors.Join(db.Insert("l", i, i), db.Insert("r", ra, i+5000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db.QueryWithOptions(`SELECT CERTAIN a, b FROM l EXCEPT SELECT a, b FROM r`, nil,
+			certsql.Options{MaxCostUnits: 50_000})
+	}
+	res, err := run(false)
+	if err != nil {
+		t.Fatalf("null-free difference under a 50k budget: %v", err)
+	}
+	if res.Len() != 2000 || res.Stats.UnifyJoins != 1 {
+		t.Fatalf("null-free difference: %d rows, %s", res.Len(), res.Stats.Summary())
+	}
+	if _, err := run(true); !errors.Is(err, certsql.ErrCostBudget) {
+		t.Fatalf("all-wild build side: got %v, want ErrCostBudget", err)
 	}
 }
 

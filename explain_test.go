@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,5 +109,46 @@ func TestGoldenExplainMatchesExecution(t *testing.T) {
 				t.Fatalf("planner changes %s result bytes:\ncost-based: %s\nnaive:      %s", q, got, want)
 			}
 		})
+	}
+}
+
+// TestCostModelTracksExecution holds the planner's cost estimate to the
+// work the executor then does: for the OR-split and the raw (NoOrSplit)
+// translation of every appendix query, under either planner, the root's
+// estimated cost is within 4× of Stats.CostUnits. Raw Q⁺4 is the case
+// that used to escape — a join block whose Cartesian and unification
+// steps the model did not price at all.
+func TestCostModelTracksExecution(t *testing.T) {
+	db, sizes := goldenDB()
+	rng := rand.New(rand.NewSource(7))
+	rootCost := regexp.MustCompile(`cost=([0-9.e+]+)`)
+	for _, q := range tpch.AllQueries {
+		params := q.Params(rng, sizes)
+		text, err := certsql.WithMode(q.SQL(), "certain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []certsql.Options{{}, {NoOrSplit: true}, {NaivePlanner: true}, {NaivePlanner: true, NoOrSplit: true}} {
+			explain, err := db.ExplainPlan(text, params, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := rootCost.FindStringSubmatch(explain)
+			if m == nil {
+				t.Fatalf("%s: no cost in EXPLAIN:\n%s", q, explain)
+			}
+			est, err := strconv.ParseFloat(m[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.QueryWithOptions(text, params, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ratio := est / float64(res.Stats.CostUnits); ratio < 0.25 || ratio > 4 {
+				t.Errorf("%s raw=%v naive-planner=%v: estimated cost %.4g vs %d actual cost units (%.2fx)",
+					q, opts.NoOrSplit, opts.NaivePlanner, est, res.Stats.CostUnits, ratio)
+			}
+		}
 	}
 }

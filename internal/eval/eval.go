@@ -96,10 +96,12 @@ type Options struct {
 	// routed to shards by content hash (internal/shard) and the gather
 	// reassembles global input order, so results are byte-identical to
 	// Shards: 1 at any setting — difftest's shard-ablation invariant
-	// pins this. Each shard runs under a child governor whose charges
-	// roll up to this evaluation's governor (guard.Governor.Child).
-	// Orthogonal to Parallelism, which sizes the contiguous-chunk
-	// worker pool used when Shards is not in force.
+	// pins this. Shards decides the routing of probe rows and nothing
+	// else: every operator builds the same structures and does the same
+	// work (Stats.CostUnits) at any setting. Each shard runs under a
+	// child governor whose charges roll up to this evaluation's governor
+	// (guard.Governor.Child). Orthogonal to Parallelism, which sizes the
+	// contiguous-chunk worker pool used when Shards is not in force.
 	Shards int
 
 	// NoHashJoin disables hash strategies everywhere, forcing nested
@@ -145,10 +147,14 @@ type Stats struct {
 	// contribute |L|·|R|, hash joins |L|+|R|.
 	CostUnits int64
 	// NestedLoopJoins counts semi/anti/join operators executed with the
-	// nested-loop strategy.
+	// nested-loop strategy, a join block's pure Cartesian steps included.
 	NestedLoopJoins int
 	// HashJoins counts operators executed with a hash strategy.
 	HashJoins int
+	// UnifyJoins counts operators executed on a wild-bucket index (hash
+	// buckets for null-free keys plus a wild list of null-keyed rows):
+	// unification edges `a = b OR … IS NULL` and R ⋉⇑ S.
+	UnifyJoins int
 	// ShortCircuits counts uncorrelated subqueries answered once.
 	ShortCircuits int
 	// CacheHits counts subplan results served from the view cache.
@@ -739,67 +745,4 @@ func rangeInts(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// evalUnifySemi executes a unification (anti-)semijoin by nested loop
-// with early exit; tuple unification handles repeated marked nulls.
-func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
-	l, err := ev.evalChild(e.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ev.evalChild(e.R)
-	if err != nil {
-		return nil, err
-	}
-	if l.Arity() != r.Arity() {
-		return nil, fmt.Errorf("eval: unification semijoin of arities %d and %d", l.Arity(), r.Arity())
-	}
-	// Charge the projected quadratic cost up front; see evalDivision.
-	// Every mode — sequential, chunked, sharded broadcast, sharded
-	// co-partition — charges this same projection, so budget behaviour
-	// is identical even where co-partitioning saves comparisons.
-	if err := ev.gov.ChargeCost("unify-semijoin", int64(l.Len())*int64(r.Len())); err != nil {
-		return nil, err
-	}
-	if ev.opts.shardCount() > 1 {
-		return ev.scatterUnifySemi(e, l, r)
-	}
-	lRows, rRows := l.Rows(), r.Rows()
-	chunks := make([][]table.Row, ev.opts.workers())
-	err = ev.runChunksPrecharged(l.Len(), "unify-semijoin", func(c *chunk) error {
-		var out []table.Row
-		for i := c.lo; i < c.hi; i++ {
-			if c.stopped() {
-				return nil
-			}
-			lr := lRows[i]
-			match := false
-			for _, rr := range rRows {
-				c.st.costUnits++
-				if value.UnifyTuples(lr, rr) {
-					match = true
-					break
-				}
-			}
-			if match != e.Anti {
-				out = append(out, lr)
-			}
-		}
-		chunks[c.part] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := concatChunks(ev.gov, l.Arity(), chunks)
-	if err != nil {
-		return nil, err
-	}
-	name := "unify-semijoin"
-	if e.Anti {
-		name = "unify-antijoin"
-	}
-	ev.note("%s %d ⇑ %d -> %d rows", name, l.Len(), r.Len(), out.Len())
-	return out, nil
 }

@@ -44,6 +44,9 @@ func (ev *Evaluator) Report() string { return ev.stats.Summary() }
 func (s Stats) Summary() string {
 	out := fmt.Sprintf("cost=%d units, hash joins=%d, nested loops=%d, short circuits=%d, cache hits=%d",
 		s.CostUnits, s.HashJoins, s.NestedLoopJoins, s.ShortCircuits, s.CacheHits)
+	if s.UnifyJoins > 0 {
+		out += fmt.Sprintf(", unify joins=%d", s.UnifyJoins)
+	}
 	if s.FastPathHits > 0 {
 		out += fmt.Sprintf(", analyzer fast paths=%d", s.FastPathHits)
 	}

@@ -37,8 +37,11 @@ type PlanHints struct {
 	// Semi maps SemiJoin node keys to their hints.
 	Semi map[string]SemiHint
 
-	// Shard maps UnifySemi node keys to their sharded-execution hints.
-	// Consulted only when Options.Shards > 1.
+	// Shard maps UnifySemi node keys to the shard planner's decisions.
+	// The executor no longer reads it: every unification operator runs
+	// on the same wild-bucket index at any shard count (unify.go). The
+	// field stays so plans that carry the planner's output keep
+	// compiling.
 	Shard map[string]ShardHint
 }
 
@@ -76,27 +79,13 @@ func (ev *Evaluator) semiHint(key func() string) SemiHint {
 	return ev.opts.Hints.Semi[key()]
 }
 
-// ShardHint is the sharded-execution hint for one unification
-// (anti-)semijoin operator; see plan.ShardPlan for how it is derived
-// from the null-rate and distinct-count statistics.
+// ShardHint is the shard planner's decision for one unification
+// (anti-)semijoin operator; see plan.ShardPlan. It is advisory output:
+// the executor ignores it.
 type ShardHint struct {
-	// CoPartition licenses wild-bucket co-partitioning of the build
-	// side (shard.BuildUnify) instead of broadcasting it to every
-	// shard. The scheme is unconditionally sound — null-containing
-	// build rows go to a bucket every shard scans — so the planner's
-	// statistics gate only whether the per-shard buckets are worth
-	// building: it sets the flag when the build relation is null-free
-	// and spreads across at least as many distinct rows as shards.
+	// CoPartition records that the planner found the build side
+	// null-free with at least as many distinct rows as shards.
 	CoPartition bool
-}
-
-// shardHint returns the hint for a unification-semijoin node, or the
-// zero hint (broadcast).
-func (ev *Evaluator) shardHint(key func() string) ShardHint {
-	if ev.opts.Hints == nil || ev.opts.Hints.Shard == nil {
-		return ShardHint{}
-	}
-	return ev.opts.Hints.Shard[key()]
 }
 
 // numKey is the specialized hash key for single-column numeric

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"certsql/internal/algebra"
@@ -42,66 +41,17 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
-// joinEdge is a pure column-to-column equality conjunct usable as a hash
-// key, expressed in canonical (pre-join) column positions.
-type joinEdge struct {
-	leafA, leafB int
-	colA, colB   int // canonical positions, colA in leafA and colB in leafB
-}
-
-// planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) greedily:
-// single-leaf conjuncts filter their leaf first; pure equality conjuncts
-// across two leaves become hash-join edges; everything else (including
-// OR-disjunctions — the shape that defeats real optimizers in Section 7
-// of the paper) is a residual filter applied once its leaves are joined.
+// planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) greedily,
+// in the order JoinBlock.Order derives from the filtered leaf sizes.
 // The output preserves the canonical column order of the product.
 func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*table.Table, error) {
 	n := len(leaves)
-	offsets := make([]int, n+1)
+	arities := make([]int, n)
 	for i, l := range leaves {
-		offsets[i+1] = offsets[i] + l.Arity()
+		arities[i] = l.Arity()
 	}
-	totalArity := offsets[n]
-	leafOf := func(col int) int {
-		return sort.Search(n, func(i int) bool { return offsets[i+1] > col })
-	}
-
-	// Classify conjuncts.
-	var (
-		singles   = make([][]algebra.Cond, n)
-		edges     []joinEdge
-		residuals []algebra.Cond
-	)
-	for _, c := range algebra.Conjuncts(algebra.NNF(cond)) {
-		cols := algebra.ColsUsed(c)
-		touched := map[int]struct{}{}
-		for _, col := range cols {
-			touched[leafOf(col)] = struct{}{}
-		}
-		switch {
-		case len(touched) == 0:
-			residuals = append(residuals, c) // constant or scalar-only condition
-		case len(touched) == 1:
-			var li int
-			for l := range touched {
-				li = l
-			}
-			singles[li] = append(singles[li], c)
-		default:
-			if cmp, ok := c.(algebra.Cmp); ok && cmp.Op == algebra.EQ {
-				lc, lok := cmp.L.(algebra.Col)
-				rc, rok := cmp.R.(algebra.Col)
-				if lok && rok && len(touched) == 2 {
-					la, lb := leafOf(lc.Idx), leafOf(rc.Idx)
-					if la != lb {
-						edges = append(edges, joinEdge{leafA: la, colA: lc.Idx, leafB: lb, colB: rc.Idx})
-						continue
-					}
-				}
-			}
-			residuals = append(residuals, c)
-		}
-	}
+	jb := ClassifyJoinBlock(arities, cond)
+	offsets, totalArity := jb.offsets, jb.offsets[n]
 
 	// Evaluate and filter each leaf. Filtered leaves are wrapped in a
 	// Select node and evaluated through the subplan cache, so the same
@@ -111,9 +61,9 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	filtered := make([]*table.Table, n)
 	for i, leaf := range leaves {
 		src := leaf
-		if len(singles[i]) > 0 {
+		if len(jb.Singles[i]) > 0 {
 			remap := func(col int) int { return col - offsets[i] }
-			src = algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(singles[i]...), remap)}
+			src = algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(jb.Singles[i]...), remap)}
 		}
 		t, err := ev.evalChild(src)
 		if err != nil {
@@ -121,42 +71,29 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 		}
 		filtered[i] = t
 	}
+	steps := jb.Order(func(leaf int) float64 { return float64(filtered[leaf].Len()) })
 
-	// Greedy join order: start at the smallest leaf; grow via hash edges.
-	joined := map[int]bool{}
-	start := 0
-	for i := 1; i < n; i++ {
-		if filtered[i].Len() < filtered[start].Len() {
-			start = i
-		}
-	}
-	joined[start] = true
-	cur := filtered[start]
+	cur := filtered[steps[0].Leaf]
 	// pos maps canonical column -> position in cur (-1 when absent).
 	pos := make([]int, totalArity)
 	for i := range pos {
 		pos[i] = -1
 	}
-	for c := 0; c < leaves[start].Arity(); c++ {
-		pos[offsets[start]+c] = c
+	appliedEdge := make([]bool, len(jb.edges))
+	appliedRes := make([]bool, len(jb.residuals))
+	// ready reports whether every column of c is in cur or in leaf
+	// (-1: in cur alone).
+	ready := func(c algebra.Cond, leaf int) bool {
+		for _, col := range algebra.ColsUsed(c) {
+			if pos[col] < 0 && jb.leafOf(col) != leaf {
+				return false
+			}
+		}
+		return true
 	}
-
-	appliedEdge := make([]bool, len(edges))
-	appliedRes := make([]bool, len(residuals))
-
 	applyResiduals := func() error {
-		for ri, c := range residuals {
-			if appliedRes[ri] {
-				continue
-			}
-			ready := true
-			for _, col := range algebra.ColsUsed(c) {
-				if pos[col] < 0 {
-					ready = false
-					break
-				}
-			}
-			if !ready {
+		for ri, c := range jb.residuals {
+			if appliedRes[ri] || !ready(c, -1) {
 				continue
 			}
 			appliedRes[ri] = true
@@ -170,35 +107,17 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 		}
 		return nil
 	}
-	if err := applyResiduals(); err != nil {
-		return nil, err
-	}
 
-	for len(joined) < n {
-		// Collect edges from the joined set to each candidate leaf.
-		candEdges := map[int][]int{} // leaf -> edge indexes
-		for ei, e := range edges {
-			if appliedEdge[ei] {
-				continue
-			}
-			switch {
-			case joined[e.leafA] && !joined[e.leafB]:
-				candEdges[e.leafB] = append(candEdges[e.leafB], ei)
-			case joined[e.leafB] && !joined[e.leafA]:
-				candEdges[e.leafA] = append(candEdges[e.leafA], ei)
-			}
-		}
-		next := -1
-		for leaf := range candEdges {
-			if next == -1 || filtered[leaf].Len() < filtered[next].Len() {
-				next = leaf
-			}
-		}
-		if next >= 0 {
-			// Hash join cur with filtered[next] on all connecting edges.
+	for si, st := range steps {
+		next := st.Leaf
+		var err error
+		switch st.Kind {
+		case JoinStart:
+			// cur is the start leaf already
+		case JoinHash:
 			var curCols, leafCols []int
-			for _, ei := range candEdges[next] {
-				e := edges[ei]
+			for _, ei := range st.edges {
+				e := jb.edges[ei]
 				appliedEdge[ei] = true
 				if e.leafA == next {
 					leafCols = append(leafCols, e.colA-offsets[next])
@@ -208,87 +127,54 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 					curCols = append(curCols, pos[e.colA])
 				}
 			}
-			var err error
-			cur, err = ev.hashJoin(cur, filtered[next], curCols, leafCols)
-			if err != nil {
+			if cur, err = ev.hashJoin(cur, filtered[next], curCols, leafCols); err != nil {
 				return nil, err
 			}
 			ev.stats.HashJoins++
 			if ev.opts.Trace { // Key() renders the whole subtree; don't pay for it untraced
 				ev.note("hash join + %s -> %d rows", leaves[next].Key(), cur.Len())
 			}
-		} else {
-			// No connecting hash edge: Cartesian step with the smallest
-			// leaf. Under sharded execution, when a residual unification
-			// edge connects the joined set to that same leaf, the step
-			// runs co-partitioned instead (unifyProduct): the |cur|·|leaf|
-			// product the unsharded engine faithfully materializes shrinks
-			// to each probe's bucket plus the wild rows. The leaf choice
-			// deliberately stays the unsharded one — product-then-filter
-			// and unify-product agree on rows and order only step for
-			// step, so diverging on join order would break the
-			// shard-ablation byte identity.
-			next = -1
-			for i := 0; i < n; i++ {
-				if joined[i] {
-					continue
-				}
-				if next == -1 || filtered[i].Len() < filtered[next].Len() {
-					next = i
+		case JoinWildHash:
+			// The edge and every residual this leaf completes are verified
+			// together, per candidate: the step emits only the rows that
+			// survive them all — the rows, in the order, that filtering
+			// the joined table afterwards would leave, without building it.
+			conds := []algebra.Cond{jb.residuals[st.unify]}
+			appliedRes[st.unify] = true
+			for ri, c := range jb.residuals {
+				if !appliedRes[ri] && ready(c, next) {
+					appliedRes[ri] = true
+					conds = append(conds, c)
 				}
 			}
-			uniRes := -1
-			var uniCur, uniLeafCol int
-			if ev.opts.shardCount() > 1 {
-				for ri, c := range residuals {
-					if appliedRes[ri] {
-						continue
-					}
-					a, b, ok := unifyEdgeOf(c)
-					if !ok {
-						continue
-					}
-					if pos[a] < 0 { // orient: a already joined, b pending
-						a, b = b, a
-					}
-					if pos[a] < 0 || pos[b] >= 0 || leafOf(b) != next {
-						continue
-					}
-					uniRes, uniCur, uniLeafCol = ri, pos[a], b-offsets[next]
-					break
+			curArity := cur.Arity()
+			remapped := algebra.MapCols(algebra.NewAnd(conds...), func(col int) int {
+				if jb.leafOf(col) == next {
+					return curArity + col - offsets[next]
 				}
+				return pos[col]
+			})
+			resolved, err := ev.resolveScalars(remapped)
+			if err != nil {
+				return nil, err
 			}
-			if uniRes >= 0 {
-				appliedRes[uniRes] = true
-				curArity := cur.Arity()
-				remapped := algebra.MapCols(residuals[uniRes], func(col int) int {
-					if leafOf(col) == next {
-						return curArity + col - offsets[next]
-					}
-					return pos[col]
-				})
-				resolved, err := ev.resolveScalars(remapped)
-				if err != nil {
-					return nil, err
-				}
-				if cur, err = ev.unifyProduct(cur, filtered[next], uniCur, uniLeafCol, resolved); err != nil {
-					return nil, err
-				}
-			} else {
-				var err error
-				cur, err = ev.product(cur, filtered[next])
-				if err != nil {
-					return nil, err
-				}
+			if cur, err = ev.unifyProduct(cur, filtered[next], pos[st.ProbeCol], st.BuildCol-offsets[next], resolved); err != nil {
+				return nil, err
 			}
+		case JoinProduct:
+			if cur, err = ev.product(cur, filtered[next]); err != nil {
+				return nil, err
+			}
+			ev.stats.NestedLoopJoins++
 		}
-		base := cur.Arity() - leaves[next].Arity()
-		for c := 0; c < leaves[next].Arity(); c++ {
+		base := cur.Arity() - arities[next]
+		for c := 0; c < arities[next]; c++ {
 			pos[offsets[next]+c] = base + c
 		}
-		joined[next] = true
-		if err := ev.gov.CheckRows("join-block", cur.Len()); err != nil {
-			return nil, err
+		if si > 0 {
+			if err := ev.gov.CheckRows("join-block", cur.Len()); err != nil {
+				return nil, err
+			}
 		}
 		if err := applyResiduals(); err != nil {
 			return nil, err
@@ -296,11 +182,10 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	}
 
 	// Any edges between leaves that were joined through other paths.
-	for ei, e := range edges {
+	for ei, e := range jb.edges {
 		if appliedEdge[ei] {
 			continue
 		}
-		appliedEdge[ei] = true
 		remapped := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: pos[e.colA]}, R: algebra.Col{Idx: pos[e.colB]}}
 		f, err := ev.filterTable(cur, remapped)
 		if err != nil {
@@ -421,9 +306,9 @@ type semiPlan struct {
 	lCol    int   // probe column for numIdx/numSet
 	lCols   []int // probe-side key columns (hash strategy only)
 	sqlMode bool
-	// uni is the keyed co-partition of the build side on a nested-loop
-	// plan's unification edge — built only under sharded execution
-	// (copartition.go); uniCol is the probe-side key column.
+	// uni is the wild-bucket index of the build side on the condition's
+	// unification edge, for plans without a hash key (unify.go); uniCol
+	// is the probe-side key column. Nil leaves the nested loop.
 	uni    *shard.KeyedBuild
 	uniCol int
 }
@@ -606,32 +491,30 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 			p.numIdx != nil || p.numSet != nil, fuse != nil)
 		return p, nil
 	}
-	// Nested loop: the "confused optimizer" path that conditions of the
-	// form (A = B OR B IS NULL) force, per Section 7 of the paper. Under
-	// sharded execution the very disjunct that defeated hash-key
-	// extraction is a unification edge, and the shard layer prunes the
-	// scan with a keyed wild-bucket co-partition of the build side —
-	// same verdict per probe, ~Shards× fewer comparisons.
-	if k := ev.opts.shardCount(); k > 1 {
-		if lc, rc, ok := spanningUnifyEdge(cond, nL); ok {
-			p.uni = shard.BuildKeyed(r.Rows(), rc, k)
-			p.uniCol = lc
-			ev.note("nested-loop %s co-partitioned on probe #%d ≈ build #%d over %d shards (%d wild rows)",
-				p.name, lc, nL+rc, k, len(p.uni.Wild))
+	// No hash key: conditions of the form (A = B OR B IS NULL) defeat
+	// key extraction, per Section 7 of the paper. That very disjunct is a
+	// unification edge, so the build side is indexed on it instead; the
+	// nested loop remains for edge-free conditions and under NoHashJoin
+	// (the paper's confused optimizer).
+	if lc, rc, ok := SpanningUnifyEdge(cond, nL); ok && !ev.opts.NoHashJoin {
+		if err := ev.chargeUnifyBuild("semijoin/build", r.Len()); err != nil {
+			return nil, err
 		}
+		p.uni, p.uniCol = shard.BuildKeyed(r.Rows(), rc, 1), lc
+		ev.note("%s on probe #%d ≈ build #%d: wild-hash %d keyed / %d wild",
+			p.name, lc, nL+rc, p.uni.Keyed(), len(p.uni.Wild))
+		return p, nil
 	}
 	ev.stats.NestedLoopJoins++
 	ev.note("nested-loop %s vs %d rows", p.name, r.Len())
 	return p, nil
 }
 
-// semiMatch probes one row against the plan. row is the caller-owned
-// scratch buffer for candidate verification (one per worker); c
-// supplies the partition's cost counters. Shared by the chunked probe
-// (probeSemi) and the sharded probe (scatterProbeSemi), so the
-// per-candidate cost accounting stays identical between them.
-func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Row) (bool, error) {
+// semiMatch probes one row against the plan. c supplies the worker's
+// cost counters and its scratch buffer for candidate verification.
+func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error) {
 	match := false
+	row := c.scratch(p.nL + p.r.Arity())
 	switch {
 	case p.numSet != nil || p.strSet != nil:
 		// Slim verify with empty residual: key presence alone
@@ -678,34 +561,19 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Ro
 			}
 		}
 	default:
-		copy(row, lr)
-		if p.uni != nil && !lr[p.uniCol].IsNull() {
-			// Keyed co-partition (sharded execution): only the probe
-			// key's bucket plus the wild rows can satisfy the plan's
-			// unification edge, and the full condition still decides
-			// each candidate — the same verdict the full scan reaches,
-			// ~Shards× fewer evaluations. A null probe key can unify
-			// into any bucket and takes the full scan below.
-			var err error
-			p.uni.EachCandidate(lr[p.uniCol], func(ri int) bool {
-				c.st.costUnits++
-				copy(row[p.nL:], p.r.Row(ri))
-				v, e := ev.evalCond(p.cond, row)
-				if e != nil {
-					err = e
-					return false
-				}
-				if v.IsTrue() {
-					match = true
-					return false
-				}
-				return true
-			})
-			return match, err
-		}
-		for _, rr := range p.r.Rows() {
+		// Candidates in ascending build order: the key's bucket merged
+		// with the wild rows, or — for a null probe key, which can
+		// satisfy the edge against any build row, and for plans without
+		// an index — every build row. The full condition decides each.
+		cur := shard.ScanAll(p.r.Len())
+		if p.uni != nil {
 			c.st.costUnits++
-			copy(row[p.nL:], rr)
+			cur = p.uni.Probe(lr[p.uniCol])
+		}
+		copy(row, lr)
+		for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
+			c.st.costUnits++
+			copy(row[p.nL:], p.r.Row(ri))
 			v, err := ev.evalCond(p.cond, row)
 			if err != nil {
 				return false, err
@@ -720,44 +588,23 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Ro
 }
 
 // probeSemi probes lRows against the plan and returns the qualifying
-// rows in input order. The probe rows are independent, so the scan
-// partitions across workers — the single largest lever on the
-// Figure 4 / Q⁺4 cost — and partition outputs concatenate in order,
-// keeping results deterministic at any Parallelism. With Shards > 1
-// the partitioning is by content hash instead of contiguous chunks
-// (scatterProbeSemi), with the same result bytes.
+// rows in input order. The probe rows are independent, so the scan fans
+// out across workers (keepRows) — the single largest lever on the
+// Figure 4 / Q⁺4 cost — with deterministic results at any Parallelism
+// and Shards.
 func (ev *Evaluator) probeSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
-	if ev.opts.shardCount() > 1 {
-		return ev.scatterProbeSemi(p, lRows)
-	}
-	chunks := make([][]table.Row, ev.opts.workers())
-	err := ev.runChunks(len(lRows), "semijoin/probe", func(c *chunk) error {
-		if err := c.fault(guard.SiteSemijoinProbe); err != nil {
-			return err
-		}
-		var out []table.Row
-		row := make(table.Row, p.nL+p.r.Arity())
-		for i := c.lo; i < c.hi; i++ {
-			if c.stopped() {
-				return nil
-			}
-			lr := lRows[i]
-			match, err := ev.semiMatch(p, c, row, lr)
-			if err != nil {
-				return err
-			}
-			if match != p.anti {
-				out = append(out, lr)
-			}
-		}
-		chunks[c.part] = out
-		return nil
+	kept, err := ev.keepRows("semijoin/probe", lRows, guard.SiteSemijoinProbe, func(c *chunk, lr table.Row) (bool, error) {
+		match, err := ev.semiMatch(p, c, lr)
+		return match != p.anti, err
 	})
 	if err != nil {
 		return nil, err
 	}
+	if len(kept) == 1 {
+		return kept[0], nil
+	}
 	var out []table.Row
-	for _, ch := range chunks {
+	for _, ch := range kept {
 		out = append(out, ch...)
 	}
 	return out, nil

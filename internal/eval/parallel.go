@@ -67,11 +67,17 @@ type chunk struct {
 	op           string
 	ticks        int
 	err          error // cancellation or budget trip observed by stopped
-	// precharged marks operators that charged their projected cost to
-	// the governor up front (unification semijoin); their per-row
-	// counters are reporting only and must not be charged again.
-	precharged bool
-	charged    int64 // st.costUnits already flushed to the governor
+	charged      int64 // st.costUnits already flushed to the governor
+	row          table.Row
+}
+
+// scratch returns the chunk's reusable row buffer of the given arity,
+// for candidate verification: one per worker, allocated on first use.
+func (c *chunk) scratch(arity int) table.Row {
+	if len(c.row) != arity {
+		c.row = make(table.Row, arity)
+	}
+	return c.row
 }
 
 // stopped reports whether the chunk should cease: another partition
@@ -100,11 +106,8 @@ func (c *chunk) stopped() bool {
 
 // flushCost charges the governor for body work accumulated since the
 // last flush, so probe loops count against the cumulative cost budget
-// as they run. Pre-charged operators skip it.
+// as they run.
 func (c *chunk) flushCost() error {
-	if c.precharged {
-		return nil
-	}
 	if delta := c.st.costUnits - c.charged; delta > 0 {
 		c.charged = c.st.costUnits
 		return c.gov.ChargeCost(c.op, delta)
@@ -127,17 +130,6 @@ func (c *chunk) fault(site guard.Site) error { return c.gov.Fault(site) }
 // ev.stats with atomic adds, so counters are consistent even when the
 // operator fails mid-flight.
 func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) error {
-	return ev.runChunksOpt(n, op, false, body)
-}
-
-// runChunksPrecharged is runChunks for operators that already charged
-// their projected cost to the governor up front; chunk counters feed
-// Stats only.
-func (ev *Evaluator) runChunksPrecharged(n int, op string, body func(c *chunk) error) error {
-	return ev.runChunksOpt(n, op, true, body)
-}
-
-func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c *chunk) error) error {
 	workers := ev.opts.workers()
 	if max := n / minParallelRows; workers > max {
 		workers = max
@@ -151,7 +143,7 @@ func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c
 			return err
 		}
 		var st chunkStats
-		c := &chunk{part: 0, lo: 0, hi: n, st: &st, halt: &halt, gov: ev.gov, op: op, precharged: precharged}
+		c := &chunk{part: 0, lo: 0, hi: n, st: &st, halt: &halt, gov: ev.gov, op: op}
 		err := body(c)
 		if err == nil {
 			err = c.flushCost()
@@ -201,7 +193,7 @@ func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c
 				errs[c.part] = err
 				halt.Store(true)
 			}
-		}(&chunk{part: part, lo: lo, hi: hi, st: &shards[part], halt: &halt, gov: ev.gov, op: op, precharged: precharged})
+		}(&chunk{part: part, lo: lo, hi: hi, st: &shards[part], halt: &halt, gov: ev.gov, op: op})
 		lo = hi
 	}
 	wg.Wait()
@@ -359,6 +351,44 @@ func condHasScalar(c algebra.Cond) bool {
 	return false
 }
 
+// keepRows returns the rows for which pred holds as per-partition
+// buffers that concatenate to input order — the one fan-out under every
+// probe-side keep loop. Options.Shards > 1 routes rows to shard workers
+// by content hash (scatterKeep); otherwise the contiguous-chunk pool
+// runs them. pred must obey the worker contract above and counts its
+// own cost units on c. site, when non-empty, fires in each worker as it
+// starts.
+func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([][]table.Row, error) {
+	if ev.opts.shardCount() > 1 {
+		kept, err := ev.scatterKeep(op, rows, site, pred)
+		return [][]table.Row{kept}, err
+	}
+	chunks := make([][]table.Row, ev.opts.workers())
+	err := ev.runChunks(len(rows), op, func(c *chunk) error {
+		if site != "" {
+			if err := c.fault(site); err != nil {
+				return err
+			}
+		}
+		var out []table.Row
+		for i := c.lo; i < c.hi; i++ {
+			if c.stopped() {
+				return nil
+			}
+			ok, err := pred(c, rows[i])
+			if err != nil {
+				return err
+			}
+			if ok {
+				out = append(out, rows[i])
+			}
+		}
+		chunks[c.part] = out
+		return nil
+	})
+	return chunks, err
+}
+
 // filterTable returns the rows of t satisfying cond, scanning
 // partitions of t in parallel. This is the executor's generic filter —
 // the σ fallback of evalSelect, the per-leaf and residual filter stages
@@ -368,42 +398,16 @@ func (ev *Evaluator) filterTable(t *table.Table, cond algebra.Cond) (*table.Tabl
 	if err != nil {
 		return nil, err
 	}
-	rows := t.Rows()
-	if ev.opts.shardCount() > 1 {
-		kept, err := ev.scatterKeep("filter", rows, false, "", func(c *chunk, lr table.Row) (bool, error) {
-			c.st.costUnits++
-			v, err := ev.evalCond(cond, lr)
-			if err != nil {
-				return false, err
-			}
-			return v.IsTrue(), nil
-		})
+	kept, err := ev.keepRows("filter", t.Rows(), "", func(c *chunk, lr table.Row) (bool, error) {
+		c.st.costUnits++
+		v, err := ev.evalCond(cond, lr)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		return concatChunks(ev.gov, t.Arity(), [][]table.Row{kept})
-	}
-	chunks := make([][]table.Row, ev.opts.workers())
-	err = ev.runChunks(t.Len(), "filter", func(c *chunk) error {
-		var out []table.Row
-		for i := c.lo; i < c.hi; i++ {
-			if c.stopped() {
-				return nil
-			}
-			c.st.costUnits++
-			v, err := ev.evalCond(cond, rows[i])
-			if err != nil {
-				return err
-			}
-			if v.IsTrue() {
-				out = append(out, rows[i])
-			}
-		}
-		chunks[c.part] = out
-		return nil
+		return v.IsTrue(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return concatChunks(ev.gov, t.Arity(), chunks)
+	return concatChunks(ev.gov, t.Arity(), kept)
 }

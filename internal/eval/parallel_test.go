@@ -130,9 +130,10 @@ func TestParallelConcurrentEvaluators(t *testing.T) {
 	}
 }
 
-// TestUnifySemiCostBudget asserts that the quadratic unification
-// semijoin degrades with ErrTooLarge instead of running unbounded once
-// its |L|·|R| cost exceeds MaxCostUnits.
+// TestUnifySemiCostBudget asserts that the unification semijoin charges
+// the work it does — one unit per build row, per probe and per candidate
+// — against MaxCostUnits: it degrades with ErrTooLarge when that exceeds
+// the budget and completes when it fits.
 func TestUnifySemiCostBudget(t *testing.T) {
 	db := newDB(t)
 	for i := 0; i < 5; i++ {
@@ -141,14 +142,27 @@ func TestUnifySemiCostBudget(t *testing.T) {
 	}
 	e := algebra.UnifySemi{L: baseR, R: baseS}
 
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 10}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
-		t.Fatalf("cost 25 with budget 10: got %v, want ErrTooLarge", err)
+	// The governor's cost budget is cumulative across operators: the two
+	// 5-row scans charge 10 units, then the semijoin 5 for its build, 5
+	// for its probes and 5 for the one candidate each probe verifies.
+	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 24}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
+		t.Fatalf("cost 25 with budget 24: got %v, want ErrTooLarge", err)
 	}
-	// The governor's cost budget is cumulative across operators: the
-	// two 5-row scans charge 10 units before the semijoin's 25, so the
-	// whole evaluation needs 35.
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 35}).Eval(e); err != nil {
-		t.Fatalf("cost 35 with budget 35: %v", err)
+	ev := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 25})
+	if _, err := ev.Eval(e); err != nil {
+		t.Fatalf("cost 25 with budget 25: %v", err)
+	}
+	if got := ev.Stats().CostUnits; got != 25 {
+		t.Fatalf("CostUnits = %d, want 25", got)
+	}
+	// Without the index every probe scans until it finds its partner:
+	// 10 for the scans plus 1+2+3+4+5 comparisons.
+	ev = eval.New(db, eval.Options{Semantics: value.Naive, NoHashJoin: true})
+	if _, err := ev.Eval(e); err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.Stats().CostUnits; got != 25 {
+		t.Fatalf("nested-loop CostUnits = %d, want 25", got)
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 	"certsql/internal/guard"
 	"certsql/internal/shard"
 	"certsql/internal/table"
-	"certsql/internal/value"
 )
 
 // Scatter-gather execution across in-process engine shards (DESIGN.md
-// §16). When Options.Shards > 1 the three probe-side hot loops —
-// filterTable, probeSemi, and the unification-semijoin scan — replace
-// the contiguous-chunk worker pool of parallel.go with hash routing:
+// §16). When Options.Shards > 1 the probe-side keep loops — filterTable,
+// probeSemi, and the unification-semijoin probe, all through keepRows —
+// replace the contiguous-chunk worker pool of parallel.go with hash
+// routing:
 // every probe row is assigned to the shard owning its content hash
 // (shard.Partition), one worker goroutine runs per shard under a child
 // governor whose charges roll up to the session governor, and the
@@ -55,11 +55,10 @@ type shardMsg struct {
 // worker owns the disjoint index set shard.Partition routed to it and
 // writes verdicts into its own slots of the keep slice, so the workers
 // share no mutable state; pred must obey the parallel.go worker
-// contract (evalCond only, after resolveScalars). precharged marks
-// operators whose projected cost was charged up front; their counters
-// feed Stats only. site, when non-empty, fires in each worker as it
-// starts — the sharded counterpart of the per-chunk probe fault.
-func (ev *Evaluator) scatterKeep(op string, rows []table.Row, precharged bool, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([]table.Row, error) {
+// contract (evalCond only, after resolveScalars). site, when non-empty,
+// fires in each worker as it starts — the sharded counterpart of the
+// per-chunk probe fault.
+func (ev *Evaluator) scatterKeep(op string, rows []table.Row, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([]table.Row, error) {
 	k := ev.opts.shardCount()
 	parts := shard.Partition(rows, k)
 	keep := make([]bool, len(rows))
@@ -74,8 +73,7 @@ func (ev *Evaluator) scatterKeep(op string, rows []table.Row, precharged bool, s
 			halt.Store(true)
 			break
 		}
-		c := &chunk{part: s, st: &chunkStats{}, halt: &halt,
-			gov: ev.gov.Child(), op: op, precharged: precharged}
+		c := &chunk{part: s, st: &chunkStats{}, halt: &halt, gov: ev.gov.Child(), op: op}
 		ch := make(chan shardMsg, 1)
 		chans = append(chans, ch)
 		go shardWorker(c, ch, parts[s], rows, keep, site, pred)
@@ -186,98 +184,13 @@ func drainShardChans(chans []chan shardMsg) {
 
 // scatterFilterBatch filters one streaming batch scatter-gather (see
 // gatherIter). The caller already charged the batch's filter cost —
-// per-batch accounting, matching filterIter — so the scatter runs
-// precharged and pred counts nothing.
+// per-batch accounting, matching filterIter — so pred counts nothing.
 func (ev *Evaluator) scatterFilterBatch(cond algebra.Cond, batch []table.Row) ([]table.Row, error) {
-	return ev.scatterKeep("filter", batch, true, "", func(c *chunk, lr table.Row) (bool, error) {
+	return ev.scatterKeep("filter", batch, "", func(c *chunk, lr table.Row) (bool, error) {
 		v, err := ev.evalCond(cond, lr)
 		if err != nil {
 			return false, err
 		}
 		return v.IsTrue(), nil
-	})
-}
-
-// scatterUnifySemi executes a unification (anti-)semijoin's probe scan
-// scatter-gather. The build side is broadcast — every shard scans all
-// of r — unless the planner's CoPartition hint licenses the wild-bucket
-// co-partitioning of shard.BuildUnify: null-free build rows live only
-// in the bucket of the shard their hash routes to, null-containing
-// build rows go to a wild bucket every shard scans, and a probe row
-// that itself contains a null falls back to the full build side. Both
-// modes return the same rows (the soundness argument is on
-// shard.UnifyBuild); co-partitioning just does fewer comparisons, which
-// is why Stats.CostUnits — unlike the result bytes — may differ from a
-// broadcast run. The operator's projected |L|·|R| cost was already
-// charged by evalUnifySemi, identically in every mode.
-func (ev *Evaluator) scatterUnifySemi(e algebra.UnifySemi, l, r *table.Table) (*table.Table, error) {
-	lRows, rRows := l.Rows(), r.Rows()
-	k := ev.opts.shardCount()
-	var b *shard.UnifyBuild
-	if ev.shardHint(e.Key).CoPartition {
-		b = shard.BuildUnify(rRows, k)
-		// The co-partition structure is built once here and borrowed
-		// read-only by every shard: its memory is charged exactly once,
-		// at the owner — borrowers must never charge it again (the
-		// broadcast double-charge bug this layer was built to avoid).
-		n := b.EstimatedBytes()
-		if err := ev.gov.ChargeMem("unify-semijoin", n); err != nil {
-			return nil, err
-		}
-		defer ev.gov.ReleaseMem(n)
-		ev.note("unify-semijoin co-partitioned over %d shards (%d wild rows)", k, len(b.Wild))
-	}
-	kept, err := ev.scatterKeep("unify-semijoin", lRows, true, "", func(c *chunk, lr table.Row) (bool, error) {
-		var match bool
-		if b == nil || shard.RowHasNull(lr) {
-			// Broadcast — or a null-containing probe row, which can unify
-			// into any bucket and must scan the full build side.
-			match = unifyAny(c, lr, rRows)
-		} else {
-			match = unifyAny(c, lr, b.Buckets[c.part]) || unifyAny(c, lr, b.Wild)
-		}
-		return match != e.Anti, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := concatChunks(ev.gov, l.Arity(), [][]table.Row{kept})
-	if err != nil {
-		return nil, err
-	}
-	name := "unify-semijoin"
-	if e.Anti {
-		name = "unify-antijoin"
-	}
-	ev.note("%s %d ⇑ %d -> %d rows [%d shards]", name, l.Len(), r.Len(), out.Len(), k)
-	return out, nil
-}
-
-// unifyAny scans build rows for a unification partner of lr, counting
-// one cost unit per comparison like the sequential scan.
-func unifyAny(c *chunk, lr table.Row, rRows []table.Row) bool {
-	for _, rr := range rRows {
-		c.st.costUnits++
-		if value.UnifyTuples(lr, rr) {
-			return true
-		}
-	}
-	return false
-}
-
-// scatterProbeSemi is probeSemi's sharded counterpart: same per-row
-// match logic (semiMatch), hash-routed across shards instead of
-// chunked, output reassembled in probe order.
-func (ev *Evaluator) scatterProbeSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
-	scratch := make([]table.Row, ev.opts.shardCount())
-	for s := range scratch {
-		scratch[s] = make(table.Row, p.nL+p.r.Arity())
-	}
-	return ev.scatterKeep("semijoin/probe", lRows, false, guard.SiteSemijoinProbe, func(c *chunk, lr table.Row) (bool, error) {
-		match, err := ev.semiMatch(p, c, scratch[c.part], lr)
-		if err != nil {
-			return false, err
-		}
-		return match != p.anti, nil
 	})
 }

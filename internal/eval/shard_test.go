@@ -50,10 +50,9 @@ func TestShardMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// shardUnifyDB builds a database whose s relation is null-free (so a
-// co-partition hint is the decision the planner would make) and whose r
-// probe side mixes null-free and null-containing rows, exercising both
-// the bucket probe and the wild-row full scan.
+// shardUnifyDB builds a database whose s build relation is null-free
+// and whose r probe side mixes null-free and null-containing rows,
+// exercising both the bucket probe and the null-probe full scan.
 func shardUnifyDB(t *testing.T, buildRows int) *table.Database {
 	t.Helper()
 	db := newDB(t)
@@ -69,64 +68,69 @@ func shardUnifyDB(t *testing.T, buildRows int) *table.Database {
 	return db
 }
 
-// coPartitionHints builds the PlanHints a co-partition decision on e
-// produces.
-func coPartitionHints(e algebra.UnifySemi) *eval.PlanHints {
-	return &eval.PlanHints{Shard: map[string]eval.ShardHint{e.Key(): {CoPartition: true}}}
-}
-
-// TestShardUnifySemiCoPartition asserts that the wild-bucket
-// co-partitioned unification semijoin agrees byte-for-byte with the
-// broadcast sharded run and with the unsharded run, for the semi and
-// anti variants alike.
-func TestShardUnifySemiCoPartition(t *testing.T) {
+// TestUnifySemiSameWorkAtEveryShardCount asserts that the unification
+// semijoin is one operator at every setting: byte-identical rows and
+// identical Stats.CostUnits across Shards and Parallelism, for the semi
+// and anti variants alike, and the same rows as the NoHashJoin nested
+// loop.
+func TestUnifySemiSameWorkAtEveryShardCount(t *testing.T) {
 	db := shardUnifyDB(t, 60)
 	for _, anti := range []bool{false, true} {
 		e := algebra.UnifySemi{L: baseR, R: baseS, Anti: anti}
-		want := run(t, db, e, eval.Options{Semantics: value.SQL3VL})
+		ref := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
+		want, err := ref.Eval(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Stats().UnifyJoins != 1 || ref.Stats().NestedLoopJoins != 0 {
+			t.Errorf("anti=%v strategy counters: %+v", anti, ref.Stats())
+		}
+		nested := run(t, db, e, eval.Options{Semantics: value.SQL3VL, NoHashJoin: true})
+		if nested.String() != want.String() {
+			t.Errorf("anti=%v index differs from the nested loop:\nnested:  %s\nindexed: %s", anti, nested, want)
+		}
 		for _, k := range []int{2, 3, 8} {
-			broadcast := run(t, db, e, eval.Options{Semantics: value.SQL3VL, Shards: k})
-			if broadcast.String() != want.String() {
-				t.Errorf("anti=%v Shards=%d broadcast differs from unsharded:\nunsharded: %s\nsharded:   %s",
-					anti, k, want.String(), broadcast.String())
-			}
-			co := run(t, db, e, eval.Options{Semantics: value.SQL3VL, Shards: k, Hints: coPartitionHints(e)})
-			if co.String() != want.String() {
-				t.Errorf("anti=%v Shards=%d co-partition differs from unsharded:\nunsharded: %s\nsharded:   %s",
-					anti, k, want.String(), co.String())
+			for _, par := range []int{1, 4} {
+				ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Shards: k, Parallelism: par})
+				got, err := ev.Eval(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Errorf("anti=%v Shards=%d P=%d differs from unsharded:\nunsharded: %s\nsharded:   %s",
+						anti, k, par, want, got)
+				}
+				if got, want := ev.Stats().CostUnits, ref.Stats().CostUnits; got != want {
+					t.Errorf("anti=%v Shards=%d P=%d: %d cost units, unsharded %d", anti, k, par, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestShardCoPartitionMemChargeOnce is the regression test for the
-// broadcast/co-partition build-side memory double-charge: the
-// co-partition structure is charged exactly once by the gather
-// coordinator and borrowed — never re-charged — by the shard workers,
-// so the memory high-water mark must not grow with the shard count.
-func TestShardCoPartitionMemChargeOnce(t *testing.T) {
+// TestUnifyIndexMemChargedOnce is the regression test for the
+// build-side memory double-charge: the index is charged exactly once,
+// by the coordinator, and borrowed — never re-charged — by the probe
+// workers, so the memory high-water mark must not depend on the shard
+// count.
+func TestUnifyIndexMemChargedOnce(t *testing.T) {
 	db := shardUnifyDB(t, 200)
 	e := algebra.UnifySemi{L: baseR, R: baseS}
-	water := func(k int) int64 {
+	water := func(o eval.Options) int64 {
 		t.Helper()
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Shards: k, Hints: coPartitionHints(e)})
+		o.Semantics = value.SQL3VL
+		ev := eval.New(db, o)
 		if _, err := ev.Eval(e); err != nil {
-			t.Fatalf("Shards=%d: %v", k, err)
+			t.Fatalf("%+v: %v", o, err)
 		}
 		return ev.Stats().MemHighWaterBytes
 	}
-	w2, w8 := water(2), water(8)
-	if w2 != w8 {
-		t.Fatalf("MemHighWater grows with shard count (build side charged per shard?): Shards=2 %d bytes, Shards=8 %d bytes", w2, w8)
+	w1, w2, w8 := water(eval.Options{}), water(eval.Options{Shards: 2}), water(eval.Options{Shards: 8})
+	if w1 != w2 || w2 != w8 {
+		t.Fatalf("MemHighWater depends on the shard count (index charged per shard?): %d / %d / %d bytes", w1, w2, w8)
 	}
-	// And the charge exists at all: the sharded run must account for the
-	// co-partition structure it builds, above the unsharded high water.
-	ref := eval.New(db, eval.Options{Semantics: value.SQL3VL})
-	if _, err := ref.Eval(e); err != nil {
-		t.Fatal(err)
-	}
-	if w2 <= ref.Stats().MemHighWaterBytes {
-		t.Fatalf("co-partition build structure is not charged: sharded high water %d <= unsharded %d",
-			w2, ref.Stats().MemHighWaterBytes)
+	// And the charge exists at all: above the index-free nested loop's.
+	if bare := water(eval.Options{NoHashJoin: true}); w1 <= bare {
+		t.Fatalf("index is not charged: high water %d <= nested loop's %d", w1, bare)
 	}
 }

@@ -142,48 +142,58 @@ func TestLegacyOnQ3(t *testing.T) {
 }
 
 // TestOrSplitQ2 checks the Section 7 optimizer story on Q2: without
-// splitting, the translated NOT EXISTS condition contains OR … IS NULL
-// and forces a nested loop; with splitting, the plan short-circuits and
-// wins once the instance is non-trivial.
+// splitting, the translated NOT EXISTS condition contains OR … IS NULL,
+// which hides the hash key — the executor runs it on the wild-bucket
+// index, and on nested loops once hash strategies are off (the paper's
+// confused optimizer); with splitting, the plan short-circuits.
 func TestOrSplitQ2(t *testing.T) {
 	r, err := experiment.OrSplit(context.Background(), tpch.Q2, 0.005, 0.03, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.UnsplitRows != r.SplitRow {
-		t.Errorf("split changed the result: %d vs %d rows", r.UnsplitRows, r.SplitRow)
+	if r.Unsplit.Rows != r.Split.Rows || r.Confused.Rows != r.Split.Rows {
+		t.Errorf("plans disagree: %d unsplit, %d split, %d confused rows", r.Unsplit.Rows, r.Split.Rows, r.Confused.Rows)
 	}
-	if r.UnsplitStats.NestedLoopJoins == 0 {
-		t.Error("unsplit Q2+ used no nested loops; expected the confused-optimizer path")
+	if st := r.Unsplit.Stats; st.UnifyJoins == 0 || st.NestedLoopJoins != 0 {
+		t.Errorf("unsplit Q2+ should run on the wild-bucket index: %s", st.Summary())
 	}
-	if r.SplitStats.ShortCircuits == 0 {
+	if r.Confused.Stats.NestedLoopJoins == 0 {
+		t.Error("confused Q2+ used no nested loops; expected the confused-optimizer path")
+	}
+	if r.Split.Stats.ShortCircuits == 0 {
 		t.Error("split Q2+ performed no short circuits; expected the decorrelated IS NULL branch")
 	}
 	t.Log("\n" + experiment.RenderOrSplit(r))
 }
 
 // TestOrSplitQ4 checks the harder half of the Section 7 story: the
-// unsplit Q4+ plan has "astronomical" cost (here: it exceeds the row
-// budget via Cartesian fallbacks), while the split plan completes.
+// confused Q4+ plan has "astronomical" cost (here: it exceeds the
+// budget via Cartesian fallbacks), while the unsplit plan on the
+// wild-bucket index stays within a small factor of the split one.
 func TestOrSplitQ4(t *testing.T) {
 	r, err := experiment.OrSplit(context.Background(), tpch.Q4, 0.002, 0.03, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.UnsplitFailed && r.UnsplitStats.CostUnits < 4*r.SplitStats.CostUnits {
-		t.Errorf("unsplit Q4+ cost %d not dramatically above split cost %d",
-			r.UnsplitStats.CostUnits, r.SplitStats.CostUnits)
+	if !r.Confused.Failed && r.Confused.Stats.CostUnits < 4*r.Split.Stats.CostUnits {
+		t.Errorf("confused Q4+ cost %d not dramatically above split cost %d",
+			r.Confused.Stats.CostUnits, r.Split.Stats.CostUnits)
 	}
-	if r.SplitRow == 0 {
-		t.Log("note: split Q4+ returned no rows on this draw")
+	if r.Unsplit.Failed || r.Unsplit.Stats.CostUnits > 2*r.Split.Stats.CostUnits {
+		t.Errorf("unsplit Q4+ (failed=%v) cost %d, want within 2x of split cost %d",
+			r.Unsplit.Failed, r.Unsplit.Stats.CostUnits, r.Split.Stats.CostUnits)
+	}
+	if r.Unsplit.Rows != r.Split.Rows {
+		t.Errorf("split changed the result: %d vs %d rows", r.Unsplit.Rows, r.Split.Rows)
 	}
 	t.Log("\n" + experiment.RenderOrSplit(r))
 }
 
 // TestAblationShape runs the design-decision ablation study and checks
-// the headline effects: losing OR-splitting cripples Q4 (or busts the
-// budget), losing the short circuit slows Q2 severely, and losing hash
-// joins makes Q3's anti-join quadratic.
+// the headline effects: losing the short circuit slows Q2 severely, and
+// losing hash joins makes Q3's anti-join quadratic. Losing OR-splitting
+// no longer cripples Q4 — the executor hashes the unsplit conditions —
+// so that column is only bounded from above.
 func TestAblationShape(t *testing.T) {
 	rows, err := experiment.Ablation(context.Background(), experiment.AblationConfig{Seed: 7, Scale: 0.002})
 	if err != nil {
@@ -193,8 +203,9 @@ func TestAblationShape(t *testing.T) {
 	for _, r := range rows {
 		byQuery[r.Query] = r
 	}
-	if r := byQuery[tpch.Q4]; !r.Failed["no-orsplit"] && r.Factor["no-orsplit"] < 5 {
-		t.Errorf("Q4 without OR-split: factor %.2f, expected severe slowdown", r.Factor["no-orsplit"])
+	if r := byQuery[tpch.Q4]; r.Failed["no-orsplit"] || r.Factor["no-orsplit"] > 20 {
+		t.Errorf("Q4 without OR-split: failed=%v factor %.2f, expected a small factor",
+			r.Failed["no-orsplit"], r.Factor["no-orsplit"])
 	}
 	if r := byQuery[tpch.Q2]; r.Factor["no-shortcircuit"] < 2 {
 		t.Errorf("Q2 without short circuit: factor %.2f, expected a large slowdown", r.Factor["no-shortcircuit"])

@@ -29,6 +29,9 @@ type Figure4Config struct {
 	Seed int64
 	// Queries to run; nil means Q1–Q4.
 	Queries []tpch.QueryID
+	// NoOrSplit measures the raw Section 7 translation, its `A = B OR
+	// B IS NULL` disjunctions left intact, instead of the OR-split one.
+	NoOrSplit bool
 	// Parallelism is the executor worker count (0 = GOMAXPROCS,
 	// 1 = sequential). Both t and t⁺ run at the same setting, so the
 	// reported ratios stay comparable.
@@ -93,6 +96,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 			db := base.Clone()
 			tpch.InjectNulls(db, rate, rng)
 			tr := DefaultTranslator(db)
+			tr.SplitOrs = !cfg.NoOrSplit
 			for _, qid := range cfg.Queries {
 				for d := 0; d < cfg.ParamDraws; d++ {
 					params := qid.Params(rng, sizes)

@@ -160,16 +160,24 @@ func RenderLegacy(points []LegacyPoint) string {
 func RenderOrSplit(r *OrSplitReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OR-splitting on %s (Section 7 optimizer discussion)\n", r.Query)
-	if r.UnsplitFailed {
-		fmt.Fprintf(&b, "  without split: EXCEEDED ROW BUDGET after %s, %s\n", r.UnsplitTime, r.UnsplitStats.Summary())
-	} else {
-		fmt.Fprintf(&b, "  without split: %d rows, %s, %s\n", r.UnsplitRows, r.UnsplitTime, r.UnsplitStats.Summary())
+	for _, p := range []struct {
+		label string
+		run   OrSplitRun
+	}{{"without split:", r.Unsplit}, {"with split:", r.Split}, {"confused:", r.Confused}} {
+		if p.run.Failed {
+			fmt.Fprintf(&b, "  %-15s EXCEEDED BUDGET after %s, %s\n", p.label, p.run.Time, p.run.Stats.Summary())
+		} else {
+			fmt.Fprintf(&b, "  %-15s %d rows, %s, %s\n", p.label, p.run.Rows, p.run.Time, p.run.Stats.Summary())
+		}
 	}
-	fmt.Fprintf(&b, "  with split:    %d rows, %s, %s\n", r.SplitRow, r.SplitTime, r.SplitStats.Summary())
-	if r.UnsplitStats.CostUnits > 0 {
-		fmt.Fprintf(&b, "  cost ratio unsplit/split: %.1f\n",
-			float64(r.UnsplitStats.CostUnits)/float64(maxInt64(1, r.SplitStats.CostUnits)))
+	ratio := func(run OrSplitRun) string {
+		if run.Failed {
+			return "over budget"
+		}
+		return fmt.Sprintf("%.1f", float64(run.Stats.CostUnits)/float64(maxInt64(1, r.Split.Stats.CostUnits)))
 	}
+	fmt.Fprintf(&b, "  cost ratio unsplit/split: %s; confused (unsplit, no hash strategies)/split: %s\n",
+		ratio(r.Unsplit), ratio(r.Confused))
 	return b.String()
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"certsql/internal/algebra"
+	"certsql/internal/eval"
 )
 
 // defaultRows is the cardinality assumed for a relation with no
@@ -61,16 +62,29 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 		case "short-circuit":
 			work = r.rows
 		case "nested-loop":
-			// The quadratic probe the paper's Section 7 conditions
-			// force on a confused optimizer.
+			// No hash key and no unification edge: the quadratic probe.
 			work = l.rows * r.rows
+		case "wild-hash":
+			// The Section 7 shape, `A = B OR B IS NULL`: the executor
+			// indexes the build side on the edge's column.
+			_, bCol, _ := eval.SpanningUnifyEdge(semiNNF(n), n.L.Arity())
+			d, nullRate, ok := o.colInfo(n.R)(bCol)
+			if !ok {
+				d, nullRate = math.Max(1, 0.1*r.rows), 0.1
+			}
+			work = wildHashWork(l.rows, r.rows, d, nullRate)
 		default: // hash
 			work = l.rows + r.rows
 		}
 		return estimate{rows: rows, cost: l.cost + r.cost + work + 1}
 	case algebra.UnifySemi:
+		// R ⋉⇑ S on the full-row wild-bucket index: a build row is wild
+		// when any of its columns is null, its bucket otherwise holds
+		// its duplicates; a probe row with a null scans the build side.
 		l, r := o.estimate(n.L), o.estimate(n.R)
-		return estimate{rows: 0.5 * l.rows, cost: l.cost + r.cost + l.rows*r.rows + 1}
+		work := wildHashWork(l.rows, r.rows, r.rows, o.anyNullRate(n.R)) +
+			o.anyNullRate(n.L)*l.rows*r.rows
+		return estimate{rows: 0.5 * l.rows, cost: l.cost + r.cost + work + 1}
 	case algebra.Distinct:
 		child := o.estimate(n.Child)
 		return estimate{rows: 0.9 * child.rows, cost: child.cost + child.rows + 1}
@@ -108,10 +122,31 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 	}
 }
 
+// wildHashWork prices a wild-bucket index: one unit per build row, then
+// per probe the lookup, the key's bucket (rows/distinct) and the wild
+// list (nullRate × rows).
+func wildHashWork(probes, rows, distinct, nullRate float64) float64 {
+	return rows + probes*(1+rows/math.Max(distinct, 1)+nullRate*rows)
+}
+
+// anyNullRate estimates the fraction of e's rows holding a null in any
+// column, assuming independent columns.
+func (o *optimizer) anyNullRate(e algebra.Expr) float64 {
+	info := o.colInfo(e)
+	free := 1.0
+	for col := 0; col < e.Arity(); col++ {
+		if _, rate, ok := info(col); ok {
+			free *= 1 - rate
+		}
+	}
+	return 1 - free
+}
+
 // joinBlockEstimate costs σ_cond(leaf₀ × …): the runtime plans this as
-// a greedy equi-join over the condition's equality edges, so the cost
-// is linear in the leaves when an edge connects them and the output is
-// discounted by the condition's selectivity.
+// a greedy join over the condition's edges, so the cost is linear in the
+// leaves where hash edges connect them — plus whatever its other steps
+// cost (unhashedSteps) where they do not — and the output is discounted
+// by the condition's selectivity.
 func (o *optimizer) joinBlockEstimate(s algebra.Select) estimate {
 	leaves := flattenProduct(s.Child)
 	rows, cost := 1.0, 1.0
@@ -120,8 +155,102 @@ func (o *optimizer) joinBlockEstimate(s algebra.Select) estimate {
 		rows *= le.rows
 		cost += le.cost + le.rows
 	}
-	rows *= o.selectivity(s.Cond, o.colInfo(s.Child))
+	info := o.colInfo(s.Child)
+	rows *= o.selectivity(s.Cond, info)
+	if !hashConnected(leaves, s.Cond) {
+		cost += o.unhashedSteps(leaves, s.Cond, info)
+	}
 	return estimate{rows: rows, cost: cost + rows}
+}
+
+// hashConnected reports whether cond's pure column equalities connect
+// all the leaves of a join block. The greedy order takes a hash edge
+// whenever one leaves the joined set, so a connected block is hash joins
+// throughout — the common case, answered here without classifying the
+// condition (estimates are recomputed at every level of the plan tree).
+func hashConnected(leaves []algebra.Expr, cond algebra.Cond) bool {
+	if !algebra.NNFIsIdentity(cond) {
+		return false
+	}
+	leafOf := func(col int) int {
+		for i, leaf := range leaves {
+			a := leaf.Arity()
+			if col < a {
+				return i
+			}
+			col -= a
+		}
+		return -1
+	}
+	var buf [8]int // union-find over the leaves
+	root := buf[:]
+	if len(leaves) > len(buf) {
+		root = make([]int, len(leaves))
+	}
+	for i := range root {
+		root[i] = i
+	}
+	find := func(i int) int {
+		for root[i] != i {
+			i = root[i]
+		}
+		return i
+	}
+	parts := len(leaves)
+	for _, c := range algebra.Conjuncts(cond) {
+		cmp, ok := c.(algebra.Cmp)
+		if !ok || cmp.Op != algebra.EQ {
+			continue
+		}
+		l, lok := cmp.L.(algebra.Col)
+		r, rok := cmp.R.(algebra.Col)
+		if !lok || !rok {
+			continue
+		}
+		if a, b := find(leafOf(l.Idx)), find(leafOf(r.Idx)); a != b {
+			root[a] = b
+			parts--
+		}
+	}
+	return parts == 1
+}
+
+// unhashedSteps prices the steps of a join block that are not hash
+// joins, along the order the runtime will take (eval.JoinBlock.Order,
+// from estimated leaf sizes): a wild-bucket index where only a
+// unification edge connects the next leaf, |cur|·|leaf| twice over — the
+// product and the residual filter behind it — for a Cartesian step.
+func (o *optimizer) unhashedSteps(leaves []algebra.Expr, cond algebra.Cond, info func(int) (float64, float64, bool)) float64 {
+	arities := make([]int, len(leaves))
+	for i, leaf := range leaves {
+		arities[i] = leaf.Arity()
+	}
+	jb := eval.ClassifyJoinBlock(arities, cond)
+	leafRows := make([]float64, len(leaves))
+	for i, leaf := range leaves {
+		leafRows[i] = o.estimate(leaf).rows * o.selectivity(algebra.NewAnd(jb.Singles[i]...), info)
+	}
+	cur, extra := 0.0, 0.0
+	for _, st := range jb.Order(func(leaf int) float64 { return leafRows[leaf] }) {
+		lr := leafRows[st.Leaf]
+		switch st.Kind {
+		case eval.JoinStart:
+			cur = lr
+			continue
+		case eval.JoinHash:
+			// linear in the leaves: priced by the caller's per-leaf terms
+		case eval.JoinWildHash:
+			d, nullRate, ok := info(st.BuildCol)
+			if !ok {
+				d, nullRate = math.Max(1, 0.1*lr), 0.1
+			}
+			extra += wildHashWork(cur, lr, d, nullRate)
+		case eval.JoinProduct:
+			extra += 2 * cur * lr
+		}
+		cur *= lr * o.selectivity(algebra.NewAnd(jb.Conds(st)...), info)
+	}
+	return extra
 }
 
 // flattenProduct mirrors the evaluator's product-chain flattening.
@@ -132,19 +261,28 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
+// semiNNF returns a semijoin's condition in NNF, as the evaluator sees it.
+func semiNNF(sj algebra.SemiJoin) algebra.Cond {
+	if algebra.NNFIsIdentity(sj.Cond) {
+		return sj.Cond
+	}
+	return algebra.NNF(sj.Cond)
+}
+
 // semiStrategy names the strategy the evaluator will pick for a
 // semijoin: "short-circuit" (uncorrelated), "hash" (extractable
-// equality keys) or "nested-loop".
+// equality keys), "wild-hash" (no key, but a unification edge `a = b OR
+// … IS NULL` to index) or "nested-loop".
 func semiStrategy(sj algebra.SemiJoin) string {
-	cond := sj.Cond
-	if !algebra.NNFIsIdentity(cond) {
-		cond = algebra.NNF(cond)
-	}
+	cond := semiNNF(sj)
 	if !algebra.UsesColBelow(cond, sj.L.Arity()) {
 		return "short-circuit"
 	}
 	if l, _ := semiKeyPairs(sj); len(l) > 0 {
 		return "hash"
+	}
+	if _, _, ok := eval.SpanningUnifyEdge(cond, sj.L.Arity()); ok {
+		return "wild-hash"
 	}
 	return "nested-loop"
 }

@@ -211,6 +211,75 @@ func TestAntiSplitCostGate(t *testing.T) {
 	}
 }
 
+// TestWildHashStrategy checks the third semijoin strategy: a condition
+// whose only link is a unification edge `a = c OR c IS NULL` has no hash
+// key, but the executor indexes it, and the model prices it as such —
+// far below the nested loop's |L|·|R| — and says so in EXPLAIN. The
+// anti-split gate then competes against that price: splitting costs a
+// second pass over s, so it pays only when the uncorrelated ρ-part has a
+// witness and sits outermost (a minting L pins the θ-part innermost),
+// where it short-circuits to the empty result before anything else
+// runs; with no null in s.c there is no witness and it is declined.
+func TestWildHashStrategy(t *testing.T) {
+	grown := func() *table.Database {
+		db := planDB(t)
+		for i := int64(0); i < 200; i++ {
+			if err := db.Insert("s", table.Row{value.Int(i % 50)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	db := grown()
+	edge := algebra.NewOr(
+		algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
+		algebra.NullTest{Operand: algebra.Col{Idx: 2}},
+	)
+	e := algebra.SemiJoin{L: algebra.Base{Name: "r", Cols: 2}, R: algebra.Base{Name: "s", Cols: 1}, Cond: edge, Anti: true}
+	fired := func(res *plan.Result) bool {
+		for _, k := range res.Fired {
+			if k == plan.RuleAntiSplit {
+				return true
+			}
+		}
+		return false
+	}
+
+	naive := plan.Describe(e, db.Schema, collect(db))
+	if text := naive.Render(); !strings.Contains(text, "strategy=wild-hash") {
+		t.Fatalf("EXPLAIN does not name the strategy:\n%s", text)
+	}
+	if nested := 8.0 * 202; naive.EstCost >= nested {
+		t.Fatalf("wild-hash antijoin priced at %.4g, not below the nested loop's %.4g", naive.EstCost, nested)
+	}
+	res, err := plan.Optimize(e, db.Schema, collect(db), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired(res) {
+		t.Fatalf("anti-split fired against a cheaper wild-hash antijoin:\n%s", res.ExplainText())
+	}
+
+	// A grouped (hence minting) left side: the ρ-part goes outermost.
+	e.L = algebra.GroupBy{Child: e.L, Keys: []int{0, 1}}
+	if res, err = plan.Optimize(e, db.Schema, collect(db), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !fired(res) {
+		t.Fatalf("anti-split should take the short-circuit while s.c holds a null; rules: %v", res.Fired)
+	}
+	clean := grown()
+	if err := clean.ReplaceRow("s", 1, table.Row{value.Int(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = plan.Optimize(e, clean.Schema, collect(clean), nil); err != nil {
+		t.Fatal(err)
+	}
+	if fired(res) {
+		t.Fatalf("anti-split fired with nothing to short-circuit on:\n%s", res.ExplainText())
+	}
+}
+
 // TestSemiHints checks hint derivation on a hash semijoin with a
 // numeric key: slim verification and the numeric-key specialization
 // both require the num-range premise, and pre-sizing uses the distinct

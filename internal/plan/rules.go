@@ -218,12 +218,13 @@ func (o *optimizer) rewriteSemi(n algebra.SemiJoin) algebra.Expr {
 // and short-circuits.
 //
 // The split is kept only when the cost model prices it below the
-// original antijoin. It wins when the unsplit condition is
-// hash-hostile (the `= OR IS NULL` shape the certain-answer
-// translation produces buries its equality inside the disjunction, so
-// the runtime nested-loops it) and loses when `rest` already carries
-// extractable hash keys — there the runtime hashes the unsplit
-// antijoin anyway and splitting only adds a second build pass.
+// original antijoin. It wins when the unsplit condition has nothing the
+// runtime can index (θ is not an equality, say `LIKE … OR IS NULL`, so
+// the unsplit antijoin nested-loops) or when the ρ-part short-circuits
+// the whole antijoin away; it loses when `rest` already carries
+// extractable hash keys, or θ∨ρ is a unification edge the runtime runs
+// on a wild-bucket index — there splitting only adds a second pass
+// over R.
 func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 	if !sj.Anti || condHasScalar(sj.Cond) {
 		return nil, false
@@ -310,7 +311,17 @@ func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 				Anti: true,
 			}
 		}
-		if o.estimate(split).cost >= o.estimate(sj).cost {
+		splitCost := o.estimate(split).cost
+		if len(rest) == 0 && (thetaCond == nil || hasMinters(sj.L)) {
+			// The ρ-part is uncorrelated and outermost, so one ρ row in R
+			// is a witness against every left row: the antijoin
+			// short-circuits to the empty result and nothing beneath it
+			// ever runs.
+			if w := o.estimate(algebra.Select{Child: sj.R, Cond: algebra.NewOr(rho...)}); w.rows >= 1 {
+				splitCost = w.cost
+			}
+		}
+		if splitCost >= o.estimate(sj).cost {
 			continue // splitting this disjunction doesn't pay
 		}
 		return split, true

@@ -9,26 +9,23 @@ import (
 	"certsql/internal/stats"
 )
 
-// Sharded-execution planning (DESIGN.md §16). ShardPlan decides, per
-// unification (anti-)semijoin, whether the build side is broadcast to
-// every engine shard or wild-bucket co-partitioned (shard.BuildUnify).
-// The decision is a pure performance choice — both modes are
-// unconditionally sound, and difftest's shard-ablation invariant holds
-// them to byte-identical results — so the planner's only job is to
-// avoid building per-shard buckets that cannot pay for themselves:
+// Shard planning, retired (DESIGN.md §16). ShardPlan used to decide,
+// per unification (anti-)semijoin, whether the build side was broadcast
+// to every engine shard or co-partitioned into per-shard wild-buckets.
+// The executor now runs every unification operator on one hashed
+// wild-bucket index at any shard count (internal/eval/unify.go) and
+// reads none of this: the decisions below are advisory output only.
+// The file stays because the benchmark module compiles against
+// ShardPlan, ShardResult and CheckPremises; deleting it takes a
+// benchmark change first. What the decision logic still computes:
 //
 //   - a build side that is not a stored relation has no statistics to
-//     consult, and is broadcast;
+//     consult, and is reported broadcast;
 //   - a build relation with nullable content would push its rows into
-//     the wild bucket every shard scans anyway, so co-partitioning is
-//     gated on statistics proving every column null-free — recorded as
-//     PremiseNullFree premises, re-checked against fresh statistics
-//     before each prepared execution exactly like the optimizer's own
-//     premises (a load that introduces nulls flips the plan back to
-//     broadcast, never to a wrong answer);
-//   - a build relation with fewer distinct values than shards would
-//     leave most buckets empty, so co-partitioning also requires the
-//     best per-column distinct-count estimate to reach the shard count.
+//     the wild list, so co-partitioning is gated on statistics proving
+//     every column null-free — recorded as PremiseNullFree premises;
+//   - a build relation with fewer distinct values than shards is
+//     reported broadcast as well.
 
 // ShardHint is re-exported so callers configure sharding without
 // importing the executor.
@@ -55,9 +52,6 @@ type ShardResult struct {
 	// contains no unification semijoins.
 	Hints map[string]ShardHint
 	// Premises are the null-free facts the co-partition hints rely on.
-	// Callers must re-check them (CheckPremises) against current
-	// statistics before reusing the hints and fall back to broadcast —
-	// dropping the hints — when any fails.
 	Premises []Premise
 	// Decisions lists every choice in plan-tree order.
 	Decisions []ShardDecision
@@ -101,10 +95,7 @@ func ShardPlan(e algebra.Expr, st *stats.DBStats, shards int) *ShardResult {
 // nulls are bounded by its input relations' (selections, projections,
 // products, set operations — the shapes the certain translation
 // produces) co-partitions when statistics prove every contributing
-// relation null-free. A wrong guess would still be sound — surprise
-// nulls land in the wild bucket at execution — but the premises keep
-// the prediction honest: a load that introduces nulls fails the
-// re-check and drops the plan back to broadcast.
+// relation null-free.
 func (r *ShardResult) decide(us algebra.UnifySemi, st *stats.DBStats, shards int) ShardDecision {
 	d := ShardDecision{Op: "unify-semijoin", Build: "(subplan)"}
 	if us.Anti {

@@ -90,6 +90,7 @@ type Stats struct {
 	CostUnits       int64 `json:"cost_units,omitempty"`
 	NestedLoopJoins int   `json:"nested_loop_joins,omitempty"`
 	HashJoins       int   `json:"hash_joins,omitempty"`
+	UnifyJoins      int   `json:"unify_joins,omitempty"`
 	ShortCircuits   int   `json:"short_circuits,omitempty"`
 	CacheHits       int   `json:"cache_hits,omitempty"`
 	FastPathHits    int   `json:"fast_path_hits,omitempty"`

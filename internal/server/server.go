@@ -470,6 +470,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, rawParams map[s
 			CostUnits:         res.Stats.CostUnits,
 			NestedLoopJoins:   res.Stats.NestedLoopJoins,
 			HashJoins:         res.Stats.HashJoins,
+			UnifyJoins:        res.Stats.UnifyJoins,
 			ShortCircuits:     res.Stats.ShortCircuits,
 			CacheHits:         res.Stats.CacheHits,
 			FastPathHits:      res.Stats.FastPathHits,

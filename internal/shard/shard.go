@@ -6,13 +6,11 @@
 //   - HashRow / Partition: deterministic content hashing of rows and
 //     hash-partitioning of a probe stream's row indices, the routing a
 //     cross-process deployment would perform on the wire;
-//   - BuildUnify: the wild-bucket co-partitioning of a unification
-//     semijoin's build side — null-free build rows are bucketed by
-//     full-row hash, rows containing a marked null go to a "wild"
-//     bucket every shard scans, because a null unifies with anything
-//     (paper Section 7). The scheme is unconditionally sound: the
-//     planner's statistics only gate whether co-partitioning is
-//     worth it, never whether it is correct;
+//   - KeyedBuild: the build side of a unification join — null-free
+//     keys in a hash index, rows whose key contains a marked null in a
+//     "wild" list every probe also scans, because a null unifies with
+//     anything (paper Section 7). The same index serves every shard
+//     count: sharding routes probe rows, it does not shape the build;
 //   - PartitionedStore: a snapshot-store wrapper satisfying the
 //     server.Catalog seam that reports per-shard partition row counts
 //     for /metrics, cached by table content generation.
@@ -81,138 +79,159 @@ func RowHasNull(row table.Row) bool {
 	return false
 }
 
-// UnifyBuild is a unification-semijoin build side co-partitioned for k
-// shards: null-free rows bucketed by full-row hash, null-containing
-// rows in the wild bucket every probe consults.
+// KeyedBuild is the build side of a unification join: a hash index over
+// the rows whose key is null-free, plus the ascending wild list of rows
+// whose key contains a marked null. It is the one physical operator for
+// the two shapes the certain-answer translation emits and real
+// optimizers refuse to hash (paper Section 7):
 //
-// Soundness: value.UnifyTuples(lr, rr) with a null-free lr holds only
-// when rr either equals lr value-for-value (then HashRow(rr) ==
-// HashRow(lr), so rr is in lr's bucket) or contains a null (then rr is
-// in Wild). A probe row that itself contains a null can unify across
-// buckets and must scan the full build side — the executor keeps the
-// original slice for that.
-type UnifyBuild struct {
-	// Shards is the partition count k.
-	Shards int
-	// Buckets holds the null-free build rows, indexed by
-	// HashRow % Shards.
-	Buckets [][]table.Row
-	// Wild holds the build rows containing at least one marked null.
-	Wild []table.Row
-}
-
-// BuildUnify co-partitions a build side for k shards.
-func BuildUnify(rows []table.Row, k int) *UnifyBuild {
-	b := &UnifyBuild{Shards: k, Buckets: make([][]table.Row, k)}
-	for _, r := range rows {
-		if RowHasNull(r) {
-			b.Wild = append(b.Wild, r)
-			continue
-		}
-		s := int(HashRow(r) % uint64(k))
-		b.Buckets[s] = append(b.Buckets[s], r)
-	}
-	return b
-}
-
-// EstimatedBytes is the coarse per-row overhead estimate of the
-// co-partition structure, mirroring table.Table's accounting: the
-// structure re-slices existing rows, so only the slice headers are
-// new.
-func (b *UnifyBuild) EstimatedBytes() int64 {
-	n := int64(len(b.Wild))
-	for _, bk := range b.Buckets {
-		n += int64(len(bk))
-	}
-	return n * 24 // slice-header bytes per referenced row
-}
-
-// KeyedBuild is the keyed counterpart of UnifyBuild, co-partitioning a
-// build side on one column for a unification *edge* — a join condition
-// of the shape `a = b OR a IS NULL OR b IS NULL` (any subset of the
-// null tests), the pattern the certain-answer translation emits and
-// real optimizers refuse to hash (paper Section 7). Build rows whose
-// key column is null go to Wild: a null key can satisfy the edge
-// against any probe (the null test, or mark equality under naive
-// semantics). Null-free keys go to the bucket their hash routes to: if
-// the probe key is also non-null, every null test is false, so the edge
-// holds only under a = b — and equal-comparing values hash identically
-// (HashValue), putting any matching build row in the probe's bucket.
+//   - a unification *edge* `a = b OR a IS NULL OR b IS NULL` (any subset
+//     of the null tests), keyed on the build column b (BuildKeyed);
+//   - the unification semijoin R ⋉⇑ S, keyed on the full row (BuildRows).
 //
-// Buckets and Wild hold row *indexes*, in ascending order, so consumers
-// can re-emit candidate pairs in exactly the order the unsharded
-// product-then-filter pipeline visits them — the byte-identity the
-// shard-ablation invariant demands. The pruning is a pure superset
-// filter: the full join condition is still evaluated per candidate, so
-// a wrong bucket guess is impossible, only a useless one.
+// Soundness is the "No More Nulls!" split: on the null-free part of a
+// relation ordinary hashing is exact — values that compare equal fold to
+// the same value.FoldKey hash, so any build row a non-null probe key can
+// match sits in that key's bucket — and the part with nulls, which can
+// match anything, is small and is scanned. The index is a pure superset
+// filter: consumers still evaluate the full condition (or UnifyTuples)
+// per candidate, so a hash collision costs one wasted evaluation and
+// can never produce a wrong answer.
+//
+// Buckets and Wild hold row *indexes* in ascending order, and a Cursor
+// merges them ascending, so consumers re-emit candidate pairs in exactly
+// the order a product-then-filter pipeline visits them — the byte
+// identity the ablation invariants demand. The buckets live in two flat
+// slices behind one hash-to-slot map, not one slice per key.
 type KeyedBuild struct {
-	// Shards is the partition count k.
-	Shards int
-	// Col is the build-side key column the index is keyed on.
-	Col int
-	// Buckets holds indexes of rows with a non-null key, by
-	// HashValue % Shards, each ascending.
-	Buckets [][]int
-	// Wild holds indexes of rows whose key is null, ascending.
+	// Wild holds the indexes of rows whose key contains a null, ascending.
 	Wild []int
+
+	n    int            // build-side row count
+	slot map[uint64]int // key hash -> bucket number
+	offs []int          // bucket s is rows[offs[s]:offs[s+1]]
+	rows []int          // keyed row indexes, ascending within each bucket
 }
 
-// BuildKeyed co-partitions a build side on column col for k shards.
+// BuildKeyed indexes a build side on column col. k is ignored: the
+// index is the same at every shard count — Shards routes probe rows, it
+// no longer shapes the build — and the parameter survives only so
+// existing callers keep compiling.
 func BuildKeyed(rows []table.Row, col, k int) *KeyedBuild {
-	b := &KeyedBuild{Shards: k, Col: col, Buckets: make([][]int, k)}
-	for i, r := range rows {
-		if r[col].IsNull() {
+	return build(len(rows), func(i int) (uint64, bool) {
+		return HashValue(rows[i][col]), !rows[i][col].IsNull()
+	})
+}
+
+// BuildRows indexes a build side on the full row, for the unification
+// semijoin: value.UnifyTuples(lr, rr) with a null-free lr holds only
+// when rr equals lr value for value (then HashRow agrees) or rr contains
+// a null (then rr is wild).
+func BuildRows(rows []table.Row) *KeyedBuild {
+	return build(len(rows), func(i int) (uint64, bool) {
+		return HashRow(rows[i]), !RowHasNull(rows[i])
+	})
+}
+
+// build runs the two-pass counting construction: key reports row i's
+// hash and whether the row is keyed (false sends it to Wild).
+func build(n int, key func(i int) (uint64, bool)) *KeyedBuild {
+	b := &KeyedBuild{n: n, slot: make(map[uint64]int)}
+	slotOf := make([]int, n)
+	var fill []int // per bucket: its size, then its write position
+	for i := range slotOf {
+		h, keyed := key(i)
+		if !keyed {
+			slotOf[i] = -1
 			b.Wild = append(b.Wild, i)
 			continue
 		}
-		s := int(HashValue(r[col]) % uint64(k))
-		b.Buckets[s] = append(b.Buckets[s], i)
+		s, seen := b.slot[h]
+		if !seen {
+			s = len(fill)
+			b.slot[h] = s
+			fill = append(fill, 0)
+		}
+		fill[s]++
+		slotOf[i] = s
+	}
+	b.offs = make([]int, len(fill)+1)
+	for s, size := range fill {
+		b.offs[s+1] = b.offs[s] + size
+		fill[s] = b.offs[s]
+	}
+	b.rows = make([]int, b.offs[len(fill)])
+	for i, s := range slotOf {
+		if s >= 0 {
+			b.rows[fill[s]] = i
+			fill[s]++
+		}
 	}
 	return b
 }
 
+// Keyed is the number of build rows in hash buckets (the rest are wild).
+func (b *KeyedBuild) Keyed() int { return len(b.rows) }
+
 // EstimatedBytes is the coarse memory estimate of the index: one int
-// per referenced row.
+// per referenced row plus a map entry and an offset per distinct key.
 func (b *KeyedBuild) EstimatedBytes() int64 {
-	n := int64(len(b.Wild))
-	for _, bk := range b.Buckets {
-		n += int64(len(bk))
-	}
-	return n * 8
+	return int64(len(b.rows)+len(b.Wild))*8 + int64(len(b.offs))*24
 }
 
-// EachCandidate visits, in ascending row order, every build row index
-// that could satisfy a unification edge against the non-null probe key
-// v: the rows of v's hash bucket merged with the wild rows. visit
-// returning false stops the scan (the semijoin short-circuit). Callers
-// must scan the full build side themselves when the probe key is null —
-// such a probe can satisfy the edge against any build row.
-func (b *KeyedBuild) EachCandidate(v value.Value, visit func(i int) bool) {
-	bucket := b.Buckets[int(HashValue(v)%uint64(b.Shards))]
-	wild := b.Wild
-	for len(bucket) > 0 && len(wild) > 0 {
-		if bucket[0] < wild[0] {
-			if !visit(bucket[0]) {
-				return
-			}
-			bucket = bucket[1:]
-		} else {
-			if !visit(wild[0]) {
-				return
-			}
-			wild = wild[1:]
-		}
+// Cursor walks candidate build-row indexes in ascending order. The zero
+// Cursor is exhausted.
+type Cursor struct {
+	bucket, wild []int // merged ascending
+	i, n         int   // full scan of [i, n), with bucket and wild empty
+}
+
+// ScanAll returns the cursor over every index in [0, n): the nested
+// loop, for probes the index cannot narrow.
+func ScanAll(n int) Cursor { return Cursor{n: n} }
+
+// Next returns the next candidate index, or ok=false when exhausted.
+func (c *Cursor) Next() (i int, ok bool) {
+	switch {
+	case c.i < c.n:
+		c.i++
+		return c.i - 1, true
+	case len(c.bucket) > 0 && (len(c.wild) == 0 || c.bucket[0] < c.wild[0]):
+		i, c.bucket = c.bucket[0], c.bucket[1:]
+		return i, true
+	case len(c.wild) > 0:
+		i, c.wild = c.wild[0], c.wild[1:]
+		return i, true
 	}
-	for _, i := range bucket {
-		if !visit(i) {
-			return
-		}
+	return 0, false
+}
+
+// Probe returns the candidates for the probe key v against a BuildKeyed
+// index: v's bucket merged with the wild rows. A null probe key can
+// satisfy the edge against any build row (the null test, or mark
+// equality under naive semantics) and scans them all.
+func (b *KeyedBuild) Probe(v value.Value) Cursor {
+	if v.IsNull() {
+		return ScanAll(b.n)
 	}
-	for _, i := range wild {
-		if !visit(i) {
-			return
-		}
+	return b.candidates(HashValue(v))
+}
+
+// ProbeRow is Probe for a BuildRows index: a probe row containing a
+// null can unify with build rows of any bucket and scans them all.
+func (b *KeyedBuild) ProbeRow(row table.Row) Cursor {
+	if RowHasNull(row) {
+		return ScanAll(b.n)
 	}
+	return b.candidates(HashRow(row))
+}
+
+func (b *KeyedBuild) candidates(h uint64) Cursor {
+	c := Cursor{wild: b.Wild}
+	if s, ok := b.slot[h]; ok {
+		c.bucket = b.rows[b.offs[s]:b.offs[s+1]]
+	}
+	return c
 }
 
 // Catalog is the snapshot-store seam PartitionedStore wraps: the same
