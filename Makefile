@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-fix test race bench bench-memory bench-plan bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
+.PHONY: check build vet lint lint-fix test race bench bench-memory bench-plan bench-fig4 bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
 # check is what CI runs: build, vet, lint, and the full test suite under
 # the race detector (the parallel executor must stay race-clean).
@@ -71,6 +71,16 @@ bench-memory:
 bench-plan:
 	$(GO) test -run '^$$' -bench BenchmarkPlannerSpeedup -benchtime 5x .
 	$(GO) test -run '^TestPlannerSpeedup$$' -count=1 -v .
+
+# bench-fig4 runs the miniature Figure 4 twice: first on the wall clock
+# (BenchmarkFigure4Shape: the paper's triptych on t⁺/t, and Q4's ratio
+# as a reported metric) — advisory, because timings depend on the
+# machine and its load, so its failure is printed and ignored — then
+# on exact cost units (TestFigure4Shape: the same triptych on RelCost,
+# with Q4 held below the 8-branch split's value), which is the gate.
+bench-fig4:
+	-$(GO) test -run '^$$' -bench BenchmarkFigure4Shape -benchtime 3x ./internal/experiment
+	$(GO) test -run '^TestFigure4Shape$$' -count=1 -v ./internal/experiment
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
 # detector. 30s per target is the CI smoke setting; for a nightly long

@@ -68,16 +68,27 @@ func (t *Translator) splitOrs(e algebra.Expr) algebra.Expr {
 
 		// Split selectively, mirroring what the paper does by hand: Q⁺1
 		// and Q⁺3 are not split at all, Q⁺2 is split to decorrelate its
-		// IS NULL branch, and Q⁺4 is split on the join-breaking
-		// disjunctions (with the single-table disjunctions staying
-		// intact inside the part_view/supp_view filters). The criteria:
+		// IS NULL branch, and Q⁺4 is split on the disjunctions of the
+		// relation it is correlated through (lineitem), giving the
+		// appendix's four branches; part_view's and supp_view's own
+		// disjunctions stay intact inside them. The criteria:
 		//
 		//   - a disjunction local to a single relation occurrence
 		//     (`p_name LIKE … OR p_name IS NULL`) is an ordinary
 		//     filter and is never split;
-		//   - a disjunction spanning two *inner* occurrences
-		//     (`l_partkey = p_partkey OR l_partkey IS NULL`) breaks a
-		//     join edge inside the subquery and is always split;
+		//   - a disjunction spanning two *inner* occurrences is split
+		//     only when one of them is an anchor — a leaf some conjunct
+		//     ties to the outer side. `l_partkey = p_partkey OR
+		//     l_partkey IS NULL` sits on the anchor lineitem: unsplit it
+		//     keeps part inside every probe of the antijoin, split it
+		//     leaves part a disconnected EXISTS answered once.
+		//     `s_nationkey = n_nationkey OR s_nationkey IS NULL` joins
+		//     two non-anchors: it stays atomic and travels with its
+		//     cube, and the executor's join block runs such an edge on
+		//     the hashed wild-bucket index (eval.JoinWildHash), so
+		//     splitting it would only add passes over the anchor. A
+		//     subquery with no anchor has no probe side to protect and
+		//     splits every such disjunction;
 		//   - a disjunction spanning outer and inner (a correlation
 		//     like `o_custkey = c_custkey OR o_custkey IS NULL`) is
 		//     split only when no pure cross equality conjunct remains —
@@ -86,13 +97,18 @@ func (t *Translator) splitOrs(e algebra.Expr) algebra.Expr {
 		//     harmless residual.
 		group := groupOf(inner, nL)
 		hasCrossEQ := false
+		anchors := map[int]bool{}
 		for _, c := range algebra.Conjuncts(cond) {
 			if cmp, ok := c.(algebra.Cmp); ok && cmp.Op == algebra.EQ {
 				a, aok := cmp.L.(algebra.Col)
 				b, bok := cmp.R.(algebra.Col)
 				if aok && bok && (a.Idx < nL) != (b.Idx < nL) {
 					hasCrossEQ = true
-					break
+				}
+			}
+			if outer, leaves := leavesOf(c, group); outer {
+				for g := range leaves {
+					anchors[g] = true
 				}
 			}
 		}
@@ -100,7 +116,7 @@ func (t *Translator) splitOrs(e algebra.Expr) algebra.Expr {
 		cubes := [][]algebra.Cond{nil}
 		for _, c := range algebra.Conjuncts(cond) {
 			or, isOr := c.(algebra.Or)
-			if !isOr || !shouldSplit(c, group, hasCrossEQ) {
+			if !isOr || !shouldSplit(c, group, hasCrossEQ, anchors) {
 				atomic = append(atomic, c)
 				continue
 			}
@@ -357,21 +373,34 @@ func groupOf(inner algebra.Expr, nL int) func(col int) int {
 	}
 }
 
-// shouldSplit decides whether a disjunctive conjunct must be
-// distributed; see the criteria at the call site.
-func shouldSplit(c algebra.Cond, group func(int) int, hasCrossEQ bool) bool {
-	inner := map[int]struct{}{}
-	outer := false
+// leavesOf reports whether c references the outer side and which inner
+// leaves it references.
+func leavesOf(c algebra.Cond, group func(int) int) (outer bool, inner map[int]bool) {
+	inner = map[int]bool{}
 	for _, col := range algebra.ColsUsed(c) {
-		g := group(col)
-		if g < 0 {
+		if g := group(col); g < 0 {
 			outer = true
 		} else {
-			inner[g] = struct{}{}
+			inner[g] = true
 		}
 	}
+	return outer, inner
+}
+
+// shouldSplit decides whether a disjunctive conjunct must be
+// distributed; see the criteria at the call site. anchors holds the
+// inner leaves that some conjunct ties to the outer side.
+func shouldSplit(c algebra.Cond, group func(int) int, hasCrossEQ bool, anchors map[int]bool) bool {
+	outer, inner := leavesOf(c, group)
 	if len(inner) >= 2 {
-		return true // breaks an inner join edge
+		// Breaks an inner join edge: split when it is on the
+		// correlated relation, or when there is none.
+		for g := range inner {
+			if anchors[g] {
+				return true
+			}
+		}
+		return len(anchors) == 0
 	}
 	if outer && len(inner) >= 1 {
 		return !hasCrossEQ // correlation disjunction with no hashable fallback

@@ -1,30 +1,14 @@
 SELECT orders_1.o_orderkey
 FROM orders orders_1
 WHERE NOT EXISTS (
-    SELECT * FROM lineitem lineitem_2, part part_3, supplier supplier_4, nation nation_5 WHERE lineitem_2.l_orderkey = orders_1.o_orderkey AND ( part_3.p_name LIKE '%red%' OR part_3.p_name IS NULL ) AND ( nation_5.n_name = 'FRANCE' OR nation_5.n_name IS NULL ) AND lineitem_2.l_partkey = part_3.p_partkey AND lineitem_2.l_suppkey = supplier_4.s_suppkey AND supplier_4.s_nationkey = nation_5.n_nationkey )
+    SELECT * FROM lineitem lineitem_2, part part_3, supplier supplier_4, nation nation_5 WHERE lineitem_2.l_orderkey = orders_1.o_orderkey AND ( part_3.p_name LIKE '%red%' OR part_3.p_name IS NULL ) AND ( supplier_4.s_nationkey = nation_5.n_nationkey OR supplier_4.s_nationkey IS NULL ) AND ( nation_5.n_name = 'FRANCE' OR nation_5.n_name IS NULL ) AND lineitem_2.l_partkey = part_3.p_partkey AND lineitem_2.l_suppkey = supplier_4.s_suppkey )
   AND NOT EXISTS (
-    SELECT * FROM lineitem lineitem_6, supplier supplier_7, nation nation_8 WHERE lineitem_6.l_orderkey = orders_1.o_orderkey AND ( nation_8.n_name = 'FRANCE' OR nation_8.n_name IS NULL ) AND lineitem_6.l_partkey IS NULL AND lineitem_6.l_suppkey = supplier_7.s_suppkey AND supplier_7.s_nationkey = nation_8.n_nationkey AND EXISTS (
+    SELECT * FROM lineitem lineitem_6, supplier supplier_7, nation nation_8 WHERE lineitem_6.l_orderkey = orders_1.o_orderkey AND ( supplier_7.s_nationkey = nation_8.n_nationkey OR supplier_7.s_nationkey IS NULL ) AND ( nation_8.n_name = 'FRANCE' OR nation_8.n_name IS NULL ) AND lineitem_6.l_partkey IS NULL AND lineitem_6.l_suppkey = supplier_7.s_suppkey AND EXISTS (
     SELECT * FROM part part_9 WHERE ( part_9.p_name LIKE '%red%' OR part_9.p_name IS NULL ) ) )
   AND NOT EXISTS (
     SELECT * FROM lineitem lineitem_10, part part_11 WHERE lineitem_10.l_orderkey = orders_1.o_orderkey AND ( part_11.p_name LIKE '%red%' OR part_11.p_name IS NULL ) AND lineitem_10.l_partkey = part_11.p_partkey AND lineitem_10.l_suppkey IS NULL AND EXISTS (
-    SELECT * FROM supplier supplier_12, nation nation_13 WHERE ( nation_13.n_name = 'FRANCE' OR nation_13.n_name IS NULL ) AND supplier_12.s_nationkey = nation_13.n_nationkey ) )
+    SELECT * FROM supplier supplier_12, nation nation_13 WHERE ( supplier_12.s_nationkey = nation_13.n_nationkey OR supplier_12.s_nationkey IS NULL ) AND ( nation_13.n_name = 'FRANCE' OR nation_13.n_name IS NULL ) ) )
   AND NOT EXISTS (
     SELECT * FROM lineitem lineitem_14 WHERE lineitem_14.l_orderkey = orders_1.o_orderkey AND lineitem_14.l_partkey IS NULL AND lineitem_14.l_suppkey IS NULL AND EXISTS (
     SELECT * FROM part part_15 WHERE ( part_15.p_name LIKE '%red%' OR part_15.p_name IS NULL ) ) AND EXISTS (
-    SELECT * FROM supplier supplier_16, nation nation_17 WHERE ( nation_17.n_name = 'FRANCE' OR nation_17.n_name IS NULL ) AND supplier_16.s_nationkey = nation_17.n_nationkey ) )
-  AND NOT EXISTS (
-    SELECT * FROM lineitem lineitem_18, part part_19, supplier supplier_20 WHERE lineitem_18.l_orderkey = orders_1.o_orderkey AND ( part_19.p_name LIKE '%red%' OR part_19.p_name IS NULL ) AND lineitem_18.l_partkey = part_19.p_partkey AND lineitem_18.l_suppkey = supplier_20.s_suppkey AND supplier_20.s_nationkey IS NULL AND EXISTS (
-    SELECT * FROM nation nation_21 WHERE ( nation_21.n_name = 'FRANCE' OR nation_21.n_name IS NULL ) ) )
-  AND NOT EXISTS (
-    SELECT * FROM lineitem lineitem_22, supplier supplier_23 WHERE lineitem_22.l_orderkey = orders_1.o_orderkey AND lineitem_22.l_partkey IS NULL AND lineitem_22.l_suppkey = supplier_23.s_suppkey AND supplier_23.s_nationkey IS NULL AND EXISTS (
-    SELECT * FROM part part_24 WHERE ( part_24.p_name LIKE '%red%' OR part_24.p_name IS NULL ) ) AND EXISTS (
-    SELECT * FROM nation nation_25 WHERE ( nation_25.n_name = 'FRANCE' OR nation_25.n_name IS NULL ) ) )
-  AND NOT EXISTS (
-    SELECT * FROM lineitem lineitem_26, part part_27 WHERE lineitem_26.l_orderkey = orders_1.o_orderkey AND ( part_27.p_name LIKE '%red%' OR part_27.p_name IS NULL ) AND lineitem_26.l_partkey = part_27.p_partkey AND lineitem_26.l_suppkey IS NULL AND EXISTS (
-    SELECT * FROM supplier supplier_28 WHERE supplier_28.s_nationkey IS NULL ) AND EXISTS (
-    SELECT * FROM nation nation_29 WHERE ( nation_29.n_name = 'FRANCE' OR nation_29.n_name IS NULL ) ) )
-  AND NOT EXISTS (
-    SELECT * FROM lineitem lineitem_30 WHERE lineitem_30.l_orderkey = orders_1.o_orderkey AND lineitem_30.l_partkey IS NULL AND lineitem_30.l_suppkey IS NULL AND EXISTS (
-    SELECT * FROM part part_31 WHERE ( part_31.p_name LIKE '%red%' OR part_31.p_name IS NULL ) ) AND EXISTS (
-    SELECT * FROM supplier supplier_32 WHERE supplier_32.s_nationkey IS NULL ) AND EXISTS (
-    SELECT * FROM nation nation_33 WHERE ( nation_33.n_name = 'FRANCE' OR nation_33.n_name IS NULL ) ) )
+    SELECT * FROM supplier supplier_16, nation nation_17 WHERE ( supplier_16.s_nationkey = nation_17.n_nationkey OR supplier_16.s_nationkey IS NULL ) AND ( nation_17.n_name = 'FRANCE' OR nation_17.n_name IS NULL ) ) )

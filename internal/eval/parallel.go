@@ -370,7 +370,7 @@ func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred
 				return err
 			}
 		}
-		var out []table.Row
+		keep := make([]bool, c.hi-c.lo)
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
@@ -379,14 +379,32 @@ func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred
 			if err != nil {
 				return err
 			}
-			if ok {
-				out = append(out, rows[i])
-			}
+			keep[i-c.lo] = ok
 		}
-		chunks[c.part] = out
+		chunks[c.part] = keptRows(rows[c.lo:c.hi], keep)
 		return nil
 	})
 	return chunks, err
+}
+
+// keptRows copies the rows whose verdict is set into a slice allocated
+// once at its exact size, in input order: the keep loops run per
+// 1 024-row batch of every stacked antijoin, where growing the output
+// by append was 15 % of CERTAIN Q4's allocated bytes.
+func keptRows(rows []table.Row, keep []bool) []table.Row {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	out := make([]table.Row, 0, n)
+	for i, k := range keep {
+		if k {
+			out = append(out, rows[i])
+		}
+	}
+	return out
 }
 
 // filterTable returns the rows of t satisfying cond, scanning

@@ -85,13 +85,7 @@ func (ev *Evaluator) scatterKeep(op string, rows []table.Row, site guard.Site, p
 	if err != nil {
 		return nil, err
 	}
-	var out []table.Row
-	for i, r := range rows {
-		if keep[i] {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return keptRows(rows, keep), nil
 }
 
 // shardWorker runs one shard's index set and sends exactly one

@@ -36,21 +36,24 @@ func WriteFigure1CSV(w io.Writer, rows []Figure1Row) error {
 }
 
 // WriteFigure4CSV writes null_rate_percent, q1..q4 relative performance
-// ratios t⁺/t.
+// ratios t⁺/t, then q1..q4 relative cost units Σ⁺/Σ.
 func WriteFigure4CSV(w io.Writer, rows []Figure4Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"null_rate_percent", "q1_relperf", "q2_relperf", "q3_relperf", "q4_relperf"}); err != nil {
+	if err := cw.Write([]string{"null_rate_percent", "q1_relperf", "q2_relperf", "q3_relperf", "q4_relperf",
+		"q1_relcost", "q2_relcost", "q3_relcost", "q4_relcost"}); err != nil {
 		return err
 	}
 	for _, r := range rows {
 		rec := []string{fmt.Sprintf("%.1f", 100*r.NullRate)}
-		for _, q := range tpch.AllQueries {
-			v, ok := r.RelPerf[q]
-			if !ok {
-				rec = append(rec, "")
-				continue
+		for _, series := range []map[tpch.QueryID]float64{r.RelPerf, r.RelCost} {
+			for _, q := range tpch.AllQueries {
+				v, ok := series[q]
+				if !ok {
+					rec = append(rec, "")
+					continue
+				}
+				rec = append(rec, fmt.Sprintf("%.6f", v))
 			}
-			rec = append(rec, fmt.Sprintf("%.6f", v))
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

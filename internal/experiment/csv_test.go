@@ -37,11 +37,12 @@ func TestWriteFigure4AndTable1CSV(t *testing.T) {
 	err := WriteFigure4CSV(&b, []Figure4Row{{
 		NullRate: 0.01,
 		RelPerf:  map[tpch.QueryID]float64{tpch.Q1: 1.02, tpch.Q2: 0.001, tpch.Q3: 1, tpch.Q4: 1.8},
+		RelCost:  map[tpch.QueryID]float64{tpch.Q1: 1.5, tpch.Q2: 0.25, tpch.Q3: 1, tpch.Q4: 2},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "1.0,1.020000,0.001000,1.000000,1.800000") {
+	if !strings.Contains(b.String(), "1.0,1.020000,0.001000,1.000000,1.800000,1.500000,0.250000,1.000000,2.000000") {
 		t.Errorf("figure4 csv: %q", b.String())
 	}
 

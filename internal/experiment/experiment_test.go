@@ -3,6 +3,7 @@ package experiment_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"certsql/internal/eval"
@@ -49,35 +50,74 @@ func TestFigure1Shape(t *testing.T) {
 	t.Log("\n" + experiment.RenderFigure1(rows))
 }
 
+// figure4Mini is the miniature Figure 4 behind TestFigure4Shape and
+// BenchmarkFigure4Shape.
+var figure4Mini = experiment.Figure4Config{
+	NullRates:  []float64{0.02, 0.04},
+	Instances:  1,
+	ParamDraws: 2,
+	Repeats:    2,
+	Scale:      0.002,
+	Seed:       2,
+}
+
 // TestFigure4Shape runs a miniature Figure 4 and checks the paper's
-// three behaviours: Q1/Q3 cheap, Q2 dramatically faster, Q4 slower but
-// bounded.
+// three behaviours on RelCost, the exact cost-unit ratio, so that no
+// scheduler can flake it: Q2 cheaper than the original, Q1/Q3 near 1,
+// Q4 dearer but bounded. The wall-clock version of the same triptych is
+// BenchmarkFigure4Shape (`make bench-fig4`).
 func TestFigure4Shape(t *testing.T) {
-	rows, err := experiment.Figure4(context.Background(), experiment.Figure4Config{
-		NullRates:  []float64{0.02, 0.04},
-		Instances:  1,
-		ParamDraws: 2,
-		Repeats:    2,
-		Scale:      0.002,
-		Seed:       2,
-	})
+	rows, err := experiment.Figure4(context.Background(), figure4Mini)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Q⁺4's RelCost with the 8-branch split (every inner–inner
+	// disjunction distributed), measured on this config at commit
+	// 3884c55: 4.3412 at 2 % nulls, 4.5320 at 4 %. The 4-branch split
+	// measures 3.3274 and 3.4539.
+	eightBranchQ4 := map[float64]float64{0.02: 4.3412, 0.04: 4.5320}
 	for _, r := range rows {
-		if v := r.RelPerf[tpch.Q2]; v > 0.8 {
-			t.Errorf("Q2 relative perf %.3f at %.0f%%, expected well below 1 (paper: ~10⁻³)", v, 100*r.NullRate)
+		if v := r.RelCost[tpch.Q2]; v >= 1 {
+			t.Errorf("Q2 relative cost %.4f at %.0f%%, expected below 1 (the decorrelated branch short-circuits)", v, 100*r.NullRate)
 		}
 		for _, q := range []tpch.QueryID{tpch.Q1, tpch.Q3} {
-			if v := r.RelPerf[q]; v > 2.5 {
-				t.Errorf("%s relative perf %.3f at %.0f%%, expected near 1", q, v, 100*r.NullRate)
+			if v := r.RelCost[q]; v < 1 || v > 2 {
+				t.Errorf("%s relative cost %.4f at %.0f%%, expected near 1", q, v, 100*r.NullRate)
 			}
 		}
-		if v := r.RelPerf[tpch.Q4]; v > 25 {
-			t.Errorf("Q4 relative perf %.3f, expected bounded overhead", v)
+		if v := r.RelCost[tpch.Q4]; v <= 1 || v >= eightBranchQ4[r.NullRate] {
+			t.Errorf("Q4 relative cost %.4f at %.0f%%, expected above 1 and below the 8-branch split's %.4f",
+				v, 100*r.NullRate, eightBranchQ4[r.NullRate])
 		}
 	}
 	t.Log("\n" + experiment.RenderFigure4(rows))
+}
+
+// BenchmarkFigure4Shape is the wall-clock triptych: Q1/Q3 cheap, Q2
+// dramatically faster, Q4 slower but bounded. Timings depend on the
+// machine and on what else runs on it, so this is not part of the
+// plain test run; `make bench-fig4` runs it alone.
+func BenchmarkFigure4Shape(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rows, err := experiment.Figure4(context.Background(), figure4Mini)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rows {
+			if v := r.RelPerf[tpch.Q2]; v > 0.8 {
+				b.Errorf("Q2 relative perf %.3f at %.0f%%, expected well below 1 (paper: ~10⁻³)", v, 100*r.NullRate)
+			}
+			for _, q := range []tpch.QueryID{tpch.Q1, tpch.Q3} {
+				if v := r.RelPerf[q]; v > 2.5 {
+					b.Errorf("%s relative perf %.3f at %.0f%%, expected near 1", q, v, 100*r.NullRate)
+				}
+			}
+			if v := r.RelPerf[tpch.Q4]; v > 25 {
+				b.Errorf("Q4 relative perf %.3f, expected bounded overhead", v)
+			}
+			b.ReportMetric(r.RelPerf[tpch.Q4], fmt.Sprintf("q4-t+/t@%.0f%%", 100*r.NullRate))
+		}
+	}
 }
 
 // TestRecallIs100 checks the paper's headline recall result: Q⁺ returns

@@ -71,6 +71,11 @@ func (c *Figure4Config) defaults() {
 type Figure4Row struct {
 	NullRate float64
 	RelPerf  map[tpch.QueryID]float64
+	// RelCost is the timing-free counterpart of RelPerf: the sum of
+	// Stats.CostUnits over the Q⁺ runs divided by the sum over the Q
+	// runs of the same pairs. It is an exact count — the same config
+	// gives the same value on every machine and at any Parallelism.
+	RelCost map[tpch.QueryID]float64
 	// BudgetTrips counts samples dropped because either side of the
 	// t⁺/t pair exceeded the resource budget (only with
 	// Figure4Config.TolerateBudget).
@@ -89,8 +94,9 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 
 	var out []Figure4Row
 	for _, rate := range cfg.NullRates {
-		row := Figure4Row{NullRate: rate, RelPerf: map[tpch.QueryID]float64{}, BudgetTrips: map[tpch.QueryID]int{}}
+		row := Figure4Row{NullRate: rate, RelPerf: map[tpch.QueryID]float64{}, RelCost: map[tpch.QueryID]float64{}, BudgetTrips: map[tpch.QueryID]int{}}
 		sumRatio := map[tpch.QueryID]float64{}
+		costOrig, costPlus := map[tpch.QueryID]int64{}, map[tpch.QueryID]int64{}
 		samples := map[tpch.QueryID]int{}
 		for inst := 0; inst < cfg.Instances; inst++ {
 			db := base.Clone()
@@ -105,14 +111,16 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 						return nil, fmt.Errorf("fig4 %s: %w", qid, err)
 					}
 					var tOrig, tPlus time.Duration
+					var cOrig, cPlus int64
 					tripped := false
 					for rep := 0; rep < cfg.Repeats && !tripped; rep++ {
 						for _, side := range []struct {
 							label string
 							c     *compile.Compiled
 							sum   *time.Duration
-						}{{"original", orig, &tOrig}, {"translated", plus, &tPlus}} {
-							_, dt, _, err := runOnce(ctx, db, side.c, cfg.Parallelism, cfg.Limits)
+							cost  *int64
+						}{{"original", orig, &tOrig, &cOrig}, {"translated", plus, &tPlus, &cPlus}} {
+							_, dt, st, err := runOnce(ctx, db, side.c, cfg.Parallelism, cfg.Limits)
 							if err != nil {
 								if cfg.TolerateBudget && budgetTripped(err) {
 									row.BudgetTrips[qid]++
@@ -122,11 +130,14 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 								return nil, fmt.Errorf("fig4 %s %s: %w", qid, side.label, err)
 							}
 							*side.sum += dt
+							*side.cost += st.CostUnits
 						}
 					}
 					if !tripped && tOrig > 0 {
 						sumRatio[qid] += float64(tPlus) / float64(tOrig)
 						samples[qid]++
+						costOrig[qid] += cOrig
+						costPlus[qid] += cPlus
 					}
 				}
 			}
@@ -134,6 +145,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 		for _, qid := range cfg.Queries {
 			if samples[qid] > 0 {
 				row.RelPerf[qid] = sumRatio[qid] / float64(samples[qid])
+				row.RelCost[qid] = float64(costPlus[qid]) / float64(costOrig[qid])
 			}
 		}
 		out = append(out, row)

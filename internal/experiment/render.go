@@ -69,26 +69,34 @@ func RenderFigure1(rows []Figure1Row) string {
 }
 
 // RenderFigure4 renders the Figure 4 series: null rate versus relative
-// performance t⁺/t per query.
+// performance t⁺/t per query, then the same series in exact cost units.
 func RenderFigure4(rows []Figure4Row) string {
 	var b strings.Builder
-	b.WriteString("Figure 4 — average relative performance t⁺/t (1 = no overhead)\n")
-	b.WriteString("null%   ")
-	for _, q := range tpch.AllQueries {
-		fmt.Fprintf(&b, "%12s", q)
-	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%5.1f   ", 100*r.NullRate)
+	for _, series := range []struct {
+		title string
+		of    func(Figure4Row) map[tpch.QueryID]float64
+	}{
+		{"Figure 4 — average relative performance t⁺/t (1 = no overhead)", func(r Figure4Row) map[tpch.QueryID]float64 { return r.RelPerf }},
+		{"relative cost units Σ⁺/Σ over the same pairs (exact count)", func(r Figure4Row) map[tpch.QueryID]float64 { return r.RelCost }},
+	} {
+		b.WriteString(series.title + "\n")
+		b.WriteString("null%   ")
 		for _, q := range tpch.AllQueries {
-			v, ok := r.RelPerf[q]
-			if !ok {
-				b.WriteString("           –")
-				continue
-			}
-			fmt.Fprintf(&b, "%12.4f", v)
+			fmt.Fprintf(&b, "%12s", q)
 		}
 		b.WriteString("\n")
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%5.1f   ", 100*r.NullRate)
+			for _, q := range tpch.AllQueries {
+				v, ok := series.of(r)[q]
+				if !ok {
+					b.WriteString("           –")
+					continue
+				}
+				fmt.Fprintf(&b, "%12.4f", v)
+			}
+			b.WriteString("\n")
+		}
 	}
 	trips := make([]map[tpch.QueryID]int, 0, len(rows))
 	for _, r := range rows {
