@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-fix test race bench bench-memory bench-plan bench-fig4 bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
+.PHONY: check build vet lint lint-fix test race loc bench bench-memory bench-plan bench-fig4 bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
 # check is what CI runs: build, vet, lint, and the full test suite under
 # the race detector (the parallel executor must stay race-clean).
@@ -10,14 +10,14 @@ check: build vet lint race
 # lint runs the repo-local static checks. vetcert is the type-aware
 # invariant analyzer (tools/vetcert): governance polling on row loops,
 # memory-charge balance, context threading, snapshot discipline,
-# guard-sentinel hygiene, and the exhaustiveness rules migrated from
-# astlint. It owns the aggregate exit code — 0 clean, 1 findings,
-# 2 operational error — and make propagates it verbatim. certlint must
-# then cleanly process the checked-in Q⁺ corpus (the translated
-# experiment queries): the queries are hazardous by construction, which
-# is certlint's exit status 1, so only an operational error (>=2) fails
-# the target — and it fails with certlint's own status, not a swallowed
-# zero.
+# guard-sentinel hygiene, and switch exhaustiveness over the closed
+# node families and enums. It owns the aggregate exit code — 0 clean,
+# 1 findings, 2 operational error — and make propagates it verbatim.
+# certlint must then cleanly process the checked-in Q⁺ corpus (the
+# translated experiment queries): the queries are hazardous by
+# construction, which is certlint's exit status 1, so only an
+# operational error (>=2) fails the target — and it fails with
+# certlint's own status, not a swallowed zero.
 lint:
 	$(GO) run ./tools/vetcert
 	@$(GO) run ./cmd/certlint -tpch internal/certain/testdata/golden/*.sql > /dev/null; \
@@ -53,24 +53,32 @@ test:
 race:
 	$(GO) test -race ./...
 
+# loc prints the non-test Go lines of the packages the deletion round
+# (ROADMAP.md item 2) is measured on, and all Go lines outside bench/,
+# so a deletion claim is regenerated rather than pasted.
+loc:
+	@for d in internal/eval internal/plan internal/shard internal/difftest tools; do \
+		printf '%-22s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; done
+	@printf '%-22s %s\n' 'all Go outside bench/' "$$(find . -name '*.go' ! -path './bench/*' | xargs cat | wc -l)"
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-memory compares the streaming and materializing executors' peak
-# estimated intermediate memory (peak_bytes) on the translated Q1-Q4
-# and asserts the streaming engine's >=2x reduction on Q4.
+# bench-memory gates the executor's peak estimated intermediate memory
+# (guard.Governor.MemHighWater, an exact count) on the translated Q1-Q4:
+# no higher than recorded at commit bdb0e4d, and Q4 at most half of what
+# the operator-at-a-time engine deleted after that commit charged.
 bench-memory:
-	$(GO) test -run '^$$' -bench BenchmarkStreamingMemory -benchtime 5x .
+	$(GO) test -run '^TestStreamingPeakMemory$$' -count=1 -v .
 
 # bench-plan measures the cost-based planner against the paper-faithful
 # naive plans (Options.NaivePlanner) on the translated Q1-Q4, prepared,
 # single-core, under both the default and the raw (unsplit, Section 7)
-# translations, then runs the acceptance check: >=1.5x on at least two
-# appendix queries with byte-identical results (EXPERIMENTS.md records
-# the measured table).
+# translations; the benchmark fails unless the planner is >=1.5x faster
+# on at least two appendix queries (EXPERIMENTS.md records the measured
+# table). Byte-identical results are TestPlannerSpeedup's, in `make test`.
 bench-plan:
 	$(GO) test -run '^$$' -bench BenchmarkPlannerSpeedup -benchtime 5x .
-	$(GO) test -run '^TestPlannerSpeedup$$' -count=1 -v .
 
 # bench-fig4 runs the miniature Figure 4 twice: first on the wall clock
 # (BenchmarkFigure4Shape: the paper's triptych on t⁺/t, and Q4's ratio
@@ -103,19 +111,22 @@ fuzz:
 
 # fuzz-plan hammers only the planner's byte-identity contract: the
 # coverage-guided planner-ablation fuzzer (optimized vs naive plans,
-# both semantics, both engines) under the race detector.
+# every route, sequential and parallel) under the race detector.
 fuzz-plan:
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlannerAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzz-shard hammers only the shard-ablation byte-identity contract:
 # sharded scatter-gather execution vs the unsharded run, every route,
-# both engines, both planners, under the race detector.
+# both planners, under the race detector.
 fuzz-shard:
 	$(GO) test -race -run='^$$' -fuzz=FuzzShardAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzzcert runs the seeded differential oracle over a deterministic
 # range of cases (no coverage guidance, instantly reproducible: every
-# failure prints its seed and a shrunken Go repro).
+# failure prints its seed and a shrunken Go repro). It is also the
+# reference-oracle gate: the summary's "reference ran" line counts the
+# cases on which the executor was compared with the definitional
+# evaluator, per route and semantics.
 fuzzcert:
 	$(GO) run ./cmd/fuzzcert -cases 2000 -seed 1
 
@@ -124,8 +135,8 @@ fuzzcert:
 # detector: every injected fault must surface as a typed error (never a
 # panic, never a wrong answer), a random-point cancellation must land
 # as guard.ErrCanceled in every ablation, degraded results must equal
-# the certain answers exactly, the streaming and materializing engines
-# must render identical bytes on every clean case, injected panics must
+# the certain answers exactly, the executor must agree with the
+# definitional evaluator on every clean case, injected panics must
 # never poison the plan or view caches, and no goroutine may leak.
 chaos:
 	$(GO) test -race -count=1 -run '^TestChaosSweep$$' ./internal/difftest

@@ -76,81 +76,83 @@ func plannerVariants(t testing.TB) []planVariant {
 // null-test elimination, fused builds and hash hints turn the
 // translations' nested-loop antijoins back into hash joins — the
 // entire point of the subsystem; EXPERIMENTS.md records the measured
-// ratios. Run with:
+// ratios.
+//
+// It also carries the acceptance bar, which is a wall-clock ratio and
+// therefore does not belong in `go test ./...`: on at least two of the
+// four appendix queries the cost-based planner must run at least 1.5×
+// faster than the naive one, comparing each side's fastest iteration
+// and counting a query that clears the bar under either translation.
+// The measured ratios are far above the margin — Q3 ~2.6× under the
+// default translation, Q2 ~3.7× under the raw one. Run with:
 //
 //	make bench-plan
 func BenchmarkPlannerSpeedup(b *testing.B) {
 	db, _ := benchPlanDB()
-	for _, v := range plannerVariants(b) {
+	variants := plannerVariants(b)
+	best := map[string]time.Duration{} // fastest iteration per sub-benchmark
+	for _, v := range variants {
 		for _, side := range []struct {
 			name string
 			opts certsql.Options
 		}{{"cost-based", v.cost}, {"naive", v.naive}} {
-			b.Run(fmt.Sprintf("%s/%s/%s", v.query, v.label, side.name), func(b *testing.B) {
+			name := fmt.Sprintf("%s/%s/%s", v.query, v.label, side.name)
+			b.Run(name, func(b *testing.B) {
 				stmt, err := db.Prepare(v.text)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					start := time.Now()
 					res, err := stmt.ExecuteWithOptions(v.param, side.opts)
 					if err != nil {
 						b.Fatal(err)
+					}
+					if d := time.Since(start); best[name] == 0 || d < best[name] {
+						best[name] = d
 					}
 					b.ReportMetric(float64(res.Stats.CostUnits), "cost-units")
 				}
 			})
 		}
 	}
-}
-
-// TestPlannerSpeedup is the acceptance check behind the benchmark: on
-// at least two of the four appendix queries the cost-based planner
-// must run the certain-answer translation at least 1.5× faster than
-// the naive planner (best-of-five wall times on prepared statements, a
-// query counting if it clears the bar under either translation), while
-// returning byte-identical results everywhere. The measured ratios are
-// far above the margin — Q3 ~2.6× under the default translation, Q2
-// ~3.7× under the raw one (see EXPERIMENTS.md) — so scheduler noise
-// cannot flake it.
-func TestPlannerSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing sweep")
-	}
-	db, _ := benchPlanDB()
-	best := func(v planVariant, opts certsql.Options) (time.Duration, string) {
-		stmt, err := db.Prepare(v.text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		min, result := time.Duration(0), ""
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			res, err := stmt.ExecuteWithOptions(v.param, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", v.query, v.label, err)
-			}
-			if d := time.Since(start); min == 0 || d < min {
-				min = d
-			}
-			result = res.Table().String()
-		}
-		return min, result
+	if len(best) < 2*len(variants) {
+		return // a -bench filter selected a subset: nothing to compare
 	}
 	fast := map[string]bool{}
-	for _, v := range plannerVariants(t) {
-		opt, optTable := best(v, v.cost)
-		naive, naiveTable := best(v, v.naive)
-		if optTable != naiveTable {
-			t.Errorf("%s/%s: planner changes result bytes", v.query, v.label)
-		}
-		ratio := float64(naive) / float64(opt)
-		t.Logf("%s/%-7s: naive %v / cost-based %v = %.2fx", v.query, v.label, naive, opt, ratio)
-		if ratio >= 1.5 {
+	for _, v := range variants {
+		prefix := v.query + "/" + v.label + "/"
+		if float64(best[prefix+"naive"]) >= 1.5*float64(best[prefix+"cost-based"]) {
 			fast[v.query] = true
 		}
 	}
 	if len(fast) < 2 {
-		t.Errorf("cost-based planner reached a 1.5x speedup on only %d of 4 appendix queries, want >= 2", len(fast))
+		b.Fatalf("cost-based planner reached a 1.5x speedup on only %d of 4 appendix queries, want >= 2", len(fast))
+	}
+}
+
+// TestPlannerSpeedup is the exact half of the planner's acceptance
+// check: under both translations of every appendix query the cost-based
+// and the naive planner return byte-identical results. The timed half —
+// the ≥ 1.5× bar — lives in BenchmarkPlannerSpeedup.
+func TestPlannerSpeedup(t *testing.T) {
+	db, _ := benchPlanDB()
+	for _, v := range plannerVariants(t) {
+		stmt, err := db.Prepare(v.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tables [2]string
+		for i, opts := range []certsql.Options{v.cost, v.naive} {
+			res, err := stmt.ExecuteWithOptions(v.param, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", v.query, v.label, err)
+			}
+			tables[i] = res.Table().String()
+		}
+		if tables[0] != tables[1] {
+			t.Errorf("%s/%s: planner changes result bytes", v.query, v.label)
+		}
 	}
 }

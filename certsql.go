@@ -92,16 +92,6 @@ type Options struct {
 	NoViewCache    bool
 	NoShortCircuit bool
 
-	// Materialize runs the legacy operator-at-a-time engine, in which
-	// every operator materializes its full output, instead of the
-	// default streaming batch-iterator executor. The engines agree
-	// byte-for-byte on every query; the differential tests use this
-	// toggle as an ablation, and it is the escape hatch should the
-	// streaming path ever misbehave. Like the other executor toggles it
-	// does not change the compiled plan, so both engines share plan
-	// cache entries.
-	Materialize bool
-
 	// NaivePlanner disables the cost-based planner and runs the plan
 	// exactly as translation produced it — the paper-faithful greedy
 	// configuration, kept as an ablation. The planner never changes
@@ -203,7 +193,6 @@ func (o Options) evalOptions(gov *guard.Governor) eval.Options {
 		NoHashJoin:     o.NoHashJoin,
 		NoSubplanCache: o.NoViewCache,
 		NoShortCircuit: o.NoShortCircuit,
-		Materialize:    o.Materialize,
 		Trace:          o.Trace,
 	}
 }

@@ -69,6 +69,10 @@ func run(args []string, out, errOut io.Writer) int {
 	fmt.Fprintf(out, "  brute-forced:  %d\n", sum.BruteForced)
 	fmt.Fprintf(out, "  recall exact:  %d/%d\n", sum.RecallExact, sum.BruteForced)
 	fmt.Fprintf(out, "  analyzer safe: %d (fast path taken: %d)\n", sum.AnalyzerSafe, sum.FastPath)
+	// Cases on which the executor was compared with the definitional
+	// evaluator, per route and semantics: Q out of all cases, Q⁺ and Q⋆
+	// out of the translatable ones (fmt prints map keys sorted).
+	fmt.Fprintf(out, "  reference ran: %v of %d (Q) / %d (Q⁺, Q⋆)\n", sum.Reference, sum.Cases, sum.Translatable)
 	if len(sum.Skips) > 0 {
 		fmt.Fprintf(out, "  skipped invariants: %v\n", sum.Skips)
 	}

@@ -11,7 +11,7 @@ func TestRunClean(t *testing.T) {
 		t.Fatalf("exit code %d on a clean range:\n%s", code, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"fuzzcert: 60 cases", "violations:    0", "translatable:"} {
+	for _, want := range []string{"fuzzcert: 60 cases", "violations:    0", "translatable:", "reference ran: map[Q/naive:"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}

@@ -15,10 +15,12 @@
 //     running the SQL text of Q⁺ produced by rewrite.ToSQL gives the
 //     same result as evaluating the translation directly;
 //   - executor agreement: Parallelism=1 and Parallelism=N render
-//     byte-identical results, the streaming and materializing engines
-//     render byte-identical results (and agree on fast-path hits), and
-//     the hash-join / subplan-cache / short-circuit ablations give the
-//     same result sets;
+//     byte-identical results, sharded execution renders the unsharded
+//     bytes, and the hash-join / subplan-cache / short-circuit ablations
+//     give the same result sets;
+//   - reference: the executor's result for Q — and, when translatable,
+//     for Q⁺ and Q⋆ — equals the definitional evaluator's (refeval.go)
+//     as a multiset, under SQL-3VL and naive semantics alike;
 //   - planner ablation: the cost-based planner and the paper-faithful
 //     naive planner render byte-identical results on the standard and
 //     certain routes, agree on fast-path hits, and share plan-cache
@@ -112,6 +114,10 @@ type Report struct {
 	// FastPath reports whether the default SELECT CERTAIN evaluation
 	// actually took the analyzer fast path on this case.
 	FastPath bool
+	// Reference lists the route/semantics pairs ("Q/sql3vl", "Q⁺/naive",
+	// …) on which the reference invariant was actually compared — not
+	// skipped — on this case.
+	Reference []string
 }
 
 // Failed reports whether any invariant broke.
@@ -229,18 +235,6 @@ func Check(db *table.Database, text string, opts Options) *Report {
 	} else if got, want := resN.Table().String(), base.Table().String(); got != want {
 		rep.violate("parallel-agreement", "P=1 and P=%d differ:\nP=1: %s\nP=N: %s", opts.parallelism(), want, got)
 	}
-	// Engine ablation: the materializing executor must render the exact
-	// bytes of the streaming default — not just the same set. Row order,
-	// duplicate handling and mark minting all have to agree.
-	if resM, err := fdb.QueryWithOptions(text, nil, certsql.Options{Materialize: true, Parallelism: 1}); err != nil {
-		if budgetErr(err) {
-			rep.skip("engine-ablation: " + err.Error())
-		} else {
-			rep.violate("engine-ablation", "materializing evaluation failed: %v", err)
-		}
-	} else if got, want := resM.Table().String(), base.Table().String(); got != want {
-		rep.violate("engine-ablation", "streaming and materializing engines differ:\nstreaming:    %s\nmaterializing: %s", want, got)
-	}
 	// Planner ablation: the cost-based planner must be invisible in the
 	// result bytes — same rows, same order, same duplicates, same mark
 	// minting — so the paper-faithful naive plan and the optimized plan
@@ -256,34 +250,30 @@ func Check(db *table.Database, text string, opts Options) *Report {
 		rep.violate("planner-ablation", "cost-based and naive planner differ:\ncost-based: %s\nnaive:      %s", want, got)
 	}
 	// Shard ablation: scatter-gather execution must be invisible in the
-	// result bytes — same rows, same order, same mark minting — at any
-	// shard count, on both engines and both planners. CheckShardSeed
-	// runs the full route × shard-count matrix; this block keeps the
-	// main oracle sensitive to shard regressions too.
-	for name, o := range map[string]certsql.Options{
-		"shards-2":       {Shards: 2, Parallelism: 1},
-		"shards-3":       {Shards: 3, Parallelism: 1},
-		"shards-8":       {Shards: 8, Parallelism: 1},
-		"shards-2-mat":   {Shards: 2, Materialize: true, Parallelism: 1},
-		"shards-2-naive": {Shards: 2, NaivePlanner: true, Parallelism: 1},
-	} {
-		res, err := fdb.QueryWithOptions(text, nil, o)
-		if err != nil {
-			if budgetErr(err) {
-				rep.skip("shard-ablation " + name + ": " + err.Error())
-			} else {
-				rep.violate("shard-ablation", "%s evaluation failed: %v", name, err)
-			}
-			continue
+	// result bytes — same rows, same order, same mark minting. One
+	// shard count keeps the main oracle sensitive to shard regressions;
+	// CheckShardSeed runs the shard-count × planner × Parallelism matrix
+	// on all three routes.
+	if res, err := fdb.QueryWithOptions(text, nil, certsql.Options{Shards: 3, Parallelism: 1}); err != nil {
+		if budgetErr(err) {
+			rep.skip("shard-ablation shards-3: " + err.Error())
+		} else {
+			rep.violate("shard-ablation", "shards-3 evaluation failed: %v", err)
 		}
-		if got, want := res.Table().String(), base.Table().String(); got != want {
-			rep.violate("shard-ablation", "%s differs from the unsharded run:\nunsharded: %s\nsharded:   %s", name, want, got)
-		}
+	} else if got, want := res.Table().String(), base.Table().String(); got != want {
+		rep.violate("shard-ablation", "shards-3 differs from the unsharded run:\nunsharded: %s\nsharded:   %s", want, got)
 	}
 
-	// Cost audit: the planner's estimates satisfy their internal
-	// consistency invariants and its rewrites invented no predicates.
-	checkPlanAudit(rep, db, expr)
+	// The compiled plan and, when translatable, its Q⁺ and Q⋆
+	// translations, each checked directly at the algebra level. Cost
+	// audit: the planner's estimates satisfy their internal consistency
+	// invariants and its rewrites invented no predicates. Reference: the
+	// executor agrees with the definitional evaluator.
+	st := stats.NewCollector().Collect(db)
+	for _, rt := range routeExprs(db, expr) {
+		checkPlanAudit(rep, db, st, rt.expr)
+		rep.Reference = append(rep.Reference, checkReference(db, rt.name, rt.expr, rep.violate, rep.skip)...)
+	}
 
 	for name, o := range map[string]certsql.Options{
 		"no-hash-join":     {NoHashJoin: true, Parallelism: 1},
@@ -365,25 +355,6 @@ func Check(db *table.Database, text string, opts Options) *Report {
 		}
 	}
 
-	// Engine ablation on the certain route: the materializing executor
-	// must reproduce Q⁺ byte-for-byte AND take the analyzer fast path on
-	// exactly the same cases — the fast-path decision is data- and
-	// plan-dependent, never engine-dependent.
-	if resM, err := queryCertainWithOptions(fdb, text, certsql.Options{Materialize: true}); err != nil {
-		if budgetErr(err) {
-			rep.skip("engine-ablation plus: " + err.Error())
-		} else {
-			rep.violate("engine-ablation", "materializing Q⁺ evaluation failed: %v", err)
-		}
-	} else {
-		if got, want := resM.Table().String(), plus.Table().String(); got != want {
-			rep.violate("engine-ablation", "streaming and materializing engines differ on Q⁺:\nstreaming:    %s\nmaterializing: %s", want, got)
-		}
-		if resM.Stats.FastPathHits != plus.Stats.FastPathHits {
-			rep.violate("engine-ablation", "fast-path hits differ across engines: streaming=%d materializing=%d",
-				plus.Stats.FastPathHits, resM.Stats.FastPathHits)
-		}
-	}
 	// Prepared-statement reuse: Prepare on the certain-forced text and
 	// Execute twice — the first execution compiles exactly one plan, the
 	// second must serve it from the plan cache, and both must agree
@@ -581,33 +552,81 @@ func leadSelect(body sql.QueryExpr) *sql.SelectStmt {
 	}
 }
 
-// checkPlanAudit runs the cost-based planner directly over the compiled
-// expression — and, when translatable, its Q⁺ and Q⋆ translations — and
-// checks the audit invariants: cost estimates are internally consistent
-// (non-negative, finite, monotone over children, covering output
-// cardinality) and the rewritten plan's conditions contain no atom
-// absent from the input plan.
-func checkPlanAudit(rep *Report, db *table.Database, expr algebra.Expr) {
-	st := stats.NewCollector().Collect(db)
-	exprs := []algebra.Expr{expr}
+// routeExpr is one algebra-level route of a case: the compiled query
+// or one of its translations.
+type routeExpr struct {
+	name string
+	expr algebra.Expr
+}
+
+// routeExprs returns the compiled expression and, when it is
+// translatable, its Q⁺ and Q⋆ translations under the default passes.
+func routeExprs(db *table.Database, expr algebra.Expr) []routeExpr {
+	routes := []routeExpr{{"Q", expr}}
 	if certain.CheckTranslatable(expr) == nil {
 		tr := &certain.Translator{Sch: db.Schema, Mode: certain.ModeSQL,
 			SimplifyNulls: true, SplitOrs: true, KeySimplify: true}
-		exprs = append(exprs, tr.Plus(expr), tr.Star(expr))
+		routes = append(routes, routeExpr{"Q⁺", tr.Plus(expr)}, routeExpr{"Q⋆", tr.Star(expr)})
 	}
-	for _, e := range exprs {
-		pr, err := plan.Optimize(e, db.Schema, st, nil)
-		if err != nil {
-			rep.violate("cost-audit", "planner failed: %v", err)
+	return routes
+}
+
+// checkPlanAudit runs the cost-based planner directly over e and checks
+// the audit invariants: cost estimates are internally consistent
+// (non-negative, finite, monotone over children, covering output
+// cardinality) and the rewritten plan's conditions contain no atom
+// absent from the input plan.
+func checkPlanAudit(rep *Report, db *table.Database, st *stats.DBStats, e algebra.Expr) {
+	pr, err := plan.Optimize(e, db.Schema, st, nil)
+	if err != nil {
+		rep.violate("cost-audit", "planner failed: %v", err)
+		return
+	}
+	if err := plan.AuditCost(pr.Explain); err != nil {
+		rep.violate("cost-audit", "%v\nplan:\n%s", err, pr.Explain.Render())
+	}
+	if err := plan.AuditConds(e, pr.Expr); err != nil {
+		rep.violate("cost-audit", "%v", err)
+	}
+}
+
+// checkReference is the reference invariant on one route: under each
+// semantics, the executor's result for e must equal the definitional
+// evaluator's as a multiset (see sameMultiset). It returns the
+// route/semantics labels actually compared. A case beyond the reference
+// evaluator's work cap or the executor's budget, and a plan with a
+// LIMIT, are skips. The chaos sweep runs it on its clean baseline too,
+// hence the callbacks.
+func checkReference(db *table.Database, route string, e algebra.Expr,
+	violate func(invariant, format string, args ...any), skip func(reason string)) (ran []string) {
+	for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
+		label := route + "/" + sem.String()
+		want, err := referenceRows(db, sem, e)
+		if errors.Is(err, errRefWork) || errors.Is(err, errRefLimit) {
+			skip("reference " + label + ": " + err.Error())
 			continue
 		}
-		if err := plan.AuditCost(pr.Explain); err != nil {
-			rep.violate("cost-audit", "%v\nplan:\n%s", err, pr.Explain.Render())
+		if err != nil {
+			violate("reference", "%s: reference evaluator failed: %v", label, err)
+			continue
 		}
-		if err := plan.AuditConds(e, pr.Expr); err != nil {
-			rep.violate("cost-audit", "%v", err)
+		got, err := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1}).Eval(e)
+		if err != nil {
+			if budgetErr(err) {
+				skip("reference " + label + ": " + err.Error())
+			} else {
+				violate("reference", "%s: executor failed where the reference evaluator succeeds: %v", label, err)
+			}
+			continue
 		}
+		if !sameMultiset(got.Rows(), want) {
+			violate("reference", "%s: executor and definitional evaluator differ:\nexecutor:  %v\nreference: %v\nplan: %s",
+				label, got.SortedStrings(), table.FromRows(e.Arity(), want).SortedStrings(), e.Key())
+			continue
+		}
+		ran = append(ran, label)
 	}
+	return ran
 }
 
 func checkRewrite(rep *Report, fdb *certsql.DB, text string, plus *certsql.Result) {

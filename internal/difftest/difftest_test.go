@@ -26,6 +26,18 @@ func TestOracleClean(t *testing.T) {
 	if sum.Translatable == 0 || sum.BruteForced == 0 {
 		t.Fatalf("oracle exercised nothing: %+v", sum)
 	}
+	// The reference invariant skips what it cannot decide (LIMIT, the
+	// work cap); an oracle that skipped its way to green is not one.
+	for _, label := range []string{"Q/sql3vl", "Q/naive"} {
+		if ran := sum.Reference[label]; ran*10 < sum.Cases*9 {
+			t.Errorf("reference check %s compared only %d of %d cases", label, ran, sum.Cases)
+		}
+	}
+	for _, label := range []string{"Q⁺/sql3vl", "Q⁺/naive", "Q⋆/sql3vl", "Q⋆/naive"} {
+		if ran := sum.Reference[label]; ran != sum.Translatable {
+			t.Errorf("reference check %s compared %d of %d translatable cases", label, ran, sum.Translatable)
+		}
+	}
 }
 
 func totalRows(db *table.Database) int {

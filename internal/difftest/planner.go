@@ -9,6 +9,7 @@ import (
 	"certsql/internal/compile"
 	"certsql/internal/qgen"
 	"certsql/internal/sql"
+	"certsql/internal/stats"
 )
 
 // CheckPlannerSeed checks only the planner invariants for one generated
@@ -49,7 +50,10 @@ func CheckPlannerSeed(seed uint64, tuning qgen.Tuning) *Report {
 			})
 		}
 	}
-	checkPlanAudit(rep, db, compiled.Expr)
+	st := stats.NewCollector().Collect(db)
+	for _, rt := range routeExprs(db, compiled.Expr) {
+		checkPlanAudit(rep, db, st, rt.expr)
+	}
 	return rep
 }
 

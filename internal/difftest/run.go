@@ -25,6 +25,10 @@ type RunSummary struct {
 	// translation.
 	AnalyzerSafe int
 	FastPath     int
+	// Reference counts, per route/semantics pair ("Q/sql3vl", …), the
+	// cases on which the reference invariant was compared rather than
+	// skipped — a silently idle oracle shows up here as a low count.
+	Reference map[string]int
 	// Skips counts skipped invariants by reason prefix.
 	Skips map[string]int
 }
@@ -41,7 +45,7 @@ func Run(start uint64, cases, workers int, opts Options, progress func(*Report))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sum := RunSummary{Cases: cases, Skips: map[string]int{}}
+	sum := RunSummary{Cases: cases, Reference: map[string]int{}, Skips: map[string]int{}}
 	reports := make([]*Report, cases)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -90,6 +94,9 @@ func Run(start uint64, cases, workers int, opts Options, progress func(*Report))
 		}
 		if rep.FastPath {
 			sum.FastPath++
+		}
+		for _, label := range rep.Reference {
+			sum.Reference[label]++
 		}
 		for _, s := range rep.Skips {
 			if i := strings.IndexByte(s, ':'); i > 0 {

@@ -15,7 +15,7 @@ import (
 // generated case: scatter-gather execution across k ∈ {2, 3, 8} engine
 // shards must render the exact bytes of the unsharded run — same rows,
 // same order, same mark minting — on the standard, certain and possible
-// routes, under both executor engines and both planners. It skips the
+// routes, under both planners. It skips the
 // brute-force ground truth so thousands of cases run in seconds; this
 // is FuzzShardAblation's body and the shard smoke check CI runs.
 func CheckShardSeed(seed uint64, tuning qgen.Tuning) *Report {
@@ -51,7 +51,7 @@ func CheckShardSeed(seed uint64, tuning qgen.Tuning) *Report {
 }
 
 // compareShards runs one route unsharded and across the shard-count ×
-// engine × planner matrix, demanding byte-identical outcomes: the same
+// planner matrix, demanding byte-identical outcomes: the same
 // error classification, or the exact same result bytes. Budget trips on
 // either side skip — per-shard sub-governors legitimately change where
 // inside a run a budget trips, never whether results agree.
@@ -69,7 +69,6 @@ func compareShards(rep *Report, route string, query func(certsql.Options) (*cert
 		{"k=3", certsql.Options{Shards: 3, Parallelism: 1}},
 		{"k=8", certsql.Options{Shards: 8, Parallelism: 1}},
 		{"k=2 P=4", certsql.Options{Shards: 2, Parallelism: 4}},
-		{"k=2 materialize", certsql.Options{Shards: 2, Materialize: true, Parallelism: 1}},
 		{"k=2 naive-planner", certsql.Options{Shards: 2, NaivePlanner: true, Parallelism: 1}},
 	}
 	for _, v := range variants {

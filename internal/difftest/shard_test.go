@@ -8,8 +8,8 @@ import (
 
 // FuzzShardAblation explores the seed space for cases where sharded
 // scatter-gather execution diverges from the unsharded run — any byte
-// of difference, at any shard count, on any route, under either engine
-// or planner, is a bug.
+// of difference, at any shard count, on any route, under either
+// planner, is a bug.
 func FuzzShardAblation(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		f.Add(seed)

@@ -11,8 +11,8 @@ import (
 
 // This file executes the decision-support operators: grouping with
 // SQL's aggregate semantics (nulls ignored; AVG/SUM/MIN/MAX over an
-// empty input are NULL, COUNT is 0), stable sorting with NULLS LAST,
-// and LIMIT.
+// empty input are NULL, COUNT is 0) and stable sorting with NULLS LAST.
+// LIMIT streams (limitIter).
 
 // evalGroupBy executes γ_keys;aggs(child).
 func (ev *Evaluator) evalGroupBy(e algebra.GroupBy) (*table.Table, error) {
@@ -190,26 +190,5 @@ func sortOrder(a, b value.Value) int {
 	}
 }
 
-// evalLimit keeps the first N rows.
-func (ev *Evaluator) evalLimit(e algebra.Limit) (*table.Table, error) {
-	child, err := ev.evalChild(e.Child)
-	if err != nil {
-		return nil, err
-	}
-	if e.N < 0 {
-		return nil, errNegativeLimit(e.N)
-	}
-	n := e.N
-	if n > child.Len() {
-		n = child.Len()
-	}
-	out := table.New(child.Arity())
-	for i := 0; i < n; i++ {
-		out.Append(child.Row(i))
-	}
-	ev.note("limit %d -> %d rows", e.N, out.Len())
-	return out, nil
-}
-
-// errNegativeLimit is shared by both engines' LIMIT handling.
+// errNegativeLimit rejects a negative LIMIT.
 func errNegativeLimit(n int) error { return fmt.Errorf("eval: negative LIMIT %d", n) }

@@ -63,25 +63,9 @@ type Options struct {
 
 	// Governor supplies cancellation, deadlines, row/cost/memory
 	// budgets, and (in tests) fault-injection hooks for the
-	// evaluation. When nil, New builds a background Governor from the
-	// deprecated MaxRows and MaxCostUnits fields below.
+	// evaluation. When nil, New builds a background Governor with the
+	// default limits (guard.DefaultMaxRows, guard.DefaultMaxCostUnits).
 	Governor *guard.Governor
-
-	// MaxRows bounds the size of any materialized intermediate result.
-	// Zero means the default of guard.DefaultMaxRows.
-	//
-	// Deprecated: set guard.Limits.MaxRows on a Governor instead. The
-	// field is consulted only when Governor is nil.
-	MaxRows int
-
-	// MaxCostUnits bounds the cumulative number of elementary row
-	// operations, so translations that compile to quadratic loops
-	// degrade with ErrTooLarge instead of hanging. Zero means the
-	// default of guard.DefaultMaxCostUnits.
-	//
-	// Deprecated: set guard.Limits.MaxCostUnits on a Governor instead.
-	// The field is consulted only when Governor is nil.
-	MaxCostUnits int64
 
 	// Parallelism is the number of worker goroutines data-parallel
 	// operators may use: 0 means GOMAXPROCS, 1 forces sequential
@@ -113,16 +97,6 @@ type Options struct {
 
 	// NoShortCircuit disables the uncorrelated-subquery short circuit.
 	NoShortCircuit bool
-
-	// Materialize selects the legacy operator-at-a-time engine, in
-	// which every operator materializes its full output and memory is
-	// charged per operator. The default (false) is the streaming
-	// batch-iterator engine: pipelines of scan/filter/project/limit/
-	// distinct/union/semijoin-probe operators pull ~1k-row batches with
-	// per-batch governance, and only hash builds, shared views, sorts,
-	// aggregations and adom powers buffer. The two engines agree
-	// byte-for-byte; difftest keeps them honest.
-	Materialize bool
 
 	// Shape is an optional precomputed streamability annotation for the
 	// expression passed to Eval (see ShapeOf). Plans cache it so
@@ -193,15 +167,8 @@ type Evaluator struct {
 	trace  []traceEntry
 	depth  int
 
-	// confErr records an Options misconfiguration detected by New
-	// (Governor combined with the deprecated MaxRows/MaxCostUnits
-	// fields); Eval reports it instead of running with limits the
-	// caller believes are in force but are not.
-	confErr error
-
-	// ledger tracks live memory charges of the streaming engine:
-	// estimated bytes charged per buffered table, released when the
-	// enclosing operator finishes. View-cached tables are pinned —
+	// ledger tracks live memory charges: estimated bytes charged per
+	// buffered table, released when the enclosing operator finishes. View-cached tables are pinned —
 	// removed from the ledger so their charge outlives the operator
 	// (and, with a shared governor, the query) that built them.
 	ledger map[*table.Table]int64
@@ -239,32 +206,20 @@ func (ev *Evaluator) freshAggNull() value.Value {
 	return value.Null(-ev.aggNulls)
 }
 
-// ErrOptionConflict reports Options that set both a Governor and the
-// deprecated MaxRows/MaxCostUnits fields. The deprecated fields are
-// consulted only when Governor is nil, so the combination used to be
-// silently ignored — the caller's limits never took effect. It is now
-// an explicit configuration error, reported by the first Eval.
-var ErrOptionConflict = errors.New(
-	"eval: Options.MaxRows/MaxCostUnits are ignored when a Governor is set; configure guard.Limits on the Governor instead")
-
 // New returns an evaluator over db with the given options.
 func New(db *table.Database, opts Options) *Evaluator {
 	gov := opts.Governor
-	var confErr error
 	if gov == nil {
-		gov = guard.Background(guard.Limits{MaxRows: opts.MaxRows, MaxCostUnits: opts.MaxCostUnits})
-	} else if opts.MaxRows != 0 || opts.MaxCostUnits != 0 {
-		confErr = ErrOptionConflict
+		gov = guard.Background(guard.Limits{})
 	}
 	return &Evaluator{
-		db:      db,
-		opts:    opts,
-		gov:     gov,
-		confErr: confErr,
-		cache:   map[string]*table.Table{},
-		scalar:  map[string]value.Value{},
-		ledger:  map[*table.Table]int64{},
-		shared:  map[string]bool{},
+		db:     db,
+		opts:   opts,
+		gov:    gov,
+		cache:  map[string]*table.Table{},
+		scalar: map[string]value.Value{},
+		ledger: map[*table.Table]int64{},
+		shared: map[string]bool{},
 	}
 }
 
@@ -304,9 +259,6 @@ func (ev *Evaluator) tick(op string) error {
 // evaluator is poisoned: subsequent Eval calls fail with ErrPoisoned
 // instead of serving possibly corrupt cached state.
 func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
-	if ev.confErr != nil {
-		return nil, ev.confErr
-	}
 	if ev.poisoned {
 		return nil, ErrPoisoned
 	}
@@ -320,55 +272,18 @@ func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
 		}
 		ev.stats.MemHighWaterBytes = ev.gov.MemHighWater()
 	}()
-	if ev.opts.Materialize {
-		return ev.eval(e)
-	}
 	if !ev.opts.NoSubplanCache {
 		ev.markShared(e)
 	}
 	return ev.drainExpr(e, ev.rootShape(e), true)
 }
 
-// evalChild evaluates a child expression with the engine selected by
-// Options: the materializing engine recurses through eval, the
-// streaming engine drains a fresh iterator pipeline (buffered
-// boundary). Operator bodies shared by both engines call this, which
-// keeps their child-evaluation order — and therefore the minting order
-// of freshAggNull marks — identical, so the engines agree byte for
-// byte.
+// evalChild evaluates a child expression of a buffered operator body:
+// it drains a fresh iterator pipeline behind the buffered boundary.
+// Every operator body evaluates its children through here, left before
+// right, which fixes the minting order of freshAggNull marks.
 func (ev *Evaluator) evalChild(e algebra.Expr) (*table.Table, error) {
-	if ev.opts.Materialize {
-		return ev.eval(e)
-	}
 	return ev.drainExpr(e, nil, false)
-}
-
-func (ev *Evaluator) eval(e algebra.Expr) (*table.Table, error) {
-	key := ""
-	if !ev.opts.NoSubplanCache {
-		key = viewKey(e) // "" for subplans too large to profitably cache
-		if t, ok := ev.cache[key]; key != "" && ok {
-			ev.stats.CacheHits++
-			ev.note("cached %T -> %d rows", e, t.Len())
-			return t, nil
-		}
-	}
-	t, err := ev.evalUncached(e)
-	if err != nil {
-		return nil, err
-	}
-	// Memory accounting happens at operator boundaries, when a result
-	// materializes; cache hits above are free (already charged).
-	if err := ev.gov.ChargeMem(opName(e), t.EstimatedBytes()); err != nil {
-		return nil, err
-	}
-	if key != "" {
-		if err := ev.gov.Fault(guard.SiteViewMaterialize); err != nil {
-			return nil, err
-		}
-		ev.cache[key] = t
-	}
-	return t, nil
 }
 
 // opName names an algebra node for error reports and operator paths.
@@ -409,6 +324,10 @@ func opName(e algebra.Expr) string {
 	}
 }
 
+// evalUncached runs the body of a buffered operator. The streamable
+// operators — Project, Union, Distinct, SemiJoin, Limit and selections
+// outside a join block — never reach it: drainScope compiles them to
+// iterator pipelines (see streamable).
 func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 	ev.depth++
 	defer func() { ev.depth-- }()
@@ -436,27 +355,9 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 		return ev.evalAdomPower(e)
 
 	case algebra.Select:
-		return ev.evalSelect(e)
-
-	case algebra.Project:
-		child, err := ev.evalChild(e.Child)
-		if err != nil {
-			return nil, err
-		}
-		out := table.New(len(e.Cols))
-		out.Grow(child.Len())
-		for _, r := range child.Rows() {
-			nr := make(table.Row, len(e.Cols))
-			for i, c := range e.Cols {
-				nr[i] = r[c]
-			}
-			out.Append(nr)
-		}
-		if err := ev.charge("project", int64(child.Len())); err != nil {
-			return nil, err
-		}
-		ev.note("project -> %d rows", out.Len())
-		return out, nil
+		// Only a SELECT-FROM-WHERE block buffers: a selection over fewer
+		// than two product leaves (or with hash joins off) streams.
+		return ev.planJoinBlock(flattenProduct(e.Child), e.Cond)
 
 	case algebra.Product:
 		l, err := ev.evalChild(e.L)
@@ -468,30 +369,6 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 			return nil, err
 		}
 		return ev.product(l, r)
-
-	case algebra.Union:
-		l, err := ev.evalChild(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.evalChild(e.R)
-		if err != nil {
-			return nil, err
-		}
-		out := table.New(l.Arity())
-		out.Grow(l.Len() + r.Len())
-		for _, row := range l.Rows() {
-			out.Append(row)
-		}
-		for _, row := range r.Rows() {
-			out.Append(row)
-		}
-		res := out.Distinct()
-		if err := ev.charge("union", int64(l.Len()+r.Len())); err != nil {
-			return nil, err
-		}
-		ev.note("union -> %d rows", res.Len())
-		return res, nil
 
 	case algebra.Intersect:
 		l, err := ev.evalChild(e.L)
@@ -551,23 +428,8 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 		ev.note("diff -> %d rows", out.Len())
 		return out, nil
 
-	case algebra.SemiJoin:
-		return ev.evalSemiJoin(e)
-
 	case algebra.UnifySemi:
 		return ev.evalUnifySemi(e)
-
-	case algebra.Distinct:
-		child, err := ev.evalChild(e.Child)
-		if err != nil {
-			return nil, err
-		}
-		out := child.Distinct()
-		if err := ev.charge("distinct", int64(child.Len())); err != nil {
-			return nil, err
-		}
-		ev.note("distinct -> %d rows", out.Len())
-		return out, nil
 
 	case algebra.Division:
 		return ev.evalDivision(e)
@@ -577,9 +439,6 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 
 	case algebra.Sort:
 		return ev.evalSort(e)
-
-	case algebra.Limit:
-		return ev.evalLimit(e)
 
 	default:
 		return nil, fmt.Errorf("eval: unknown expression %T", e)

@@ -8,6 +8,7 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/guard"
 	"certsql/internal/schema"
 	"certsql/internal/table"
 	"certsql/internal/value"
@@ -132,7 +133,7 @@ func TestAdomPower(t *testing.T) {
 	if got.Len() != 4 { // {1,2}²
 		t.Errorf("adom^2 has %d rows, want 4", got.Len())
 	}
-	_, err := eval.New(db, eval.Options{MaxRows: 10}).Eval(algebra.AdomPower{K: 40})
+	_, err := eval.New(db, eval.Options{Governor: guard.Background(guard.Limits{MaxRows: 10})}).Eval(algebra.AdomPower{K: 40})
 	if !errors.Is(err, eval.ErrTooLarge) {
 		t.Errorf("adom^40 error = %v, want ErrTooLarge", err)
 	}
@@ -144,7 +145,7 @@ func TestProductGuard(t *testing.T) {
 		ins(t, db, "r", table.Row{value.Int(int64(i)), value.Int(0)})
 		ins(t, db, "s", table.Row{value.Int(int64(i)), value.Int(0)})
 	}
-	_, err := eval.New(db, eval.Options{MaxRows: 100}).Eval(algebra.Product{L: baseR, R: baseS})
+	_, err := eval.New(db, eval.Options{Governor: guard.Background(guard.Limits{MaxRows: 100})}).Eval(algebra.Product{L: baseR, R: baseS})
 	if !errors.Is(err, eval.ErrTooLarge) {
 		t.Errorf("product guard: %v", err)
 	}

@@ -9,14 +9,13 @@ import (
 	"certsql/internal/value"
 )
 
-// The streaming engine's operator family: composable pull-based batch
-// iterators. A pipeline of iterators replaces the materializing
-// engine's per-operator tables for the operators that can stream —
-// scans, single-leaf selections, projections, limits, distincts,
-// unions, and (anti-)semijoin probes. Everything else (hash builds,
-// join blocks, sorts, aggregations, set operations, divisions, adom
-// powers, shared views) stays buffered behind bufferedIter, the
-// explicit streaming/buffered boundary.
+// The executor's streaming operator family: composable pull-based batch
+// iterators. A pipeline of iterators runs the operators that can stream
+// — scans, single-leaf selections, projections, limits, distincts,
+// unions, and (anti-)semijoin probes — without a table per operator.
+// Everything else (hash builds, join blocks, sorts, aggregations, set
+// operations, divisions, adom powers, shared views) stays buffered
+// behind bufferedIter, the explicit streaming/buffered boundary.
 //
 // The contract:
 //
@@ -54,13 +53,14 @@ type iter interface {
 
 // iterName names an iterator node for traces and error reports.
 func iterName(it iter) string {
-	switch it.(type) {
+	switch it := it.(type) {
 	case *scanIter:
 		return "scan"
 	case *filterIter:
+		if it.ev.opts.shardCount() > 1 {
+			return "shard-gather" // the scatter boundary stays visible in traces
+		}
 		return "filter"
-	case *gatherIter:
-		return "shard-gather"
 	case *projectIter:
 		return "project"
 	case *limitIter:
@@ -81,8 +81,7 @@ func iterName(it iter) string {
 }
 
 // scanIter streams a stored relation in batches. The scan fault and
-// the full scan cost are charged at construction, mirroring the
-// materializing engine's per-scan accounting; no memory is charged —
+// the full scan cost are charged at construction; no memory is charged —
 // the relation is storage, not executor-materialized state.
 type scanIter struct {
 	rows []table.Row
@@ -122,10 +121,14 @@ func (it *scanIter) arity() int { return it.ar }
 func (it *scanIter) close()     {}
 func (it *scanIter) isIter()    {}
 
-// filterIter applies a selection condition row by row. Scalar
-// subqueries in the condition are resolved at construction, after the
-// child pipeline is built — the same evaluation order as the
-// materializing engine, so mark minting agrees.
+// filterIter applies a selection condition to each pulled batch: row
+// by row, or — with Options.Shards > 1 — hash-routed across the engine
+// shards and gathered back in batch order (scatterFilterBatch), the
+// per-batch counterpart of the sharded filterTable scan. The per-batch
+// cost is charged here either way, so Stats and budget behaviour do not
+// depend on the shard count. Scalar subqueries in the condition are
+// resolved at construction, after the child pipeline is built, which
+// fixes the minting order of aggregate-null marks.
 type filterIter struct {
 	ev    *Evaluator
 	child iter
@@ -150,58 +153,7 @@ func (it *filterIter) next() ([]table.Row, error) {
 		if err := it.ev.charge("filter", int64(len(batch))); err != nil {
 			return nil, err
 		}
-		var out []table.Row
-		for _, r := range batch {
-			v, err := it.ev.evalCond(it.cond, r)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsTrue() {
-				out = append(out, r)
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (it *filterIter) arity() int { return it.child.arity() }
-func (it *filterIter) close()     { it.child.close() }
-func (it *filterIter) isIter()    {}
-
-// gatherIter is the streaming engine's scatter-gather filter: each
-// pulled batch is hash-routed across the engine shards and gathered
-// back in batch order — the per-batch counterpart of the sharded
-// filterTable scan. It is a separate node rather than a branch inside
-// filterIter so traces and iterName make the scatter boundary visible.
-// Per-batch cost is charged here exactly as filterIter charges it, so
-// Stats and budget behaviour are byte-identical to an unsharded run.
-type gatherIter struct {
-	ev    *Evaluator
-	child iter
-	cond  algebra.Cond
-}
-
-func (ev *Evaluator) newGatherIter(child iter, cond algebra.Cond) (*gatherIter, error) {
-	cond, err := ev.resolveScalars(cond)
-	if err != nil {
-		child.close()
-		return nil, err
-	}
-	return &gatherIter{ev: ev, child: child, cond: cond}, nil
-}
-
-func (it *gatherIter) next() ([]table.Row, error) {
-	for {
-		batch, err := it.child.next()
-		if batch == nil || err != nil {
-			return nil, err
-		}
-		if err := it.ev.charge("filter", int64(len(batch))); err != nil {
-			return nil, err
-		}
-		out, err := it.ev.scatterFilterBatch(it.cond, batch)
+		out, err := it.filterBatch(batch)
 		if err != nil {
 			return nil, err
 		}
@@ -211,9 +163,26 @@ func (it *gatherIter) next() ([]table.Row, error) {
 	}
 }
 
-func (it *gatherIter) arity() int { return it.child.arity() }
-func (it *gatherIter) close()     { it.child.close() }
-func (it *gatherIter) isIter()    {}
+func (it *filterIter) filterBatch(batch []table.Row) ([]table.Row, error) {
+	if it.ev.opts.shardCount() > 1 {
+		return it.ev.scatterFilterBatch(it.cond, batch)
+	}
+	var out []table.Row
+	for _, r := range batch {
+		v, err := it.ev.evalCond(it.cond, r)
+		if err != nil {
+			return nil, err
+		}
+		if v.IsTrue() {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+func (it *filterIter) arity() int { return it.child.arity() }
+func (it *filterIter) close()     { it.child.close() }
+func (it *filterIter) isIter()    {}
 
 // projectIter rewrites each row onto the projection's column list.
 type projectIter struct {
@@ -245,9 +214,7 @@ func (it *projectIter) arity() int { return len(it.cols) }
 func (it *projectIter) close()     { it.child.close() }
 func (it *projectIter) isIter()    {}
 
-// limitIter passes the first n rows and stops pulling its child — the
-// one operator where streaming does strictly less work than the
-// materializing engine.
+// limitIter passes the first n rows and stops pulling its child.
 type limitIter struct {
 	child iter
 	left  int
@@ -354,9 +321,8 @@ func (it *unionIter) isIter()    {}
 // semiProbeIter probes left-side batches against a buffered semijoin
 // plan (see prepSemi): the right side and its hash index are built
 // once at construction — the buffered boundary — while the probe side
-// streams through a batch at a time. Each batch partitions across
-// workers exactly as the materializing engine partitions the whole
-// probe side.
+// streams through a batch at a time, each batch partitioned across
+// workers (probeSemi).
 type semiProbeIter struct {
 	ev    *Evaluator
 	p     *semiPlan

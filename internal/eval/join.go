@@ -11,27 +11,6 @@ import (
 	"certsql/internal/value"
 )
 
-// evalSelect evaluates σ_cond(child). When the child is a chain of
-// Cartesian products — the shape SELECT-FROM-WHERE blocks compile to —
-// the condition's equality conjuncts are used to plan a greedy hash
-// equi-join instead of materializing the product.
-func (ev *Evaluator) evalSelect(e algebra.Select) (*table.Table, error) {
-	leaves := flattenProduct(e.Child)
-	if len(leaves) >= 2 && !ev.opts.NoHashJoin {
-		return ev.planJoinBlock(leaves, e.Cond)
-	}
-	child, err := ev.evalChild(e.Child)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ev.filterTable(child, e.Cond)
-	if err != nil {
-		return nil, err
-	}
-	ev.note("filter %s -> %d rows", e.Cond, out.Len())
-	return out, nil
-}
-
 // flattenProduct returns the leaves of a left-to-right product chain, or
 // a single-element slice when e is not a product.
 func flattenProduct(e algebra.Expr) []algebra.Expr {
@@ -41,9 +20,12 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
-// planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) greedily,
-// in the order JoinBlock.Order derives from the filtered leaf sizes.
-// The output preserves the canonical column order of the product.
+// planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) — the
+// shape SELECT-FROM-WHERE blocks compile to — greedily, in the order
+// JoinBlock.Order derives from the filtered leaf sizes: the condition's
+// equality conjuncts become hash equi-joins instead of a materialized
+// product. The output preserves the canonical column order of the
+// product.
 func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*table.Table, error) {
 	n := len(leaves)
 	arities := make([]int, n)
@@ -286,9 +268,7 @@ func semiCond(e algebra.SemiJoin) algebra.Cond {
 
 // semiPlan is the buffered state of a correlated (anti-)semijoin: the
 // built right side, the resolved condition, and the chosen strategy.
-// Both engines build it with prepSemi and probe it with probeSemi; the
-// materializing engine probes the whole left side at once, the
-// streaming engine one batch at a time.
+// prepSemi builds it; probeSemi probes it one batch at a time.
 type semiPlan struct {
 	anti    bool
 	nL      int
@@ -318,7 +298,7 @@ type semiPlan struct {
 // resolves scalar subqueries in the condition (workers verify it, so
 // substitution must happen on this goroutine), and builds the hash
 // index when a key exists. The strategy counter is bumped here — one
-// per operator, whichever engine probes.
+// per operator.
 //
 // Under the FuseBuild hint a Select build side is not materialized:
 // its child is evaluated directly and the selection condition is
@@ -644,43 +624,4 @@ func (ev *Evaluator) semiExists(nL int, rExpr algebra.Expr, cond algebra.Cond) (
 	ev.stats.ShortCircuits++
 	ev.note("uncorrelated subquery: exists=%v", exists)
 	return exists, nil
-}
-
-// evalSemiJoin executes L ⋉θ R / L ▷θ R with the strategy selection
-// described in the package comment (materializing engine).
-func (ev *Evaluator) evalSemiJoin(e algebra.SemiJoin) (*table.Table, error) {
-	nL := e.L.Arity()
-	cond := semiCond(e)
-
-	correlated := algebra.UsesColBelow(cond, nL)
-	if !correlated && !ev.opts.NoShortCircuit {
-		exists, err := ev.semiExists(nL, e.R, cond)
-		if err != nil {
-			return nil, err
-		}
-		if exists == e.Anti {
-			return table.New(nL), nil // empty result, L never evaluated
-		}
-		return ev.evalChild(e.L)
-	}
-
-	l, err := ev.evalChild(e.L)
-	if err != nil {
-		return nil, err
-	}
-	p, err := ev.prepSemi(e, cond)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := ev.probeSemi(p, l.Rows())
-	if err != nil {
-		return nil, err
-	}
-	out := table.New(nL)
-	out.Grow(len(rows))
-	for _, r := range rows {
-		out.Append(r)
-	}
-	ev.note("%s %d vs %d -> %d rows", p.name, l.Len(), p.r.Len(), out.Len())
-	return out, nil
 }

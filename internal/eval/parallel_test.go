@@ -12,6 +12,7 @@ import (
 	"certsql/internal/certain"
 	"certsql/internal/compile"
 	"certsql/internal/eval"
+	"certsql/internal/guard"
 	"certsql/internal/sql"
 	"certsql/internal/table"
 	"certsql/internal/tpch"
@@ -145,10 +146,10 @@ func TestUnifySemiCostBudget(t *testing.T) {
 	// The governor's cost budget is cumulative across operators: the two
 	// 5-row scans charge 10 units, then the semijoin 5 for its build, 5
 	// for its probes and 5 for the one candidate each probe verifies.
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 24}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
+	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, Governor: guard.Background(guard.Limits{MaxCostUnits: 24})}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
 		t.Fatalf("cost 25 with budget 24: got %v, want ErrTooLarge", err)
 	}
-	ev := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 25})
+	ev := eval.New(db, eval.Options{Semantics: value.Naive, Governor: guard.Background(guard.Limits{MaxCostUnits: 25})})
 	if _, err := ev.Eval(e); err != nil {
 		t.Fatalf("cost 25 with budget 25: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestDivisionCostBudget(t *testing.T) {
 	}
 	e := algebra.Division{L: baseR, R: algebra.Project{Child: baseS, Cols: []int{0}}}
 
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 10}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
+	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, Governor: guard.Background(guard.Limits{MaxCostUnits: 10})}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
 		t.Fatalf("division with budget 10: got %v, want ErrTooLarge", err)
 	}
 	if _, err := eval.New(db, eval.Options{Semantics: value.Naive}).Eval(e); err != nil {
@@ -198,7 +199,7 @@ func TestParallelCancelsOnErrTooLarge(t *testing.T) {
 		Child: algebra.Product{L: baseR, R: baseS},
 		Cond:  algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
 	}
-	_, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, MaxRows: 1000, Parallelism: 4}).Eval(join)
+	_, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Governor: guard.Background(guard.Limits{MaxRows: 1000}), Parallelism: 4}).Eval(join)
 	if !errors.Is(err, eval.ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}

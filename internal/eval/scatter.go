@@ -176,9 +176,9 @@ func drainShardChans(chans []chan shardMsg) {
 	}
 }
 
-// scatterFilterBatch filters one streaming batch scatter-gather (see
-// gatherIter). The caller already charged the batch's filter cost —
-// per-batch accounting, matching filterIter — so pred counts nothing.
+// scatterFilterBatch filters one streaming batch scatter-gather.
+// filterIter already charged the batch's filter cost, so pred counts
+// nothing.
 func (ev *Evaluator) scatterFilterBatch(cond algebra.Cond, batch []table.Row) ([]table.Row, error) {
 	return ev.scatterKeep("filter", batch, "", func(c *chunk, lr table.Row) (bool, error) {
 		v, err := ev.evalCond(cond, lr)

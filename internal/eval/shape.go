@@ -11,9 +11,9 @@ import (
 // description — evaluation never depends on it for correctness — so a
 // cached plan can carry the shape of each of its translations and a
 // prepared execution skips re-deriving pipeline boundaries (notably
-// flattening product chains to count join-block leaves). drainExpr
-// validates each node against the live expression and falls back to
-// on-the-fly derivation on any mismatch.
+// flattening product chains to count join-block leaves — the one
+// decision streamable reads from it). A node whose Op does not match
+// the live expression is ignored and re-derived on the fly.
 type Shape struct {
 	// Op is the operator name (see opName); used to validate the
 	// annotation against the expression it is applied to.

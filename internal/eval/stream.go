@@ -6,29 +6,32 @@ import (
 	"certsql/internal/table"
 )
 
-// The streaming engine's driver. drainExpr is the streaming
-// counterpart of eval: it serves view-cache hits, runs streamable
-// subtrees as iterator pipelines via drain, and routes everything else
-// through the shared operator bodies in evalUncached behind a memory
-// frame. Both engines share those bodies (via evalChild), the semijoin
-// prep/probe helpers and the condition evaluator, which is what keeps
-// them byte-for-byte identical — including the minting order of
-// negative aggregate-null marks.
+// The executor's driver. drainExpr serves view-cache hits, runs
+// streamable subtrees as iterator pipelines via drain, and routes
+// everything else through the buffered operator bodies in evalUncached
+// behind a memory frame.
 
 // streamable reports whether e runs as an iterator pipeline. A Select
 // whose FROM clause joins two or more relations is planned as a hash
 // join block and buffers; with hash joins disabled it degenerates to
 // filter-over-product and the filter streams.
+//
+// The shape annotation is consulted for that one decision only — it
+// saves flattening the product chain per execution — so no annotation,
+// however stale, can send a streamable operator to evalUncached.
 func (ev *Evaluator) streamable(e algebra.Expr, sh *Shape) bool {
-	if sh != nil && sh.Op == opName(e) && !ev.opts.NoHashJoin {
-		return sh.Stream
-	}
 	switch e := e.(type) { // astlint:partial — everything else buffers
 	case algebra.Base, algebra.Project, algebra.Limit, algebra.Distinct,
 		algebra.Union, algebra.SemiJoin:
 		return true
 	case algebra.Select:
-		return len(flattenProduct(e.Child)) < 2 || ev.opts.NoHashJoin
+		if ev.opts.NoHashJoin {
+			return true
+		}
+		if sh != nil && sh.Op == opName(e) {
+			return sh.Stream
+		}
+		return len(flattenProduct(e.Child)) < 2
 	default:
 		return false
 	}
@@ -158,12 +161,11 @@ func (ev *Evaluator) rootShape(e algebra.Expr) *Shape {
 	return nil
 }
 
-// drainExpr evaluates e with the streaming engine and returns its
-// materialized result. top marks the root of an Eval call: a root Base
-// drains through a scan pipeline (so even a bare scan's result is
-// charged and budget-checked), while an interior Base is served as the
-// stored relation itself — storage, not executor-materialized state,
-// so it carries no memory charge.
+// drainExpr evaluates e and returns its materialized result. top marks
+// the root of an Eval call: a root Base drains through a scan pipeline
+// (so even a bare scan's result is charged and budget-checked), while
+// an interior Base is served as the stored relation itself — storage,
+// not executor-materialized state, so it carries no memory charge.
 func (ev *Evaluator) drainExpr(e algebra.Expr, sh *Shape, top bool) (*table.Table, error) {
 	if _, ok := e.(algebra.Base); ok && !top {
 		return ev.evalUncached(e)
@@ -198,8 +200,8 @@ func (ev *Evaluator) drainExpr(e algebra.Expr, sh *Shape, top bool) (*table.Tabl
 
 // drainScope produces e's table inside the frame drainExpr opened:
 // streamable subtrees drain a pipeline (memory charged per batch),
-// buffered ones run the shared operator body and charge their result
-// at the operator boundary, exactly like the materializing engine.
+// buffered ones run their operator body and charge their result at the
+// operator boundary.
 func (ev *Evaluator) drainScope(e algebra.Expr, sh *Shape) (*table.Table, error) {
 	if ev.streamable(e, sh) {
 		it, err := ev.buildIterNode(e, sh)
@@ -250,9 +252,6 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 		child, err := ev.buildIter(e.Child, sh.kid(0))
 		if err != nil {
 			return nil, err
-		}
-		if ev.opts.shardCount() > 1 {
-			return ev.newGatherIter(child, e.Cond)
 		}
 		return ev.newFilterIter(child, e.Cond)
 
@@ -311,8 +310,8 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 // short-circuit answers the subquery once and compiles to either an
 // empty pipeline or the bare left side; the correlated form builds the
 // right side eagerly (prepSemi) and streams probe batches through it.
-// The evaluation order — left pipeline construction, then right-side
-// build — matches the materializing engine's left-then-right order.
+// The evaluation order is left pipeline construction, then right-side
+// build.
 func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) {
 	nL := e.L.Arity()
 	cond := semiCond(e)

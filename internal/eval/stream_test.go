@@ -19,43 +19,6 @@ func sharedSel() algebra.Expr {
 	return algebra.Union{L: sel, R: sel}
 }
 
-// TestOptionConflict pins the budget-seam bugfix: the deprecated
-// Options.MaxRows / MaxCostUnits used to be silently ignored when a
-// Governor was also set. Now the combination is an explicit
-// configuration error, and the legacy fields keep working when no
-// Governor is given.
-func TestOptionConflict(t *testing.T) {
-	db := newDB(t)
-	ins(t, db, "r",
-		table.Row{value.Int(1), value.Int(1)},
-		table.Row{value.Int(2), value.Int(1)},
-		table.Row{value.Int(3), value.Int(1)},
-	)
-	for _, opts := range []eval.Options{
-		{Governor: guard.Background(guard.Limits{}), MaxRows: 5},
-		{Governor: guard.Background(guard.Limits{}), MaxCostUnits: 5},
-	} {
-		_, err := eval.New(db, opts).Eval(baseR)
-		if !errors.Is(err, eval.ErrOptionConflict) {
-			t.Errorf("Governor plus legacy budget fields: got %v, want ErrOptionConflict", err)
-		}
-	}
-	// A Governor alone, or the legacy fields alone, are both fine —
-	// and the legacy fields still enforce their budgets.
-	if _, err := eval.New(db, eval.Options{Governor: guard.Background(guard.Limits{})}).Eval(baseR); err != nil {
-		t.Errorf("Governor without legacy fields: %v", err)
-	}
-	_, err := eval.New(db, eval.Options{MaxRows: 2}).Eval(baseR)
-	if !errors.Is(err, guard.ErrRowBudget) {
-		t.Errorf("legacy MaxRows=2 over a 3-row scan: got %v, want ErrRowBudget", err)
-	}
-	sel := algebra.Select{Child: baseR, Cond: algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Lit{Val: value.Int(1)}}}
-	_, err = eval.New(db, eval.Options{MaxCostUnits: 1}).Eval(sel)
-	if !errors.Is(err, eval.ErrTooLarge) {
-		t.Errorf("legacy MaxCostUnits=1: got %v, want a budget error", err)
-	}
-}
-
 // TestViewCacheChargeLifetime pins the cache-seam accounting bugfix:
 // a view-cached table's memory charge must live exactly as long as the
 // cached table does — not released when the operator that built it
@@ -194,40 +157,5 @@ func TestBatchPullFaults(t *testing.T) {
 	}
 	if _, err := ev.Eval(baseR); !errors.Is(err, eval.ErrPoisoned) {
 		t.Errorf("evaluator not poisoned after contained panic: %v", err)
-	}
-}
-
-// TestEnginesRenderIdenticalBytes spot-checks the engine contract the
-// difftest ablation sweeps at scale: streaming and materializing
-// evaluation render the exact same bytes, row order included.
-func TestEnginesRenderIdenticalBytes(t *testing.T) {
-	db := newDB(t)
-	ins(t, db, "r",
-		table.Row{value.Int(1), value.Int(1)},
-		table.Row{db.FreshNull(), value.Int(2)},
-		table.Row{value.Int(2), value.Int(2)},
-		table.Row{value.Int(2), value.Int(2)},
-	)
-	ins(t, db, "s",
-		table.Row{value.Int(2), value.Int(1)},
-		table.Row{db.FreshNull(), value.Int(3)},
-	)
-	join := algebra.Select{
-		Child: algebra.Product{L: baseR, R: baseS},
-		Cond:  algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
-	}
-	for name, e := range map[string]algebra.Expr{
-		"scan":       baseR,
-		"distinct":   algebra.Distinct{Child: baseR},
-		"shared-sel": sharedSel(),
-		"semijoin":   algebra.SemiJoin{L: baseR, R: baseS, Cond: algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}}},
-		"join-block": join,
-		"project":    algebra.Project{Child: join, Cols: []int{1, 3}},
-	} {
-		stream := run(t, db, e, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
-		mat := run(t, db, e, eval.Options{Semantics: value.SQL3VL, Parallelism: 1, Materialize: true})
-		if stream.String() != mat.String() {
-			t.Errorf("%s: engines differ\nstreaming:     %s\nmaterializing: %s", name, stream.String(), mat.String())
-		}
 	}
 }

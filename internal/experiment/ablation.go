@@ -62,7 +62,11 @@ type AblationRow struct {
 	BaseTime time.Duration
 	// Factor maps variant name -> time(variant)/time(base).
 	Factor map[string]float64
-	Failed map[string]bool
+	// CostFactor maps variant name -> Stats.CostUnits(variant)/(base):
+	// the same effect as Factor in exact row operations, identical on
+	// every run and machine.
+	CostFactor map[string]float64
+	Failed     map[string]bool
 }
 
 // ablationVariants lists the translator/executor knobs under study.
@@ -124,6 +128,7 @@ func Ablation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 		}
 
 		best := map[string]time.Duration{}
+		cost := map[string]int64{}
 		failed := map[string]bool{}
 		for round := 0; round <= cfg.Repeats; round++ {
 			for _, p := range plans {
@@ -144,6 +149,7 @@ func Ablation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 					return nil, fmt.Errorf("ablation %s %s: %w", qid, p.name, err)
 				}
 				elapsed := time.Since(start)
+				cost[p.name] = ev.Stats().CostUnits // the same every round
 				if round == 0 {
 					continue // warmup round, untimed
 				}
@@ -156,7 +162,7 @@ func Ablation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 			return nil, fmt.Errorf("ablation %s: base pipeline exceeded the budget", qid)
 		}
 		base := best["base"]
-		row := AblationRow{Query: qid, BaseTime: base, Factor: map[string]float64{}, Failed: failed}
+		row := AblationRow{Query: qid, BaseTime: base, Factor: map[string]float64{}, CostFactor: map[string]float64{}, Failed: failed}
 		for _, v := range ablationVariants {
 			if failed[v.name] {
 				continue
@@ -164,6 +170,7 @@ func Ablation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 			if base > 0 {
 				row.Factor[v.name] = float64(best[v.name]) / float64(base)
 			}
+			row.CostFactor[v.name] = float64(cost[v.name]) / float64(cost["base"])
 		}
 		out = append(out, row)
 	}

@@ -230,12 +230,15 @@ func TestOrSplitQ4(t *testing.T) {
 }
 
 // TestAblationShape runs the design-decision ablation study and checks
-// the headline effects: losing the short circuit slows Q2 severely, and
-// losing hash joins makes Q3's anti-join quadratic. Losing OR-splitting
-// no longer cripples Q4 — the executor hashes the unsplit conditions —
-// so that column is only bounded from above.
+// the headline effects on CostFactor — exact row operations, so the
+// assertions hold on any machine under any load: losing the short
+// circuit doubles Q2's work (2.21× here), and losing hash joins makes
+// Q3's anti-join quadratic (389×, or over budget). Losing OR-splitting
+// no longer cripples Q4 — the executor hashes the unsplit conditions
+// (0.43×) — so that column is only bounded from above. The wall-clock
+// Factor is what the rendered table reports; nothing asserts on it.
 func TestAblationShape(t *testing.T) {
-	rows, err := experiment.Ablation(context.Background(), experiment.AblationConfig{Seed: 7, Scale: 0.002})
+	rows, err := experiment.Ablation(context.Background(), experiment.AblationConfig{Seed: 7, Scale: 0.002, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,15 +246,18 @@ func TestAblationShape(t *testing.T) {
 	for _, r := range rows {
 		byQuery[r.Query] = r
 	}
-	if r := byQuery[tpch.Q4]; r.Failed["no-orsplit"] || r.Factor["no-orsplit"] > 20 {
-		t.Errorf("Q4 without OR-split: failed=%v factor %.2f, expected a small factor",
-			r.Failed["no-orsplit"], r.Factor["no-orsplit"])
+	if r := byQuery[tpch.Q4]; r.Failed["no-orsplit"] || r.CostFactor["no-orsplit"] > 20 {
+		t.Errorf("Q4 without OR-split: failed=%v cost factor %.2f, expected a small factor",
+			r.Failed["no-orsplit"], r.CostFactor["no-orsplit"])
 	}
-	if r := byQuery[tpch.Q2]; r.Factor["no-shortcircuit"] < 2 {
-		t.Errorf("Q2 without short circuit: factor %.2f, expected a large slowdown", r.Factor["no-shortcircuit"])
+	if r := byQuery[tpch.Q2]; r.CostFactor["no-shortcircuit"] < 2 {
+		t.Errorf("Q2 without short circuit: cost factor %.2f, expected at least double the work", r.CostFactor["no-shortcircuit"])
 	}
-	if r := byQuery[tpch.Q3]; !r.Failed["no-hashjoin"] && r.Factor["no-hashjoin"] < 5 {
-		t.Errorf("Q3 without hash joins: factor %.2f, expected quadratic blow-up", r.Factor["no-hashjoin"])
+	if r := byQuery[tpch.Q3]; !r.Failed["no-hashjoin"] && r.CostFactor["no-hashjoin"] < 5 {
+		t.Errorf("Q3 without hash joins: cost factor %.2f, expected quadratic blow-up", r.CostFactor["no-hashjoin"])
+	}
+	for _, r := range rows {
+		t.Logf("%s cost factors: %v", r.Query, r.CostFactor)
 	}
 	t.Log("\n" + experiment.RenderAblation(rows))
 }

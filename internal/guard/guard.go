@@ -381,9 +381,7 @@ func (g *Governor) CostSpent() int64 { return g.cost.Load() }
 // ErrMemBudget when the live estimate exceeds the budget. With no
 // memory budget configured it only accumulates. The charge is live, not
 // cumulative: ReleaseMem returns bytes whose backing state the executor
-// has dropped, and the all-time peak is kept in MemHighWater. The
-// materializing engine never releases, so for it charged == high-water
-// and the pre-existing cumulative semantics are unchanged.
+// has dropped, and the all-time peak is kept in MemHighWater.
 func (g *Governor) ChargeMem(op string, n int64) error {
 	if g == nil {
 		return nil
