@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-fix test race loc bench bench-memory bench-plan bench-fig4 bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
+.PHONY: check build vet lint lint-fix test race loc bench bench-build bench-memory bench-plan bench-fig4 bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
 # check is what CI runs: build, vet, lint, and the full test suite under
 # the race detector (the parallel executor must stay race-clean).
@@ -57,12 +57,20 @@ race:
 # (ROADMAP.md item 2) is measured on, and all Go lines outside bench/,
 # so a deletion claim is regenerated rather than pasted.
 loc:
-	@for d in internal/eval internal/plan internal/shard internal/difftest tools; do \
+	@for d in internal/eval internal/plan internal/shard internal/guard internal/difftest tools; do \
 		printf '%-22s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; done
 	@printf '%-22s %s\n' 'all Go outside bench/' "$$(find . -name '*.go' ! -path './bench/*' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-build compiles and tests the benchmark module (bench/, a module
+# of its own that `go build ./...` at the root does not see) against
+# this checkout, so a deletion that breaks the surface it compiles
+# against fails here instead of in the benchmark pipeline. Offline;
+# -mod=mod as in bench/run.sh.
+bench-build:
+	cd bench && GOFLAGS=-mod=mod $(GO) vet ./... && GOFLAGS=-mod=mod $(GO) test ./...
 
 # bench-memory gates the executor's peak estimated intermediate memory
 # (guard.Governor.MemHighWater, an exact count) on the translated Q1-Q4:
@@ -116,8 +124,8 @@ fuzz-plan:
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlannerAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzz-shard hammers only the shard-ablation byte-identity contract:
-# sharded scatter-gather execution vs the unsharded run, every route,
-# both planners, under the race detector.
+# shard-routed execution vs the unsharded run, every route, both
+# planners, under the race detector.
 fuzz-shard:
 	$(GO) test -race -run='^$$' -fuzz=FuzzShardAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
@@ -161,7 +169,7 @@ chaos-crash:
 serve-smoke:
 	GO=$(GO) ./scripts/serve_smoke.sh
 
-# bench-shard measures scatter-gather execution (Options.Shards) on the
+# bench-shard measures shard-routed execution (Options.Shards) on the
 # raw translated Q1-Q4, prepared, against the unsharded baseline, then
 # runs the exact acceptance check: identical result bytes and identical
 # Stats.CostUnits at every Shards x Parallelism setting, and raw Q4

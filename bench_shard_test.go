@@ -51,8 +51,9 @@ func shardVariants(t testing.TB) []shardVariant {
 // Q⁺1–Q⁺4 at Shards 4 against the unsharded executor, on prepared
 // statements so the measurement is execution, not planning or
 // translation. Both sides do the same work (the cost-units metric is
-// equal); on one core the difference is the scatter-gather overhead.
-// EXPERIMENTS.md records the measured ratios. Run with:
+// equal); the difference is hashing every probe row to find its owner
+// and visiting the rows in that order. EXPERIMENTS.md records the
+// measured ratios. Run with:
 //
 //	make bench-shard
 func BenchmarkShardSpeedup(b *testing.B) {

@@ -146,17 +146,16 @@ type Options struct {
 	// Results are deterministic — byte-identical at any setting.
 	Parallelism int
 
-	// Shards executes the probe-side operators scatter-gather across N
-	// in-process engine shards (internal/shard, DESIGN.md §16): probe
-	// rows are routed to shards by content hash, each shard runs under
-	// a child governor rolled up to the query's governor, and the
-	// gather reassembles input order — results are byte-identical to an
-	// unsharded run at any setting (difftest's shard-ablation invariant
-	// pins this), and so is the work: every operator builds the same
-	// structures and spends the same Stats.CostUnits at any shard
-	// count. 0 or 1 runs unsharded. Orthogonal to Parallelism, which
-	// fans contiguous chunks across workers inside one shard-less
-	// operator.
+	// Shards routes the probe rows of semijoin, antijoin and filter
+	// loops to N in-process engine shards by content hash
+	// (internal/shard, DESIGN.md §16): the executor's workers visit
+	// the rows grouped by owning shard instead of by position. Results
+	// are byte-identical to an unsharded run at any setting (difftest's
+	// shard-ablation invariant pins this), and so is the work: every
+	// operator builds the same structures and spends the same
+	// Stats.CostUnits at any shard count. 0 or 1 runs unsharded.
+	// Orthogonal to Parallelism, which sets how many workers share the
+	// visiting order.
 	Shards int
 
 	// Trace records an EXPLAIN ANALYZE-style plan trace, retrievable

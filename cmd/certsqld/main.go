@@ -82,7 +82,7 @@ func run() int {
 		costBudg = flag.Int64("max-cost", 0, "default cost budget in elementary row operations (0 = guard default)")
 		memBudg  = flag.Int64("max-mem", 256<<20, "default estimated-bytes memory budget (0 = unlimited)")
 		par      = flag.Int("parallelism", 1, "executor workers per query (0 = GOMAXPROCS); cross-query concurrency comes from -max-concurrent")
-		shards   = flag.Int("shards", 1, "engine shards queries scatter across (1 = unsharded); dropped to 1 per query while the server is loaded")
+		shards   = flag.Int("shards", 1, "engine shards probe rows are routed to by content hash (1 = unsharded); results are identical at every value")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight queries")
 	)
 	flag.Parse()

@@ -150,9 +150,8 @@ func ChaosSeed(seed uint64, opts Options) *ChaosReport {
 	inj.SetCancel(cancel)
 	gov := guard.New(ctx, guard.Limits{})
 	gov.SetFaultHook(inj)
-	// Sharded like the fault runs: cancellation must interrupt a
-	// mid-scatter gather without leaking workers or surfacing a partial
-	// result, which is exactly the all-or-nothing gather contract.
+	// Sharded like the fault runs: cancellation must interrupt a routed
+	// keep loop without leaking workers or surfacing a partial result.
 	res, cerr := fdb.QueryWithOptionsContext(ctx, text, nil, certsql.Options{Parallelism: par, Guard: gov, Shards: 2})
 	cancel()
 	rep.CancelFired = inj.Fired() > 0
@@ -229,11 +228,11 @@ func (rep *ChaosReport) chaosFaultRun(fdb *certsql.DB, text string, par int, f f
 	inj := faultinject.New(f)
 	gov := guard.Background(guard.Limits{})
 	gov.SetFaultHook(inj)
-	// Fault runs execute sharded (Shards: 2): the scatter/gather fault
-	// sites only fire on sharded runs, and a sharded result is
-	// byte-identical to the unsharded baseline by construction — so the
-	// same `want` serves both. Clean retries below run unsharded,
-	// pinning that a disturbed sharded run poisons nothing.
+	// Fault runs execute sharded (Shards: 2), so every fault lands on
+	// the routed visiting order; a sharded result is byte-identical to
+	// the unsharded baseline by construction — so the same `want`
+	// serves both. Clean retries below run unsharded, pinning that a
+	// disturbed sharded run poisons nothing.
 	res, err := run(certsql.Options{Parallelism: par, Guard: gov, Shards: 2})
 	fired := inj.Fired() > 0
 	if fired {

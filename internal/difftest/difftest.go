@@ -249,7 +249,7 @@ func Check(db *table.Database, text string, opts Options) *Report {
 	} else if got, want := resP.Table().String(), base.Table().String(); got != want {
 		rep.violate("planner-ablation", "cost-based and naive planner differ:\ncost-based: %s\nnaive:      %s", want, got)
 	}
-	// Shard ablation: scatter-gather execution must be invisible in the
+	// Shard ablation: shard routing must be invisible in the
 	// result bytes — same rows, same order, same mark minting. One
 	// shard count keeps the main oracle sensitive to shard regressions;
 	// CheckShardSeed runs the shard-count × planner × Parallelism matrix

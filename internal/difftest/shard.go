@@ -12,7 +12,7 @@ import (
 )
 
 // CheckShardSeed checks only the shard-ablation invariant for one
-// generated case: scatter-gather execution across k ∈ {2, 3, 8} engine
+// generated case: execution routed across k ∈ {2, 3, 8} engine
 // shards must render the exact bytes of the unsharded run — same rows,
 // same order, same mark minting — on the standard, certain and possible
 // routes, under both planners. It skips the
@@ -53,7 +53,7 @@ func CheckShardSeed(seed uint64, tuning qgen.Tuning) *Report {
 // compareShards runs one route unsharded and across the shard-count ×
 // planner matrix, demanding byte-identical outcomes: the same
 // error classification, or the exact same result bytes. Budget trips on
-// either side skip — per-shard sub-governors legitimately change where
+// either side skip — the visiting order legitimately changes where
 // inside a run a budget trips, never whether results agree.
 func compareShards(rep *Report, route string, query func(certsql.Options) (*certsql.Result, error)) {
 	base, berr := query(certsql.Options{Parallelism: 1})

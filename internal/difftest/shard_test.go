@@ -6,8 +6,8 @@ import (
 	"certsql/internal/qgen"
 )
 
-// FuzzShardAblation explores the seed space for cases where sharded
-// scatter-gather execution diverges from the unsharded run — any byte
+// FuzzShardAblation explores the seed space for cases where
+// shard-routed execution diverges from the unsharded run — any byte
 // of difference, at any shard count, on any route, under either
 // planner, is a bug.
 func FuzzShardAblation(f *testing.F) {

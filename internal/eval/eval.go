@@ -75,17 +75,16 @@ type Options struct {
 	// table and the Stats counters are identical to a sequential run.
 	Parallelism int
 
-	// Shards is the number of in-process engine shards the probe-side
-	// hot loops scatter across: 0 or 1 runs unsharded. Probe rows are
-	// routed to shards by content hash (internal/shard) and the gather
-	// reassembles global input order, so results are byte-identical to
-	// Shards: 1 at any setting — difftest's shard-ablation invariant
-	// pins this. Shards decides the routing of probe rows and nothing
-	// else: every operator builds the same structures and does the same
-	// work (Stats.CostUnits) at any setting. Each shard runs under a
-	// child governor whose charges roll up to this evaluation's governor
-	// (guard.Governor.Child). Orthogonal to Parallelism, which sizes the
-	// contiguous-chunk worker pool used when Shards is not in force.
+	// Shards is the number of in-process engine shards the probe rows
+	// of the keep loops are routed to: 0 or 1 runs unsharded. Rows are
+	// assigned to shards by content hash (internal/shard) and the
+	// worker pool visits them grouped by owning shard instead of by
+	// position (keepRows); verdicts land in per-row slots, so results
+	// are byte-identical to Shards: 1 at any setting — difftest's
+	// shard-ablation invariant pins this. Shards decides the visiting
+	// order of probe rows and nothing else: every operator builds the
+	// same structures and does the same work (Stats.CostUnits) at any
+	// setting. Orthogonal to Parallelism, which sizes the pool.
 	Shards int
 
 	// NoHashJoin disables hash strategies everywhere, forcing nested
@@ -133,7 +132,7 @@ type Stats struct {
 	ShortCircuits int
 	// CacheHits counts subplan results served from the view cache.
 	CacheHits int
-	// ShardScatters counts operators executed scatter-gather across
+	// ShardScatters counts keep loops whose probe rows were routed to
 	// engine shards (Options.Shards > 1).
 	ShardScatters int
 	// FastPathHits counts SELECT CERTAIN evaluations that skipped the

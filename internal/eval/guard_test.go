@@ -57,57 +57,97 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
+// failureShards are the Shards settings the failure-semantics tests
+// below run at: the pool is the only fan-out, so a fault, panic,
+// cancellation or budget trip must end the same way — one typed error,
+// no table, consistent Stats — whether workers visit rows by position
+// or grouped by owning shard.
+var failureShards = []int{0, 3}
+
 // TestCancelMidParallelScan cancels the evaluation from inside a
 // semijoin probe partition (a seeded mid-flight point) and asserts the
 // typed error, no goroutine leak, and that a clean retry on the same
 // database reproduces the sequential result and Stats exactly.
 func TestCancelMidParallelScan(t *testing.T) {
 	db := bigNestedLoopDB(t, 3000)
-	baseGoroutines := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	inj := faultinject.New(faultinject.Fault{Site: guard.SiteSemijoinProbe, Kind: faultinject.KindCancel, HitNumber: 1})
-	inj.SetCancel(cancel)
-	gov := guard.New(ctx, guard.Limits{})
-	gov.SetFaultHook(inj)
-
-	ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Governor: gov})
-	_, err := ev.Eval(nestedLoopAnti)
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("mid-flight cancellation: got %v, want guard.ErrCanceled", err)
-	}
-	var le *guard.LimitError
-	if !errors.As(err, &le) || le.Op == "" {
-		t.Fatalf("cancellation should carry the operator path: %v", err)
-	}
-	if inj.Fired() == 0 {
-		t.Fatal("cancel fault never fired")
-	}
-	settleGoroutines(t, baseGoroutines)
-
-	// Canceled-run Stats are consistent: merged shards never exceed a
-	// full sequential run of the same operator tree.
 	full := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
 	want, ferr := full.Eval(nestedLoopAnti)
 	if ferr != nil {
 		t.Fatalf("clean run: %v", ferr)
 	}
-	if got := ev.Stats().CostUnits; got > full.Stats().CostUnits {
-		t.Fatalf("canceled run counted %d cost units, more than full run's %d", got, full.Stats().CostUnits)
-	}
+	for _, shards := range failureShards {
+		baseGoroutines := runtime.NumGoroutine()
 
-	// The same database answers correctly on retry at full parallelism.
-	retry := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4})
-	got, rerr := retry.Eval(nestedLoopAnti)
-	if rerr != nil {
-		t.Fatalf("retry: %v", rerr)
+		ctx, cancel := context.WithCancel(context.Background())
+		inj := faultinject.New(faultinject.Fault{Site: guard.SiteSemijoinProbe, Kind: faultinject.KindCancel, HitNumber: 1})
+		inj.SetCancel(cancel)
+		gov := guard.New(ctx, guard.Limits{})
+		gov.SetFaultHook(inj)
+
+		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards, Governor: gov})
+		out, err := ev.Eval(nestedLoopAnti)
+		cancel()
+		if !errors.Is(err, guard.ErrCanceled) || out != nil {
+			t.Fatalf("Shards=%d mid-flight cancellation: got (%v, %v), want no table and guard.ErrCanceled", shards, out, err)
+		}
+		var le *guard.LimitError
+		if !errors.As(err, &le) || le.Op == "" {
+			t.Fatalf("Shards=%d: cancellation should carry the operator path: %v", shards, err)
+		}
+		if inj.Fired() == 0 {
+			t.Fatalf("Shards=%d: cancel fault never fired", shards)
+		}
+		settleGoroutines(t, baseGoroutines)
+
+		// Canceled-run Stats are consistent: merged shards never exceed a
+		// full sequential run of the same operator tree.
+		if got := ev.Stats().CostUnits; got > full.Stats().CostUnits {
+			t.Fatalf("Shards=%d: canceled run counted %d cost units, more than full run's %d", shards, got, full.Stats().CostUnits)
+		}
+
+		// The same database answers correctly on retry at full parallelism.
+		retry := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards})
+		got, rerr := retry.Eval(nestedLoopAnti)
+		if rerr != nil {
+			t.Fatalf("Shards=%d retry: %v", shards, rerr)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("Shards=%d: retry after cancellation differs from sequential run", shards)
+		}
+		retryStats := retry.Stats()
+		retryStats.ShardScatters = 0 // the one counter that says rows were routed
+		if retryStats != full.Stats() {
+			t.Fatalf("Shards=%d: retry Stats %+v differ from sequential %+v", shards, retry.Stats(), full.Stats())
+		}
 	}
-	if got.String() != want.String() {
-		t.Fatal("retry after cancellation differs from sequential run")
+}
+
+// TestCostBudgetTripsMidProbe gives the antijoin a cost budget that
+// covers its scans and build but not its probes: the trip is observed
+// by a pool worker between rows and must stop every other worker,
+// surface as one ErrCostBudget with no table, and leave Stats covering
+// at least what the governor was charged and less than the full run.
+func TestCostBudgetTripsMidProbe(t *testing.T) {
+	db := bigNestedLoopDB(t, 3000)
+	full := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
+	if _, err := full.Eval(nestedLoopAnti); err != nil {
+		t.Fatalf("clean run: %v", err)
 	}
-	if retry.Stats() != full.Stats() {
-		t.Fatalf("retry Stats %+v differ from sequential %+v", retry.Stats(), full.Stats())
+	budget := full.Stats().CostUnits - 2000 // the 3000 probes cost a unit each
+	for _, shards := range failureShards {
+		baseGoroutines := runtime.NumGoroutine()
+		gov := guard.Background(guard.Limits{MaxCostUnits: budget})
+		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards, Governor: gov})
+		out, err := ev.Eval(nestedLoopAnti)
+		if !errors.Is(err, guard.ErrCostBudget) || out != nil {
+			t.Fatalf("Shards=%d: got (%v, %v), want no table and guard.ErrCostBudget", shards, out, err)
+		}
+		settleGoroutines(t, baseGoroutines)
+		spent, counted := gov.CostSpent(), ev.Stats().CostUnits
+		if spent <= budget || counted < spent || counted >= full.Stats().CostUnits {
+			t.Fatalf("Shards=%d: governor charged %d, Stats counted %d; want budget %d < charged <= counted < full run's %d",
+				shards, spent, counted, budget, full.Stats().CostUnits)
+		}
 	}
 }
 
@@ -144,29 +184,31 @@ func TestDeadlineExpiry(t *testing.T) {
 // silent reuse — while the database itself stays usable.
 func TestWorkerPanicContained(t *testing.T) {
 	db := bigNestedLoopDB(t, 3000)
-	baseGoroutines := runtime.NumGoroutine()
+	for _, shards := range failureShards {
+		baseGoroutines := runtime.NumGoroutine()
 
-	inj := faultinject.New(faultinject.Fault{Site: guard.SiteWorkerSpawn, Kind: faultinject.KindPanic, HitNumber: 2})
-	gov := guard.Background(guard.Limits{})
-	gov.SetFaultHook(inj)
-	ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Governor: gov})
-	_, err := ev.Eval(nestedLoopAnti)
-	var ie *guard.InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("injected worker panic: got %v, want *guard.InternalError", err)
-	}
-	if len(ie.Stack) == 0 || ie.Op == "" {
-		t.Fatalf("InternalError should carry op and stack: %+v", ie)
-	}
-	settleGoroutines(t, baseGoroutines)
+		inj := faultinject.New(faultinject.Fault{Site: guard.SiteWorkerSpawn, Kind: faultinject.KindPanic, HitNumber: 2})
+		gov := guard.Background(guard.Limits{})
+		gov.SetFaultHook(inj)
+		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards, Governor: gov})
+		out, err := ev.Eval(nestedLoopAnti)
+		var ie *guard.InternalError
+		if !errors.As(err, &ie) || out != nil {
+			t.Fatalf("Shards=%d injected worker panic: got (%v, %v), want no table and *guard.InternalError", shards, out, err)
+		}
+		if len(ie.Stack) == 0 || ie.Op == "" {
+			t.Fatalf("Shards=%d: InternalError should carry op and stack: %+v", shards, ie)
+		}
+		settleGoroutines(t, baseGoroutines)
 
-	if _, err := ev.Eval(nestedLoopAnti); !errors.Is(err, eval.ErrPoisoned) {
-		t.Fatalf("poisoned evaluator must refuse reuse: %v", err)
-	}
+		if _, err := ev.Eval(nestedLoopAnti); !errors.Is(err, eval.ErrPoisoned) {
+			t.Fatalf("Shards=%d: poisoned evaluator must refuse reuse: %v", shards, err)
+		}
 
-	// A fresh evaluator over the same database still answers.
-	if _, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4}).Eval(nestedLoopAnti); err != nil {
-		t.Fatalf("fresh evaluator after contained panic: %v", err)
+		// A fresh evaluator over the same database still answers.
+		if _, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards}).Eval(nestedLoopAnti); err != nil {
+			t.Fatalf("Shards=%d: fresh evaluator after contained panic: %v", shards, err)
+		}
 	}
 }
 
@@ -196,25 +238,34 @@ func TestCoordinatorPanicContained(t *testing.T) {
 // TestInjectedErrorFaults walks every engine fault site with an
 // error-kind fault and asserts the typed sentinel surfaces.
 func TestInjectedErrorFaults(t *testing.T) {
-	for _, site := range []guard.Site{guard.SiteScan, guard.SiteHashBuild, guard.SiteSemijoinProbe, guard.SiteWorkerSpawn, guard.SiteViewMaterialize} {
-		db := bigNestedLoopDB(t, 1200)
-		inj := faultinject.New(faultinject.Fault{Site: site, Kind: faultinject.KindError, HitNumber: 1})
-		gov := guard.Background(guard.Limits{})
-		gov.SetFaultHook(inj)
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 2, Governor: gov})
-		// A semijoin with a hash key exercises scan, hash build, probe,
-		// worker spawn, and (for its subplans) view materialization.
-		semi := algebra.SemiJoin{
-			L:    baseR,
-			R:    baseS,
-			Cond: algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 1}, R: algebra.Col{Idx: 3}},
-		}
-		_, err := ev.Eval(semi)
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Errorf("site %s: got %v, want ErrInjected", site, err)
-		}
-		if inj.Fired() != 1 {
-			t.Errorf("site %s: fired %d faults, want 1", site, inj.Fired())
+	// A semijoin with a hash key exercises scan, hash build, probe,
+	// worker spawn, and (for its subplans) view materialization.
+	semi := algebra.SemiJoin{
+		L:    baseR,
+		R:    baseS,
+		Cond: algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 1}, R: algebra.Col{Idx: 3}},
+	}
+	db := bigNestedLoopDB(t, 1200)
+	full := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
+	if _, err := full.Eval(semi); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	for _, shards := range failureShards {
+		for _, site := range []guard.Site{guard.SiteScan, guard.SiteHashBuild, guard.SiteSemijoinProbe, guard.SiteWorkerSpawn, guard.SiteViewMaterialize} {
+			inj := faultinject.New(faultinject.Fault{Site: site, Kind: faultinject.KindError, HitNumber: 1})
+			gov := guard.Background(guard.Limits{})
+			gov.SetFaultHook(inj)
+			ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 2, Shards: shards, Governor: gov})
+			out, err := ev.Eval(semi)
+			if !errors.Is(err, faultinject.ErrInjected) || out != nil {
+				t.Errorf("Shards=%d site %s: got (%v, %v), want no table and ErrInjected", shards, site, out, err)
+			}
+			if inj.Fired() != 1 {
+				t.Errorf("Shards=%d site %s: fired %d faults, want 1", shards, site, inj.Fired())
+			}
+			if got := ev.Stats().CostUnits; got > full.Stats().CostUnits {
+				t.Errorf("Shards=%d site %s: failed run counted %d cost units, more than the clean run's %d", shards, site, got, full.Stats().CostUnits)
+			}
 		}
 	}
 }

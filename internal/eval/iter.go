@@ -43,7 +43,8 @@ import (
 const batchSize = 1024
 
 // iter is one streaming operator. Implementations form the iterator
-// node family; iterName's type switch over it is exhaustive (astlint).
+// node family; iterName's type switch over it is exhaustive (vetcert's
+// exhaustive rule).
 type iter interface {
 	next() ([]table.Row, error)
 	arity() int
@@ -53,13 +54,10 @@ type iter interface {
 
 // iterName names an iterator node for traces and error reports.
 func iterName(it iter) string {
-	switch it := it.(type) {
+	switch it.(type) {
 	case *scanIter:
 		return "scan"
 	case *filterIter:
-		if it.ev.opts.shardCount() > 1 {
-			return "shard-gather" // the scatter boundary stays visible in traces
-		}
 		return "filter"
 	case *projectIter:
 		return "project"
@@ -121,14 +119,10 @@ func (it *scanIter) arity() int { return it.ar }
 func (it *scanIter) close()     {}
 func (it *scanIter) isIter()    {}
 
-// filterIter applies a selection condition to each pulled batch: row
-// by row, or — with Options.Shards > 1 — hash-routed across the engine
-// shards and gathered back in batch order (scatterFilterBatch), the
-// per-batch counterpart of the sharded filterTable scan. The per-batch
-// cost is charged here either way, so Stats and budget behaviour do not
-// depend on the shard count. Scalar subqueries in the condition are
-// resolved at construction, after the child pipeline is built, which
-// fixes the minting order of aggregate-null marks.
+// filterIter applies a selection condition to each pulled batch, row
+// by row on the coordinating goroutine. Scalar subqueries in the
+// condition are resolved at construction, after the child pipeline is
+// built, which fixes the minting order of aggregate-null marks.
 type filterIter struct {
 	ev    *Evaluator
 	child iter
@@ -153,31 +147,20 @@ func (it *filterIter) next() ([]table.Row, error) {
 		if err := it.ev.charge("filter", int64(len(batch))); err != nil {
 			return nil, err
 		}
-		out, err := it.filterBatch(batch)
-		if err != nil {
-			return nil, err
+		var out []table.Row
+		for _, r := range batch {
+			v, err := it.ev.evalCond(it.cond, r)
+			if err != nil {
+				return nil, err
+			}
+			if v.IsTrue() {
+				out = append(out, r)
+			}
 		}
 		if len(out) > 0 {
 			return out, nil
 		}
 	}
-}
-
-func (it *filterIter) filterBatch(batch []table.Row) ([]table.Row, error) {
-	if it.ev.opts.shardCount() > 1 {
-		return it.ev.scatterFilterBatch(it.cond, batch)
-	}
-	var out []table.Row
-	for _, r := range batch {
-		v, err := it.ev.evalCond(it.cond, r)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsTrue() {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 func (it *filterIter) arity() int { return it.child.arity() }

@@ -573,21 +573,10 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 // Figure 4 / Q⁺4 cost — with deterministic results at any Parallelism
 // and Shards.
 func (ev *Evaluator) probeSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
-	kept, err := ev.keepRows("semijoin/probe", lRows, guard.SiteSemijoinProbe, func(c *chunk, lr table.Row) (bool, error) {
+	return ev.keepRows("semijoin/probe", lRows, guard.SiteSemijoinProbe, func(c *chunk, lr table.Row) (bool, error) {
 		match, err := ev.semiMatch(p, c, lr)
 		return match != p.anti, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(kept) == 1 {
-		return kept[0], nil
-	}
-	var out []table.Row
-	for _, ch := range kept {
-		out = append(out, ch...)
-	}
-	return out, nil
 }
 
 // semiExists answers an uncorrelated subquery once: the condition

@@ -8,6 +8,7 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
+	"certsql/internal/shard"
 	"certsql/internal/table"
 )
 
@@ -18,11 +19,12 @@ import (
 // semi/antijoin probes, and the unification-semijoin scan — share one
 // shape: an outer scan over independent probe rows. This file provides
 // the worker pool that partitions such a scan into one contiguous chunk
-// per worker. Determinism is structural: every partition preserves the
-// input order of its rows, and the per-partition outputs are
-// concatenated in partition order, so the result table (and the summed
-// Stats counters) are byte-identical to a sequential run at any
-// Parallelism.
+// per worker — the executor's only fan-out. Determinism is structural:
+// a join partition preserves the input order of its rows and the
+// per-partition outputs are concatenated in partition order; a keep
+// loop (keepRows) writes one verdict into each row's own slot. Either
+// way the result table (and the summed Stats counters) are
+// byte-identical to a sequential run at any Parallelism and Shards.
 //
 // Workers never touch the evaluator's mutable state: they may only call
 // evalCond (after resolveScalars has substituted scalar subqueries on the
@@ -351,40 +353,61 @@ func condHasScalar(c algebra.Cond) bool {
 	return false
 }
 
-// keepRows returns the rows for which pred holds as per-partition
-// buffers that concatenate to input order — the one fan-out under every
-// probe-side keep loop. Options.Shards > 1 routes rows to shard workers
-// by content hash (scatterKeep); otherwise the contiguous-chunk pool
-// runs them. pred must obey the worker contract above and counts its
-// own cost units on c. site, when non-empty, fires in each worker as it
-// starts.
-func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([][]table.Row, error) {
-	if ev.opts.shardCount() > 1 {
-		kept, err := ev.scatterKeep(op, rows, site, pred)
-		return [][]table.Row{kept}, err
+// shardCount resolves Options.Shards: values below 2 run unsharded.
+func (o Options) shardCount() int {
+	if o.Shards < 2 {
+		return 1
 	}
-	chunks := make([][]table.Row, ev.opts.workers())
+	return o.Shards
+}
+
+// keepRows returns the rows for which pred holds, in input order — the
+// one fan-out under every probe-side keep loop, at every Shards and
+// Parallelism. Options.Shards only chooses the visiting order handed to
+// the pool (DESIGN.md §16): unsharded, worker w visits the w-th
+// contiguous range of rows; with k shards, the w-th range of the rows
+// grouped by owning shard (shard.Partition). Every row is visited
+// exactly once either way and its verdict lands in its own slot of
+// keep, so the result and the summed cost units cannot depend on the
+// order. pred must obey the worker contract above and counts its own
+// cost units on c. site, when non-empty, fires in each worker as it
+// starts.
+func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([]table.Row, error) {
+	var order []int // nil visits rows in input order
+	if k := ev.opts.shardCount(); k > 1 {
+		ev.stats.ShardScatters++
+		order = make([]int, 0, len(rows))
+		for _, part := range shard.Partition(rows, k) {
+			order = append(order, part...)
+		}
+	}
+	keep := make([]bool, len(rows))
 	err := ev.runChunks(len(rows), op, func(c *chunk) error {
 		if site != "" {
 			if err := c.fault(site); err != nil {
 				return err
 			}
 		}
-		keep := make([]bool, c.hi-c.lo)
-		for i := c.lo; i < c.hi; i++ {
+		for j := c.lo; j < c.hi; j++ {
 			if c.stopped() {
 				return nil
+			}
+			i := j
+			if order != nil {
+				i = order[j]
 			}
 			ok, err := pred(c, rows[i])
 			if err != nil {
 				return err
 			}
-			keep[i-c.lo] = ok
+			keep[i] = ok
 		}
-		chunks[c.part] = keptRows(rows[c.lo:c.hi], keep)
 		return nil
 	})
-	return chunks, err
+	if err != nil {
+		return nil, err
+	}
+	return keptRows(rows, keep), nil
 }
 
 // keptRows copies the rows whose verdict is set into a slice allocated
@@ -427,5 +450,5 @@ func (ev *Evaluator) filterTable(t *table.Table, cond algebra.Cond) (*table.Tabl
 	if err != nil {
 		return nil, err
 	}
-	return concatChunks(ev.gov, t.Arity(), kept)
+	return concatChunks(ev.gov, t.Arity(), [][]table.Row{kept})
 }

@@ -6,29 +6,43 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/guard"
+	"certsql/internal/guard/faultinject"
 	"certsql/internal/table"
 	"certsql/internal/tpch"
 	"certsql/internal/value"
 )
 
-// TestShardMatchesUnsharded asserts the scatter-gather determinism
-// contract: for Q1–Q4 and their Q⁺ translations, under both semantics,
-// every Shards setting renders a byte-identical result table to the
-// unsharded run — the executor-level half of difftest's shard-ablation
-// invariant.
+// TestShardMatchesUnsharded asserts the routing determinism contract:
+// for Q1–Q4 and their Q⁺ translations, under both semantics, every
+// Shards setting renders a byte-identical result table to the unsharded
+// run — the executor-level half of difftest's shard-ablation invariant.
+//
+// Shards is consulted in exactly one place, the keep loop under
+// semijoin probes, buffered filters and unification semijoins, so a
+// plan is only required to count ShardScatters where the unsharded run
+// of the same plan executed such a loop. The unsharded run's
+// SiteSemijoinProbe hits witness that: at Parallelism 1 every probe
+// keep loop fires the site once. Q⁺2 has none — its uncorrelated
+// antijoin short-circuits to the empty result and the rest of the plan
+// streams — and must still be byte-identical.
 func TestShardMatchesUnsharded(t *testing.T) {
 	db := parallelDB(t)
+	routed := 0
 	for _, qid := range tpch.AllQueries {
 		for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
 			orig, plus, _ := prepareQuery(t, db, qid, sem == value.Naive)
 			for name, expr := range map[string]algebra.Expr{"orig": orig, "plus": plus} {
 				t.Run(fmt.Sprintf("%s/%v/%s", qid, sem, name), func(t *testing.T) {
-					ref := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1})
+					loops := faultinject.New()
+					gov := guard.Background(guard.Limits{})
+					gov.SetFaultHook(loops)
+					ref := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1, Governor: gov})
 					want, err := ref.Eval(expr)
 					if err != nil {
 						t.Fatal(err)
 					}
-					scattered := false
+					probes := loops.Hits(guard.SiteSemijoinProbe)
 					for _, k := range []int{2, 3, 8} {
 						ev := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1, Shards: k})
 						got, err := ev.Eval(expr)
@@ -39,14 +53,17 @@ func TestShardMatchesUnsharded(t *testing.T) {
 							t.Errorf("Shards=%d differs from unsharded:\nunsharded: %s\nsharded:   %s",
 								k, want.String(), got.String())
 						}
-						scattered = scattered || ev.Stats().ShardScatters > 0
-					}
-					if !scattered {
-						t.Error("no scatter executed on any shard count; the sharded path was not exercised")
+						if got := ev.Stats().ShardScatters; got < probes {
+							t.Errorf("Shards=%d routed %d keep loops, but the unsharded run probed %d semijoin batches", k, got, probes)
+						}
+						routed += ev.Stats().ShardScatters
 					}
 				})
 			}
 		}
+	}
+	if routed == 0 {
+		t.Error("no keep loop was routed on any query; the sharded path was not exercised")
 	}
 }
 

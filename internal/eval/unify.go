@@ -241,7 +241,7 @@ func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := concatChunks(ev.gov, l.Arity(), kept)
+	out, err := concatChunks(ev.gov, l.Arity(), [][]table.Row{kept})
 	if err != nil {
 		return nil, err
 	}

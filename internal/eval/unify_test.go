@@ -100,8 +100,9 @@ func (e unifyEdge) holds(sem value.Semantics, l, r table.Row) bool {
 func renderRows(rows []table.Row) string { return fmt.Sprint(rows) }
 
 func TestUnifyOperatorMatchesDefinition(t *testing.T) {
-	// Both fan-outs: the chunk pool and the hash scatter. (Instances this
-	// small fit one chunk; TestShardsRouteOnly covers Parallelism 4.)
+	// Both visiting orders of the pool: by position and by owning shard.
+	// (Instances this small fit one chunk; TestShardsRouteOnly covers
+	// Parallelism 4.)
 	routes := []eval.Options{{Parallelism: 1}, {Parallelism: 1, Shards: 3}}
 	var edges, unifies, wild, empty int
 	for _, rate := range []float64{0, 0.02, 0.10, 0.50, 1} {

@@ -145,13 +145,6 @@ const (
 	// SitePlanRewrite fires when the cost-based planner starts
 	// optimizing a translated plan.
 	SitePlanRewrite Site = "plan-rewrite"
-	// SiteShardScatter fires once per shard as a scatter-gather
-	// operator launches its shard workers.
-	SiteShardScatter Site = "shard-scatter"
-	// SiteShardGather fires once per shard result as the gather loop
-	// merges it. A fault here must surface as one typed error for the
-	// whole operator — never a truncated result set.
-	SiteShardGather Site = "shard-gather"
 
 	// The persist-* sites instrument every durability seam of the
 	// on-disk snapshot store (internal/persist). A panic injected at
@@ -184,7 +177,7 @@ const (
 // plans over query evaluation. The durability seams are listed
 // separately in PersistSites: they never fire during evaluation, so
 // mixing them into query chaos plans would only produce no-op faults.
-var Sites = []Site{SiteScan, SiteHashBuild, SiteSemijoinProbe, SiteWorkerSpawn, SiteViewMaterialize, SiteBatchPull, SiteStatsCollect, SitePlanRewrite, SiteShardScatter, SiteShardGather}
+var Sites = []Site{SiteScan, SiteHashBuild, SiteSemijoinProbe, SiteWorkerSpawn, SiteViewMaterialize, SiteBatchPull, SiteStatsCollect, SitePlanRewrite}
 
 // PersistSites lists every durability-seam site of the persistent
 // snapshot store, for crash-recovery fault plans.
@@ -253,7 +246,6 @@ type Governor struct {
 	mem    atomic.Int64
 	memHW  atomic.Int64
 	faults FaultHook
-	parent *Governor // non-nil on shard sub-governors; see Child
 }
 
 // New returns a Governor enforcing limits under ctx. A nil ctx is
@@ -287,29 +279,6 @@ func (g *Governor) Fresh() *Governor {
 	ng := New(g.ctx, g.limits)
 	ng.faults = g.faults
 	return ng
-}
-
-// Child returns a shard sub-governor: it shares this governor's
-// context, limits and fault hook, and every charge is forwarded to the
-// parent — the budgets stay global, enforced against the whole
-// evaluation's totals — while the child's own counters meter just its
-// shard's share, for per-shard accounting and roll-up assertions.
-func (g *Governor) Child() *Governor {
-	if g == nil {
-		return nil
-	}
-	return &Governor{ctx: g.ctx, done: g.done, limits: g.limits, faults: g.faults, parent: g}
-}
-
-// Done exposes the cancellation channel (nil when uncancellable), so
-// gather loops can select on it while waiting on shard result
-// channels. Receiving from it means Poll would fail; use ctxErr via
-// Poll for the typed error.
-func (g *Governor) Done() <-chan struct{} {
-	if g == nil {
-		return nil
-	}
-	return g.done
 }
 
 // Limits returns the configured limits (zero values not defaulted).
@@ -362,11 +331,6 @@ func (g *Governor) ChargeCost(op string, n int64) error {
 		return nil
 	}
 	total := g.cost.Add(n)
-	if g.parent != nil {
-		// Shard sub-governor: the local counter above meters this
-		// shard's share; enforcement happens against the root's total.
-		return g.parent.ChargeCost(op, n)
-	}
 	if max := g.limits.maxCostUnits(); total > max {
 		return &LimitError{Sentinel: ErrCostBudget, Op: op,
 			Detail: fmt.Sprintf("%d units over budget of %d", total, max)}
@@ -393,9 +357,6 @@ func (g *Governor) ChargeMem(op string, n int64) error {
 			break
 		}
 	}
-	if g.parent != nil {
-		return g.parent.ChargeMem(op, n)
-	}
 	if max := g.limits.MaxMemBytes; max > 0 && total > max {
 		return &LimitError{Sentinel: ErrMemBudget, Op: op,
 			Detail: fmt.Sprintf("estimated %d bytes over budget of %d", total, max)}
@@ -412,9 +373,6 @@ func (g *Governor) ReleaseMem(n int64) {
 		return
 	}
 	g.mem.Add(-n)
-	if g.parent != nil {
-		g.parent.ReleaseMem(n)
-	}
 }
 
 // MemCharged returns the estimated bytes currently charged (live).

@@ -73,11 +73,5 @@ func (a *admission) releaseFunc() func() {
 // slot, for the /metrics gauge.
 func (a *admission) queueDepth() int64 { return a.waiting.Load() }
 
-// loaded reports that the gate is saturated — every execution slot is
-// held, or requests are waiting for one. Shard-aware admission uses it
-// to trade intra-query fan-out for inter-query concurrency; the read
-// is racy by design, a heuristic snapshot, never a correctness gate.
-func (a *admission) loaded() bool { return len(a.slots) == 0 || a.waiting.Load() > 0 }
-
 // inFlight reports how many execution slots are currently held.
 func (a *admission) inFlight() int64 { return int64(cap(a.slots) - len(a.slots)) }

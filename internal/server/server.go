@@ -67,13 +67,13 @@ type Config struct {
 	// so serving deployments usually set this low.
 	Parallelism int
 
-	// Shards is the engine shard count queries scatter across (0 or 1 =
-	// unsharded). Session catalogs are wrapped in shard.PartitionedStore
-	// so /metrics reports per-shard partition row counts, and admission
-	// is shard-aware: while the server is loaded — every execution slot
-	// held or requests queueing — queries run unsharded, spending the
-	// cores on inter-query concurrency instead of intra-query fan-out.
-	// Results are byte-identical either way.
+	// Shards is the engine shard count every query runs with (0 or 1 =
+	// unsharded): the executor's workers visit probe rows grouped by
+	// owning shard instead of by position. The worker count is
+	// Parallelism at any Shards, so admission does not look at it.
+	// Session catalogs are wrapped in shard.PartitionedStore so /metrics
+	// reports per-shard partition row counts. Results are byte-identical
+	// at every value.
 	Shards int
 }
 
@@ -299,24 +299,9 @@ func (s *Server) options(ctx context.Context, o api.QueryOptions) (context.Conte
 		MaxMemBytes:  lim.MaxMemBytes,
 		Degrade:      o.Degrade,
 		Parallelism:  s.cfg.Parallelism,
-		Shards:       s.shardCount(),
+		Shards:       s.cfg.shards(),
 	}
 	return ctx, cancel, opts, nil
-}
-
-// shardCount resolves the shard count for one admitted query: the
-// configured value, dropped to an unsharded run while the server is
-// loaded. Scatter-gather spends cores on one query; when every
-// execution slot is held (options runs after admission, so "every slot
-// but ours" means saturation) or requests are queueing, those cores
-// serve concurrent queries instead. The drop is invisible in results —
-// sharding is byte-identical by construction — and shows up only in
-// latency, which is exactly what the loadtest harness measures.
-func (s *Server) shardCount() int {
-	if s.cfg.shards() > 1 && s.adm.loaded() {
-		return 1
-	}
-	return s.cfg.shards()
 }
 
 // clampLimits caps each budget at the configured ceiling. A zero

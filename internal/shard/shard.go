@@ -1,11 +1,11 @@
-// Package shard partitions relations and probe streams across N
-// in-process engine shards for scatter-gather execution (DESIGN.md
-// §16). It supplies the three primitives the sharded executor and the
-// serving layer build on:
+// Package shard assigns the rows of relations and probe streams to N
+// in-process engine shards by content hash (DESIGN.md §16). It supplies
+// the three primitives the executor and the serving layer build on:
 //
 //   - HashRow / Partition: deterministic content hashing of rows and
-//     hash-partitioning of a probe stream's row indices, the routing a
-//     cross-process deployment would perform on the wire;
+//     hash-partitioning of a probe stream's row indices — the order
+//     the executor's worker pool visits a keep loop's rows in when
+//     Shards > 1, as a cross-process deployment would route them;
 //   - KeyedBuild: the build side of a unification join — null-free
 //     keys in a hash index, rows whose key contains a marked null in a
 //     "wild" list every probe also scans, because a null unifies with
@@ -33,7 +33,7 @@ import (
 // (value.RowKey's property test pins this), so equal rows always land
 // in the same partition — the fact the wild-bucket soundness argument
 // leans on. The fold never materializes the key: the router hashes
-// every probe row of every scattered operator, and value.FoldKey's
+// every probe row of every routed keep loop, and value.FoldKey's
 // property test pins the result to FNV-1a over value.RowKey's bytes.
 func HashRow(row table.Row) uint64 {
 	h := value.KeySeed
@@ -51,10 +51,10 @@ func HashValue(v value.Value) uint64 {
 }
 
 // Partition splits the row indices 0..len(rows)-1 across k shards by
-// content hash. Contiguous chunking would be cheaper, but hash routing
-// is what a distributed deployment performs, and exercising it here is
-// the point: the gather side must reassemble global input order from
-// arbitrary interleavings, not from convenient contiguous ranges.
+// content hash, ascending within each shard. Contiguous chunking would
+// be cheaper, but hash routing is what a distributed deployment
+// performs, and exercising it here is the point: the executor visits
+// rows grouped by owner and must still answer in global input order.
 func Partition(rows []table.Row, k int) [][]int {
 	parts := make([][]int, k)
 	if k <= 0 {

@@ -30,7 +30,7 @@ func randomRow(rng *rand.Rand) table.Row {
 
 // TestHashRowIsFNVOverRowKey pins the allocation-free fold to the
 // reference definition: 64-bit FNV-1a over value.RowKey's canonical
-// bytes. Partition placement everywhere (scatter routing, the
+// bytes. Partition placement everywhere (keep-loop routing, the
 // partitioned store's /metrics counts) derives from this hash.
 func TestHashRowIsFNVOverRowKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

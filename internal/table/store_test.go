@@ -97,7 +97,11 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			prev := uint64(0)
-			for i := 0; i < 2000; i++ {
+			// At least 2000 scans, and — on a loaded machine the writers
+			// may not have been scheduled yet by then — on until a
+			// published update has been seen, up to a bound that keeps a
+			// broken store a failure instead of a hang.
+			for i := 0; i < 2000 || (prev < 2 && i < 5_000_000); i++ {
 				snap := st.Snapshot()
 				if snap.Version < prev {
 					t.Errorf("version went backwards: %d after %d", snap.Version, prev)

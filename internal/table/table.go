@@ -173,28 +173,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Index is a hash index on a projection of a table's columns.
-type Index struct {
-	cols    []int
-	buckets map[string][]int // key -> row positions
-}
-
-// BuildIndex builds a hash index on the given column positions.
-func (t *Table) BuildIndex(cols []int) *Index {
-	idx := &Index{cols: cols, buckets: make(map[string][]int, len(t.rows))}
-	for i, r := range t.rows {
-		k := value.TupleKey(r, cols)
-		idx.buckets[k] = append(idx.buckets[k], i)
-	}
-	return idx
-}
-
-// Lookup returns the positions of rows whose indexed columns match the
-// projection of probe onto probeCols.
-func (idx *Index) Lookup(probe Row, probeCols []int) []int {
-	return idx.buckets[value.TupleKey(probe, probeCols)]
-}
-
 // NotNullViolation reports a null stored in (or offered to) an
 // attribute the schema declares NOT NULL.
 type NotNullViolation struct {

@@ -87,26 +87,6 @@ func TestSetRow(t *testing.T) {
 	tab.SetRow(0, Row{value.Int(1), value.Int(2)})
 }
 
-func TestIndex(t *testing.T) {
-	tab := New(2)
-	for i := 0; i < 10; i++ {
-		tab.Append(Row{value.Int(int64(i % 3)), value.Str("x")})
-	}
-	idx := tab.BuildIndex([]int{0})
-	hits := idx.Lookup(Row{value.Int(1)}, []int{0})
-	if len(hits) != 3 {
-		t.Errorf("index lookup found %d rows, want 3", len(hits))
-	}
-	for _, h := range hits {
-		if tab.Row(h)[0] != value.Int(1) {
-			t.Errorf("row %d has wrong key", h)
-		}
-	}
-	if got := idx.Lookup(Row{value.Int(9)}, []int{0}); len(got) != 0 {
-		t.Errorf("lookup of missing key found %d rows", len(got))
-	}
-}
-
 func TestDatabaseInsertValidation(t *testing.T) {
 	db := NewDatabase(testSchema())
 	if err := db.Insert("t", Row{value.Int(1), value.Str("x")}); err != nil {

@@ -14,7 +14,6 @@ const (
 	tablePkg = "internal/table"
 	evalPkg  = "internal/eval"
 	planPkg  = "internal/plan"
-	shardPkg = "internal/shard"
 )
 
 // governorMethods are the calls that constitute "touching the
