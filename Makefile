@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-fix test race loc bench bench-build bench-memory bench-plan bench-fig4 bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
+.PHONY: check build vet lint lint-fix test race loc bench bench-build bench-memory bench-plan bench-fig4 bench-join bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
 # check is what CI runs: build, vet, lint, and the full test suite under
 # the race detector (the parallel executor must stay race-clean).
@@ -97,6 +97,16 @@ bench-plan:
 bench-fig4:
 	-$(GO) test -run '^$$' -bench BenchmarkFigure4Shape -benchtime 3x ./internal/experiment
 	$(GO) test -run '^TestFigure4Shape$$' -count=1 -v ./internal/experiment
+
+# bench-join times the hash operators in both build directions
+# (BenchmarkBuildSide: a 60 000-row side joined, semijoined and
+# antijoined against 2, 500 and 15 000 rows, and 15 000 x 500 as the
+# forward control) with allocation counts. Advisory like bench-fig4's
+# first half: wall-clock, so its failure is printed and ignored; the
+# exact gates are TestBuildSideEquivalence and
+# TestCostUnitsDirectionIndependent, in `make test`.
+bench-join:
+	-$(GO) test -run '^$$' -bench BenchmarkBuildSide -benchtime 5x -benchmem ./internal/eval
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
 # detector. 30s per target is the CI smoke setting; for a nightly long

@@ -126,3 +126,64 @@ func BenchmarkJoinBlockPlanner(b *testing.B) {
 	db := benchDB(2000, 0.02)
 	benchEval(b, db, e, eval.Options{Semantics: value.SQL3VL})
 }
+
+// BenchmarkBuildSide times the hash operators on inputs of very
+// different sizes, where which side gets indexed is the whole cost: a
+// 60 000-row relation joined with 2 and with 500 rows, semijoined and
+// antijoined (through a fused build-side filter) by 500, antijoined by
+// 15 000 — all of which index the small side and stream the large one —
+// and 15 000 rows antijoined against 500 as the forward control, where
+// the build side already is the smaller one. Run with:
+//
+//	make bench-join
+func BenchmarkBuildSide(b *testing.B) {
+	s := schema.New()
+	for _, name := range []string{"tiny", "small", "mid", "big"} {
+		s.MustAdd(&schema.Relation{Name: name, Attrs: []schema.Attribute{
+			{Name: "k", Type: value.KindInt, Nullable: true},
+			{Name: "v", Type: value.KindInt, Nullable: true},
+		}})
+	}
+	db := table.NewDatabase(s)
+	rng := rand.New(rand.NewSource(24))
+	for rel, n := range map[string]int{"tiny": 2, "small": 500, "mid": 15000, "big": 60000} {
+		for i := 0; i < n; i++ {
+			row := table.Row{value.Int(int64(rng.Intn(15000))), value.Int(int64(rng.Intn(8)))}
+			if rng.Float64() < 0.02 {
+				row[0] = db.FreshNull()
+			}
+			if err := db.Insert(rel, row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	base := func(name string) algebra.Expr { return algebra.Base{Name: name, Cols: 2} }
+	keyEq := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}}
+	join := func(l, r string) algebra.Expr {
+		return algebra.Select{Child: algebra.Product{L: base(l), R: base(r)}, Cond: keyEq}
+	}
+	hints := &eval.PlanHints{Semi: map[string]eval.SemiHint{}}
+	semi := func(l, r string, anti, fused bool) algebra.Expr {
+		e := algebra.SemiJoin{L: base(l), R: base(r), Cond: keyEq, Anti: anti}
+		if fused {
+			e.R = algebra.Select{Child: e.R, Cond: algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 1}, R: algebra.Lit{Val: value.Int(6)}}}
+		}
+		hints.Semi[e.Key()] = eval.SemiHint{SlimVerify: true, NumKey: true, FuseBuild: fused}
+		return e
+	}
+	for _, c := range []struct {
+		name string
+		e    algebra.Expr
+	}{
+		{"join/2x60000", join("tiny", "big")},
+		{"join/500x60000", join("small", "big")},
+		{"semi-fused/500x60000", semi("small", "big", false, true)},
+		{"anti-fused/500x60000", semi("small", "big", true, true)},
+		{"anti/15000x60000", semi("mid", "big", true, false)},
+		{"anti-forward/15000x500", semi("mid", "small", true, false)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			benchEval(b, db, c.e, eval.Options{Semantics: value.SQL3VL, Parallelism: 1, Hints: hints})
+		})
+	}
+}

@@ -18,7 +18,7 @@ import (
 //     (value.AppendKey) are equal, and the planner only sets the flag
 //     on key columns where encoding equality implies the dropped
 //     equalities are true under both semantics.
-//   - NumKey replaces the string TupleKey hash index with a compact
+//   - NumKey replaces the byte-keyed hash index (keyIndex) with a compact
 //     numeric key for single-column numeric joins; the key mirrors
 //     AppendKey's numeric encoding exactly, so bucketing is identical.
 //   - BuildDistinct/BuildRows pre-size the hash index from the

@@ -301,36 +301,82 @@ func (it *unionIter) arity() int { return it.l.arity() }
 func (it *unionIter) close()     { it.l.close(); it.r.close() }
 func (it *unionIter) isIter()    {}
 
-// semiProbeIter probes left-side batches against a buffered semijoin
-// plan (see prepSemi): the right side and its hash index are built
-// once at construction — the buffered boundary — while the probe side
-// streams through a batch at a time, each batch partitioned across
-// workers (probeSemi).
+// semiProbeIter runs a correlated (anti-)semijoin over a prepared plan
+// (see prepSemi): the right side is evaluated at construction — the
+// buffered boundary — and probe batches stream through, each partitioned
+// across workers (probeSemi). A hash plan indexes whichever side is
+// smaller, which is only known once the probe side has been seen: the
+// first pull holds probe batches while their total stays below |R|
+// (choose), so the operator buffers min(|L|, |R|) rows beside R itself
+// and spends the same cost units either way (DESIGN.md §12).
 type semiProbeIter struct {
-	ev    *Evaluator
-	p     *semiPlan
-	child iter
+	ev     *Evaluator
+	p      *semiPlan
+	child  iter
+	chosen bool        // the hash index is built, or the plan needs none
+	done   bool        // the probe side is exhausted
+	out    []table.Row // decided rows not yet emitted
+}
+
+// choose holds probe batches until the smaller side is known and
+// decides them: if the probe side ends first, R streams past an index
+// of the held rows; otherwise R is indexed and the held rows probe it.
+func (it *semiProbeIter) choose() error {
+	it.chosen = true
+	if err := it.ev.gov.Fault(guard.SiteHashBuild); err != nil { // one build, whichever side
+		return err
+	}
+	var held []table.Row
+	for len(held) < it.p.r.Len() {
+		batch, err := it.child.next()
+		if err != nil {
+			return err
+		}
+		if batch == nil {
+			it.done = true
+			it.out, err = it.ev.semiBuildLeft(it.p, held)
+			return err
+		}
+		held = append(held, batch...)
+	}
+	err := it.ev.buildSemi(it.p)
+	if err == nil {
+		it.out, err = it.ev.probeSemi(it.p, held)
+	}
+	return err
 }
 
 func (it *semiProbeIter) next() ([]table.Row, error) {
-	for {
+	if !it.chosen {
+		if err := it.choose(); err != nil {
+			return nil, err
+		}
+	}
+	for len(it.out) == 0 {
+		if it.done {
+			return nil, nil
+		}
 		batch, err := it.child.next()
 		if batch == nil || err != nil {
 			return nil, err
 		}
-		out, err := it.ev.probeSemi(it.p, batch)
-		if err != nil {
+		if it.out, err = it.ev.probeSemi(it.p, batch); err != nil {
 			return nil, err
 		}
-		if len(out) > 0 {
-			return out, nil
-		}
 	}
+	n := min(len(it.out), batchSize)
+	batch := it.out[:n:n]
+	it.out = it.out[n:]
+	return batch, nil
 }
 
 func (it *semiProbeIter) arity() int { return it.p.nL }
-func (it *semiProbeIter) close()     { it.child.close() }
 func (it *semiProbeIter) isIter()    {}
+func (it *semiProbeIter) close() {
+	it.child.close()
+	it.ev.gov.ReleaseMem(it.p.uniMem)
+	it.p.uniMem = 0
+}
 
 // bufferedIter is the explicit streaming/buffered boundary: it streams
 // a fully materialized table — a hash-build input, a shared view, a

@@ -109,12 +109,17 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 					curCols = append(curCols, pos[e.colA])
 				}
 			}
+			nCur, nLeaf := cur.Len(), filtered[next].Len()
 			if cur, err = ev.hashJoin(cur, filtered[next], curCols, leafCols); err != nil {
 				return nil, err
 			}
 			ev.stats.HashJoins++
 			if ev.opts.Trace { // Key() renders the whole subtree; don't pay for it untraced
-				ev.note("hash join + %s -> %d rows", leaves[next].Key(), cur.Len())
+				side := fmt.Sprintf("build %d rows", nLeaf)
+				if nCur < nLeaf {
+					side = fmt.Sprintf("build-left %d, streamed %d", nCur, nLeaf)
+				}
+				ev.note("hash join + %s %s -> %d rows", leaves[next].Key(), side, cur.Len())
 			}
 		case JoinWildHash:
 			// The edge and every residual this leaf completes are verified
@@ -179,8 +184,9 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	// Permute back to canonical column order.
 	out := table.New(totalArity)
 	out.Grow(cur.Len())
-	for _, r := range cur.Rows() {
-		nr := make(table.Row, totalArity)
+	slab := make([]value.Value, cur.Len()*totalArity)
+	for i, r := range cur.Rows() {
+		nr := slab[i*totalArity : (i+1)*totalArity : (i+1)*totalArity]
 		for col := 0; col < totalArity; col++ {
 			nr[col] = r[pos[col]]
 		}
@@ -190,47 +196,117 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	return out, nil
 }
 
-// hashJoin joins l and r on equality of the given column lists. Under
-// SQL3VL semantics rows with null key values cannot match (A = NULL is
-// unknown) and are skipped; under naive semantics marked nulls join by
-// their marks, which the key encoding preserves.
+// keyIndex buckets row positions by the AppendKey bytes of their key
+// columns — the one hash index under the equi-join and the hash
+// (anti-)semijoin, whichever input they index. first maps a key to the
+// lowest position holding it, plus one, so that a miss reads as -1 in
+//
+//	for i := x.first[string(key)] - 1; i >= 0; i = x.next[i]
+//
+// (the lookup does not allocate), and next chains every position to the
+// next higher one with the same key, -1 ending the bucket: a bucket is
+// walked in ascending order and costs no slice of its own.
+type keyIndex struct {
+	first map[string]int
+	next  []int
+}
+
+// appendKey appends the key encoding of r's cols to b. ok is false for
+// a key that equals nothing: under SQL3VL a null (A = NULL is unknown)
+// — such a row enters no index and finds no bucket, on either side.
+// Under naive semantics marked nulls join by their marks, which the
+// encoding preserves.
+func appendKey(b []byte, r table.Row, cols []int, sqlMode bool) ([]byte, bool) {
+	for _, c := range cols {
+		if sqlMode && r[c].IsNull() {
+			return b, false
+		}
+		b = value.AppendKey(b, r[c])
+	}
+	return b, true
+}
+
+// buildKeyIndex indexes rows on cols, sized for size distinct keys.
+// Rows that fail fuse (a fused build-side filter; nil passes all) or
+// have no key stay out. The keys are cut from one string, so the build
+// allocates per index, not per key.
+func (ev *Evaluator) buildKeyIndex(rows []table.Row, cols []int, size int, fuse algebra.Cond) (keyIndex, error) {
+	sqlMode := ev.opts.Semantics == value.SQL3VL
+	x := keyIndex{first: make(map[string]int, size), next: make([]int, len(rows))}
+	var arena []byte
+	ends := make([]int, len(rows)+1) // row i's key is arena[ends[i]:ends[i+1]], empty when it has none
+	for i, r := range rows {
+		if pass, err := ev.passes(fuse, r); err != nil {
+			return x, err
+		} else if pass {
+			if key, ok := appendKey(arena, r, cols, sqlMode); ok {
+				arena = key
+			}
+		}
+		ends[i+1] = len(arena)
+	}
+	keys := string(arena)
+	for i := len(rows) - 1; i >= 0; i-- { // descending, so every bucket chains ascending
+		x.next[i] = -1
+		if key := keys[ends[i]:ends[i+1]]; key != "" {
+			x.next[i] = x.first[key] - 1
+			x.first[key] = i + 1
+		}
+	}
+	return x, nil
+}
+
+// passes reports whether r satisfies a fused build-side filter.
+func (ev *Evaluator) passes(fuse algebra.Cond, r table.Row) (bool, error) {
+	if fuse == nil {
+		return true, nil
+	}
+	v, err := ev.evalCond(fuse, r)
+	return v.IsTrue(), err
+}
+
+// hashJoin joins l and r on equality of the given column lists,
+// indexing whichever input is smaller and streaming the other past the
+// index in parallel partitions: a null key enters neither side, so the
+// side is a free choice, and both directions find the same pairs for
+// the same |L| + |R| + pairs cost units. A shared row counter enforces
+// the budget across partitions and cancels in-flight ones.
 func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
 	sqlMode := ev.opts.Semantics == value.SQL3VL
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return nil, err
 	}
-	idx := make(map[string][]int, r.Len())
-	for i, rr := range r.Rows() {
-		if sqlMode && anyNull(rr, rCols) {
-			continue
-		}
-		k := value.TupleKey(rr, rCols)
-		idx[k] = append(idx[k], i)
+	buildLeft := l.Len() < r.Len()
+	build, bCols, probe, pCols := r, rCols, l, lCols
+	if buildLeft {
+		build, bCols, probe, pCols = l, lCols, r, rCols
 	}
-	// Probe partitions of l in parallel; a shared row counter enforces
-	// the budget across partitions and cancels in-flight ones.
-	arity := l.Arity() + r.Arity()
-	lRows := l.Rows()
-	chunks := make([][]table.Row, ev.opts.workers())
+	idx, err := ev.buildKeyIndex(build.Rows(), bCols, build.Len(), nil)
+	if err != nil {
+		return nil, err
+	}
+	pRows := probe.Rows()
+	chunks := make([][][2]int, ev.opts.workers()) // (l, r) positions of the joined pairs
 	maxRows := int64(ev.gov.MaxRows())
 	var outRows atomic.Int64
-	err := ev.runChunks(l.Len(), "hash-join", func(c *chunk) error {
-		var out []table.Row
+	err = ev.runChunks(len(pRows), "hash-join", func(c *chunk) error {
+		var out [][2]int
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
 			}
-			lr := lRows[i]
 			c.st.costUnits++
-			if sqlMode && anyNull(lr, lCols) {
+			var ok bool
+			if c.key, ok = appendKey(c.key[:0], pRows[i], pCols, sqlMode); !ok {
 				continue
 			}
-			for _, ri := range idx[value.TupleKey(lr, lCols)] {
+			for j := idx.first[string(c.key)] - 1; j >= 0; j = idx.next[j] {
 				c.st.costUnits++
-				nr := make(table.Row, 0, arity)
-				nr = append(nr, lr...)
-				nr = append(nr, r.Row(ri)...)
-				out = append(out, nr)
+				if buildLeft {
+					out = append(out, [2]int{j, i})
+				} else {
+					out = append(out, [2]int{i, j})
+				}
 				if outRows.Add(1) > maxRows {
 					return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "hash-join",
 						Detail: fmt.Sprintf("result exceeds %d rows", maxRows)}
@@ -243,19 +319,53 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 	if err != nil {
 		return nil, err
 	}
-	if err := ev.charge("hash-join", int64(r.Len())); err != nil {
+	if err := ev.charge("hash-join", int64(build.Len())); err != nil {
 		return nil, err
 	}
-	return concatChunks(ev.gov, arity, chunks)
+	return ev.joinPairs(l, r, chunks, buildLeft)
 }
 
-func anyNull(r table.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
+// joinPairs materializes the joined (l, r) pairs l-major, r ascending
+// under each l row — the order probing an index of r with l finds them
+// in. Pairs found streaming r past an index of l arrive r-major instead
+// and are regrouped by a stable counting sort on the l position. The
+// rows are cut from one slab.
+func (ev *Evaluator) joinPairs(l, r *table.Table, chunks [][][2]int, regroup bool) (*table.Table, error) {
+	pairs := chunks[0]
+	for _, c := range chunks[1:] {
+		pairs = append(pairs, c...)
 	}
-	return false
+	if regroup {
+		at := make([]int, l.Len()+1) // at[i]: where l row i's pairs start
+		for _, p := range pairs {
+			at[p[0]+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		sorted := make([][2]int, len(pairs))
+		for _, p := range pairs {
+			sorted[at[p[0]]] = p
+			at[p[0]]++
+		}
+		pairs = sorted
+	}
+	nL, arity := l.Arity(), l.Arity()+r.Arity()
+	out := table.New(arity)
+	out.Grow(len(pairs))
+	slab := make([]value.Value, len(pairs)*arity)
+	for k, p := range pairs {
+		if k&1023 == 0 { // a drain loop in its own right, as concatChunks is
+			if err := ev.gov.Poll("hash-join"); err != nil {
+				return nil, err
+			}
+		}
+		nr := slab[k*arity : (k+1)*arity : (k+1)*arity]
+		copy(nr, l.Row(p[0]))
+		copy(nr[nL:], r.Row(p[1]))
+		out.Append(nr)
+	}
+	return out, nil
 }
 
 // semiCond returns a semijoin's condition in NNF.
@@ -267,8 +377,10 @@ func semiCond(e algebra.SemiJoin) algebra.Cond {
 }
 
 // semiPlan is the buffered state of a correlated (anti-)semijoin: the
-// built right side, the resolved condition, and the chosen strategy.
-// prepSemi builds it; probeSemi probes it one batch at a time.
+// evaluated right side, the resolved condition, and the chosen
+// strategy. prepSemi builds it; probeSemi probes it one batch at a
+// time. A hash plan's index is built later, on the side that turns out
+// smaller (semiProbeIter.choose).
 type semiPlan struct {
 	anti    bool
 	nL      int
@@ -276,68 +388,71 @@ type semiPlan struct {
 	cond    algebra.Cond
 	trivial bool // verify condition is constant true: key presence alone decides
 	r       *table.Table
-	idx     map[string][]int // hash buckets over r; nil selects nested loop
-	numIdx  map[numKey][]int // specialized numeric buckets (NumKey hint); nil = use idx
-	// Trivial-verify set indexes: when the verify condition is constant
-	// true the bucket contents are never read, so the build stores only
-	// key presence — no per-key slice appends, no row indexes.
+	// lCols/rCols are the hash keys on the probe and build side; nil
+	// selects the wild-hash index or the nested loop. fuse is the build
+	// side's fused filter (FuseBuild hint), nil for none.
+	lCols, rCols []int
+	fuse         algebra.Cond
+	hint         SemiHint
+	idx          keyIndex         // hash buckets over r (buildSemi)
+	numIdx       map[numKey][]int // specialized numeric buckets (NumKey hint); nil = use idx
+	// numSet replaces numIdx when the verify condition is trivial: the
+	// bucket contents are never read, so only key presence is stored.
 	numSet  map[numKey]struct{}
-	strSet  map[string]struct{}
-	lCol    int   // probe column for numIdx/numSet
-	lCols   []int // probe-side key columns (hash strategy only)
 	sqlMode bool
 	// uni is the wild-bucket index of the build side on the condition's
 	// unification edge, for plans without a hash key (unify.go); uniCol
-	// is the probe-side key column. Nil leaves the nested loop.
+	// is the probe-side key column, uniMem the index's live memory
+	// charge (semiProbeIter.close releases it). Nil: the nested loop.
 	uni    *shard.KeyedBuild
 	uniCol int
+	uniMem int64
 }
 
-// prepSemi evaluates the right side and builds the probe plan:
-// extracts pure equality conjuncts spanning both sides as hash keys,
+// prepSemi evaluates the right side and prepares the probe plan:
+// extracts pure equality conjuncts spanning both sides as hash keys and
 // resolves scalar subqueries in the condition (workers verify it, so
-// substitution must happen on this goroutine), and builds the hash
-// index when a key exists. The strategy counter is bumped here — one
-// per operator.
+// substitution must happen on this goroutine). The strategy counter is
+// bumped here — one per operator.
 //
 // Under the FuseBuild hint a Select build side is not materialized:
 // its child is evaluated directly and the selection condition is
-// applied inside the build loop, so only the index ever holds the
-// filtered rows. Fusion is skipped when the select subtree is a
-// shared view — evaluating around it would lose the cache entry other
-// plan occurrences rely on.
+// applied where the build side is read, so the filtered rows are never
+// copied. Fusion is skipped when the select subtree is a shared view —
+// evaluating around it would lose the cache entry other plan
+// occurrences rely on.
+//
+// vetcert:ignore membalance: the wild-hash index lives as long as the
+// iterator probing it; semiProbeIter.close releases uniMem.
 func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan, error) {
 	nL := e.L.Arity()
-	hint := ev.semiHint(e.Key)
-	rExpr := e.R
-	var fuse algebra.Cond
-	if hint.FuseBuild {
-		if sel, ok := e.R.(algebra.Select); ok && !ev.sharedView(e.R) {
-			rExpr, fuse = sel.Child, sel.Cond
-		}
-	}
-	r, err := ev.evalChild(rExpr)
-	if err != nil {
-		return nil, err
-	}
-	if fuse != nil {
-		// The planner only fuses scalar-free conditions; resolving is a
-		// cheap no-op that keeps a hand-crafted hint from crashing.
-		if fuse, err = ev.resolveScalars(fuse); err != nil {
-			return nil, err
-		}
-	}
-	p := &semiPlan{anti: e.Anti, nL: nL, name: "semijoin", r: r,
+	p := &semiPlan{anti: e.Anti, nL: nL, name: "semijoin", hint: ev.semiHint(e.Key),
 		sqlMode: ev.opts.Semantics == value.SQL3VL}
 	if e.Anti {
 		p.name = "antijoin"
+	}
+	rExpr := e.R
+	if p.hint.FuseBuild {
+		if sel, ok := e.R.(algebra.Select); ok && !ev.sharedView(e.R) {
+			rExpr, p.fuse = sel.Child, sel.Cond
+		}
+	}
+	var err error
+	if p.r, err = ev.evalChild(rExpr); err != nil {
+		return nil, err
+	}
+	if p.fuse != nil {
+		// The planner only fuses scalar-free conditions; resolving is a
+		// cheap no-op that keeps a hand-crafted hint from crashing.
+		if p.fuse, err = ev.resolveScalars(p.fuse); err != nil {
+			return nil, err
+		}
 	}
 
 	// Extract pure equality conjuncts spanning both sides as hash keys,
 	// keeping the conjuncts that were NOT consumed as keys: when the
 	// planner's SlimVerify hint applies, the residual alone is verified
 	// per candidate (bucket co-membership already proves the keys equal).
-	var lCols, rCols []int
 	var residual []algebra.Cond
 	if !ev.opts.NoHashJoin {
 		for _, c := range algebra.Conjuncts(cond) {
@@ -347,12 +462,12 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 				if aok && bok {
 					switch {
 					case a.Idx < nL && b.Idx >= nL:
-						lCols = append(lCols, a.Idx)
-						rCols = append(rCols, b.Idx-nL)
+						p.lCols = append(p.lCols, a.Idx)
+						p.rCols = append(p.rCols, b.Idx-nL)
 						continue
 					case b.Idx < nL && a.Idx >= nL:
-						lCols = append(lCols, b.Idx)
-						rCols = append(rCols, a.Idx-nL)
+						p.lCols = append(p.lCols, b.Idx)
+						p.rCols = append(p.rCols, a.Idx-nL)
 						continue
 					}
 				}
@@ -361,115 +476,27 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		}
 	}
 	verify := cond
-	if hint.SlimVerify && len(lCols) > 0 {
+	if p.hint.SlimVerify && len(p.lCols) > 0 {
 		verify = algebra.NewAnd(residual...)
 	}
 	if p.cond, err = ev.resolveScalars(verify); err != nil {
 		return nil, err
 	}
-	if _, isTrue := p.cond.(algebra.TrueCond); isTrue && hint.SlimVerify && len(lCols) > 0 {
+	if _, isTrue := p.cond.(algebra.TrueCond); isTrue && p.hint.SlimVerify && len(p.lCols) > 0 {
 		p.trivial = true
 	}
-	if fuse != nil && len(lCols) == 0 {
-		// No hash keys extracted (hash joins disabled, or the condition
-		// carries none): the nested loop scans p.r directly, so the
-		// fused filter must be applied eagerly after all.
-		if r, err = ev.filterTable(r, fuse); err != nil {
-			return nil, err
-		}
-		p.r, fuse = r, nil
-	}
-	// keep applies the fused build-side filter; rows it rejects never
-	// enter an index, matching the standalone filter byte for byte.
-	keep := func(rr table.Row) (bool, error) {
-		if fuse == nil {
-			return true, nil
-		}
-		v, err := ev.evalCond(fuse, rr)
-		if err != nil {
-			return false, err
-		}
-		return v.IsTrue(), nil
-	}
-
-	if len(lCols) > 0 {
-		// Hash strategy: probe buckets, verify the condition.
-		if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
-			return nil, err
-		}
-		size := r.Len()
-		if hint.BuildDistinct > 0 && hint.BuildDistinct < int64(size) {
-			size = int(hint.BuildDistinct)
-		}
-		if hint.NumKey && len(lCols) == 1 {
-			rCol := rCols[0]
-			var numIdx map[numKey][]int
-			var numSet map[numKey]struct{}
-			if p.trivial {
-				numSet = make(map[numKey]struct{}, size)
-			} else {
-				numIdx = make(map[numKey][]int, size)
-			}
-			ok := true
-			for i, rr := range r.Rows() {
-				if pass, err := keep(rr); err != nil {
-					return nil, err
-				} else if !pass {
-					continue
-				}
-				if p.sqlMode && rr[rCol].IsNull() {
-					continue
-				}
-				k, kOk := numKeyOf(rr[rCol])
-				if !kOk {
-					ok = false // surprise non-numeric value: fall back
-					break
-				}
-				if p.trivial {
-					numSet[k] = struct{}{}
-				} else {
-					numIdx[k] = append(numIdx[k], i)
-				}
-			}
-			if ok {
-				p.numIdx, p.numSet, p.lCol = numIdx, numSet, lCols[0]
-			}
-		}
-		if p.numIdx == nil && p.numSet == nil {
-			var idx map[string][]int
-			var strSet map[string]struct{}
-			if p.trivial {
-				strSet = make(map[string]struct{}, size)
-			} else {
-				idx = make(map[string][]int, size)
-			}
-			for i, rr := range r.Rows() {
-				if pass, err := keep(rr); err != nil {
-					return nil, err
-				} else if !pass {
-					continue
-				}
-				if p.sqlMode && anyNull(rr, rCols) {
-					continue
-				}
-				k := value.TupleKey(rr, rCols)
-				if p.trivial {
-					strSet[k] = struct{}{}
-				} else {
-					idx[k] = append(idx[k], i)
-				}
-			}
-			p.idx, p.strSet = idx, strSet
-		}
-		if err := ev.charge("semijoin/build", int64(r.Len())); err != nil {
-			return nil, err
-		}
-		p.lCols = lCols
-		ev.stats.HashJoins++
-		ev.note("hash %s [%d keys] build %d rows (slim=%v numkey=%v fused=%v)",
-			p.name, len(lCols), r.Len(), hint.SlimVerify,
-			p.numIdx != nil || p.numSet != nil, fuse != nil)
+	if len(p.lCols) > 0 {
+		ev.stats.HashJoins++ // hash strategy: probe buckets, verify the condition
 		return p, nil
+	}
+	if p.fuse != nil {
+		// No hash keys extracted (hash joins disabled, or the condition
+		// carries none): the loops below scan p.r directly, so the fused
+		// filter must be applied eagerly after all.
+		if p.r, err = ev.filterTable(p.r, p.fuse); err != nil {
+			return nil, err
+		}
+		p.fuse = nil
 	}
 	// No hash key: conditions of the form (A = B OR B IS NULL) defeat
 	// key extraction, per Section 7 of the paper. That very disjunct is a
@@ -477,67 +504,216 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	// nested loop remains for edge-free conditions and under NoHashJoin
 	// (the paper's confused optimizer).
 	if lc, rc, ok := SpanningUnifyEdge(cond, nL); ok && !ev.opts.NoHashJoin {
-		if err := ev.chargeUnifyBuild("semijoin/build", r.Len()); err != nil {
+		if err := ev.chargeUnifyBuild("semijoin/build", p.r.Len()); err != nil {
 			return nil, err
 		}
-		p.uni, p.uniCol = shard.BuildKeyed(r.Rows(), rc, 1), lc
+		p.uni, p.uniCol = shard.BuildKeyed(p.r.Rows(), rc, 1), lc
+		p.uniMem = p.uni.EstimatedBytes()
+		if err := ev.gov.ChargeMem("semijoin/build", p.uniMem); err != nil {
+			ev.gov.ReleaseMem(p.uniMem) // ChargeMem adds before checking
+			return nil, err
+		}
 		ev.note("%s on probe #%d ≈ build #%d: wild-hash %d keyed / %d wild",
 			p.name, lc, nL+rc, p.uni.Keyed(), len(p.uni.Wild))
 		return p, nil
 	}
 	ev.stats.NestedLoopJoins++
-	ev.note("nested-loop %s vs %d rows", p.name, r.Len())
+	ev.note("nested-loop %s vs %d rows", p.name, p.r.Len())
 	return p, nil
 }
 
-// semiMatch probes one row against the plan. c supplies the worker's
-// cost counters and its scratch buffer for candidate verification.
-func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error) {
-	match := false
-	row := c.scratch(p.nL + p.r.Arity())
-	switch {
-	case p.numSet != nil || p.strSet != nil:
-		// Slim verify with empty residual: key presence alone
-		// decides the match.
-		c.st.costUnits++
-		if !(p.sqlMode && anyNull(lr, p.lCols)) {
-			if p.numSet != nil {
-				// A probe kind outside the numeric namespace is a
-				// guaranteed miss — its TupleKey tag could not
-				// collide with any numeric build key either.
-				if k, ok := numKeyOf(lr[p.lCol]); ok {
-					_, match = p.numSet[k]
-				}
+// buildSemi indexes the build side of a hash (anti-)semijoin — the
+// forward direction, taken when the probe side is not the smaller one.
+func (ev *Evaluator) buildSemi(p *semiPlan) error {
+	size := p.r.Len()
+	if d := p.hint.BuildDistinct; d > 0 && d < int64(size) {
+		size = int(d)
+	}
+	if p.hint.NumKey && len(p.rCols) == 1 {
+		rCol := p.rCols[0]
+		var numIdx map[numKey][]int
+		var numSet map[numKey]struct{}
+		if p.trivial {
+			numSet = make(map[numKey]struct{}, size)
+		} else {
+			numIdx = make(map[numKey][]int, size)
+		}
+		ok := true
+		for i, rr := range p.r.Rows() {
+			if pass, err := ev.passes(p.fuse, rr); err != nil {
+				return err
+			} else if !pass || p.sqlMode && rr[rCol].IsNull() {
+				continue
+			}
+			k, kOk := numKeyOf(rr[rCol])
+			if !kOk {
+				ok = false // surprise non-numeric value: fall back
+				break
+			}
+			if p.trivial {
+				numSet[k] = struct{}{}
 			} else {
-				_, match = p.strSet[value.TupleKey(lr, p.lCols)]
+				numIdx[k] = append(numIdx[k], i)
 			}
 		}
-	case p.idx != nil || p.numIdx != nil:
-		c.st.costUnits++
-		if !(p.sqlMode && anyNull(lr, p.lCols)) {
-			var bucket []int
-			if p.numIdx != nil {
-				// A probe kind outside the numeric namespace keeps
-				// bucket nil — its TupleKey tag could not collide
-				// with any numeric build key either.
-				if k, ok := numKeyOf(lr[p.lCol]); ok {
-					bucket = p.numIdx[k]
-				}
-			} else {
-				bucket = p.idx[value.TupleKey(lr, p.lCols)]
+		if ok {
+			p.numIdx, p.numSet = numIdx, numSet
+		}
+	}
+	if p.numIdx == nil && p.numSet == nil {
+		var err error
+		if p.idx, err = ev.buildKeyIndex(p.r.Rows(), p.rCols, size, p.fuse); err != nil {
+			return err
+		}
+	}
+	ev.note("hash %s [%d keys] build %d rows (slim=%v numkey=%v fused=%v)",
+		p.name, len(p.lCols), p.r.Len(), p.hint.SlimVerify, p.idx.first == nil, p.fuse != nil)
+	return ev.charge("semijoin/build", int64(p.r.Len()))
+}
+
+// semiBuildLeft answers a hash (anti-)semijoin whose whole probe side,
+// held, is smaller than the build side: held is indexed and R streams
+// past it once, in parallel partitions. An R row whose bucket still has
+// an undecided held row is put through the fused filter — evaluated on
+// the rows that join, not on all of R — and verified against the
+// bucket's undecided rows in order, so the pairs verified are the
+// forward direction's: (l, r) iff the keys agree, r passes the filter
+// and no earlier r′ satisfied l (DESIGN.md §12). A partition cannot
+// know what earlier ones decided, so each records per held row whether
+// it matched and how many candidates it verified; summed over the
+// partitions up to the row's first match, that is the count of one pass
+// in R order at any Parallelism.
+func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, error) {
+	idx, err := ev.buildKeyIndex(held, p.lCols, len(held), nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := ev.charge("semijoin/build", int64(len(held))); err != nil {
+		return nil, err
+	}
+	workers := ev.opts.workers()
+	matched, verified := make([][]bool, workers), make([][]int64, workers)
+	var filtered atomic.Int64 // R rows put through the fused filter, for the trace
+	rRows := p.r.Rows()
+	err = ev.runChunks(len(rRows), "semijoin/probe", func(c *chunk) error {
+		if err := c.fault(guard.SiteSemijoinProbe); err != nil {
+			return err
+		}
+		m, n := make([]bool, len(held)), make([]int64, len(held))
+		matched[c.part], verified[c.part] = m, n
+		row := c.scratch(p.nL + p.r.Arity())
+		ran := int64(0)
+		for _, rr := range rRows[c.lo:c.hi] {
+			if c.stopped() {
+				return nil
 			}
-			copy(row, lr)
-			for _, ri := range bucket {
-				c.st.costUnits++
-				copy(row[p.nL:], p.r.Row(ri))
-				v, err := ev.evalCond(p.cond, row)
-				if err != nil {
-					return false, err
+			c.st.costUnits++
+			var ok bool
+			if c.key, ok = appendKey(c.key[:0], rr, p.rCols, p.sqlMode); !ok {
+				continue
+			}
+			passed := false
+			for i := idx.first[string(c.key)] - 1; i >= 0; i = idx.next[i] {
+				if m[i] {
+					continue
 				}
-				if v.IsTrue() {
-					match = true
-					break
+				if !passed {
+					ran++
+					if pass, err := ev.passes(p.fuse, rr); err != nil {
+						return err
+					} else if !pass {
+						break
+					}
+					passed = true
+					copy(row[p.nL:], rr)
 				}
+				if !p.trivial {
+					n[i]++
+					copy(row, held[i])
+					if v, err := ev.evalCond(p.cond, row); err != nil {
+						return err
+					} else if !v.IsTrue() {
+						continue
+					}
+				}
+				m[i] = true
+			}
+		}
+		filtered.Add(ran)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	keep := make([]bool, len(held))
+	var pairs int64
+	for i := range held {
+		hit := false
+		for w := 0; w < workers && matched[w] != nil && !hit; w++ {
+			pairs += verified[w][i]
+			hit = matched[w][i]
+		}
+		keep[i] = hit != p.anti
+	}
+	if err := ev.charge("semijoin/probe", pairs); err != nil {
+		return nil, err
+	}
+	fused := ""
+	if p.fuse != nil {
+		fused = fmt.Sprintf(" (fused filter on %d)", filtered.Load())
+	}
+	ev.note("hash %s [%d keys] build-left %d rows, streamed %d%s", p.name, len(p.lCols), len(held), len(rRows), fused)
+	return keptRows(held, keep), nil
+}
+
+// semiMatch probes one row against the plan. c supplies the worker's
+// cost counters and its scratch buffers for the key and for candidate
+// verification.
+func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error) {
+	row := c.scratch(p.nL + p.r.Arity())
+	if !p.trivial {
+		copy(row, lr)
+	}
+	// verify decides one candidate; the arms walk them in ascending
+	// build order and stop at the first match.
+	verify := func(ri int) (bool, error) {
+		c.st.costUnits++
+		copy(row[p.nL:], p.r.Row(ri))
+		v, err := ev.evalCond(p.cond, row)
+		return v.IsTrue(), err
+	}
+	switch {
+	case p.numSet != nil || p.numIdx != nil:
+		// A probe kind outside the numeric namespace is a guaranteed
+		// miss — its AppendKey tag could not collide with any numeric
+		// build key either.
+		c.st.costUnits++
+		k, ok := numKeyOf(lr[p.lCols[0]])
+		if !ok || p.sqlMode && lr[p.lCols[0]].IsNull() {
+			return false, nil
+		}
+		if p.numSet != nil {
+			_, match := p.numSet[k]
+			return match, nil
+		}
+		for _, ri := range p.numIdx[k] {
+			if match, err := verify(ri); match || err != nil {
+				return match, err
+			}
+		}
+	case p.lCols != nil:
+		c.st.costUnits++
+		var ok bool
+		if c.key, ok = appendKey(c.key[:0], lr, p.lCols, p.sqlMode); !ok {
+			return false, nil
+		}
+		// Slim verify with empty residual: key presence alone decides.
+		for ri := p.idx.first[string(c.key)] - 1; ri >= 0; ri = p.idx.next[ri] {
+			if p.trivial {
+				return true, nil
+			}
+			if match, err := verify(ri); match || err != nil {
+				return match, err
 			}
 		}
 	default:
@@ -550,21 +726,13 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 			c.st.costUnits++
 			cur = p.uni.Probe(lr[p.uniCol])
 		}
-		copy(row, lr)
 		for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
-			c.st.costUnits++
-			copy(row[p.nL:], p.r.Row(ri))
-			v, err := ev.evalCond(p.cond, row)
-			if err != nil {
-				return false, err
-			}
-			if v.IsTrue() {
-				match = true
-				break
+			if match, err := verify(ri); match || err != nil {
+				return match, err
 			}
 		}
 	}
-	return match, nil
+	return false, nil
 }
 
 // probeSemi probes lRows against the plan and returns the qualifying

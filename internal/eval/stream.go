@@ -308,10 +308,10 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 
 // buildSemiIter compiles an (anti-)semijoin: the uncorrelated
 // short-circuit answers the subquery once and compiles to either an
-// empty pipeline or the bare left side; the correlated form builds the
-// right side eagerly (prepSemi) and streams probe batches through it.
-// The evaluation order is left pipeline construction, then right-side
-// build.
+// empty pipeline or the bare left side; the correlated form evaluates
+// the right side eagerly (prepSemi) and streams probe batches through
+// it. The evaluation order is left pipeline construction, then the
+// right side.
 func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) {
 	nL := e.L.Arity()
 	cond := semiCond(e)
@@ -335,7 +335,7 @@ func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) 
 		child.close()
 		return nil, err
 	}
-	return &semiProbeIter{ev: ev, p: p, child: child}, nil
+	return &semiProbeIter{ev: ev, p: p, child: child, chosen: p.lCols == nil}, nil
 }
 
 // drain pulls a pipeline to exhaustion into a fresh table. This loop
