@@ -53,11 +53,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# loc prints the non-test Go lines of the packages the deletion round
-# (ROADMAP.md item 2) is measured on, and all Go lines outside bench/,
-# so a deletion claim is regenerated rather than pasted.
+# loc prints the non-test Go lines of the engine packages deletions are
+# measured on — the executor, the planner, routing, the rows with their
+# hash index, and the values with their key encoding — and all Go lines
+# outside bench/, so a deletion claim is regenerated rather than pasted.
 loc:
-	@for d in internal/eval internal/plan internal/shard internal/guard internal/difftest tools; do \
+	@for d in internal/eval internal/plan internal/shard internal/table internal/value internal/guard internal/difftest tools; do \
 		printf '%-22s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; done
 	@printf '%-22s %s\n' 'all Go outside bench/' "$$(find . -name '*.go' ! -path './bench/*' | xargs cat | wc -l)"
 
@@ -74,8 +75,8 @@ bench-build:
 
 # bench-memory gates the executor's peak estimated intermediate memory
 # (guard.Governor.MemHighWater, an exact count) on the translated Q1-Q4:
-# no higher than recorded at commit bdb0e4d, and Q4 at most half of what
-# the operator-at-a-time engine deleted after that commit charged.
+# no higher than recorded in the test, and Q4 at most half of what the
+# operator-at-a-time engine deleted after commit bdb0e4d charged.
 bench-memory:
 	$(GO) test -run '^TestStreamingPeakMemory$$' -count=1 -v .
 
@@ -100,8 +101,9 @@ bench-fig4:
 
 # bench-join times the hash operators in both build directions
 # (BenchmarkBuildSide: a 60 000-row side joined, semijoined and
-# antijoined against 2, 500 and 15 000 rows, and 15 000 x 500 as the
-# forward control) with allocation counts. Advisory like bench-fig4's
+# antijoined against 2, 500 and 15 000 rows, and as forward controls
+# 15 000 x 500 and a 60 000 x 15 000 semijoin that verifies a residual
+# condition per candidate) with allocation counts. Advisory like bench-fig4's
 # first half: wall-clock, so its failure is printed and ignored; the
 # exact gates are TestBuildSideEquivalence and
 # TestCostUnitsDirectionIndependent, in `make test`.

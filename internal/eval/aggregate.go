@@ -31,33 +31,29 @@ func (ev *Evaluator) evalGroupBy(e algebra.GroupBy) (*table.Table, error) {
 		}
 		return accs
 	}
-	groups := map[string]*group{}
-	var order []string
+	keys := table.NewIndex(0)
+	var groups []group // in first-seen order, which Insert numbers them by
 	for _, row := range child.Rows() {
 		ev.stats.CostUnits++
 		if err := ev.tick("group-by"); err != nil {
 			return nil, err
 		}
-		k := value.TupleKey(row, e.Keys)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{rep: row, accs: newAccs()}
-			groups[k] = g
-			order = append(order, k)
+		gi, fresh := keys.Insert(row, e.Keys)
+		if fresh {
+			groups = append(groups, group{rep: row, accs: newAccs()})
 		}
+		g := &groups[gi]
 		for i := range g.accs {
 			g.accs[i].add(row)
 		}
 	}
 	// SQL: a global aggregate (no keys) yields one row even when the
 	// input is empty.
-	if len(e.Keys) == 0 && len(order) == 0 {
-		groups[""] = &group{rep: nil, accs: newAccs()}
-		order = append(order, "")
+	if len(e.Keys) == 0 && len(groups) == 0 {
+		groups = append(groups, group{accs: newAccs()})
 	}
 	out := table.New(e.Arity())
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		row := make(table.Row, 0, e.Arity())
 		for _, kc := range e.Keys {
 			row = append(row, g.rep[kc])

@@ -132,8 +132,10 @@ func BenchmarkJoinBlockPlanner(b *testing.B) {
 // 60 000-row relation joined with 2 and with 500 rows, semijoined and
 // antijoined (through a fused build-side filter) by 500, antijoined by
 // 15 000 — all of which index the small side and stream the large one —
-// and 15 000 rows antijoined against 500 as the forward control, where
-// the build side already is the smaller one. Run with:
+// and two forward controls, where the build side already is the smaller
+// one: 15 000 rows antijoined against 500, and 60 000 rows semijoined
+// against 15 000 under a residual condition that verifies every
+// candidate. Run with:
 //
 //	make bench-join
 func BenchmarkBuildSide(b *testing.B) {
@@ -163,12 +165,13 @@ func BenchmarkBuildSide(b *testing.B) {
 		return algebra.Select{Child: algebra.Product{L: base(l), R: base(r)}, Cond: keyEq}
 	}
 	hints := &eval.PlanHints{Semi: map[string]eval.SemiHint{}}
-	semi := func(l, r string, anti, fused bool) algebra.Expr {
-		e := algebra.SemiJoin{L: base(l), R: base(r), Cond: keyEq, Anti: anti}
+	residual := algebra.NewAnd(keyEq, algebra.Cmp{Op: algebra.NE, L: algebra.Col{Idx: 1}, R: algebra.Col{Idx: 3}})
+	semi := func(l, r string, cond algebra.Cond, anti, fused bool) algebra.Expr {
+		e := algebra.SemiJoin{L: base(l), R: base(r), Cond: cond, Anti: anti}
 		if fused {
 			e.R = algebra.Select{Child: e.R, Cond: algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 1}, R: algebra.Lit{Val: value.Int(6)}}}
 		}
-		hints.Semi[e.Key()] = eval.SemiHint{SlimVerify: true, NumKey: true, FuseBuild: fused}
+		hints.Semi[e.Key()] = eval.SemiHint{SlimVerify: true, FuseBuild: fused}
 		return e
 	}
 	for _, c := range []struct {
@@ -177,10 +180,11 @@ func BenchmarkBuildSide(b *testing.B) {
 	}{
 		{"join/2x60000", join("tiny", "big")},
 		{"join/500x60000", join("small", "big")},
-		{"semi-fused/500x60000", semi("small", "big", false, true)},
-		{"anti-fused/500x60000", semi("small", "big", true, true)},
-		{"anti/15000x60000", semi("mid", "big", true, false)},
-		{"anti-forward/15000x500", semi("mid", "small", true, false)},
+		{"semi-fused/500x60000", semi("small", "big", keyEq, false, true)},
+		{"anti-fused/500x60000", semi("small", "big", keyEq, true, true)},
+		{"anti/15000x60000", semi("mid", "big", keyEq, true, false)},
+		{"anti-forward/15000x500", semi("mid", "small", keyEq, true, false)},
+		{"semi-forward-residual/60000x15000", semi("big", "mid", residual, false, false)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			benchEval(b, db, c.e, eval.Options{Semantics: value.SQL3VL, Parallelism: 1, Hints: hints})

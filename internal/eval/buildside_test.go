@@ -1,12 +1,14 @@
 package eval_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/guard"
 	"certsql/internal/schema"
 	"certsql/internal/table"
 	"certsql/internal/value"
@@ -77,23 +79,29 @@ func TestBuildSideEquivalence(t *testing.T) {
 			conds = append(conds, algebra.Cmp{Op: algebra.NE, L: algebra.Col{Idx: 3}, R: algebra.Col{Idx: 7}})
 		}
 		cond := algebra.NewAnd(conds...)
-		var e algebra.Expr
+		var e, nested algebra.Expr
 		hints := &eval.PlanHints{Semi: map[string]eval.SemiHint{}}
 		switch mode := rng.Intn(3); mode {
 		case 0:
 			e = algebra.Select{Child: algebra.Product{L: baseL, R: baseR}, Cond: cond}
+			nested = e
+			if nR < nL { // the join block starts at its smaller leaf, so its nested loop runs r-major
+				swap := func(c int) int { return (c + 4) % 8 }
+				nested = algebra.Project{Cols: []int{4, 5, 6, 7, 0, 1, 2, 3},
+					Child: algebra.Select{Child: algebra.Product{L: baseR, R: baseL}, Cond: algebra.MapCols(cond, swap)}}
+			}
 		default:
 			var build algebra.Expr = baseR
 			if rng.Intn(2) == 0 { // a select-fed build side the hint may fuse
 				build = algebra.Select{Child: baseR, Cond: algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 3}, R: algebra.Lit{Val: value.Int(3)}}}
 			}
 			semi := algebra.SemiJoin{L: baseL, R: build, Cond: cond, Anti: mode == 2}
-			hints.Semi[semi.Key()] = eval.SemiHint{SlimVerify: rng.Intn(2) == 0, FuseBuild: rng.Intn(2) == 0, NumKey: rng.Intn(2) == 0}
-			e = semi
+			hints.Semi[semi.Key()] = eval.SemiHint{SlimVerify: rng.Intn(2) == 0, FuseBuild: rng.Intn(2) == 0}
+			e, nested = semi, semi
 		}
 		for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
 			name := fmt.Sprintf("trial %d (%d × %d, %v, %s)", trial, nL, nR, sem, e.Key())
-			want := run(t, db, e, eval.Options{Semantics: sem, NoHashJoin: true, Parallelism: 1}).String()
+			want := run(t, db, nested, eval.Options{Semantics: sem, NoHashJoin: true, Parallelism: 1}).String()
 			var cost int64
 			for _, par := range []int{1, 2, 4} {
 				for _, shards := range []int{1, 3} {
@@ -113,5 +121,62 @@ func TestBuildSideEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHashJoinIndexMemCharged is the regression test for the equality
+// hash joins and semijoins that never charged their index, in both build
+// directions: the operator indexes its smaller input, so 30 × 200 rows
+// index the 30 (build-left) and 50 × 50 rows index the right side
+// (forward). The keys never meet, so the answer is empty and the index
+// is the operator's only charge: a budget one byte below its estimate
+// must trip ErrMemBudget and leave nothing charged, the estimate itself
+// must fit, and nothing may stay charged once the operator is done.
+func TestHashJoinIndexMemCharged(t *testing.T) {
+	eq := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}}
+	join := algebra.Select{Child: algebra.Product{L: baseR, R: baseS}, Cond: eq}
+	semi := algebra.SemiJoin{L: baseR, R: baseS, Cond: eq}
+	for _, c := range []struct {
+		name    string
+		e       algebra.Expr
+		nR, nS  int
+		indexed string
+	}{
+		{"join/build-left", join, 30, 200, "r"}, {"join/forward", join, 50, 50, "s"},
+		{"semijoin/build-left", semi, 30, 200, "r"}, {"semijoin/forward", semi, 50, 50, "s"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := newDB(t)
+			for i := 0; i < c.nR; i++ {
+				ins(t, db, "r", table.Row{value.Int(int64(i)), value.Int(0)})
+			}
+			for i := 0; i < c.nS; i++ {
+				ins(t, db, "s", table.Row{value.Int(int64(1000 + i)), value.Int(0)})
+			}
+			indexed, err := db.Table(c.indexed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := table.BuildIndex(indexed.Rows(), []int{0}, table.NullsSkip, indexed.Len(), nil).EstimatedBytes()
+			gov := guard.Background(guard.Limits{MaxMemBytes: est - 1})
+			if _, err := eval.New(db, eval.Options{Governor: gov}).Eval(c.e); !errors.Is(err, guard.ErrMemBudget) {
+				t.Fatalf("budget %d B below the %d B index: err = %v, want ErrMemBudget", est-1, est, err)
+			}
+			if live := gov.MemCharged(); live != 0 {
+				t.Errorf("%d B still charged after the charge failed", live)
+			}
+			gov = guard.Background(guard.Limits{MaxMemBytes: est})
+			ev := eval.New(db, eval.Options{Governor: gov})
+			got, err := ev.Eval(c.e)
+			if err != nil || got.Len() != 0 || ev.Stats().HashJoins != 1 {
+				t.Fatalf("budget = index estimate: %v rows, err %v, stats %+v", got, err, ev.Stats())
+			}
+			if hw := gov.MemHighWater(); hw != est {
+				t.Errorf("high water %d B, want the index's %d B", hw, est)
+			}
+			if live := gov.MemCharged(); live != 0 {
+				t.Errorf("%d B still charged after the operator finished", live)
+			}
+		})
 	}
 }

@@ -370,62 +370,10 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 		return ev.product(l, r)
 
 	case algebra.Intersect:
-		l, err := ev.evalChild(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.evalChild(e.R)
-		if err != nil {
-			return nil, err
-		}
-		rk := r.KeySet()
-		out := table.New(l.Arity())
-		seen := map[string]struct{}{}
-		for _, row := range l.Rows() {
-			k := value.RowKey(row)
-			if _, in := rk[k]; !in {
-				continue
-			}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out.Append(row)
-		}
-		if err := ev.charge("intersect", int64(l.Len()+r.Len())); err != nil {
-			return nil, err
-		}
-		ev.note("intersect -> %d rows", out.Len())
-		return out, nil
+		return ev.evalSetOp("intersect", e.L, e.R, true)
 
 	case algebra.Diff:
-		l, err := ev.evalChild(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.evalChild(e.R)
-		if err != nil {
-			return nil, err
-		}
-		rk := r.KeySet()
-		out := table.New(l.Arity())
-		seen := map[string]struct{}{}
-		for _, row := range l.Rows() {
-			k := value.RowKey(row)
-			if _, in := rk[k]; in {
-				continue
-			}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out.Append(row)
-		}
-		if err := ev.charge("diff", int64(l.Len()+r.Len())); err != nil {
-			return nil, err
-		}
-		ev.note("diff -> %d rows", out.Len())
-		return out, nil
+		return ev.evalSetOp("diff", e.L, e.R, false)
 
 	case algebra.UnifySemi:
 		return ev.evalUnifySemi(e)
@@ -520,9 +468,43 @@ func (ev *Evaluator) evalAdomPower(e algebra.AdomPower) (*table.Table, error) {
 	return out, nil
 }
 
-// evalDivision executes L ÷ R by grouping L on its prefix columns and
-// checking that each group's suffixes cover all of R. Membership is by
-// exact row identity (mark-aware), matching the set-based definition.
+// evalSetOp executes INTERSECT (in) or EXCEPT (!in): the distinct rows
+// of l that are (are not) in r, first occurrences in l's order. Rows
+// match by mark-aware identity.
+func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*table.Table, error) {
+	l, err := ev.evalChild(lExpr)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ev.evalChild(rExpr)
+	if err != nil {
+		return nil, err
+	}
+	all := rangeInts(l.Arity())
+	rIdx := table.BuildIndex(r.Rows(), all, table.NullsByMark, r.Len(), nil)
+	seen := table.NewIndex(0)
+	out := table.New(l.Arity())
+	var key []byte
+	for _, row := range l.Rows() {
+		cur := rIdx.Probe(row, all, &key)
+		if _, found := cur.Next(); found != in {
+			continue
+		}
+		if _, fresh := seen.Insert(row, all); fresh {
+			out.Append(row)
+		}
+	}
+	if err := ev.charge(op, int64(l.Len()+r.Len())); err != nil {
+		return nil, err
+	}
+	ev.note("%s -> %d rows", op, out.Len())
+	return out, nil
+}
+
+// evalDivision executes L ÷ R: a prefix of L, in first-seen order, is
+// in the answer when L holds it followed by every row of R. Membership
+// is by exact row identity (mark-aware), matching the set-based
+// definition.
 func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 	l, err := ev.evalChild(e.L)
 	if err != nil {
@@ -536,61 +518,46 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 	if nPre < 0 {
 		return nil, fmt.Errorf("eval: division of arity %d by arity %d", e.L.Arity(), e.R.Arity())
 	}
-	need := r.Distinct()
+	lAll, rAll := rangeInts(e.L.Arity()), rangeInts(e.R.Arity())
+	var need []table.Row // R's distinct rows
+	distinct := table.NewIndex(r.Len())
+	for _, w := range r.Rows() {
+		if _, fresh := distinct.Insert(w, rAll); fresh {
+			need = append(need, w)
+		}
+	}
 	// Charge the projected quadratic cost up front so the loop below
 	// degrades with ErrCostBudget instead of hanging; the per-row
 	// Stats increments below are reporting, not governance.
-	cost := int64(l.Len()) + int64(l.Len())*int64(need.Len())
+	cost := int64(l.Len()) + int64(l.Len())*int64(len(need))
 	if err := ev.gov.ChargeCost("division", cost); err != nil {
 		return nil, err
 	}
-	groups := map[string]map[string]struct{}{}
-	preCols := make([]int, nPre)
-	sufCols := make([]int, e.R.Arity())
-	for i := range preCols {
-		preCols[i] = i
-	}
-	for i := range sufCols {
-		sufCols[i] = nPre + i
-	}
-	for _, row := range l.Rows() {
+	has := table.BuildIndex(l.Rows(), lAll, table.NullsByMark, l.Len(), nil)
+	prefixes := table.NewIndex(0)
+	out := table.New(nPre)
+	row := make(table.Row, e.L.Arity())
+	var key []byte
+	for _, lr := range l.Rows() {
 		ev.stats.CostUnits++
 		if err := ev.tick("division"); err != nil {
 			return nil, err
 		}
-		pk := value.TupleKey(row, preCols)
-		if _, ok := groups[pk]; !ok {
-			groups[pk] = map[string]struct{}{}
-		}
-		groups[pk][value.TupleKey(row, sufCols)] = struct{}{}
-	}
-	needKeys := make([]string, 0, need.Len())
-	allCols := rangeInts(e.R.Arity())
-	for _, want := range need.Rows() {
-		needKeys = append(needKeys, value.TupleKey(want, allCols))
-	}
-	out := table.New(nPre)
-	emitted := map[string]struct{}{}
-	for _, row := range l.Rows() { // first-seen order keeps output deterministic
-		if err := ev.tick("division"); err != nil {
-			return nil, err
-		}
-		pk := value.TupleKey(row, preCols)
-		if _, done := emitted[pk]; done {
+		if _, fresh := prefixes.Insert(lr, lAll[:nPre]); !fresh {
 			continue
 		}
-		emitted[pk] = struct{}{}
-		have := groups[pk]
+		copy(row, lr[:nPre])
 		covers := true
-		for _, wk := range needKeys {
+		for _, w := range need {
 			ev.stats.CostUnits++
-			if _, ok := have[wk]; !ok {
-				covers = false
+			copy(row[nPre:], w)
+			cur := has.Probe(row, lAll, &key)
+			if _, covers = cur.Next(); !covers {
 				break
 			}
 		}
 		if covers {
-			out.Append(append(table.Row{}, row[:nPre]...))
+			out.Append(append(table.Row{}, lr[:nPre]...))
 		}
 	}
 	ev.note("division %d ÷ %d -> %d rows", l.Len(), r.Len(), out.Len())

@@ -1,11 +1,5 @@
 package eval
 
-import (
-	"math"
-
-	"certsql/internal/value"
-)
-
 // PlanHints carry the cost-based planner's per-operator execution
 // hints into the evaluator. Hints never change results — difftest's
 // planner-ablation invariant holds the hinted and unhinted executions
@@ -18,9 +12,6 @@ import (
 //     (value.AppendKey) are equal, and the planner only sets the flag
 //     on key columns where encoding equality implies the dropped
 //     equalities are true under both semantics.
-//   - NumKey replaces the byte-keyed hash index (keyIndex) with a compact
-//     numeric key for single-column numeric joins; the key mirrors
-//     AppendKey's numeric encoding exactly, so bucketing is identical.
 //   - BuildDistinct/BuildRows pre-size the hash index from the
 //     statistics' cardinality estimates.
 //   - FuseBuild licenses filtering a select-fed build side during the
@@ -51,10 +42,6 @@ type SemiHint struct {
 	// the verify condition (and, when nothing remains, skipping
 	// per-candidate verification entirely: match = bucket non-empty).
 	SlimVerify bool
-	// NumKey licenses the specialized numeric hash index. Set only
-	// when the planner proved both key columns are numeric-typed base
-	// columns, so the numeric encoding is exactly AppendKey's.
-	NumKey bool
 	// BuildRows is the estimated build-side row count.
 	BuildRows int64
 	// BuildDistinct is the estimated distinct key count on the build
@@ -86,31 +73,4 @@ type ShardHint struct {
 	// CoPartition records that the planner found the build side
 	// null-free with at least as many distinct rows as shards.
 	CoPartition bool
-}
-
-// numKey is the specialized hash key for single-column numeric
-// (anti-)semijoins. It mirrors value.AppendKey exactly on the kinds a
-// numeric column can hold: numerics collapse int/float onto the
-// float64 encoding (AppendKey tag 1) and nulls key by mark (tag 0),
-// kept disjoint by the null flag.
-type numKey struct {
-	null bool
-	bits uint64
-}
-
-// numKeyOf encodes v, reporting ok=false for kinds a numeric column
-// cannot hold. A false return on the probe side is a guaranteed miss
-// (its AppendKey tag differs from every numeric build key); on the
-// build side it makes prepSemi fall back to the string index.
-func numKeyOf(v value.Value) (numKey, bool) {
-	switch v.Kind() {
-	case value.KindInt:
-		return numKey{bits: math.Float64bits(float64(v.AsInt()))}, true
-	case value.KindFloat:
-		return numKey{bits: math.Float64bits(v.AsFloat())}, true
-	case value.KindNull:
-		return numKey{null: true, bits: uint64(v.NullID())}, true
-	default:
-		return numKey{}, false
-	}
 }

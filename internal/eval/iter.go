@@ -6,7 +6,6 @@ import (
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
 	"certsql/internal/table"
-	"certsql/internal/value"
 )
 
 // The executor's streaming operator family: composable pull-based batch
@@ -225,14 +224,20 @@ func (it *limitIter) close()     { it.child.close() }
 func (it *limitIter) isIter()    {}
 
 // distinctIter deduplicates by mark-aware row identity, keeping first
-// occurrences — the streaming counterpart of table.Distinct. chargeOp
-// names the operator charged one cost unit per input row; it is empty
-// when the dedup rides inside a union, which charges its own rows.
+// occurrences. chargeOp names the operator charged one cost unit per
+// input row; it is empty when the dedup rides inside a union, which
+// charges its own rows.
 type distinctIter struct {
 	ev       *Evaluator
 	child    iter
 	chargeOp string
-	seen     map[string]struct{}
+	seen     *table.Index
+	cols     []int
+}
+
+func (ev *Evaluator) newDistinctIter(child iter, chargeOp string) *distinctIter {
+	return &distinctIter{ev: ev, child: child, chargeOp: chargeOp,
+		seen: table.NewIndex(0), cols: rangeInts(child.arity())}
 }
 
 func (it *distinctIter) next() ([]table.Row, error) {
@@ -248,12 +253,9 @@ func (it *distinctIter) next() ([]table.Row, error) {
 		}
 		var out []table.Row
 		for _, r := range batch {
-			k := value.RowKey(r)
-			if _, dup := it.seen[k]; dup {
-				continue
+			if _, fresh := it.seen.Insert(r, it.cols); fresh {
+				out = append(out, r)
 			}
-			it.seen[k] = struct{}{}
-			out = append(out, r)
 		}
 		if len(out) > 0 {
 			return out, nil
@@ -374,8 +376,8 @@ func (it *semiProbeIter) arity() int { return it.p.nL }
 func (it *semiProbeIter) isIter()    {}
 func (it *semiProbeIter) close() {
 	it.child.close()
-	it.ev.gov.ReleaseMem(it.p.uniMem)
-	it.p.uniMem = 0
+	it.ev.gov.ReleaseMem(it.p.mem)
+	it.p.mem = 0
 }
 
 // bufferedIter is the explicit streaming/buffered boundary: it streams

@@ -1,12 +1,12 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
-	"certsql/internal/shard"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -196,64 +196,15 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	return out, nil
 }
 
-// keyIndex buckets row positions by the AppendKey bytes of their key
-// columns — the one hash index under the equi-join and the hash
-// (anti-)semijoin, whichever input they index. first maps a key to the
-// lowest position holding it, plus one, so that a miss reads as -1 in
-//
-//	for i := x.first[string(key)] - 1; i >= 0; i = x.next[i]
-//
-// (the lookup does not allocate), and next chains every position to the
-// next higher one with the same key, -1 ending the bucket: a bucket is
-// walked in ascending order and costs no slice of its own.
-type keyIndex struct {
-	first map[string]int
-	next  []int
-}
-
-// appendKey appends the key encoding of r's cols to b. ok is false for
-// a key that equals nothing: under SQL3VL a null (A = NULL is unknown)
-// — such a row enters no index and finds no bucket, on either side.
-// Under naive semantics marked nulls join by their marks, which the
-// encoding preserves.
-func appendKey(b []byte, r table.Row, cols []int, sqlMode bool) ([]byte, bool) {
-	for _, c := range cols {
-		if sqlMode && r[c].IsNull() {
-			return b, false
-		}
-		b = value.AppendKey(b, r[c])
+// eqNulls is the null-key policy of an equality key under the
+// evaluator's semantics: under SQL3VL a null key equals nothing (A =
+// NULL is unknown), so its row enters no index and finds no bucket, on
+// either side; under naive semantics marked nulls join by their marks.
+func (ev *Evaluator) eqNulls() table.NullKeys {
+	if ev.opts.Semantics == value.SQL3VL {
+		return table.NullsSkip
 	}
-	return b, true
-}
-
-// buildKeyIndex indexes rows on cols, sized for size distinct keys.
-// Rows that fail fuse (a fused build-side filter; nil passes all) or
-// have no key stay out. The keys are cut from one string, so the build
-// allocates per index, not per key.
-func (ev *Evaluator) buildKeyIndex(rows []table.Row, cols []int, size int, fuse algebra.Cond) (keyIndex, error) {
-	sqlMode := ev.opts.Semantics == value.SQL3VL
-	x := keyIndex{first: make(map[string]int, size), next: make([]int, len(rows))}
-	var arena []byte
-	ends := make([]int, len(rows)+1) // row i's key is arena[ends[i]:ends[i+1]], empty when it has none
-	for i, r := range rows {
-		if pass, err := ev.passes(fuse, r); err != nil {
-			return x, err
-		} else if pass {
-			if key, ok := appendKey(arena, r, cols, sqlMode); ok {
-				arena = key
-			}
-		}
-		ends[i+1] = len(arena)
-	}
-	keys := string(arena)
-	for i := len(rows) - 1; i >= 0; i-- { // descending, so every bucket chains ascending
-		x.next[i] = -1
-		if key := keys[ends[i]:ends[i+1]]; key != "" {
-			x.next[i] = x.first[key] - 1
-			x.first[key] = i + 1
-		}
-	}
-	return x, nil
+	return table.NullsByMark
 }
 
 // passes reports whether r satisfies a fused build-side filter.
@@ -270,9 +221,9 @@ func (ev *Evaluator) passes(fuse algebra.Cond, r table.Row) (bool, error) {
 // index in parallel partitions: a null key enters neither side, so the
 // side is a free choice, and both directions find the same pairs for
 // the same |L| + |R| + pairs cost units. A shared row counter enforces
-// the budget across partitions and cancels in-flight ones.
+// the budget across partitions and cancels in-flight ones. The index is
+// charged to the memory governor until the join returns.
 func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
-	sqlMode := ev.opts.Semantics == value.SQL3VL
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return nil, err
 	}
@@ -281,26 +232,25 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 	if buildLeft {
 		build, bCols, probe, pCols = l, lCols, r, rCols
 	}
-	idx, err := ev.buildKeyIndex(build.Rows(), bCols, build.Len(), nil)
-	if err != nil {
+	idx := table.BuildIndex(build.Rows(), bCols, ev.eqNulls(), build.Len(), nil)
+	mem := idx.EstimatedBytes()
+	defer ev.gov.ReleaseMem(mem) // a failed charge too: ChargeMem adds before checking
+	if err := ev.gov.ChargeMem("hash-join", mem); err != nil {
 		return nil, err
 	}
 	pRows := probe.Rows()
 	chunks := make([][][2]int, ev.opts.workers()) // (l, r) positions of the joined pairs
 	maxRows := int64(ev.gov.MaxRows())
 	var outRows atomic.Int64
-	err = ev.runChunks(len(pRows), "hash-join", func(c *chunk) error {
+	err := ev.runChunks(len(pRows), "hash-join", func(c *chunk) error {
 		var out [][2]int
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
 			}
 			c.st.costUnits++
-			var ok bool
-			if c.key, ok = appendKey(c.key[:0], pRows[i], pCols, sqlMode); !ok {
-				continue
-			}
-			for j := idx.first[string(c.key)] - 1; j >= 0; j = idx.next[j] {
+			cur := idx.Probe(pRows[i], pCols, &c.key)
+			for j, ok := cur.Next(); ok; j, ok = cur.Next() {
 				c.st.costUnits++
 				if buildLeft {
 					out = append(out, [2]int{j, i})
@@ -394,19 +344,14 @@ type semiPlan struct {
 	lCols, rCols []int
 	fuse         algebra.Cond
 	hint         SemiHint
-	idx          keyIndex         // hash buckets over r (buildSemi)
-	numIdx       map[numKey][]int // specialized numeric buckets (NumKey hint); nil = use idx
-	// numSet replaces numIdx when the verify condition is trivial: the
-	// bucket contents are never read, so only key presence is stored.
-	numSet  map[numKey]struct{}
-	sqlMode bool
-	// uni is the wild-bucket index of the build side on the condition's
-	// unification edge, for plans without a hash key (unify.go); uniCol
-	// is the probe-side key column, uniMem the index's live memory
-	// charge (semiProbeIter.close releases it). Nil: the nested loop.
-	uni    *shard.KeyedBuild
-	uniCol int
-	uniMem int64
+	// idx indexes r on the hash keys (buildSemi) or, for plans without
+	// one, on the condition's unification edge (unify.go); probeCols are
+	// the probe-side key columns and mem the index's live memory charge,
+	// which semiProbeIter.close releases. Nil: the nested loop, or a hash
+	// plan that has not built its index.
+	idx       *table.Index
+	probeCols []int
+	mem       int64
 }
 
 // prepSemi evaluates the right side and prepares the probe plan:
@@ -423,11 +368,10 @@ type semiPlan struct {
 // occurrences rely on.
 //
 // vetcert:ignore membalance: the wild-hash index lives as long as the
-// iterator probing it; semiProbeIter.close releases uniMem.
+// iterator probing it; semiProbeIter.close releases p.mem.
 func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan, error) {
 	nL := e.L.Arity()
-	p := &semiPlan{anti: e.Anti, nL: nL, name: "semijoin", hint: ev.semiHint(e.Key),
-		sqlMode: ev.opts.Semantics == value.SQL3VL}
+	p := &semiPlan{anti: e.Anti, nL: nL, name: "semijoin", hint: ev.semiHint(e.Key)}
 	if e.Anti {
 		p.name = "antijoin"
 	}
@@ -507,14 +451,15 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		if err := ev.chargeUnifyBuild("semijoin/build", p.r.Len()); err != nil {
 			return nil, err
 		}
-		p.uni, p.uniCol = shard.BuildKeyed(p.r.Rows(), rc, 1), lc
-		p.uniMem = p.uni.EstimatedBytes()
-		if err := ev.gov.ChargeMem("semijoin/build", p.uniMem); err != nil {
-			ev.gov.ReleaseMem(p.uniMem) // ChargeMem adds before checking
+		p.idx = table.BuildIndex(p.r.Rows(), []int{rc}, table.NullsWild, 0, nil)
+		p.probeCols = []int{lc}
+		p.mem = p.idx.EstimatedBytes()
+		if err := ev.gov.ChargeMem("semijoin/build", p.mem); err != nil {
+			ev.gov.ReleaseMem(p.mem) // ChargeMem adds before checking, and no iterator owns p.mem yet
 			return nil, err
 		}
 		ev.note("%s on probe #%d ≈ build #%d: wild-hash %d keyed / %d wild",
-			p.name, lc, nL+rc, p.uni.Keyed(), len(p.uni.Wild))
+			p.name, lc, nL+rc, p.idx.Keyed(), p.idx.Wild())
 		return p, nil
 	}
 	ev.stats.NestedLoopJoins++
@@ -524,50 +469,33 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 
 // buildSemi indexes the build side of a hash (anti-)semijoin — the
 // forward direction, taken when the probe side is not the smaller one.
+//
+// vetcert:ignore membalance: the index lives as long as the iterator
+// probing it; semiProbeIter.close releases p.mem, a failed charge too.
 func (ev *Evaluator) buildSemi(p *semiPlan) error {
 	size := p.r.Len()
 	if d := p.hint.BuildDistinct; d > 0 && d < int64(size) {
 		size = int(d)
 	}
-	if p.hint.NumKey && len(p.rCols) == 1 {
-		rCol := p.rCols[0]
-		var numIdx map[numKey][]int
-		var numSet map[numKey]struct{}
-		if p.trivial {
-			numSet = make(map[numKey]struct{}, size)
-		} else {
-			numIdx = make(map[numKey][]int, size)
-		}
-		ok := true
-		for i, rr := range p.r.Rows() {
-			if pass, err := ev.passes(p.fuse, rr); err != nil {
-				return err
-			} else if !pass || p.sqlMode && rr[rCol].IsNull() {
-				continue
-			}
-			k, kOk := numKeyOf(rr[rCol])
-			if !kOk {
-				ok = false // surprise non-numeric value: fall back
-				break
-			}
-			if p.trivial {
-				numSet[k] = struct{}{}
-			} else {
-				numIdx[k] = append(numIdx[k], i)
-			}
-		}
-		if ok {
-			p.numIdx, p.numSet = numIdx, numSet
+	var fuseErr error
+	var keep func(table.Row) bool
+	if p.fuse != nil {
+		keep = func(r table.Row) bool {
+			pass, err := ev.passes(p.fuse, r)
+			fuseErr = cmp.Or(fuseErr, err)
+			return pass
 		}
 	}
-	if p.numIdx == nil && p.numSet == nil {
-		var err error
-		if p.idx, err = ev.buildKeyIndex(p.r.Rows(), p.rCols, size, p.fuse); err != nil {
-			return err
-		}
+	p.idx, p.probeCols = table.BuildIndex(p.r.Rows(), p.rCols, ev.eqNulls(), size, keep), p.lCols
+	if fuseErr != nil {
+		return fuseErr
 	}
-	ev.note("hash %s [%d keys] build %d rows (slim=%v numkey=%v fused=%v)",
-		p.name, len(p.lCols), p.r.Len(), p.hint.SlimVerify, p.idx.first == nil, p.fuse != nil)
+	p.mem = p.idx.EstimatedBytes()
+	if err := ev.gov.ChargeMem("semijoin/build", p.mem); err != nil {
+		return err
+	}
+	ev.note("hash %s [%d keys] build %d rows (slim=%v fused=%v)",
+		p.name, len(p.lCols), p.r.Len(), p.hint.SlimVerify, p.fuse != nil)
 	return ev.charge("semijoin/build", int64(p.r.Len()))
 }
 
@@ -582,10 +510,13 @@ func (ev *Evaluator) buildSemi(p *semiPlan) error {
 // know what earlier ones decided, so each records per held row whether
 // it matched and how many candidates it verified; summed over the
 // partitions up to the row's first match, that is the count of one pass
-// in R order at any Parallelism.
+// in R order at any Parallelism. The index is charged to the memory
+// governor until the answer is decided.
 func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, error) {
-	idx, err := ev.buildKeyIndex(held, p.lCols, len(held), nil)
-	if err != nil {
+	idx := table.BuildIndex(held, p.lCols, ev.eqNulls(), len(held), nil)
+	mem := idx.EstimatedBytes()
+	defer ev.gov.ReleaseMem(mem) // a failed charge too: ChargeMem adds before checking
+	if err := ev.gov.ChargeMem("semijoin/build", mem); err != nil {
 		return nil, err
 	}
 	if err := ev.charge("semijoin/build", int64(len(held))); err != nil {
@@ -595,7 +526,7 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 	matched, verified := make([][]bool, workers), make([][]int64, workers)
 	var filtered atomic.Int64 // R rows put through the fused filter, for the trace
 	rRows := p.r.Rows()
-	err = ev.runChunks(len(rRows), "semijoin/probe", func(c *chunk) error {
+	err := ev.runChunks(len(rRows), "semijoin/probe", func(c *chunk) error {
 		if err := c.fault(guard.SiteSemijoinProbe); err != nil {
 			return err
 		}
@@ -608,12 +539,9 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 				return nil
 			}
 			c.st.costUnits++
-			var ok bool
-			if c.key, ok = appendKey(c.key[:0], rr, p.rCols, p.sqlMode); !ok {
-				continue
-			}
 			passed := false
-			for i := idx.first[string(c.key)] - 1; i >= 0; i = idx.next[i] {
+			cur := idx.Probe(rr, p.rCols, &c.key)
+			for i, ok := cur.Next(); ok; i, ok = cur.Next() {
 				if m[i] {
 					continue
 				}
@@ -674,62 +602,23 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 	if !p.trivial {
 		copy(row, lr)
 	}
-	// verify decides one candidate; the arms walk them in ascending
-	// build order and stop at the first match.
-	verify := func(ri int) (bool, error) {
+	// Candidates come in ascending build order: the probe key's bucket,
+	// merged with the wild rows of a unification edge — or, for a null
+	// probe key on one, and for plans without an index, every build row.
+	// The verify condition decides each; the first match ends the walk.
+	cur := table.ScanCursor(p.r.Len())
+	if p.idx != nil {
+		c.st.costUnits++
+		cur = p.idx.Probe(lr, p.probeCols, &c.key)
+	}
+	for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
+		if p.trivial { // slim verify with empty residual: key presence alone decides
+			return true, nil
+		}
 		c.st.costUnits++
 		copy(row[p.nL:], p.r.Row(ri))
-		v, err := ev.evalCond(p.cond, row)
-		return v.IsTrue(), err
-	}
-	switch {
-	case p.numSet != nil || p.numIdx != nil:
-		// A probe kind outside the numeric namespace is a guaranteed
-		// miss — its AppendKey tag could not collide with any numeric
-		// build key either.
-		c.st.costUnits++
-		k, ok := numKeyOf(lr[p.lCols[0]])
-		if !ok || p.sqlMode && lr[p.lCols[0]].IsNull() {
-			return false, nil
-		}
-		if p.numSet != nil {
-			_, match := p.numSet[k]
-			return match, nil
-		}
-		for _, ri := range p.numIdx[k] {
-			if match, err := verify(ri); match || err != nil {
-				return match, err
-			}
-		}
-	case p.lCols != nil:
-		c.st.costUnits++
-		var ok bool
-		if c.key, ok = appendKey(c.key[:0], lr, p.lCols, p.sqlMode); !ok {
-			return false, nil
-		}
-		// Slim verify with empty residual: key presence alone decides.
-		for ri := p.idx.first[string(c.key)] - 1; ri >= 0; ri = p.idx.next[ri] {
-			if p.trivial {
-				return true, nil
-			}
-			if match, err := verify(ri); match || err != nil {
-				return match, err
-			}
-		}
-	default:
-		// Candidates in ascending build order: the key's bucket merged
-		// with the wild rows, or — for a null probe key, which can
-		// satisfy the edge against any build row, and for plans without
-		// an index — every build row. The full condition decides each.
-		cur := shard.ScanAll(p.r.Len())
-		if p.uni != nil {
-			c.st.costUnits++
-			cur = p.uni.Probe(lr[p.uniCol])
-		}
-		for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
-			if match, err := verify(ri); match || err != nil {
-				return match, err
-			}
+		if v, err := ev.evalCond(p.cond, row); v.IsTrue() || err != nil {
+			return v.IsTrue(), err
 		}
 	}
 	return false, nil

@@ -9,7 +9,6 @@ import (
 	"certsql/internal/eval"
 	"certsql/internal/guard"
 	"certsql/internal/guard/faultinject"
-	"certsql/internal/shard"
 	"certsql/internal/table"
 	"certsql/internal/tpch"
 	"certsql/internal/value"
@@ -180,7 +179,7 @@ func TestUnifyIndexMemChargedOnce(t *testing.T) {
 }
 
 // TestSemiWildIndexMemCharged is the regression test for the one
-// KeyedBuild site that never charged memory: the wild-hash index a raw
+// wild-hash index site that never charged memory: the wild-hash index a raw
 // (NoOrSplit) antijoin builds on its unification edge. Every probe row
 // finds its key, so the antijoin's answer is empty and the index is the
 // operator's only charge: a budget one byte below the index estimate
@@ -196,7 +195,7 @@ func TestSemiWildIndexMemCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := shard.BuildKeyed(s.Rows(), 0, 1).EstimatedBytes()
+	est := table.BuildIndex(s.Rows(), []int{0}, table.NullsWild, s.Len(), nil).EstimatedBytes()
 	gov := guard.Background(guard.Limits{MaxMemBytes: est - 1})
 	if _, err := eval.New(db, eval.Options{Governor: gov}).Eval(e); !errors.Is(err, guard.ErrMemBudget) {
 		t.Fatalf("budget %d B below the %d B index: err = %v, want ErrMemBudget", est-1, est, err)

@@ -277,7 +277,7 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctIter{ev: ev, child: child, chargeOp: "distinct", seen: map[string]struct{}{}}, nil
+		return ev.newDistinctIter(child, "distinct"), nil
 
 	case algebra.Union:
 		l, err := ev.buildIter(e.L, sh.kid(0))
@@ -290,7 +290,7 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 			return nil, err
 		}
 		u := &unionIter{ev: ev, l: l, r: r}
-		return &distinctIter{ev: ev, child: u, seen: map[string]struct{}{}}, nil
+		return ev.newDistinctIter(u, ""), nil
 
 	case algebra.SemiJoin:
 		return ev.buildSemiIter(e, sh)

@@ -6,7 +6,6 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
-	"certsql/internal/shard"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -19,13 +18,14 @@ import (
 // — the certain-answer translation's signature pattern, and per Section
 // 7 of the paper exactly the shape that forces real optimizers into
 // nested loops: the disjunction defeats hash-key extraction. This engine
-// hashes it anyway: the build side goes into a shard.KeyedBuild — a hash
-// index over the null-free keys plus a wild list of the null-keyed rows —
-// and a probe row verifies only its key's bucket merged with the wild
-// rows. The full condition is still evaluated per surviving candidate,
-// so the index is a pure superset filter, and candidates come in
-// ascending build order, so every consumer emits exactly the rows, in
-// exactly the order, of the nested loop it replaces. The same index
+// hashes it anyway: the build side goes into a table.Index under the
+// NullsWild policy — buckets for the null-free keys plus a wild list of
+// the null-keyed rows — and a probe row verifies only its key's bucket
+// merged with the wild rows. The full condition is still evaluated per
+// surviving candidate, so the index is a pure superset filter, and
+// candidates come in ascending build order, so every consumer emits
+// exactly the rows, in exactly the order, of the nested loop it
+// replaces. The same index
 // serves the join block's Cartesian step (unifyProduct), the
 // (anti-)semijoin's nested-loop arm (prepSemi) and R ⋉⇑ S
 // (evalUnifySemi), at every Shards and Parallelism setting — those
@@ -132,20 +132,21 @@ func (ev *Evaluator) unifyProduct(l, r *table.Table, lCol, rCol int, cond algebr
 	if err := ev.chargeUnifyBuild("unify-product", r.Len()); err != nil {
 		return nil, err
 	}
-	b := shard.BuildKeyed(r.Rows(), rCol, 1)
+	b := table.BuildIndex(r.Rows(), []int{rCol}, table.NullsWild, 0, nil)
 	// Built once, borrowed read-only by every probe partition: charged
 	// once here, at the owner.
 	n := b.EstimatedBytes()
+	defer ev.gov.ReleaseMem(n) // a failed charge too: ChargeMem adds before checking
 	if err := ev.gov.ChargeMem("unify-product", n); err != nil {
 		return nil, err
 	}
-	defer ev.gov.ReleaseMem(n)
 
 	arity := l.Arity() + r.Arity()
 	lRows, rRows := l.Rows(), r.Rows()
 	chunks := make([][]table.Row, ev.opts.workers())
 	maxRows := int64(ev.gov.MaxRows())
 	var outRows atomic.Int64
+	lCols := []int{lCol}
 	err := ev.runChunks(l.Len(), "unify-product", func(c *chunk) error {
 		var out []table.Row
 		row := c.scratch(arity)
@@ -156,7 +157,7 @@ func (ev *Evaluator) unifyProduct(l, r *table.Table, lCol, rCol int, cond algebr
 			lr := lRows[i]
 			copy(row, lr)
 			c.st.costUnits++
-			cur := b.Probe(lr[lCol])
+			cur := b.Probe(lr, lCols, &c.key)
 			for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
 				c.st.costUnits++
 				copy(row[len(lr):], rRows[ri])
@@ -185,7 +186,7 @@ func (ev *Evaluator) unifyProduct(l, r *table.Table, lCol, rCol int, cond algebr
 		return nil, err
 	}
 	ev.note("unify-product %d × %d on #%d ≈ #%d, wild-hash %d keyed / %d wild -> %d rows",
-		l.Len(), r.Len(), lCol, l.Arity()+rCol, b.Keyed(), len(b.Wild), out.Len())
+		l.Len(), r.Len(), lCol, l.Arity()+rCol, b.Keyed(), b.Wild(), out.Len())
 	return out, nil
 }
 
@@ -208,27 +209,27 @@ func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
 	if e.Anti {
 		name = "unify-antijoin"
 	}
-	rRows := r.Rows()
-	var b *shard.KeyedBuild
+	rRows, all := r.Rows(), rangeInts(r.Arity())
+	var b *table.Index
 	if !ev.opts.NoHashJoin {
 		if err := ev.chargeUnifyBuild(name, r.Len()); err != nil {
 			return nil, err
 		}
-		b = shard.BuildRows(rRows)
+		b = table.BuildIndex(rRows, all, table.NullsWild, 0, nil)
 		n := b.EstimatedBytes()
+		defer ev.gov.ReleaseMem(n) // a failed charge too: ChargeMem adds before checking
 		if err := ev.gov.ChargeMem(name, n); err != nil {
 			return nil, err
 		}
-		defer ev.gov.ReleaseMem(n)
-		ev.note("%s wild-hash %d keyed / %d wild", name, b.Keyed(), len(b.Wild))
+		ev.note("%s wild-hash %d keyed / %d wild", name, b.Keyed(), b.Wild())
 	} else {
 		ev.stats.NestedLoopJoins++
 	}
 	kept, err := ev.keepRows(name, l.Rows(), "", func(c *chunk, lr table.Row) (bool, error) {
-		cur := shard.ScanAll(len(rRows))
+		cur := table.ScanCursor(len(rRows))
 		if b != nil {
 			c.st.costUnits++
-			cur = b.ProbeRow(lr)
+			cur = b.Probe(lr, all, &c.key)
 		}
 		for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
 			c.st.costUnits++

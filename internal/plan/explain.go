@@ -132,9 +132,6 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 				if h.SlimVerify {
 					n.Notes = append(n.Notes, "slim-verify")
 				}
-				if h.NumKey {
-					n.Notes = append(n.Notes, "num-key")
-				}
 				if h.BuildDistinct > 0 {
 					n.Notes = append(n.Notes, "presize="+strconv.FormatInt(h.BuildDistinct, 10))
 				}

@@ -281,9 +281,8 @@ func TestWildHashStrategy(t *testing.T) {
 }
 
 // TestSemiHints checks hint derivation on a hash semijoin with a
-// numeric key: slim verification and the numeric-key specialization
-// both require the num-range premise, and pre-sizing uses the distinct
-// estimate.
+// numeric key: slim verification requires the num-range premise, and
+// pre-sizing uses the distinct estimate.
 func TestSemiHints(t *testing.T) {
 	db := planDB(t)
 	st := collect(db)
@@ -303,8 +302,8 @@ func TestSemiHints(t *testing.T) {
 	if !ok {
 		t.Fatalf("no hint under the semijoin's key; hints: %v", res.Hints.Semi)
 	}
-	if !h.SlimVerify || !h.NumKey {
-		t.Fatalf("hint = %+v, want SlimVerify and NumKey", h)
+	if !h.SlimVerify {
+		t.Fatalf("hint = %+v, want SlimVerify", h)
 	}
 	if h.BuildDistinct != 1 { // s.c holds one non-null distinct value
 		t.Fatalf("BuildDistinct = %d, want 1", h.BuildDistinct)

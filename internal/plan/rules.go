@@ -482,8 +482,7 @@ func hasMinters(e algebra.Expr) bool {
 }
 
 // hints walks the final expression and derives per-operator execution
-// hints: slim verification, the numeric key specialization, and hash
-// pre-sizing.
+// hints: slim verification, hash pre-sizing and fused builds.
 func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
 	semi := map[string]eval.SemiHint{}
 	algebra.Walk(e, func(x algebra.Expr) {
@@ -558,17 +557,6 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 	if slim {
 		h.SlimVerify = true
 		o.fired[RuleSlimVerify] = true
-	}
-	// Numeric-key specialization: a single key pair where both sides
-	// are numeric-typed base columns, mirroring the tuple-key encoding
-	// exactly (no premise needed — bucketing is bit-identical).
-	if len(lCols) == 1 {
-		lk, lok := originType(sj.L, o.sch, lCols[0])
-		rk, rok := originType(sj.R, o.sch, rCols[0])
-		if lok && rok && isNumericKind(lk) && isNumericKind(rk) {
-			h.NumKey = true
-			o.fired[RuleNumKey] = true
-		}
 	}
 	// Fused build: a selection directly over a stored relation can be
 	// applied inside the hash build loop, never materializing the

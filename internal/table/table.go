@@ -125,11 +125,21 @@ func (t *Table) Distinct() *Table {
 	return out
 }
 
-// Contains reports whether the table contains a row identical to r.
+// Contains reports whether the table contains a row identical to r:
+// one whose key encoding, marks included, is r's. Every stored row is
+// encoded into the same reused buffer.
 func (t *Table) Contains(r Row) bool {
-	k := value.RowKey(r)
+	if len(r) != t.arity {
+		return false // every value encodes to at least one byte: no row of another arity matches
+	}
+	all := make([]int, t.arity)
+	for i := range all {
+		all[i] = i
+	}
+	want, _ := appendKey(nil, r, all, NullsByMark)
+	var buf []byte
 	for _, s := range t.rows {
-		if value.RowKey(s) == k {
+		if buf, _ = appendKey(buf[:0], s, all, NullsByMark); string(buf) == string(want) {
 			return true
 		}
 	}

@@ -34,17 +34,6 @@ func AppendKey(b []byte, v Value) []byte {
 	return b
 }
 
-// TupleKey builds a canonical string key for the projection of row onto
-// cols, for use in hash tables. Using string keys lets Go's map do the
-// hashing and equality.
-func TupleKey(row []Value, cols []int) string {
-	b := make([]byte, 0, 16*len(cols))
-	for _, c := range cols {
-		b = AppendKey(b, row[c])
-	}
-	return string(b)
-}
-
 // RowKey builds a canonical string key for an entire row.
 func RowKey(row []Value) string {
 	b := make([]byte, 0, 16*len(row))
