@@ -2,6 +2,7 @@ package certsql_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -416,5 +417,85 @@ func TestAPIRewritePossible(t *testing.T) {
 	}
 	if _, err := db.RewritePossible(`SELECT dept, COUNT(*) FROM emp GROUP BY dept`, nil); err == nil {
 		t.Error("RewritePossible accepted an aggregate query")
+	}
+}
+
+// TestAPISignedZeroKeys: -0.0, 0.0 and integer 0 compare equal, so
+// every hash-keyed operator must treat them as one key — EXISTS, NOT
+// EXISTS, joins, INTERSECT, GROUP BY and DISTINCT alike — and agree
+// with nested loops (NoHashJoin) and the unoptimized plans
+// (NaivePlanner).
+func TestAPISignedZeroKeys(t *testing.T) {
+	db := certsql.MustOpen(
+		certsql.Table{Name: "r", Columns: []certsql.Column{{Name: "a", Type: certsql.TFloat}}},
+		certsql.Table{Name: "s", Columns: []certsql.Column{{Name: "b", Type: certsql.TInt}}},
+	)
+	for _, row := range []struct {
+		table string
+		v     any
+	}{{"r", certsql.Float(math.Copysign(0, -1))}, {"r", 0.0}, {"r", 1.5}, {"s", 0}, {"s", 2}} {
+		if err := db.Insert(row.table, row.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name, sql string
+		rows      int
+		certain   bool // also run as SELECT CERTAIN and against brute force
+	}{
+		{"exists", `SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE a = b)`, 2, true},
+		{"not-exists", `SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE a = b)`, 1, true},
+		{"join", `SELECT a, b FROM r, s WHERE a = b`, 2, true},
+		{"intersect", `SELECT a FROM r INTERSECT SELECT b FROM s`, 1, true},
+		{"group-by", `SELECT a, COUNT(*) FROM r GROUP BY a`, 2, false},
+		{"distinct", `SELECT DISTINCT a FROM r`, 2, true},
+	}
+	optSets := []struct {
+		name string
+		opts certsql.Options
+	}{{"default", certsql.Options{}}, {"no-hash-join", certsql.Options{NoHashJoin: true}}, {"naive-planner", certsql.Options{NaivePlanner: true}}}
+	for _, c := range cases {
+		modes := []string{"standard"}
+		if c.certain {
+			modes = append(modes, "certain")
+		}
+		for _, mode := range modes {
+			text, err := certsql.WithMode(c.sql, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first *certsql.Result
+			for _, o := range optSets {
+				res, err := db.QueryWithOptions(text, nil, o.opts)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", c.name, mode, o.name, err)
+				}
+				got := res.SortedStrings()
+				if len(got) != c.rows {
+					t.Errorf("%s/%s/%s: %d rows %v, want %d", c.name, mode, o.name, len(got), got, c.rows)
+				}
+				if first == nil {
+					first = res
+				} else if want := first.SortedStrings(); strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Errorf("%s/%s: %s gives %v, default gives %v", c.name, mode, o.name, got, want)
+				}
+			}
+			if mode != "certain" {
+				continue
+			}
+			// Brute force returns a set, one row per key: compare by
+			// mutual containment, which matches rows by key.
+			truth, err := db.CertainGroundTruth(c.sql, nil)
+			if err != nil {
+				t.Fatalf("%s: ground truth: %v", c.name, err)
+			}
+			for _, pair := range [][2]*certsql.Result{{truth, first}, {first, truth}} {
+				for _, row := range pair[0].Rows() {
+					if !pair[1].Contains(row...) {
+						t.Errorf("%s: ground truth %v, SELECT CERTAIN %v", c.name, truth.SortedStrings(), first.SortedStrings())
+					}
+				}
+			}
+		}
 	}
 }

@@ -20,10 +20,8 @@ package certsql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"certsql/internal/algebra"
 	"certsql/internal/analyze"
 	"certsql/internal/certain"
 	"certsql/internal/compile"
@@ -439,15 +437,6 @@ var ErrUntranslatable = certain.ErrUntranslatable
 // crashing the caller. Retrieve with errors.As.
 type InternalError = guard.InternalError
 
-// evalMode is how a parsed query should be evaluated.
-type evalMode uint8
-
-const (
-	modeStandard evalMode = iota
-	modeCertain
-	modePossible
-)
-
 // leadSelect returns the SelectStmt that carries the CERTAIN/POSSIBLE
 // flags: the body itself, or the leftmost operand of a set operation
 // (where the parser attaches the keyword for e.g. `SELECT CERTAIN ...
@@ -481,158 +470,28 @@ func forcePossible(q *sql.Query) {
 
 // takeMode reads and strips the CERTAIN/POSSIBLE flags (the compiler
 // does not know them).
-func takeMode(q *sql.Query) evalMode {
-	sel := leadSelect(q.Body)
-	if sel == nil {
-		return modeStandard
+func takeMode(q *sql.Query) plancache.Mode {
+	mode := plancache.ModeStandard
+	if sel := leadSelect(q.Body); sel != nil {
+		switch {
+		case sel.Certain:
+			mode = plancache.ModeCertain
+		case sel.Possible:
+			mode = plancache.ModePossible
+		}
+		sel.Certain, sel.Possible = false, false
 	}
-	switch {
-	case sel.Certain:
-		sel.Certain = false
-		return modeCertain
-	case sel.Possible:
-		sel.Possible = false
-		return modePossible
-	default:
-		return modeStandard
-	}
+	return mode
 }
 
-func (db *DB) runParsed(gov *guard.Governor, q *sql.Query, params Params, opts Options) (res *Result, err error) {
-	// The public API never panics: an engine bug that escapes the
-	// executor's own containment surfaces as a *guard.InternalError
-	// carrying the recovery point and stack.
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, guard.NewInternalError("certsql/query", v)
-		}
-	}()
-	mode := takeMode(q)
-	compiled, err := compile.Compile(q, db.d.Schema, params)
+// runParsed runs an ad-hoc query: the prepared route's plan, compiled
+// for this one execution and not cached.
+func (db *DB) runParsed(gov *guard.Governor, q *sql.Query, params Params, opts Options) (*Result, error) {
+	pl, err := db.compilePlan(q, params, opts)
 	if err != nil {
 		return nil, err
 	}
-	orig := compiled.Expr
-	if mode != modeStandard {
-		if err := certain.CheckTranslatable(orig); err != nil {
-			return nil, err
-		}
-	}
-	switch mode {
-	case modeCertain:
-		return db.evalCertain(gov, orig, compiled.Columns, opts)
-	case modePossible:
-		star := opts.translator(db).Star(orig)
-		res, err := db.evalExpr(gov, star, compiled.Columns, opts)
-		if err == nil {
-			res.Possible = true
-			return res, nil
-		}
-		// Degradation ladder (opt-in): when Q⋆ trips a resource budget
-		// — never on cancellation or deadline expiry, which don't match
-		// ErrBudget — fall back to the certain route under a fresh
-		// governor with the same limits and context. Certain answers
-		// under-approximate where potential answers over-approximate,
-		// so every returned row is still a guaranteed answer.
-		if !opts.Degrade || !errors.Is(err, guard.ErrBudget) {
-			return nil, err
-		}
-		res, derr := db.evalCertain(gov.Fresh(), orig, compiled.Columns, opts)
-		if derr != nil {
-			return nil, derr
-		}
-		res.Degraded = true
-		res.Warnings = append(res.Warnings, Warning{
-			Code: WarnDegradedToCertain,
-			Message: fmt.Sprintf("potential-answer translation exceeded its resource budget (%v); "+
-				"returning certain answers instead — a sound under-approximation", err),
-		})
-		return res, nil
-	default:
-		return db.evalExpr(gov, orig, compiled.Columns, opts)
-	}
-}
-
-// evalCertain runs the certain-answer route for an already-compiled
-// query: the analyzer fast path when it applies, the Q⁺ translation
-// otherwise.
-func (db *DB) evalCertain(gov *guard.Governor, orig algebra.Expr, cols []string, opts Options) (*Result, error) {
-	expr := orig
-	fastPath := false
-	// Fast path: when the static analyzer proves the query safe —
-	// plain evaluation returns exactly the certain answers on every
-	// database conforming to the schema — skip the Q⁺ translation and
-	// run the query as-is. The verdict leans on the schema's NOT NULL
-	// declarations, which Insert enforces only on request, so the
-	// database's O(1) conformance counter (maintained incrementally by
-	// Insert and ReplaceRow) gates the verdict; a non-conforming
-	// database still gets correct certain answers via the translation
-	// route.
-	//
-	// Identity is NOT a valid potential-answer translation Q⋆ (it
-	// under-approximates), so the possible route never comes here.
-	if !opts.NoAnalyzerFastPath && analyze.Plan(orig, db.d.Schema).Safe && db.d.ConformsNonNull() {
-		fastPath = true
-	} else {
-		expr = opts.translator(db).Plus(orig)
-	}
-	res, err := db.evalExpr(gov, expr, cols, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Certain = true
-	if fastPath {
-		res.Stats.FastPathHits = 1
-	}
-	return res, nil
-}
-
-// evalExpr evaluates one algebra expression under the governor.
-func (db *DB) evalExpr(gov *guard.Governor, expr algebra.Expr, cols []string, opts Options) (*Result, error) {
-	return db.evalExprShaped(gov, expr, nil, cols, opts)
-}
-
-// evalExprShaped is evalExpr with a plan-cached iterator-tree
-// annotation: prepared executions hand the streaming engine the shape
-// captured at compile time, ad-hoc executions pass nil and the engine
-// derives pipeline boundaries on the fly.
-//
-// Ad-hoc executions (shape == nil) run the cost-based planner here,
-// against statistics collected from the live data — every premise the
-// planner records holds by construction, so no premise re-check is
-// needed on this route. Prepared executions plan at compile time
-// instead and re-check premises in runPlan.
-func (db *DB) evalExprShaped(gov *guard.Governor, expr algebra.Expr, shape *eval.Shape, cols []string, opts Options) (*Result, error) {
-	var hints *eval.PlanHints
-	if shape == nil && !opts.NaivePlanner {
-		st, err := db.collectStats(gov)
-		if err != nil {
-			return nil, err
-		}
-		pr, err := plan.Optimize(expr, db.d.Schema, st, gov)
-		if err != nil {
-			return nil, err
-		}
-		expr, hints = pr.Expr, pr.Hints
-	}
-	return db.evalExprPlanned(gov, expr, shape, hints, cols, opts)
-}
-
-// evalExprPlanned is the evaluation tail shared by the ad-hoc and
-// prepared routes: expression, shape annotation and planner hints are
-// all settled, only execution remains. Shards needs no planning of its
-// own — it routes probe rows, and every operator builds the same
-// structures at any shard count — so the plan cache stays
-// shard-agnostic (Shards is deliberately absent from its fingerprint).
-func (db *DB) evalExprPlanned(gov *guard.Governor, expr algebra.Expr, shape *eval.Shape, hints *eval.PlanHints, cols []string, opts Options) (*Result, error) {
-	eo := opts.evalOptions(gov)
-	eo.Shape, eo.Hints = shape, hints
-	ev := eval.New(db.d, eo)
-	t, err := ev.Eval(expr)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: cols, rows: t, Stats: ev.Stats(), trace: ev.Trace()}, nil
+	return db.runPlan(gov, pl, opts)
 }
 
 // QueryPossible evaluates the query's potential-answer translation Q⋆:
@@ -798,29 +657,11 @@ func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params
 	if err != nil {
 		return "", err
 	}
-	mode := takeMode(q)
-	compiled, err := compile.Compile(q, db.d.Schema, params)
+	pl, err := db.compilePlan(q, params, opts)
 	if err != nil {
 		return "", err
 	}
-	expr := compiled.Expr
-	if mode != modeStandard {
-		if err := certain.CheckTranslatable(expr); err != nil {
-			return "", err
-		}
-	}
-	switch mode {
-	case modeStandard:
-		// standard evaluation explains the compiled expression as-is
-	case modeCertain:
-		// Mirror evalCertain's route choice so the explained plan is the
-		// one a query would actually run.
-		if opts.NoAnalyzerFastPath || !analyze.Plan(expr, db.d.Schema).Safe || !db.d.ConformsNonNull() {
-			expr = opts.translator(db).Plus(expr)
-		}
-	case modePossible:
-		expr = opts.translator(db).Star(expr)
-	}
+	expr, _, _ := db.pick(pl, pl.Mode, opts)
 	st, err := db.collectStats(gov)
 	if err != nil {
 		return "", err

@@ -35,19 +35,28 @@ func bruteCompile(t *testing.T, db *table.Database, query string) *compile.Compi
 // retry over the same database reproduces the full certain answers.
 func TestBruteForceCancelMidEnumeration(t *testing.T) {
 	db := bruteDB(t)
-	query := `SELECT r.a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE r.a = s.a)`
+	// The certain answer must be non-empty: the workers stop as soon as
+	// no candidate survives, and the later cancellation points would
+	// then never be reached. Here (2) survives every valuation, so every
+	// valuation runs, and the reference run counts them.
+	query := `SELECT r.a FROM r WHERE EXISTS (SELECT * FROM s WHERE r.a = s.a)`
 	compiled := bruteCompile(t, db, query)
 
-	want, err := certain.CertainAnswers(compiled.Expr, db, certain.BruteForceOptions{Parallelism: 1})
+	count := faultinject.New()
+	countGov := guard.Background(guard.Limits{})
+	countGov.SetFaultHook(count)
+	want, err := certain.CertainAnswers(compiled.Expr, db, certain.BruteForceOptions{Parallelism: 1, Governor: countGov})
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := count.Hits(guard.SiteValuation)
+	if want.Len() == 0 || total < 3 {
+		t.Fatalf("fixture needs a non-empty certain answer and several valuations: %d rows, %d valuations", want.Len(), total)
+	}
 	baseGoroutines := runtime.NumGoroutine()
 
-	// Several seeded cancellation points: early, mid-stream, and deep
-	// into the enumeration (a full run of this query evaluates ten
-	// valuations, so all three points are reachable).
-	for _, hit := range []int{1, 4, 9} {
+	// Cancel at the first valuation, mid-stream, and at the last one.
+	for _, hit := range []int{1, total / 2, total} {
 		ctx, cancel := context.WithCancel(context.Background())
 		inj := faultinject.New(faultinject.Fault{Site: guard.SiteValuation, Kind: faultinject.KindCancel, HitNumber: hit})
 		inj.SetCancel(cancel)

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -174,6 +175,8 @@ func TestValueLit(t *testing.T) {
 	}{
 		{value.Int(-7), "value.Int(-7)"},
 		{value.Float(0.5), "value.Float(0.5)"},
+		{value.Float(0), "value.Float(0)"},
+		{value.Float(math.Copysign(0, -1)), "value.Float(math.Copysign(0, -1))"},
 		{value.Str("a'b"), `value.Str("a'b")`},
 		{value.Bool(true), "value.Bool(true)"},
 		{value.Null(12), "value.Null(12)"},

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -65,7 +66,11 @@ func GoRepro(name string, db *table.Database, sqlText string) string {
 	fmt.Fprintf(&b, "\trep := difftest.Check(db, %q, difftest.Options{RequireValid: true})\n", sqlText)
 	b.WriteString("\tif rep.Failed() {\n\t\tt.Fatal(rep.Summary())\n\t}\n")
 	b.WriteString("}\n")
-	return b.String()
+	src := b.String()
+	if strings.Contains(src, "math.") {
+		src = strings.Replace(src, "// Imports: ", "// Imports: math, ", 1)
+	}
+	return src
 }
 
 // analyzerVerdict summarizes the static analyzer's view of the case for
@@ -128,6 +133,9 @@ func valueLit(v value.Value) string {
 	case value.KindInt:
 		return fmt.Sprintf("value.Int(%d)", v.AsInt())
 	case value.KindFloat:
+		if f := v.AsFloat(); f == 0 && math.Signbit(f) {
+			return "value.Float(math.Copysign(0, -1))" // Go constant -0 is +0
+		}
 		return "value.Float(" + strconv.FormatFloat(v.AsFloat(), 'g', -1, 64) + ")"
 	case value.KindString:
 		return fmt.Sprintf("value.Str(%q)", v.AsString())

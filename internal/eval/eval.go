@@ -97,10 +97,8 @@ type Options struct {
 	// NoShortCircuit disables the uncorrelated-subquery short circuit.
 	NoShortCircuit bool
 
-	// Shape is an optional precomputed streamability annotation for the
-	// expression passed to Eval (see ShapeOf). Plans cache it so
-	// prepared executions skip re-deriving pipeline boundaries. Nil
-	// means derive on the fly; a stale or mismatched shape is ignored.
+	// Shape is not read by the evaluator. It is kept only because the
+	// benchmark module (bench/) still sets it; see Shape.
 	Shape *Shape
 
 	// Hints carries the cost-based planner's per-operator execution
@@ -274,7 +272,7 @@ func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
 	if !ev.opts.NoSubplanCache {
 		ev.markShared(e)
 	}
-	return ev.drainExpr(e, ev.rootShape(e), true)
+	return ev.drainExpr(e, true)
 }
 
 // evalChild evaluates a child expression of a buffered operator body:
@@ -282,7 +280,7 @@ func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
 // Every operator body evaluates its children through here, left before
 // right, which fixes the minting order of freshAggNull marks.
 func (ev *Evaluator) evalChild(e algebra.Expr) (*table.Table, error) {
-	return ev.drainExpr(e, nil, false)
+	return ev.drainExpr(e, false)
 }
 
 // opName names an algebra node for error reports and operator paths.

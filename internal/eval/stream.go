@@ -12,26 +12,18 @@ import (
 // behind a memory frame.
 
 // streamable reports whether e runs as an iterator pipeline. A Select
-// whose FROM clause joins two or more relations is planned as a hash
-// join block and buffers; with hash joins disabled it degenerates to
-// filter-over-product and the filter streams.
-//
-// The shape annotation is consulted for that one decision only — it
-// saves flattening the product chain per execution — so no annotation,
-// however stale, can send a streamable operator to evalUncached.
-func (ev *Evaluator) streamable(e algebra.Expr, sh *Shape) bool {
+// whose FROM clause joins two or more relations — its child is a
+// product — is planned as a hash join block and buffers; with hash
+// joins disabled it degenerates to filter-over-product and the filter
+// streams.
+func (ev *Evaluator) streamable(e algebra.Expr) bool {
 	switch e := e.(type) { // astlint:partial — everything else buffers
 	case algebra.Base, algebra.Project, algebra.Limit, algebra.Distinct,
 		algebra.Union, algebra.SemiJoin:
 		return true
 	case algebra.Select:
-		if ev.opts.NoHashJoin {
-			return true
-		}
-		if sh != nil && sh.Op == opName(e) {
-			return sh.Stream
-		}
-		return len(flattenProduct(e.Child)) < 2
+		_, join := e.Child.(algebra.Product)
+		return ev.opts.NoHashJoin || !join
 	default:
 		return false
 	}
@@ -151,22 +143,12 @@ func (ev *Evaluator) markShared(e algebra.Expr) {
 	}
 }
 
-// rootShape returns the precomputed shape annotation for the root
-// expression when one was supplied and matches; a stale shape (a
-// different plan's, say) is discarded rather than trusted.
-func (ev *Evaluator) rootShape(e algebra.Expr) *Shape {
-	if sh := ev.opts.Shape; sh != nil && sh.Op == opName(e) {
-		return sh
-	}
-	return nil
-}
-
 // drainExpr evaluates e and returns its materialized result. top marks
 // the root of an Eval call: a root Base drains through a scan pipeline
 // (so even a bare scan's result is charged and budget-checked), while
 // an interior Base is served as the stored relation itself — storage,
 // not executor-materialized state, so it carries no memory charge.
-func (ev *Evaluator) drainExpr(e algebra.Expr, sh *Shape, top bool) (*table.Table, error) {
+func (ev *Evaluator) drainExpr(e algebra.Expr, top bool) (*table.Table, error) {
 	if _, ok := e.(algebra.Base); ok && !top {
 		return ev.evalUncached(e)
 	}
@@ -180,7 +162,7 @@ func (ev *Evaluator) drainExpr(e algebra.Expr, sh *Shape, top bool) (*table.Tabl
 		}
 	}
 	ev.pushFrame()
-	t, err := ev.drainScope(e, sh)
+	t, err := ev.drainScope(e)
 	ev.popFrame(t)
 	if err != nil {
 		return nil, err
@@ -202,9 +184,9 @@ func (ev *Evaluator) drainExpr(e algebra.Expr, sh *Shape, top bool) (*table.Tabl
 // streamable subtrees drain a pipeline (memory charged per batch),
 // buffered ones run their operator body and charge their result at the
 // operator boundary.
-func (ev *Evaluator) drainScope(e algebra.Expr, sh *Shape) (*table.Table, error) {
-	if ev.streamable(e, sh) {
-		it, err := ev.buildIterNode(e, sh)
+func (ev *Evaluator) drainScope(e algebra.Expr) (*table.Table, error) {
+	if ev.streamable(e) {
+		it, err := ev.buildIterNode(e)
 		if err != nil {
 			return nil, err
 		}
@@ -228,19 +210,19 @@ func (ev *Evaluator) drainScope(e algebra.Expr, sh *Shape) (*table.Table, error)
 // bufferedIter boundary; everything else composes as iterator nodes.
 // Construction is where all buffered work happens, so by the time the
 // first batch is pulled, the pipeline's eager inputs are complete.
-func (ev *Evaluator) buildIter(e algebra.Expr, sh *Shape) (iter, error) {
-	if !ev.streamable(e, sh) || ev.sharedView(e) {
-		t, err := ev.drainExpr(e, sh, false)
+func (ev *Evaluator) buildIter(e algebra.Expr) (iter, error) {
+	if !ev.streamable(e) || ev.sharedView(e) {
+		t, err := ev.drainExpr(e, false)
 		if err != nil {
 			return nil, err
 		}
 		return &bufferedIter{t: t}, nil
 	}
-	return ev.buildIterNode(e, sh)
+	return ev.buildIterNode(e)
 }
 
 // buildIterNode compiles one streamable operator into its iterator.
-func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
+func (ev *Evaluator) buildIterNode(e algebra.Expr) (iter, error) {
 	if err := ev.gov.Poll(opName(e)); err != nil {
 		return nil, err
 	}
@@ -249,14 +231,14 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 		return ev.newScanIter(e)
 
 	case algebra.Select:
-		child, err := ev.buildIter(e.Child, sh.kid(0))
+		child, err := ev.buildIter(e.Child)
 		if err != nil {
 			return nil, err
 		}
 		return ev.newFilterIter(child, e.Cond)
 
 	case algebra.Project:
-		child, err := ev.buildIter(e.Child, sh.kid(0))
+		child, err := ev.buildIter(e.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -266,25 +248,25 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 		if e.N < 0 {
 			return nil, errNegativeLimit(e.N)
 		}
-		child, err := ev.buildIter(e.Child, sh.kid(0))
+		child, err := ev.buildIter(e.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &limitIter{child: child, left: e.N}, nil
 
 	case algebra.Distinct:
-		child, err := ev.buildIter(e.Child, sh.kid(0))
+		child, err := ev.buildIter(e.Child)
 		if err != nil {
 			return nil, err
 		}
 		return ev.newDistinctIter(child, "distinct"), nil
 
 	case algebra.Union:
-		l, err := ev.buildIter(e.L, sh.kid(0))
+		l, err := ev.buildIter(e.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := ev.buildIter(e.R, sh.kid(1))
+		r, err := ev.buildIter(e.R)
 		if err != nil {
 			l.close()
 			return nil, err
@@ -293,12 +275,12 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 		return ev.newDistinctIter(u, ""), nil
 
 	case algebra.SemiJoin:
-		return ev.buildSemiIter(e, sh)
+		return ev.buildSemiIter(e)
 
 	default:
 		// Unreachable from buildIter (streamable gates the types above),
 		// kept as a buffered fallback.
-		t, err := ev.drainExpr(e, sh, false)
+		t, err := ev.drainExpr(e, false)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +294,7 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 // the right side eagerly (prepSemi) and streams probe batches through
 // it. The evaluation order is left pipeline construction, then the
 // right side.
-func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) {
+func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin) (iter, error) {
 	nL := e.L.Arity()
 	cond := semiCond(e)
 	correlated := algebra.UsesColBelow(cond, nL)
@@ -324,9 +306,9 @@ func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) 
 		if exists == e.Anti {
 			return &emptyIter{ar: nL}, nil // empty result, L never evaluated
 		}
-		return ev.buildIter(e.L, sh.kid(0))
+		return ev.buildIter(e.L)
 	}
-	child, err := ev.buildIter(e.L, sh.kid(0))
+	child, err := ev.buildIter(e.L)
 	if err != nil {
 		return nil, err
 	}

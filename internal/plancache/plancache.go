@@ -91,38 +91,60 @@ type Plan struct {
 	// at execute time — it is O(1) and the data may change between
 	// executions of one cached plan.
 	AnalyzerSafe bool
-	// RewriteSQL is the SQL rendering of the executed certain
-	// translation, when one was requested ("" otherwise).
-	RewriteSQL string
-	// OrigShape, PlusShape and StarShape are the streaming executor's
-	// iterator-tree annotations for the corresponding expressions,
-	// captured at compile time so prepared executions skip re-deriving
-	// pipeline boundaries. Purely advisory: the evaluator validates
-	// them and falls back to on-the-fly derivation on any mismatch.
+	// OrigShape, PlusShape and StarShape are not set or read by the
+	// engine; they are kept only because the benchmark module (bench/)
+	// sets them (see eval.Shape).
 	OrigShape *eval.Shape
 	PlusShape *eval.Shape
 	StarShape *eval.Shape
 	// OrigOpt, PlusOpt and StarOpt are the cost-based planner's
-	// optimized variants of the corresponding expressions (nil when the
-	// planner produced no change worth caching). An execution uses a
-	// variant only when its premises still hold under the current
-	// statistics and Options.NaivePlanner is off; otherwise it falls
-	// back to the baseline expression above, so a cached variant can go
-	// stale but never wrong.
+	// optimized variants of the corresponding expressions, built by the
+	// first execution that runs the expression with the planner on (see
+	// Variant) and nil until then. An execution uses a variant only when
+	// its premises still hold under the current statistics; otherwise it
+	// falls back to the baseline expression above, so a cached variant
+	// can go stale but never wrong.
 	OrigOpt *Optimized
 	PlusOpt *Optimized
 	StarOpt *Optimized
+
+	mu sync.Mutex // guards the *Opt fields, which Variant fills in
+}
+
+// Variant returns *slot — one of p's OrigOpt, PlusOpt and StarOpt —
+// building it with build on first use. A failed build stores nothing,
+// so a canceled or faulted execution leaves the plan as it found it.
+// Concurrent first uses may each build; the first result stored wins.
+func (p *Plan) Variant(slot **Optimized, build func() (*Optimized, error)) (*Optimized, error) {
+	p.mu.Lock()
+	o := *slot
+	p.mu.Unlock()
+	if o != nil {
+		return o, nil
+	}
+	o, err := build()
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if *slot == nil {
+		*slot = o
+	}
+	return *slot, nil
 }
 
 // Optimized is one cost-based-planner output cached alongside its
-// baseline expression: the rewritten plan, its iterator shape, the
-// executor hints, the data-dependent premises the rewrites rely on,
-// and the rendered EXPLAIN for serving-layer introspection.
+// baseline expression: the rewritten plan (the baseline itself when no
+// rule fired), the executor hints and the data-dependent premises the
+// rewrites rely on. Shape and Explain are
+// not set or read by the engine; they are kept only because the
+// benchmark module (bench/) sets them.
 type Optimized struct {
 	Expr     algebra.Expr
-	Shape    *eval.Shape
 	Hints    *eval.PlanHints
 	Premises []plan.Premise
+	Shape    *eval.Shape
 	Explain  string
 }
 

@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -53,13 +54,13 @@ func TestKeyComponentsDistinguishPlans(t *testing.T) {
 
 func TestPutReplacesAndPurge(t *testing.T) {
 	c := New(4)
-	c.Put(key(1), &Plan{RewriteSQL: "old"})
-	c.Put(key(1), &Plan{RewriteSQL: "new"})
+	c.Put(key(1), &Plan{Columns: []string{"old"}})
+	c.Put(key(1), &Plan{Columns: []string{"new"}})
 	if c.Len() != 1 {
 		t.Fatalf("replace grew the cache to %d entries", c.Len())
 	}
-	if p, _ := c.Get(key(1)); p.RewriteSQL != "new" {
-		t.Fatalf("replace kept the old plan: %q", p.RewriteSQL)
+	if p, _ := c.Get(key(1)); p.Columns[0] != "new" {
+		t.Fatalf("replace kept the old plan: %q", p.Columns)
 	}
 	c.Purge()
 	if c.Len() != 0 {
@@ -98,5 +99,45 @@ func TestConcurrentAccess(t *testing.T) {
 	st := c.Stats()
 	if st.Len > 8 {
 		t.Fatalf("cache exceeded its bound: %d entries", st.Len)
+	}
+}
+
+// TestVariantBuildsOnFirstUse: a failed build leaves the slot empty,
+// concurrent first uses all get the one stored variant, and a stored
+// variant is returned without building again.
+func TestVariantBuildsOnFirstUse(t *testing.T) {
+	p := &Plan{}
+	errBuild := errors.New("build failed")
+	if _, err := p.Variant(&p.PlusOpt, func() (*Optimized, error) { return nil, errBuild }); !errors.Is(err, errBuild) {
+		t.Fatalf("failed build: err = %v", err)
+	}
+	if p.PlusOpt != nil {
+		t.Fatal("a failed build stored a variant")
+	}
+	got := make([]*Optimized, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			o, err := p.Variant(&p.PlusOpt, func() (*Optimized, error) { return &Optimized{}, nil })
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = o
+		}(i)
+	}
+	wg.Wait()
+	for i, o := range got {
+		if o == nil || o != got[0] {
+			t.Fatalf("first use %d got variant %p, others %p", i, o, got[0])
+		}
+	}
+	o, err := p.Variant(&p.PlusOpt, func() (*Optimized, error) { return nil, errBuild })
+	if err != nil || o != got[0] {
+		t.Fatalf("stored variant rebuilt: %p, %v", o, err)
+	}
+	if p.OrigOpt != nil || p.StarOpt != nil {
+		t.Fatal("building one slot filled another")
 	}
 }

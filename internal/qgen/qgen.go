@@ -23,6 +23,7 @@ package qgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"certsql/internal/schema"
@@ -167,6 +168,20 @@ func constPool(kind value.Kind) []value.Value {
 	}
 }
 
+// dataPool is the domain stored values are drawn from: constPool's,
+// except that floats trade 0.5 for both signed zeros. -0.0 and 0.0
+// compare equal (to each other and to Int(0)) but differ in their IEEE
+// bits, which is where a key encoding can split them; trading keeps the
+// number of distinct float values, and so the brute-force valuation
+// space, as it was. The zeros stay out of query literals, where the
+// dialect cannot spell -0.0.
+func dataPool(kind value.Kind) []value.Value {
+	if kind == value.KindFloat {
+		return []value.Value{value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(1.5), value.Float(2.5)}
+	}
+	return constPool(kind)
+}
+
 // Database draws a random incomplete instance of sch: up to
 // MaxRowsPerRelation rows per relation, constants from small per-kind
 // domains, and up to MaxNulls marked nulls confined to nullable
@@ -191,7 +206,7 @@ func Database(rng *rand.Rand, sch *schema.Schema, tn Tuning) *table.Database {
 			lastMark[attr.Type] = mark
 			return mark
 		}
-		pool := constPool(attr.Type)
+		pool := dataPool(attr.Type)
 		return pool[rng.Intn(len(pool))]
 	}
 	for _, name := range sch.Names() {

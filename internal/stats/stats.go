@@ -371,7 +371,11 @@ func hashValue(v value.Value) uint64 {
 	case value.KindInt:
 		word(uint64(v.AsInt()))
 	case value.KindFloat:
-		word(math.Float64bits(v.AsFloat()))
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0 // -0.0 and 0.0 are one value (value.Compare)
+		}
+		word(math.Float64bits(f))
 	case value.KindDate:
 		word(uint64(v.AsDate()))
 	case value.KindBool:

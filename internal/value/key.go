@@ -8,8 +8,9 @@ import (
 // AppendKey appends a canonical binary encoding of v to b, suitable for
 // use as a hash-join or grouping key. The encoding is injective on
 // constants up to numeric equality (integers and integral floats that
-// compare equal encode identically) and distinguishes nulls by mark, so
-// that under naive semantics nulls can participate in hash joins.
+// compare equal encode identically, and so do -0.0 and 0) and
+// distinguishes nulls by mark, so that under naive semantics nulls can
+// participate in hash joins.
 func AppendKey(b []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
@@ -20,7 +21,7 @@ func AppendKey(b []byte, v Value) []byte {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(float64(v.i)))
 	case KindFloat:
 		b = append(b, 1) // same tag as int: numeric values join across kinds
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.f))
+		b = binary.BigEndian.AppendUint64(b, floatBits(v.f))
 	case KindString:
 		b = append(b, 2)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(v.s)))
@@ -66,7 +67,7 @@ func FoldKey(h uint64, v Value) uint64 {
 		h = fold64(h, math.Float64bits(float64(v.i)))
 	case KindFloat:
 		h = (h ^ 1) * keyPrime // same tag as int: numeric values hash across kinds
-		h = fold64(h, math.Float64bits(v.f))
+		h = fold64(h, floatBits(v.f))
 	case KindString:
 		h = (h ^ 2) * keyPrime
 		h = fold32(h, uint32(len(v.s)))
@@ -81,6 +82,16 @@ func FoldKey(h uint64, v Value) uint64 {
 		h = (h ^ uint64(byte(v.i))) * keyPrime
 	}
 	return h
+}
+
+// floatBits is the key encoding's view of a float: its IEEE bits with
+// the zero canonicalized, because Compare calls -0.0 equal to 0 (and
+// to Int(0)) while their bits differ.
+func floatBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 // fold64 folds x's big-endian bytes into the FNV-1a state h.

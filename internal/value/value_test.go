@@ -254,7 +254,9 @@ func randomValue(rng *rand.Rand) Value {
 	case 1:
 		return Str([]string{"a", "b"}[rng.Intn(2)])
 	case 2:
-		return Float(float64(rng.Intn(3)))
+		// Signed, so -0.0 meets 0.0 and Int(0): equal under Compare,
+		// different IEEE bits.
+		return Float(float64(rng.Intn(3)) * float64(1-2*rng.Intn(2)))
 	case 3:
 		return Null(int64(rng.Intn(3)))
 	default:

@@ -44,16 +44,8 @@ func (db *DB) Prepare(text string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := plancache.ModeStandard
-	if sel := leadSelect(q.Body); sel != nil {
-		switch {
-		case sel.Certain:
-			mode = plancache.ModeCertain
-		case sel.Possible:
-			mode = plancache.ModePossible
-		}
-	}
-	return &Prepared{db: db, text: q.SQL(), mode: mode}, nil
+	canonical := q.SQL() // rendered before takeMode strips the keyword
+	return &Prepared{db: db, text: canonical, mode: takeMode(q)}, nil
 }
 
 // Text returns the canonical statement text.
@@ -114,9 +106,11 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 	}
 	pl, hit := p.db.plans.Get(key)
 	if !hit {
-		var err error
-		pl, err = p.db.compilePlan(gov, p.text, params, opts)
+		q, err := sql.Parse(p.text)
 		if err != nil {
+			return nil, err
+		}
+		if pl, err = p.db.compilePlan(q, params, opts); err != nil {
 			return nil, err
 		}
 		p.db.plans.Put(key, pl)
@@ -133,186 +127,164 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 	return res, nil
 }
 
-// compilePlan performs the cacheable part of one query: parse, compile,
-// translatability check, static analysis, the Q⁺/Q⋆ translations its
-// mode needs, and the cost-based planner's optimized variant of each.
-// Everything but the optimized variants is data-independent; the
-// variants may lean on data-dependent premises, which runPlan re-checks
-// against current statistics before using one.
-func (db *DB) compilePlan(gov *guard.Governor, text string, params Params, opts Options) (pl *plancache.Plan, err error) {
+// compilePlan performs the cacheable, data-independent part of one
+// query: strip the mode, compile, and — for CERTAIN and POSSIBLE —
+// check translatability, run the static analysis and translate. Q⁺
+// serves the certain route and the possible route's degradation
+// ladder, Q⋆ the possible route. The analyzer verdict is kept; whether
+// the fast path actually fires is re-decided per execution (see pick),
+// because data may change between executions of one cached plan.
+// Execute caches the result; an ad-hoc query compiles one for a single
+// execution. The planner's variants are built later, by the executions
+// that read them (see variant).
+func (db *DB) compilePlan(q *sql.Query, params Params, opts Options) (pl *plancache.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pl, err = nil, guard.NewInternalError("certsql/compile-plan", v)
 		}
 	}()
-	q, err := sql.Parse(text)
-	if err != nil {
-		return nil, err
-	}
 	mode := takeMode(q)
 	compiled, err := compile.Compile(q, db.d.Schema, params)
 	if err != nil {
 		return nil, err
 	}
-	pl = &plancache.Plan{Columns: compiled.Columns, Orig: compiled.Expr,
-		OrigShape: eval.ShapeOf(compiled.Expr)}
-	// The original expression is executed in every mode (standard
-	// evaluation, the certain route's analyzer fast path), so its
-	// optimized variant is always worth caching.
-	if pl.OrigOpt, err = db.optimizeFor(gov, compiled.Expr); err != nil {
-		return nil, err
-	}
-	switch mode {
-	case modeCertain:
-		pl.Mode = plancache.ModeCertain
-	case modePossible:
-		pl.Mode = plancache.ModePossible
-	default:
-		pl.Mode = plancache.ModeStandard
+	pl = &plancache.Plan{Mode: mode, Columns: compiled.Columns, Orig: compiled.Expr}
+	if mode == plancache.ModeStandard {
 		return pl, nil
 	}
-	if err := certain.CheckTranslatable(compiled.Expr); err != nil {
+	if err := certain.CheckTranslatable(pl.Orig); err != nil {
 		return nil, err
 	}
-	// Both translated forms are data-independent, so the plan carries
-	// everything any future execution can need: Plus serves the certain
-	// route (and the degradation ladder of the possible route), Star
-	// the potential route. The analyzer verdict is cached too; whether
-	// the fast path actually fires is re-decided per execution against
-	// the O(1) NOT NULL conformance counter — data may change between
-	// executions of one cached plan.
-	pl.AnalyzerSafe = analyze.Plan(compiled.Expr, db.d.Schema).Safe
+	pl.AnalyzerSafe = analyze.Plan(pl.Orig, db.d.Schema).Safe
 	tr := opts.translator(db)
-	pl.Plus = tr.Plus(compiled.Expr)
-	pl.PlusShape = eval.ShapeOf(pl.Plus)
-	if pl.PlusOpt, err = db.optimizeFor(gov, pl.Plus); err != nil {
-		return nil, err
-	}
-	if pl.Mode == plancache.ModePossible {
-		pl.Star = tr.Star(compiled.Expr)
-		pl.StarShape = eval.ShapeOf(pl.Star)
-		if pl.StarOpt, err = db.optimizeFor(gov, pl.Star); err != nil {
-			return nil, err
-		}
+	pl.Plus = tr.Plus(pl.Orig)
+	if mode == plancache.ModePossible {
+		pl.Star = tr.Star(pl.Orig)
 	}
 	return pl, nil
 }
 
-// optimizeFor runs the cost-based planner over one cached expression
-// variant. It returns nil — cache the baseline alone — when the planner
-// neither rewrote the expression nor produced hints.
-func (db *DB) optimizeFor(gov *guard.Governor, e algebra.Expr) (*plancache.Optimized, error) {
+// pick is the route decision, made once for execution and EXPLAIN
+// alike: the expression a query in the given mode runs, the plan's slot
+// for its optimized variant, and whether that is the analyzer fast path.
+func (db *DB) pick(pl *plancache.Plan, mode plancache.Mode, opts Options) (algebra.Expr, **plancache.Optimized, bool) {
+	switch mode {
+	case plancache.ModeCertain:
+		// Fast path: when the static analyzer proves the query safe —
+		// plain evaluation returns exactly the certain answers on every
+		// database conforming to the schema — skip Q⁺ and run the query
+		// as-is. The verdict leans on the schema's NOT NULL declarations,
+		// which Insert enforces only on request, so the database's O(1)
+		// conformance counter (maintained incrementally by Insert and
+		// ReplaceRow) gates it; a non-conforming database still gets
+		// correct certain answers via the translation.
+		//
+		// Identity is NOT a valid potential-answer translation Q⋆ (it
+		// under-approximates), so the possible route never comes here.
+		if !opts.NoAnalyzerFastPath && pl.AnalyzerSafe && db.d.ConformsNonNull() {
+			return pl.Orig, &pl.OrigOpt, true
+		}
+		return pl.Plus, &pl.PlusOpt, false
+	case plancache.ModePossible:
+		return pl.Star, &pl.StarOpt, false
+	default:
+		return pl.Orig, &pl.OrigOpt, false
+	}
+}
+
+// variant returns the plan's optimized variant of e, building it into
+// slot on first use, or nil when a premise it relies on no longer
+// holds. A variant this call built rests on statistics collected
+// moments ago, and one without premises needs none, so neither is
+// checked; otherwise statistics are re-collected, which the generation
+// cache makes O(1) on unchanged data.
+func (db *DB) variant(gov *guard.Governor, pl *plancache.Plan, slot **plancache.Optimized, e algebra.Expr) (*plancache.Optimized, error) {
+	var built *plancache.Optimized
+	o, err := pl.Variant(slot, func() (*plancache.Optimized, error) {
+		st, err := db.collectStats(gov)
+		if err != nil {
+			return nil, err
+		}
+		pr, err := plan.Optimize(e, db.d.Schema, st, gov)
+		if err != nil {
+			return nil, err
+		}
+		built = &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Premises: pr.Premises}
+		return built, nil
+	})
+	if err != nil || o == built || len(o.Premises) == 0 {
+		return o, err
+	}
 	st, err := db.collectStats(gov)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := plan.Optimize(e, db.d.Schema, st, gov)
-	if err != nil {
-		return nil, err
-	}
-	if !pr.Changed && pr.Hints == nil {
+	if !plan.CheckPremises(o.Premises, st) {
 		return nil, nil
 	}
-	return &plancache.Optimized{Expr: pr.Expr, Shape: eval.ShapeOf(pr.Expr),
-		Hints: pr.Hints, Premises: pr.Premises, Explain: pr.ExplainText()}, nil
+	return o, nil
 }
 
-// optApplies decides whether a cached optimized variant may serve this
-// execution: the planner must be enabled and every premise the variant
-// relies on must still hold under current statistics. With no premises
-// the check is free; otherwise statistics are re-collected, which the
-// generation cache makes O(1) on unchanged data.
-func (db *DB) optApplies(gov *guard.Governor, o *plancache.Optimized, opts Options) (bool, error) {
-	if o == nil || opts.NaivePlanner {
-		return false, nil
-	}
-	if len(o.Premises) == 0 {
-		return true, nil
-	}
-	st, err := db.collectStats(gov)
-	if err != nil {
-		return false, err
-	}
-	return plan.CheckPremises(o.Premises, st), nil
-}
-
-// runPlan evaluates a cached plan, mirroring runParsed's mode switch.
+// runPlan executes a plan in its mode. This is the one route every
+// query takes — prepared executions with a cached plan, ad-hoc queries
+// with one compiled for them — including the possible route's opt-in
+// degradation ladder.
 func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, guard.NewInternalError("certsql/execute", v)
 		}
 	}()
-	switch pl.Mode {
-	case plancache.ModeCertain:
-		return db.evalCertainPlan(gov, pl, opts)
-	case plancache.ModePossible:
-		expr, shape, hints, verr := db.pickVariant(gov, pl.Star, pl.StarShape, pl.StarOpt, opts)
-		if verr != nil {
-			return nil, verr
-		}
-		res, err := db.evalExprPlanned(gov, expr, shape, hints, pl.Columns, opts)
-		if err == nil {
-			res.Possible = true
-			return res, nil
-		}
-		// The same opt-in degradation ladder as the ad-hoc route: a
-		// budget trip (never cancellation) falls back to the certain
-		// answers under a fresh governor.
-		if !opts.Degrade || !errors.Is(err, guard.ErrBudget) {
-			return nil, err
-		}
-		res, derr := db.evalCertainPlan(gov.Fresh(), pl, opts)
-		if derr != nil {
-			return nil, derr
-		}
-		res.Degraded = true
-		res.Warnings = append(res.Warnings, Warning{
-			Code: WarnDegradedToCertain,
-			Message: fmt.Sprintf("potential-answer translation exceeded its resource budget (%v); "+
-				"returning certain answers instead — a sound under-approximation", err),
-		})
-		return res, nil
-	default:
-		expr, shape, hints, err := db.pickVariant(gov, pl.Orig, pl.OrigShape, pl.OrigOpt, opts)
+	res, err = db.runMode(gov, pl, pl.Mode, opts)
+	// Degradation ladder: when Q⋆ trips a resource budget — never on
+	// cancellation or deadline expiry, which don't match ErrBudget —
+	// fall back to the certain route under a fresh governor with the
+	// same limits and context. Certain answers under-approximate where
+	// potential answers over-approximate, so every returned row is
+	// still a guaranteed answer.
+	if err == nil || pl.Mode != plancache.ModePossible || !opts.Degrade || !errors.Is(err, guard.ErrBudget) {
+		return res, err
+	}
+	res, derr := db.runMode(gov.Fresh(), pl, plancache.ModeCertain, opts)
+	if derr != nil {
+		return nil, derr
+	}
+	res.Degraded = true
+	res.Warnings = append(res.Warnings, Warning{
+		Code: WarnDegradedToCertain,
+		Message: fmt.Sprintf("potential-answer translation exceeded its resource budget (%v); "+
+			"returning certain answers instead — a sound under-approximation", err),
+	})
+	return res, nil
+}
+
+// runMode evaluates the expression pick chooses for mode: its optimized
+// variant when the planner is on and the variant's premises hold, the
+// baseline otherwise. Options.NaivePlanner is an executor-side choice
+// read only here, so it shares plan-cache entries with the default.
+// Shards needs no planning of its own — it routes probe rows, and every
+// operator builds the same structures at any shard count — so the plan
+// cache stays shard-agnostic (Shards is deliberately absent from its
+// fingerprint).
+func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
+	expr, slot, fastPath := db.pick(pl, mode, opts)
+	eo := opts.evalOptions(gov)
+	if !opts.NaivePlanner {
+		o, err := db.variant(gov, pl, slot, expr)
 		if err != nil {
 			return nil, err
 		}
-		return db.evalExprPlanned(gov, expr, shape, hints, pl.Columns, opts)
+		if o != nil {
+			expr, eo.Hints = o.Expr, o.Hints
+		}
 	}
-}
-
-// pickVariant resolves which plan an execution runs: the cached
-// optimized variant when it applies (see optApplies), the baseline
-// otherwise.
-func (db *DB) pickVariant(gov *guard.Governor, e algebra.Expr, s *eval.Shape, o *plancache.Optimized, opts Options) (algebra.Expr, *eval.Shape, *eval.PlanHints, error) {
-	ok, err := db.optApplies(gov, o, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if ok {
-		return o.Expr, o.Shape, o.Hints, nil
-	}
-	return e, s, nil, nil
-}
-
-// evalCertainPlan is the certain-answer route over a cached plan: the
-// analyzer fast path when the cached verdict applies to the current
-// data, the cached Q⁺ otherwise.
-func (db *DB) evalCertainPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (*Result, error) {
-	expr, shape, opt, fastPath := pl.Plus, pl.PlusShape, pl.PlusOpt, false
-	if !opts.NoAnalyzerFastPath && pl.AnalyzerSafe && db.d.ConformsNonNull() {
-		expr, shape, opt, fastPath = pl.Orig, pl.OrigShape, pl.OrigOpt, true
-	}
-	expr, shape, hints, err := db.pickVariant(gov, expr, shape, opt, opts)
+	ev := eval.New(db.d, eo)
+	t, err := ev.Eval(expr)
 	if err != nil {
 		return nil, err
 	}
-	res, err := db.evalExprPlanned(gov, expr, shape, hints, pl.Columns, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Certain = true
+	res := &Result{Columns: pl.Columns, Certain: mode == plancache.ModeCertain, Possible: mode == plancache.ModePossible,
+		Stats: ev.Stats(), rows: t, trace: ev.Trace()}
 	if fastPath {
 		res.Stats.FastPathHits = 1
 	}

@@ -17,54 +17,94 @@ func prepDB(t testing.TB) *certsql.DB {
 	return certsql.OpenTPCH(certsql.TPCHConfig{ScaleFactor: 0.0001, Seed: 7, NullRate: 0.05})
 }
 
-// TestPreparedMatchesAdHoc: for every appendix query in every mode,
-// Prepare + Execute twice must byte-match the ad-hoc result, and the
-// second execution must come from the plan cache.
+// TestPreparedMatchesAdHoc: an ad-hoc query is the prepared route with
+// an uncached plan. For every appendix query in every mode, under the
+// default options and the executor-side ones that share a cache entry
+// (NaivePlanner, NoAnalyzerFastPath, and Degrade under a cost budget
+// the Q⋆ route trips), Prepare + Execute twice must byte-match the
+// ad-hoc result with equal Stats apart from the plan-cache counters,
+// which ad-hoc results leave at zero, and the second execution must
+// come from the plan cache.
 func TestPreparedMatchesAdHoc(t *testing.T) {
 	db := prepDB(t)
 	rng := rand.New(rand.NewSource(3))
 	sz := tpch.Config{ScaleFactor: 0.0001}.Sizes()
+	degraded := 0
 	for _, q := range tpch.AllQueries {
 		params := q.Params(rng, sz)
-		for _, mode := range []string{"standard", "certain", "possible"} {
-			text, err := certsql.WithMode(q.SQL(), mode)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", q, mode, err)
-			}
-			adhoc, err := db.Query(text, params)
-			if err != nil {
-				t.Fatalf("%s/%s ad-hoc: %v", q, mode, err)
-			}
-			prep, err := db.Prepare(text)
-			if err != nil {
-				t.Fatalf("%s/%s prepare: %v", q, mode, err)
-			}
-			r1, err := prep.Execute(params)
-			if err != nil {
-				t.Fatalf("%s/%s execute #1: %v", q, mode, err)
-			}
-			r2, err := prep.Execute(params)
-			if err != nil {
-				t.Fatalf("%s/%s execute #2: %v", q, mode, err)
-			}
-			if r1.Stats.PlanCacheMisses != 1 || r1.Stats.PlanCacheHits != 0 {
-				t.Errorf("%s/%s: first execution stats %+v, want one miss", q, mode, r1.Stats)
-			}
-			if r2.Stats.PlanCacheHits != 1 || r2.Stats.PlanCacheMisses != 0 {
-				t.Errorf("%s/%s: second execution stats %+v, want one hit", q, mode, r2.Stats)
-			}
-			want := adhoc.Table().String()
-			if got := r1.Table().String(); got != want {
-				t.Errorf("%s/%s: prepared result differs from ad-hoc\nprepared: %s\nad-hoc:   %s", q, mode, got, want)
-			}
-			if got := r2.Table().String(); got != want {
-				t.Errorf("%s/%s: cached-plan result differs from ad-hoc", q, mode)
-			}
-			if r1.Certain != adhoc.Certain || r1.Possible != adhoc.Possible {
-				t.Errorf("%s/%s: flags differ: prepared certain=%v possible=%v, ad-hoc %v %v",
-					q, mode, r1.Certain, r1.Possible, adhoc.Certain, adhoc.Possible)
+		// The certain route's cost: a budget it fits, which Q⋆ trips
+		// wherever Q⋆ costs more.
+		plus, err := db.QueryCertain(q.SQL(), params)
+		if err != nil {
+			t.Fatalf("%s certain: %v", q, err)
+		}
+		for _, tc := range []struct {
+			name  string
+			opts  certsql.Options
+			modes []string
+		}{
+			{"default", certsql.Options{}, []string{"standard", "certain", "possible"}},
+			{"naive-planner", certsql.Options{NaivePlanner: true}, []string{"standard", "certain", "possible"}},
+			{"no-fast-path", certsql.Options{NoAnalyzerFastPath: true}, []string{"certain"}},
+			{"degrade", certsql.Options{Degrade: true, MaxCostUnits: plus.Stats.CostUnits}, []string{"possible"}},
+		} {
+			for _, mode := range tc.modes {
+				name := q.String() + "/" + mode + "/" + tc.name
+				text, err := certsql.WithMode(q.SQL(), mode)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				adhoc, err := db.QueryWithOptions(text, params, tc.opts)
+				if err != nil {
+					t.Fatalf("%s ad-hoc: %v", name, err)
+				}
+				if adhoc.Stats.PlanCacheHits != 0 || adhoc.Stats.PlanCacheMisses != 0 {
+					t.Errorf("%s: ad-hoc result carries plan-cache counters %+v", name, adhoc.Stats)
+				}
+				db.PlanCache().Purge()
+				prep, err := db.Prepare(text)
+				if err != nil {
+					t.Fatalf("%s prepare: %v", name, err)
+				}
+				r1, err := prep.ExecuteWithOptions(params, tc.opts)
+				if err != nil {
+					t.Fatalf("%s execute #1: %v", name, err)
+				}
+				r2, err := prep.ExecuteWithOptions(params, tc.opts)
+				if err != nil {
+					t.Fatalf("%s execute #2: %v", name, err)
+				}
+				if r1.Stats.PlanCacheMisses != 1 || r1.Stats.PlanCacheHits != 0 {
+					t.Errorf("%s: first execution stats %+v, want one miss", name, r1.Stats)
+				}
+				if r2.Stats.PlanCacheHits != 1 || r2.Stats.PlanCacheMisses != 0 {
+					t.Errorf("%s: second execution stats %+v, want one hit", name, r2.Stats)
+				}
+				want := adhoc.Table().String()
+				for i, r := range []*certsql.Result{r1, r2} {
+					if got := r.Table().String(); got != want {
+						t.Errorf("%s: execution #%d differs from ad-hoc\nprepared: %s\nad-hoc:   %s", name, i+1, got, want)
+					}
+					st := r.Stats
+					st.PlanCacheHits, st.PlanCacheMisses = 0, 0
+					if st != adhoc.Stats {
+						t.Errorf("%s: execution #%d stats %+v, ad-hoc %+v", name, i+1, r.Stats, adhoc.Stats)
+					}
+					if r.Certain != adhoc.Certain || r.Possible != adhoc.Possible || r.Degraded != adhoc.Degraded ||
+						len(r.Warnings) != len(adhoc.Warnings) {
+						t.Errorf("%s: execution #%d flags certain=%v possible=%v degraded=%v warnings=%d, ad-hoc %v %v %v %d",
+							name, i+1, r.Certain, r.Possible, r.Degraded, len(r.Warnings),
+							adhoc.Certain, adhoc.Possible, adhoc.Degraded, len(adhoc.Warnings))
+					}
+				}
+				if adhoc.Degraded {
+					degraded++
+				}
 			}
 		}
+	}
+	if degraded == 0 {
+		t.Error("no Degrade case tripped its budget; the ladder went untested")
 	}
 }
 
