@@ -21,14 +21,13 @@ import (
 	"sync"
 	"testing"
 
+	"certsql"
 	"certsql/internal/algebra"
 	"certsql/internal/certain"
-	"certsql/internal/compile"
 	"certsql/internal/eval"
 	"certsql/internal/experiment"
 	"certsql/internal/guard"
 	"certsql/internal/schema"
-	"certsql/internal/sql"
 	"certsql/internal/table"
 	"certsql/internal/tpch"
 	"certsql/internal/value"
@@ -37,10 +36,10 @@ import (
 // benchDB caches generated instances across benchmarks.
 var benchDB = struct {
 	mu sync.Mutex
-	m  map[string]*table.Database
-}{m: map[string]*table.Database{}}
+	m  map[string]*certsql.DB
+}{m: map[string]*certsql.DB{}}
 
-func instance(b testing.TB, scale, nullRate float64, seed int64) *table.Database {
+func instance(b testing.TB, scale, nullRate float64, seed int64) *certsql.DB {
 	b.Helper()
 	key := fmt.Sprintf("%g/%g/%d", scale, nullRate, seed)
 	benchDB.mu.Lock()
@@ -48,36 +47,42 @@ func instance(b testing.TB, scale, nullRate float64, seed int64) *table.Database
 	if db, ok := benchDB.m[key]; ok {
 		return db
 	}
-	db := tpch.Generate(tpch.Config{ScaleFactor: scale, Seed: seed, NullRate: nullRate})
+	db := certsql.FromInternal(tpch.Generate(tpch.Config{ScaleFactor: scale, Seed: seed, NullRate: nullRate}))
 	benchDB.m[key] = db
 	return db
 }
 
-func mustPrepare(b testing.TB, qid tpch.QueryID, db *table.Database, seed int64) (orig, plus *compile.Compiled, params compile.Params) {
+// mustPrepare prepares query qid as written and as its certain-answer
+// translation Q⁺ (SELECT CERTAIN), and draws its parameters from seed.
+func mustPrepare(b testing.TB, qid tpch.QueryID, db *certsql.DB, seed int64) (orig, plus *certsql.Prepared, params certsql.Params) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	params = qid.Params(rng, tpch.Config{ScaleFactor: 0.002}.Sizes())
-	q, err := sql.Parse(qid.SQL())
-	if err != nil {
-		b.Fatal(err)
+	prepare := func(mode string) *certsql.Prepared {
+		text, err := certsql.WithMode(qid.SQL(), mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := db.Prepare(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
 	}
-	orig, err = compile.Compile(q, db.Schema, params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := experiment.DefaultTranslator(db)
-	plus = &compile.Compiled{Expr: tr.Plus(orig.Expr), Columns: orig.Columns}
-	return orig, plus, params
+	return prepare(""), prepare("certain"), params
 }
 
-func runExpr(b *testing.B, db *table.Database, c *compile.Compiled) *table.Table {
+// runPaper executes a prepared statement with opts on the paper-faithful
+// route (NaivePlanner: the plan exactly as translation produced it, as
+// the paper ran it), which every benchmark here measures.
+func runPaper(b testing.TB, p *certsql.Prepared, params certsql.Params, opts certsql.Options) *certsql.Result {
 	b.Helper()
-	ev := eval.New(db, eval.Options{Semantics: value.SQL3VL})
-	t, err := ev.Eval(c.Expr)
+	opts.NaivePlanner = true
+	res, err := p.ExecuteWithOptions(params, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return t
+	return res
 }
 
 // BenchmarkFigure1FalsePositives regenerates Figure 1's measurement for
@@ -90,13 +95,13 @@ func BenchmarkFigure1FalsePositives(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/null=%g%%", qid, rate*100), func(b *testing.B) {
 				db := instance(b, 0.001, rate, 101)
 				orig, _, params := mustPrepare(b, qid, db, 7)
-				detect := tpch.DetectorFor(qid)
 				var fpPct float64
 				for i := 0; i < b.N; i++ {
-					res := runExpr(b, db, orig)
+					res := runPaper(b, orig, params, certsql.Options{})
+					detect := tpch.DetectorFor(qid)(db.Internal(), params)
 					fp := 0
 					for _, r := range res.Rows() {
-						if detect(db, params, r) {
+						if detect(r) {
 							fp++
 						}
 					}
@@ -182,15 +187,15 @@ func diffSchema() *schema.Schema {
 func BenchmarkFigure4PriceOfCorrectness(b *testing.B) {
 	db := instance(b, 0.002, 0.02, 202)
 	for _, qid := range tpch.AllQueries {
-		orig, plus, _ := mustPrepare(b, qid, db, 11)
+		orig, plus, params := mustPrepare(b, qid, db, 11)
 		b.Run(qid.String()+"/original", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runExpr(b, db, orig)
+				runPaper(b, orig, params, certsql.Options{})
 			}
 		})
 		b.Run(qid.String()+"/certain", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runExpr(b, db, plus)
+				runPaper(b, plus, params, certsql.Options{})
 			}
 		})
 	}
@@ -204,23 +209,13 @@ func BenchmarkFigure4PriceOfCorrectness(b *testing.B) {
 // on a single core the two settings coincide by design.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	db := instance(b, 0.002, 0.02, 202)
-	_, plus, _ := mustPrepare(b, tpch.Q4, db, 11)
-
-	ref, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1}).Eval(plus.Expr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := ref.String()
+	_, plus, params := mustPrepare(b, tpch.Q4, db, 11)
+	want := runPaper(b, plus, params, certsql.Options{Parallelism: 1}).Table().String()
 
 	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par})
-				t, err := ev.Eval(plus.Expr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if t.String() != want {
+				if runPaper(b, plus, params, certsql.Options{Parallelism: par}).Table().String() != want {
 					b.Fatalf("parallelism=%d produced a result differing from sequential", par)
 				}
 			}
@@ -246,12 +241,9 @@ func TestStreamingPeakMemory(t *testing.T) {
 	recorded := map[tpch.QueryID]int64{tpch.Q1: 17244660, tpch.Q2: 18816, tpch.Q3: 7700000, tpch.Q4: 732722}
 	db := instance(t, 0.002, 0.02, 202)
 	for _, qid := range tpch.AllQueries {
-		_, plus, _ := mustPrepare(t, qid, db, 11)
+		_, plus, params := mustPrepare(t, qid, db, 11)
 		gov := guard.Background(guard.Limits{})
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Governor: gov, Parallelism: 1})
-		if _, err := ev.Eval(plus.Expr); err != nil {
-			t.Fatal(err)
-		}
+		runPaper(t, plus, params, certsql.Options{Guard: gov, Parallelism: 1})
 		hw := gov.MemHighWater()
 		t.Logf("%s⁺ peak %d B (recorded %d B)", qid, hw, recorded[qid])
 		if hw > recorded[qid] {
@@ -270,15 +262,15 @@ func BenchmarkTable1Scaling(b *testing.B) {
 		scale := 0.002 * mult
 		db := instance(b, scale, 0.02, 303)
 		for _, qid := range tpch.AllQueries {
-			orig, plus, _ := mustPrepare(b, qid, db, 13)
+			orig, plus, params := mustPrepare(b, qid, db, 13)
 			b.Run(fmt.Sprintf("%gx/%s/original", mult, qid), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					runExpr(b, db, orig)
+					runPaper(b, orig, params, certsql.Options{})
 				}
 			})
 			b.Run(fmt.Sprintf("%gx/%s/certain", mult, qid), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					runExpr(b, db, plus)
+					runPaper(b, plus, params, certsql.Options{})
 				}
 			})
 		}
@@ -314,17 +306,15 @@ func BenchmarkRecall(b *testing.B) {
 // Q2: the translation with and without OR-splitting.
 func BenchmarkAblationOrSplit(b *testing.B) {
 	db := instance(b, 0.004, 0.03, 404)
-	orig, _, _ := mustPrepare(b, tpch.Q2, db, 17)
+	_, plus, params := mustPrepare(b, tpch.Q2, db, 17)
 	for _, split := range []bool{true, false} {
-		tr := &certain.Translator{Sch: db.Schema, Mode: certain.ModeSQL, SimplifyNulls: true, SplitOrs: split, KeySimplify: true}
-		plus := &compile.Compiled{Expr: tr.Plus(orig.Expr)}
 		name := "split"
 		if !split {
 			name = "unsplit"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runExpr(b, db, plus)
+				runPaper(b, plus, params, certsql.Options{NoOrSplit: !split})
 			}
 		})
 	}
@@ -335,8 +325,7 @@ func BenchmarkAblationOrSplit(b *testing.B) {
 // relations — the paper's part_view/supp_view effect.
 func BenchmarkAblationViewCache(b *testing.B) {
 	db := instance(b, 0.002, 0.03, 505)
-	orig, plus, _ := mustPrepare(b, tpch.Q4, db, 19)
-	_ = orig
+	_, plus, params := mustPrepare(b, tpch.Q4, db, 19)
 	for _, cache := range []bool{true, false} {
 		name := "cache"
 		if !cache {
@@ -344,10 +333,7 @@ func BenchmarkAblationViewCache(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, NoSubplanCache: !cache})
-				if _, err := ev.Eval(plus.Expr); err != nil {
-					b.Fatal(err)
-				}
+				runPaper(b, plus, params, certsql.Options{NoViewCache: !cache})
 			}
 		})
 	}
@@ -357,7 +343,7 @@ func BenchmarkAblationViewCache(b *testing.B) {
 // short circuit that gives Q2⁺ its large win.
 func BenchmarkAblationShortCircuit(b *testing.B) {
 	db := instance(b, 0.004, 0.03, 606)
-	_, plus, _ := mustPrepare(b, tpch.Q2, db, 23)
+	_, plus, params := mustPrepare(b, tpch.Q2, db, 23)
 	for _, sc := range []bool{true, false} {
 		name := "shortcircuit"
 		if !sc {
@@ -365,10 +351,7 @@ func BenchmarkAblationShortCircuit(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, NoShortCircuit: !sc})
-				if _, err := ev.Eval(plus.Expr); err != nil {
-					b.Fatal(err)
-				}
+				runPaper(b, plus, params, certsql.Options{NoShortCircuit: !sc})
 			}
 		})
 	}

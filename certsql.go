@@ -134,8 +134,8 @@ type Options struct {
 	// Guard, when non-nil, supplies the Governor directly — overriding
 	// the budget fields above and any context passed to the *Context
 	// entry points. A Governor's budgets are cumulative, so sharing one
-	// across queries shares the budgets (the experiment runners do this
-	// deliberately).
+	// across queries shares the budgets; the caller also reads its
+	// accounting afterwards (e.g. MemHighWater).
 	Guard *guard.Governor
 
 	// Parallelism sets the number of workers the executor fans the

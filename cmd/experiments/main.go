@@ -8,7 +8,7 @@
 //	experiments -run all
 //	experiments -run fig1 -instances 20 -draws 5
 //	experiments -run fig4 -scale 0.004
-//	experiments -run table1|recall|fig2|orsplit
+//	experiments -run table1|recall|fig2|ablation|orsplit
 //	experiments -run all -timeout 10m -max-rows 1000000 -degrade
 //
 // Resource governance: -timeout bounds the whole invocation, -max-rows
@@ -34,15 +34,20 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"certsql/internal/experiment"
 	"certsql/internal/guard"
 	"certsql/internal/tpch"
 )
 
+// experiments lists every -run value but "all", which runs them in
+// this order.
+var experiments = []string{"fig1", "fig2", "fig4", "table1", "recall", "ablation", "orsplit"}
+
 func main() {
 	var (
-		run       = flag.String("run", "all", "experiment to run: fig1, fig2, fig4, table1, recall, orsplit, ablation, all")
+		run       = flag.String("run", "all", "experiment to run: "+strings.Join(experiments, ", ")+", all")
 		scale     = flag.Float64("scale", 0, "TPC-H scale factor override (0 = per-experiment default)")
 		instances = flag.Int("instances", 0, "instances per configuration (0 = default)")
 		draws     = flag.Int("draws", 0, "parameter draws per instance (0 = default)")
@@ -245,7 +250,7 @@ func dispatch(ctx context.Context, run string, scale float64, instances, draws i
 	}
 
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want fig1, fig2, fig4, table1, recall, orsplit, all)", run)
+		return fmt.Errorf("unknown experiment %q (want %s, all)", run, strings.Join(experiments, ", "))
 	}
 	return nil
 }

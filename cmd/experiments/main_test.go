@@ -44,8 +44,14 @@ func capture(t *testing.T, f func() error) string {
 }
 
 func TestDispatchUnknown(t *testing.T) {
-	if err := dispatch(context.Background(), "nope", 0, 0, 0, 1, false, "", 0, guard.Limits{}, false); err == nil {
-		t.Error("unknown experiment accepted")
+	err := dispatch(context.Background(), "nope", 0, 0, 0, 1, false, "", 0, guard.Limits{}, false)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, name := range []string{"fig1", "fig2", "fig4", "table1", "recall", "ablation", "orsplit", "all"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error does not name %q: %v", name, err)
+		}
 	}
 }
 

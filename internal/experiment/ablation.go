@@ -8,19 +8,15 @@ import (
 	"strings"
 	"time"
 
-	"certsql/internal/algebra"
-	"certsql/internal/certain"
-	"certsql/internal/compile"
-	"certsql/internal/eval"
+	"certsql"
 	"certsql/internal/guard"
-	"certsql/internal/sql"
 	"certsql/internal/tpch"
-	"certsql/internal/value"
 )
 
 // AblationConfig configures the design-decision ablation study: each of
 // the optimizations DESIGN.md §5 calls out is disabled in turn and the
-// translated queries re-timed against the fully optimized pipeline.
+// translated queries re-timed against the fully optimized pipeline, all
+// on the paper-faithful route.
 type AblationConfig struct {
 	Scale    float64
 	NullRate float64
@@ -69,18 +65,21 @@ type AblationRow struct {
 	Failed     map[string]bool
 }
 
-// ablationVariants lists the translator/executor knobs under study.
-var ablationVariants = []struct {
+// ablationVariant is one toggle under study: a facade option it sets.
+type ablationVariant struct {
 	name string
-	tr   func(*certain.Translator)
-	opts func(*eval.Options)
-}{
-	{"no-orsplit", func(t *certain.Translator) { t.SplitOrs = false }, nil},
-	{"no-simplify", func(t *certain.Translator) { t.SimplifyNulls = false }, nil},
-	{"no-keysimplify", func(t *certain.Translator) { t.KeySimplify = false }, nil},
-	{"no-viewcache", nil, func(o *eval.Options) { o.NoSubplanCache = true }},
-	{"no-shortcircuit", nil, func(o *eval.Options) { o.NoShortCircuit = true }},
-	{"no-hashjoin", nil, func(o *eval.Options) { o.NoHashJoin = true }},
+	set  func(*certsql.Options)
+}
+
+// ablationVariants lists the translator and executor toggles under
+// study.
+var ablationVariants = []ablationVariant{
+	{"no-orsplit", func(o *certsql.Options) { o.NoOrSplit = true }},
+	{"no-simplify", func(o *certsql.Options) { o.NoSimplifyNulls = true }},
+	{"no-keysimplify", func(o *certsql.Options) { o.NoKeySimplify = true }},
+	{"no-viewcache", func(o *certsql.Options) { o.NoViewCache = true }},
+	{"no-shortcircuit", func(o *certsql.Options) { o.NoShortCircuit = true }},
+	{"no-hashjoin", func(o *certsql.Options) { o.NoHashJoin = true }},
 }
 
 // Ablation measures the cost of disabling each optimization on the
@@ -88,73 +87,46 @@ var ablationVariants = []struct {
 // aborts with a typed error.
 func Ablation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg.defaults()
-	db := tpch.Generate(tpch.Config{ScaleFactor: cfg.Scale, Seed: cfg.Seed, NullRate: cfg.NullRate})
+	db := certsql.FromInternal(tpch.Generate(tpch.Config{ScaleFactor: cfg.Scale, Seed: cfg.Seed, NullRate: cfg.NullRate}))
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := tpch.Config{ScaleFactor: cfg.Scale}.Sizes()
+	paper := PaperRoute.options(cfg.Parallelism, cfg.Limits)
+	variants := append([]ablationVariant{{"base", func(*certsql.Options) {}}}, ablationVariants...)
 
 	var out []AblationRow
 	for _, qid := range cfg.Queries {
 		params := qid.Params(rng, sizes)
-		q, err := sql.Parse(qid.SQL())
-		if err != nil {
-			return nil, err
-		}
-		compiled, err := compile.Compile(q, db.Schema, params)
+		_, plus, err := statements(db, qid)
 		if err != nil {
 			return nil, err
 		}
 
-		// Build all plans up front, then interleave the timed runs
-		// round-robin and keep per-variant minima: temporal noise (GC,
-		// CPU steal on shared machines) then hits all variants alike
-		// instead of whichever happened to run first.
-		type plan struct {
-			name string
-			expr algebra.Expr
-			opts eval.Options
-		}
-		plans := []plan{{name: "base", expr: DefaultTranslator(db).Plus(compiled.Expr),
-			opts: eval.Options{Semantics: value.SQL3VL, Parallelism: cfg.Parallelism}}}
-		for _, v := range ablationVariants {
-			tr := DefaultTranslator(db)
-			if v.tr != nil {
-				v.tr(tr)
-			}
-			opts := eval.Options{Semantics: value.SQL3VL, Parallelism: cfg.Parallelism}
-			if v.opts != nil {
-				v.opts(&opts)
-			}
-			plans = append(plans, plan{name: v.name, expr: tr.Plus(compiled.Expr), opts: opts})
-		}
-
+		// Interleave the timed runs round-robin and keep per-variant
+		// minima: temporal noise (GC, CPU steal on shared machines, a
+		// variant's first run compiling its plan) then hits all variants
+		// alike instead of whichever happened to run first.
 		best := map[string]time.Duration{}
 		cost := map[string]int64{}
 		failed := map[string]bool{}
-		for round := 0; round <= cfg.Repeats; round++ {
-			for _, p := range plans {
-				if failed[p.name] {
+		for round := 0; round < cfg.Repeats; round++ {
+			for _, v := range variants {
+				if failed[v.name] {
 					continue
 				}
+				opts := paper
+				v.set(&opts)
 				runtime.GC()
-				// A fresh governor per timed run: budgets are per
-				// evaluation, and the shared ctx still cancels them all.
-				p.opts.Governor = guard.New(ctx, limitsOrDefault(cfg.Limits))
-				ev := eval.New(db, p.opts)
-				start := time.Now()
-				if _, err := ev.Eval(p.expr); err != nil {
+				res, elapsed, err := execute(ctx, plus, params, opts)
+				if err != nil {
 					if budgetTripped(err) {
-						failed[p.name] = true
+						failed[v.name] = true
 						continue
 					}
-					return nil, fmt.Errorf("ablation %s %s: %w", qid, p.name, err)
+					return nil, fmt.Errorf("ablation %s %s: %w", qid, v.name, err)
 				}
-				elapsed := time.Since(start)
-				cost[p.name] = ev.Stats().CostUnits // the same every round
-				if round == 0 {
-					continue // warmup round, untimed
-				}
-				if cur, ok := best[p.name]; !ok || elapsed < cur {
-					best[p.name] = elapsed
+				cost[v.name] = res.Stats.CostUnits // the same every round
+				if cur, ok := best[v.name]; !ok || elapsed < cur {
+					best[v.name] = elapsed
 				}
 			}
 		}
@@ -177,25 +149,31 @@ func Ablation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	return out, nil
 }
 
-// RenderAblation renders the ablation study as a text table.
+// RenderAblation renders the ablation study as two text tables: the
+// wall-clock slowdown factors, then the exact cost-unit factors.
 func RenderAblation(rows []AblationRow) string {
 	var b strings.Builder
-	b.WriteString("Ablations — slowdown of Q+ when one optimization is disabled (1.0 = no effect)\n")
-	b.WriteString("query   base-time   ")
-	for _, v := range ablationVariants {
-		fmt.Fprintf(&b, "%16s", v.name)
-	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s%10s   ", r.Query, r.BaseTime.Round(time.Microsecond))
+	for i, title := range []string{
+		"Ablations — slowdown of Q+ when one optimization is disabled (1.0 = no effect)",
+		"the same in cost units of Q+ (exact count)",
+	} {
+		b.WriteString(title + "\n")
+		b.WriteString("query   base-time   ")
 		for _, v := range ablationVariants {
-			if r.Failed[v.name] {
-				b.WriteString("      OVERBUDGET")
-				continue
-			}
-			fmt.Fprintf(&b, "%16.2f", r.Factor[v.name])
+			fmt.Fprintf(&b, "%16s", v.name)
 		}
 		b.WriteString("\n")
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%-8s%10s   ", r.Query, r.BaseTime.Round(time.Microsecond))
+			for _, v := range ablationVariants {
+				if r.Failed[v.name] {
+					b.WriteString("      OVERBUDGET")
+					continue
+				}
+				fmt.Fprintf(&b, "%16.2f", [...]map[string]float64{r.Factor, r.CostFactor}[i][v.name])
+			}
+			b.WriteString("\n")
+		}
 	}
 	return b.String()
 }

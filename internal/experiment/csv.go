@@ -35,51 +35,57 @@ func WriteFigure1CSV(w io.Writer, rows []Figure1Row) error {
 	return cw.Error()
 }
 
-// WriteFigure4CSV writes null_rate_percent, q1..q4 relative performance
-// ratios t⁺/t, then q1..q4 relative cost units Σ⁺/Σ.
+// WriteFigure4CSV writes one row per null rate and route:
+// null_rate_percent, route, q1..q4 relative performance ratios t⁺/t,
+// then q1..q4 relative cost units Σ⁺/Σ.
 func WriteFigure4CSV(w io.Writer, rows []Figure4Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"null_rate_percent", "q1_relperf", "q2_relperf", "q3_relperf", "q4_relperf",
+	if err := cw.Write([]string{"null_rate_percent", "route", "q1_relperf", "q2_relperf", "q3_relperf", "q4_relperf",
 		"q1_relcost", "q2_relcost", "q3_relcost", "q4_relcost"}); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		rec := []string{fmt.Sprintf("%.1f", 100*r.NullRate)}
-		for _, series := range []map[tpch.QueryID]float64{r.RelPerf, r.RelCost} {
-			for _, q := range tpch.AllQueries {
-				v, ok := series[q]
-				if !ok {
-					rec = append(rec, "")
-					continue
+		for _, route := range Routes {
+			rec := []string{fmt.Sprintf("%.1f", 100*r.NullRate), route.String()}
+			for _, series := range []map[tpch.QueryID]float64{r.RelPerf[route], r.RelCost[route]} {
+				for _, q := range tpch.AllQueries {
+					v, ok := series[q]
+					if !ok {
+						rec = append(rec, "")
+						continue
+					}
+					rec = append(rec, fmt.Sprintf("%.6f", v))
 				}
-				rec = append(rec, fmt.Sprintf("%.6f", v))
 			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()
 	return cw.Error()
 }
 
-// WriteTable1CSV writes one row per (size multiplier, query) with the
-// min and max relative performance.
+// WriteTable1CSV writes one row per (size multiplier, route, query) with
+// the min and max relative performance.
 func WriteTable1CSV(w io.Writer, rows []Table1Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"size_multiplier", "query", "relperf_min", "relperf_max"}); err != nil {
+	if err := cw.Write([]string{"size_multiplier", "route", "query", "relperf_min", "relperf_max"}); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		for _, q := range tpch.AllQueries {
-			rec := []string{
-				fmt.Sprintf("%g", r.Multiplier),
-				q.String(),
-				fmt.Sprintf("%.6f", r.Min[q]),
-				fmt.Sprintf("%.6f", r.Max[q]),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
+		for _, route := range Routes {
+			for _, q := range tpch.AllQueries {
+				rec := []string{
+					fmt.Sprintf("%g", r.Multiplier),
+					route.String(),
+					q.String(),
+					fmt.Sprintf("%.6f", r.Min[route][q]),
+					fmt.Sprintf("%.6f", r.Max[route][q]),
+				}
+				if err := cw.Write(rec); err != nil {
+					return err
+				}
 			}
 		}
 	}

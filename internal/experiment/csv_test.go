@@ -36,27 +36,46 @@ func TestWriteFigure4AndTable1CSV(t *testing.T) {
 	var b strings.Builder
 	err := WriteFigure4CSV(&b, []Figure4Row{{
 		NullRate: 0.01,
-		RelPerf:  map[tpch.QueryID]float64{tpch.Q1: 1.02, tpch.Q2: 0.001, tpch.Q3: 1, tpch.Q4: 1.8},
-		RelCost:  map[tpch.QueryID]float64{tpch.Q1: 1.5, tpch.Q2: 0.25, tpch.Q3: 1, tpch.Q4: 2},
+		RelPerf: [2]map[tpch.QueryID]float64{
+			{tpch.Q1: 1.02, tpch.Q2: 0.001, tpch.Q3: 1, tpch.Q4: 1.8},
+			{tpch.Q1: 0.9},
+		},
+		RelCost: [2]map[tpch.QueryID]float64{
+			{tpch.Q1: 1.5, tpch.Q2: 0.25, tpch.Q3: 1, tpch.Q4: 2},
+			{tpch.Q1: 1.25},
+		},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "1.0,1.020000,0.001000,1.000000,1.800000,1.500000,0.250000,1.000000,2.000000") {
+	if !strings.Contains(b.String(), "1.0,paper,1.020000,0.001000,1.000000,1.800000,1.500000,0.250000,1.000000,2.000000") {
 		t.Errorf("figure4 csv: %q", b.String())
+	}
+	// Queries without samples on a route: empty cells.
+	if !strings.Contains(b.String(), "1.0,default,0.900000,,,,1.250000,,,") {
+		t.Errorf("figure4 csv default route: %q", b.String())
 	}
 
 	b.Reset()
 	err = WriteTable1CSV(&b, []Table1Row{{
 		Multiplier: 3,
-		Min:        map[tpch.QueryID]float64{tpch.Q1: 1, tpch.Q2: 0.1, tpch.Q3: 1, tpch.Q4: 2},
-		Max:        map[tpch.QueryID]float64{tpch.Q1: 1.1, tpch.Q2: 0.2, tpch.Q3: 1.2, tpch.Q4: 4},
+		Min: [2]map[tpch.QueryID]float64{
+			{tpch.Q1: 1, tpch.Q2: 0.1, tpch.Q3: 1, tpch.Q4: 2},
+			{tpch.Q1: 0.9, tpch.Q2: 0.1, tpch.Q3: 1, tpch.Q4: 2},
+		},
+		Max: [2]map[tpch.QueryID]float64{
+			{tpch.Q1: 1.1, tpch.Q2: 0.2, tpch.Q3: 1.2, tpch.Q4: 4},
+			{tpch.Q1: 1, tpch.Q2: 0.2, tpch.Q3: 1.2, tpch.Q4: 4},
+		},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(b.String(), "\n"); got != 5 { // header + 4 queries
+	if got := strings.Count(b.String(), "\n"); got != 9 { // header + 2 routes × 4 queries
 		t.Errorf("table1 csv lines = %d:\n%s", got, b.String())
+	}
+	if !strings.Contains(b.String(), "3,default,Q1,0.900000,1.000000") {
+		t.Errorf("table1 csv default route: %q", b.String())
 	}
 }
 

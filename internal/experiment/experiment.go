@@ -12,6 +12,11 @@
 //   - the Section 7 optimizer discussion (plan costs with and without
 //     OR-splitting).
 //
+// Every experiment but Section 5's runs the queries through the facade, as
+// prepared statements: the query as written for Q, and SELECT CERTAIN
+// for its translation Q⁺. The legacy translation is not a facade route,
+// so Section 5 evaluates it directly.
+//
 // Absolute timings obviously differ from the paper's PostgreSQL-on-
 // hardware setup; what the drivers reproduce is the *shape* of each
 // result: who wins, by what order of magnitude, and how it trends.
@@ -24,14 +29,9 @@ import (
 	"math/rand"
 	"time"
 
-	"certsql/internal/certain"
-	"certsql/internal/compile"
-	"certsql/internal/eval"
+	"certsql"
 	"certsql/internal/guard"
-	"certsql/internal/sql"
-	"certsql/internal/table"
 	"certsql/internal/tpch"
-	"certsql/internal/value"
 )
 
 // DefaultLimits is the single governed budget every experiment runner
@@ -41,15 +41,6 @@ import (
 // instead of exhausting memory. Callers override it per run via each
 // config's Limits field.
 var DefaultLimits = guard.Limits{MaxRows: 2_000_000}
-
-// limitsOrDefault resolves a config's Limits field: the zero value means
-// DefaultLimits.
-func limitsOrDefault(l guard.Limits) guard.Limits {
-	if l == (guard.Limits{}) {
-		return DefaultLimits
-	}
-	return l
-}
 
 // budgetTripped reports whether err is a resource-budget trip (and not,
 // e.g., cancellation, which never counts as a tolerable trip).
@@ -73,47 +64,63 @@ func PaperNullRatesFig4() []float64 {
 	return []float64{0.01, 0.02, 0.03, 0.04, 0.05}
 }
 
-// Prepare compiles query qid against db with params and returns the
-// original and translated (Q⁺) expressions.
-func Prepare(qid tpch.QueryID, db *table.Database, params compile.Params, tr *certain.Translator) (orig, plus *compile.Compiled, err error) {
-	q, err := sql.Parse(qid.SQL())
+// Route is one of the two ways the facade executes a statement, which
+// Figure 4 and Table 1 report side by side. Answers never depend on the
+// route: the planner's rewrites preserve results byte for byte.
+type Route int
+
+const (
+	// PaperRoute runs the plan exactly as translation produced it
+	// (Options.NaivePlanner): the configuration the paper measured. The
+	// ablation and the OR-split study run on it, because the planner
+	// would rescue the raw translations they exist to show.
+	PaperRoute Route = iota
+	// DefaultRoute is what certsqld serves: the cost-based planner on.
+	DefaultRoute
+)
+
+// Routes lists both routes in measurement and rendering order.
+var Routes = [...]Route{PaperRoute, DefaultRoute}
+
+// String names the route.
+func (r Route) String() string { return [...]string{"paper", "default"}[r] }
+
+// options returns the route's facade options, executing at par workers
+// (0 = GOMAXPROCS, 1 = sequential) under the limits of a config's Limits
+// field (zero = DefaultLimits). Every execution builds a fresh governor
+// from them.
+func (r Route) options(par int, l guard.Limits) certsql.Options {
+	if l == (guard.Limits{}) {
+		l = DefaultLimits
+	}
+	return certsql.Options{
+		NaivePlanner: r == PaperRoute,
+		Parallelism:  par,
+		MaxRows:      l.MaxRows,
+		MaxCostUnits: l.MaxCostUnits,
+		MaxMemBytes:  l.MaxMemBytes,
+	}
+}
+
+// statements prepares query qid on db as written, Q, and as its
+// certain-answer translation Q⁺ (SELECT CERTAIN).
+func statements(db *certsql.DB, qid tpch.QueryID) (orig, plus *certsql.Prepared, err error) {
+	certain, err := certsql.WithMode(qid.SQL(), "certain")
 	if err != nil {
 		return nil, nil, err
 	}
-	orig, err = compile.Compile(q, db.Schema, params)
-	if err != nil {
+	if orig, err = db.Prepare(qid.SQL()); err != nil {
 		return nil, nil, err
 	}
-	plus = &compile.Compiled{Expr: tr.Plus(orig.Expr), Columns: orig.Columns}
-	return orig, plus, nil
+	plus, err = db.Prepare(certain)
+	return orig, plus, err
 }
 
-// DefaultTranslator returns the paper's recommended translation
-// pipeline for SQL-mode evaluation over db.
-func DefaultTranslator(db *table.Database) *certain.Translator {
-	return &certain.Translator{
-		Sch:           db.Schema,
-		Mode:          certain.ModeSQL,
-		SimplifyNulls: true,
-		SplitOrs:      true,
-		KeySimplify:   true,
-	}
-}
-
-// runOnce evaluates an expression with a fresh evaluator (no caches
-// shared across timed runs) under a fresh governor — one budget per
-// measured run, honoring ctx — and returns the result and wall time.
-// par is the executor worker count (0 = GOMAXPROCS, 1 = sequential);
-// results are identical at any setting.
-func runOnce(ctx context.Context, db *table.Database, c *compile.Compiled, par int, limits guard.Limits) (*table.Table, time.Duration, eval.Stats, error) {
-	ev := eval.New(db, eval.Options{
-		Semantics:   value.SQL3VL,
-		Governor:    guard.New(ctx, limitsOrDefault(limits)),
-		Parallelism: par,
-	})
+// execute runs p once and returns its result and wall time.
+func execute(ctx context.Context, p *certsql.Prepared, params certsql.Params, opts certsql.Options) (*certsql.Result, time.Duration, error) {
 	start := time.Now()
-	t, err := ev.Eval(c.Expr)
-	return t, time.Since(start), ev.Stats(), err
+	res, err := p.ExecuteWithOptionsContext(ctx, params, opts)
+	return res, time.Since(start), err
 }
 
 // Figure1Config configures the false-positive experiment.
@@ -176,9 +183,11 @@ type Figure1Row struct {
 // Figure1 reproduces Figure 1: SQL-evaluate Q1–Q4 on instances with
 // increasing null rates and measure, via the detection algorithms of
 // Section 4, the fraction of answers that are provably false positives.
-// Cancellation or deadline expiry of ctx aborts with a typed error.
+// The queries run on the default route. Cancellation or deadline expiry
+// of ctx aborts with a typed error.
 func Figure1(ctx context.Context, cfg Figure1Config) ([]Figure1Row, error) {
 	cfg.defaults()
+	opts := DefaultRoute.options(cfg.Parallelism, cfg.Limits)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	base := tpch.Generate(tpch.Config{ScaleFactor: cfg.Scale, Seed: cfg.Seed})
 	sizes := tpch.Config{ScaleFactor: cfg.Scale}.Sizes()
@@ -195,19 +204,15 @@ func Figure1(ctx context.Context, cfg Figure1Config) ([]Figure1Row, error) {
 		for inst := 0; inst < cfg.Instances; inst++ {
 			db := base.Clone()
 			tpch.InjectNulls(db, rate, rng)
+			fdb := certsql.FromInternal(db)
 			for _, qid := range cfg.Queries {
-				detect := tpch.DetectorFor(qid)
+				stmt, _, err := statements(fdb, qid)
+				if err != nil {
+					return nil, err
+				}
 				for d := 0; d < cfg.ParamDraws; d++ {
 					params := qid.Params(rng, sizes)
-					q, err := sql.Parse(qid.SQL())
-					if err != nil {
-						return nil, err
-					}
-					compiled, err := compile.Compile(q, db.Schema, params)
-					if err != nil {
-						return nil, err
-					}
-					res, _, _, err := runOnce(ctx, db, compiled, cfg.Parallelism, cfg.Limits)
+					res, _, err := execute(ctx, stmt, params, opts)
 					if err != nil {
 						if cfg.TolerateBudget && budgetTripped(err) {
 							row.BudgetTrips[qid]++
@@ -218,9 +223,10 @@ func Figure1(ctx context.Context, cfg Figure1Config) ([]Figure1Row, error) {
 					if res.Len() == 0 {
 						continue
 					}
+					detect := tpch.DetectorFor(qid)(db, params)
 					fp := 0
 					for _, r := range res.Rows() {
-						if detect(db, params, r) {
+						if detect(r) {
 							fp++
 						}
 					}

@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
-	"certsql/internal/compile"
+	"certsql"
 	"certsql/internal/guard"
 	"certsql/internal/tpch"
 	"certsql/internal/value"
@@ -65,92 +64,116 @@ func (c *Figure4Config) defaults() {
 	}
 }
 
-// Figure4Row is one point of Figure 4: the average relative performance
-// t⁺/t per query at one null rate (below 1 means the correct query is
-// faster).
+// Figure4Row is one point of Figure 4 on both routes: the average
+// relative performance t⁺/t per query at one null rate (below 1 means
+// the correct query is faster).
 type Figure4Row struct {
 	NullRate float64
-	RelPerf  map[tpch.QueryID]float64
-	// RelCost is the timing-free counterpart of RelPerf: the sum of
-	// Stats.CostUnits over the Q⁺ runs divided by the sum over the Q
-	// runs of the same pairs. It is an exact count — the same config
-	// gives the same value on every machine and at any Parallelism.
-	RelCost map[tpch.QueryID]float64
-	// BudgetTrips counts samples dropped because either side of the
-	// t⁺/t pair exceeded the resource budget (only with
+	// RelPerf, indexed by Route, maps each query to its t⁺/t.
+	RelPerf [len(Routes)]map[tpch.QueryID]float64
+	// RelCost, indexed by Route, is the timing-free counterpart of
+	// RelPerf: the sum of Stats.CostUnits over the Q⁺ runs divided by
+	// the sum over the Q runs of the same pairs. It is an exact count —
+	// the same config gives the same value on every machine and at any
+	// Parallelism.
+	RelCost [len(Routes)]map[tpch.QueryID]float64
+	// BudgetTrips counts samples dropped, on both routes, because a run
+	// of either side exceeded the resource budget (only with
 	// Figure4Config.TolerateBudget).
 	BudgetTrips map[tpch.QueryID]int
 }
 
 // Figure4 reproduces Figure 4: run each query and its Q⁺ translation on
 // instances with null rates 1%–5% and report the ratio of their running
-// times, averaged over instances, parameter draws and repeats.
+// times, averaged over instances, parameter draws and repeats, on both
+// routes. Each statement runs once untimed on the default route first,
+// so that the planner's first-use planning and statistics are in
+// neither t nor t⁺; the timed repeats then alternate the routes.
 // Cancellation or deadline expiry of ctx aborts with a typed error.
 func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	base := tpch.Generate(tpch.Config{ScaleFactor: cfg.Scale, Seed: cfg.Seed})
 	sizes := tpch.Config{ScaleFactor: cfg.Scale}.Sizes()
+	var opts [len(Routes)]certsql.Options
+	for _, r := range Routes {
+		opts[r] = r.options(cfg.Parallelism, cfg.Limits)
+		opts[r].NoOrSplit = cfg.NoOrSplit
+	}
 
 	var out []Figure4Row
 	for _, rate := range cfg.NullRates {
-		row := Figure4Row{NullRate: rate, RelPerf: map[tpch.QueryID]float64{}, RelCost: map[tpch.QueryID]float64{}, BudgetTrips: map[tpch.QueryID]int{}}
-		sumRatio := map[tpch.QueryID]float64{}
-		costOrig, costPlus := map[tpch.QueryID]int64{}, map[tpch.QueryID]int64{}
+		row := Figure4Row{NullRate: rate, BudgetTrips: map[tpch.QueryID]int{}}
+		for _, r := range Routes {
+			row.RelPerf[r], row.RelCost[r] = map[tpch.QueryID]float64{}, map[tpch.QueryID]float64{}
+		}
 		samples := map[tpch.QueryID]int{}
+		costs := map[tpch.QueryID][len(Routes)][2]float64{} // [route][original, translated]
 		for inst := 0; inst < cfg.Instances; inst++ {
 			db := base.Clone()
 			tpch.InjectNulls(db, rate, rng)
-			tr := DefaultTranslator(db)
-			tr.SplitOrs = !cfg.NoOrSplit
+			fdb := certsql.FromInternal(db)
 			for _, qid := range cfg.Queries {
+				orig, plus, err := statements(fdb, qid)
+				if err != nil {
+					return nil, fmt.Errorf("fig4 %s: %w", qid, err)
+				}
 				for d := 0; d < cfg.ParamDraws; d++ {
 					params := qid.Params(rng, sizes)
-					orig, plus, err := Prepare(qid, db, params, tr)
+					t, c, err := measure(ctx, [2]*certsql.Prepared{orig, plus}, params, opts, cfg.Repeats)
 					if err != nil {
+						if cfg.TolerateBudget && budgetTripped(err) {
+							row.BudgetTrips[qid]++
+							continue
+						}
 						return nil, fmt.Errorf("fig4 %s: %w", qid, err)
 					}
-					var tOrig, tPlus time.Duration
-					var cOrig, cPlus int64
-					tripped := false
-					for rep := 0; rep < cfg.Repeats && !tripped; rep++ {
-						for _, side := range []struct {
-							label string
-							c     *compile.Compiled
-							sum   *time.Duration
-							cost  *int64
-						}{{"original", orig, &tOrig, &cOrig}, {"translated", plus, &tPlus, &cPlus}} {
-							_, dt, st, err := runOnce(ctx, db, side.c, cfg.Parallelism, cfg.Limits)
-							if err != nil {
-								if cfg.TolerateBudget && budgetTripped(err) {
-									row.BudgetTrips[qid]++
-									tripped = true
-									break
-								}
-								return nil, fmt.Errorf("fig4 %s %s: %w", qid, side.label, err)
-							}
-							*side.sum += dt
-							*side.cost += st.CostUnits
-						}
+					if t[PaperRoute][0] == 0 || t[DefaultRoute][0] == 0 {
+						continue
 					}
-					if !tripped && tOrig > 0 {
-						sumRatio[qid] += float64(tPlus) / float64(tOrig)
-						samples[qid]++
-						costOrig[qid] += cOrig
-						costPlus[qid] += cPlus
+					samples[qid]++
+					sum := costs[qid]
+					for _, r := range Routes {
+						row.RelPerf[r][qid] += t[r][1] / t[r][0]
+						sum[r][0], sum[r][1] = sum[r][0]+c[r][0], sum[r][1]+c[r][1]
 					}
+					costs[qid] = sum
 				}
 			}
 		}
-		for _, qid := range cfg.Queries {
-			if samples[qid] > 0 {
-				row.RelPerf[qid] = sumRatio[qid] / float64(samples[qid])
-				row.RelCost[qid] = float64(costPlus[qid]) / float64(costOrig[qid])
+		for qid, n := range samples {
+			for _, r := range Routes {
+				row.RelPerf[r][qid] /= float64(n)
+				row.RelCost[r][qid] = costs[qid][r][1] / costs[qid][r][0]
 			}
 		}
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// measure runs the pair (Q, Q⁺) once untimed on the default route, then
+// repeats times on each route in turn, and returns per route and side
+// the summed wall time and cost units of the timed runs.
+func measure(ctx context.Context, pair [2]*certsql.Prepared, params certsql.Params, opts [len(Routes)]certsql.Options, repeats int) (t, c [len(Routes)][2]float64, err error) {
+	for rep := -1; rep < repeats; rep++ {
+		for _, r := range Routes {
+			if rep < 0 && r != DefaultRoute {
+				continue
+			}
+			for side, stmt := range pair {
+				res, dt, err := execute(ctx, stmt, params, opts[r])
+				if err != nil {
+					return t, c, err
+				}
+				if rep >= 0 {
+					t[r][side] += float64(dt)
+					c[r][side] += float64(res.Stats.CostUnits)
+				}
+			}
+		}
+	}
+	return t, c, nil
 }
 
 // Table1Config configures the instance-size scaling experiment.
@@ -196,11 +219,12 @@ func (c *Table1Config) defaults() {
 	}
 }
 
-// Table1Row is one cell range of Table 1: the min–max of average
-// relative performance for one query at one instance size.
+// Table1Row is one cell range of Table 1 on both routes: the min–max of
+// average relative performance for one query at one instance size.
 type Table1Row struct {
 	Multiplier float64
-	Min, Max   map[tpch.QueryID]float64
+	// Min and Max are indexed by Route.
+	Min, Max [len(Routes)]map[tpch.QueryID]float64
 	// BudgetTrips aggregates the dropped samples of the underlying
 	// Figure 4 runs (only with Table1Config.TolerateBudget).
 	BudgetTrips map[tpch.QueryID]int
@@ -228,21 +252,25 @@ func Table1(ctx context.Context, cfg Table1Config) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		t1 := Table1Row{Multiplier: mult, Min: map[tpch.QueryID]float64{}, Max: map[tpch.QueryID]float64{}, BudgetTrips: map[tpch.QueryID]int{}}
-		for _, qid := range cfg.Queries {
-			for i, r := range rows {
-				t1.BudgetTrips[qid] += r.BudgetTrips[qid]
-				v, ok := r.RelPerf[qid]
-				if !ok {
-					continue
-				}
-				if i == 0 || v < t1.Min[qid] {
-					t1.Min[qid] = v
-				}
-				if i == 0 || v > t1.Max[qid] {
-					t1.Max[qid] = v
+		t1 := Table1Row{Multiplier: mult, BudgetTrips: map[tpch.QueryID]int{}}
+		for _, r := range rows {
+			for q, n := range r.BudgetTrips {
+				t1.BudgetTrips[q] += n
+			}
+		}
+		for _, route := range Routes {
+			lo, hi := map[tpch.QueryID]float64{}, map[tpch.QueryID]float64{}
+			for _, r := range rows {
+				for q, v := range r.RelPerf[route] {
+					if cur, ok := lo[q]; !ok || v < cur {
+						lo[q] = v
+					}
+					if cur, ok := hi[q]; !ok || v > cur {
+						hi[q] = v
+					}
 				}
 			}
+			t1.Min[route], t1.Max[route] = lo, hi
 		}
 		out = append(out, t1)
 	}
@@ -317,13 +345,15 @@ func (c *RecallConfig) defaults() {
 
 // Recall reproduces the Section 7 recall measurement on small
 // DataFiller-style instances: Q⁺ must return precisely the SQL answers
-// minus the detected false positives. Cancellation or deadline expiry
-// of ctx aborts with a typed error.
+// minus the detected false positives. Both run on the default route.
+// Cancellation or deadline expiry of ctx aborts with a typed error.
 func Recall(ctx context.Context, cfg RecallConfig) ([]RecallResult, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	base := tpch.Generate(tpch.Config{ScaleFactor: cfg.Scale, Seed: cfg.Seed})
 	sizes := tpch.Config{ScaleFactor: cfg.Scale}.Sizes()
+
+	opts := DefaultRoute.options(cfg.Parallelism, cfg.Limits)
 
 	results := map[tpch.QueryID]*RecallResult{}
 	for _, qid := range cfg.Queries {
@@ -332,24 +362,19 @@ func Recall(ctx context.Context, cfg RecallConfig) ([]RecallResult, error) {
 	for inst := 0; inst < cfg.Instances; inst++ {
 		db := base.Clone()
 		tpch.InjectNulls(db, cfg.NullRate, rng)
-		tr := DefaultTranslator(db)
+		fdb := certsql.FromInternal(db)
 		for _, qid := range cfg.Queries {
-			detect := tpch.DetectorFor(qid)
+			orig, plus, err := statements(fdb, qid)
+			if err != nil {
+				return nil, err
+			}
 			for d := 0; d < cfg.ParamDraws; d++ {
 				params := qid.Params(rng, sizes)
-				orig, plus, err := Prepare(qid, db, params, tr)
-				if err != nil {
-					return nil, err
+				sqlRes, _, err := execute(ctx, orig, params, opts)
+				var plusRes *certsql.Result
+				if err == nil {
+					plusRes, _, err = execute(ctx, plus, params, opts)
 				}
-				sqlRes, _, _, err := runOnce(ctx, db, orig, cfg.Parallelism, cfg.Limits)
-				if err != nil {
-					if cfg.TolerateBudget && budgetTripped(err) {
-						results[qid].BudgetTrips++
-						continue
-					}
-					return nil, err
-				}
-				plusRes, _, _, err := runOnce(ctx, db, plus, cfg.Parallelism, cfg.Limits)
 				if err != nil {
 					if cfg.TolerateBudget && budgetTripped(err) {
 						results[qid].BudgetTrips++
@@ -357,11 +382,12 @@ func Recall(ctx context.Context, cfg RecallConfig) ([]RecallResult, error) {
 					}
 					return nil, err
 				}
-				plusKeys := plusRes.KeySet()
+				plusKeys := plusRes.Table().KeySet()
+				detect := tpch.DetectorFor(qid)(db, params)
 				r := results[qid]
 				for _, row := range sqlRes.Rows() {
-					_, inPlus := plusKeys[rowKey(row)]
-					if detect(db, params, row) {
+					_, inPlus := plusKeys[value.RowKey(row)]
+					if detect(row) {
 						r.FalsePositives++
 						if inPlus {
 							r.LeakedFalsePositives++
@@ -382,5 +408,3 @@ func Recall(ctx context.Context, cfg RecallConfig) ([]RecallResult, error) {
 	}
 	return out, nil
 }
-
-func rowKey(row []value.Value) string { return value.RowKey(row) }

@@ -9,33 +9,26 @@ import (
 
 // renderTrips appends a budget-trip footer when any samples were
 // dropped over budget (see the TolerateBudget config knobs): governed
-// experiments degrade loudly, never silently.
-func renderTrips(b *strings.Builder, trips map[tpch.QueryID]int) {
-	total := 0
-	for _, n := range trips {
-		total += n
+// experiments degrade loudly, never silently. It sums the per-query
+// counts trips reads off each row.
+func renderTrips[R any](b *strings.Builder, rows []R, trips func(R) map[tpch.QueryID]int) {
+	sum, total := map[tpch.QueryID]int{}, 0
+	for _, r := range rows {
+		for q, n := range trips(r) {
+			sum[q] += n
+			total += n
+		}
 	}
 	if total == 0 {
 		return
 	}
 	b.WriteString("budget trips (samples dropped over the resource budget):")
 	for _, q := range tpch.AllQueries {
-		if trips[q] > 0 {
-			fmt.Fprintf(b, " %s=%d", q, trips[q])
+		if sum[q] > 0 {
+			fmt.Fprintf(b, " %s=%d", q, sum[q])
 		}
 	}
 	b.WriteString("\n")
-}
-
-// sumTrips merges per-row trip counts into one per-query total.
-func sumTrips(rows []map[tpch.QueryID]int) map[tpch.QueryID]int {
-	out := map[tpch.QueryID]int{}
-	for _, m := range rows {
-		for q, n := range m {
-			out[q] += n
-		}
-	}
-	return out
 }
 
 // RenderFigure1 renders the Figure 1 series as a text table comparable
@@ -60,74 +53,64 @@ func RenderFigure1(rows []Figure1Row) string {
 		}
 		b.WriteString("\n")
 	}
-	trips := make([]map[tpch.QueryID]int, 0, len(rows))
-	for _, r := range rows {
-		trips = append(trips, r.BudgetTrips)
-	}
-	renderTrips(&b, sumTrips(trips))
+	renderTrips(&b, rows, func(r Figure1Row) map[tpch.QueryID]int { return r.BudgetTrips })
 	return b.String()
 }
 
-// RenderFigure4 renders the Figure 4 series: null rate versus relative
-// performance t⁺/t per query, then the same series in exact cost units.
+// RenderFigure4 renders the Figure 4 series for each route: null rate
+// versus relative performance t⁺/t per query, then the same series in
+// exact cost units.
 func RenderFigure4(rows []Figure4Row) string {
 	var b strings.Builder
-	for _, series := range []struct {
-		title string
-		of    func(Figure4Row) map[tpch.QueryID]float64
-	}{
-		{"Figure 4 — average relative performance t⁺/t (1 = no overhead)", func(r Figure4Row) map[tpch.QueryID]float64 { return r.RelPerf }},
-		{"relative cost units Σ⁺/Σ over the same pairs (exact count)", func(r Figure4Row) map[tpch.QueryID]float64 { return r.RelCost }},
-	} {
-		b.WriteString(series.title + "\n")
-		b.WriteString("null%   ")
-		for _, q := range tpch.AllQueries {
-			fmt.Fprintf(&b, "%12s", q)
+	for _, route := range Routes {
+		for i, title := range []string{
+			"Figure 4 — average relative performance t⁺/t (1 = no overhead)",
+			"relative cost units Σ⁺/Σ over the same pairs (exact count)",
+		} {
+			fmt.Fprintf(&b, "%s, %s route\n", title, route)
+			b.WriteString("null%   ")
+			for _, q := range tpch.AllQueries {
+				fmt.Fprintf(&b, "%12s", q)
+			}
+			b.WriteString("\n")
+			for _, r := range rows {
+				fmt.Fprintf(&b, "%5.1f   ", 100*r.NullRate)
+				for _, q := range tpch.AllQueries {
+					v, ok := [...]map[tpch.QueryID]float64{r.RelPerf[route], r.RelCost[route]}[i][q]
+					if !ok {
+						b.WriteString("           –")
+						continue
+					}
+					fmt.Fprintf(&b, "%12.4f", v)
+				}
+				b.WriteString("\n")
+			}
+		}
+	}
+	renderTrips(&b, rows, func(r Figure4Row) map[tpch.QueryID]int { return r.BudgetTrips })
+	return b.String()
+}
+
+// RenderTable1 renders Table 1 for each route: ranges of relative
+// performance per query and instance size.
+func RenderTable1(rows []Table1Row) string {
+	var b strings.Builder
+	for _, route := range Routes {
+		fmt.Fprintf(&b, "Table 1 — ranges of average relative performance t⁺/t per instance size, %s route\n", route)
+		b.WriteString("query   ")
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%19s", fmt.Sprintf("%gx", r.Multiplier))
 		}
 		b.WriteString("\n")
-		for _, r := range rows {
-			fmt.Fprintf(&b, "%5.1f   ", 100*r.NullRate)
-			for _, q := range tpch.AllQueries {
-				v, ok := series.of(r)[q]
-				if !ok {
-					b.WriteString("           –")
-					continue
-				}
-				fmt.Fprintf(&b, "%12.4f", v)
+		for _, q := range tpch.AllQueries {
+			fmt.Fprintf(&b, "%-8s", q)
+			for _, r := range rows {
+				fmt.Fprintf(&b, "%19s", fmt.Sprintf("%.4f – %.4f", r.Min[route][q], r.Max[route][q]))
 			}
 			b.WriteString("\n")
 		}
 	}
-	trips := make([]map[tpch.QueryID]int, 0, len(rows))
-	for _, r := range rows {
-		trips = append(trips, r.BudgetTrips)
-	}
-	renderTrips(&b, sumTrips(trips))
-	return b.String()
-}
-
-// RenderTable1 renders Table 1: ranges of relative performance per
-// query and instance size.
-func RenderTable1(rows []Table1Row) string {
-	var b strings.Builder
-	b.WriteString("Table 1 — ranges of average relative performance t⁺/t per instance size\n")
-	b.WriteString("query   ")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%19s", fmt.Sprintf("%gx", r.Multiplier))
-	}
-	b.WriteString("\n")
-	for _, q := range tpch.AllQueries {
-		fmt.Fprintf(&b, "%-8s", q)
-		for _, r := range rows {
-			fmt.Fprintf(&b, "%19s", fmt.Sprintf("%.4f – %.4f", r.Min[q], r.Max[q]))
-		}
-		b.WriteString("\n")
-	}
-	trips := make([]map[tpch.QueryID]int, 0, len(rows))
-	for _, r := range rows {
-		trips = append(trips, r.BudgetTrips)
-	}
-	renderTrips(&b, sumTrips(trips))
+	renderTrips(&b, rows, func(r Table1Row) map[tpch.QueryID]int { return r.BudgetTrips })
 	return b.String()
 }
 
@@ -140,11 +123,7 @@ func RenderRecall(results []RecallResult) string {
 		fmt.Fprintf(&b, "%-8s%16d %10d %9.1f %12d %18d\n",
 			r.Query, r.CertainReturned, r.Recalled, r.Recall(), r.FalsePositives, r.LeakedFalsePositives)
 	}
-	trips := map[tpch.QueryID]int{}
-	for _, r := range results {
-		trips[r.Query] = r.BudgetTrips
-	}
-	renderTrips(&b, trips)
+	renderTrips(&b, results, func(r RecallResult) map[tpch.QueryID]int { return map[tpch.QueryID]int{r.Query: r.BudgetTrips} })
 	return b.String()
 }
 
@@ -173,7 +152,7 @@ func RenderOrSplit(r *OrSplitReport) string {
 		run   OrSplitRun
 	}{{"without split:", r.Unsplit}, {"with split:", r.Split}, {"confused:", r.Confused}} {
 		if p.run.Failed {
-			fmt.Fprintf(&b, "  %-15s EXCEEDED BUDGET after %s, %s\n", p.label, p.run.Time, p.run.Stats.Summary())
+			fmt.Fprintf(&b, "  %-15s EXCEEDED BUDGET after %s\n", p.label, p.run.Time)
 		} else {
 			fmt.Fprintf(&b, "  %-15s %d rows, %s, %s\n", p.label, p.run.Rows, p.run.Time, p.run.Stats.Summary())
 		}
@@ -182,16 +161,9 @@ func RenderOrSplit(r *OrSplitReport) string {
 		if run.Failed {
 			return "over budget"
 		}
-		return fmt.Sprintf("%.1f", float64(run.Stats.CostUnits)/float64(maxInt64(1, r.Split.Stats.CostUnits)))
+		return fmt.Sprintf("%.1f", float64(run.Stats.CostUnits)/float64(max(1, r.Split.Stats.CostUnits)))
 	}
 	fmt.Fprintf(&b, "  cost ratio unsplit/split: %s; confused (unsplit, no hash strategies)/split: %s\n",
 		ratio(r.Unsplit), ratio(r.Confused))
 	return b.String()
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

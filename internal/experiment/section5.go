@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"certsql"
 	"certsql/internal/algebra"
 	"certsql/internal/certain"
 	"certsql/internal/compile"
@@ -176,44 +177,39 @@ type OrSplitReport struct {
 // exceeded the budget — the in-memory analogue of the paper's
 // "astronomical" plan costs for the direct translation of Q4.
 type OrSplitRun struct {
-	Stats  eval.Stats
+	Stats  certsql.Stats
 	Time   time.Duration
 	Rows   int
 	Failed bool
 }
 
-// OrSplit runs the comparison for one query on one instance.
+// OrSplit runs the comparison for one query on one instance, on the
+// paper-faithful route: the planner would split the unsplit plan itself.
+// Each plan runs once untimed, so that compiling it is not in Time.
 // Cancellation or deadline expiry of ctx aborts with a typed error.
 func OrSplit(ctx context.Context, qid tpch.QueryID, scale, nullRate float64, seed int64) (*OrSplitReport, error) {
-	db := tpch.Generate(tpch.Config{ScaleFactor: scale, Seed: seed, NullRate: nullRate})
+	db := certsql.FromInternal(tpch.Generate(tpch.Config{ScaleFactor: scale, Seed: seed, NullRate: nullRate}))
 	rng := rand.New(rand.NewSource(seed))
 	params := qid.Params(rng, tpch.Config{ScaleFactor: scale}.Sizes())
-	q, err := sql.Parse(qid.SQL())
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := compile.Compile(q, db.Schema, params)
+	_, plus, err := statements(db, qid)
 	if err != nil {
 		return nil, err
 	}
 
-	run := func(split, noHash bool) (OrSplitRun, error) {
-		tr := &certain.Translator{
-			Sch: db.Schema, Mode: certain.ModeSQL,
-			SimplifyNulls: true, SplitOrs: split, KeySimplify: true,
-		}
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, NoHashJoin: noHash,
-			Governor: guard.New(ctx, guard.Limits{})})
-		start := time.Now()
-		res, err := ev.Eval(tr.Plus(compiled.Expr))
-		r := OrSplitRun{Stats: ev.Stats(), Time: time.Since(start)}
-		switch {
-		case err == nil:
-			r.Rows = res.Len()
-		case !split && budgetTripped(err):
-			r.Failed = true
-		default:
-			return r, err
+	run := func(split, noHash bool) (r OrSplitRun, err error) {
+		// The zero budgets are the facade's defaults, not DefaultLimits.
+		opts := certsql.Options{NaivePlanner: true, NoOrSplit: !split, NoHashJoin: noHash}
+		for range 2 {
+			var res *certsql.Result
+			res, r.Time, err = execute(ctx, plus, params, opts)
+			switch {
+			case err == nil:
+				r.Stats, r.Rows = res.Stats, res.Len()
+			case !split && budgetTripped(err):
+				r.Failed = true
+			default:
+				return r, err
+			}
 		}
 		return r, nil
 	}

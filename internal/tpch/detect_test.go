@@ -101,10 +101,10 @@ func checkDetectorSound(t *testing.T, db *table.Database, qid tpch.QueryID, para
 		t.Fatalf("brute force: %v", err)
 	}
 	certKeys := cert.KeySet()
-	detect := tpch.DetectorFor(qid)
+	detect := tpch.DetectorFor(qid)(db, params)
 	for _, row := range answers.Rows() {
 		_, isCertain := certKeys[value.RowKey(row)]
-		if detect(db, params, row) {
+		if detect(row) {
 			flagged++
 			if isCertain {
 				t.Errorf("%s: detector flagged certain answer %v", qid, row)
