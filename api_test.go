@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"certsql"
+	"certsql/internal/refeval"
 )
 
 func apiDB(t *testing.T) *certsql.DB {
@@ -277,6 +278,12 @@ func TestAPIAggregates(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "certain:") {
 			t.Errorf("unexpected error for %q: %v", q, err)
 		}
+	}
+	// Ground truth refuses a LIMIT before the first valuation: which rows
+	// come first is not fixed by the algebra, so there is nothing certain.
+	if _, err := db.CertainGroundTruth(`SELECT id FROM emp LIMIT 1`, nil); !errors.Is(err, refeval.ErrLimit) ||
+		!strings.Contains(err.Error(), "certain:") {
+		t.Errorf("ground truth under LIMIT: got %v, want refeval.ErrLimit", err)
 	}
 }
 

@@ -595,9 +595,14 @@ func (db *DB) RewritePossible(text string, params Params) (string, error) {
 }
 
 // CertainGroundTruth computes the exact certain answers cert(Q, D) by
-// brute-force valuation enumeration. Computing certain answers is
-// coNP-hard, so this is only feasible on small instances; it returns an
-// error wrapping certain.ErrBruteForceTooLarge beyond its budget.
+// brute-force valuation enumeration, each valuation evaluated on the
+// definitional evaluator (internal/refeval), never on the engine.
+// Computing certain answers is coNP-hard, so this is only feasible on
+// small instances; it returns an error wrapping
+// certain.ErrBruteForceTooLarge beyond its budget. A query with a LIMIT
+// is refused before the first valuation: which rows come first is not
+// fixed, so there is nothing certain to compute. It takes no Options and
+// fans the enumeration out over GOMAXPROCS workers.
 func (db *DB) CertainGroundTruth(text string, params Params) (*Result, error) {
 	return db.CertainGroundTruthContext(context.Background(), text, params)
 }

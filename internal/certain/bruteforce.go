@@ -10,9 +10,8 @@ import (
 	"sync/atomic"
 
 	"certsql/internal/algebra"
-	"certsql/internal/eval"
 	"certsql/internal/guard"
-	"certsql/internal/schema"
+	"certsql/internal/refeval"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -45,14 +44,10 @@ type BruteForceOptions struct {
 }
 
 func (o BruteForceOptions) workers() int {
-	switch {
-	case o.Parallelism > 0:
-		return o.Parallelism
-	case o.Parallelism == 0:
+	if o.Parallelism == 0 {
 		return runtime.GOMAXPROCS(0)
-	default:
-		return 1
 	}
+	return max(o.Parallelism, 1)
 }
 
 func (o BruteForceOptions) maxValuations() int {
@@ -85,22 +80,9 @@ func (o BruteForceOptions) maxCandidates() int {
 // condition language of the paper (=, ≠, <, ≤, >, ≥, LIKE, const/null).
 func CertainAnswers(e algebra.Expr, db *table.Database, opts BruteForceOptions) (*table.Table, error) {
 	k := e.Arity()
-
-	// Per-null value pools.
-	nullIDs := db.Nulls()
-	pools, err := valuationPools(e, db, nullIDs, opts.Governor)
+	space, err := newValuationSpace(e, db, opts)
 	if err != nil {
 		return nil, err
-	}
-	total := 1
-	for _, p := range pools {
-		if len(p) == 0 {
-			return nil, fmt.Errorf("certain: empty valuation pool")
-		}
-		if total > opts.maxValuations()/len(p) {
-			return nil, fmt.Errorf("%w: %d nulls with pools of size ~%d", ErrBruteForceTooLarge, len(nullIDs), len(p))
-		}
-		total *= len(p)
 	}
 
 	// Candidate tuples are over adom(D)^k, but rather than enumerating
@@ -108,36 +90,8 @@ func CertainAnswers(e algebra.Expr, db *table.Database, opts BruteForceOptions) 
 	// and take the preimages of its answers: every certain candidate ā
 	// must satisfy v₀(ā) ∈ Q(v₀(D)), so ā is, position by position, an
 	// adom element that v₀ maps to the answer's value.
-	// valuationAt decodes valuation index idx in little-endian mixed
-	// radix over the pools (pool 0 is the fastest-moving digit); index 0
-	// is v₀, the all-first-choices valuation.
-	valuationAt := func(idx int) map[int64]value.Value {
-		valuation := make(map[int64]value.Value, len(nullIDs))
-		for i, id := range nullIDs {
-			p := pools[i]
-			valuation[id] = p[idx%len(p)]
-			idx /= len(p)
-		}
-		return valuation
-	}
-	run := func(valuation map[int64]value.Value, par int) (*table.Table, error) {
-		// One poll (and fault hit) per valuation: each valuation is a
-		// complete small-instance evaluation, so this is the natural
-		// cancellation grain. Both calls are nil-safe and
-		// concurrency-safe, so parallel workers share the governor.
-		if err := opts.Governor.Fault(guard.SiteValuation); err != nil {
-			return nil, err
-		}
-		if err := opts.Governor.Poll("brute-force/valuation"); err != nil {
-			return nil, err
-		}
-		complete := db.Apply(valuation)
-		ev := eval.New(complete, eval.Options{Semantics: value.SQL3VL, Parallelism: par})
-		return ev.Eval(e)
-	}
-
-	v0 := valuationAt(0)
-	res0, err := run(v0, 0)
+	v0 := space.at(0)
+	res0, err := space.run(v0)
 	if err != nil {
 		return nil, err
 	}
@@ -152,27 +106,21 @@ func CertainAnswers(e algebra.Expr, db *table.Database, opts BruteForceOptions) 
 	for _, c := range db.Constants() {
 		addPre(c, c)
 	}
-	for _, id := range nullIDs {
+	for _, id := range space.nullIDs {
 		addPre(value.Null(id), v0[id])
 	}
 
 	var cands []table.Row
 	seen := map[string]struct{}{}
-	for _, ans := range res0.Distinct().Rows() {
+answers:
+	for _, ans := range table.FromRows(k, res0).Distinct().Rows() {
 		perPos := make([][]value.Value, k)
-		feasible := true
 		for i, v := range ans {
-			pre := preimage[value.RowKey(table.Row{v})]
-			if len(pre) == 0 {
+			if perPos[i] = preimage[value.RowKey(table.Row{v})]; len(perPos[i]) == 0 {
 				// The answer contains a value outside adom(D)'s image —
 				// cannot happen for this query class, but be safe.
-				feasible = false
-				break
+				continue answers
 			}
-			perPos[i] = pre
-		}
-		if !feasible {
-			continue
 		}
 		n := 1
 		for _, p := range perPos {
@@ -207,20 +155,13 @@ func CertainAnswers(e algebra.Expr, db *table.Database, opts BruteForceOptions) 
 	}
 
 	// Filter the candidates against the remaining valuations, indices
-	// [1, total), partitioned contiguously across workers. Survival is
-	// a conjunction over all valuations, so the surviving set — kept in
-	// original candidate order — is independent of how the index space
-	// is split. Per-candidate alive flags let every worker prune and
-	// give a global early exit once no candidate survives.
-	if len(cands) > 0 && total > 1 {
-		workers := opts.workers()
-		if span := total - 1; workers > span {
-			workers = span
-		}
-		innerPar := 0
-		if workers > 1 {
-			innerPar = 1 // valuation-level fan-out already saturates the cores
-		}
+	// [1, total), worker w taking every workers-th index from 1+w.
+	// Survival is a conjunction over all valuations, so the surviving set
+	// — kept in original candidate order — is independent of how the
+	// index space is split. Per-candidate alive flags let every worker
+	// prune and give a global early exit once no candidate survives.
+	if len(cands) > 0 && space.total > 1 {
+		workers := min(opts.workers(), space.total-1)
 		alive := make([]atomic.Bool, len(cands))
 		for i := range alive {
 			alive[i].Store(true)
@@ -230,49 +171,34 @@ func CertainAnswers(e algebra.Expr, db *table.Database, opts BruteForceOptions) 
 		var failed atomic.Bool
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
-		lo := 1
-		for part := 0; part < workers; part++ {
-			size := (total - 1) / workers
-			if part < (total-1)%workers {
-				size++
-			}
-			hi := lo + size
+		for w := range workers {
 			wg.Add(1)
-			go func(part, lo, hi int) {
+			go func() {
 				defer wg.Done()
-				img := make(table.Row, k)
-				for idx := lo; idx < hi; idx++ {
+				var img table.Row
+				for idx := 1 + w; idx < space.total; idx += workers {
 					if aliveCount.Load() == 0 || failed.Load() {
 						return
 					}
-					valuation := valuationAt(idx)
-					res, err := run(valuation, innerPar)
+					valuation := space.at(idx)
+					res, err := space.run(valuation)
 					if err != nil {
-						errs[part] = err
+						errs[w] = err
 						failed.Store(true)
 						return
 					}
-					keys := res.KeySet()
+					keys := table.FromRows(k, res).KeySet()
 					for ci := range cands {
 						if !alive[ci].Load() {
 							continue
 						}
-						for i, v := range cands[ci] {
-							if v.IsNull() {
-								img[i] = valuation[v.NullID()]
-							} else {
-								img[i] = v
-							}
-						}
-						if _, ok := keys[value.RowKey(img)]; !ok {
-							if alive[ci].CompareAndSwap(true, false) {
-								aliveCount.Add(-1)
-							}
+						img = image(valuation, cands[ci], img)
+						if _, ok := keys[value.RowKey(img)]; !ok && alive[ci].CompareAndSwap(true, false) {
+							aliveCount.Add(-1)
 						}
 					}
 				}
-			}(part, lo, hi)
-			lo = hi
+			}()
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -289,6 +215,98 @@ func CertainAnswers(e algebra.Expr, db *table.Database, opts BruteForceOptions) 
 		cands = kept
 	}
 	return table.FromRows(k, cands), nil
+}
+
+// valuationSpace is the finite valuation space of one brute-force run:
+// one pool per null of D (in db.Nulls() order) and the size of their
+// product, with every v(D) evaluated on the definitional evaluator.
+type valuationSpace struct {
+	e       algebra.Expr
+	db      *table.Database
+	gov     *guard.Governor
+	nullIDs []int64
+	pools   [][]value.Value
+	total   int
+}
+
+// newValuationSpace builds the pools of e over db and checks them
+// against the valuation budget. A plan with a LIMIT is refused before
+// any valuation runs: its answer is whichever rows come first, which
+// the algebra does not fix, so it has no certain answers to compute.
+func newValuationSpace(e algebra.Expr, db *table.Database, opts BruteForceOptions) (*valuationSpace, error) {
+	limited := false
+	algebra.Walk(e, func(sub algebra.Expr) {
+		_, isLimit := sub.(algebra.Limit)
+		limited = limited || isLimit
+	})
+	if limited {
+		return nil, fmt.Errorf("certain: brute-force ground truth: %w", refeval.ErrLimit)
+	}
+	nullIDs := db.Nulls()
+	pools, err := valuationPools(e, db, nullIDs, opts.Governor)
+	if err != nil {
+		return nil, err
+	}
+	total := 1
+	for _, p := range pools {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("certain: empty valuation pool")
+		}
+		if total > opts.maxValuations()/len(p) {
+			return nil, fmt.Errorf("%w: %d nulls with pools of size ~%d", ErrBruteForceTooLarge, len(nullIDs), len(p))
+		}
+		total *= len(p)
+	}
+	return &valuationSpace{e: e, db: db, gov: opts.Governor, nullIDs: nullIDs, pools: pools, total: total}, nil
+}
+
+// at decodes valuation index idx in little-endian mixed radix over the
+// pools (pool 0 is the fastest-moving digit); index 0 is v₀, the
+// all-first-choices valuation.
+func (s *valuationSpace) at(idx int) map[int64]value.Value {
+	valuation := make(map[int64]value.Value, len(s.nullIDs))
+	for i, id := range s.nullIDs {
+		p := s.pools[i]
+		valuation[id] = p[idx%len(p)]
+		idx /= len(p)
+	}
+	return valuation
+}
+
+// run evaluates e on v(D) under SQL's three-valued logic. One poll (and
+// fault hit) per valuation: each valuation is a complete small-instance
+// evaluation, so this is the natural cancellation grain. Both calls are
+// nil-safe and concurrency-safe, so parallel workers share the governor.
+// An evaluation beyond the evaluator's work cap is a search space too
+// large, like a valuation budget overrun.
+func (s *valuationSpace) run(valuation map[int64]value.Value) ([]table.Row, error) {
+	if err := s.gov.Fault(guard.SiteValuation); err != nil {
+		return nil, err
+	}
+	if err := s.gov.Poll("brute-force/valuation"); err != nil {
+		return nil, err
+	}
+	rows, err := refeval.Rows(s.db.Apply(valuation), value.SQL3VL, s.e)
+	if errors.Is(err, refeval.ErrWork) {
+		return nil, fmt.Errorf("%w: %w", ErrBruteForceTooLarge, err)
+	}
+	return rows, err
+}
+
+// image is v(row) written into dst: row with every null v binds
+// replaced by its value. Marks v does not bind (those an evaluator
+// minted for an empty aggregate) stay.
+func image(v map[int64]value.Value, row, dst table.Row) table.Row {
+	dst = dst[:0]
+	for _, x := range row {
+		if x.IsNull() {
+			if c, bound := v[x.NullID()]; bound {
+				x = c
+			}
+		}
+		dst = append(dst, x)
+	}
+	return dst
 }
 
 // valuationPools builds, for each null of db (in db.Nulls() order), the
@@ -511,93 +529,25 @@ func dedupeValues(vals []value.Value) []value.Value {
 // (Proposition 1 of the paper shows this problem is coNP-complete in
 // general, so like CertainAnswers this is a small-instance tool.)
 func RepresentsPotentialAnswers(e algebra.Expr, db *table.Database, a *table.Table, opts BruteForceOptions) (ok bool, missing table.Row, witness map[int64]value.Value, err error) {
-	nullIDs := db.Nulls()
-	pools, err := valuationPools(e, db, nullIDs, opts.Governor)
+	space, err := newValuationSpace(e, db, opts)
 	if err != nil {
 		return false, nil, nil, err
 	}
-	total := 1
-	for _, p := range pools {
-		if len(p) == 0 {
-			return false, nil, nil, fmt.Errorf("certain: empty valuation pool")
-		}
-		if total > opts.maxValuations()/len(p) {
-			return false, nil, nil, fmt.Errorf("%w: %d nulls with pools of size ~%d", ErrBruteForceTooLarge, len(nullIDs), len(p))
-		}
-		total *= len(p)
-	}
-
-	choice := make([]int, len(nullIDs))
-	for {
-		if err := opts.Governor.Fault(guard.SiteValuation); err != nil {
-			return false, nil, nil, err
-		}
-		if err := opts.Governor.Poll("brute-force/valuation"); err != nil {
-			return false, nil, nil, err
-		}
-		valuation := make(map[int64]value.Value, len(nullIDs))
-		for i, id := range nullIDs {
-			valuation[id] = pools[i][choice[i]]
-		}
-		complete := db.Apply(valuation)
-		res, err := eval.New(complete, eval.Options{Semantics: value.SQL3VL}).Eval(e)
+	for idx := 0; idx < space.total; idx++ {
+		valuation := space.at(idx)
+		res, err := space.run(valuation)
 		if err != nil {
 			return false, nil, nil, err
 		}
-		// v(A) keys.
-		img := make(map[string]struct{}, a.Len())
+		img := make(map[string]struct{}, a.Len()) // the keys of v(A)
 		for _, r := range a.Rows() {
-			nr := make(table.Row, len(r))
-			for i, v := range r {
-				if v.IsNull() {
-					if c, bound := valuation[v.NullID()]; bound {
-						nr[i] = c
-						continue
-					}
-				}
-				nr[i] = v
-			}
-			img[value.RowKey(nr)] = struct{}{}
+			img[value.RowKey(image(valuation, r, nil))] = struct{}{}
 		}
-		for _, r := range res.Rows() {
+		for _, r := range res {
 			if _, covered := img[value.RowKey(r)]; !covered {
 				return false, r, valuation, nil
 			}
 		}
-		// Advance the odometer.
-		i := 0
-		for i < len(choice) {
-			choice[i]++
-			if choice[i] < len(pools[i]) {
-				break
-			}
-			choice[i] = 0
-			i++
-		}
-		if i == len(choice) {
-			return true, nil, nil, nil
-		}
 	}
+	return true, nil, nil, nil
 }
-
-// FalsePositives returns the tuples of answers that are not certain
-// answers: answers − cert(Q, D). answers should be the result of
-// standard SQL evaluation of e on db.
-func FalsePositives(e algebra.Expr, db *table.Database, answers *table.Table, opts BruteForceOptions) (*table.Table, error) {
-	cert, err := CertainAnswers(e, db, opts)
-	if err != nil {
-		return nil, err
-	}
-	ck := cert.KeySet()
-	out := table.New(answers.Arity())
-	for _, r := range answers.Rows() {
-		if _, ok := ck[value.RowKey(r)]; !ok {
-			out.Append(r)
-		}
-	}
-	return out, nil
-}
-
-// SchemaOf is a convenience accessor used by callers that build a
-// Translator from a database.
-func SchemaOf(db *table.Database) *schema.Schema { return db.Schema }

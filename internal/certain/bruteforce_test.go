@@ -11,6 +11,7 @@ import (
 	"certsql/internal/compile"
 	"certsql/internal/guard"
 	"certsql/internal/guard/faultinject"
+	"certsql/internal/refeval"
 	"certsql/internal/sql"
 	"certsql/internal/table"
 )
@@ -113,6 +114,24 @@ func TestBruteForceInjectedValuationError(t *testing.T) {
 		t.Fatalf("got %v, want ErrInjected", err)
 	}
 	settleBruteGoroutines(t, baseGoroutines)
+}
+
+// TestBruteForceRefusesLimit asserts a plan with a LIMIT is refused
+// before any valuation is evaluated: which rows come first is not fixed
+// by the algebra, so there is no certain answer to enumerate.
+func TestBruteForceRefusesLimit(t *testing.T) {
+	db := bruteDB(t)
+	compiled := bruteCompile(t, db, `SELECT r.a FROM r LIMIT 1`)
+	count := faultinject.New()
+	gov := guard.Background(guard.Limits{})
+	gov.SetFaultHook(count)
+	_, err := certain.CertainAnswers(compiled.Expr, db, certain.BruteForceOptions{Governor: gov})
+	if !errors.Is(err, refeval.ErrLimit) {
+		t.Fatalf("got %v, want refeval.ErrLimit", err)
+	}
+	if n := count.Hits(guard.SiteValuation); n != 0 {
+		t.Fatalf("%d valuations evaluated before the LIMIT was refused", n)
+	}
 }
 
 // settleBruteGoroutines waits for the goroutine count to return to at

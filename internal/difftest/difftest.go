@@ -6,7 +6,8 @@
 //
 //   - round-trip: parsing the rendered SQL reproduces the same text;
 //   - soundness: Q⁺(D) ⊆ cert(Q, D), computed by brute-force valuation
-//     enumeration (Theorem 1), in both SQL-3VL and naive modes;
+//     enumeration on the definitional evaluator (Theorem 1), in both
+//     SQL-3VL and naive modes;
 //   - representation: Q(v(D)) ⊆ v(Q⋆(D)) for every valuation v in the
 //     brute-force pool (Lemma 2);
 //   - optimization equivalence: the OR-split, null-simplification and
@@ -19,7 +20,7 @@
 //     bytes, and the hash-join / subplan-cache / short-circuit ablations
 //     give the same result sets;
 //   - reference: the executor's result for Q — and, when translatable,
-//     for Q⁺ and Q⋆ — equals the definitional evaluator's (refeval.go)
+//     for Q⁺ and Q⋆ — equals the definitional evaluator's (internal/refeval)
 //     as a multiset, under SQL-3VL and naive semantics alike;
 //   - planner ablation: the cost-based planner and the paper-faithful
 //     naive planner render byte-identical results on the standard and
@@ -47,6 +48,7 @@ import (
 	"certsql/internal/eval"
 	"certsql/internal/plan"
 	"certsql/internal/qgen"
+	"certsql/internal/refeval"
 	"certsql/internal/sql"
 	"certsql/internal/stats"
 	"certsql/internal/table"
@@ -173,10 +175,12 @@ func CheckSeed(seed uint64, opts Options) *Report {
 	return rep
 }
 
-// budgetErr reports errors that mean "case too expensive", which skip an
+// budgetErr reports errors that mean "case too expensive" (or, for the
+// ground truth, a LIMIT the algebra gives no meaning to), which skip an
 // invariant rather than violate it.
 func budgetErr(err error) bool {
-	return errors.Is(err, eval.ErrTooLarge) || errors.Is(err, certain.ErrBruteForceTooLarge)
+	return errors.Is(err, eval.ErrTooLarge) || errors.Is(err, certain.ErrBruteForceTooLarge) ||
+		errors.Is(err, refeval.ErrLimit)
 }
 
 // Check runs every oracle invariant on one case.
@@ -592,7 +596,7 @@ func checkPlanAudit(rep *Report, db *table.Database, st *stats.DBStats, e algebr
 
 // checkReference is the reference invariant on one route: under each
 // semantics, the executor's result for e must equal the definitional
-// evaluator's as a multiset (see sameMultiset). It returns the
+// evaluator's as a multiset (see refeval.SameMultiset). It returns the
 // route/semantics labels actually compared. A case beyond the reference
 // evaluator's work cap or the executor's budget, and a plan with a
 // LIMIT, are skips. The chaos sweep runs it on its clean baseline too,
@@ -601,8 +605,8 @@ func checkReference(db *table.Database, route string, e algebra.Expr,
 	violate func(invariant, format string, args ...any), skip func(reason string)) (ran []string) {
 	for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
 		label := route + "/" + sem.String()
-		want, err := referenceRows(db, sem, e)
-		if errors.Is(err, errRefWork) || errors.Is(err, errRefLimit) {
+		want, err := refeval.Rows(db, sem, e)
+		if errors.Is(err, refeval.ErrWork) || errors.Is(err, refeval.ErrLimit) {
 			skip("reference " + label + ": " + err.Error())
 			continue
 		}
@@ -619,7 +623,7 @@ func checkReference(db *table.Database, route string, e algebra.Expr,
 			}
 			continue
 		}
-		if !sameMultiset(got.Rows(), want) {
+		if !refeval.SameMultiset(got.Rows(), want) {
 			violate("reference", "%s: executor and definitional evaluator differ:\nexecutor:  %v\nreference: %v\nplan: %s",
 				label, got.SortedStrings(), table.FromRows(e.Arity(), want).SortedStrings(), e.Key())
 			continue

@@ -8,15 +8,17 @@ import (
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
 	"certsql/internal/qgen"
+	"certsql/internal/refeval"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
 
 // Property tests for the unification operator (unify.go): every plan
 // shape it serves — the join block's Cartesian step, the (anti-)semijoin
-// without a hash key, and R ⋉⇑ S — must return the same rows in the same
-// order as the definitional nested loops written out below, which share
-// nothing with the engine but the value package's comparison atoms.
+// without a hash key, and R ⋉⇑ S — must return the rows of the
+// definitional evaluator (internal/refeval), which shares nothing with
+// the engine but the value package's comparison atoms, in the order of
+// the nested loop that NoHashJoin leaves in its place.
 
 // unifyDB draws a qgen database and rewrites its values so that every
 // hazard of hashing a unification edge occurs: nulls at the given rate
@@ -87,18 +89,6 @@ func (e unifyEdge) cond(rng *rand.Rand, nL int) algebra.Cond {
 	return c
 }
 
-// holds is the edge's definition, straight from the semantics.
-func (e unifyEdge) holds(sem value.Semantics, l, r table.Row) bool {
-	ok := value.Equal(sem, l[e.a], r[e.b]).IsTrue() ||
-		(e.testA && l[e.a].IsNull()) || (e.testB && r[e.b].IsNull())
-	if e.extra {
-		ok = ok && value.Equal(sem, l[e.c], r[e.d]).Not().IsTrue()
-	}
-	return ok
-}
-
-func renderRows(rows []table.Row) string { return fmt.Sprint(rows) }
-
 func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 	// Both visiting orders of the pool: by position and by owning shard.
 	// (Instances this small fit one chunk; TestShardsRouteOnly covers
@@ -119,8 +109,20 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 				empty++
 			}
 			for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
-				check := func(what string, e algebra.Expr, want []table.Row) {
+				// check runs e on every route: the rows must be the
+				// definition's, and their order that of nested, the same
+				// plan with its loops in the order the operator visits
+				// them, run as NoHashJoin's nested loop.
+				check := func(what string, e, nested algebra.Expr) {
 					t.Helper()
+					want, err := refeval.Rows(db, sem, e)
+					if err != nil {
+						t.Fatalf("rate %g seed %d %v %s: definition: %v", rate, seed, sem, what, err)
+					}
+					loop, err := eval.New(db, eval.Options{Semantics: sem, NoHashJoin: true, Parallelism: 1}).Eval(nested)
+					if err != nil {
+						t.Fatalf("rate %g seed %d %v %s: nested loop: %v", rate, seed, sem, what, err)
+					}
 					for _, o := range routes {
 						o.Semantics = sem
 						ev := eval.New(db, o)
@@ -128,8 +130,12 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 						if err != nil {
 							t.Fatalf("rate %g seed %d %v %s: %v", rate, seed, sem, what, err)
 						}
-						if g, w := renderRows(got.Rows()), renderRows(want); g != w {
-							t.Fatalf("rate %g seed %d %v %s %+v:\n got %s\nwant %s", rate, seed, sem, what, o, g, w)
+						if !refeval.SameMultiset(got.Rows(), want) {
+							t.Fatalf("rate %g seed %d %v %s %+v differs from the definition:\n got %s\nwant %s",
+								rate, seed, sem, what, o, got.SortedStrings(), table.FromRows(e.Arity(), want).SortedStrings())
+						}
+						if g, w := got.String(), loop.String(); g != w {
+							t.Fatalf("rate %g seed %d %v %s %+v: order differs from the nested loop:\n got %s\nwant %s", rate, seed, sem, what, o, g, w)
 						}
 						if ev.Stats().UnifyJoins == 0 {
 							t.Fatalf("rate %g seed %d %v %s: operator not exercised: %+v", rate, seed, sem, what, ev.Stats())
@@ -137,10 +143,11 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 					}
 				}
 				// Unification edges on every column pair and null-test subset.
+				nR := rt.Arity()
 				for a := 0; a < nL; a++ {
-					for b := 0; b < rt.Arity(); b++ {
+					for b := 0; b < nR; b++ {
 						e := unifyEdge{a: a, b: b, testA: rng.Intn(2) == 0, testB: rng.Intn(2) == 0,
-							extra: rng.Intn(3) == 0, c: rng.Intn(nL), d: rng.Intn(rt.Arity())}
+							extra: rng.Intn(3) == 0, c: rng.Intn(nL), d: rng.Intn(nR)}
 						if !e.testA && !e.testB {
 							e.testB = true // a bare equality is a hash join, not this operator
 						}
@@ -149,46 +156,29 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 
 						// (Anti-)semijoin: L rows with (without) a partner.
 						for _, anti := range []bool{false, true} {
-							var want []table.Row
-							for _, l := range lt.Rows() {
-								match := false
-								for _, r := range rt.Rows() {
-									if e.holds(sem, l, r) {
-										match = true
-										break
-									}
-								}
-								if match != anti {
-									want = append(want, l)
-								}
-							}
-							check(fmt.Sprintf("semijoin anti=%v %s", anti, cond),
-								algebra.SemiJoin{L: lBase, R: rBase, Cond: cond, Anti: anti}, want)
+							semi := algebra.SemiJoin{L: lBase, R: rBase, Cond: cond, Anti: anti}
+							check(fmt.Sprintf("semijoin anti=%v %s", anti, cond), semi, semi)
 						}
 
-						// Join block: product-then-filter, outer loop over the
-						// smaller leaf (the block's greedy start), first on ties.
-						var want []table.Row
-						emit := func(l, r table.Row) {
-							if e.holds(sem, l, r) {
-								want = append(want, append(append(table.Row{}, l...), r...))
-							}
-						}
+						// Join block: its loop starts at the smaller leaf, first
+						// on ties, so it runs r-major when R is smaller.
+						var join algebra.Expr = algebra.Select{Child: algebra.Product{L: lBase, R: rBase}, Cond: cond}
+						nested := join
 						if rt.Len() < lt.Len() {
-							for _, r := range rt.Rows() {
-								for _, l := range lt.Rows() {
-									emit(l, r)
+							swap := func(c int) int {
+								if c < nL {
+									return c + nR
 								}
+								return c - nL
 							}
-						} else {
-							for _, l := range lt.Rows() {
-								for _, r := range rt.Rows() {
-									emit(l, r)
-								}
+							cols := make([]int, nL+nR)
+							for c := range cols {
+								cols[c] = swap(c)
 							}
+							nested = algebra.Project{Cols: cols,
+								Child: algebra.Select{Child: algebra.Product{L: rBase, R: lBase}, Cond: algebra.MapCols(cond, swap)}}
 						}
-						check("join block "+cond.String(),
-							algebra.Select{Child: algebra.Product{L: lBase, R: rBase}, Cond: cond}, want)
+						check("join block "+cond.String(), join, nested)
 					}
 				}
 
@@ -203,21 +193,8 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 				}
 				lp, rp := algebra.Project{Child: lBase, Cols: cols}, algebra.Project{Child: rBase, Cols: cols}
 				for _, anti := range []bool{false, true} {
-					var want []table.Row
-					for _, l := range lt.Rows() {
-						match := false
-						for _, r := range rt.Rows() {
-							if value.UnifyTuples(l[:n], r[:n]) {
-								match = true
-								break
-							}
-						}
-						if match != anti {
-							want = append(want, l[:n])
-						}
-					}
-					check(fmt.Sprintf("unify-semijoin anti=%v", anti),
-						algebra.UnifySemi{L: lp, R: rp, Anti: anti}, want)
+					unify := algebra.UnifySemi{L: lp, R: rp, Anti: anti}
+					check(fmt.Sprintf("unify-semijoin anti=%v", anti), unify, unify)
 					unifies++
 				}
 			}

@@ -1,4 +1,24 @@
-package difftest
+// Package refeval is the definitional evaluator, the one oracle the
+// engine is checked against: difftest's reference invariant, and every
+// valuation v(D) of brute-force ground truth in internal/certain.
+//
+// It computes an algebra.Expr by the textbook definition of each
+// operator over lists of rows — in the style of "A Formalisation of SQL
+// with Nulls" (Ricciotti & Cheney) and Franconi & Tessaris's null-aware
+// relational algebra — and shares no code with internal/eval: product is
+// a nested loop, every join, semijoin and antijoin is product-then-filter
+// under the full three-valued condition, and set operators, grouping and
+// division compare rows pairwise. No hashing, no view cache, no planner,
+// no parallelism, no governor. What it does share with the engine is the
+// value layer (comparison atoms, LIKE, the unification test), which has
+// its own property tests; imports_test.go keeps it that way.
+//
+// It answers a query only up to what the algebra fixes: rows as a
+// multiset, never their order (Sort is the identity here, a plan with a
+// Limit is refused), and the marks of the nulls it mints for empty
+// aggregates are its own — SameMultiset erases minted (negative) marks
+// on both sides before comparing.
+package refeval
 
 import (
 	"errors"
@@ -12,37 +32,19 @@ import (
 	"certsql/internal/value"
 )
 
-// The definitional evaluator: the oracle the executor is checked
-// against. It computes an algebra.Expr by the textbook definition of
-// each operator over lists of rows — in the style of "A Formalisation of
-// SQL with Nulls" (Ricciotti & Cheney) and Franconi & Tessaris's
-// null-aware relational algebra — and shares no code with internal/eval:
-// product is a nested loop, every join, semijoin and antijoin is
-// product-then-filter under the full three-valued condition, and set
-// operators, grouping and division compare rows pairwise. No hashing, no
-// view cache, no planner, no parallelism, no governor. What it does
-// share with the engine is the value layer (comparison atoms, LIKE, the
-// unification test), which has its own property tests.
-//
-// It answers a query only up to what the algebra fixes: rows as a
-// multiset, never their order (Sort is the identity here, a plan with a
-// Limit is refused), and the marks of the nulls it mints for empty
-// aggregates are its own — sameMultiset erases minted (negative) marks
-// on both sides before comparing.
-
 var (
-	// errRefWork reports a case beyond the reference evaluator's work
-	// cap; callers record a skip, never a failure.
-	errRefWork = errors.New("work cap exceeded")
-	// errRefLimit refuses plans whose answer depends on a row order the
+	// ErrWork reports a case beyond the evaluator's work cap; callers
+	// record a skip, never a failure.
+	ErrWork = errors.New("work cap exceeded")
+	// ErrLimit refuses plans whose answer depends on a row order the
 	// algebra does not fix.
-	errRefLimit = errors.New("LIMIT depends on row order")
+	ErrLimit = errors.New("LIMIT depends on row order")
 )
 
-// refWorkCap bounds the rows a reference evaluation may touch (pairs
-// formed, conditions evaluated, rows compared). Generated cases need a
-// few thousand; the cap only stops runaway products.
-const refWorkCap = 1 << 22
+// workCap bounds the rows an evaluation may touch (pairs formed,
+// conditions evaluated, rows compared). Generated cases need a few
+// thousand; the cap only stops runaway products.
+const workCap = 1 << 22
 
 // refEval evaluates one expression by definition.
 type refEval struct {
@@ -54,12 +56,14 @@ type refEval struct {
 }
 
 // refAbort carries an evaluation-stopping error out of the recursion;
-// referenceRows recovers it. Everything else that panics is a bug and
+// Rows recovers it. Everything else that panics is a bug and
 // propagates.
 type refAbort struct{ err error }
 
-// referenceRows returns the rows of e over db under sem, as a multiset.
-func referenceRows(db *table.Database, sem value.Semantics, e algebra.Expr) (rows []table.Row, err error) {
+// Rows returns the rows of e over db under sem, as a multiset. It fails
+// with ErrWork beyond the work cap and with ErrLimit on a plan with a
+// Limit.
+func Rows(db *table.Database, sem value.Semantics, e algebra.Expr) (rows []table.Row, err error) {
 	r := &refEval{db: db, sem: sem, scalars: map[string]value.Value{}}
 	defer func() {
 		if v := recover(); v != nil {
@@ -74,8 +78,8 @@ func referenceRows(db *table.Database, sem value.Semantics, e algebra.Expr) (row
 }
 
 func (r *refEval) spend(n int) {
-	if r.work += n; r.work > refWorkCap {
-		panic(refAbort{errRefWork})
+	if r.work += n; r.work > workCap {
+		panic(refAbort{ErrWork})
 	}
 }
 
@@ -104,18 +108,25 @@ func (r *refEval) eval(e algebra.Expr) []table.Row {
 		}
 		out := []table.Row{{}}
 		for i := 0; i < e.K; i++ {
-			out = r.product(out, dom)
+			r.spend(len(out) * len(dom))
+			out = r.combine([][]table.Row{out, dom}, i+1, nil, false)
 		}
 		return out
 
 	case algebra.Select:
+		if p, ok := e.Child.(algebra.Product); ok {
+			factors, n := r.factors(p)
+			r.spend(n) // the filter over the product tests every combination
+			return r.combine(factors, p.Arity(), e.Cond, false)
+		}
 		return r.filter(r.eval(e.Child), e.Cond)
 
 	case algebra.Project:
 		return project(r.eval(e.Child), e.Cols)
 
 	case algebra.Product:
-		return r.product(r.eval(e.L), r.eval(e.R))
+		factors, _ := r.factors(e)
+		return r.combine(factors, e.Arity(), nil, false)
 
 	case algebra.Union:
 		return r.distinct(append(append([]table.Row{}, r.eval(e.L)...), r.eval(e.R)...))
@@ -132,7 +143,8 @@ func (r *refEval) eval(e algebra.Expr) []table.Row {
 		// L ⋉θ R = { l ∈ L | σθ({l} × R) ≠ ∅ }; the antijoin keeps the rest.
 		right := r.eval(e.R)
 		return r.keep(r.eval(e.L), func(l table.Row) bool {
-			return (len(r.filter(r.product([]table.Row{l}, right), e.Cond)) > 0) != e.Anti
+			r.spend(2 * len(right)) // the whole product {l} × R and the filter over it
+			return (len(r.combine([][]table.Row{{l}, right}, e.L.Arity()+e.R.Arity(), e.Cond, true)) > 0) != e.Anti
 		})
 
 	case algebra.UnifySemi:
@@ -186,7 +198,7 @@ func (r *refEval) eval(e algebra.Expr) []table.Row {
 		return r.eval(e.Child) // a multiset has no order
 
 	case algebra.Limit:
-		panic(refAbort{errRefLimit})
+		panic(refAbort{ErrLimit})
 
 	default:
 		panic(refAbort{fmt.Errorf("unknown expression %T", e)})
@@ -209,14 +221,43 @@ func project(rows []table.Row, cols []int) []table.Row {
 	return out
 }
 
-func (r *refEval) product(left, right []table.Row) []table.Row {
-	r.spend(len(left) * len(right))
+// factors evaluates the operands of a product tree left to right and
+// returns their rows with the size of the product, charging every
+// product in the tree as if it were materialized.
+func (r *refEval) factors(e algebra.Expr) ([][]table.Row, int) {
+	p, ok := e.(algebra.Product)
+	if !ok {
+		rows := r.eval(e)
+		return [][]table.Row{rows}, len(rows)
+	}
+	l, nl := r.factors(p.L)
+	rr, nr := r.factors(p.R)
+	r.spend(nl * nr)
+	return append(l, rr...), nl * nr
+}
+
+// combine is σθ(F₁ × … × Fₙ), or the bare product when c is nil, as one
+// nested loop over the factors: each combination is assembled in a
+// reused buffer of the given width, θ is tested on it, and only the
+// combinations it is true on are copied out, in the product's row order.
+// With first set it stops at the first one kept.
+func (r *refEval) combine(factors [][]table.Row, width int, c algebra.Cond, first bool) []table.Row {
 	var out []table.Row
-	for _, l := range left {
-		for _, s := range right {
-			out = append(out, append(append(table.Row{}, l...), s...))
+	var loop func(i int, prefix table.Row)
+	loop = func(i int, prefix table.Row) {
+		if i == len(factors) {
+			if c == nil || r.truth(c, prefix) == tvl.True {
+				out = append(out, slices.Clone(prefix))
+			}
+			return
+		}
+		for _, row := range factors[i] {
+			if loop(i+1, append(prefix, row...)); first && len(out) > 0 {
+				return
+			}
 		}
 	}
+	loop(0, make(table.Row, 0, width))
 	return out
 }
 
@@ -375,10 +416,10 @@ func (r *refEval) operand(o algebra.Operand, row table.Row) value.Value {
 	}
 }
 
-// sameMultiset compares two row lists as multisets of rows, with marks
+// SameMultiset compares two row lists as multisets of rows, with marks
 // minted during evaluation (negative) erased: those name "some fresh
 // unknown", and each evaluator numbers its own.
-func sameMultiset(a, b []table.Row) bool {
+func SameMultiset(a, b []table.Row) bool {
 	return slices.Equal(multisetKeys(a), multisetKeys(b))
 }
 
