@@ -427,82 +427,121 @@ func TestAPIRewritePossible(t *testing.T) {
 	}
 }
 
-// TestAPISignedZeroKeys: -0.0, 0.0 and integer 0 compare equal, so
-// every hash-keyed operator must treat them as one key — EXISTS, NOT
-// EXISTS, joins, INTERSECT, GROUP BY and DISTINCT alike — and agree
-// with nested loops (NoHashJoin) and the unoptimized plans
-// (NaivePlanner).
+// TestAPISignedZeroKeys: numeric equality is one exact relation, and
+// every hash-keyed operator — EXISTS, NOT EXISTS, joins, INTERSECT,
+// EXCEPT, GROUP BY and DISTINCT — must key by it, across int and float
+// too. Three fixtures hold the hard cases: -0.0, 0.0 and integer 0
+// compare equal but differ in their IEEE bits; 2⁵³ and 2⁵³+1 are
+// distinct but round to one float64; and Int(MaxInt64) rounds to
+// Float(2⁶³) but does not equal it. Every case must return exactly its rows by default,
+// under nested loops (NoHashJoin) and under the unoptimized plans
+// (NaivePlanner), and in CERTAIN mode agree with brute force.
 func TestAPISignedZeroKeys(t *testing.T) {
-	db := certsql.MustOpen(
-		certsql.Table{Name: "r", Columns: []certsql.Column{{Name: "a", Type: certsql.TFloat}}},
-		certsql.Table{Name: "s", Columns: []certsql.Column{{Name: "b", Type: certsql.TInt}}},
-	)
-	for _, row := range []struct {
-		table string
-		v     any
-	}{{"r", certsql.Float(math.Copysign(0, -1))}, {"r", 0.0}, {"r", 1.5}, {"s", 0}, {"s", 2}} {
-		if err := db.Insert(row.table, row.v); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cases := []struct {
 		name, sql string
-		rows      int
 		certain   bool // also run as SELECT CERTAIN and against brute force
 	}{
-		{"exists", `SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE a = b)`, 2, true},
-		{"not-exists", `SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE a = b)`, 1, true},
-		{"join", `SELECT a, b FROM r, s WHERE a = b`, 2, true},
-		{"intersect", `SELECT a FROM r INTERSECT SELECT b FROM s`, 1, true},
-		{"group-by", `SELECT a, COUNT(*) FROM r GROUP BY a`, 2, false},
-		{"distinct", `SELECT DISTINCT a FROM r`, 2, true},
+		{"exists", `SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE a = b)`, true},
+		{"not-exists", `SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE a = b)`, true},
+		{"join", `SELECT a, b FROM r, s WHERE a = b`, true},
+		{"intersect", `SELECT a FROM r INTERSECT SELECT b FROM s`, true},
+		{"except", `SELECT a FROM r EXCEPT SELECT b FROM s`, true},
+		{"group-by", `SELECT a, COUNT(*) FROM r GROUP BY a`, false},
+		{"distinct", `SELECT DISTINCT a FROM r`, true},
+		{"exists-float", `SELECT a FROM r WHERE EXISTS (SELECT * FROM f WHERE a = c)`, true},
+	}
+	type row struct {
+		table string
+		v     any
+	}
+	const big = int64(1) << 53
+	fixtures := []struct {
+		name  string
+		aType certsql.Type // r.a's type; s.b is INT and f.c FLOAT
+		rows  []row
+		want  map[string]string // case → exact sorted rows
+	}{
+		{"signed-zero", certsql.TFloat,
+			[]row{{"r", certsql.Float(math.Copysign(0, -1))}, {"r", 0.0}, {"r", 1.5}, {"s", 0}, {"s", 2}, {"f", 0.0}},
+			map[string]string{
+				"exists": "(-0) (0)", "not-exists": "(1.5)", "join": "(-0, 0) (0, 0)",
+				"intersect": "(-0)", "except": "(1.5)", "group-by": "(-0, 2) (1.5, 1)",
+				"distinct": "(-0) (1.5)", "exists-float": "(-0) (0)",
+			}},
+		{"beyond-2^53", certsql.TInt,
+			[]row{{"r", big}, {"r", big + 1}, {"s", big}, {"f", float64(big)}},
+			map[string]string{
+				"exists": "(9007199254740992)", "not-exists": "(9007199254740993)",
+				"join": "(9007199254740992, 9007199254740992)", "intersect": "(9007199254740992)",
+				"except": "(9007199254740993)", "group-by": "(9007199254740992, 1) (9007199254740993, 1)",
+				"distinct": "(9007199254740992) (9007199254740993)", "exists-float": "(9007199254740992)",
+			}},
+		{"2^63-vs-max-int64", certsql.TFloat,
+			[]row{{"r", 0x1p63}, {"s", int64(math.MaxInt64)}, {"f", 0x1p63}},
+			map[string]string{
+				"exists": "", "not-exists": "(9.223372036854776e+18)", "join": "", "intersect": "",
+				"except": "(9.223372036854776e+18)", "group-by": "(9.223372036854776e+18, 1)",
+				"distinct": "(9.223372036854776e+18)", "exists-float": "(9.223372036854776e+18)",
+			}},
 	}
 	optSets := []struct {
 		name string
 		opts certsql.Options
 	}{{"default", certsql.Options{}}, {"no-hash-join", certsql.Options{NoHashJoin: true}}, {"naive-planner", certsql.Options{NaivePlanner: true}}}
-	for _, c := range cases {
-		modes := []string{"standard"}
-		if c.certain {
-			modes = append(modes, "certain")
-		}
-		for _, mode := range modes {
-			text, err := certsql.WithMode(c.sql, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var first *certsql.Result
-			for _, o := range optSets {
-				res, err := db.QueryWithOptions(text, nil, o.opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", c.name, mode, o.name, err)
-				}
-				got := res.SortedStrings()
-				if len(got) != c.rows {
-					t.Errorf("%s/%s/%s: %d rows %v, want %d", c.name, mode, o.name, len(got), got, c.rows)
-				}
-				if first == nil {
-					first = res
-				} else if want := first.SortedStrings(); strings.Join(got, " ") != strings.Join(want, " ") {
-					t.Errorf("%s/%s: %s gives %v, default gives %v", c.name, mode, o.name, got, want)
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			db := certsql.MustOpen(
+				certsql.Table{Name: "r", Columns: []certsql.Column{{Name: "a", Type: fx.aType}}},
+				certsql.Table{Name: "s", Columns: []certsql.Column{{Name: "b", Type: certsql.TInt}}},
+				certsql.Table{Name: "f", Columns: []certsql.Column{{Name: "c", Type: certsql.TFloat}}},
+			)
+			for _, r := range fx.rows {
+				if err := db.Insert(r.table, r.v); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if mode != "certain" {
-				continue
-			}
-			// Brute force returns a set, one row per key: compare by
-			// mutual containment, which matches rows by key.
-			truth, err := db.CertainGroundTruth(c.sql, nil)
-			if err != nil {
-				t.Fatalf("%s: ground truth: %v", c.name, err)
-			}
-			for _, pair := range [][2]*certsql.Result{{truth, first}, {first, truth}} {
-				for _, row := range pair[0].Rows() {
-					if !pair[1].Contains(row...) {
-						t.Errorf("%s: ground truth %v, SELECT CERTAIN %v", c.name, truth.SortedStrings(), first.SortedStrings())
+			for _, c := range cases {
+				modes := []string{"standard"}
+				if c.certain {
+					modes = append(modes, "certain")
+				}
+				for _, mode := range modes {
+					text, err := certsql.WithMode(c.sql, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var first *certsql.Result
+					for _, o := range optSets {
+						res, err := db.QueryWithOptions(text, nil, o.opts)
+						if err != nil {
+							t.Fatalf("%s/%s/%s: %v", c.name, mode, o.name, err)
+						}
+						if got := strings.Join(res.SortedStrings(), " "); got != fx.want[c.name] {
+							t.Errorf("%s/%s/%s: got %s, want %s", c.name, mode, o.name, got, fx.want[c.name])
+						}
+						if first == nil {
+							first = res
+						}
+					}
+					if mode != "certain" {
+						continue
+					}
+					// Brute force returns a set, one row per key, whichever
+					// equal constant it met first (Float(2⁵³) for Int(2⁵³)):
+					// compare by mutual containment, which matches rows by key.
+					truth, err := db.CertainGroundTruth(c.sql, nil)
+					if err != nil {
+						t.Fatalf("%s: ground truth: %v", c.name, err)
+					}
+					for _, pair := range [][2]*certsql.Result{{truth, first}, {first, truth}} {
+						for _, row := range pair[0].Rows() {
+							if !pair[1].Contains(row...) {
+								t.Errorf("%s: ground truth %v, SELECT CERTAIN %v", c.name, truth.SortedStrings(), first.SortedStrings())
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }

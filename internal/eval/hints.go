@@ -9,9 +9,9 @@ package eval
 //   - SlimVerify drops the extracted hash-key equality conjuncts from
 //     a semijoin's per-candidate verify condition. Sound because
 //     candidates share a bucket exactly when their key encodings
-//     (value.AppendKey) are equal, and the planner only sets the flag
-//     on key columns where encoding equality implies the dropped
-//     equalities are true under both semantics.
+//     (value.AppendKey) are equal, which for constants is exactly
+//     value.Compare's equality and for nulls naive semantics' equality
+//     of marks, so every dropped equality is true.
 //   - BuildDistinct/BuildRows pre-size the hash index from the
 //     statistics' cardinality estimates.
 //   - FuseBuild licenses filtering a select-fed build side during the
@@ -41,6 +41,8 @@ type SemiHint struct {
 	// SlimVerify licenses dropping extracted equality conjuncts from
 	// the verify condition (and, when nothing remains, skipping
 	// per-candidate verification entirely: match = bucket non-empty).
+	// It holds on any data, because key encodings are exact: ints and
+	// floats share a bucket only when they are equal, at any magnitude.
 	SlimVerify bool
 	// BuildRows is the estimated build-side row count.
 	BuildRows int64

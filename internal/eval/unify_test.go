@@ -24,7 +24,8 @@ import (
 // hazard of hashing a unification edge occurs: nulls at the given rate
 // with marks from a small pool (so equal marks recur, across relations
 // too), integral floats that equal ints across kinds, and the integers
-// 2⁵³ and 2⁵³+1, distinct values whose FoldKey hashes collide.
+// 2⁵³ and 2⁵³+1, distinct values that round to one float64, so a key
+// built from float64 would merge them.
 func unifyDB(rng *rand.Rand, nullRate float64) *table.Database {
 	tn := qgen.Tuning{MaxRelations: 3, MaxArity: 3, MaxRowsPerRelation: 24, MaxNulls: -1}
 	sch := qgen.Schema(rng, tn)

@@ -6,7 +6,6 @@ import (
 	"certsql/internal/algebra"
 	"certsql/internal/schema"
 	"certsql/internal/stats"
-	"certsql/internal/value"
 )
 
 // colOrigin traces output column col of e back to a base-table column
@@ -62,18 +61,15 @@ func colOrigin(e algebra.Expr, col int) (tbl string, bcol int, ok bool) {
 	}
 }
 
-// originType returns the declared type of the base column that output
-// column col of e traces to.
-func originType(e algebra.Expr, sch *schema.Schema, col int) (value.Kind, bool) {
+// fromBase reports whether output column col of e traces to a column
+// of a base relation in sch.
+func fromBase(e algebra.Expr, sch *schema.Schema, col int) bool {
 	tbl, bcol, ok := colOrigin(e, col)
 	if !ok || sch == nil {
-		return 0, false
+		return false
 	}
 	rel, ok := sch.Relation(tbl)
-	if !ok || bcol >= rel.Arity() {
-		return 0, false
-	}
-	return rel.Attrs[bcol].Type, true
+	return ok && bcol < rel.Arity()
 }
 
 // originStats returns the statistics of the base column that output
@@ -88,29 +84,4 @@ func originStats(e algebra.Expr, st *stats.DBStats, col int) (*stats.TableStats,
 		return nil, 0, false
 	}
 	return ts, bcol, true
-}
-
-// numRangeOK reports whether every value the column statistics cover
-// lies within ±2⁵³, so the float64 hash-key encoding is exact.
-func numRangeOK(c stats.ColStats) bool {
-	if !c.HasMinMax {
-		return false
-	}
-	for _, v := range []value.Value{c.Min, c.Max} {
-		switch v.Kind() {
-		case value.KindInt:
-			f := float64(v.AsInt())
-			if f < -numRangeLimit || f > numRangeLimit {
-				return false
-			}
-		case value.KindFloat:
-			f := v.AsFloat()
-			if f < -numRangeLimit || f > numRangeLimit {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }

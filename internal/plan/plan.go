@@ -229,15 +229,7 @@ const (
 	// PremiseNullFree asserts a base-table column currently contains
 	// no nulls (marked or otherwise).
 	PremiseNullFree PremiseKind = iota
-	// PremiseNumRange asserts a base-table column's values all lie
-	// within ±2⁵³, where the float64 key encoding is exact — the
-	// condition under which hash-bucket equality implies `=`.
-	PremiseNumRange
 )
-
-// numRangeLimit is 2⁵³, the largest magnitude below which every
-// integer is exactly representable as a float64.
-const numRangeLimit = float64(1 << 53)
 
 // Premise is one data-dependent fact an optimized plan relies on.
 // Premises are recorded only when they hold at plan time; prepared
@@ -257,8 +249,6 @@ func (p Premise) Holds(st *stats.DBStats) bool {
 	switch p.Kind {
 	case PremiseNullFree:
 		return ts.NullFree(p.Col)
-	case PremiseNumRange:
-		return numRangeOK(ts.Cols[p.Col])
 	default:
 		return false
 	}
@@ -270,8 +260,6 @@ func (p Premise) String() string {
 	switch p.Kind {
 	case PremiseNullFree:
 		kind = "null-free"
-	case PremiseNumRange:
-		kind = "num-range"
 	default:
 		// An unknown kind must not masquerade as an existing one in
 		// EXPLAIN output (the golden tests diff it verbatim).

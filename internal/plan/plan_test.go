@@ -281,8 +281,8 @@ func TestWildHashStrategy(t *testing.T) {
 }
 
 // TestSemiHints checks hint derivation on a hash semijoin with a
-// numeric key: slim verification requires the num-range premise, and
-// pre-sizing uses the distinct estimate.
+// numeric key: slim verification needs no premise, because numeric key
+// encodings are exact, and pre-sizing uses the distinct estimate.
 func TestSemiHints(t *testing.T) {
 	db := planDB(t)
 	st := collect(db)
@@ -308,14 +308,8 @@ func TestSemiHints(t *testing.T) {
 	if h.BuildDistinct != 1 { // s.c holds one non-null distinct value
 		t.Fatalf("BuildDistinct = %d, want 1", h.BuildDistinct)
 	}
-	hasRange := false
-	for _, p := range res.Premises {
-		if p.Kind == plan.PremiseNumRange {
-			hasRange = true
-		}
-	}
-	if !hasRange {
-		t.Fatalf("numeric slim-verify must record a num-range premise; got %v", res.Premises)
+	if len(res.Premises) != 0 {
+		t.Fatalf("numeric slim-verify must record no premise; got %v", res.Premises)
 	}
 }
 

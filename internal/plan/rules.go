@@ -6,7 +6,6 @@ import (
 	"certsql/internal/eval"
 	"certsql/internal/schema"
 	"certsql/internal/stats"
-	"certsql/internal/value"
 )
 
 // optimizer is one Optimize invocation's state: the catalog, the
@@ -543,13 +542,13 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 		}
 	}
 	// Slim verification: sound when, for every key pair, hash-bucket
-	// equality implies the dropped `=` is true. String, bool and date
-	// keys have injective encodings and exact comparisons; numeric
-	// keys need every value within ±2⁵³ (premise) so the float64
-	// encoding is exact.
+	// equality implies the dropped `=` is true. Key encodings are equal
+	// exactly when Compare calls the values equal, for every kind and
+	// across int and float, so that holds on any data; the key columns
+	// must only trace to base columns.
 	slim := true
 	for i := range lCols {
-		if !o.slimSafeCol(sj.L, lCols[i]) || !o.slimSafeCol(sj.R, rCols[i]) {
+		if !fromBase(sj.L, o.sch, lCols[i]) || !fromBase(sj.R, o.sch, rCols[i]) {
 			slim = false
 			break
 		}
@@ -571,29 +570,6 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 		}
 	}
 	return h, true
-}
-
-// slimSafeCol reports whether dropping an extracted key equality on
-// this column is sound, recording the numeric-range premise when the
-// safety is data-dependent.
-func (o *optimizer) slimSafeCol(side algebra.Expr, col int) bool {
-	kind, ok := originType(side, o.sch, col)
-	if !ok {
-		return false
-	}
-	if !isNumericKind(kind) {
-		return true // injective encoding, exact comparison
-	}
-	ts, bcol, ok := originStats(side, o.st, col)
-	if !ok || !numRangeOK(ts.Cols[bcol]) {
-		return false
-	}
-	o.premises[Premise{Kind: PremiseNumRange, Table: ts.Name, Col: bcol}] = struct{}{}
-	return true
-}
-
-func isNumericKind(k value.Kind) bool {
-	return k == value.KindInt || k == value.KindFloat
 }
 
 func clampInt64(f float64) int64 {

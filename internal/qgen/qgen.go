@@ -169,17 +169,24 @@ func constPool(kind value.Kind) []value.Value {
 }
 
 // dataPool is the domain stored values are drawn from: constPool's,
-// except that floats trade 0.5 for both signed zeros. -0.0 and 0.0
-// compare equal (to each other and to Int(0)) but differ in their IEEE
-// bits, which is where a key encoding can split them; trading keeps the
-// number of distinct float values, and so the brute-force valuation
-// space, as it was. The zeros stay out of query literals, where the
-// dialect cannot spell -0.0.
+// except where numeric equality is hard. Ints trade 2 and 3 for 2⁵³ and
+// 2⁵³+1, distinct values that round to one float64; floats trade 0.5
+// for both signed zeros, which compare equal (to each other and to
+// Int(0)) but differ in their IEEE bits, and 2.5 for 2⁵³, which equals
+// Int(2⁵³) but not Int(2⁵³+1). These are where a key encoding can
+// split equal values or merge distinct ones. Trading keeps the pool
+// sizes, and so the brute-force valuation space, as they were. The
+// traded values stay out of query literals, where the dialect cannot
+// spell -0.0.
 func dataPool(kind value.Kind) []value.Value {
-	if kind == value.KindFloat {
-		return []value.Value{value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(1.5), value.Float(2.5)}
+	switch kind {
+	case value.KindInt:
+		return []value.Value{value.Int(0), value.Int(1), value.Int(1 << 53), value.Int(1<<53 + 1)}
+	case value.KindFloat:
+		return []value.Value{value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(1.5), value.Float(1 << 53)}
+	default:
+		return constPool(kind)
 	}
-	return constPool(kind)
 }
 
 // Database draws a random incomplete instance of sch: up to

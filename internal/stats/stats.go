@@ -1,6 +1,6 @@
 // Package stats collects per-attribute table statistics — row counts,
-// marked-null counts, distinct-value estimates, min/max — for the
-// cost-based planner and the serving layer's catalog endpoints.
+// marked-null counts, distinct-value estimates — for the cost-based
+// planner and the serving layer's catalog endpoints.
 //
 // Collection is incremental across copy-on-write publishes: every
 // table carries a globally unique content generation (see
@@ -54,12 +54,6 @@ type ColStats struct {
 	Distinct int64
 	// DistinctExact reports whether Distinct is an exact count.
 	DistinctExact bool
-	// HasMinMax reports whether Min/Max are populated: the column had
-	// at least one non-null value and all non-null values were
-	// mutually comparable.
-	HasMinMax bool
-	// Min and Max are the extreme non-null values (when HasMinMax).
-	Min, Max value.Value
 }
 
 // TableStats are the statistics of one relation instance.
@@ -196,47 +190,18 @@ func (c *Collector) CollectGoverned(gov *guard.Governor, db *table.Database) (*D
 	return out, nil
 }
 
-// scanTable computes exact row/null counts and per-column distinct /
-// min-max estimates in one pass over the table.
+// scanTable computes exact row/null counts and per-column distinct
+// estimates in one pass over the table.
 func scanTable(name string, t *table.Table) *TableStats {
 	ts := &TableStats{Name: name, Gen: t.Generation(), Rows: int64(t.Len()), Cols: make([]ColStats, t.Arity())}
 	sketches := make([]distinctSketch, t.Arity())
-	minmaxOK := make([]bool, t.Arity())
-	for i := range minmaxOK {
-		minmaxOK[i] = true
-	}
 	for _, row := range t.Rows() {
 		for i, v := range row {
-			col := &ts.Cols[i]
 			if v.IsNull() {
-				col.Nulls++
+				ts.Cols[i].Nulls++
 				continue
 			}
 			sketches[i].add(v)
-			if !minmaxOK[i] {
-				continue
-			}
-			if !col.HasMinMax {
-				col.Min, col.Max, col.HasMinMax = v, v, true
-				continue
-			}
-			if cmp, ok := value.Compare(v, col.Min); ok {
-				if cmp < 0 {
-					col.Min = v
-				}
-			} else {
-				minmaxOK[i] = false
-				col.HasMinMax = false
-				continue
-			}
-			if cmp, ok := value.Compare(v, col.Max); ok {
-				if cmp > 0 {
-					col.Max = v
-				}
-			} else {
-				minmaxOK[i] = false
-				col.HasMinMax = false
-			}
 		}
 	}
 	for i := range ts.Cols {

@@ -86,12 +86,6 @@ func TestExactSmall(t *testing.T) {
 		if got, want := c.Distinct, trueDistinct(tab, col); got != want {
 			t.Errorf("col %d distinct: got %d want %d", col, got, want)
 		}
-		if !c.HasMinMax {
-			t.Errorf("col %d: expected min/max", col)
-		}
-	}
-	if min := ts.Cols[0].Min; min.Kind() != value.KindInt {
-		t.Errorf("col 0 min kind: %v", min.Kind())
 	}
 	if rate := ts.NullRate(0); rate <= 0 || rate >= 1 {
 		t.Errorf("null rate out of range: %v", rate)

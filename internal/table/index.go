@@ -26,11 +26,12 @@ const (
 )
 
 // Index is the executor's one hash index: it buckets row positions by
-// the value.AppendKey bytes of their key columns. Values that compare
-// equal (int/float cross-kind equality included) encode identically, so
-// a bucket holds every row whose key equals the probe's; distinct
-// integers beyond 2⁵³ share an encoding, so consumers whose condition
-// is not decided by the key alone still verify each candidate.
+// the value.AppendKey bytes of their key columns. Constants encode
+// identically exactly when they compare equal (int/float cross-kind
+// equality included, exact at any magnitude), so a bucket holds every
+// row whose key equals the probe's and no other; consumers verify a
+// candidate only against the part of their condition the key does not
+// decide.
 //
 // In a built index, first maps a key to the lowest position holding
 // it, plus one, and next chains every position to the next higher one

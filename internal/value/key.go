@@ -6,11 +6,13 @@ import (
 )
 
 // AppendKey appends a canonical binary encoding of v to b, suitable for
-// use as a hash-join or grouping key. The encoding is injective on
-// constants up to numeric equality (integers and integral floats that
-// compare equal encode identically, and so do -0.0 and 0) and
-// distinguishes nulls by mark, so that under naive semantics nulls can
-// participate in hash joins.
+// use as a hash-join or grouping key. Two constants encode identically
+// exactly when Compare calls them equal (NaN aside), and nulls are
+// distinguished by mark, so that under naive semantics nulls can
+// participate in hash joins. A numeric value that is an integer in
+// int64 range — an int, or a float such as 2.0 or -0.0 — encodes as
+// that int64; every other float as its IEEE bits under a tag of its
+// own, which no int shares.
 func AppendKey(b []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
@@ -18,10 +20,11 @@ func AppendKey(b []byte, v Value) []byte {
 		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
 	case KindInt:
 		b = append(b, 1)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(float64(v.i)))
+		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
 	case KindFloat:
-		b = append(b, 1) // same tag as int: numeric values join across kinds
-		b = binary.BigEndian.AppendUint64(b, floatBits(v.f))
+		tag, x := floatKey(v.f)
+		b = append(b, tag)
+		b = binary.BigEndian.AppendUint64(b, x)
 	case KindString:
 		b = append(b, 2)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(v.s)))
@@ -64,10 +67,11 @@ func FoldKey(h uint64, v Value) uint64 {
 		h = fold64(h, uint64(v.i))
 	case KindInt:
 		h = (h ^ 1) * keyPrime
-		h = fold64(h, math.Float64bits(float64(v.i)))
+		h = fold64(h, uint64(v.i))
 	case KindFloat:
-		h = (h ^ 1) * keyPrime // same tag as int: numeric values hash across kinds
-		h = fold64(h, floatBits(v.f))
+		tag, x := floatKey(v.f)
+		h = (h ^ uint64(tag)) * keyPrime
+		h = fold64(h, x)
 	case KindString:
 		h = (h ^ 2) * keyPrime
 		h = fold32(h, uint32(len(v.s)))
@@ -84,14 +88,14 @@ func FoldKey(h uint64, v Value) uint64 {
 	return h
 }
 
-// floatBits is the key encoding's view of a float: its IEEE bits with
-// the zero canonicalized, because Compare calls -0.0 equal to 0 (and
-// to Int(0)) while their bits differ.
-func floatBits(f float64) uint64 {
-	if f == 0 {
-		return 0
+// floatKey is the key encoding's view of a float: the int tag and the
+// int64 it equals when it is an integer in int64 range (-0.0 becomes
+// 0), else tag 5 and its IEEE bits.
+func floatKey(f float64) (tag byte, x uint64) {
+	if f >= -0x1p63 && f < 0x1p63 && f == math.Trunc(f) {
+		return 1, uint64(int64(f))
 	}
-	return math.Float64bits(f)
+	return 5, math.Float64bits(f)
 }
 
 // fold64 folds x's big-endian bytes into the FNV-1a state h.

@@ -19,6 +19,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -217,23 +218,23 @@ func numeric(k Kind) bool { return k == KindInt || k == KindFloat }
 // positive number as a sorts before, equal to, or after b, and ok=false
 // when the kinds are incomparable (including when either is a null:
 // constant comparison is undefined on nulls — use the Equal*/Less*
-// functions in this package for null-aware semantics).
+// functions in this package for null-aware semantics). Ints and floats
+// compare by their exact mathematical values, so numeric equality is
+// transitive: Int(2⁵³+1) equals no float, and Float(2⁵³) only Int(2⁵³).
 func Compare(a, b Value) (cmp int, ok bool) {
 	if a.kind == KindNull || b.kind == KindNull {
 		return 0, false
 	}
 	if numeric(a.kind) && numeric(b.kind) {
-		if a.kind == KindInt && b.kind == KindInt {
-			return cmpInt64(a.i, b.i), true
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
 		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
+		case a.kind == KindInt && b.kind == KindInt:
+			return cmpInt64(a.i, b.i), true
+		case a.kind == KindFloat && b.kind == KindFloat:
+			return cmpFloat(a.f, b.f), true
+		case a.kind == KindInt:
+			return cmpIntFloat(a.i, b.f), true
 		default:
-			return 0, true
+			return -cmpIntFloat(b.i, a.f), true
 		}
 	}
 	if a.kind != b.kind {
@@ -265,6 +266,39 @@ func cmpInt64(a, b int64) int {
 	default:
 		return 0
 	}
+}
+
+// cmpFloat orders two floats; NaN compares equal to everything.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// cmpIntFloat orders an int against a float exactly. Rounding i to
+// float64 first would equate distinct ints beyond 2⁵³ with one float
+// and so make equality intransitive; instead f's integer part, which
+// is exact in int64 whenever f is within range, is compared with i,
+// and f's fraction breaks a tie.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0 // NaN, as in cmpFloat
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmpInt64(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f)
 }
 
 // ConstEqual reports whether two constants are equal under Compare.

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -97,6 +99,22 @@ func TestCompare(t *testing.T) {
 		cmp, ok := Compare(c.a, c.b)
 		if ok != c.ok || (ok && sign(cmp) != c.cmp) {
 			t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", c.a, c.b, cmp, ok, c.cmp, c.ok)
+		}
+	}
+	// Numbers compare as their exact values do (math/big, no float64
+	// rounding on the way), so numeric equality is transitive.
+	exact := func(v Value) *big.Float {
+		if v.Kind() == KindInt {
+			return new(big.Float).SetInt64(v.AsInt())
+		}
+		return new(big.Float).SetFloat64(v.AsFloat())
+	}
+	for _, a := range numericEdges {
+		for _, b := range numericEdges {
+			cmp, ok := Compare(a, b)
+			if want := exact(a).Cmp(exact(b)); !ok || sign(cmp) != want {
+				t.Errorf("Compare(%v %v, %v %v) = %d, %v; exact order %d", a.Kind(), a, b.Kind(), b, cmp, ok, want)
+			}
 		}
 	}
 }
@@ -246,6 +264,17 @@ func TestUnifyTuplesPanicsOnArity(t *testing.T) {
 	UnifyTuples([]Value{Int(1)}, []Value{Int(1), Int(2)})
 }
 
+// numericEdges are the numbers where an int/float equality can go
+// wrong: ±0 (equal, with different IEEE bits), 2⁵³±1 (distinct ints
+// that round to one float64), MaxInt64 (rounds to Float(2⁶³), which
+// equals no int64), fractions, and the infinities.
+var numericEdges = []Value{
+	Int(0), Int(1), Int(-1), Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1),
+	Int(math.MaxInt64), Int(math.MinInt64),
+	Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(0.5), Float(-0.5),
+	Float(1 << 53), Float(0x1p63), Float(-0x1p63), Float(math.Inf(1)), Float(math.Inf(-1)),
+}
+
 // randomValue draws from a small pool so that collisions are common.
 func randomValue(rng *rand.Rand) Value {
 	switch rng.Intn(5) {
@@ -254,6 +283,9 @@ func randomValue(rng *rand.Rand) Value {
 	case 1:
 		return Str([]string{"a", "b"}[rng.Intn(2)])
 	case 2:
+		if rng.Intn(2) == 0 {
+			return numericEdges[rng.Intn(len(numericEdges))]
+		}
 		// Signed, so -0.0 meets 0.0 and Int(0): equal under Compare,
 		// different IEEE bits.
 		return Float(float64(rng.Intn(3)) * float64(1-2*rng.Intn(2)))
@@ -330,9 +362,17 @@ func TestKeys(t *testing.T) {
 	}
 }
 
-// TestKeyAgreesWithConstEqual property-checks that RowKey equality
-// coincides with constant equality for single constants.
+// TestKeyAgreesWithConstEqual checks that RowKey equality coincides
+// with constant equality for single constants: on every pair of
+// numericEdges, then on random draws.
 func TestKeyAgreesWithConstEqual(t *testing.T) {
+	for _, a := range numericEdges {
+		for _, b := range numericEdges {
+			if sameKey := RowKey([]Value{a}) == RowKey([]Value{b}); sameKey != ConstEqual(a, b) {
+				t.Errorf("%v %v and %v %v: same key %v, ConstEqual %v", a.Kind(), a, b.Kind(), b, sameKey, !sameKey)
+			}
+		}
+	}
 	cfg := &quick.Config{MaxCount: 2000, Values: func(vs []reflect.Value, rng *rand.Rand) {
 		vs[0] = reflect.ValueOf(randomValue(rng))
 		vs[1] = reflect.ValueOf(randomValue(rng))
@@ -351,14 +391,18 @@ func TestKeyAgreesWithConstEqual(t *testing.T) {
 // TestFoldKeyMatchesAppendKey property-checks that folding a row's
 // values through FoldKey equals FNV-1a over the concatenated AppendKey
 // encodings — the allocation-free fold must hash exactly the canonical
-// bytes, or shard routing would disagree with key equality.
+// bytes, or shard routing would disagree with key equality. The first
+// row is every numeric edge, the rest random draws.
 func TestFoldKeyMatchesAppendKey(t *testing.T) {
 	const prime = 1099511628211
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 2000; trial++ {
-		row := make([]Value, rng.Intn(6))
-		for i := range row {
-			row[i] = randomValue(rng)
+		row := numericEdges
+		if trial > 0 {
+			row = make([]Value, rng.Intn(6))
+			for i := range row {
+				row[i] = randomValue(rng)
+			}
 		}
 		h := KeySeed
 		for _, v := range row {
