@@ -54,16 +54,16 @@ race:
 	$(GO) test -race ./...
 
 # loc prints the non-test Go lines of the packages deletions are
-# measured on — the facade (the root package), the plan cache, the
-# executor, the planner with its statistics, routing, the rows with
-# their hash index, the values with their key encoding, the
-# translations with brute force, the definitional oracle, the
-# differential tests, the experiment runners and the TPC-H substrate
-# with its detectors — and all Go lines outside bench/, so a deletion
-# claim is regenerated rather than pasted.
+# measured on — the facade (the root package), the algebra, the plan
+# cache, the executor, the planner with its statistics, the analyzer,
+# routing, the rows with their hash index, the values with their key
+# encoding, the translations with brute force, the definitional
+# oracle, the differential tests, the experiment runners and the TPC-H
+# substrate with its detectors — and all Go lines outside bench/, so a
+# deletion claim is regenerated rather than pasted.
 loc:
 	@printf '%-22s %s\n' 'facade (root)' "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@for d in internal/plancache internal/eval internal/plan internal/stats internal/shard internal/table internal/value internal/guard internal/certain internal/refeval internal/difftest internal/experiment internal/tpch tools; do \
+	@for d in internal/algebra internal/plancache internal/eval internal/plan internal/stats internal/analyze internal/shard internal/table internal/value internal/guard internal/certain internal/refeval internal/difftest internal/experiment internal/tpch tools; do \
 		printf '%-22s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; done
 	@printf '%-22s %s\n' 'all Go outside bench/' "$$(find . -name '*.go' ! -path './bench/*' | xargs cat | wc -l)"
 

@@ -338,7 +338,7 @@ func TestDecisionSupportOperatorBasics(t *testing.T) {
 
 	// Children and Format cover the new operators.
 	for _, e := range []algebra.Expr{gb, srt, lim, div} {
-		if len(algebra.Children(e)) == 0 {
+		if _, n := algebra.Children(e); n == 0 {
 			t.Errorf("%T has no children", e)
 		}
 		if algebra.Format(e) == "" {

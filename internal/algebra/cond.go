@@ -12,7 +12,7 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -413,35 +413,92 @@ func NNFIsIdentity(c Cond) bool {
 // This is the allocation-free form of the correlation test
 // `min(ColsUsed(c)) < n` that the semijoin executor runs per operator.
 func UsesColBelow(c Cond, n int) bool {
-	below := func(o Operand) bool {
+	return AnyOperand(c, func(o Operand) bool {
 		col, ok := o.(Col)
 		return ok && col.Idx < n
+	})
+}
+
+// HasScalar reports whether some operand of c is a scalar subquery.
+func HasScalar(c Cond) bool {
+	return AnyOperand(c, func(o Operand) bool {
+		_, ok := o.(Scalar)
+		return ok
+	})
+}
+
+// anyNode reports whether f holds for some node of c. It visits the
+// nodes pre-order — a connective before its operands, left to right —
+// and stops at the first that holds. AnyOperand, Atoms and SizeAtMost
+// are built on it.
+func anyNode(c Cond, f func(Cond) bool) bool {
+	if f(c) {
+		return true
 	}
 	switch c := c.(type) {
-	case Cmp:
-		return below(c.L) || below(c.R)
-	case Like:
-		return below(c.Operand) || below(c.Pattern)
-	case NullTest:
-		return below(c.Operand)
+	case TrueCond, FalseCond, Cmp, Like, NullTest:
+		return false
 	case And:
 		for _, sub := range c.Conds {
-			if UsesColBelow(sub, n) {
+			if anyNode(sub, f) {
 				return true
 			}
 		}
+		return false
 	case Or:
 		for _, sub := range c.Conds {
-			if UsesColBelow(sub, n) {
+			if anyNode(sub, f) {
 				return true
 			}
 		}
+		return false
 	case Not:
-		return UsesColBelow(c.C, n)
-	case TrueCond, FalseCond:
-		// no operands
+		return anyNode(c.C, f)
+	default:
+		panic(fmt.Sprintf("algebra: unknown condition %T", c))
 	}
-	return false
+}
+
+// operands returns the operands of an atom, left to right: the first n
+// entries of ops. Connectives and constants have none.
+func operands(c Cond) (ops [2]Operand, n int) {
+	switch c := c.(type) {
+	case Cmp:
+		return [2]Operand{c.L, c.R}, 2
+	case Like:
+		return [2]Operand{c.Operand, c.Pattern}, 2
+	case NullTest:
+		return [2]Operand{c.Operand}, 1
+	}
+	return ops, 0
+}
+
+// AnyOperand reports whether f holds for some operand of c's atoms,
+// visited left to right; it stops at the first that does. A scalar
+// subquery is one operand: its body is not entered.
+func AnyOperand(c Cond, f func(Operand) bool) bool {
+	return anyNode(c, func(n Cond) bool {
+		ops, k := operands(n)
+		for _, o := range ops[:k] {
+			if f(o) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// Atoms calls f on every atom of c — comparison, LIKE and null test —
+// left to right. Constants are not atoms. A Not is looked through
+// without flipping the atoms under it: callers that care about
+// polarity pass NNF(c).
+func Atoms(c Cond, f func(atom Cond)) {
+	anyNode(c, func(n Cond) bool {
+		if _, k := operands(n); k > 0 {
+			f(n)
+		}
+		return false
+	})
 }
 
 // Conjuncts returns the top-level conjuncts of c (c itself when it is
@@ -518,74 +575,57 @@ func MapOperand(o Operand, f func(int) int) Operand {
 	}
 }
 
-// MapCols returns a copy of c with every column index rewritten by f.
-// Scalar subqueries are left untouched (they are uncorrelated).
-func MapCols(c Cond, f func(int) int) Cond {
+// MapOperands returns a copy of c with every atom operand o replaced by
+// f(o), left to right; the Boolean structure is kept as it is.
+func MapOperands(c Cond, f func(Operand) Operand) Cond {
 	switch c := c.(type) {
 	case TrueCond, FalseCond:
 		return c
 	case Cmp:
-		return Cmp{Op: c.Op, L: MapOperand(c.L, f), R: MapOperand(c.R, f)}
+		c.L = f(c.L)
+		c.R = f(c.R)
+		return c
 	case Like:
-		return Like{Operand: MapOperand(c.Operand, f), Pattern: MapOperand(c.Pattern, f), Negated: c.Negated}
+		c.Operand = f(c.Operand)
+		c.Pattern = f(c.Pattern)
+		return c
 	case NullTest:
-		return NullTest{Operand: MapOperand(c.Operand, f), Negated: c.Negated}
+		c.Operand = f(c.Operand)
+		return c
 	case And:
-		parts := make([]Cond, len(c.Conds))
-		for i, sub := range c.Conds {
-			parts[i] = MapCols(sub, f)
-		}
-		return And{Conds: parts}
+		return And{Conds: mapOperandsAll(c.Conds, f)}
 	case Or:
-		parts := make([]Cond, len(c.Conds))
-		for i, sub := range c.Conds {
-			parts[i] = MapCols(sub, f)
-		}
-		return Or{Conds: parts}
+		return Or{Conds: mapOperandsAll(c.Conds, f)}
 	case Not:
-		return Not{C: MapCols(c.C, f)}
+		return Not{C: MapOperands(c.C, f)}
 	default:
-		panic(fmt.Sprintf("algebra: MapCols: unknown condition %T", c))
+		panic(fmt.Sprintf("algebra: MapOperands: unknown condition %T", c))
 	}
+}
+
+func mapOperandsAll(cs []Cond, f func(Operand) Operand) []Cond {
+	out := make([]Cond, len(cs))
+	for i, sub := range cs {
+		out[i] = MapOperands(sub, f)
+	}
+	return out
+}
+
+// MapCols returns a copy of c with every column index rewritten by f.
+// Scalar subqueries are left untouched (they are uncorrelated).
+func MapCols(c Cond, f func(int) int) Cond {
+	return MapOperands(c, func(o Operand) Operand { return MapOperand(o, f) })
 }
 
 // ColsUsed returns the sorted set of column indexes referenced by c.
 func ColsUsed(c Cond) []int {
-	set := map[int]struct{}{}
-	collectCols(c, set)
-	out := make([]int, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func collectOperandCols(o Operand, set map[int]struct{}) {
-	if col, ok := o.(Col); ok {
-		set[col.Idx] = struct{}{}
-	}
-}
-
-func collectCols(c Cond, set map[int]struct{}) {
-	switch c := c.(type) {
-	case Cmp:
-		collectOperandCols(c.L, set)
-		collectOperandCols(c.R, set)
-	case Like:
-		collectOperandCols(c.Operand, set)
-		collectOperandCols(c.Pattern, set)
-	case NullTest:
-		collectOperandCols(c.Operand, set)
-	case And:
-		for _, sub := range c.Conds {
-			collectCols(sub, set)
+	var out []int
+	AnyOperand(c, func(o Operand) bool {
+		if col, ok := o.(Col); ok {
+			out = append(out, col.Idx)
 		}
-	case Or:
-		for _, sub := range c.Conds {
-			collectCols(sub, set)
-		}
-	case Not:
-		collectCols(c.C, set)
-	}
+		return false
+	})
+	slices.Sort(out)
+	return slices.Compact(out)
 }

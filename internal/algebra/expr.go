@@ -155,84 +155,132 @@ func (d Distinct) Key() string  { return "δ(" + d.Child.Key() + ")" }
 func (d Division) Key() string  { return "(" + d.L.Key() + " ÷ " + d.R.Key() + ")" }
 func (a AdomPower) Key() string { return fmt.Sprintf("adom^%d", a.K) }
 
-// Children returns the sub-expressions of e, for generic traversals.
-func Children(e Expr) []Expr {
+// Children returns the direct sub-expressions of e, left to right: the
+// first n entries of kids. The fixed-size array keeps generic
+// traversals allocation-free.
+func Children(e Expr) (kids [2]Expr, n int) {
 	switch e := e.(type) {
 	case Base, AdomPower:
-		return nil
+		return kids, 0
 	case Select:
-		return []Expr{e.Child}
+		return [2]Expr{e.Child}, 1
 	case Project:
-		return []Expr{e.Child}
-	case Product:
-		return []Expr{e.L, e.R}
-	case Union:
-		return []Expr{e.L, e.R}
-	case Intersect:
-		return []Expr{e.L, e.R}
-	case Diff:
-		return []Expr{e.L, e.R}
-	case SemiJoin:
-		return []Expr{e.L, e.R}
-	case UnifySemi:
-		return []Expr{e.L, e.R}
+		return [2]Expr{e.Child}, 1
 	case Distinct:
-		return []Expr{e.Child}
-	case Division:
-		return []Expr{e.L, e.R}
+		return [2]Expr{e.Child}, 1
 	case GroupBy:
-		return []Expr{e.Child}
+		return [2]Expr{e.Child}, 1
 	case Sort:
-		return []Expr{e.Child}
+		return [2]Expr{e.Child}, 1
 	case Limit:
-		return []Expr{e.Child}
+		return [2]Expr{e.Child}, 1
+	case Product:
+		return [2]Expr{e.L, e.R}, 2
+	case Union:
+		return [2]Expr{e.L, e.R}, 2
+	case Intersect:
+		return [2]Expr{e.L, e.R}, 2
+	case Diff:
+		return [2]Expr{e.L, e.R}, 2
+	case SemiJoin:
+		return [2]Expr{e.L, e.R}, 2
+	case UnifySemi:
+		return [2]Expr{e.L, e.R}, 2
+	case Division:
+		return [2]Expr{e.L, e.R}, 2
 	default:
 		panic(fmt.Sprintf("algebra: Children: unknown expression %T", e))
 	}
 }
 
-// Walk calls f on e and all of its descendants, pre-order. It also
-// descends into scalar subqueries referenced from selection and
-// semijoin conditions.
-func Walk(e Expr, f func(Expr)) {
-	f(e)
+// MapChildren rebuilds e with each direct sub-expression c replaced by
+// f(c), left to right, keeping every other field. Leaves are returned
+// as they are. A rewrite pass handles the operators it changes and
+// hands every other one to MapChildren.
+func MapChildren(e Expr, f func(Expr) Expr) Expr {
+	switch e := e.(type) {
+	case Base, AdomPower:
+		return e
+	case Select:
+		e.Child = f(e.Child)
+		return e
+	case Project:
+		e.Child = f(e.Child)
+		return e
+	case Distinct:
+		e.Child = f(e.Child)
+		return e
+	case GroupBy:
+		e.Child = f(e.Child)
+		return e
+	case Sort:
+		e.Child = f(e.Child)
+		return e
+	case Limit:
+		e.Child = f(e.Child)
+		return e
+	case Product:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	case Union:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	case Intersect:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	case Diff:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	case SemiJoin:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	case UnifySemi:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	case Division:
+		e.L = f(e.L)
+		e.R = f(e.R)
+		return e
+	default:
+		panic(fmt.Sprintf("algebra: MapChildren: unknown expression %T", e))
+	}
+}
+
+// condOf returns the condition e carries: a selection's or a
+// semijoin's.
+func condOf(e Expr) (Cond, bool) {
 	switch e := e.(type) {
 	case Select:
-		walkCondSubs(e.Cond, f)
+		return e.Cond, true
 	case SemiJoin:
-		walkCondSubs(e.Cond, f)
+		return e.Cond, true
 	}
-	for _, c := range Children(e) {
-		Walk(c, f)
-	}
+	return nil, false
 }
 
-func walkCondSubs(c Cond, f func(Expr)) {
-	switch c := c.(type) {
-	case Cmp:
-		walkOperandSub(c.L, f)
-		walkOperandSub(c.R, f)
-	case Like:
-		walkOperandSub(c.Operand, f)
-		walkOperandSub(c.Pattern, f)
-	case NullTest:
-		walkOperandSub(c.Operand, f)
-	case And:
-		for _, sub := range c.Conds {
-			walkCondSubs(sub, f)
-		}
-	case Or:
-		for _, sub := range c.Conds {
-			walkCondSubs(sub, f)
-		}
-	case Not:
-		walkCondSubs(c.C, f)
+// Walk calls f on e and all of its descendants, pre-order. It also
+// descends into scalar subqueries referenced from selection and
+// semijoin conditions, before the operator's children. It allocates
+// nothing of its own.
+func Walk(e Expr, f func(Expr)) {
+	f(e)
+	if c, ok := condOf(e); ok {
+		AnyOperand(c, func(o Operand) bool {
+			if s, ok := o.(Scalar); ok {
+				Walk(s.Sub, f)
+			}
+			return false
+		})
 	}
-}
-
-func walkOperandSub(o Operand, f func(Expr)) {
-	if s, ok := o.(Scalar); ok {
-		Walk(s.Sub, f)
+	kids, n := Children(e)
+	for _, k := range kids[:n] {
+		Walk(k, f)
 	}
 }
 
@@ -242,14 +290,48 @@ func walkOperandSub(o Operand, f func(Expr)) {
 func Conds(e Expr) []Cond {
 	var out []Cond
 	Walk(e, func(sub Expr) {
-		switch sub := sub.(type) {
-		case Select:
-			out = append(out, sub.Cond)
-		case SemiJoin:
-			out = append(out, sub.Cond)
+		if c, ok := condOf(sub); ok {
+			out = append(out, c)
 		}
 	})
 	return out
+}
+
+// SizeAtMost reports whether e has at most limit nodes, counting its
+// operators, every node of their conditions and, recursively, the
+// nodes of scalar subqueries. It stops counting once the limit is
+// passed, so sizing a large tree costs O(limit), and it allocates
+// nothing.
+func SizeAtMost(e Expr, limit int) bool {
+	return spend(e, &limit)
+}
+
+// spend charges e's nodes against *budget, reporting false as soon as
+// the budget runs out.
+func spend(e Expr, budget *int) bool {
+	*budget--
+	if *budget < 0 {
+		return false
+	}
+	if c, ok := condOf(e); ok && anyNode(c, func(n Cond) bool {
+		*budget--
+		ops, k := operands(n)
+		for _, o := range ops[:k] {
+			if s, ok := o.(Scalar); ok && !spend(s.Sub, budget) {
+				return true
+			}
+		}
+		return *budget < 0
+	}) {
+		return false
+	}
+	kids, n := Children(e)
+	for _, k := range kids[:n] {
+		if !spend(k, budget) {
+			return false
+		}
+	}
+	return true
 }
 
 // Format renders the expression as an indented tree, for debugging and

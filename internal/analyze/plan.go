@@ -232,19 +232,18 @@ func (a *planAnalyzer) classify(o algebra.Operand, nonNull []bool) (opClass, str
 // cond checks every atom of c (in NNF, so connectives are monotone and
 // atom-level exactness lifts to the whole condition).
 func (a *planAnalyzer) cond(c algebra.Cond, nonNull []bool) {
-	for _, atom := range flattenNNF(algebra.NNF(c)) {
+	algebra.Atoms(algebra.NNF(c), func(atom algebra.Cond) {
 		switch atom := atom.(type) {
-		case algebra.TrueCond, algebra.FalseCond:
 		case algebra.Cmp:
 			lc, lmsg := a.classify(atom.L, nonNull)
 			rc, rmsg := a.classify(atom.R, nonNull)
 			if lc == classHazard {
 				a.hazard(hazardCodeFor(atom.L), "in %s: %s", atom, lmsg)
-				continue
+				return
 			}
 			if rc == classHazard {
 				a.hazard(hazardCodeFor(atom.R), "in %s: %s", atom, rmsg)
-				continue
+				return
 			}
 			if atom.Op == algebra.EQ {
 				// Equality tolerates one nullable side: a mark compares
@@ -255,7 +254,7 @@ func (a *planAnalyzer) cond(c algebra.Cond, nonNull []bool) {
 					a.hazard("eq-nullable-pair",
 						"%s compares two columns that can both be NULL; equal marks are certainly equal but never SQL-equal", atom)
 				}
-				continue
+				return
 			}
 			// ≠, <, ≤, >, ≥ over a nullable operand: tautological
 			// disjunctions (a < 3 OR a >= 3) make marked rows certain
@@ -294,16 +293,15 @@ func (a *planAnalyzer) cond(c algebra.Cond, nonNull []bool) {
 		default:
 			a.hazard("unknown-atom", "condition %T is outside the analyzed fragment", atom)
 		}
-	}
+	})
 }
 
 // rigidCond requires every operand of every atom to be a rigid
 // constant — the anti-semijoin criterion: with both sides of the
 // exclusion rigid, no valuation can create or destroy a match.
 func (a *planAnalyzer) rigidCond(c algebra.Cond, nonNull []bool) {
-	for _, atom := range flattenNNF(algebra.NNF(c)) {
-		operands := atomOperands(atom)
-		for _, o := range operands {
+	algebra.Atoms(algebra.NNF(c), func(atom algebra.Cond) {
+		algebra.AnyOperand(atom, func(o algebra.Operand) bool {
 			oc, msg := a.classify(o, nonNull)
 			switch oc {
 			case classConst:
@@ -314,8 +312,9 @@ func (a *planAnalyzer) rigidCond(c algebra.Cond, nonNull []bool) {
 				a.hazard("not-exists-nullable",
 					"anti-join condition %s references a column that can be NULL; whether the match blocks the outer row depends on the valuation", atom)
 			}
-		}
-	}
+			return false
+		})
+	})
 }
 
 func hazardCodeFor(o algebra.Operand) string {
@@ -331,42 +330,6 @@ func hazardCodeFor(o algebra.Operand) string {
 		// columns get classNullableCol); reaching here is a bug upstream.
 	}
 	return "unknown-operand"
-}
-
-func atomOperands(c algebra.Cond) []algebra.Operand {
-	switch c := c.(type) {
-	case algebra.Cmp:
-		return []algebra.Operand{c.L, c.R}
-	case algebra.Like:
-		return []algebra.Operand{c.Operand, c.Pattern}
-	case algebra.NullTest:
-		return []algebra.Operand{c.Operand}
-	default:
-		return nil
-	}
-}
-
-// flattenNNF returns the atoms of an NNF condition (And/Or flattened;
-// no Not nodes remain after NNF).
-func flattenNNF(c algebra.Cond) []algebra.Cond {
-	switch c := c.(type) {
-	case algebra.And:
-		var out []algebra.Cond
-		for _, sub := range c.Conds {
-			out = append(out, flattenNNF(sub)...)
-		}
-		return out
-	case algebra.Or:
-		var out []algebra.Cond
-		for _, sub := range c.Conds {
-			out = append(out, flattenNNF(sub)...)
-		}
-		return out
-	case algebra.Not:
-		return flattenNNF(algebra.NNF(c))
-	default:
-		return []algebra.Cond{c}
-	}
 }
 
 func allTrue(b []bool) bool {

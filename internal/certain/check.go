@@ -69,57 +69,15 @@ func CheckTranslatable(e algebra.Expr) error {
 // nested scalar subqueries) has a nullable attribute, so no valuation
 // can change what the subquery computes.
 func RigidScalars(e algebra.Expr, sch *schema.Schema) bool {
-	rigid := true
-	algebra.Walk(e, func(sub algebra.Expr) {
-		var cond algebra.Cond
-		switch n := sub.(type) {
-		case algebra.Select:
-			cond = n.Cond
-		case algebra.SemiJoin:
-			cond = n.Cond
-		default:
-			return
-		}
-		forEachScalar(cond, func(s algebra.Scalar) {
-			if !nullFreeExpr(s.Sub, sch) {
-				rigid = false
-			}
-		})
-	})
-	return rigid
-}
-
-// forEachScalar visits the scalar subquery operands of cond's atoms
-// (not those nested inside the scalars' own subqueries — callers walk
-// those through the expression they belong to).
-func forEachScalar(c algebra.Cond, f func(algebra.Scalar)) {
-	visit := func(o algebra.Operand) {
-		if s, ok := o.(algebra.Scalar); ok {
-			f(s)
+	for _, c := range algebra.Conds(e) {
+		if algebra.AnyOperand(c, func(o algebra.Operand) bool {
+			s, ok := o.(algebra.Scalar)
+			return ok && !nullFreeExpr(s.Sub, sch)
+		}) {
+			return false
 		}
 	}
-	switch c := c.(type) {
-	case algebra.Cmp:
-		visit(c.L)
-		visit(c.R)
-	case algebra.Like:
-		visit(c.Operand)
-		visit(c.Pattern)
-	case algebra.NullTest:
-		visit(c.Operand)
-	case algebra.And:
-		for _, sub := range c.Conds {
-			forEachScalar(sub, f)
-		}
-	case algebra.Or:
-		for _, sub := range c.Conds {
-			forEachScalar(sub, f)
-		}
-	case algebra.Not:
-		forEachScalar(c.C, f)
-	case algebra.TrueCond, algebra.FalseCond:
-		// no operands
-	}
+	return true
 }
 
 // nullFreeExpr reports whether no base relation reachable from e has a

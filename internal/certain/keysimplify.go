@@ -19,26 +19,6 @@ import (
 // itself.
 func (t *Translator) keySimplify(e algebra.Expr) algebra.Expr {
 	switch e := e.(type) {
-	case algebra.Base, algebra.AdomPower:
-		return e
-	case algebra.Select:
-		return algebra.Select{Child: t.keySimplify(e.Child), Cond: e.Cond}
-	case algebra.Project:
-		return algebra.Project{Child: t.keySimplify(e.Child), Cols: e.Cols}
-	case algebra.Product:
-		return algebra.Product{L: t.keySimplify(e.L), R: t.keySimplify(e.R)}
-	case algebra.Union:
-		return algebra.Union{L: t.keySimplify(e.L), R: t.keySimplify(e.R)}
-	case algebra.Intersect:
-		return algebra.Intersect{L: t.keySimplify(e.L), R: t.keySimplify(e.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: t.keySimplify(e.L), R: t.keySimplify(e.R)}
-	case algebra.SemiJoin:
-		return algebra.SemiJoin{L: t.keySimplify(e.L), R: t.keySimplify(e.R), Cond: e.Cond, Anti: e.Anti}
-	case algebra.Distinct:
-		return algebra.Distinct{Child: t.keySimplify(e.Child)}
-	case algebra.Division:
-		return algebra.Division{L: t.keySimplify(e.L), R: t.keySimplify(e.R)}
 	case algebra.UnifySemi:
 		l := t.keySimplify(e.L)
 		r := t.keySimplify(e.R)
@@ -49,7 +29,7 @@ func (t *Translator) keySimplify(e algebra.Expr) algebra.Expr {
 		}
 		return algebra.UnifySemi{L: l, R: r, Anti: e.Anti}
 	default:
-		return e
+		return algebra.MapChildren(e, t.keySimplify)
 	}
 }
 

@@ -36,35 +36,17 @@ func cloneBools(b []bool) []bool {
 // collapsing the Boolean structure.
 func (t *Translator) simplifyNullTests(e algebra.Expr) algebra.Expr {
 	switch e := e.(type) {
-	case algebra.Base, algebra.AdomPower:
-		return e
 	case algebra.Select:
 		child := t.simplifyNullTests(e.Child)
 		nn := t.nonNullCols(child)
 		return algebra.Select{Child: child, Cond: simplifyCond(e.Cond, nn)}
-	case algebra.Project:
-		return algebra.Project{Child: t.simplifyNullTests(e.Child), Cols: e.Cols}
-	case algebra.Product:
-		return algebra.Product{L: t.simplifyNullTests(e.L), R: t.simplifyNullTests(e.R)}
-	case algebra.Union:
-		return algebra.Union{L: t.simplifyNullTests(e.L), R: t.simplifyNullTests(e.R)}
-	case algebra.Intersect:
-		return algebra.Intersect{L: t.simplifyNullTests(e.L), R: t.simplifyNullTests(e.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: t.simplifyNullTests(e.L), R: t.simplifyNullTests(e.R)}
 	case algebra.SemiJoin:
 		l := t.simplifyNullTests(e.L)
 		r := t.simplifyNullTests(e.R)
 		nn := append(cloneBools(t.nonNullCols(l)), t.nonNullCols(r)...)
 		return algebra.SemiJoin{L: l, R: r, Cond: simplifyCond(e.Cond, nn), Anti: e.Anti}
-	case algebra.UnifySemi:
-		return algebra.UnifySemi{L: t.simplifyNullTests(e.L), R: t.simplifyNullTests(e.R), Anti: e.Anti}
-	case algebra.Distinct:
-		return algebra.Distinct{Child: t.simplifyNullTests(e.Child)}
-	case algebra.Division:
-		return algebra.Division{L: t.simplifyNullTests(e.L), R: t.simplifyNullTests(e.R)}
 	default:
-		return e
+		return algebra.MapChildren(e, t.simplifyNullTests)
 	}
 }
 

@@ -20,26 +20,6 @@ import (
 // become uncorrelated subqueries answered once.
 func (t *Translator) splitOrs(e algebra.Expr) algebra.Expr {
 	switch e := e.(type) {
-	case algebra.Base, algebra.AdomPower:
-		return e
-	case algebra.Select:
-		return algebra.Select{Child: t.splitOrs(e.Child), Cond: e.Cond}
-	case algebra.Project:
-		return algebra.Project{Child: t.splitOrs(e.Child), Cols: e.Cols}
-	case algebra.Product:
-		return algebra.Product{L: t.splitOrs(e.L), R: t.splitOrs(e.R)}
-	case algebra.Union:
-		return algebra.Union{L: t.splitOrs(e.L), R: t.splitOrs(e.R)}
-	case algebra.Intersect:
-		return algebra.Intersect{L: t.splitOrs(e.L), R: t.splitOrs(e.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: t.splitOrs(e.L), R: t.splitOrs(e.R)}
-	case algebra.UnifySemi:
-		return algebra.UnifySemi{L: t.splitOrs(e.L), R: t.splitOrs(e.R), Anti: e.Anti}
-	case algebra.Distinct:
-		return algebra.Distinct{Child: t.splitOrs(e.Child)}
-	case algebra.Division:
-		return algebra.Division{L: t.splitOrs(e.L), R: t.splitOrs(e.R)}
 	case algebra.SemiJoin:
 		l := t.splitOrs(e.L)
 		nL := e.L.Arity()
@@ -140,7 +120,7 @@ func (t *Translator) splitOrs(e algebra.Expr) algebra.Expr {
 		}
 		return out
 	default:
-		return e
+		return algebra.MapChildren(e, t.splitOrs)
 	}
 }
 

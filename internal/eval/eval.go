@@ -335,18 +335,7 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 	}
 	switch e := e.(type) {
 	case algebra.Base:
-		t, err := ev.db.Table(e.Name)
-		if err != nil {
-			return nil, err
-		}
-		if err := ev.gov.Fault(guard.SiteScan); err != nil {
-			return nil, err
-		}
-		if err := ev.charge("scan", int64(t.Len())); err != nil {
-			return nil, err
-		}
-		ev.note("scan %s -> %d rows", e.Name, t.Len())
-		return t, nil
+		return ev.scan(e)
 
 	case algebra.AdomPower:
 		return ev.evalAdomPower(e)

@@ -14,7 +14,7 @@ import (
 // unions, and (anti-)semijoin probes — without a table per operator.
 // Everything else (hash builds, join blocks, sorts, aggregations, set
 // operations, divisions, adom powers, shared views) stays buffered
-// behind bufferedIter, the explicit streaming/buffered boundary.
+// behind a buffered rowsIter, the explicit streaming/buffered boundary.
 //
 // The contract:
 //
@@ -53,8 +53,11 @@ type iter interface {
 
 // iterName names an iterator node for traces and error reports.
 func iterName(it iter) string {
-	switch it.(type) {
-	case *scanIter:
+	switch it := it.(type) {
+	case *rowsIter:
+		if it.buffered {
+			return "buffered"
+		}
 		return "scan"
 	case *filterIter:
 		return "filter"
@@ -68,8 +71,6 @@ func iterName(it iter) string {
 		return "union"
 	case *semiProbeIter:
 		return "semijoin-probe"
-	case *bufferedIter:
-		return "buffered"
 	case *emptyIter:
 		return "empty"
 	default:
@@ -77,16 +78,37 @@ func iterName(it iter) string {
 	}
 }
 
-// scanIter streams a stored relation in batches. The scan fault and
-// the full scan cost are charged at construction; no memory is charged —
-// the relation is storage, not executor-materialized state.
-type scanIter struct {
-	rows []table.Row
-	ar   int
-	off  int
+// rowsIter streams an in-memory row slice in batches: a stored
+// relation (a scan), or a fully materialized table — a hash-build
+// input, a shared view, a sort or aggregation result — streamed into
+// the enclosing pipeline across the explicit streaming/buffered
+// boundary. Neither charges memory: a relation is storage, not
+// executor-materialized state, and a buffered table's charge is owned
+// by the frame that materialized it (see drainExpr).
+type rowsIter struct {
+	rows     []table.Row
+	ar, off  int
+	buffered bool // a materialized table, not a stored relation
 }
 
-func (ev *Evaluator) newScanIter(e algebra.Base) (*scanIter, error) {
+// newScanIter streams a stored relation; the scan's fault and full cost
+// are charged here, at construction.
+func (ev *Evaluator) newScanIter(e algebra.Base) (*rowsIter, error) {
+	t, err := ev.scan(e)
+	if err != nil {
+		return nil, err
+	}
+	return &rowsIter{rows: t.Rows(), ar: t.Arity()}, nil
+}
+
+// newBufferedIter streams a materialized table.
+func newBufferedIter(t *table.Table) *rowsIter {
+	return &rowsIter{rows: t.Rows(), ar: t.Arity(), buffered: true}
+}
+
+// scan looks up a stored relation and charges reading it: the scan
+// fault, the full scan cost and the trace note.
+func (ev *Evaluator) scan(e algebra.Base) (*table.Table, error) {
 	t, err := ev.db.Table(e.Name)
 	if err != nil {
 		return nil, err
@@ -98,25 +120,22 @@ func (ev *Evaluator) newScanIter(e algebra.Base) (*scanIter, error) {
 		return nil, err
 	}
 	ev.note("scan %s -> %d rows", e.Name, t.Len())
-	return &scanIter{rows: t.Rows(), ar: t.Arity()}, nil
+	return t, nil
 }
 
-func (it *scanIter) next() ([]table.Row, error) {
+func (it *rowsIter) next() ([]table.Row, error) {
 	if it.off >= len(it.rows) {
 		return nil, nil
 	}
-	hi := it.off + batchSize
-	if hi > len(it.rows) {
-		hi = len(it.rows)
-	}
+	hi := min(it.off+batchSize, len(it.rows))
 	b := it.rows[it.off:hi]
 	it.off = hi
 	return b, nil
 }
 
-func (it *scanIter) arity() int { return it.ar }
-func (it *scanIter) close()     {}
-func (it *scanIter) isIter()    {}
+func (it *rowsIter) arity() int { return it.ar }
+func (it *rowsIter) close()     {}
+func (it *rowsIter) isIter()    {}
 
 // filterIter applies a selection condition to each pulled batch, row
 // by row on the coordinating goroutine. Scalar subqueries in the
@@ -379,33 +398,6 @@ func (it *semiProbeIter) close() {
 	it.ev.gov.ReleaseMem(it.p.mem)
 	it.p.mem = 0
 }
-
-// bufferedIter is the explicit streaming/buffered boundary: it streams
-// a fully materialized table — a hash-build input, a shared view, a
-// sort or aggregation result — into the enclosing pipeline. The
-// table's memory charge is owned by the frame that materialized it
-// (see drainExpr), not by the iterator.
-type bufferedIter struct {
-	t   *table.Table
-	off int
-}
-
-func (it *bufferedIter) next() ([]table.Row, error) {
-	if it.off >= it.t.Len() {
-		return nil, nil
-	}
-	hi := it.off + batchSize
-	if hi > it.t.Len() {
-		hi = it.t.Len()
-	}
-	b := it.t.Rows()[it.off:hi]
-	it.off = hi
-	return b, nil
-}
-
-func (it *bufferedIter) arity() int { return it.t.Arity() }
-func (it *bufferedIter) close()     {}
-func (it *bufferedIter) isIter()    {}
 
 // emptyIter yields nothing; short-circuited antijoins compile to it.
 type emptyIter struct{ ar int }

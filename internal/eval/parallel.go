@@ -247,111 +247,26 @@ func concatChunks(gov *guard.Governor, arity int, chunks [][]table.Row) (*table.
 // for every row; it also keeps parallel workers off the cache map.
 // Conditions without scalars are returned unchanged.
 func (ev *Evaluator) resolveScalars(c algebra.Cond) (algebra.Cond, error) {
-	if !condHasScalar(c) {
+	if !algebra.HasScalar(c) {
 		return c, nil
 	}
-	switch c := c.(type) {
-	case algebra.Cmp:
-		l, err := ev.resolveOperand(c.L)
-		if err != nil {
-			return nil, err
+	var err error
+	out := algebra.MapOperands(c, func(o algebra.Operand) algebra.Operand {
+		s, ok := o.(algebra.Scalar)
+		if !ok || err != nil {
+			return o
 		}
-		r, err := ev.resolveOperand(c.R)
-		if err != nil {
-			return nil, err
+		v, verr := ev.scalarValue(s)
+		if verr != nil {
+			err = verr
+			return o
 		}
-		return algebra.Cmp{Op: c.Op, L: l, R: r}, nil
-	case algebra.Like:
-		o, err := ev.resolveOperand(c.Operand)
-		if err != nil {
-			return nil, err
-		}
-		p, err := ev.resolveOperand(c.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Like{Operand: o, Pattern: p, Negated: c.Negated}, nil
-	case algebra.NullTest:
-		o, err := ev.resolveOperand(c.Operand)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NullTest{Operand: o, Negated: c.Negated}, nil
-	case algebra.And:
-		out := make([]algebra.Cond, len(c.Conds))
-		for i, sub := range c.Conds {
-			r, err := ev.resolveScalars(sub)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return algebra.And{Conds: out}, nil
-	case algebra.Or:
-		out := make([]algebra.Cond, len(c.Conds))
-		for i, sub := range c.Conds {
-			r, err := ev.resolveScalars(sub)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return algebra.Or{Conds: out}, nil
-	case algebra.Not:
-		sub, err := ev.resolveScalars(c.C)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Not{C: sub}, nil
-	default: // TrueCond, FalseCond
-		return c, nil
-	}
-}
-
-// resolveOperand turns a scalar-subquery operand into its literal.
-func (ev *Evaluator) resolveOperand(o algebra.Operand) (algebra.Operand, error) {
-	s, ok := o.(algebra.Scalar)
-	if !ok {
-		return o, nil
-	}
-	v, err := ev.scalarValue(s)
+		return algebra.Lit{Val: v}
+	})
 	if err != nil {
 		return nil, err
 	}
-	return algebra.Lit{Val: v}, nil
-}
-
-// condHasScalar reports whether any operand of c is a scalar subquery.
-func condHasScalar(c algebra.Cond) bool {
-	isScalar := func(o algebra.Operand) bool {
-		_, ok := o.(algebra.Scalar)
-		return ok
-	}
-	switch c := c.(type) {
-	case algebra.Cmp:
-		return isScalar(c.L) || isScalar(c.R)
-	case algebra.Like:
-		return isScalar(c.Operand) || isScalar(c.Pattern)
-	case algebra.NullTest:
-		return isScalar(c.Operand)
-	case algebra.And:
-		for _, sub := range c.Conds {
-			if condHasScalar(sub) {
-				return true
-			}
-		}
-	case algebra.Or:
-		for _, sub := range c.Conds {
-			if condHasScalar(sub) {
-				return true
-			}
-		}
-	case algebra.Not:
-		return condHasScalar(c.C)
-	case algebra.TrueCond, algebra.FalseCond:
-		// no operands
-	}
-	return false
+	return out, nil
 }
 
 // shardCount resolves Options.Shards: values below 2 run unsharded.

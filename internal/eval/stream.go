@@ -60,82 +60,14 @@ func (ev *Evaluator) sharedView(e algebra.Expr) bool {
 // the cache's evaluator lifetime.
 func (ev *Evaluator) markShared(e algebra.Expr) {
 	counts := map[string]int{}
-	var walk func(e algebra.Expr)
-	var walkCond func(c algebra.Cond)
-	walkOperand := func(o algebra.Operand) {
-		if s, ok := o.(algebra.Scalar); ok {
-			walk(s.Sub)
-		}
-	}
-	walkCond = func(c algebra.Cond) {
-		switch c := c.(type) { // astlint:partial — only scalar carriers matter
-		case algebra.Cmp:
-			walkOperand(c.L)
-			walkOperand(c.R)
-		case algebra.Like:
-			walkOperand(c.Operand)
-			walkOperand(c.Pattern)
-		case algebra.NullTest:
-			walkOperand(c.Operand)
-		case algebra.And:
-			for _, sub := range c.Conds {
-				walkCond(sub)
-			}
-		case algebra.Or:
-			for _, sub := range c.Conds {
-				walkCond(sub)
-			}
-		case algebra.Not:
-			walkCond(c.C)
-		}
-	}
-	walk = func(e algebra.Expr) {
-		switch e := e.(type) { // astlint:partial — leaves have no children
-		case algebra.Base, algebra.AdomPower:
+	algebra.Walk(e, func(sub algebra.Expr) {
+		if _, n := algebra.Children(sub); n == 0 {
 			return // stored relations and generated powers are never shared views
-		case algebra.Select:
-			walkCond(e.Cond)
-			walk(e.Child)
-		case algebra.Project:
-			walk(e.Child)
-		case algebra.Product:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Union:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Intersect:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Diff:
-			walk(e.L)
-			walk(e.R)
-		case algebra.SemiJoin:
-			walkCond(e.Cond)
-			walk(e.L)
-			walk(e.R)
-		case algebra.UnifySemi:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Distinct:
-			walk(e.Child)
-		case algebra.Division:
-			walk(e.L)
-			walk(e.R)
-		case algebra.GroupBy:
-			walk(e.Child)
-		case algebra.Sort:
-			walk(e.Child)
-		case algebra.Limit:
-			walk(e.Child)
-		default:
-			return
 		}
-		if k := viewKey(e); k != "" {
+		if k := viewKey(sub); k != "" {
 			counts[k]++
 		}
-	}
-	walk(e)
+	})
 	for k, n := range counts {
 		if n >= 2 {
 			ev.shared[k] = true
@@ -207,7 +139,7 @@ func (ev *Evaluator) drainScope(e algebra.Expr) (*table.Table, error) {
 // buildIter compiles a child position of a pipeline: subtrees that
 // cannot stream — and streamable ones the plan shares (sharedView) —
 // are drained to a table here and enter the pipeline behind the
-// bufferedIter boundary; everything else composes as iterator nodes.
+// buffered rowsIter boundary; everything else composes as iterator nodes.
 // Construction is where all buffered work happens, so by the time the
 // first batch is pulled, the pipeline's eager inputs are complete.
 func (ev *Evaluator) buildIter(e algebra.Expr) (iter, error) {
@@ -216,7 +148,7 @@ func (ev *Evaluator) buildIter(e algebra.Expr) (iter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &bufferedIter{t: t}, nil
+		return newBufferedIter(t), nil
 	}
 	return ev.buildIterNode(e)
 }
@@ -284,7 +216,7 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr) (iter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &bufferedIter{t: t}, nil
+		return newBufferedIter(t), nil
 	}
 }
 

@@ -3,7 +3,8 @@ package eval
 import "certsql/internal/algebra"
 
 // viewCacheMaxNodes bounds how large a subplan — measured in algebra
-// operators plus condition atoms — may be and still participate in the
+// operators plus condition nodes, scalar-subquery bodies included (see
+// algebra.SizeAtMost) — may be and still participate in the
 // shared-subplan (view) cache.
 //
 // Keying a subplan renders its canonical Key(), and the evaluator keys
@@ -21,104 +22,8 @@ const viewCacheMaxNodes = 24
 // viewKey returns the subplan-cache key for e, or "" when e is too
 // large to participate in the cache.
 func viewKey(e algebra.Expr) string {
-	if exprWithin(e, viewCacheMaxNodes) < 0 {
+	if !algebra.SizeAtMost(e, viewCacheMaxNodes) {
 		return ""
 	}
 	return e.Key()
-}
-
-// exprWithin returns the budget left after counting e's nodes, or a
-// negative number as soon as the budget is exhausted — the walk aborts
-// early, so oversized subtrees cost O(budget), not O(size). The switch
-// recurses directly rather than through algebra.Children to keep the
-// walk allocation-free (it runs at every eval recursion level).
-func exprWithin(e algebra.Expr, budget int) int {
-	budget--
-	if budget < 0 {
-		return -1
-	}
-	switch e := e.(type) {
-	case algebra.Base, algebra.AdomPower:
-		return budget
-	case algebra.Select:
-		return exprWithin(e.Child, condWithin(e.Cond, budget))
-	case algebra.Project:
-		return exprWithin(e.Child, budget)
-	case algebra.Product:
-		return exprWithin(e.R, exprWithin(e.L, budget))
-	case algebra.Union:
-		return exprWithin(e.R, exprWithin(e.L, budget))
-	case algebra.Intersect:
-		return exprWithin(e.R, exprWithin(e.L, budget))
-	case algebra.Diff:
-		return exprWithin(e.R, exprWithin(e.L, budget))
-	case algebra.SemiJoin:
-		return exprWithin(e.R, exprWithin(e.L, condWithin(e.Cond, budget)))
-	case algebra.UnifySemi:
-		return exprWithin(e.R, exprWithin(e.L, budget))
-	case algebra.Distinct:
-		return exprWithin(e.Child, budget)
-	case algebra.Division:
-		return exprWithin(e.R, exprWithin(e.L, budget))
-	case algebra.GroupBy:
-		return exprWithin(e.Child, budget)
-	case algebra.Sort:
-		return exprWithin(e.Child, budget)
-	case algebra.Limit:
-		return exprWithin(e.Child, budget)
-	default:
-		return -1 // unknown operator: never cache
-	}
-}
-
-// condWithin counts condition atoms against the budget, descending
-// into scalar-subquery operands.
-func condWithin(c algebra.Cond, budget int) int {
-	if budget < 0 {
-		return -1
-	}
-	switch c := c.(type) {
-	case algebra.TrueCond, algebra.FalseCond:
-		return budget - 1
-	case algebra.Cmp:
-		return operandWithin(c.R, operandWithin(c.L, budget-1))
-	case algebra.Like:
-		return operandWithin(c.Pattern, operandWithin(c.Operand, budget-1))
-	case algebra.NullTest:
-		return operandWithin(c.Operand, budget-1)
-	case algebra.And:
-		budget--
-		for _, sub := range c.Conds {
-			if budget < 0 {
-				return -1
-			}
-			budget = condWithin(sub, budget)
-		}
-		return budget
-	case algebra.Or:
-		budget--
-		for _, sub := range c.Conds {
-			if budget < 0 {
-				return -1
-			}
-			budget = condWithin(sub, budget)
-		}
-		return budget
-	case algebra.Not:
-		return condWithin(c.C, budget-1)
-	default:
-		return -1 // unknown condition: never cache
-	}
-}
-
-// operandWithin charges scalar-subquery operands for their subtree;
-// columns and literals ride on their atom's budget.
-func operandWithin(o algebra.Operand, budget int) int {
-	if budget < 0 {
-		return -1
-	}
-	if s, ok := o.(algebra.Scalar); ok {
-		return exprWithin(s.Sub, budget)
-	}
-	return budget
 }

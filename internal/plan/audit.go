@@ -63,33 +63,25 @@ func AuditConds(orig, opt algebra.Expr) error {
 // including inside scalar subqueries.
 func condAtoms(e algebra.Expr) []string {
 	var atoms []string
-	algebra.Walk(e, func(x algebra.Expr) {
-		for _, c := range algebra.Conds(x) {
-			collectAtoms(algebra.NNF(c), &atoms)
-		}
-	})
+	for _, c := range algebra.Conds(e) {
+		algebra.Atoms(algebra.NNF(c), func(a algebra.Cond) {
+			atoms = append(atoms, atomShape(a))
+		})
+	}
 	return atoms
 }
 
-func collectAtoms(c algebra.Cond, out *[]string) {
+// atomShape renders an atom with its operands' shapes (see opShape).
+func atomShape(c algebra.Cond) string {
 	switch c := c.(type) {
-	case algebra.TrueCond, algebra.FalseCond:
-	case algebra.And:
-		for _, sub := range c.Conds {
-			collectAtoms(sub, out)
-		}
-	case algebra.Or:
-		for _, sub := range c.Conds {
-			collectAtoms(sub, out)
-		}
-	case algebra.Not:
-		collectAtoms(c.C, out)
 	case algebra.Cmp:
-		*out = append(*out, "cmp:"+c.Op.String()+"("+opShape(c.L)+","+opShape(c.R)+")")
+		return "cmp:" + c.Op.String() + "(" + opShape(c.L) + "," + opShape(c.R) + ")"
 	case algebra.Like:
-		*out = append(*out, "like("+opShape(c.Operand)+","+opShape(c.Pattern)+")")
+		return "like(" + opShape(c.Operand) + "," + opShape(c.Pattern) + ")"
 	case algebra.NullTest:
-		*out = append(*out, "null("+opShape(c.Operand)+")")
+		return "null(" + opShape(c.Operand) + ")"
+	default:
+		panic(fmt.Sprintf("plan: atomShape: %T is not an atom", c))
 	}
 }
 

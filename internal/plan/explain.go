@@ -100,26 +100,20 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 			return n
 		}
 		n.Op, n.Detail = "select", x.Cond.String()
-		n.Children = append(n.Children, o.describe(x.Child, hints))
 	case algebra.Project:
 		cols := make([]string, len(x.Cols))
 		for i, c := range x.Cols {
 			cols[i] = strconv.Itoa(c)
 		}
 		n.Op, n.Detail = "project", strings.Join(cols, ",")
-		n.Children = append(n.Children, o.describe(x.Child, hints))
 	case algebra.Product:
 		n.Op = "product"
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.Union:
 		n.Op = "union"
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.Intersect:
 		n.Op = "intersect"
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.Diff:
 		n.Op = "diff"
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.SemiJoin:
 		n.Op = "semijoin"
 		if x.Anti {
@@ -140,19 +134,15 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 				}
 			}
 		}
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.UnifySemi:
 		n.Op = "unify-semijoin"
 		if x.Anti {
 			n.Op = "unify-antijoin"
 		}
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.Distinct:
 		n.Op = "distinct"
-		n.Children = append(n.Children, o.describe(x.Child, hints))
 	case algebra.Division:
 		n.Op = "division"
-		n.Children = append(n.Children, o.describe(x.L, hints), o.describe(x.R, hints))
 	case algebra.AdomPower:
 		n.Op, n.Detail = "adom-power", strconv.Itoa(x.K)
 	case algebra.GroupBy:
@@ -164,15 +154,16 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 			parts = append(parts, a.String())
 		}
 		n.Op, n.Detail = "group-by", strings.Join(parts, ",")
-		n.Children = append(n.Children, o.describe(x.Child, hints))
 	case algebra.Sort:
 		n.Op = "sort"
-		n.Children = append(n.Children, o.describe(x.Child, hints))
 	case algebra.Limit:
 		n.Op, n.Detail = "limit", strconv.Itoa(x.N)
-		n.Children = append(n.Children, o.describe(x.Child, hints))
 	default:
 		n.Op = fmt.Sprintf("%T", e)
+	}
+	kids, k := algebra.Children(e)
+	for _, kid := range kids[:k] {
+		n.Children = append(n.Children, o.describe(kid, hints))
 	}
 	return n
 }

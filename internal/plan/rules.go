@@ -23,10 +23,6 @@ type optimizer struct {
 // left untouched.
 func (o *optimizer) rewrite(e algebra.Expr) algebra.Expr {
 	switch n := e.(type) {
-	case algebra.Base:
-		return n
-	case algebra.AdomPower:
-		return n
 	case algebra.Select:
 		return o.rewriteSelect(algebra.Select{Child: o.rewrite(n.Child), Cond: n.Cond})
 	case algebra.Project:
@@ -40,30 +36,10 @@ func (o *optimizer) rewrite(e algebra.Expr) algebra.Expr {
 			return algebra.Project{Child: inner.Child, Cols: composed}
 		}
 		return algebra.Project{Child: child, Cols: n.Cols}
-	case algebra.Product:
-		return algebra.Product{L: o.rewrite(n.L), R: o.rewrite(n.R)}
-	case algebra.Union:
-		return algebra.Union{L: o.rewrite(n.L), R: o.rewrite(n.R)}
-	case algebra.Intersect:
-		return algebra.Intersect{L: o.rewrite(n.L), R: o.rewrite(n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: o.rewrite(n.L), R: o.rewrite(n.R)}
 	case algebra.SemiJoin:
 		return o.rewriteSemi(algebra.SemiJoin{L: o.rewrite(n.L), R: o.rewrite(n.R), Cond: n.Cond, Anti: n.Anti})
-	case algebra.UnifySemi:
-		return algebra.UnifySemi{L: o.rewrite(n.L), R: o.rewrite(n.R), Anti: n.Anti}
-	case algebra.Distinct:
-		return algebra.Distinct{Child: o.rewrite(n.Child)}
-	case algebra.Division:
-		return algebra.Division{L: o.rewrite(n.L), R: o.rewrite(n.R)}
-	case algebra.GroupBy:
-		return algebra.GroupBy{Child: o.rewrite(n.Child), Keys: n.Keys, Aggs: n.Aggs}
-	case algebra.Sort:
-		return algebra.Sort{Child: o.rewrite(n.Child), Keys: n.Keys}
-	case algebra.Limit:
-		return algebra.Limit{Child: o.rewrite(n.Child), N: n.N}
 	default:
-		return e // unknown operator: leave it alone
+		return algebra.MapChildren(e, o.rewrite)
 	}
 }
 
@@ -81,7 +57,7 @@ func isProductChain(e algebra.Expr) bool {
 // rewriteSelect applies merge-select, null-test elimination and
 // selection pushdown to a Select whose child is already rewritten.
 func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
-	if condHasScalar(s.Cond) || isProductChain(s.Child) {
+	if algebra.HasScalar(s.Cond) || isProductChain(s.Child) {
 		return s
 	}
 	// Null-test elimination against the child's provable nullability.
@@ -98,7 +74,7 @@ func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
 	switch child := s.Child.(type) {
 	case algebra.Select:
 		// merge-select: σc1(σc2(X)) → σ[c2∧c1](X).
-		if !condHasScalar(child.Cond) && !isProductChain(child.Child) {
+		if !algebra.HasScalar(child.Cond) && !isProductChain(child.Child) {
 			o.fired[RuleMergeSelect] = true
 			return o.rewriteSelect(algebra.Select{Child: child.Child, Cond: algebra.NewAnd(child.Cond, cond)})
 		}
@@ -164,7 +140,7 @@ func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
 // splits the right side on IS NULL disjuncts. Children are already
 // rewritten.
 func (o *optimizer) rewriteSemi(n algebra.SemiJoin) algebra.Expr {
-	if condHasScalar(n.Cond) {
+	if algebra.HasScalar(n.Cond) {
 		return n
 	}
 	nL := n.L.Arity()
@@ -225,7 +201,7 @@ func (o *optimizer) rewriteSemi(n algebra.SemiJoin) algebra.Expr {
 // on a wild-bucket index — there splitting only adds a second pass
 // over R.
 func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
-	if !sj.Anti || condHasScalar(sj.Cond) {
+	if !sj.Anti || algebra.HasScalar(sj.Cond) {
 		return nil, false
 	}
 	nL := sj.L.Arity()
@@ -396,7 +372,7 @@ func (o *optimizer) simplifyCond(c algebra.Cond, free func(int) bool) (algebra.C
 			return algebra.NewOr(parts...), true
 		case algebra.NullTest:
 			// astlint:partial — scalar operands are unreachable here
-			// (condHasScalar gates every caller) and stay untouched.
+			// (algebra.HasScalar gates every caller) and stay untouched.
 			switch op := c.Operand.(type) {
 			case algebra.Col:
 				if free(op.Idx) {
@@ -419,42 +395,6 @@ func (o *optimizer) simplifyCond(c algebra.Cond, free func(int) bool) (algebra.C
 	return rec(c)
 }
 
-// condHasScalar reports whether c contains a scalar-subquery operand
-// anywhere. No rewrite rule touches such conditions: resolving a
-// scalar evaluates its subquery and may mint marked nulls, so even
-// re-associating the condition risks observable changes.
-func condHasScalar(c algebra.Cond) bool {
-	opScalar := func(op algebra.Operand) bool {
-		_, ok := op.(algebra.Scalar)
-		return ok
-	}
-	// astlint:partial — True/False carry no operands; the fallthrough
-	// `return false` is their answer.
-	switch c := c.(type) {
-	case algebra.Cmp:
-		return opScalar(c.L) || opScalar(c.R)
-	case algebra.Like:
-		return opScalar(c.Operand) || opScalar(c.Pattern)
-	case algebra.NullTest:
-		return opScalar(c.Operand)
-	case algebra.And:
-		for _, sub := range c.Conds {
-			if condHasScalar(sub) {
-				return true
-			}
-		}
-	case algebra.Or:
-		for _, sub := range c.Conds {
-			if condHasScalar(sub) {
-				return true
-			}
-		}
-	case algebra.Not:
-		return condHasScalar(c.C)
-	}
-	return false
-}
-
 // hasMinters reports whether evaluating e can mint fresh marked nulls:
 // any GroupBy (empty-group aggregates) or any scalar subquery operand.
 // Rules that change whether or how often a subtree is evaluated must
@@ -468,11 +408,11 @@ func hasMinters(e algebra.Expr) bool {
 		case algebra.GroupBy:
 			mint = true
 		case algebra.Select:
-			if condHasScalar(n.Cond) {
+			if algebra.HasScalar(n.Cond) {
 				mint = true
 			}
 		case algebra.SemiJoin:
-			if condHasScalar(n.Cond) {
+			if algebra.HasScalar(n.Cond) {
 				mint = true
 			}
 		}
@@ -564,7 +504,7 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 	// lost view-cache entry costs at most a recomputation of identical
 	// bytes (the runtime additionally skips fusion on shared views).
 	if sel, ok := sj.R.(algebra.Select); ok {
-		if _, isBase := sel.Child.(algebra.Base); isBase && !condHasScalar(sel.Cond) {
+		if _, isBase := sel.Child.(algebra.Base); isBase && !algebra.HasScalar(sel.Cond) {
 			h.FuseBuild = true
 			o.fired[RuleFuseBuild] = true
 		}

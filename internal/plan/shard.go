@@ -67,7 +67,7 @@ func ShardPlan(e algebra.Expr, st *stats.DBStats, shards int) *ShardResult {
 	}
 	r := &ShardResult{}
 	seen := map[string]bool{}
-	walkExprs(e, func(sub algebra.Expr) {
+	algebra.Walk(e, func(sub algebra.Expr) {
 		us, ok := sub.(algebra.UnifySemi)
 		if !ok {
 			return
@@ -213,79 +213,4 @@ func (r *ShardResult) Render(shards int) string {
 		fmt.Fprintf(&b, "  %s build %s: %s\n", d.Op, d.Build, d.Reason)
 	}
 	return b.String()
-}
-
-// walkExprs visits every expression node of e in tree order, including
-// scalar-subquery bodies inside conditions.
-func walkExprs(e algebra.Expr, visit func(algebra.Expr)) {
-	var walk func(e algebra.Expr)
-	var walkCond func(c algebra.Cond)
-	walkOperand := func(o algebra.Operand) {
-		if s, ok := o.(algebra.Scalar); ok {
-			walk(s.Sub)
-		}
-	}
-	walkCond = func(c algebra.Cond) {
-		switch c := c.(type) { // astlint:partial — only scalar carriers matter
-		case algebra.Cmp:
-			walkOperand(c.L)
-			walkOperand(c.R)
-		case algebra.Like:
-			walkOperand(c.Operand)
-			walkOperand(c.Pattern)
-		case algebra.NullTest:
-			walkOperand(c.Operand)
-		case algebra.And:
-			for _, sub := range c.Conds {
-				walkCond(sub)
-			}
-		case algebra.Or:
-			for _, sub := range c.Conds {
-				walkCond(sub)
-			}
-		case algebra.Not:
-			walkCond(c.C)
-		}
-	}
-	walk = func(e algebra.Expr) {
-		visit(e)
-		switch e := e.(type) { // astlint:partial — leaves have no children
-		case algebra.Select:
-			walkCond(e.Cond)
-			walk(e.Child)
-		case algebra.Project:
-			walk(e.Child)
-		case algebra.Product:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Union:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Intersect:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Diff:
-			walk(e.L)
-			walk(e.R)
-		case algebra.SemiJoin:
-			walkCond(e.Cond)
-			walk(e.L)
-			walk(e.R)
-		case algebra.UnifySemi:
-			walk(e.L)
-			walk(e.R)
-		case algebra.Distinct:
-			walk(e.Child)
-		case algebra.Division:
-			walk(e.L)
-			walk(e.R)
-		case algebra.GroupBy:
-			walk(e.Child)
-		case algebra.Sort:
-			walk(e.Child)
-		case algebra.Limit:
-			walk(e.Child)
-		}
-	}
-	walk(e)
 }
