@@ -110,12 +110,15 @@ bench-fig4:
 # (BenchmarkBuildSide: a 60 000-row side joined, semijoined and
 # antijoined against 2, 500 and 15 000 rows, and as forward controls
 # 15 000 x 500 and a 60 000 x 15 000 semijoin that verifies a residual
-# condition per candidate) with allocation counts. Advisory like bench-fig4's
-# first half: wall-clock, so its failure is printed and ignored; the
-# exact gates are TestBuildSideEquivalence and
+# condition per candidate) and the null-list read of a selection that
+# requires a null (BenchmarkNullScan: null(l_partkey) over sf 0.01
+# lineitem, against the same selection over a full scan) with
+# allocation counts. Advisory like bench-fig4's first half: wall-clock,
+# so its failure is printed and ignored; the exact gates are
+# TestBuildSideEquivalence, TestNullScanMatchesFullScan and
 # TestCostUnitsDirectionIndependent, in `make test`.
 bench-join:
-	-$(GO) test -run '^$$' -bench BenchmarkBuildSide -benchtime 5x -benchmem ./internal/eval
+	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkNullScan' -benchtime 5x -benchmem ./internal/eval
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
 # detector. 30s per target is the CI smoke setting; for a nightly long

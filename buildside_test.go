@@ -2,10 +2,14 @@ package certsql_test
 
 import (
 	"math/rand"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"certsql"
+	"certsql/internal/table"
 	"certsql/internal/tpch"
 )
 
@@ -20,7 +24,12 @@ var buildSideCfg = tpch.Config{ScaleFactor: 0.002, Seed: 3, NullRate: 0.02}
 // commit 775d467, whose hash joins all indexed the right-hand input. A
 // hash join charges |L| + |R| plus one unit per pair verified whichever
 // side it indexes, so the counts must not move — at any Parallelism or
-// Shards.
+// Shards. Since then one thing has moved them, by an amount computed
+// here from the instance: a selection over a stored relation that
+// requires a null reads only the rows with one (the trace's
+// "scan R nulls(…) -> n of m rows"), so its scan and its filter each
+// read |R| − n rows fewer. The pin is the predecessor's count less
+// exactly those rows.
 func TestCostUnitsDirectionIndependent(t *testing.T) {
 	want := map[tpch.QueryID][2]int64{ // standard, CERTAIN
 		tpch.Q1: {68859, 86919},
@@ -28,7 +37,8 @@ func TestCostUnitsDirectionIndependent(t *testing.T) {
 		tpch.Q3: {30090, 30080},
 		tpch.Q4: {35155, 116839},
 	}
-	db := certsql.FromInternal(tpch.Generate(buildSideCfg))
+	inst := tpch.Generate(buildSideCfg)
+	db := certsql.FromInternal(inst)
 	rng := rand.New(rand.NewSource(11))
 	for _, q := range tpch.AllQueries {
 		params := q.Params(rng, buildSideCfg.Sizes())
@@ -37,20 +47,60 @@ func TestCostUnitsDirectionIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, text := range []string{q.SQL(), certain} {
+			trace, err := db.Explain(text, params, certsql.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin := want[q][i] - unreadByNullScans(t, inst, trace)
 			for _, par := range []int{1, 4} {
 				for _, shards := range []int{1, 3} {
 					res, err := db.QueryWithOptions(text, params, certsql.Options{Parallelism: par, Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := res.Stats.CostUnits; got != want[q][i] {
-						t.Errorf("%s certain=%v P=%d Shards=%d: %d cost units, the all-forward predecessor spent %d",
-							q, i == 1, par, shards, got, want[q][i])
+					if got := res.Stats.CostUnits; got != pin {
+						t.Errorf("%s certain=%v P=%d Shards=%d: %d cost units, the all-forward predecessor spent %d, less %d rows the null lists spared",
+							q, i == 1, par, shards, got, want[q][i], want[q][i]-pin)
 					}
 				}
 			}
 		}
 	}
+}
+
+// nullScanNote matches the executor's note for a selection read from a
+// stored relation's null lists.
+var nullScanNote = regexp.MustCompile(`scan (\w+) nulls\(([#0-9,]+)\) -> (\d+) of (\d+) rows`)
+
+// unreadByNullScans returns Σ 2·(|R| − candidates) over the null-list
+// reads a trace names, counting each read's candidates — the rows of R
+// with a null in one of the read columns — on the instance itself and
+// failing when the trace reports another count.
+func unreadByNullScans(t *testing.T, inst *table.Database, trace string) int64 {
+	t.Helper()
+	var unread int64
+	for _, m := range nullScanNote.FindAllStringSubmatch(trace, -1) {
+		rel := inst.MustTable(m[1])
+		var cols []int
+		for _, c := range strings.Split(m[2], ",") {
+			col, err := strconv.Atoi(strings.TrimPrefix(c, "#"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols = append(cols, col)
+		}
+		candidates := 0
+		for _, r := range rel.Rows() {
+			if slices.ContainsFunc(cols, func(c int) bool { return r[c].IsNull() }) {
+				candidates++
+			}
+		}
+		if m[3] != strconv.Itoa(candidates) || m[4] != strconv.Itoa(rel.Len()) {
+			t.Fatalf("trace reads %s of %s rows of %s, the instance has %d of %d: %s", m[3], m[4], m[1], candidates, rel.Len(), m[0])
+		}
+		unread += 2 * int64(rel.Len()-candidates)
+	}
+	return unread
 }
 
 // TestTraceNamesBuildSide asserts the choice is legible and is the
@@ -88,5 +138,38 @@ func TestTraceNamesBuildSide(t *testing.T) {
 	}
 	if !lineitemStep {
 		t.Errorf("Q4's trace has no hash join step over lineitem:\n%s", trace[tpch.Q4])
+	}
+}
+
+// TestTraceNamesNullScans asserts the null-list access path is legible
+// where it pays: three of CERTAIN Q4's four passes over lineitem select
+// rows with a null (the OR-split's branches) and read only those, the
+// fourth scans the table; CERTAIN Q2's uncorrelated NOT EXISTS reads
+// only the orders with a null customer.
+func TestTraceNamesNullScans(t *testing.T) {
+	db := certsql.FromInternal(tpch.Generate(buildSideCfg))
+	rng := rand.New(rand.NewSource(11))
+	trace := map[tpch.QueryID]string{}
+	for _, q := range tpch.AllQueries {
+		certain, err := certsql.WithMode(q.SQL(), "certain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace[q], err = db.Explain(certain, q.Params(rng, buildSideCfg.Sizes()), certsql.Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		q    tpch.QueryID
+		note string
+		want int
+	}{
+		{tpch.Q4, "scan lineitem nulls(", 3},
+		{tpch.Q4, "scan lineitem -> ", 1},
+		{tpch.Q2, "scan orders nulls(", 1},
+	} {
+		if got := strings.Count(trace[c.q], c.note); got != c.want {
+			t.Errorf("CERTAIN %s's trace names %q %d times, want %d:\n%s", c.q, c.note, got, c.want, trace[c.q])
+		}
 	}
 }

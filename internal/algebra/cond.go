@@ -513,6 +513,41 @@ func Conjuncts(c Cond) []Cond {
 	return []Cond{c}
 }
 
+// NullScans returns the columns of each top-level conjunct of c's NNF
+// that is a non-negated null(col), or a disjunction of only such tests:
+// a row satisfies c only if it holds a null in a column of every group.
+// The executor reads such a selection over a stored relation from the
+// null lists, and the planner prices and explains the same groups.
+func NullScans(c Cond) (groups [][]int) {
+	if !NNFIsIdentity(c) {
+		c = NNF(c)
+	}
+	conjs := []Cond{c} // the slices here stay on the stack: no allocation unless a group is found
+	if a, ok := c.(And); ok {
+		conjs = a.Conds
+	}
+	for _, conj := range conjs {
+		var cols []int
+		disjs := []Cond{conj}
+		if o, ok := conj.(Or); ok {
+			disjs = o.Conds
+		}
+		for _, d := range disjs {
+			n, ok := d.(NullTest)
+			col, isCol := n.Operand.(Col)
+			if !ok || n.Negated || !isCol {
+				cols = nil
+				break
+			}
+			cols = append(cols, col.Idx)
+		}
+		if cols != nil {
+			groups = append(groups, cols)
+		}
+	}
+	return groups
+}
+
 // Disjuncts returns the top-level disjuncts of c.
 func Disjuncts(c Cond) []Cond {
 	if o, ok := c.(Or); ok {

@@ -335,7 +335,8 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 	}
 	switch e := e.(type) {
 	case algebra.Base:
-		return ev.scan(e)
+		t, _, err := ev.scan(e, nil)
+		return t, err
 
 	case algebra.AdomPower:
 		return ev.evalAdomPower(e)

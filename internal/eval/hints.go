@@ -19,7 +19,8 @@ package eval
 //     first. The planner only sets it when the selection's child is a
 //     stored relation and its condition is scalar-free, so the fused
 //     pass sees exactly the rows the standalone filter would emit and
-//     nothing in the skipped subtree can mint marked nulls.
+//     nothing in the skipped subtree can mint marked nulls, and never
+//     on a selection the null lists serve (it would read all of R).
 //
 // Hints are keyed by the algebra node's canonical Key() string, so a
 // cached plan's hints survive across executions and structurally

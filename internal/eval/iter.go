@@ -2,6 +2,9 @@ package eval
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
@@ -91,14 +94,13 @@ type rowsIter struct {
 	buffered bool // a materialized table, not a stored relation
 }
 
-// newScanIter streams a stored relation; the scan's fault and full cost
-// are charged here, at construction.
-func (ev *Evaluator) newScanIter(e algebra.Base) (*rowsIter, error) {
-	t, err := ev.scan(e)
+// newScanIter streams the rows scan reads, charged at construction.
+func (ev *Evaluator) newScanIter(e algebra.Base, groups [][]int) (*rowsIter, error) {
+	t, rows, err := ev.scan(e, groups)
 	if err != nil {
 		return nil, err
 	}
-	return &rowsIter{rows: t.Rows(), ar: t.Arity()}, nil
+	return &rowsIter{rows: rows, ar: t.Arity()}, nil
 }
 
 // newBufferedIter streams a materialized table.
@@ -106,21 +108,62 @@ func newBufferedIter(t *table.Table) *rowsIter {
 	return &rowsIter{rows: t.Rows(), ar: t.Arity(), buffered: true}
 }
 
-// scan looks up a stored relation and charges reading it: the scan
-// fault, the full scan cost and the trace note.
-func (ev *Evaluator) scan(e algebra.Base) (*table.Table, error) {
+// scan looks up a stored relation, reads every row or, given null-test
+// groups, the candidates of the group with the fewest, and charges the
+// read: the scan fault, one unit per row read and the trace note.
+func (ev *Evaluator) scan(e algebra.Base, groups [][]int) (*table.Table, []table.Row, error) {
 	t, err := ev.db.Table(e.Name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ev.gov.Fault(guard.SiteScan); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := ev.charge("scan", int64(t.Len())); err != nil {
-		return nil, err
+	rows, read := t.Rows(), []int(nil)
+	for _, g := range groups {
+		if cand := nullCandidates(t, g); read == nil || len(cand) < len(rows) {
+			rows, read = cand, g
+		}
 	}
-	ev.note("scan %s -> %d rows", e.Name, t.Len())
-	return t, nil
+	if err := ev.charge("scan", int64(len(rows))); err != nil {
+		return nil, nil, err
+	}
+	if read == nil {
+		ev.note("scan %s -> %d rows", e.Name, t.Len())
+	} else if ev.opts.Trace {
+		ev.note("scan %s %s -> %d of %d rows", e.Name, NullsAccess(read), len(rows), t.Len())
+	}
+	return t, rows, nil
+}
+
+// nullCandidates returns the rows of t with a null in one of cols, in
+// ascending position: a column's list as stored, or the lists merged.
+func nullCandidates(t *table.Table, cols []int) []table.Row {
+	if len(cols) == 1 {
+		rows, _ := t.NullRows(cols[0])
+		return rows
+	}
+	var pos []int
+	for _, c := range cols {
+		_, p := t.NullRows(c)
+		pos = append(pos, p...)
+	}
+	slices.Sort(pos)
+	var rows []table.Row
+	for _, p := range slices.Compact(pos) {
+		rows = append(rows, t.Row(p))
+	}
+	return rows
+}
+
+// NullsAccess names a null-list read, for the trace and EXPLAIN:
+// nulls(#1), or nulls(#1,#2) for a disjunction.
+func NullsAccess(cols []int) string {
+	parts := make([]string, len(cols))
+	for i, c := range cols {
+		parts[i] = "#" + strconv.Itoa(c)
+	}
+	return "nulls(" + strings.Join(parts, ",") + ")"
 }
 
 func (it *rowsIter) next() ([]table.Row, error) {

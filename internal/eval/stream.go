@@ -160,10 +160,22 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr) (iter, error) {
 	}
 	switch e := e.(type) { // astlint:partial — buffered operators take the default
 	case algebra.Base:
-		return ev.newScanIter(e)
+		return ev.newScanIter(e, nil)
 
 	case algebra.Select:
-		child, err := ev.buildIter(e.Child)
+		// The one access-path choice: over a stored relation, a condition
+		// requiring nulls (algebra.NullScans) reads only rows with one;
+		// the filter checks it all, so rows and order are the full scan's.
+		var child iter
+		var err error
+		if b, ok := e.Child.(algebra.Base); ok {
+			if err := ev.gov.Poll(opName(e.Child)); err != nil {
+				return nil, err
+			}
+			child, err = ev.newScanIter(b, algebra.NullScans(e.Cond))
+		} else {
+			child, err = ev.buildIter(e.Child)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -243,10 +243,11 @@ func TestOrSplitQ4(t *testing.T) {
 // TestAblationShape runs the design-decision ablation study and checks
 // the headline effects on CostFactor — exact row operations, so the
 // assertions hold on any machine under any load: losing the short
-// circuit doubles Q2's work (2.21× here), and losing hash joins makes
-// Q3's anti-join quadratic (389×, or over budget). Losing OR-splitting
-// no longer cripples Q4 — the executor hashes the unsplit conditions
-// (0.43×) — so that column is only bounded from above. The wall-clock
+// circuit at least doubles Q2's work (37× here, since the branch it
+// answers reads only the orders with a null customer), and losing hash
+// joins makes Q3's anti-join quadratic (389×, or over budget). Losing
+// OR-splitting no longer cripples Q4 — the executor hashes the unsplit
+// conditions (1.07×) — so that column is only bounded from above. The wall-clock
 // Factor is what the rendered table reports; nothing asserts on it.
 func TestAblationShape(t *testing.T) {
 	rows, err := experiment.Ablation(context.Background(), experiment.AblationConfig{Seed: 7, Scale: 0.002, Repeats: 1})

@@ -2,14 +2,15 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"certsql/internal/algebra"
 )
 
 // AuditCost checks the internal consistency invariants of a costed
 // plan tree, recursively: estimates are finite and non-negative, a
-// node's cost covers the sum of its children's costs (cost is
-// cumulative, hence monotone in subtree cardinality), and a node's
+// node's cost covers the sum of its children's costs but a skipped one
+// (cost is cumulative, hence monotone in subtree cardinality), and a node's
 // cost covers its own output cardinality (emitting a row costs at
 // least one unit). difftest runs this over every planned query.
 func AuditCost(n *ExplainNode) error {
@@ -27,7 +28,9 @@ func AuditCost(n *ExplainNode) error {
 		if err := AuditCost(c); err != nil {
 			return err
 		}
-		childCost += c.EstCost
+		if !slices.Contains(c.Notes, skippedNote) {
+			childCost += c.EstCost
+		}
 	}
 	// Allow a whisker of float slack on the comparisons.
 	const slack = 1e-6

@@ -6,6 +6,7 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/stats"
 )
 
 // defaultRows is the cardinality assumed for a relation with no
@@ -37,6 +38,11 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 		}
 		child := o.estimate(n.Child)
 		rows := child.rows * o.selectivity(n.Cond, o.colInfo(n.Child))
+		if _, isBase := n.Child.(algebra.Base); isBase {
+			if read, _, ok := o.nullRead(n.Child, algebra.NullScans(n.Cond), 0); ok {
+				child = read
+			}
+		}
 		return estimate{rows: rows, cost: child.cost + child.rows + 1}
 	case algebra.Project:
 		child := o.estimate(n.Child)
@@ -60,6 +66,9 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 		var work float64
 		switch semiStrategy(n) {
 		case "short-circuit":
+			if skipsLeft(n, r.rows) {
+				return estimate{rows: 0, cost: r.cost + r.rows + 1}
+			}
 			work = r.rows
 		case "nested-loop":
 			// No hash key and no unification edge: the quadratic probe.
@@ -122,6 +131,46 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 	}
 }
 
+// skipsLeft reports whether sj, a short-circuit antijoin whose subquery
+// is estimated at rRows rows, expects a witness, which empties it before
+// L runs.
+func skipsLeft(sj algebra.SemiJoin, rRows float64) bool {
+	return sj.Anti && rRows >= 1
+}
+
+// nullRead prices reading a stored relation e under a selection whose
+// null-test groups (algebra.NullScans) are groups, in columns where e's
+// start at off: of the groups within e, the one with the fewest null
+// counts, summed over a disjunction. It returns the read and the group
+// in the selection's columns; ok is false for a full scan.
+func (o *optimizer) nullRead(e algebra.Expr, groups [][]int, off int) (read estimate, group []int, ok bool) {
+	b, isBase := e.(algebra.Base)
+	if !isBase || len(groups) == 0 {
+		return estimate{}, nil, false
+	}
+	var ts *stats.TableStats
+	if o.st != nil {
+		ts = o.st.Table(strings.ToLower(b.Name))
+	}
+	total := o.estimate(b).rows
+	for _, g := range groups {
+		n, within := 0.0, true
+		for _, col := range g {
+			col -= off
+			within = within && col >= 0 && col < b.Arity()
+			if ts != nil && within && col < len(ts.Cols) {
+				n += ts.NullRate(col) * total
+			} else {
+				n += 0.1 * total
+			}
+		}
+		if within && (!ok || n < read.rows) {
+			read, group, ok = estimate{rows: n, cost: n + 1}, g, true
+		}
+	}
+	return read, group, ok
+}
+
 // wildHashWork prices a wild-bucket index: one unit per build row, then
 // per probe the lookup, the key's bucket (rows/distinct) and the wild
 // list (nullRate × rows).
@@ -149,11 +198,17 @@ func (o *optimizer) anyNullRate(e algebra.Expr) float64 {
 // by the condition's selectivity.
 func (o *optimizer) joinBlockEstimate(s algebra.Select) estimate {
 	leaves := flattenProduct(s.Child)
-	rows, cost := 1.0, 1.0
+	groups := algebra.NullScans(s.Cond)
+	rows, cost, off := 1.0, 1.0, 0
 	for _, leaf := range leaves {
 		le := o.estimate(leaf)
 		rows *= le.rows
-		cost += le.cost + le.rows
+		read := le
+		if r, _, ok := o.nullRead(leaf, groups, off); ok {
+			read = r
+		}
+		cost += read.cost + read.rows
+		off += leaf.Arity()
 	}
 	info := o.colInfo(s.Child)
 	rows *= o.selectivity(s.Cond, info)

@@ -21,6 +21,10 @@ type ExplainNode struct {
 	Children []*ExplainNode
 }
 
+// skippedNote marks a subtree expected never to run (skipsLeft); its
+// parent's cost does not include it.
+const skippedNote = "skipped"
+
 // Render returns the deterministic indented tree used by golden
 // EXPLAIN tests.
 func (n *ExplainNode) Render() string {
@@ -83,23 +87,47 @@ func (r *Result) ExplainText() string {
 	return b.String()
 }
 
+// describeRead sets c, e's node, to the rows a selection with null-test
+// groups reads of it (nullRead, e's columns from off) and returns the
+// access note, in e's columns; none for a full scan.
+func (o *optimizer) describeRead(c *ExplainNode, e algebra.Expr, groups [][]int, off int) []string {
+	read, g, ok := o.nullRead(e, groups, off)
+	if !ok {
+		return nil
+	}
+	c.EstRows, c.EstCost = read.rows, read.cost
+	local := make([]int, len(g))
+	for i, col := range g {
+		local[i] = col - off
+	}
+	return []string{"access=" + eval.NullsAccess(local)}
+}
+
 // describe builds the costed EXPLAIN tree for e, annotating semijoins
 // with their strategy and any execution hints.
 func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode {
 	est := o.estimate(e)
 	n := &ExplainNode{EstRows: est.rows, EstCost: est.cost}
+	var shortCircuit bool // a SemiJoin answered once (semiStrategy)
 	switch x := e.(type) {
 	case algebra.Base:
 		n.Op, n.Detail = "scan", x.Name
 	case algebra.Select:
 		if isProductChain(x.Child) {
 			n.Op, n.Detail = "join-block", x.Cond.String()
+			groups, off := algebra.NullScans(x.Cond), 0
 			for _, leaf := range flattenProduct(x.Child) {
-				n.Children = append(n.Children, o.describe(leaf, hints))
+				c := o.describe(leaf, hints)
+				c.Notes = append(c.Notes, o.describeRead(c, leaf, groups, off)...)
+				n.Children = append(n.Children, c)
+				off += leaf.Arity()
 			}
 			return n
 		}
 		n.Op, n.Detail = "select", x.Cond.String()
+		c := o.describe(x.Child, hints)
+		n.Notes, n.Children = o.describeRead(c, x.Child, algebra.NullScans(x.Cond), 0), []*ExplainNode{c}
+		return n
 	case algebra.Project:
 		cols := make([]string, len(x.Cols))
 		for i, c := range x.Cols {
@@ -120,7 +148,9 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 			n.Op = "antijoin"
 		}
 		n.Detail = x.Cond.String()
-		n.Notes = append(n.Notes, "strategy="+semiStrategy(x))
+		strategy := semiStrategy(x)
+		shortCircuit = strategy == "short-circuit"
+		n.Notes = append(n.Notes, "strategy="+strategy)
 		if hints != nil && hints.Semi != nil {
 			if h, ok := hints.Semi[x.Key()]; ok {
 				if h.SlimVerify {
@@ -164,6 +194,9 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 	kids, k := algebra.Children(e)
 	for _, kid := range kids[:k] {
 		n.Children = append(n.Children, o.describe(kid, hints))
+	}
+	if sj, ok := e.(algebra.SemiJoin); ok && shortCircuit && skipsLeft(sj, n.Children[1].EstRows) {
+		n.Children[0].Notes = append(n.Children[0].Notes, skippedNote)
 	}
 	return n
 }

@@ -121,6 +121,28 @@ func TestNullTestElimPremise(t *testing.T) {
 	}
 }
 
+// TestNullTestElimLeavesServedSelect checks that null-test elimination
+// leaves a selection the null lists serve as it is: on a null-free
+// column σ[a IS NULL](r) reads the column's empty null list, where the
+// eliminated σ[false](r) would scan r and record a premise.
+func TestNullTestElimLeavesServedSelect(t *testing.T) {
+	db := planDB(t)
+	e := algebra.Select{
+		Child: algebra.Base{Name: "r", Cols: 2},
+		Cond:  algebra.NullTest{Operand: algebra.Col{Idx: 0}},
+	}
+	res, err := plan.Optimize(e, db.Schema, collect(db), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Expr.Key() != e.Key() || len(res.Premises) != 0 {
+		t.Fatalf("served selection rewritten to %s with premises %v", res.Expr.Key(), res.Premises)
+	}
+	if got := res.ExplainText(); !strings.Contains(got, "{access=nulls(#0)}") || !strings.Contains(got, "scan [r] (rows=0 cost=1)") {
+		t.Errorf("EXPLAIN does not price the empty null-list read:\n%s", got)
+	}
+}
+
 // TestAntiSplitShape checks the anti-split rewrite's output shape on
 // L ▷[(θ ∨ ρ) ∧ rest] R: two stacked antijoins over complementary
 // selections of R, with the IS NULL disjunction gone from both

@@ -60,8 +60,14 @@ func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
 	if algebra.HasScalar(s.Cond) || isProductChain(s.Child) {
 		return s
 	}
-	// Null-test elimination against the child's provable nullability.
+	// Null-test elimination against the child's provable nullability —
+	// except over a stored relation whose null lists serve the selection
+	// (algebra.NullScans): it reads only the rows that can pass, none
+	// when the tested columns are null-free, and needs no premise.
 	cond := s.Cond
+	if _, ok := s.Child.(algebra.Base); ok && len(algebra.NullScans(cond)) > 0 {
+		return s
+	}
 	if sc, changed := o.simplifyCond(cond, o.nullFreeIn(s.Child)); changed {
 		o.fired[RuleNullTestElim] = true
 		cond = sc
@@ -286,17 +292,7 @@ func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 				Anti: true,
 			}
 		}
-		splitCost := o.estimate(split).cost
-		if len(rest) == 0 && (thetaCond == nil || hasMinters(sj.L)) {
-			// The ρ-part is uncorrelated and outermost, so one ρ row in R
-			// is a witness against every left row: the antijoin
-			// short-circuits to the empty result and nothing beneath it
-			// ever runs.
-			if w := o.estimate(algebra.Select{Child: sj.R, Cond: algebra.NewOr(rho...)}); w.rows >= 1 {
-				splitCost = w.cost
-			}
-		}
-		if splitCost >= o.estimate(sj).cost {
+		if o.estimate(split).cost >= o.estimate(sj).cost {
 			continue // splitting this disjunction doesn't pay
 		}
 		return split, true
@@ -503,8 +499,11 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 	// children, so the fused subtree cannot mint marked nulls and a
 	// lost view-cache entry costs at most a recomputation of identical
 	// bytes (the runtime additionally skips fusion on shared views).
+	// A selection the null lists serve is not fused: fusing would
+	// stream all of R past the filter instead of its rows with nulls.
 	if sel, ok := sj.R.(algebra.Select); ok {
-		if _, isBase := sel.Child.(algebra.Base); isBase && !algebra.HasScalar(sel.Cond) {
+		if _, isBase := sel.Child.(algebra.Base); isBase && !algebra.HasScalar(sel.Cond) &&
+			len(algebra.NullScans(sel.Cond)) == 0 {
 			h.FuseBuild = true
 			o.fired[RuleFuseBuild] = true
 		}

@@ -604,7 +604,24 @@ func (g *gen) cond(cols, outer []colInfo, depth int) sql.Expr {
 	roll := g.rng.Float64()
 	switch {
 	case roll < 0.12:
-		return sql.IsNullExpr{E: c.ref(g.rng), Negated: g.rng.Intn(2) == 0}
+		test := sql.IsNullExpr{E: c.ref(g.rng), Negated: g.rng.Intn(2) == 0}
+		if g.rng.Float64() < 0.25 {
+			// A second IS NULL on the same relation, ANDed or ORed: the
+			// shapes a selection reads from the null lists of several
+			// columns (the fewest-candidate conjunct, a merged disjunction).
+			var same []colInfo
+			for _, o := range cols {
+				if o.qual == c.qual {
+					same = append(same, o)
+				}
+			}
+			other := sql.IsNullExpr{E: same[g.rng.Intn(len(same))].ref(g.rng)}
+			if g.rng.Intn(2) == 0 {
+				return sql.AndExpr{L: test, R: other}
+			}
+			return sql.OrExpr{L: test, R: other}
+		}
+		return test
 	case roll < 0.24 && (c.kind == value.KindInt || c.kind == value.KindString):
 		// IN value list.
 		pool := constPool(c.kind)

@@ -29,6 +29,19 @@ type Table struct {
 	arity int
 	gen   uint64
 	rows  []Row
+	nulls atomic.Pointer[nullLists] // see NullRows
+}
+
+// nullLists is NullRows' cache for generation gen: per column, built
+// on first use, the rows with a null there and their positions.
+type nullLists struct {
+	gen  uint64
+	cols []atomic.Pointer[nullList]
+}
+
+type nullList struct {
+	rows []Row
+	pos  []int
 }
 
 // New returns an empty table of the given arity.
@@ -61,6 +74,40 @@ func (t *Table) Generation() uint64 { return t.gen }
 
 // Row returns the i-th row.
 func (t *Table) Row(i int) Row { return t.rows[i] }
+
+// NullRows returns the rows whose column col holds a marked null and
+// their positions, in ascending position; callers must not mutate them.
+// A column's lists are built on first use per generation, at their
+// exact size (a counting pass, then a filling one); later calls, from
+// any goroutine or a clone, share them, and a mutation's new generation
+// makes the next call rebuild them.
+func (t *Table) NullRows(col int) ([]Row, []int) {
+	l := t.nulls.Load()
+	if l == nil || l.gen != t.gen {
+		fresh := &nullLists{gen: t.gen, cols: make([]atomic.Pointer[nullList], t.arity)}
+		if !t.nulls.CompareAndSwap(l, fresh) {
+			fresh = t.nulls.Load() // a concurrent first use won; share its lists
+		}
+		l = fresh
+	}
+	c := l.cols[col].Load()
+	if c == nil {
+		n := 0
+		for _, r := range t.rows {
+			if r[col].IsNull() {
+				n++
+			}
+		}
+		c = &nullList{rows: make([]Row, 0, n), pos: make([]int, 0, n)}
+		for i, r := range t.rows {
+			if r[col].IsNull() {
+				c.rows, c.pos = append(c.rows, r), append(c.pos, i)
+			}
+		}
+		l.cols[col].Store(c)
+	}
+	return c.rows, c.pos
+}
 
 // Append adds a row. It panics on arity mismatch — a programming error.
 func (t *Table) Append(r Row) {
@@ -469,6 +516,7 @@ func (db *Database) Clone() *Database {
 		nt := New(t.arity)
 		nt.rows = append(nt.rows, t.rows...)
 		nt.gen = t.gen // same content ⇒ same generation (see genCounter)
+		nt.nulls.Store(t.nulls.Load())
 		out.tables[name] = nt
 	}
 	return out
