@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 
-	"certsql/internal/analyze"
 	"certsql/internal/certain"
 	"certsql/internal/compile"
 	"certsql/internal/eval"
@@ -99,12 +98,8 @@ type Options struct {
 	// default configuration.
 	NaivePlanner bool
 
-	// NoAnalyzerFastPath disables the static-analyzer fast path for
-	// SELECT CERTAIN: queries the nullability analysis proves safe —
-	// plain evaluation already returns exactly the certain answers —
-	// normally skip the Q⁺ translation entirely (Stats.FastPathHits
-	// counts this). The flag exists for ablations and for the
-	// differential tests that compare both routes.
+	// NoAnalyzerFastPath is not read: SELECT CERTAIN always runs Q⁺. It
+	// is kept only because the benchmark module (bench/) still sets it.
 	NoAnalyzerFastPath bool
 
 	// MaxRows bounds intermediate results, in rows (0 = default 4M,
@@ -307,22 +302,9 @@ func (db *DB) Insert(tableName string, vals ...any) error {
 // value (a marked, non-Codd null).
 func (db *DB) FreshNull() Value { return db.d.FreshNull() }
 
-// EnforceNonNull toggles enforcement of the schema's NOT NULL
-// declarations at insertion time. While enabled, Insert (and therefore
-// LoadCSV) rejects rows that put a null in a non-nullable column with
-// an error unwrapping to *NotNullViolation. Enforcement is opt-in
-// because the paper's setup treats nullability as a generator-side
-// concern; without it, violations are only counted, and the analyzer
-// fast path consults that count.
-func (db *DB) EnforceNonNull(on bool) { db.d.EnforceNonNull(on) }
-
-// ConformsNonNull reports whether the stored data currently honours
-// every NOT NULL declaration. It is O(1): the database maintains the
-// violation count incrementally.
-func (db *DB) ConformsNonNull() bool { return db.d.ConformsNonNull() }
-
-// NotNullViolation is the typed error for a rejected NOT NULL
-// violation; retrieve with errors.As.
+// NotNullViolation is the typed error for a null offered to a column
+// the schema declares NOT NULL: Insert (and therefore LoadCSV) rejects
+// such a row. Retrieve it with errors.As.
 type NotNullViolation = table.NotNullViolation
 
 // TableLen returns the number of rows in a table.
@@ -562,14 +544,6 @@ func (db *DB) RewriteWithOptions(text string, params Params, opts Options) (stri
 	if err := certain.CheckTranslatable(compiled.Expr); err != nil {
 		return "", err
 	}
-	// A statically safe query is its own certain-answer translation: on
-	// a conventional DBMS the schema's NOT NULL constraints are
-	// enforced, so the analyzer's verdict applies without a data check.
-	if !opts.NoAnalyzerFastPath {
-		if rep := analyze.Plan(compiled.Expr, db.d.Schema); rep.Safe {
-			return rewrite.ToSQL(compiled.Expr, db.d.Schema)
-		}
-	}
 	plus := opts.translator(db).Plus(compiled.Expr)
 	return rewrite.ToSQL(plus, db.d.Schema)
 }
@@ -666,7 +640,7 @@ func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params
 	if err != nil {
 		return "", err
 	}
-	expr, _, _ := db.pick(pl, pl.Mode, opts)
+	expr, _ := pick(pl, pl.Mode)
 	st, err := db.collectStats(gov)
 	if err != nil {
 		return "", err

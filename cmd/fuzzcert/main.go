@@ -68,7 +68,7 @@ func run(args []string, out, errOut io.Writer) int {
 	fmt.Fprintf(out, "  translatable:  %d\n", sum.Translatable)
 	fmt.Fprintf(out, "  brute-forced:  %d\n", sum.BruteForced)
 	fmt.Fprintf(out, "  recall exact:  %d/%d\n", sum.RecallExact, sum.BruteForced)
-	fmt.Fprintf(out, "  analyzer safe: %d (fast path taken: %d)\n", sum.AnalyzerSafe, sum.FastPath)
+	fmt.Fprintf(out, "  analyzer safe: %d\n", sum.AnalyzerSafe)
 	// Cases on which the executor was compared with the definitional
 	// evaluator, per route and semantics: Q out of all cases, Q⁺ and Q⋆
 	// out of the translatable ones (fmt prints map keys sorted).

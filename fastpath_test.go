@@ -43,48 +43,40 @@ func fastpathDB(t testing.TB) *certsql.DB {
 	return db
 }
 
-// TestFastPathSafeQuery: a query over NOT NULL data only is statically
-// safe; SELECT CERTAIN takes the identity fast path (recorded in
-// Stats.FastPathHits) and agrees with the translation route and with
-// the brute-force ground truth.
+// TestFastPathSafeQuery: a query over NOT NULL data only is one the
+// analyzer proves safe. SELECT CERTAIN runs Q⁺ on it like any other
+// query, and the answer equals the brute-force ground truth and the
+// plain evaluation the analyzer vouches for.
 func TestFastPathSafeQuery(t *testing.T) {
 	db := fastpathDB(t)
 	const q = `SELECT id FROM dept WHERE NOT EXISTS (SELECT * FROM dept d2 WHERE d2.name = dept.name AND d2.id <> dept.id)`
 
-	fast, err := db.QueryCertain(q, nil)
+	res, err := db.QueryCertain(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Stats.FastPathHits != 1 {
-		t.Errorf("safe query should take the fast path, FastPathHits=%d", fast.Stats.FastPathHits)
+	if !res.Certain {
+		t.Error("result must be flagged certain")
 	}
-	if !fast.Certain {
-		t.Error("fast-path result must still be flagged certain")
-	}
-
-	slow, err := db.QueryWithOptions("SELECT CERTAIN id FROM dept WHERE NOT EXISTS (SELECT * FROM dept d2 WHERE d2.name = dept.name AND d2.id <> dept.id)",
-		nil, certsql.Options{NoAnalyzerFastPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Stats.FastPathHits != 0 {
-		t.Errorf("disabled fast path still recorded a hit")
-	}
-	if got, want := fast.SortedStrings(), slow.SortedStrings(); !sliceEq(got, want) {
-		t.Errorf("fast path %v != translated %v", got, want)
-	}
-
 	truth, err := db.CertainGroundTruth(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sliceEq(fast.SortedStrings(), truth.SortedStrings()) {
-		t.Errorf("fast path %v != ground truth %v", fast.SortedStrings(), truth.SortedStrings())
+	if !sliceEq(res.SortedStrings(), truth.SortedStrings()) {
+		t.Errorf("certain %v != ground truth %v", res.SortedStrings(), truth.SortedStrings())
+	}
+	plain, err := db.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sliceEq(plain.SortedStrings(), truth.SortedStrings()) {
+		t.Errorf("plain %v != ground truth %v on a safe query", plain.SortedStrings(), truth.SortedStrings())
 	}
 }
 
-// TestFastPathHazardousQuery: negation over nullable data must NOT take
-// the fast path (plain evaluation has false positives there).
+// TestFastPathHazardousQuery: negation over nullable data is where plain
+// evaluation has false positives; SELECT CERTAIN must match the ground
+// truth there.
 func TestFastPathHazardousQuery(t *testing.T) {
 	db := fastpathDB(t)
 	const q = `SELECT id FROM dept WHERE NOT EXISTS (SELECT * FROM emp WHERE dept_id = dept.id)`
@@ -92,9 +84,6 @@ func TestFastPathHazardousQuery(t *testing.T) {
 	res, err := db.QueryCertain(q, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.FastPathHits != 0 {
-		t.Error("hazardous query must not take the fast path")
 	}
 	// emp 11's NULL dept could be 2 or 3: neither is certainly empty.
 	truth, err := db.CertainGroundTruth(q, nil)
@@ -106,118 +95,18 @@ func TestFastPathHazardousQuery(t *testing.T) {
 	}
 }
 
-// TestFastPathDataConformance: the analyzer's verdict assumes the data
-// honours the schema's NOT NULL declarations, which Insert does not
-// enforce — a null smuggled into a NOT NULL column must disable the
-// fast path rather than corrupt the answer.
-func TestFastPathDataConformance(t *testing.T) {
-	db := fastpathDB(t)
-	if err := db.Insert("dept", 4, certsql.NULL); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT id FROM dept WHERE NOT EXISTS (SELECT * FROM dept d2 WHERE d2.name = dept.name AND d2.id <> dept.id)`
-	res, err := db.QueryCertain(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.FastPathHits != 0 {
-		t.Error("non-conforming data must not take the fast path")
-	}
-	// No ground-truth comparison here: the translation's IS NULL
-	// simplification also trusts the schema's NOT NULL declarations, so
-	// certain-answer guarantees (by any route) only hold on conforming
-	// databases. The guard just keeps the fast path honest.
-}
-
-// TestFastPathRewriteIdentity: Rewrite of a safe query is the identity
-// translation (no IS NULL disjuncts, no unification machinery), while a
-// hazardous query still gets the full Q⁺.
+// TestFastPathRewriteIdentity: Rewrite of a hazardous query renders the
+// full Q⁺, null tests included.
 func TestFastPathRewriteIdentity(t *testing.T) {
 	db := fastpathDB(t)
-	safe := `SELECT id FROM dept WHERE id > 1`
-	out, err := db.Rewrite(safe, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "IS NULL") || strings.Contains(out, "NOT EXISTS") {
-		t.Errorf("safe rewrite should be the identity, got:\n%s", out)
-	}
-
 	hazardous := `SELECT id FROM dept WHERE NOT EXISTS (SELECT * FROM emp WHERE dept_id = dept.id)`
 	full, err := db.Rewrite(hazardous, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ablated, err := db.RewriteWithOptions(hazardous, nil, certsql.Options{NoAnalyzerFastPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full != ablated {
-		t.Errorf("hazardous rewrite must not depend on the fast-path flag:\n%s\nvs\n%s", full, ablated)
-	}
 	if !strings.Contains(full, "IS NULL") {
 		t.Errorf("hazardous rewrite should carry null tests, got:\n%s", full)
 	}
-}
-
-// BenchmarkAnalyzerFastPath measures SELECT CERTAIN on a statically
-// safe query three ways: plain SELECT (the floor), the analyzer fast
-// path (which should sit on that floor — identity plan plus one
-// conformance scan of the base tables), and the ablated translation
-// route (which pays for the θ machinery the analyzer proved
-// redundant).
-func BenchmarkAnalyzerFastPath(b *testing.B) {
-	db := certsql.MustOpen(
-		certsql.Table{
-			Name: "a",
-			Columns: []certsql.Column{
-				{Name: "id", Type: certsql.TInt},
-				{Name: "v", Type: certsql.TInt, NotNull: true},
-			},
-			Key: []string{"id"},
-		},
-		certsql.Table{
-			Name: "b",
-			Columns: []certsql.Column{
-				{Name: "aid", Type: certsql.TInt, NotNull: true},
-				{Name: "x", Type: certsql.TInt, NotNull: true},
-			},
-		},
-	)
-	for i := 0; i < 2000; i++ {
-		if err := db.Insert("a", i, i%97); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Insert("b", i%500, i%13); err != nil {
-			b.Fatal(err)
-		}
-	}
-	const body = `id FROM a WHERE NOT EXISTS (SELECT * FROM b WHERE b.aid = a.id AND b.x > 5)`
-
-	run := func(b *testing.B, q string, opts certsql.Options, wantHits int) {
-		b.Helper()
-		var rows int
-		for i := 0; i < b.N; i++ {
-			res, err := db.QueryWithOptions(q, nil, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats.FastPathHits != wantHits {
-				b.Fatalf("FastPathHits=%d, want %d", res.Stats.FastPathHits, wantHits)
-			}
-			rows = res.Len()
-		}
-		b.ReportMetric(float64(rows), "rows")
-	}
-	b.Run("standard", func(b *testing.B) {
-		run(b, "SELECT "+body, certsql.Options{}, 0)
-	})
-	b.Run("certain-fastpath", func(b *testing.B) {
-		run(b, "SELECT CERTAIN "+body, certsql.Options{}, 1)
-	})
-	b.Run("certain-translated", func(b *testing.B) {
-		run(b, "SELECT CERTAIN "+body, certsql.Options{NoAnalyzerFastPath: true}, 0)
-	})
 }
 
 func sliceEq(a, b []string) bool {

@@ -188,6 +188,34 @@ func TestCondConstructorsSimplify(t *testing.T) {
 	}
 }
 
+// TestResolveNullTests: tests on a null-free column and on literals
+// resolve through And, Or and Not; everything else is left alone.
+func TestResolveNullTests(t *testing.T) {
+	free := func(col int) bool { return col == 0 }
+	null := func(o algebra.Operand) algebra.NullTest { return algebra.NullTest{Operand: o} }
+	eq := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}
+	for _, tc := range []struct {
+		in   algebra.Cond
+		want string
+	}{
+		{algebra.NewOr(eq, null(algebra.Col{Idx: 0}), null(algebra.Col{Idx: 1})), "#0 = #1 OR null(#1)"},
+		{algebra.Not{C: algebra.NewAnd(eq, null(algebra.Col{Idx: 0}))}, "true"},
+		{algebra.Not{C: algebra.NewOr(eq, null(algebra.Col{Idx: 0}))}, "#0 <> #1"},
+		{null(algebra.Lit{Val: value.Null(1)}), "true"},
+		{algebra.NullTest{Operand: algebra.Lit{Val: value.Int(1)}, Negated: true}, "true"},
+		{null(algebra.Lit{Val: value.Int(1)}), "false"},
+	} {
+		got, changed := algebra.ResolveNullTests(tc.in, free)
+		if !changed || got.String() != tc.want {
+			t.Errorf("ResolveNullTests(%s) = %s (changed=%v), want %s", tc.in, got, changed, tc.want)
+		}
+	}
+	untouched := algebra.Not{C: algebra.NewOr(eq, null(algebra.Col{Idx: 1}))}
+	if got, changed := algebra.ResolveNullTests(untouched, free); changed || got.String() != untouched.String() {
+		t.Errorf("ResolveNullTests(%s) = %s (changed=%v), want it unchanged", untouched, got, changed)
+	}
+}
+
 func TestMapColsAndColsUsed(t *testing.T) {
 	c := algebra.NewAnd(
 		algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 3}},

@@ -548,6 +548,73 @@ func NullScans(c Cond) (groups [][]int) {
 	return groups
 }
 
+// ResolveNullTests replaces every null test whose truth is known: on a
+// column free reports null-free, null(A) is false and const(A) true; on
+// a literal, the literal decides. And, Or and Not are rebuilt around
+// what changed. Other atoms, and tests on scalar operands, stay as
+// they are. The flag reports whether anything was resolved; when it is
+// false, c is returned unchanged.
+func ResolveNullTests(c Cond, free func(col int) bool) (Cond, bool) {
+	switch c := c.(type) {
+	case TrueCond, FalseCond, Cmp, Like:
+		return c, false
+	case NullTest:
+		switch op := c.Operand.(type) {
+		case Col:
+			if free(op.Idx) {
+				return truth(c.Negated), true
+			}
+		case Lit:
+			return truth(op.Val.IsNull() != c.Negated), true
+		}
+		return c, false
+	case And:
+		parts, changed := resolveNullTests(c.Conds, free)
+		if !changed {
+			return c, false
+		}
+		return NewAnd(parts...), true
+	case Or:
+		parts, changed := resolveNullTests(c.Conds, free)
+		if !changed {
+			return c, false
+		}
+		return NewOr(parts...), true
+	case Not:
+		sub, changed := ResolveNullTests(c.C, free)
+		if !changed {
+			return c, false
+		}
+		return NNF(Not{C: sub}), true
+	default:
+		panic(fmt.Sprintf("algebra: unknown condition %T", c))
+	}
+}
+
+// resolveNullTests is ResolveNullTests over the operands of a
+// connective; parts is nil when nothing changed.
+func resolveNullTests(cs []Cond, free func(col int) bool) (parts []Cond, changed bool) {
+	for i, sub := range cs {
+		r, ch := ResolveNullTests(sub, free)
+		if !ch {
+			continue
+		}
+		if parts == nil {
+			parts = append([]Cond(nil), cs...)
+		}
+		parts[i], changed = r, true
+	}
+	return parts, changed
+}
+
+// truth is the constant condition with value b.
+func truth(b bool) Cond {
+	if b {
+		return TrueCond{}
+	}
+	return FalseCond{}
+}
+
 // Disjuncts returns the top-level disjuncts of c.
 func Disjuncts(c Cond) []Cond {
 	if o, ok := c.(Or); ok {

@@ -1,14 +1,18 @@
-// Package analyze implements the static analyses behind the
-// certain-answer fast path: per-column nullability inference over
-// algebra plans, a plan-level safety verdict ("on this query, plain
+// Package analyze implements the static analyses over the schema's
+// nullability: per-column nullability inference over algebra plans
+// (NonNullCols, which the translator and the planner use to resolve
+// null tests), a plan-level safety verdict ("on this query, plain
 // evaluation already computes exactly the certain answers"), and an
-// AST-level certainty-hazard detector with source positions for
-// certlint diagnostics.
+// AST-level certainty-hazard detector with source positions. The two
+// verdicts feed certlint; difftest checks the plan-level one against
+// brute force.
 //
-// The analyses are conservative: a "safe" verdict is a proof sketch
-// that SQL evaluation, naive evaluation and the certain answers all
-// coincide (see DESIGN.md, "Static analysis"), while a hazard is only
-// a warning that the proof does not go through.
+// Every fact rests on the schema's NOT NULL declarations, which the
+// database enforces on every write. The analyses are conservative: a
+// "safe" verdict is a proof sketch that SQL evaluation, naive
+// evaluation and the certain answers all coincide (see DESIGN.md,
+// "Static analysis"), while a hazard is only a warning that the proof
+// does not go through.
 package analyze
 
 import (

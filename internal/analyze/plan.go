@@ -21,9 +21,8 @@ type Hazard struct {
 // PlanReport is the result of analyzing a compiled algebra plan.
 type PlanReport struct {
 	// Safe means plain SQL evaluation of the plan returns exactly the
-	// certain answers on every database conforming to the schema — the
-	// identity translation is correct and the θ*/θ** machinery can be
-	// skipped entirely.
+	// certain answers on every database of the schema — the identity
+	// translation would be correct.
 	Safe bool
 	// Hazards lists everything that blocks the safe verdict.
 	Hazards []Hazard

@@ -31,9 +31,9 @@ func (d Diagnostic) String() string {
 // QueryReport is the result of the AST-level hazard analysis.
 type QueryReport struct {
 	// Safe reports that the walk found no hazards. The plan-level
-	// verdict (Plan) is the authoritative one for the evaluation fast
-	// path; this AST-level walk exists to attach source positions and
-	// may be marginally more conservative.
+	// verdict (Plan) is the authoritative one; this AST-level walk
+	// exists to attach source positions and may be marginally more
+	// conservative.
 	Safe        bool
 	Diagnostics []Diagnostic
 }

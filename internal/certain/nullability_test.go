@@ -107,19 +107,19 @@ func TestSimplifyCondResolvesTests(t *testing.T) {
 
 	// null(#0) on a non-nullable column vanishes from disjunctions;
 	// null(#1) survives.
-	got := simplifyCond(algebra.NewOr(eq, null0, null1), nn)
+	got := resolveNullTests(algebra.NewOr(eq, null0, null1), nn)
 	if got.String() != "#0 = #1 OR null(#1)" {
 		t.Errorf("simplified disjunction: %s", got)
 	}
 	// const(#0) vanishes from conjunctions.
 	const0 := algebra.NullTest{Operand: algebra.Col{Idx: 0}, Negated: true}
-	got2 := simplifyCond(algebra.NewAnd(eq, const0), nn)
+	got2 := resolveNullTests(algebra.NewAnd(eq, const0), nn)
 	if got2.String() != "#0 = #1" {
 		t.Errorf("simplified conjunction: %s", got2)
 	}
 	// A disjunction reduced to a single null test on a non-null column
 	// collapses to false.
-	got3 := simplifyCond(algebra.NewOr(null0), nn)
+	got3 := resolveNullTests(algebra.NewOr(null0), nn)
 	if _, isFalse := got3.(algebra.FalseCond); !isFalse {
 		t.Errorf("null test on key column = %s, want false", got3)
 	}

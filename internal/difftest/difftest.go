@@ -24,8 +24,7 @@
 //     as a multiset, under SQL-3VL and naive semantics alike;
 //   - planner ablation: the cost-based planner and the paper-faithful
 //     naive planner render byte-identical results on the standard and
-//     certain routes, agree on fast-path hits, and share plan-cache
-//     entries on the prepared path;
+//     certain routes and share plan-cache entries on the prepared path;
 //   - cost audit: the planner's estimates are internally consistent and
 //     its rewrites invent no predicate atoms.
 //
@@ -113,9 +112,6 @@ type Report struct {
 	// plan: safe means plain evaluation provably returns exactly the
 	// certain answers (checked against the brute force below).
 	AnalyzerSafe bool
-	// FastPath reports whether the default SELECT CERTAIN evaluation
-	// actually took the analyzer fast path on this case.
-	FastPath bool
 	// Reference lists the route/semantics pairs ("Q/sql3vl", "Q⁺/naive",
 	// …) on which the reference invariant was actually compared — not
 	// skipped — on this case.
@@ -155,7 +151,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "  [%s] %s\n", v.Invariant, v.Detail)
 	}
 	fmt.Fprintf(&b, "  query: %s\n", r.SQL)
-	fmt.Fprintf(&b, "  analyzer: safe=%v fast-path=%v\n", r.AnalyzerSafe, r.FastPath)
+	fmt.Fprintf(&b, "  analyzer: safe=%v\n", r.AnalyzerSafe)
 	if r.DB != nil {
 		for _, name := range r.DB.Schema.Names() {
 			rel, _ := r.DB.Schema.Relation(name)
@@ -311,20 +307,11 @@ func Check(db *table.Database, text string, opts Options) *Report {
 		rep.violate("plus-eval", "Q⁺ evaluation failed: %v", err)
 		return rep
 	}
-	rep.FastPath = plus.Stats.FastPathHits > 0
-	// The fast path must fire exactly when the analyzer proves the plan
-	// safe on conforming data — and never change the answer (the
-	// no-fast-path ablation below compares the results).
-	if want := rep.AnalyzerSafe && dbConformsNonNull(db); rep.FastPath != want {
-		rep.violate("fast-path-taken", "analyzer safe=%v, data conforms=%v, but fast path taken=%v",
-			rep.AnalyzerSafe, dbConformsNonNull(db), rep.FastPath)
-	}
 	for name, o := range map[string]certsql.Options{
 		"no-or-split":       {NoOrSplit: true},
 		"no-simplify-nulls": {NoSimplifyNulls: true},
 		"no-key-simplify":   {NoKeySimplify: true},
-		"no-fast-path":      {NoAnalyzerFastPath: true},
-		"all-off":           {NoOrSplit: true, NoSimplifyNulls: true, NoKeySimplify: true, NoAnalyzerFastPath: true},
+		"all-off":           {NoOrSplit: true, NoSimplifyNulls: true, NoKeySimplify: true},
 	} {
 		res, err := queryCertainWithOptions(fdb, text, o)
 		if err != nil {
@@ -340,23 +327,15 @@ func Check(db *table.Database, text string, opts Options) *Report {
 				name, plus.SortedStrings(), name, res.SortedStrings())
 		}
 	}
-	// Planner ablation on the certain route: byte-identical Q⁺ bytes and
-	// the same fast-path decision (the analyzer verdict precedes the
-	// planner, so it can never depend on it).
+	// Planner ablation on the certain route: byte-identical Q⁺ bytes.
 	if resP, err := queryCertainWithOptions(fdb, text, certsql.Options{NaivePlanner: true}); err != nil {
 		if budgetErr(err) {
 			rep.skip("planner-ablation plus: " + err.Error())
 		} else {
 			rep.violate("planner-ablation", "naive-planner Q⁺ evaluation failed: %v", err)
 		}
-	} else {
-		if got, want := resP.Table().String(), plus.Table().String(); got != want {
-			rep.violate("planner-ablation", "cost-based and naive planner differ on Q⁺:\ncost-based: %s\nnaive:      %s", want, got)
-		}
-		if resP.Stats.FastPathHits != plus.Stats.FastPathHits {
-			rep.violate("planner-ablation", "fast-path hits differ across planners: cost-based=%d naive=%d",
-				plus.Stats.FastPathHits, resP.Stats.FastPathHits)
-		}
+	} else if got, want := resP.Table().String(), plus.Table().String(); got != want {
+		rep.violate("planner-ablation", "cost-based and naive planner differ on Q⁺:\ncost-based: %s\nnaive:      %s", want, got)
 	}
 
 	// Prepared-statement reuse: Prepare on the certain-forced text and
@@ -404,10 +383,11 @@ func Check(db *table.Database, text string, opts Options) *Report {
 
 	// Analyzer soundness: a safe verdict promises that plain evaluation —
 	// under SQL and naive semantics alike — returns exactly the certain
-	// answers on data that honours the schema's NOT NULL declarations.
-	// Evaluate the compiled plan directly (the case text may itself say
-	// SELECT CERTAIN, which the facade would translate again).
-	if rep.AnalyzerSafe && dbConformsNonNull(db) {
+	// answers (the database enforces the schema's NOT NULL
+	// declarations the verdict leans on). Evaluate the compiled plan
+	// directly (the case text may itself say SELECT CERTAIN, which the
+	// facade would translate again).
+	if rep.AnalyzerSafe {
 		for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
 			res, err := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1}).Eval(expr)
 			if err != nil {
@@ -678,14 +658,6 @@ func firstExtra(a, b *table.Table) (table.Row, bool) {
 		}
 	}
 	return nil, true
-}
-
-// dbConformsNonNull reports whether the data honours every NOT NULL
-// declaration in the schema. The database maintains the violation
-// count incrementally (the analyzer's verdict is only binding on
-// conforming databases), so this is O(1) — no per-case scan.
-func dbConformsNonNull(db *table.Database) bool {
-	return db.ConformsNonNull()
 }
 
 // hasRepeatedMarks reports whether any null mark occurs twice in the

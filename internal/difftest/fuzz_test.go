@@ -28,9 +28,9 @@ func FuzzCertainPipeline(f *testing.F) {
 }
 
 // FuzzAnalyzerSoundness biases the generator towards fully NOT NULL
-// schemas so the analyzer's safe verdict — and with it the evaluation
-// fast path and the analyzer-soundness invariant (plain evaluation =
-// cert on safe plans) — is exercised on most cases rather than rarely.
+// schemas so the analyzer's safe verdict — and with it the
+// analyzer-soundness invariant (plain evaluation = cert on safe plans)
+// — is exercised on most cases rather than rarely.
 func FuzzAnalyzerSoundness(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		f.Add(seed)

@@ -20,11 +20,8 @@ type RunSummary struct {
 	Translatable int
 	BruteForced  int
 	RecallExact  int
-	// AnalyzerSafe counts cases the static analyzer proved safe;
-	// FastPath those where SELECT CERTAIN actually skipped the
-	// translation.
+	// AnalyzerSafe counts cases the static analyzer proved safe.
 	AnalyzerSafe int
-	FastPath     int
 	// Reference counts, per route/semantics pair ("Q/sql3vl", …), the
 	// cases on which the reference invariant was compared rather than
 	// skipped — a silently idle oracle shows up here as a low count.
@@ -91,9 +88,6 @@ func Run(start uint64, cases, workers int, opts Options, progress func(*Report))
 		}
 		if rep.AnalyzerSafe {
 			sum.AnalyzerSafe++
-		}
-		if rep.FastPath {
-			sum.FastPath++
 		}
 		for _, label := range rep.Reference {
 			sum.Reference[label]++

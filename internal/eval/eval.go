@@ -133,13 +133,8 @@ type Stats struct {
 	// ShardScatters counts keep loops whose probe rows were routed to
 	// engine shards (Options.Shards > 1).
 	ShardScatters int
-	// FastPathHits counts SELECT CERTAIN evaluations that skipped the
-	// Q⁺ translation because the static analyzer proved the plain query
-	// already returns exactly the certain answers. Set by the facade,
-	// not by the evaluator itself.
-	FastPathHits int
 	// PlanCacheHits counts prepared executions served from the plan
-	// cache (parse, compile, analyze and translate all skipped);
+	// cache (parse, compile and translate all skipped);
 	// PlanCacheMisses counts executions that compiled and cached a new
 	// plan. Set by the facade's Prepare/Execute path, not by the
 	// evaluator itself.

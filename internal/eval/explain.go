@@ -47,9 +47,6 @@ func (s Stats) Summary() string {
 	if s.UnifyJoins > 0 {
 		out += fmt.Sprintf(", unify joins=%d", s.UnifyJoins)
 	}
-	if s.FastPathHits > 0 {
-		out += fmt.Sprintf(", analyzer fast paths=%d", s.FastPathHits)
-	}
 	if s.PlanCacheHits > 0 || s.PlanCacheMisses > 0 {
 		out += fmt.Sprintf(", plan cache hits=%d misses=%d", s.PlanCacheHits, s.PlanCacheMisses)
 	}

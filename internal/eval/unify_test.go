@@ -9,6 +9,7 @@ import (
 	"certsql/internal/eval"
 	"certsql/internal/qgen"
 	"certsql/internal/refeval"
+	"certsql/internal/schema"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -25,12 +26,22 @@ import (
 // with marks from a small pool (so equal marks recur, across relations
 // too), integral floats that equal ints across kinds, and the integers
 // 2⁵³ and 2⁵³+1, distinct values that round to one float64, so a key
-// built from float64 would merge them.
+// built from float64 would merge them. Nulls may land in any column, so
+// the copy's schema declares every column nullable and no key.
 func unifyDB(rng *rand.Rand, nullRate float64) *table.Database {
 	tn := qgen.Tuning{MaxRelations: 3, MaxArity: 3, MaxRowsPerRelation: 24, MaxNulls: -1}
 	sch := qgen.Schema(rng, tn)
 	src := qgen.Database(rng, sch, tn)
-	db := table.NewDatabase(sch)
+	nullable := schema.New()
+	for _, name := range sch.Names() {
+		rel, _ := sch.Relation(name)
+		attrs := append([]schema.Attribute(nil), rel.Attrs...)
+		for i := range attrs {
+			attrs[i].Nullable = true
+		}
+		nullable.MustAdd(&schema.Relation{Name: rel.Name, Attrs: attrs})
+	}
+	db := table.NewDatabase(nullable)
 	for _, name := range sch.Names() {
 		for _, r := range src.MustTable(name).Rows() {
 			row := make(table.Row, len(r))

@@ -68,7 +68,7 @@ func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
 	if _, ok := s.Child.(algebra.Base); ok && len(algebra.NullScans(cond)) > 0 {
 		return s
 	}
-	if sc, changed := o.simplifyCond(cond, o.nullFreeIn(s.Child)); changed {
+	if sc, changed := algebra.ResolveNullTests(algebra.NNF(cond), o.nullFreeIn(s.Child)); changed {
 		o.fired[RuleNullTestElim] = true
 		cond = sc
 	}
@@ -152,7 +152,7 @@ func (o *optimizer) rewriteSemi(n algebra.SemiJoin) algebra.Expr {
 	nL := n.L.Arity()
 	cond := algebra.NNF(n.Cond)
 	free := o.nullFreeJoin(n.L, n.R)
-	if sc, changed := o.simplifyCond(cond, free); changed {
+	if sc, changed := algebra.ResolveNullTests(cond, free); changed {
 		// Losing every left-column reference flips the operator onto
 		// the uncorrelated short-circuit path, which may skip
 		// evaluating one side entirely — illegal if a skipped subtree
@@ -304,7 +304,9 @@ func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 // first the static tier (schema nullability propagated by
 // analyze.NonNullCols under naive strength, valid for both semantics),
 // then the data tier (a base column whose statistics show zero nulls,
-// recorded as a premise).
+// recorded as a premise). Its facts hold for the data under the
+// recorded premises, so resolving null tests against it
+// (algebra.ResolveNullTests) keeps and drops exactly the same rows.
 func (o *optimizer) nullFreeIn(e algebra.Expr) func(int) bool {
 	static := analyze.NonNullCols(e, o.sch, analyze.StrengthNaive)
 	return func(col int) bool {
@@ -331,64 +333,6 @@ func (o *optimizer) nullFreeJoin(l, r algebra.Expr) func(int) bool {
 		}
 		return rFree(col - nL)
 	}
-}
-
-// simplifyCond eliminates null tests decided by the null-free oracle.
-// The truth of the condition on every actual row is unchanged (the
-// oracle's facts hold for the data under the recorded premises), so
-// filters and joins keep and drop exactly the same rows.
-func (o *optimizer) simplifyCond(c algebra.Cond, free func(int) bool) (algebra.Cond, bool) {
-	c = algebra.NNF(c)
-	var rec func(c algebra.Cond) (algebra.Cond, bool)
-	rec = func(c algebra.Cond) (algebra.Cond, bool) {
-		switch c := c.(type) {
-		case algebra.And:
-			parts := make([]algebra.Cond, len(c.Conds))
-			changed := false
-			for i, sub := range c.Conds {
-				var ch bool
-				parts[i], ch = rec(sub)
-				changed = changed || ch
-			}
-			if !changed {
-				return c, false
-			}
-			return algebra.NewAnd(parts...), true
-		case algebra.Or:
-			parts := make([]algebra.Cond, len(c.Conds))
-			changed := false
-			for i, sub := range c.Conds {
-				var ch bool
-				parts[i], ch = rec(sub)
-				changed = changed || ch
-			}
-			if !changed {
-				return c, false
-			}
-			return algebra.NewOr(parts...), true
-		case algebra.NullTest:
-			// astlint:partial — scalar operands are unreachable here
-			// (algebra.HasScalar gates every caller) and stay untouched.
-			switch op := c.Operand.(type) {
-			case algebra.Col:
-				if free(op.Idx) {
-					if c.Negated {
-						return algebra.TrueCond{}, true
-					}
-					return algebra.FalseCond{}, true
-				}
-			case algebra.Lit:
-				if op.Val.IsNull() == !c.Negated {
-					return algebra.TrueCond{}, true
-				}
-				return algebra.FalseCond{}, true
-			}
-			return c, false
-		default:
-			return c, false
-		}
-	}
-	return rec(c)
 }
 
 // hasMinters reports whether evaluating e can mint fresh marked nulls:

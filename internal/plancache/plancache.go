@@ -85,11 +85,9 @@ type Plan struct {
 	Plus algebra.Expr
 	// Star is the potential-answer translation Q⋆ (ModePossible).
 	Star algebra.Expr
-	// AnalyzerSafe is the static analyzer's verdict on Orig: safe
-	// means plain evaluation returns exactly the certain answers on
-	// NOT NULL-conforming data. The data-side conformance check runs
-	// at execute time — it is O(1) and the data may change between
-	// executions of one cached plan.
+	// AnalyzerSafe is not set or read by the engine: SELECT CERTAIN
+	// always runs Plus. It is kept only because the benchmark module
+	// (bench/) still sets it.
 	AnalyzerSafe bool
 	// OrigShape, PlusShape and StarShape are not set or read by the
 	// engine; they are kept only because the benchmark module (bench/)

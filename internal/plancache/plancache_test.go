@@ -36,7 +36,8 @@ func TestHitMissAndLRUEviction(t *testing.T) {
 func TestKeyComponentsDistinguishPlans(t *testing.T) {
 	c := New(0)
 	base := Key{SQL: "SELECT a FROM t", CatalogVersion: 1, Params: "", Options: ""}
-	c.Put(base, &Plan{AnalyzerSafe: true})
+	want := &Plan{Mode: ModeCertain}
+	c.Put(base, want)
 	for name, k := range map[string]Key{
 		"catalog version": {SQL: base.SQL, CatalogVersion: 2},
 		"params":          {SQL: base.SQL, CatalogVersion: 1, Params: "x=1"},
@@ -47,7 +48,7 @@ func TestKeyComponentsDistinguishPlans(t *testing.T) {
 			t.Errorf("key differing in %s hit the cached plan", name)
 		}
 	}
-	if p, ok := c.Get(base); !ok || !p.AnalyzerSafe {
+	if p, ok := c.Get(base); !ok || p != want {
 		t.Fatal("exact key lookup failed")
 	}
 }

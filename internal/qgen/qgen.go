@@ -50,9 +50,8 @@ type Tuning struct {
 	MarkReuseProb float64
 	// NullFreeProb is the probability that the whole schema is declared
 	// NOT NULL (default 0.15). Null-free schemas are the boundary the
-	// static analyzer cares about: they make safe verdicts — and hence
-	// the evaluation fast path — reachable, so the analyzer-soundness
-	// invariant gets exercised.
+	// static analyzer cares about: they make safe verdicts reachable,
+	// so the analyzer-soundness invariant gets exercised.
 	NullFreeProb float64
 	// MaxDepth bounds subquery nesting (default 2).
 	MaxDepth int
@@ -196,11 +195,9 @@ func dataPool(kind value.Kind) []value.Value {
 // nulls); keyed relations get distinct, non-null key values.
 func Database(rng *rand.Rand, sch *schema.Schema, tn Tuning) *table.Database {
 	tn = tn.withDefaults()
+	// The generator promises nulls only in nullable attributes; Insert
+	// rejects any other null, which panics below as a generator bug.
 	db := table.NewDatabase(sch)
-	// The generator promises nulls only in nullable attributes; strict
-	// enforcement turns any violation of that promise into a loud
-	// generator bug instead of a silently non-conforming instance.
-	db.EnforceNonNull(true)
 	nulls := 0
 	lastMark := map[value.Kind]value.Value{}
 	mkVal := func(attr schema.Attribute) value.Value {

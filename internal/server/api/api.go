@@ -93,7 +93,6 @@ type Stats struct {
 	UnifyJoins      int   `json:"unify_joins,omitempty"`
 	ShortCircuits   int   `json:"short_circuits,omitempty"`
 	CacheHits       int   `json:"cache_hits,omitempty"`
-	FastPathHits    int   `json:"fast_path_hits,omitempty"`
 	PlanCacheHits   int   `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses int   `json:"plan_cache_misses,omitempty"`
 	// MemHighWaterBytes is the execution's peak estimated intermediate

@@ -7,6 +7,7 @@ import (
 
 	"certsql/internal/certain"
 	"certsql/internal/guard"
+	"certsql/internal/table"
 )
 
 // statusClientClosedRequest is the de-facto standard status (nginx's
@@ -24,6 +25,7 @@ const statusClientClosedRequest = 499
 // reported as a client error.
 func statusFor(err error) (status int, code string) {
 	var internal *guard.InternalError
+	var notNull *table.NotNullViolation
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests, "queue-full"
@@ -33,6 +35,8 @@ func statusFor(err error) (status int, code string) {
 		return statusClientClosedRequest, "canceled"
 	case errors.Is(err, certain.ErrUntranslatable):
 		return http.StatusUnprocessableEntity, "untranslatable"
+	case errors.As(err, &notNull):
+		return http.StatusUnprocessableEntity, "not-null"
 	case errors.Is(err, guard.ErrMemBudget):
 		return http.StatusInsufficientStorage, "mem-budget"
 	case errors.Is(err, guard.ErrRowBudget):

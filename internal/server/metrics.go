@@ -21,7 +21,6 @@ type metrics struct {
 
 	planCacheHits   int64
 	planCacheMisses int64
-	fastPathHits    int64
 	degraded        int64
 	admissionDrops  int64
 	// memHighWater is the largest per-request peak estimated
@@ -65,12 +64,11 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 
 // observeQuery folds one successful query result into the aggregate
 // engine counters.
-func (m *metrics) observeQuery(planHits, planMisses, fastPath int, degraded bool, memHW int64) {
+func (m *metrics) observeQuery(planHits, planMisses int, degraded bool, memHW int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.planCacheHits += int64(planHits)
 	m.planCacheMisses += int64(planMisses)
-	m.fastPathHits += int64(fastPath)
 	if degraded {
 		m.degraded++
 	}
@@ -146,7 +144,6 @@ func (m *metrics) render(g gauges) string {
 	}
 	fmt.Fprintf(&b, "certsqld_admission_rejected_total %d\n", m.admissionDrops)
 	fmt.Fprintf(&b, "certsqld_degraded_total %d\n", m.degraded)
-	fmt.Fprintf(&b, "certsqld_fast_path_hits_total %d\n", m.fastPathHits)
 	fmt.Fprintf(&b, "certsqld_in_flight %d\n", g.inFlight)
 	fmt.Fprintf(&b, "certsqld_plan_cache_entries %d\n", g.planEntries)
 	fmt.Fprintf(&b, "certsqld_plan_cache_hit_ratio %g\n", hitRatio)

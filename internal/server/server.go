@@ -443,7 +443,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, rawParams map[s
 		writeErr(w, err)
 		return
 	}
-	s.metrics.observeQuery(res.Stats.PlanCacheHits, res.Stats.PlanCacheMisses, res.Stats.FastPathHits, res.Degraded, res.Stats.MemHighWaterBytes)
+	s.metrics.observeQuery(res.Stats.PlanCacheHits, res.Stats.PlanCacheMisses, res.Degraded, res.Stats.MemHighWaterBytes)
 	resp := &api.QueryResponse{
 		Columns:  res.Columns,
 		Rows:     api.EncodeRows(res.Rows()),
@@ -458,7 +458,6 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, rawParams map[s
 			UnifyJoins:        res.Stats.UnifyJoins,
 			ShortCircuits:     res.Stats.ShortCircuits,
 			CacheHits:         res.Stats.CacheHits,
-			FastPathHits:      res.Stats.FastPathHits,
 			PlanCacheHits:     res.Stats.PlanCacheHits,
 			PlanCacheMisses:   res.Stats.PlanCacheMisses,
 			MemHighWaterBytes: res.Stats.MemHighWaterBytes,

@@ -14,6 +14,7 @@ import (
 	"certsql/internal/guard"
 	"certsql/internal/server/api"
 	"certsql/internal/server/client"
+	"certsql/internal/table"
 	"certsql/internal/tpch"
 	"certsql/internal/value"
 )
@@ -164,6 +165,44 @@ func TestLoadPublishesVersionAndInvalidatesPlans(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNullInNotNullColumn: a /v1/load whose rows put a null
+// in a NOT NULL column is refused as a whole with 422 not-null; the
+// catalog version and the table are left as they were.
+func TestLoadRejectsNullInNotNullColumn(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	before, err := c.Catalog(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nationRows := func(cat *api.CatalogResponse) int {
+		for _, ti := range cat.Tables {
+			if ti.Name == "nation" {
+				return ti.Rows
+			}
+		}
+		t.Fatal("catalog has no nation table")
+		return 0
+	}
+	_, err = c.Load(ctx, "nation", [][]value.Value{
+		{value.Int(98), value.Str("LEMURIA"), value.Int(1), value.Str("sunk")},
+		{value.Null(9), value.Str("MU"), value.Int(1), value.Str("sunk")}, // n_nationkey is NOT NULL
+	})
+	if s, code := apiStatus(t, err); s != http.StatusUnprocessableEntity || code != "not-null" {
+		t.Fatalf("got %d/%s, want 422/not-null", s, code)
+	}
+	after, err := c.Catalog(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Version != before.Version {
+		t.Errorf("version %d after a refused load, want %d", after.Version, before.Version)
+	}
+	if got, want := nationRows(after), nationRows(before); got != want {
+		t.Errorf("nation has %d rows after a refused load, want %d", got, want)
+	}
+}
+
 // TestSessionsAreIsolated: a load in one session is invisible to
 // another; each keeps its own version counter.
 func TestSessionsAreIsolated(t *testing.T) {
@@ -291,6 +330,7 @@ func TestStatusForTaxonomy(t *testing.T) {
 		{guard.ErrCanceled, statusClientClosedRequest, "canceled"},
 		{context.Canceled, statusClientClosedRequest, "canceled"},
 		{certain.ErrUntranslatable, http.StatusUnprocessableEntity, "untranslatable"},
+		{&table.NotNullViolation{}, http.StatusUnprocessableEntity, "not-null"},
 		{guard.ErrRowBudget, http.StatusInsufficientStorage, "row-budget"},
 		{guard.ErrCostBudget, http.StatusInsufficientStorage, "cost-budget"},
 		{guard.ErrMemBudget, http.StatusInsufficientStorage, "mem-budget"},

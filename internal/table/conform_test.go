@@ -24,43 +24,8 @@ func conformSchema(t *testing.T) *schema.Schema {
 	return s
 }
 
-func TestConformsNonNullIncremental(t *testing.T) {
+func TestNotNullEnforced(t *testing.T) {
 	db := NewDatabase(conformSchema(t))
-	if !db.ConformsNonNull() {
-		t.Fatal("empty database should conform")
-	}
-	if err := db.Insert("r", Row{value.Int(1), value.Null(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if !db.ConformsNonNull() {
-		t.Fatal("null in nullable attribute should conform")
-	}
-	if err := db.Insert("r", Row{value.Null(2), value.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if db.ConformsNonNull() {
-		t.Fatal("null in NOT NULL attribute should break conformance")
-	}
-	// Repairing the offending row through ReplaceRow restores O(1)
-	// conformance.
-	if err := db.ReplaceRow("r", 1, Row{value.Int(7), value.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if !db.ConformsNonNull() {
-		t.Fatal("repaired database should conform again")
-	}
-	// And breaking it again via ReplaceRow is tracked too.
-	if err := db.ReplaceRow("r", 0, Row{value.Null(3), value.Null(4)}); err != nil {
-		t.Fatal(err)
-	}
-	if db.ConformsNonNull() {
-		t.Fatal("ReplaceRow introducing a violation must be counted")
-	}
-}
-
-func TestEnforceNonNull(t *testing.T) {
-	db := NewDatabase(conformSchema(t))
-	db.EnforceNonNull(true)
 	err := db.Insert("r", Row{value.Null(1), value.Int(1)})
 	var nv *NotNullViolation
 	if !errors.As(err, &nv) {
@@ -75,34 +40,13 @@ func TestEnforceNonNull(t *testing.T) {
 	if !db.ConformsNonNull() {
 		t.Fatal("rejected row must not count as a violation")
 	}
-	// Nullable attributes still accept nulls under enforcement.
+	// Nullable attributes still accept nulls.
 	if err := db.Insert("r", Row{value.Int(1), value.Null(2)}); err != nil {
 		t.Fatal(err)
 	}
 	// ReplaceRow enforces too.
 	if err := db.ReplaceRow("r", 0, Row{value.Null(3), value.Int(1)}); !errors.As(err, &nv) {
 		t.Fatalf("ReplaceRow should enforce: %v", err)
-	}
-}
-
-func TestCloneAndApplyKeepConformance(t *testing.T) {
-	db := NewDatabase(conformSchema(t))
-	if err := db.Insert("r", Row{value.Null(1), value.Null(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if db.Clone().ConformsNonNull() {
-		t.Fatal("clone must inherit the violation count")
-	}
-	// A valuation covering the offending mark repairs conformance in
-	// the applied (completed) database.
-	applied := db.Apply(map[int64]value.Value{1: value.Int(9), 2: value.Int(8)})
-	if !applied.ConformsNonNull() {
-		t.Fatal("fully applied database should conform")
-	}
-	// A partial valuation leaving the NOT NULL mark unset does not.
-	partial := db.Apply(map[int64]value.Value{2: value.Int(8)})
-	if partial.ConformsNonNull() {
-		t.Fatal("partially applied database keeps its violation")
 	}
 }
 

@@ -247,18 +247,14 @@ func (e *NotNullViolation) Error() string {
 // per relation. It also tracks the next fresh null mark, so loaders and
 // generators can mint globally unique marked nulls.
 //
-// The database keeps an incremental count of NOT NULL violations —
-// nulls stored in attributes the schema declares non-nullable — so
-// ConformsNonNull is O(1). The count stays exact as long as all
-// mutations go through Insert and ReplaceRow; mutating a Table
-// obtained from the catalog directly bypasses the accounting.
+// The schema's NOT NULL declarations are integrity constraints: Insert
+// and ReplaceRow reject a null in a non-nullable attribute, so stored
+// data always honours them (mutating a Table obtained from the catalog
+// directly bypasses the check).
 type Database struct {
 	Schema   *schema.Schema
 	tables   map[string]*Table
 	nextNull int64
-
-	enforceNonNull    bool
-	nonNullViolations int
 
 	// recorder, when set, observes every successful Insert and
 	// ReplaceRow — the delta capture the persistent store's write-ahead
@@ -331,37 +327,24 @@ func (db *Database) MustTable(name string) *Table {
 	return t
 }
 
-// EnforceNonNull toggles strict NOT NULL enforcement: when on,
-// Insert and ReplaceRow reject rows carrying a null in a non-nullable
-// attribute with a *NotNullViolation instead of recording the
-// violation. By default enforcement is off (nullability is a
-// generator-side concern, as in the paper's setup) and violations are
-// only counted, for ConformsNonNull.
-func (db *Database) EnforceNonNull(on bool) { db.enforceNonNull = on }
+// ConformsNonNull is not read by the engine: Insert and ReplaceRow
+// enforce every NOT NULL declaration, so stored data always conforms.
+// It is kept only because the benchmark module (bench/) still calls it.
+func (db *Database) ConformsNonNull() bool { return true }
 
-// ConformsNonNull reports whether the data honours every NOT NULL
-// declaration in the schema. O(1): the violation count is maintained
-// incrementally by Insert and ReplaceRow.
-func (db *Database) ConformsNonNull() bool { return db.nonNullViolations == 0 }
-
-// nonNullCheck counts the NOT NULL violations in r (against rel), or
-// returns the first one as an error when enforcement is on.
-func (db *Database) nonNullCheck(rel *schema.Relation, r Row) (int, error) {
-	viol := 0
+// nonNullCheck returns the first null r (against rel) stores in a NOT
+// NULL attribute, as a *NotNullViolation.
+func nonNullCheck(rel *schema.Relation, r Row) error {
 	for i, v := range r {
 		if v.IsNull() && !rel.Attrs[i].Nullable {
-			if db.enforceNonNull {
-				return 0, &NotNullViolation{Relation: rel.Name, Attribute: rel.Attrs[i].Name, Col: i}
-			}
-			viol++
+			return &NotNullViolation{Relation: rel.Name, Attribute: rel.Attrs[i].Name, Col: i}
 		}
 	}
-	return viol, nil
+	return nil
 }
 
 // Insert appends a row to the named relation, validating arity and
-// column types. Nulls in NOT NULL attributes are counted (for
-// ConformsNonNull) or, with EnforceNonNull(true), rejected with a
+// column types. A null in a NOT NULL attribute is rejected with a
 // *NotNullViolation.
 func (db *Database) Insert(name string, r Row) error {
 	rel, ok := db.Schema.Relation(name)
@@ -381,11 +364,9 @@ func (db *Database) Insert(name string, r Row) error {
 				name, rel.Attrs[i].Name, v, v.Kind(), want)
 		}
 	}
-	viol, err := db.nonNullCheck(rel, r)
-	if err != nil {
+	if err := nonNullCheck(rel, r); err != nil {
 		return err
 	}
-	db.nonNullViolations += viol
 	db.tables[strings.ToLower(name)].Append(r)
 	if db.recorder != nil {
 		db.recorder(Op{Kind: OpInsert, Table: strings.ToLower(name), Row: r})
@@ -393,9 +374,9 @@ func (db *Database) Insert(name string, r Row) error {
 	return nil
 }
 
-// ReplaceRow replaces row i of the named relation, keeping the NOT
-// NULL accounting exact. Mutators (null injectors, minimizers) must
-// use this instead of Table.SetRow so ConformsNonNull stays O(1).
+// ReplaceRow replaces row i of the named relation, rejecting a null in
+// a NOT NULL attribute as Insert does. Mutators (null injectors,
+// minimizers) must use this instead of Table.SetRow.
 func (db *Database) ReplaceRow(name string, i int, r Row) error {
 	rel, ok := db.Schema.Relation(name)
 	if !ok {
@@ -408,17 +389,9 @@ func (db *Database) ReplaceRow(name string, i int, r Row) error {
 	if i < 0 || i >= t.Len() {
 		return fmt.Errorf("table: relation %q: row index %d out of range [0, %d)", name, i, t.Len())
 	}
-	newViol, err := db.nonNullCheck(rel, r)
-	if err != nil {
+	if err := nonNullCheck(rel, r); err != nil {
 		return err
 	}
-	oldViol := 0
-	for c, v := range t.Row(i) {
-		if v.IsNull() && !rel.Attrs[c].Nullable {
-			oldViol++
-		}
-	}
-	db.nonNullViolations += newViol - oldViol
 	t.SetRow(i, r)
 	if db.recorder != nil {
 		db.recorder(Op{Kind: OpReplace, Table: strings.ToLower(name), Index: i, Row: r})
@@ -508,10 +481,7 @@ func (db *Database) ActiveDomain() []value.Value {
 // Clone returns a deep-enough copy of the database: tables are copied,
 // rows are shared (rows are immutable by convention).
 func (db *Database) Clone() *Database {
-	out := &Database{
-		Schema: db.Schema, tables: map[string]*Table{}, nextNull: db.nextNull,
-		enforceNonNull: db.enforceNonNull, nonNullViolations: db.nonNullViolations,
-	}
+	out := &Database{Schema: db.Schema, tables: map[string]*Table{}, nextNull: db.nextNull}
 	for name, t := range db.tables {
 		nt := New(t.arity)
 		nt.rows = append(nt.rows, t.rows...)
@@ -526,10 +496,8 @@ func (db *Database) Clone() *Database {
 // null ⊥ᵢ with valuation[i]. Marks missing from the valuation map are
 // left untouched (callers building full valuations must cover all marks).
 func (db *Database) Apply(valuation map[int64]value.Value) *Database {
-	out := &Database{Schema: db.Schema, tables: map[string]*Table{}, nextNull: db.nextNull,
-		enforceNonNull: db.enforceNonNull}
+	out := &Database{Schema: db.Schema, tables: map[string]*Table{}, nextNull: db.nextNull}
 	for name, t := range db.tables {
-		rel, _ := db.Schema.Relation(name)
 		nt := New(t.arity)
 		nt.Grow(t.Len())
 		for _, r := range t.rows {
@@ -542,11 +510,6 @@ func (db *Database) Apply(valuation map[int64]value.Value) *Database {
 					}
 				}
 				nr[i] = v
-				// Nulls the valuation misses stay; recount them so
-				// ConformsNonNull stays exact on the applied database.
-				if v.IsNull() && rel != nil && !rel.Attrs[i].Nullable {
-					out.nonNullViolations++
-				}
 			}
 			nt.Append(nr)
 		}

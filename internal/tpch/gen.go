@@ -327,8 +327,8 @@ func InjectNullsInto(db *table.Database, rate float64, rng *rand.Rand, tables ..
 				replaced[i] = db.FreshNull()
 			}
 			if replaced != nil {
-				// Route through the database so the NOT NULL
-				// accounting behind ConformsNonNull stays exact.
+				// Route through the database, which rejects a null
+				// in a NOT NULL attribute.
 				if err := db.ReplaceRow(name, ri, replaced); err != nil {
 					panic(err) // only nullable attrs are touched
 				}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"certsql/internal/algebra"
-	"certsql/internal/analyze"
 	"certsql/internal/certain"
 	"certsql/internal/compile"
 	"certsql/internal/eval"
@@ -129,11 +128,8 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 
 // compilePlan performs the cacheable, data-independent part of one
 // query: strip the mode, compile, and — for CERTAIN and POSSIBLE —
-// check translatability, run the static analysis and translate. Q⁺
-// serves the certain route and the possible route's degradation
-// ladder, Q⋆ the possible route. The analyzer verdict is kept; whether
-// the fast path actually fires is re-decided per execution (see pick),
-// because data may change between executions of one cached plan.
+// check translatability and translate. Q⁺ serves the certain route and
+// the possible route's degradation ladder, Q⋆ the possible route.
 // Execute caches the result; an ad-hoc query compiles one for a single
 // execution. The planner's variants are built later, by the executions
 // that read them (see variant).
@@ -155,7 +151,6 @@ func (db *DB) compilePlan(q *sql.Query, params Params, opts Options) (pl *planca
 	if err := certain.CheckTranslatable(pl.Orig); err != nil {
 		return nil, err
 	}
-	pl.AnalyzerSafe = analyze.Plan(pl.Orig, db.d.Schema).Safe
 	tr := opts.translator(db)
 	pl.Plus = tr.Plus(pl.Orig)
 	if mode == plancache.ModePossible {
@@ -165,30 +160,16 @@ func (db *DB) compilePlan(q *sql.Query, params Params, opts Options) (pl *planca
 }
 
 // pick is the route decision, made once for execution and EXPLAIN
-// alike: the expression a query in the given mode runs, the plan's slot
-// for its optimized variant, and whether that is the analyzer fast path.
-func (db *DB) pick(pl *plancache.Plan, mode plancache.Mode, opts Options) (algebra.Expr, **plancache.Optimized, bool) {
+// alike: the expression a query in the given mode runs and the plan's
+// slot for its optimized variant.
+func pick(pl *plancache.Plan, mode plancache.Mode) (algebra.Expr, **plancache.Optimized) {
 	switch mode {
 	case plancache.ModeCertain:
-		// Fast path: when the static analyzer proves the query safe —
-		// plain evaluation returns exactly the certain answers on every
-		// database conforming to the schema — skip Q⁺ and run the query
-		// as-is. The verdict leans on the schema's NOT NULL declarations,
-		// which Insert enforces only on request, so the database's O(1)
-		// conformance counter (maintained incrementally by Insert and
-		// ReplaceRow) gates it; a non-conforming database still gets
-		// correct certain answers via the translation.
-		//
-		// Identity is NOT a valid potential-answer translation Q⋆ (it
-		// under-approximates), so the possible route never comes here.
-		if !opts.NoAnalyzerFastPath && pl.AnalyzerSafe && db.d.ConformsNonNull() {
-			return pl.Orig, &pl.OrigOpt, true
-		}
-		return pl.Plus, &pl.PlusOpt, false
+		return pl.Plus, &pl.PlusOpt
 	case plancache.ModePossible:
-		return pl.Star, &pl.StarOpt, false
+		return pl.Star, &pl.StarOpt
 	default:
-		return pl.Orig, &pl.OrigOpt, false
+		return pl.Orig, &pl.OrigOpt
 	}
 }
 
@@ -267,7 +248,7 @@ func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (re
 // cache stays shard-agnostic (Shards is deliberately absent from its
 // fingerprint).
 func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
-	expr, slot, fastPath := db.pick(pl, mode, opts)
+	expr, slot := pick(pl, mode)
 	eo := opts.evalOptions(gov)
 	if !opts.NaivePlanner {
 		o, err := db.variant(gov, pl, slot, expr)
@@ -283,12 +264,8 @@ func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mo
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: pl.Columns, Certain: mode == plancache.ModeCertain, Possible: mode == plancache.ModePossible,
-		Stats: ev.Stats(), rows: t, trace: ev.Trace()}
-	if fastPath {
-		res.Stats.FastPathHits = 1
-	}
-	return res, nil
+	return &Result{Columns: pl.Columns, Certain: mode == plancache.ModeCertain, Possible: mode == plancache.ModePossible,
+		Stats: ev.Stats(), rows: t, trace: ev.Trace()}, nil
 }
 
 // fingerprintParams renders a parameter binding deterministically.
@@ -312,9 +289,9 @@ func fingerprintParams(params Params) string {
 }
 
 // fingerprintPlanOptions encodes the options that change the compiled
-// or translated plan. Executor strategy toggles, budgets, parallelism
-// and the analyzer fast path are runtime concerns and deliberately
-// excluded — varying them reuses the same cached plan.
+// or translated plan. Executor strategy toggles, budgets and
+// parallelism are runtime concerns and deliberately excluded — varying
+// them reuses the same cached plan.
 func fingerprintPlanOptions(o Options) string {
 	flags := [...]bool{o.Naive, o.NoOrSplit, o.NoSimplifyNulls, o.NoKeySimplify}
 	var b [len(flags)]byte

@@ -20,7 +20,7 @@ func prepDB(t testing.TB) *certsql.DB {
 // TestPreparedMatchesAdHoc: an ad-hoc query is the prepared route with
 // an uncached plan. For every appendix query in every mode, under the
 // default options and the executor-side ones that share a cache entry
-// (NaivePlanner, NoAnalyzerFastPath, and Degrade under a cost budget
+// (NaivePlanner and Degrade under a cost budget
 // the Q⋆ route trips), Prepare + Execute twice must byte-match the
 // ad-hoc result with equal Stats apart from the plan-cache counters,
 // which ad-hoc results leave at zero, and the second execution must
@@ -45,7 +45,6 @@ func TestPreparedMatchesAdHoc(t *testing.T) {
 		}{
 			{"default", certsql.Options{}, []string{"standard", "certain", "possible"}},
 			{"naive-planner", certsql.Options{NaivePlanner: true}, []string{"standard", "certain", "possible"}},
-			{"no-fast-path", certsql.Options{NoAnalyzerFastPath: true}, []string{"certain"}},
 			{"degrade", certsql.Options{Degrade: true, MaxCostUnits: plus.Stats.CostUnits}, []string{"possible"}},
 		} {
 			for _, mode := range tc.modes {
@@ -149,55 +148,6 @@ func TestPreparedKeyedByParamsAndOptions(t *testing.T) {
 	}
 }
 
-// TestPreparedFastPathRedecidesPerExecution: the cached analyzer
-// verdict is schema-level; whether the fast path fires must track the
-// data's NOT NULL conformance at each execution.
-func TestPreparedFastPathRedecidesPerExecution(t *testing.T) {
-	db := certsql.MustOpen(certsql.Table{
-		Name: "t",
-		Columns: []certsql.Column{
-			{Name: "a", Type: certsql.TInt, NotNull: true},
-		},
-	})
-	if err := db.Insert("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	prep, err := db.Prepare(`SELECT CERTAIN a FROM t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := prep.Execute(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats.FastPathHits != 1 {
-		t.Fatalf("conforming data should take the fast path, stats %+v", r1.Stats)
-	}
-	// Sneak a null into the NOT NULL column (enforcement is off by
-	// default, the violation is only counted).
-	if err := db.Insert("t", certsql.NULL); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := prep.Execute(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Stats.PlanCacheHits != 1 {
-		t.Fatalf("second execution should hit the plan cache, stats %+v", r2.Stats)
-	}
-	if r2.Stats.FastPathHits != 0 {
-		t.Fatal("non-conforming data must not take the analyzer fast path")
-	}
-	// Either route, the answers must match the ad-hoc certain result.
-	adhoc, err := db.QueryCertain(`SELECT a FROM t`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r2.Table().String(), adhoc.Table().String(); got != want {
-		t.Fatalf("cached-plan certain answers differ from ad-hoc:\nprepared: %s\nad-hoc:   %s", got, want)
-	}
-}
-
 // TestSnapshotVersionInvalidatesPlans: two DB views sharing one cache
 // under different catalog versions must not share plans.
 func TestSnapshotVersionInvalidatesPlans(t *testing.T) {
@@ -269,7 +219,7 @@ func TestWithMode(t *testing.T) {
 }
 
 // microTPCH caps every TPC-H table at a handful of rows: a sample
-// where the per-execution pipeline cost (parse, compile, analyze,
+// where the per-execution pipeline cost (parse, compile,
 // translate) dominates evaluation, which is exactly the cost the plan
 // cache exists to remove. The speedup measured here is the serving
 // layer's overhead win; on larger instances evaluation dominates and
