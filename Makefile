@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-fix test race loc bench bench-build bench-memory bench-plan bench-fig4 bench-join bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
+.PHONY: check build vet lint lint-fix test race loc bench bench-build bench-memory bench-plan bench-fig4 bench-join fuzz fuzz-plan fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
 # check is what CI runs: build, vet, lint, and the full test suite under
 # the race detector (the parallel executor must stay race-clean).
@@ -137,19 +137,12 @@ fuzz:
 	$(GO) test -race -run='^$$' -fuzz=FuzzCompileEval -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -race -run='^$$' -fuzz=FuzzAnalyzerSoundness -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlannerAblation -fuzztime=$(FUZZTIME) ./internal/difftest
-	$(GO) test -race -run='^$$' -fuzz=FuzzShardAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzz-plan hammers only the planner's byte-identity contract: the
 # coverage-guided planner-ablation fuzzer (optimized vs naive plans,
 # every route, sequential and parallel) under the race detector.
 fuzz-plan:
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlannerAblation -fuzztime=$(FUZZTIME) ./internal/difftest
-
-# fuzz-shard hammers only the shard-ablation byte-identity contract:
-# shard-routed execution vs the unsharded run, every route, both
-# planners, under the race detector.
-fuzz-shard:
-	$(GO) test -race -run='^$$' -fuzz=FuzzShardAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzzcert runs the seeded differential oracle over a deterministic
 # range of cases (no coverage guidance, instantly reproducible: every
@@ -191,24 +184,14 @@ chaos-crash:
 serve-smoke:
 	GO=$(GO) ./scripts/serve_smoke.sh
 
-# bench-shard measures shard-routed execution (Options.Shards) on the
-# raw translated Q1-Q4, prepared, against the unsharded baseline, then
-# runs the exact acceptance check: identical result bytes and identical
-# Stats.CostUnits at every Shards x Parallelism setting, and raw Q4
-# within 2x of the OR-split translation's cost units (EXPERIMENTS.md
-# records the measured table).
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkShardSpeedup -benchtime 5x .
-	$(GO) test -run '^TestShardsRouteOnly$$' -count=1 -v .
-
-# loadtest soaks certsqld -shards N with the closed-loop generator in
+# loadtest soaks certsqld with the closed-loop generator in
 # cmd/loadtest (the paper's Q1-Q4 plus ad-hoc variations) and reports
 # QPS, latency percentiles and 5xx counts; EXPERIMENTS.md records the
-# measured table. DURATION and SHARDS pass through to the script.
+# measured table. DURATION and CONCURRENCY pass through to the script.
 loadtest:
 	GO=$(GO) ./scripts/loadtest.sh
 
 # loadtest-smoke is the CI setting: a short soak that asserts the
-# server survives concurrent sharded load with zero 5xx responses.
+# server survives concurrent load with zero 5xx responses.
 loadtest-smoke:
 	GO=$(GO) DURATION=3s ./scripts/loadtest.sh

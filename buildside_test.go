@@ -23,8 +23,8 @@ var buildSideCfg = tpch.Config{ScaleFactor: 0.002, Seed: 3, NullRate: 0.02}
 // CERTAIN, default route, parameters seeded with 11) as executed by
 // commit 775d467, whose hash joins all indexed the right-hand input. A
 // hash join charges |L| + |R| plus one unit per pair verified whichever
-// side it indexes, so the counts must not move — at any Parallelism or
-// Shards. Since then one thing has moved them, by an amount computed
+// side it indexes, so the counts must not move — at any Parallelism.
+// Since then one thing has moved them, by an amount computed
 // here from the instance: a selection over a stored relation that
 // requires a null reads only the rows with one (the trace's
 // "scan R nulls(…) -> n of m rows"), so its scan and its filter each
@@ -53,15 +53,13 @@ func TestCostUnitsDirectionIndependent(t *testing.T) {
 			}
 			pin := want[q][i] - unreadByNullScans(t, inst, trace)
 			for _, par := range []int{1, 4} {
-				for _, shards := range []int{1, 3} {
-					res, err := db.QueryWithOptions(text, params, certsql.Options{Parallelism: par, Shards: shards})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := res.Stats.CostUnits; got != pin {
-						t.Errorf("%s certain=%v P=%d Shards=%d: %d cost units, the all-forward predecessor spent %d, less %d rows the null lists spared",
-							q, i == 1, par, shards, got, want[q][i], want[q][i]-pin)
-					}
+				res, err := db.QueryWithOptions(text, params, certsql.Options{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Stats.CostUnits; got != pin {
+					t.Errorf("%s certain=%v P=%d: %d cost units, the all-forward predecessor spent %d, less %d rows the null lists spared",
+						q, i == 1, par, got, want[q][i], want[q][i]-pin)
 				}
 			}
 		}

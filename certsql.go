@@ -139,16 +139,9 @@ type Options struct {
 	// Results are deterministic — byte-identical at any setting.
 	Parallelism int
 
-	// Shards routes the probe rows of semijoin, antijoin and filter
-	// loops to N in-process engine shards by content hash
-	// (internal/shard, DESIGN.md §16): the executor's workers visit
-	// the rows grouped by owning shard instead of by position. Results
-	// are byte-identical to an unsharded run at any setting (difftest's
-	// shard-ablation invariant pins this), and so is the work: every
-	// operator builds the same structures and spends the same
-	// Stats.CostUnits at any shard count. 0 or 1 runs unsharded.
-	// Orthogonal to Parallelism, which sets how many workers share the
-	// visiting order.
+	// Shards is not read by the engine: the executor visits probe rows
+	// in input order at every setting. It is kept only because the
+	// benchmark module (bench/) still sets it.
 	Shards int
 
 	// Trace records an EXPLAIN ANALYZE-style plan trace, retrievable
@@ -181,7 +174,6 @@ func (o Options) evalOptions(gov *guard.Governor) eval.Options {
 		Semantics:      o.semantics(),
 		Governor:       gov,
 		Parallelism:    o.Parallelism,
-		Shards:         o.Shards,
 		NoHashJoin:     o.NoHashJoin,
 		NoSubplanCache: o.NoViewCache,
 		NoShortCircuit: o.NoShortCircuit,

@@ -82,7 +82,6 @@ func run() int {
 		costBudg = flag.Int64("max-cost", 0, "default cost budget in elementary row operations (0 = guard default)")
 		memBudg  = flag.Int64("max-mem", 256<<20, "default estimated-bytes memory budget (0 = unlimited)")
 		par      = flag.Int("parallelism", 1, "executor workers per query (0 = GOMAXPROCS); cross-query concurrency comes from -max-concurrent")
-		shards   = flag.Int("shards", 1, "engine shards probe rows are routed to by content hash (1 = unsharded); results are identical at every value")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight queries")
 	)
 	flag.Parse()
@@ -98,7 +97,6 @@ func run() int {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTime,
 		Parallelism:    *par,
-		Shards:         *shards,
 	}
 
 	var srv *server.Server

@@ -2,7 +2,7 @@
 // for certsqld: N concurrent workers replay the paper's Q1–Q4 (certain
 // mode, seeded parameters) against a running server for a fixed
 // duration, then report throughput, latency percentiles and the error
-// budget. `make loadtest` drives it against `certsqld -shards N` via
+// budget. `make loadtest` drives it against a fresh certsqld via
 // scripts/loadtest.sh and EXPERIMENTS.md records the measured tables.
 //
 // Usage:

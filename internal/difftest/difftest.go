@@ -16,9 +16,8 @@
 //     running the SQL text of Q⁺ produced by rewrite.ToSQL gives the
 //     same result as evaluating the translation directly;
 //   - executor agreement: Parallelism=1 and Parallelism=N render
-//     byte-identical results, sharded execution renders the unsharded
-//     bytes, and the hash-join / subplan-cache / short-circuit ablations
-//     give the same result sets;
+//     byte-identical results, and the hash-join / subplan-cache /
+//     short-circuit ablations give the same result sets;
 //   - reference: the executor's result for Q — and, when translatable,
 //     for Q⁺ and Q⋆ — equals the definitional evaluator's (internal/refeval)
 //     as a multiset, under SQL-3VL and naive semantics alike;
@@ -248,20 +247,6 @@ func Check(db *table.Database, text string, opts Options) *Report {
 		}
 	} else if got, want := resP.Table().String(), base.Table().String(); got != want {
 		rep.violate("planner-ablation", "cost-based and naive planner differ:\ncost-based: %s\nnaive:      %s", want, got)
-	}
-	// Shard ablation: shard routing must be invisible in the
-	// result bytes — same rows, same order, same mark minting. One
-	// shard count keeps the main oracle sensitive to shard regressions;
-	// CheckShardSeed runs the shard-count × planner × Parallelism matrix
-	// on all three routes.
-	if res, err := fdb.QueryWithOptions(text, nil, certsql.Options{Shards: 3, Parallelism: 1}); err != nil {
-		if budgetErr(err) {
-			rep.skip("shard-ablation shards-3: " + err.Error())
-		} else {
-			rep.violate("shard-ablation", "shards-3 evaluation failed: %v", err)
-		}
-	} else if got, want := res.Table().String(), base.Table().String(); got != want {
-		rep.violate("shard-ablation", "shards-3 differs from the unsharded run:\nunsharded: %s\nsharded:   %s", want, got)
 	}
 
 	// The compiled plan and, when translatable, its Q⁺ and Q⋆

@@ -58,7 +58,7 @@ func buildSideDB(t *testing.T, rng *rand.Rand, nL, nR int) *table.Database {
 // NoHashJoin nested loop, in its order, whichever input ends up
 // indexed — sizes straddle both directions, |L| = |R| and the empty
 // sides included — and spends the same Stats.CostUnits at every
-// Parallelism × Shards, with 1–3 key columns, trivial and residual
+// Parallelism, with 1–3 key columns, trivial and residual
 // verify conditions, with and without a fused build-side filter, under
 // both semantics.
 func TestBuildSideEquivalence(t *testing.T) {
@@ -104,20 +104,18 @@ func TestBuildSideEquivalence(t *testing.T) {
 			want := run(t, db, nested, eval.Options{Semantics: sem, NoHashJoin: true, Parallelism: 1}).String()
 			var cost int64
 			for _, par := range []int{1, 2, 4} {
-				for _, shards := range []int{1, 3} {
-					ev := eval.New(db, eval.Options{Semantics: sem, Hints: hints, Parallelism: par, Shards: shards})
-					got, err := ev.Eval(e)
-					if err != nil {
-						t.Fatalf("%s P=%d Shards=%d: %v", name, par, shards, err)
-					}
-					if got.String() != want {
-						t.Fatalf("%s P=%d Shards=%d differs from the nested loop:\nnested: %s\nhash:   %s", name, par, shards, want, got)
-					}
-					if par == 1 && shards == 1 {
-						cost = ev.Stats().CostUnits
-					} else if c := ev.Stats().CostUnits; c != cost {
-						t.Fatalf("%s P=%d Shards=%d: %d cost units, %d at P=1 Shards=1", name, par, shards, c, cost)
-					}
+				ev := eval.New(db, eval.Options{Semantics: sem, Hints: hints, Parallelism: par})
+				got, err := ev.Eval(e)
+				if err != nil {
+					t.Fatalf("%s P=%d: %v", name, par, err)
+				}
+				if got.String() != want {
+					t.Fatalf("%s P=%d differs from the nested loop:\nnested: %s\nhash:   %s", name, par, want, got)
+				}
+				if par == 1 {
+					cost = ev.Stats().CostUnits
+				} else if c := ev.Stats().CostUnits; c != cost {
+					t.Fatalf("%s P=%d: %d cost units, %d at P=1", name, par, c, cost)
 				}
 			}
 		}

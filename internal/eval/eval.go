@@ -75,16 +75,9 @@ type Options struct {
 	// table and the Stats counters are identical to a sequential run.
 	Parallelism int
 
-	// Shards is the number of in-process engine shards the probe rows
-	// of the keep loops are routed to: 0 or 1 runs unsharded. Rows are
-	// assigned to shards by content hash (internal/shard) and the
-	// worker pool visits them grouped by owning shard instead of by
-	// position (keepRows); verdicts land in per-row slots, so results
-	// are byte-identical to Shards: 1 at any setting — difftest's
-	// shard-ablation invariant pins this. Shards decides the visiting
-	// order of probe rows and nothing else: every operator builds the
-	// same structures and does the same work (Stats.CostUnits) at any
-	// setting. Orthogonal to Parallelism, which sizes the pool.
+	// Shards is not read by the evaluator: keep loops visit their rows
+	// in input order at every setting. It is kept only because the
+	// benchmark module (bench/) still sets it.
 	Shards int
 
 	// NoHashJoin disables hash strategies everywhere, forcing nested
@@ -130,8 +123,8 @@ type Stats struct {
 	ShortCircuits int
 	// CacheHits counts subplan results served from the view cache.
 	CacheHits int
-	// ShardScatters counts keep loops whose probe rows were routed to
-	// engine shards (Options.Shards > 1).
+	// ShardScatters is always 0: nothing routes probe rows any more. It
+	// is kept only because the benchmark module (bench/) still reads it.
 	ShardScatters int
 	// PlanCacheHits counts prepared executions served from the plan
 	// cache (parse, compile and translate all skipped);

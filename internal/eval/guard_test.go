@@ -57,12 +57,11 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// failureShards are the Shards settings the failure-semantics tests
+// failureParallelism are the worker counts the failure-semantics tests
 // below run at: the pool is the only fan-out, so a fault, panic,
 // cancellation or budget trip must end the same way — one typed error,
-// no table, consistent Stats — whether workers visit rows by position
-// or grouped by owning shard.
-var failureShards = []int{0, 3}
+// no table, consistent Stats — however many workers share the rows.
+var failureParallelism = []int{2, 4}
 
 // TestCancelMidParallelScan cancels the evaluation from inside a
 // semijoin probe partition (a seeded mid-flight point) and asserts the
@@ -75,7 +74,7 @@ func TestCancelMidParallelScan(t *testing.T) {
 	if ferr != nil {
 		t.Fatalf("clean run: %v", ferr)
 	}
-	for _, shards := range failureShards {
+	for _, par := range failureParallelism {
 		baseGoroutines := runtime.NumGoroutine()
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -84,40 +83,38 @@ func TestCancelMidParallelScan(t *testing.T) {
 		gov := guard.New(ctx, guard.Limits{})
 		gov.SetFaultHook(inj)
 
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards, Governor: gov})
+		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par, Governor: gov})
 		out, err := ev.Eval(nestedLoopAnti)
 		cancel()
 		if !errors.Is(err, guard.ErrCanceled) || out != nil {
-			t.Fatalf("Shards=%d mid-flight cancellation: got (%v, %v), want no table and guard.ErrCanceled", shards, out, err)
+			t.Fatalf("P=%d mid-flight cancellation: got (%v, %v), want no table and guard.ErrCanceled", par, out, err)
 		}
 		var le *guard.LimitError
 		if !errors.As(err, &le) || le.Op == "" {
-			t.Fatalf("Shards=%d: cancellation should carry the operator path: %v", shards, err)
+			t.Fatalf("P=%d: cancellation should carry the operator path: %v", par, err)
 		}
 		if inj.Fired() == 0 {
-			t.Fatalf("Shards=%d: cancel fault never fired", shards)
+			t.Fatalf("P=%d: cancel fault never fired", par)
 		}
 		settleGoroutines(t, baseGoroutines)
 
-		// Canceled-run Stats are consistent: merged shards never exceed a
+		// Canceled-run Stats are consistent: merged chunks never exceed a
 		// full sequential run of the same operator tree.
 		if got := ev.Stats().CostUnits; got > full.Stats().CostUnits {
-			t.Fatalf("Shards=%d: canceled run counted %d cost units, more than full run's %d", shards, got, full.Stats().CostUnits)
+			t.Fatalf("P=%d: canceled run counted %d cost units, more than full run's %d", par, got, full.Stats().CostUnits)
 		}
 
 		// The same database answers correctly on retry at full parallelism.
-		retry := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards})
+		retry := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par})
 		got, rerr := retry.Eval(nestedLoopAnti)
 		if rerr != nil {
-			t.Fatalf("Shards=%d retry: %v", shards, rerr)
+			t.Fatalf("P=%d retry: %v", par, rerr)
 		}
 		if got.String() != want.String() {
-			t.Fatalf("Shards=%d: retry after cancellation differs from sequential run", shards)
+			t.Fatalf("P=%d: retry after cancellation differs from sequential run", par)
 		}
-		retryStats := retry.Stats()
-		retryStats.ShardScatters = 0 // the one counter that says rows were routed
-		if retryStats != full.Stats() {
-			t.Fatalf("Shards=%d: retry Stats %+v differ from sequential %+v", shards, retry.Stats(), full.Stats())
+		if retry.Stats() != full.Stats() {
+			t.Fatalf("P=%d: retry Stats %+v differ from sequential %+v", par, retry.Stats(), full.Stats())
 		}
 	}
 }
@@ -134,19 +131,19 @@ func TestCostBudgetTripsMidProbe(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 	budget := full.Stats().CostUnits - 2000 // the 3000 probes cost a unit each
-	for _, shards := range failureShards {
+	for _, par := range failureParallelism {
 		baseGoroutines := runtime.NumGoroutine()
 		gov := guard.Background(guard.Limits{MaxCostUnits: budget})
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards, Governor: gov})
+		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par, Governor: gov})
 		out, err := ev.Eval(nestedLoopAnti)
 		if !errors.Is(err, guard.ErrCostBudget) || out != nil {
-			t.Fatalf("Shards=%d: got (%v, %v), want no table and guard.ErrCostBudget", shards, out, err)
+			t.Fatalf("P=%d: got (%v, %v), want no table and guard.ErrCostBudget", par, out, err)
 		}
 		settleGoroutines(t, baseGoroutines)
 		spent, counted := gov.CostSpent(), ev.Stats().CostUnits
 		if spent <= budget || counted < spent || counted >= full.Stats().CostUnits {
-			t.Fatalf("Shards=%d: governor charged %d, Stats counted %d; want budget %d < charged <= counted < full run's %d",
-				shards, spent, counted, budget, full.Stats().CostUnits)
+			t.Fatalf("P=%d: governor charged %d, Stats counted %d; want budget %d < charged <= counted < full run's %d",
+				par, spent, counted, budget, full.Stats().CostUnits)
 		}
 	}
 }
@@ -184,30 +181,30 @@ func TestDeadlineExpiry(t *testing.T) {
 // silent reuse — while the database itself stays usable.
 func TestWorkerPanicContained(t *testing.T) {
 	db := bigNestedLoopDB(t, 3000)
-	for _, shards := range failureShards {
+	for _, par := range failureParallelism {
 		baseGoroutines := runtime.NumGoroutine()
 
 		inj := faultinject.New(faultinject.Fault{Site: guard.SiteWorkerSpawn, Kind: faultinject.KindPanic, HitNumber: 2})
 		gov := guard.Background(guard.Limits{})
 		gov.SetFaultHook(inj)
-		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards, Governor: gov})
+		ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par, Governor: gov})
 		out, err := ev.Eval(nestedLoopAnti)
 		var ie *guard.InternalError
 		if !errors.As(err, &ie) || out != nil {
-			t.Fatalf("Shards=%d injected worker panic: got (%v, %v), want no table and *guard.InternalError", shards, out, err)
+			t.Fatalf("P=%d injected worker panic: got (%v, %v), want no table and *guard.InternalError", par, out, err)
 		}
 		if len(ie.Stack) == 0 || ie.Op == "" {
-			t.Fatalf("Shards=%d: InternalError should carry op and stack: %+v", shards, ie)
+			t.Fatalf("P=%d: InternalError should carry op and stack: %+v", par, ie)
 		}
 		settleGoroutines(t, baseGoroutines)
 
 		if _, err := ev.Eval(nestedLoopAnti); !errors.Is(err, eval.ErrPoisoned) {
-			t.Fatalf("Shards=%d: poisoned evaluator must refuse reuse: %v", shards, err)
+			t.Fatalf("P=%d: poisoned evaluator must refuse reuse: %v", par, err)
 		}
 
 		// A fresh evaluator over the same database still answers.
-		if _, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 4, Shards: shards}).Eval(nestedLoopAnti); err != nil {
-			t.Fatalf("Shards=%d: fresh evaluator after contained panic: %v", shards, err)
+		if _, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par}).Eval(nestedLoopAnti); err != nil {
+			t.Fatalf("P=%d: fresh evaluator after contained panic: %v", par, err)
 		}
 	}
 }
@@ -250,21 +247,21 @@ func TestInjectedErrorFaults(t *testing.T) {
 	if _, err := full.Eval(semi); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	for _, shards := range failureShards {
+	for _, par := range failureParallelism {
 		for _, site := range []guard.Site{guard.SiteScan, guard.SiteHashBuild, guard.SiteSemijoinProbe, guard.SiteWorkerSpawn, guard.SiteViewMaterialize} {
 			inj := faultinject.New(faultinject.Fault{Site: site, Kind: faultinject.KindError, HitNumber: 1})
 			gov := guard.Background(guard.Limits{})
 			gov.SetFaultHook(inj)
-			ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 2, Shards: shards, Governor: gov})
+			ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par, Governor: gov})
 			out, err := ev.Eval(semi)
 			if !errors.Is(err, faultinject.ErrInjected) || out != nil {
-				t.Errorf("Shards=%d site %s: got (%v, %v), want no table and ErrInjected", shards, site, out, err)
+				t.Errorf("P=%d site %s: got (%v, %v), want no table and ErrInjected", par, site, out, err)
 			}
 			if inj.Fired() != 1 {
-				t.Errorf("Shards=%d site %s: fired %d faults, want 1", shards, site, inj.Fired())
+				t.Errorf("P=%d site %s: fired %d faults, want 1", par, site, inj.Fired())
 			}
 			if got := ev.Stats().CostUnits; got > full.Stats().CostUnits {
-				t.Errorf("Shards=%d site %s: failed run counted %d cost units, more than the clean run's %d", shards, site, got, full.Stats().CostUnits)
+				t.Errorf("P=%d site %s: failed run counted %d cost units, more than the clean run's %d", par, site, got, full.Stats().CostUnits)
 			}
 		}
 	}

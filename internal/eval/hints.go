@@ -29,11 +29,8 @@ type PlanHints struct {
 	// Semi maps SemiJoin node keys to their hints.
 	Semi map[string]SemiHint
 
-	// Shard maps UnifySemi node keys to the shard planner's decisions.
-	// The executor no longer reads it: every unification operator runs
-	// on the same wild-bucket index at any shard count (unify.go). The
-	// field stays so plans that carry the planner's output keep
-	// compiling.
+	// Shard is not read by the evaluator. It is kept only because the
+	// benchmark module (bench/) still sets it; see ShardHint.
 	Shard map[string]ShardHint
 }
 
@@ -69,11 +66,7 @@ func (ev *Evaluator) semiHint(key func() string) SemiHint {
 	return ev.opts.Hints.Semi[key()]
 }
 
-// ShardHint is the shard planner's decision for one unification
-// (anti-)semijoin operator; see plan.ShardPlan. It is advisory output:
-// the executor ignores it.
-type ShardHint struct {
-	// CoPartition records that the planner found the build side
-	// null-free with at least as many distinct rows as shards.
-	CoPartition bool
-}
+// ShardHint is not read by anything. It is kept only because the
+// benchmark module (bench/) still names it, through PlanHints.Shard and
+// plan.ShardResult.
+type ShardHint struct{}

@@ -627,8 +627,7 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 // probeSemi probes lRows against the plan and returns the qualifying
 // rows in input order. The probe rows are independent, so the scan fans
 // out across workers (keepRows) — the single largest lever on the
-// Figure 4 / Q⁺4 cost — with deterministic results at any Parallelism
-// and Shards.
+// Figure 4 / Q⁺4 cost — with deterministic results at any Parallelism.
 func (ev *Evaluator) probeSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
 	return ev.keepRows("semijoin/probe", lRows, guard.SiteSemijoinProbe, func(c *chunk, lr table.Row) (bool, error) {
 		match, err := ev.semiMatch(p, c, lr)

@@ -1,19 +1,19 @@
 package eval
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
-	"certsql/internal/shard"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
 
 // keepRowSet draws n rows of one arity from a small value pool, so
 // duplicates are common, with marked nulls from a pool of four marks
-// and ints and floats that are equal across kinds — rows the router
-// must send to the same shard — and then repeats some rows outright:
-// equal content at different positions, which only order can tell apart.
+// and ints and floats that are equal across kinds, and then repeats
+// some rows outright: equal content at different positions, which only
+// order can tell apart.
 func keepRowSet(rng *rand.Rand, n int) []table.Row {
 	arity := 1 + rng.Intn(3)
 	rows := make([]table.Row, n)
@@ -44,7 +44,9 @@ func keepPred(rng *rand.Rand) func(lr table.Row) (keep bool, cost int64) {
 	mod, salt := uint64(2+rng.Intn(4)), uint64(rng.Intn(7))
 	nullsPass := rng.Intn(2) == 0
 	return func(lr table.Row) (bool, int64) {
-		h := shard.HashRow(lr) + salt
+		f := fnv.New64a()
+		f.Write([]byte(value.RowKey(lr)))
+		h := f.Sum64() + salt
 		if lr[0].IsNull() {
 			return nullsPass, 1
 		}
@@ -53,11 +55,11 @@ func keepPred(rng *rand.Rand) func(lr table.Row) (keep bool, cost int64) {
 }
 
 // TestKeepRowsMatchesSequentialKeep is the property the one fan-out
-// rests on: whatever order Shards makes the pool's workers visit the
-// rows in, and however many workers share it, keepRows returns exactly
-// the rows a sequential loop keeps, the same row values in input order
-// (compared by identity, so duplicates cannot trade places), and the
-// cost units the predicate counted sum to the sequential total.
+// rests on: however many workers share the rows, keepRows returns
+// exactly the rows a sequential loop keeps, the same row values in
+// input order (compared by identity, so duplicates cannot trade
+// places), and the cost units the predicate counted sum to the
+// sequential total.
 func TestKeepRowsMatchesSequentialKeep(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 60; trial++ {
@@ -74,34 +76,29 @@ func TestKeepRowsMatchesSequentialKeep(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		for _, shards := range []int{1, 2, 3, 8} {
-			for _, par := range []int{1, 2, 4} {
-				ev := New(nil, Options{Shards: shards, Parallelism: par})
-				got, err := ev.keepRows("keep", rows, "", func(c *chunk, lr table.Row) (bool, error) {
-					ok, cost := pred(lr)
-					c.st.costUnits += cost
-					return ok, nil
-				})
-				if err != nil {
-					t.Fatalf("trial %d Shards=%d P=%d: %v", trial, shards, par, err)
+		for _, par := range []int{1, 2, 3, 4, 8} {
+			ev := New(nil, Options{Parallelism: par})
+			got, err := ev.keepRows("keep", rows, "", func(c *chunk, lr table.Row) (bool, error) {
+				ok, cost := pred(lr)
+				c.st.costUnits += cost
+				return ok, nil
+			})
+			if err != nil {
+				t.Fatalf("trial %d P=%d: %v", trial, par, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d P=%d: kept %d of %d rows, sequential keeps %d", trial, par, len(got), len(rows), len(want))
+			}
+			for i := range got {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("trial %d P=%d: output row %d is %v, sequential keeps %v there", trial, par, i, got[i], want[i])
 				}
-				if len(got) != len(want) {
-					t.Fatalf("trial %d Shards=%d P=%d: kept %d of %d rows, sequential keeps %d", trial, shards, par, len(got), len(rows), len(want))
-				}
-				for i := range got {
-					if &got[i][0] != &want[i][0] {
-						t.Fatalf("trial %d Shards=%d P=%d: output row %d is %v, sequential keeps %v there", trial, shards, par, i, got[i], want[i])
-					}
-				}
-				if got := ev.stats.CostUnits; got != wantCost {
-					t.Fatalf("trial %d Shards=%d P=%d: %d cost units, sequential %d", trial, shards, par, got, wantCost)
-				}
-				if got, want := ev.gov.CostSpent(), wantCost; got != want {
-					t.Fatalf("trial %d Shards=%d P=%d: governor charged %d cost units, sequential %d", trial, shards, par, got, want)
-				}
-				if routed := ev.stats.ShardScatters; (routed == 1) != (shards > 1) {
-					t.Fatalf("trial %d Shards=%d P=%d: ShardScatters = %d", trial, shards, par, routed)
-				}
+			}
+			if got := ev.stats.CostUnits; got != wantCost {
+				t.Fatalf("trial %d P=%d: %d cost units, sequential %d", trial, par, got, wantCost)
+			}
+			if got, want := ev.gov.CostSpent(), wantCost; got != want {
+				t.Fatalf("trial %d P=%d: governor charged %d cost units, sequential %d", trial, par, got, want)
 			}
 		}
 	}

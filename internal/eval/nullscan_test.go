@@ -18,7 +18,7 @@ import (
 // read from the table's null lists when its condition requires a null;
 // the same selection over Project(identity, Base) is not, so it scans.
 // On random tables with marked nulls, both must return the same rows in
-// the same order, under both semantics, at any Parallelism and Shards,
+// the same order, under both semantics, at any Parallelism,
 // and the served selection must spend exactly 2·(|R| − candidates)
 // fewer cost units (beyond the projection's own |R|): its scan and its
 // filter each read only the candidates — the rows with a null in one
@@ -99,26 +99,24 @@ func TestNullScanMatchesFullScan(t *testing.T) {
 			full := algebra.Select{Child: algebra.Project{Child: base, Cols: []int{0, 1, 2}}, Cond: tc.cond}
 			for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
 				for _, par := range []int{1, 4} {
-					for _, shards := range []int{1, 3} {
-						name := fmt.Sprintf("trial %d %s sem=%v P=%d Shards=%d", trial, tc.name, sem, par, shards)
-						opts := eval.Options{Semantics: sem, Parallelism: par, Shards: shards}
-						evS, evF := eval.New(db, opts), eval.New(db, opts)
-						got, err := evS.Eval(served)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						want, err := evF.Eval(full)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if got.String() != want.String() {
-							t.Fatalf("%s: null-list read returned\n%s\nthe full scan\n%s", name, got, want)
-						}
-						saved := evF.Stats().CostUnits - int64(len(rows)) - evS.Stats().CostUnits
-						if want := 2 * int64(len(rows)-candidates); saved != want {
-							t.Errorf("%s: read %d cost units fewer than the full scan, want 2·(%d − %d) = %d",
-								name, saved, len(rows), candidates, want)
-						}
+					name := fmt.Sprintf("trial %d %s sem=%v P=%d", trial, tc.name, sem, par)
+					opts := eval.Options{Semantics: sem, Parallelism: par}
+					evS, evF := eval.New(db, opts), eval.New(db, opts)
+					got, err := evS.Eval(served)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, err := evF.Eval(full)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got.String() != want.String() {
+						t.Fatalf("%s: null-list read returned\n%s\nthe full scan\n%s", name, got, want)
+					}
+					saved := evF.Stats().CostUnits - int64(len(rows)) - evS.Stats().CostUnits
+					if want := 2 * int64(len(rows)-candidates); saved != want {
+						t.Errorf("%s: read %d cost units fewer than the full scan, want 2·(%d − %d) = %d",
+							name, saved, len(rows), candidates, want)
 					}
 				}
 			}

@@ -8,7 +8,6 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
-	"certsql/internal/shard"
 	"certsql/internal/table"
 )
 
@@ -24,12 +23,12 @@ import (
 // per-partition outputs are concatenated in partition order; a keep
 // loop (keepRows) writes one verdict into each row's own slot. Either
 // way the result table (and the summed Stats counters) are
-// byte-identical to a sequential run at any Parallelism and Shards.
+// byte-identical to a sequential run at any Parallelism.
 //
 // Workers never touch the evaluator's mutable state: they may only call
 // evalCond (after resolveScalars has substituted scalar subqueries on the
-// coordinating goroutine), accumulate counters in their chunkStats
-// shard, and append to their own output buffer. Trace notes are emitted
+// coordinating goroutine), accumulate counters in their own
+// chunkStats, and append to their own output buffer. Trace notes are emitted
 // by the coordinator only.
 
 // minParallelRows is the smallest probe side worth fanning out; below
@@ -50,9 +49,9 @@ func (o Options) workers() int {
 	}
 }
 
-// chunkStats is the per-partition shard of the Stats counters touched
-// inside probe loops; shards are merged into ev.stats when the operator
-// finishes.
+// chunkStats is one partition's share of the Stats counters touched
+// inside probe loops; the shares are merged into ev.stats when the
+// operator finishes.
 type chunkStats struct {
 	costUnits int64
 }
@@ -129,7 +128,7 @@ func (c *chunk) fault(site guard.Site) error { return c.gov.Fault(site) }
 // as failing with that error. Worker panics are recovered into
 // *guard.InternalError values carrying the operator path and stack —
 // a panicking worker must never kill the process or wedge wg.Wait.
-// All shards — including those of halted partitions — are merged into
+// All shares — including those of halted partitions — are merged into
 // ev.stats with atomic adds, so counters are consistent even when the
 // operator fails mid-flight.
 func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) error {
@@ -159,7 +158,7 @@ func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) erro
 	}
 
 	errs := make([]error, workers)
-	shards := make([]chunkStats, workers)
+	shares := make([]chunkStats, workers)
 	var wg sync.WaitGroup
 	lo := 0
 	for part := 0; part < workers; part++ {
@@ -176,7 +175,7 @@ func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) erro
 					errs[c.part] = guard.NewInternalError(fmt.Sprintf("%s/worker[%d]", op, c.part), v)
 					halt.Store(true)
 				}
-				// Atomic merge: shards may finish while others still
+				// Atomic merge: workers may finish while others still
 				// run, and Stats must never be torn even mid-operator.
 				atomic.AddInt64(&ev.stats.CostUnits, c.st.costUnits)
 			}()
@@ -196,7 +195,7 @@ func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) erro
 				errs[c.part] = err
 				halt.Store(true)
 			}
-		}(&chunk{part: part, lo: lo, hi: hi, st: &shards[part], halt: &halt, gov: ev.gov, op: op})
+		}(&chunk{part: part, lo: lo, hi: hi, st: &shares[part], halt: &halt, gov: ev.gov, op: op})
 		lo = hi
 	}
 	wg.Wait()
@@ -269,34 +268,14 @@ func (ev *Evaluator) resolveScalars(c algebra.Cond) (algebra.Cond, error) {
 	return out, nil
 }
 
-// shardCount resolves Options.Shards: values below 2 run unsharded.
-func (o Options) shardCount() int {
-	if o.Shards < 2 {
-		return 1
-	}
-	return o.Shards
-}
-
 // keepRows returns the rows for which pred holds, in input order — the
-// one fan-out under every probe-side keep loop, at every Shards and
-// Parallelism. Options.Shards only chooses the visiting order handed to
-// the pool (DESIGN.md §16): unsharded, worker w visits the w-th
-// contiguous range of rows; with k shards, the w-th range of the rows
-// grouped by owning shard (shard.Partition). Every row is visited
-// exactly once either way and its verdict lands in its own slot of
-// keep, so the result and the summed cost units cannot depend on the
-// order. pred must obey the worker contract above and counts its own
-// cost units on c. site, when non-empty, fires in each worker as it
-// starts.
+// one fan-out under every probe-side keep loop, at every Parallelism.
+// Worker w visits the w-th contiguous range of rows; each verdict lands
+// in its row's own slot of keep, so the result and the summed cost
+// units cannot depend on the worker count. pred must obey the worker
+// contract above and counts its own cost units on c. site, when
+// non-empty, fires in each worker as it starts.
 func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([]table.Row, error) {
-	var order []int // nil visits rows in input order
-	if k := ev.opts.shardCount(); k > 1 {
-		ev.stats.ShardScatters++
-		order = make([]int, 0, len(rows))
-		for _, part := range shard.Partition(rows, k) {
-			order = append(order, part...)
-		}
-	}
 	keep := make([]bool, len(rows))
 	err := ev.runChunks(len(rows), op, func(c *chunk) error {
 		if site != "" {
@@ -304,13 +283,9 @@ func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred
 				return err
 			}
 		}
-		for j := c.lo; j < c.hi; j++ {
+		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
-			}
-			i := j
-			if order != nil {
-				i = order[j]
 			}
 			ok, err := pred(c, rows[i])
 			if err != nil {

@@ -28,9 +28,9 @@ import (
 // replaces. The same index
 // serves the join block's Cartesian step (unifyProduct), the
 // (anti-)semijoin's nested-loop arm (prepSemi) and R ⋉⇑ S
-// (evalUnifySemi), at every Shards and Parallelism setting — those
-// options route probe rows and nothing else, so Stats.CostUnits of a
-// unification operator does not depend on them. Options.NoHashJoin
+// (evalUnifySemi), at every Parallelism setting — the worker count
+// splits probe rows and nothing else, so Stats.CostUnits of a
+// unification operator does not depend on it. Options.NoHashJoin
 // disables the index along with every other hash strategy: NoOrSplit +
 // NoHashJoin is the paper's confused optimizer.
 

@@ -1,12 +1,14 @@
 package eval_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/guard"
 	"certsql/internal/qgen"
 	"certsql/internal/refeval"
 	"certsql/internal/schema"
@@ -102,10 +104,8 @@ func (e unifyEdge) cond(rng *rand.Rand, nL int) algebra.Cond {
 }
 
 func TestUnifyOperatorMatchesDefinition(t *testing.T) {
-	// Both visiting orders of the pool: by position and by owning shard.
-	// (Instances this small fit one chunk; TestShardsRouteOnly covers
-	// Parallelism 4.)
-	routes := []eval.Options{{Parallelism: 1}, {Parallelism: 1, Shards: 3}}
+	// Instances this small fit one chunk, so one worker sees every
+	// route; TestRawMatchesOrSplit covers Parallelism 4.
 	var edges, unifies, wild, empty int
 	for _, rate := range []float64{0, 0.02, 0.10, 0.50, 1} {
 		for seed := int64(0); seed < 12; seed++ {
@@ -121,7 +121,7 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 				empty++
 			}
 			for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
-				// check runs e on every route: the rows must be the
+				// check runs e: the rows must be the
 				// definition's, and their order that of nested, the same
 				// plan with its loops in the order the operator visits
 				// them, run as NoHashJoin's nested loop.
@@ -135,23 +135,20 @@ func TestUnifyOperatorMatchesDefinition(t *testing.T) {
 					if err != nil {
 						t.Fatalf("rate %g seed %d %v %s: nested loop: %v", rate, seed, sem, what, err)
 					}
-					for _, o := range routes {
-						o.Semantics = sem
-						ev := eval.New(db, o)
-						got, err := ev.Eval(e)
-						if err != nil {
-							t.Fatalf("rate %g seed %d %v %s: %v", rate, seed, sem, what, err)
-						}
-						if !refeval.SameMultiset(got.Rows(), want) {
-							t.Fatalf("rate %g seed %d %v %s %+v differs from the definition:\n got %s\nwant %s",
-								rate, seed, sem, what, o, got.SortedStrings(), table.FromRows(e.Arity(), want).SortedStrings())
-						}
-						if g, w := got.String(), loop.String(); g != w {
-							t.Fatalf("rate %g seed %d %v %s %+v: order differs from the nested loop:\n got %s\nwant %s", rate, seed, sem, what, o, g, w)
-						}
-						if ev.Stats().UnifyJoins == 0 {
-							t.Fatalf("rate %g seed %d %v %s: operator not exercised: %+v", rate, seed, sem, what, ev.Stats())
-						}
+					ev := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1})
+					got, err := ev.Eval(e)
+					if err != nil {
+						t.Fatalf("rate %g seed %d %v %s: %v", rate, seed, sem, what, err)
+					}
+					if !refeval.SameMultiset(got.Rows(), want) {
+						t.Fatalf("rate %g seed %d %v %s differs from the definition:\n got %s\nwant %s",
+							rate, seed, sem, what, got.SortedStrings(), table.FromRows(e.Arity(), want).SortedStrings())
+					}
+					if g, w := got.String(), loop.String(); g != w {
+						t.Fatalf("rate %g seed %d %v %s: order differs from the nested loop:\n got %s\nwant %s", rate, seed, sem, what, g, w)
+					}
+					if ev.Stats().UnifyJoins == 0 {
+						t.Fatalf("rate %g seed %d %v %s: operator not exercised: %+v", rate, seed, sem, what, ev.Stats())
 					}
 				}
 				// Unification edges on every column pair and null-test subset.
@@ -251,5 +248,123 @@ func TestUnifyOperatorOffUnderNoHashJoin(t *testing.T) {
 	}
 	if st := on.Stats(); st.UnifyJoins != 1 || st.NestedLoopJoins != 0 {
 		t.Fatalf("default should take the index: %+v", st)
+	}
+}
+
+// nullProbeDB builds a database whose s build relation is null-free
+// and whose r probe side mixes null-free and null-containing rows,
+// exercising both the bucket probe and the null-probe full scan. The
+// probe side spans four chunks, so Parallelism 4 runs four workers.
+func nullProbeDB(t *testing.T, buildRows int) *table.Database {
+	t.Helper()
+	db := newDB(t)
+	for i := 0; i < buildRows; i++ {
+		ins(t, db, "s", table.Row{value.Int(int64(i)), value.Int(int64(i % 7))})
+	}
+	for i := 0; i < 4*256; i++ {
+		ins(t, db, "r", table.Row{value.Int(int64(i * 2 % buildRows)), value.Int(int64(i % 7))})
+	}
+	for i := 0; i < 5; i++ {
+		ins(t, db, "r", table.Row{db.FreshNull(), value.Int(int64(i))})
+	}
+	return db
+}
+
+// TestUnifySemiSameWorkAtEveryParallelism asserts that the unification
+// semijoin is one operator at every setting: byte-identical rows and
+// identical Stats.CostUnits across Parallelism, for the semi and anti
+// variants alike, and the same rows as the NoHashJoin nested loop.
+func TestUnifySemiSameWorkAtEveryParallelism(t *testing.T) {
+	db := nullProbeDB(t, 60)
+	for _, anti := range []bool{false, true} {
+		e := algebra.UnifySemi{L: baseR, R: baseS, Anti: anti}
+		ref := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
+		want, err := ref.Eval(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Stats().UnifyJoins != 1 || ref.Stats().NestedLoopJoins != 0 {
+			t.Errorf("anti=%v strategy counters: %+v", anti, ref.Stats())
+		}
+		nested := run(t, db, e, eval.Options{Semantics: value.SQL3VL, NoHashJoin: true})
+		if nested.String() != want.String() {
+			t.Errorf("anti=%v index differs from the nested loop:\nnested:  %s\nindexed: %s", anti, nested, want)
+		}
+		for _, par := range []int{2, 4, 8} {
+			ev := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: par})
+			got, err := ev.Eval(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("anti=%v P=%d differs from P=1:\nP=1: %s\nP=%d: %s", anti, par, want, par, got)
+			}
+			if got, want := ev.Stats().CostUnits, ref.Stats().CostUnits; got != want {
+				t.Errorf("anti=%v P=%d: %d cost units, P=1 %d", anti, par, got, want)
+			}
+		}
+	}
+}
+
+// TestUnifyIndexMemChargedOnce is the regression test for the
+// build-side memory double-charge: the index is charged exactly once,
+// by the coordinator, and borrowed — never re-charged — by the probe
+// workers, so the memory high-water mark must not depend on the worker
+// count.
+func TestUnifyIndexMemChargedOnce(t *testing.T) {
+	db := nullProbeDB(t, 2000)
+	e := algebra.UnifySemi{L: baseR, R: baseS}
+	water := func(o eval.Options) int64 {
+		t.Helper()
+		o.Semantics = value.SQL3VL
+		ev := eval.New(db, o)
+		if _, err := ev.Eval(e); err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		return ev.Stats().MemHighWaterBytes
+	}
+	w1, w4 := water(eval.Options{Parallelism: 1}), water(eval.Options{Parallelism: 4})
+	if w1 != w4 {
+		t.Fatalf("MemHighWater depends on the worker count (index charged per worker?): %d / %d bytes", w1, w4)
+	}
+	// And the charge exists at all: above the index-free nested loop's.
+	if bare := water(eval.Options{NoHashJoin: true}); w1 <= bare {
+		t.Fatalf("index is not charged: high water %d <= nested loop's %d", w1, bare)
+	}
+}
+
+// TestSemiWildIndexMemCharged is the regression test for the one
+// wild-hash index site that never charged memory: the wild-hash index a raw
+// (NoOrSplit) antijoin builds on its unification edge. Every probe row
+// finds its key, so the antijoin's answer is empty and the index is the
+// operator's only charge: a budget one byte below the index estimate
+// must trip ErrMemBudget, the estimate itself must fit, and once the
+// iterator is closed nothing may stay charged.
+func TestSemiWildIndexMemCharged(t *testing.T) {
+	db := nullProbeDB(t, 200)
+	b := algebra.Col{Idx: 2}
+	e := algebra.SemiJoin{L: algebra.Select{Child: baseR, Cond: algebra.NullTest{Operand: algebra.Col{Idx: 0}, Negated: true}},
+		R: baseS, Anti: true, Cond: algebra.Or{Conds: []algebra.Cond{
+			algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: b}, algebra.NullTest{Operand: b}}}}
+	s, err := db.Table("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := table.BuildIndex(s.Rows(), []int{0}, table.NullsWild, s.Len(), nil).EstimatedBytes()
+	gov := guard.Background(guard.Limits{MaxMemBytes: est - 1})
+	if _, err := eval.New(db, eval.Options{Governor: gov}).Eval(e); !errors.Is(err, guard.ErrMemBudget) {
+		t.Fatalf("budget %d B below the %d B index: err = %v, want ErrMemBudget", est-1, est, err)
+	}
+	gov = guard.Background(guard.Limits{MaxMemBytes: est})
+	ev := eval.New(db, eval.Options{Governor: gov})
+	got, err := ev.Eval(e)
+	if err != nil || got.Len() != 0 || ev.Stats().UnifyJoins != 1 {
+		t.Fatalf("budget = index estimate: %d rows, err %v, stats %+v", got.Len(), err, ev.Stats())
+	}
+	if hw := gov.MemHighWater(); hw != est {
+		t.Errorf("high water %d B, want the index's %d B", hw, est)
+	}
+	if live := gov.MemCharged(); live != 0 {
+		t.Errorf("%d B still charged after the iterator closed", live)
 	}
 }

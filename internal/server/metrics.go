@@ -86,18 +86,8 @@ type gauges struct {
 	planEntries  int
 	catalogVers  map[string]uint64 // session name -> version
 	tableStats   []tableStatsGauge
-	shards       int
-	shardRows    []shardRowsGauge
 	shuttingDown bool
 	recovering   bool
-}
-
-// shardRowsGauge is one relation's row count on one engine shard under
-// hash partitioning, from the owning session's partitioned store.
-type shardRowsGauge struct {
-	session, table string
-	part           int
-	rows           int64
 }
 
 // tableStatsGauge is one relation's row and marked-null counts from the
@@ -129,9 +119,6 @@ func (m *metrics) render(g gauges) string {
 		lines = append(lines, fmt.Sprintf("certsqld_stats_rows{session=%q,table=%q} %d", ts.session, ts.table, ts.rows))
 		lines = append(lines, fmt.Sprintf("certsqld_stats_nulls{session=%q,table=%q} %d", ts.session, ts.table, ts.nulls))
 	}
-	for _, sr := range g.shardRows {
-		lines = append(lines, fmt.Sprintf("certsqld_shard_partition_rows{session=%q,table=%q,shard=\"%d\"} %d", sr.session, sr.table, sr.part, sr.rows))
-	}
 	sort.Strings(lines)
 	for _, l := range lines {
 		b.WriteString(l)
@@ -157,7 +144,6 @@ func (m *metrics) render(g gauges) string {
 	}
 	fmt.Fprintf(&b, "certsqld_recovering %d\n", recovering)
 	fmt.Fprintf(&b, "certsqld_sessions %d\n", g.sessions)
-	fmt.Fprintf(&b, "certsqld_shards %d\n", g.shards)
 	shutdown := 0
 	if g.shuttingDown {
 		shutdown = 1

@@ -66,23 +66,6 @@ type Config struct {
 	// GOMAXPROCS). Concurrency across queries comes from MaxConcurrent,
 	// so serving deployments usually set this low.
 	Parallelism int
-
-	// Shards is the engine shard count every query runs with (0 or 1 =
-	// unsharded): the executor's workers visit probe rows grouped by
-	// owning shard instead of by position. The worker count is
-	// Parallelism at any Shards, so admission does not look at it.
-	// Session catalogs are wrapped in shard.PartitionedStore so /metrics
-	// reports per-shard partition row counts. Results are byte-identical
-	// at every value.
-	Shards int
-}
-
-// shards pins the configured shard count to at least 1.
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
 }
 
 func (c Config) maxConcurrent() int {
@@ -125,7 +108,7 @@ func New(cfg Config) *Server {
 		panic("server: Config.Seed is required")
 	}
 	s := newServer(cfg)
-	s.sess.Store(newSessions(cfg.Seed, cfg.Durable, cfg.shards()))
+	s.sess.Store(newSessions(cfg.Seed, cfg.Durable))
 	return s
 }
 
@@ -148,7 +131,7 @@ func (s *Server) Activate(seed *table.Database, durable Catalog) {
 	if seed == nil {
 		panic("server: Activate requires a seed catalog")
 	}
-	if !s.sess.CompareAndSwap(nil, newSessions(seed, durable, s.cfg.shards())) {
+	if !s.sess.CompareAndSwap(nil, newSessions(seed, durable)) {
 		panic("server: Activate on a live server")
 	}
 	s.recovering.Store(false)
@@ -299,7 +282,6 @@ func (s *Server) options(ctx context.Context, o api.QueryOptions) (context.Conte
 		MaxMemBytes:  lim.MaxMemBytes,
 		Degrade:      o.Degrade,
 		Parallelism:  s.cfg.Parallelism,
-		Shards:       s.cfg.shards(),
 	}
 	return ctx, cancel, opts, nil
 }
@@ -555,7 +537,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g := gauges{
 		queueDepth:   s.adm.queueDepth(),
 		inFlight:     s.adm.inFlight(),
-		shards:       s.cfg.shards(),
 		shuttingDown: s.draining.Load(),
 	}
 	if ss := s.sessions(); ss != nil {
@@ -563,7 +544,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g.planEntries = ss.planEntries()
 		g.catalogVers = ss.snapshotVersions()
 		g.tableStats = ss.statsGauges()
-		g.shardRows = ss.partitionGauges()
 	} else {
 		g.recovering = true
 	}

@@ -6,7 +6,6 @@ import (
 
 	"certsql"
 	"certsql/internal/plancache"
-	"certsql/internal/shard"
 	"certsql/internal/stats"
 	"certsql/internal/table"
 )
@@ -90,17 +89,13 @@ type sessions struct {
 	// restarts. Named sessions stay in-memory scratch catalogs: they
 	// start from the seed and die with the process by design.
 	durable Catalog
-	// shards is the engine shard count; above 1, every session catalog
-	// is wrapped in a shard.PartitionedStore so /metrics can report how
-	// each relation's rows spread across the shards.
-	shards int
 
 	mu   sync.Mutex
 	byID map[string]*session
 }
 
-func newSessions(seed *table.Database, durable Catalog, shards int) *sessions {
-	return &sessions{seed: seed, durable: durable, shards: shards, byID: map[string]*session{}}
+func newSessions(seed *table.Database, durable Catalog) *sessions {
+	return &sessions{seed: seed, durable: durable, byID: map[string]*session{}}
 }
 
 // defaultSession is the catalog used when a request names none.
@@ -119,9 +114,6 @@ func (ss *sessions) get(name string) *session {
 		var store Catalog = table.NewStore(ss.seed)
 		if name == defaultSession && ss.durable != nil {
 			store = ss.durable
-		}
-		if ss.shards > 1 {
-			store = shard.NewPartitionedStore(store, ss.shards)
 		}
 		s = &session{
 			name:     name,
@@ -177,29 +169,6 @@ func (ss *sessions) statsGauges() []tableStatsGauge {
 				nulls += c.Nulls
 			}
 			out = append(out, tableStatsGauge{session: name, table: tbl, rows: ts.Rows, nulls: nulls})
-		}
-	}
-	return out
-}
-
-// partitionGauges reports, per session, relation and shard, how many
-// rows the shard owns under hash partitioning, for /metrics. Sessions
-// without a partitioned store (Shards <= 1) report nothing. The counts
-// are generation-cached inside the store, so steady-state scrapes cost
-// no table scans.
-func (ss *sessions) partitionGauges() []shardRowsGauge {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	var out []shardRowsGauge
-	for name, s := range ss.byID {
-		ps, ok := s.store.(*shard.PartitionedStore)
-		if !ok {
-			continue
-		}
-		for tbl, counts := range ps.PartitionCounts() {
-			for part, n := range counts {
-				out = append(out, shardRowsGauge{session: name, table: tbl, part: part, rows: n})
-			}
 		}
 	}
 	return out

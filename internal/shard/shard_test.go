@@ -30,8 +30,7 @@ func randomRow(rng *rand.Rand) table.Row {
 
 // TestHashRowIsFNVOverRowKey pins the allocation-free fold to the
 // reference definition: 64-bit FNV-1a over value.RowKey's canonical
-// bytes. Partition placement everywhere (keep-loop routing, the
-// partitioned store's /metrics counts) derives from this hash.
+// bytes. Partition placement derives from this hash.
 func TestHashRowIsFNVOverRowKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {

@@ -56,10 +56,8 @@ const keyPrime uint64 = 1099511628211
 // FoldKey folds v's canonical encoding into the running FNV-1a state h,
 // byte for byte, without materializing the encoding: folding a row's
 // values in order yields exactly FNV-1a over AppendKey's concatenated
-// bytes (a property test pins this). The shard router hashes every
-// probe row of every scattered operator, so the per-row allocation
-// RowKey pays is the difference between routing being noise and routing
-// dominating the profile.
+// bytes (a property test pins this). Its only caller is shard.HashRow,
+// which the benchmark module still times.
 func FoldKey(h uint64, v Value) uint64 {
 	switch v.kind {
 	case KindNull:

@@ -391,7 +391,7 @@ func TestKeyAgreesWithConstEqual(t *testing.T) {
 // TestFoldKeyMatchesAppendKey property-checks that folding a row's
 // values through FoldKey equals FNV-1a over the concatenated AppendKey
 // encodings — the allocation-free fold must hash exactly the canonical
-// bytes, or shard routing would disagree with key equality. The first
+// bytes, or hashed placement would disagree with key equality. The first
 // row is every numeric edge, the rest random draws.
 func TestFoldKeyMatchesAppendKey(t *testing.T) {
 	const prime = 1099511628211

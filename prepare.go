@@ -243,10 +243,6 @@ func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (re
 // variant when the planner is on and the variant's premises hold, the
 // baseline otherwise. Options.NaivePlanner is an executor-side choice
 // read only here, so it shares plan-cache entries with the default.
-// Shards needs no planning of its own — it routes probe rows, and every
-// operator builds the same structures at any shard count — so the plan
-// cache stays shard-agnostic (Shards is deliberately absent from its
-// fingerprint).
 func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
 	expr, slot := pick(pl, mode)
 	eo := opts.evalOptions(gov)
