@@ -13,11 +13,10 @@ import (
 // benchPlanDB is the instance the planner benchmarks run on: a complete
 // TPC-H generation with 5% nulls injected into orders and customer
 // only. Restricting injection mirrors the paper's per-scenario choice
-// of null attributes and is what gives the statistics something to
-// prove: lineitem, part, supplier and nation stay null-free in the
-// data, so the planner's null-test-elimination premises actually hold
-// and are re-checked against live statistics on each prepared
-// execution.
+// of null attributes: lineitem, part, supplier and nation stay
+// null-free in the data, although the schema declares their non-key
+// columns nullable, so Q⁺ keeps its null tests on them and the
+// planner, which rests on the schema alone, keeps them too.
 func benchPlanDB() (*certsql.DB, tpch.Sizes) {
 	cfg := tpch.Config{ScaleFactor: 0.004, Seed: 42}
 	inner := tpch.Generate(cfg)

@@ -609,11 +609,11 @@ func (db *DB) Explain(text string, params Params, opts Options) (string, error) 
 
 // ExplainPlan returns the cost-based planner's EXPLAIN for the query
 // without executing it: the costed operator tree for the expression the
-// chosen mode would evaluate, the rewrite rules that fired, and the
-// statistics premises the plan relies on. With Options.NaivePlanner the
-// tree is costed but unrewritten. The output is deterministic for a
-// fixed database — the golden EXPLAIN tests pin it for the paper's
-// appendix queries.
+// chosen mode would evaluate and the rewrite rules that fired. The
+// rewrites rest on the query and the schema alone; statistics only
+// price the tree. With Options.NaivePlanner the tree is costed but
+// unrewritten. The output is deterministic for a fixed database — the
+// golden EXPLAIN tests pin it for the paper's appendix queries.
 func (db *DB) ExplainPlan(text string, params Params, opts Options) (string, error) {
 	return db.ExplainPlanContext(context.Background(), text, params, opts)
 }

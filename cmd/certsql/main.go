@@ -14,7 +14,7 @@
 //	\rewrite <sql>;   show the SQL text of the certain translation Q+
 //	\explain <sql>;   show the executed plan with strategies and costs
 //	\plan <sql>;      show the cost-based planner's EXPLAIN (rules,
-//	                  premises, hints, cost estimates) without executing
+//	                  hints, cost estimates) without executing
 //	\schema;          list the tables
 //	\queries;         print the paper's Q1–Q4
 //	\full;            print their aggregate-bearing full forms

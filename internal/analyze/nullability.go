@@ -159,8 +159,9 @@ func cloneBools(b []bool) []bool {
 // considered.
 func strengthen(nonNull []bool, off int, cond algebra.Cond, st Strength) {
 	for _, c := range algebra.Conjuncts(algebra.NNF(cond)) {
-		// astlint:partial — only atoms strengthen nullability; nested
-		// connectives (Or under a conjunct) and True/False add nothing.
+		// vetcert:ignore famexhaustive: only atoms strengthen nullability;
+		// nested connectives (Or under a conjunct) and True/False add
+		// nothing.
 		switch c := c.(type) {
 		case algebra.Cmp:
 			if st == StrengthSQL || (c.Op != algebra.EQ && c.Op != algebra.NE) {
@@ -188,12 +189,12 @@ func markNonNull(nonNull []bool, off int, o algebra.Operand) {
 	}
 }
 
-// NullFree reports whether no base relation reachable from e has a
+// SchemaNullFree reports whether no base relation reachable from e has a
 // nullable attribute (unknown relations and a nil schema count as
 // nullable). A null-free expression is rigid: no valuation of the
 // database can change what it computes, so every operator over it is
 // trivially exact.
-func NullFree(e algebra.Expr, sch *schema.Schema) bool {
+func SchemaNullFree(e algebra.Expr, sch *schema.Schema) bool {
 	ok := true
 	algebra.Walk(e, func(sub algebra.Expr) {
 		b, isBase := sub.(algebra.Base)

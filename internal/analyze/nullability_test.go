@@ -148,26 +148,26 @@ func TestNullFree(t *testing.T) {
 	solid := algebra.Base{Name: "solid", Cols: 2}
 	o := algebra.Base{Name: "o", Cols: 2}
 
-	if !NullFree(solid, sch) {
+	if !SchemaNullFree(solid, sch) {
 		t.Error("solid is null-free")
 	}
-	if NullFree(o, sch) {
+	if SchemaNullFree(o, sch) {
 		t.Error("o has a nullable column")
 	}
-	if NullFree(algebra.Product{L: solid, R: o}, sch) {
+	if SchemaNullFree(algebra.Product{L: solid, R: o}, sch) {
 		t.Error("product inherits o's nullability")
 	}
-	if NullFree(solid, nil) {
+	if SchemaNullFree(solid, nil) {
 		t.Error("nil schema counts as nullable")
 	}
-	if NullFree(algebra.Base{Name: "nosuch", Cols: 1}, sch) {
+	if SchemaNullFree(algebra.Base{Name: "nosuch", Cols: 1}, sch) {
 		t.Error("unknown relation counts as nullable")
 	}
 	// Walk descends into scalar subqueries inside conditions.
 	scalar := algebra.Scalar{Sub: o, Agg: algebra.AggCount, Col: -1}
 	sel := algebra.Select{Child: solid, Cond: algebra.Cmp{
 		Op: algebra.GT, L: algebra.Col{Idx: 0}, R: scalar}}
-	if NullFree(sel, sch) {
+	if SchemaNullFree(sel, sch) {
 		t.Error("scalar subquery over o makes the expression non-null-free")
 	}
 }

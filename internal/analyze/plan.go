@@ -133,7 +133,7 @@ func (a *planAnalyzer) expr(e algebra.Expr) {
 		// L − R excludes by membership in R: a null on either side lets
 		// a valuation create or destroy an exclusion.
 		a.expr(e.L)
-		if !NullFree(e.R, a.sch) {
+		if !SchemaNullFree(e.R, a.sch) {
 			a.hazard("except-nullable",
 				"EXCEPT excludes rows by matches in a subquery that can contain NULLs; a possible match is not a certain exclusion")
 		}
@@ -151,30 +151,30 @@ func (a *planAnalyzer) expr(e algebra.Expr) {
 		}
 		// Anti-semijoin (NOT EXISTS / NOT IN): exclusion must be rigid.
 		a.expr(e.L)
-		if !NullFree(e.R, a.sch) {
+		if !SchemaNullFree(e.R, a.sch) {
 			a.hazard("not-exists-nullable",
 				"NOT EXISTS / NOT IN over a subquery that can contain NULLs; a possible match must block the outer row, so plain evaluation may keep non-certain answers")
 		}
 		nn := append(cloneBools(NonNullCols(e.L, a.sch, StrengthNaive)), trues(e.R.Arity())...)
 		a.rigidCond(e.Cond, nn)
 	case algebra.UnifySemi:
-		if !NullFree(e.L, a.sch) || !NullFree(e.R, a.sch) {
+		if !SchemaNullFree(e.L, a.sch) || !SchemaNullFree(e.R, a.sch) {
 			a.hazard("unify-nullable",
 				"unification semijoin over inputs that can contain NULLs is valuation-dependent by construction")
 		}
 	case algebra.Division:
 		a.expr(e.L)
-		if !NullFree(e.R, a.sch) {
+		if !SchemaNullFree(e.R, a.sch) {
 			a.hazard("division-nullable",
 				"division by a divisor that can contain NULLs; which rows must be covered depends on the valuation")
 		}
 	case algebra.GroupBy:
-		if !NullFree(e.Child, a.sch) {
+		if !SchemaNullFree(e.Child, a.sch) {
 			a.hazard("aggregate-nullable",
 				"aggregation over input that can contain NULLs has no certain-answer semantics (paper §8)")
 		}
 	case algebra.Limit:
-		if !NullFree(e.Child, a.sch) {
+		if !SchemaNullFree(e.Child, a.sch) {
 			a.hazard("limit-nullable", "LIMIT over input that can contain NULLs truncates a valuation-dependent row set")
 		}
 	default:
@@ -216,7 +216,7 @@ func (a *planAnalyzer) classify(o algebra.Operand, nonNull []bool) (opClass, str
 		// over empty input; MIN/MAX/SUM/AVG over an empty (even
 		// null-free) table yield NULL, which the evaluator models as a
 		// fresh mark.
-		if !NullFree(o.Sub, a.sch) {
+		if !SchemaNullFree(o.Sub, a.sch) {
 			return classHazard, "scalar subquery over data that can contain NULLs is not a rigid constant"
 		}
 		if o.Agg != algebra.AggCount {

@@ -34,8 +34,8 @@ func CheckTranslatable(e algebra.Expr) error {
 		if err != nil {
 			return
 		}
-		// astlint:partial — a deny-list: every operator not named here
-		// is translatable.
+		// vetcert:ignore famexhaustive: a deny-list; every operator not
+		// named here is translatable.
 		switch sub.(type) {
 		case algebra.GroupBy:
 			err = untranslatable("aggregation has no certain-answer semantics yet (see paper §8); use standard evaluation")
@@ -67,24 +67,16 @@ func CheckTranslatable(e algebra.Expr) error {
 // The static criterion is conservative: a scalar is considered rigid
 // when no base relation reachable from its subquery (including through
 // nested scalar subqueries) has a nullable attribute, so no valuation
-// can change what the subquery computes.
+// can change what the subquery computes (analyze.SchemaNullFree, which
+// descends into nested scalar subqueries too).
 func RigidScalars(e algebra.Expr, sch *schema.Schema) bool {
 	for _, c := range algebra.Conds(e) {
 		if algebra.AnyOperand(c, func(o algebra.Operand) bool {
 			s, ok := o.(algebra.Scalar)
-			return ok && !nullFreeExpr(s.Sub, sch)
+			return ok && !analyze.SchemaNullFree(s.Sub, sch)
 		}) {
 			return false
 		}
 	}
 	return true
-}
-
-// nullFreeExpr reports whether no base relation reachable from e has a
-// nullable attribute (unknown relations and a nil schema count as
-// nullable). It is analyze.NullFree, shared with the safe-query fast
-// path; algebra.Walk descends into scalar subqueries, so nested
-// scalars over nullable data are caught too.
-func nullFreeExpr(e algebra.Expr, sch *schema.Schema) bool {
-	return analyze.NullFree(e, sch)
 }

@@ -22,8 +22,8 @@ func FuzzPlannerAblation(f *testing.F) {
 
 // TestPlannerAblationSmoke is the CI smoke sweep: 200 seeded cases with
 // the default generator plus 100 biased towards null-free schemas (so
-// statistics premises and null-test elimination actually fire), all of
-// which must pass the planner invariants.
+// null-test elimination actually fires), all of which must pass the
+// planner invariants.
 func TestPlannerAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep")

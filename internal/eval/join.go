@@ -354,6 +354,33 @@ type semiPlan struct {
 	mem       int64
 }
 
+// SemiKeys splits a semijoin condition cond (in NNF), whose columns
+// below nL are the probe side's, into its hash keys — the pure
+// column-to-column equality conjuncts spanning both sides, build
+// columns local to the build side — and the residual conjuncts not
+// consumed as keys. prepSemi hashes on exactly these keys; the planner
+// calls it too, so its strategy and hints follow the executor's.
+func SemiKeys(cond algebra.Cond, nL int) (lCols, rCols []int, residual []algebra.Cond) {
+	for _, c := range algebra.Conjuncts(cond) {
+		if cmp, ok := c.(algebra.Cmp); ok && cmp.Op == algebra.EQ {
+			a, aok := cmp.L.(algebra.Col)
+			b, bok := cmp.R.(algebra.Col)
+			if aok && bok {
+				switch {
+				case a.Idx < nL && b.Idx >= nL:
+					lCols, rCols = append(lCols, a.Idx), append(rCols, b.Idx-nL)
+					continue
+				case b.Idx < nL && a.Idx >= nL:
+					lCols, rCols = append(lCols, b.Idx), append(rCols, a.Idx-nL)
+					continue
+				}
+			}
+		}
+		residual = append(residual, c)
+	}
+	return lCols, rCols, residual
+}
+
 // prepSemi evaluates the right side and prepares the probe plan:
 // extracts pure equality conjuncts spanning both sides as hash keys and
 // resolves scalar subqueries in the condition (workers verify it, so
@@ -393,31 +420,13 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		}
 	}
 
-	// Extract pure equality conjuncts spanning both sides as hash keys,
-	// keeping the conjuncts that were NOT consumed as keys: when the
-	// planner's SlimVerify hint applies, the residual alone is verified
-	// per candidate (bucket co-membership already proves the keys equal).
+	// Extract hash keys, keeping the conjuncts that were NOT consumed as
+	// keys: when the planner's SlimVerify hint applies, the residual
+	// alone is verified per candidate (bucket co-membership already
+	// proves the keys equal).
 	var residual []algebra.Cond
 	if !ev.opts.NoHashJoin {
-		for _, c := range algebra.Conjuncts(cond) {
-			if cmp, ok := c.(algebra.Cmp); ok && cmp.Op == algebra.EQ {
-				a, aok := cmp.L.(algebra.Col)
-				b, bok := cmp.R.(algebra.Col)
-				if aok && bok {
-					switch {
-					case a.Idx < nL && b.Idx >= nL:
-						p.lCols = append(p.lCols, a.Idx)
-						p.rCols = append(p.rCols, b.Idx-nL)
-						continue
-					case b.Idx < nL && a.Idx >= nL:
-						p.lCols = append(p.lCols, b.Idx)
-						p.rCols = append(p.rCols, a.Idx-nL)
-						continue
-					}
-				}
-			}
-			residual = append(residual, c)
-		}
+		p.lCols, p.rCols, residual = SemiKeys(cond, nL)
 	}
 	verify := cond
 	if p.hint.SlimVerify && len(p.lCols) > 0 {

@@ -17,7 +17,7 @@ import (
 // joins disabled it degenerates to filter-over-product and the filter
 // streams.
 func (ev *Evaluator) streamable(e algebra.Expr) bool {
-	switch e := e.(type) { // astlint:partial — everything else buffers
+	switch e := e.(type) { // vetcert:ignore famexhaustive: everything else buffers
 	case algebra.Base, algebra.Project, algebra.Limit, algebra.Distinct,
 		algebra.Union, algebra.SemiJoin:
 		return true
@@ -158,7 +158,7 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr) (iter, error) {
 	if err := ev.gov.Poll(opName(e)); err != nil {
 		return nil, err
 	}
-	switch e := e.(type) { // astlint:partial — buffered operators take the default
+	switch e := e.(type) { // vetcert:ignore famexhaustive: buffered operators take the default
 	case algebra.Base:
 		return ev.newScanIter(e, nil)
 

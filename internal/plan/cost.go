@@ -333,7 +333,7 @@ func semiStrategy(sj algebra.SemiJoin) string {
 	if !algebra.UsesColBelow(cond, sj.L.Arity()) {
 		return "short-circuit"
 	}
-	if l, _ := semiKeyPairs(sj); len(l) > 0 {
+	if l, _, _ := eval.SemiKeys(cond, sj.L.Arity()); len(l) > 0 {
 		return "hash"
 	}
 	if _, _, ok := eval.SpanningUnifyEdge(cond, sj.L.Arity()); ok {

@@ -59,7 +59,7 @@ func fnum(f float64) string {
 }
 
 // ExplainText renders the whole plan: a header with total cost, the
-// fired rules, the premises, and the costed operator tree.
+// fired rules, and the costed operator tree.
 func (r *Result) ExplainText() string {
 	var b strings.Builder
 	if r.Explain != nil {
@@ -73,13 +73,6 @@ func (r *Result) ExplainText() string {
 		b.WriteString("rules: " + strings.Join(names, ", ") + "\n")
 	} else {
 		b.WriteString("rules: (none)\n")
-	}
-	if len(r.Premises) > 0 {
-		ps := make([]string, len(r.Premises))
-		for i, p := range r.Premises {
-			ps[i] = p.String()
-		}
-		b.WriteString("premises: " + strings.Join(ps, ", ") + "\n")
 	}
 	if r.Explain != nil {
 		b.WriteString(r.Explain.Render())

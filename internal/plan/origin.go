@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"certsql/internal/algebra"
-	"certsql/internal/schema"
 	"certsql/internal/stats"
 )
 
@@ -59,17 +58,6 @@ func colOrigin(e algebra.Expr, col int) (tbl string, bcol int, ok bool) {
 			return "", 0, false
 		}
 	}
-}
-
-// fromBase reports whether output column col of e traces to a column
-// of a base relation in sch.
-func fromBase(e algebra.Expr, sch *schema.Schema, col int) bool {
-	tbl, bcol, ok := colOrigin(e, col)
-	if !ok || sch == nil {
-		return false
-	}
-	rel, ok := sch.Relation(tbl)
-	return ok && bcol < rel.Arity()
 }
 
 // originStats returns the statistics of the base column that output

@@ -9,13 +9,11 @@ import (
 )
 
 // optimizer is one Optimize invocation's state: the catalog, the
-// statistics snapshot, the rules fired so far and the premises the
-// rewrites have come to rely on.
+// statistics snapshot and the rules fired so far.
 type optimizer struct {
-	sch      *schema.Schema
-	st       *stats.DBStats
-	fired    map[RuleKind]bool
-	premises map[Premise]struct{}
+	sch   *schema.Schema
+	st    *stats.DBStats
+	fired map[RuleKind]bool
 }
 
 // rewrite rebuilds e bottom-up, applying every rewrite rule whose
@@ -63,7 +61,7 @@ func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
 	// Null-test elimination against the child's provable nullability —
 	// except over a stored relation whose null lists serve the selection
 	// (algebra.NullScans): it reads only the rows that can pass, none
-	// when the tested columns are null-free, and needs no premise.
+	// when the tested columns are null-free.
 	cond := s.Cond
 	if _, ok := s.Child.(algebra.Base); ok && len(algebra.NullScans(cond)) > 0 {
 		return s
@@ -75,8 +73,8 @@ func (o *optimizer) rewriteSelect(s algebra.Select) algebra.Expr {
 	if _, ok := cond.(algebra.TrueCond); ok {
 		return s.Child // filter proved vacuous
 	}
-	// astlint:partial — only the operators a selection commutes with;
-	// anything else keeps the filter where it is.
+	// vetcert:ignore famexhaustive: only the operators a selection
+	// commutes with; anything else keeps the filter where it is.
 	switch child := s.Child.(type) {
 	case algebra.Select:
 		// merge-select: σc1(σc2(X)) → σ[c2∧c1](X).
@@ -301,24 +299,17 @@ func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 }
 
 // nullFreeIn returns the null-free oracle for the output columns of e:
-// first the static tier (schema nullability propagated by
-// analyze.NonNullCols under naive strength, valid for both semantics),
-// then the data tier (a base column whose statistics show zero nulls,
-// recorded as a premise). Its facts hold for the data under the
-// recorded premises, so resolving null tests against it
-// (algebra.ResolveNullTests) keeps and drops exactly the same rows.
+// schema nullability propagated by analyze.NonNullCols under naive
+// strength, valid for both semantics. NOT NULL is enforced on every
+// write, so its facts hold on every database of the schema, and
+// resolving null tests against it (algebra.ResolveNullTests) keeps and
+// drops exactly the same rows whatever the data. A nullable column
+// that happens to hold no nulls is not null-free: that is a fact about
+// the data, and a plan must not depend on it.
 func (o *optimizer) nullFreeIn(e algebra.Expr) func(int) bool {
 	static := analyze.NonNullCols(e, o.sch, analyze.StrengthNaive)
 	return func(col int) bool {
-		if col >= 0 && col < len(static) && static[col] {
-			return true
-		}
-		ts, bcol, ok := originStats(e, o.st, col)
-		if ok && ts.NullFree(bcol) {
-			o.premises[Premise{Kind: PremiseNullFree, Table: ts.Name, Col: bcol}] = struct{}{}
-			return true
-		}
-		return false
+		return col >= 0 && col < len(static) && static[col]
 	}
 }
 
@@ -342,8 +333,8 @@ func (o *optimizer) nullFreeJoin(l, r algebra.Expr) func(int) bool {
 func hasMinters(e algebra.Expr) bool {
 	mint := false
 	algebra.Walk(e, func(x algebra.Expr) {
-		// astlint:partial — only the operators that can mint marks
-		// matter; Walk already visits every node.
+		// vetcert:ignore famexhaustive: only the operators that can mint
+		// marks matter; Walk already visits every node.
 		switch n := x.(type) {
 		case algebra.GroupBy:
 			mint = true
@@ -379,63 +370,24 @@ func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
 	return &eval.PlanHints{Semi: semi}
 }
 
-// semiKeyPairs extracts the hash-key column pairs exactly as the
-// evaluator's prepSemi does: pure column-to-column equality conjuncts
-// spanning both sides, right columns in right-local positions.
-func semiKeyPairs(sj algebra.SemiJoin) (lCols, rCols []int) {
-	nL := sj.L.Arity()
-	for _, c := range algebra.Conjuncts(algebra.NNF(sj.Cond)) {
-		cmp, ok := c.(algebra.Cmp)
-		if !ok || cmp.Op != algebra.EQ {
-			continue
-		}
-		a, aok := cmp.L.(algebra.Col)
-		b, bok := cmp.R.(algebra.Col)
-		if !aok || !bok {
-			continue
-		}
-		switch {
-		case a.Idx < nL && b.Idx >= nL:
-			lCols = append(lCols, a.Idx)
-			rCols = append(rCols, b.Idx-nL)
-		case b.Idx < nL && a.Idx >= nL:
-			lCols = append(lCols, b.Idx)
-			rCols = append(rCols, a.Idx-nL)
-		}
-	}
-	return lCols, rCols
-}
-
 // semiHintFor derives the execution hint for one semijoin.
 func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
-	lCols, rCols := semiKeyPairs(sj)
+	lCols, rCols, _ := eval.SemiKeys(semiNNF(sj), sj.L.Arity())
 	if len(lCols) == 0 {
 		return eval.SemiHint{}, false
 	}
-	var h eval.SemiHint
-	rEst := o.estimate(sj.R)
-	h.BuildRows = clampInt64(rEst.rows)
+	// Slim verification: sound when, for every key pair, hash-bucket
+	// equality implies the dropped `=` is true. Key encodings are equal
+	// exactly when Compare calls the values equal, for every kind and
+	// across int and float, so that holds for every extracted key pair
+	// on any data.
+	h := eval.SemiHint{SlimVerify: true, BuildRows: clampInt64(o.estimate(sj.R).rows)}
+	o.fired[RuleSlimVerify] = true
 	if len(rCols) == 1 {
 		if ts, bcol, ok := originStats(sj.R, o.st, rCols[0]); ok {
 			h.BuildDistinct = ts.Cols[bcol].Distinct
 			o.fired[RuleHashPresize] = true
 		}
-	}
-	// Slim verification: sound when, for every key pair, hash-bucket
-	// equality implies the dropped `=` is true. Key encodings are equal
-	// exactly when Compare calls the values equal, for every kind and
-	// across int and float, so that holds on any data; the key columns
-	// must only trace to base columns.
-	slim := true
-	for i := range lCols {
-		if !fromBase(sj.L, o.sch, lCols[i]) || !fromBase(sj.R, o.sch, rCols[i]) {
-			slim = false
-			break
-		}
-	}
-	if slim {
-		h.SlimVerify = true
-		o.fired[RuleSlimVerify] = true
 	}
 	// Fused build: a selection directly over a stored relation can be
 	// applied inside the hash build loop, never materializing the

@@ -98,10 +98,10 @@ type Plan struct {
 	// OrigOpt, PlusOpt and StarOpt are the cost-based planner's
 	// optimized variants of the corresponding expressions, built by the
 	// first execution that runs the expression with the planner on (see
-	// Variant) and nil until then. An execution uses a variant only when
-	// its premises still hold under the current statistics; otherwise it
-	// falls back to the baseline expression above, so a cached variant
-	// can go stale but never wrong.
+	// Variant) and nil until then. A variant depends only on its
+	// expression and the schema, so it is built once and every later
+	// execution with the planner on runs it, whatever the data; new
+	// statistics could only price it differently.
 	OrigOpt *Optimized
 	PlusOpt *Optimized
 	StarOpt *Optimized
@@ -134,8 +134,7 @@ func (p *Plan) Variant(slot **Optimized, build func() (*Optimized, error)) (*Opt
 
 // Optimized is one cost-based-planner output cached alongside its
 // baseline expression: the rewritten plan (the baseline itself when no
-// rule fired), the executor hints and the data-dependent premises the
-// rewrites rely on. Shape and Explain are
+// rule fired) and the executor hints. Premises, Shape and Explain are
 // not set or read by the engine; they are kept only because the
 // benchmark module (bench/) sets them.
 type Optimized struct {

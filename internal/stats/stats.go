@@ -77,12 +77,6 @@ func (t *TableStats) NullRate(col int) float64 {
 	return float64(t.Cols[col].Nulls) / float64(t.Rows)
 }
 
-// NullFree reports whether the col-th attribute provably holds no
-// marked null in this snapshot of the data.
-func (t *TableStats) NullFree(col int) bool {
-	return t != nil && col >= 0 && col < len(t.Cols) && t.Cols[col].Nulls == 0
-}
-
 // DBStats is one immutable statistics snapshot over a whole database.
 type DBStats struct {
 	// Tables maps lower-cased relation names to their statistics.
@@ -314,45 +308,26 @@ func (d *distinctSketch) estimate() (n int64, exact bool) {
 	return int64(est), false
 }
 
-// hashValue is a deterministic 64-bit FNV-1a hash of a value's kind
-// and payload. Determinism matters twice over: estimates are
-// reproducible across runs (golden EXPLAIN output), and a rescan of a
-// superset of rows extends the same hash sequence, which is what makes
-// the KMV estimate monotone across republishes.
+// hashValue is the value's key-encoding hash (value.FoldKey, FNV-1a
+// over value.AppendKey's bytes) passed through murmur3's 64-bit
+// finalizer. Values share a hash exactly when they share a key, which
+// is the engine's one value identity: Int(2) and Float(2) are one
+// value, as are 0 and −0, just as in every hash index. The finalizer
+// is required: FNV-1a mixes each byte in with one multiplication, so
+// keys that differ only in their last bytes hash far from uniformly
+// over 64 bits, and the KMV estimator reads its estimate off the
+// smallest hashes.
+//
+// Determinism matters twice over: estimates are reproducible across
+// runs (golden EXPLAIN output), and a rescan of a superset of rows
+// extends the same hash sequence, which is what makes the KMV estimate
+// monotone across republishes.
 func hashValue(v value.Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	step := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	step(byte(v.Kind()))
-	word := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			step(byte(u >> (8 * i)))
-		}
-	}
-	switch v.Kind() {
-	case value.KindInt:
-		word(uint64(v.AsInt()))
-	case value.KindFloat:
-		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // -0.0 and 0.0 are one value (value.Compare)
-		}
-		word(math.Float64bits(f))
-	case value.KindDate:
-		word(uint64(v.AsDate()))
-	case value.KindBool:
-		if v.AsBool() {
-			step(1)
-		}
-	case value.KindString:
-		for i := 0; i < len(v.AsString()); i++ {
-			step(v.AsString()[i])
-		}
-	case value.KindNull:
-		word(uint64(v.NullID()))
-	}
+	h := value.FoldKey(value.KeySeed, v)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }

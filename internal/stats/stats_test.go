@@ -295,3 +295,34 @@ func TestNoTearConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestDistinctOneValueIdentity checks that distinct counts use the
+// engine's one value identity, the hash-key encoding: Int(2) and
+// Float(2.0) are one value, and so are Int(0), Float(0.0) and
+// Float(−0.0), both in the exact phase and in the KMV sketch, where
+// adding every value a second time as its float twin must not move the
+// estimate at all.
+func TestDistinctOneValueIdentity(t *testing.T) {
+	for _, n := range []int{100, 4 * ExactDistinctThreshold} {
+		var ints, mixed distinctSketch
+		for i := 0; i < n; i++ {
+			ints.add(value.Int(int64(i)))
+			mixed.add(value.Int(int64(i)))
+			mixed.add(value.Float(float64(i)))
+		}
+		mixed.add(value.Float(0))
+		mixed.add(value.Float(math.Copysign(0, -1)))
+		want, wantExact := ints.estimate()
+		got, gotExact := mixed.estimate()
+		if got != want || gotExact != wantExact {
+			t.Errorf("n=%d: ints and their float twins estimate %d (exact %v), the ints alone %d (exact %v)",
+				n, got, gotExact, want, wantExact)
+		}
+		if wantExact != (n <= ExactDistinctThreshold) {
+			t.Errorf("n=%d: exact = %v, want the phase the threshold implies", n, wantExact)
+		}
+		if wantExact && want != int64(n) {
+			t.Errorf("n=%d: exact distinct %d, want %d", n, want, n)
+		}
+	}
+}

@@ -174,14 +174,11 @@ func pick(pl *plancache.Plan, mode plancache.Mode) (algebra.Expr, **plancache.Op
 }
 
 // variant returns the plan's optimized variant of e, building it into
-// slot on first use, or nil when a premise it relies on no longer
-// holds. A variant this call built rests on statistics collected
-// moments ago, and one without premises needs none, so neither is
-// checked; otherwise statistics are re-collected, which the generation
-// cache makes O(1) on unchanged data.
+// slot on first use. The planner's rewrites depend only on e and the
+// schema, so a cached variant is never re-validated; the statistics
+// collected for the build only price it.
 func (db *DB) variant(gov *guard.Governor, pl *plancache.Plan, slot **plancache.Optimized, e algebra.Expr) (*plancache.Optimized, error) {
-	var built *plancache.Optimized
-	o, err := pl.Variant(slot, func() (*plancache.Optimized, error) {
+	return pl.Variant(slot, func() (*plancache.Optimized, error) {
 		st, err := db.collectStats(gov)
 		if err != nil {
 			return nil, err
@@ -190,20 +187,8 @@ func (db *DB) variant(gov *guard.Governor, pl *plancache.Plan, slot **plancache.
 		if err != nil {
 			return nil, err
 		}
-		built = &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Premises: pr.Premises}
-		return built, nil
+		return &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints}, nil
 	})
-	if err != nil || o == built || len(o.Premises) == 0 {
-		return o, err
-	}
-	st, err := db.collectStats(gov)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.CheckPremises(o.Premises, st) {
-		return nil, nil
-	}
-	return o, nil
 }
 
 // runPlan executes a plan in its mode. This is the one route every
@@ -240,9 +225,9 @@ func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (re
 }
 
 // runMode evaluates the expression pick chooses for mode: its optimized
-// variant when the planner is on and the variant's premises hold, the
-// baseline otherwise. Options.NaivePlanner is an executor-side choice
-// read only here, so it shares plan-cache entries with the default.
+// variant when the planner is on, the baseline otherwise.
+// Options.NaivePlanner is an executor-side choice read only here, so it
+// shares plan-cache entries with the default.
 func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
 	expr, slot := pick(pl, mode)
 	eo := opts.evalOptions(gov)
@@ -251,9 +236,7 @@ func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mo
 		if err != nil {
 			return nil, err
 		}
-		if o != nil {
-			expr, eo.Hints = o.Expr, o.Hints
-		}
+		expr, eo.Hints = o.Expr, o.Hints
 	}
 	ev := eval.New(db.d, eo)
 	t, err := ev.Eval(expr)

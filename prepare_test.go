@@ -281,3 +281,60 @@ func BenchmarkPreparedVsAdHoc(b *testing.B) {
 		})
 	}
 }
+
+// TestCachedPlanSoundAfterNullInsert: on a standalone DB (catalog
+// version 0) a prepared statement keeps its cached plan, optimized
+// variant included, across an Insert. The variant is built while the
+// nullable s.b holds no nulls; a null inserted there afterwards must
+// still reach the null tests of Q⁺, under the default and the raw
+// (unsplit) translation alike. Both executions, before and after the
+// insert, must return exactly the NaivePlanner route's bytes.
+func TestCachedPlanSoundAfterNullInsert(t *testing.T) {
+	for name, opts := range map[string]certsql.Options{
+		"default": {},
+		"raw":     {NoOrSplit: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := certsql.MustOpen(
+				certsql.Table{Name: "r", Columns: []certsql.Column{{Name: "a", Type: certsql.TInt}}},
+				certsql.Table{Name: "s", Columns: []certsql.Column{{Name: "b", Type: certsql.TInt}}},
+			)
+			for _, row := range []struct {
+				tbl string
+				v   int
+			}{{"r", 1}, {"r", 2}, {"s", 1}} {
+				if err := db.Insert(row.tbl, row.v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stmt, err := db.Prepare(`SELECT CERTAIN r.a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE r.a = s.b)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive := opts
+			naive.NaivePlanner = true
+			run := func(o certsql.Options) *certsql.Result {
+				t.Helper()
+				res, err := stmt.ExecuteWithOptions(nil, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			for step, want := range [][]string{{"(2)"}, {}} {
+				if step == 1 {
+					if err := db.Insert("s", certsql.NULL); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, ref := run(opts), run(naive)
+				if g, r := got.Table().String(), ref.Table().String(); g != r {
+					t.Fatalf("step %d: planner route returned\n%s\nNaivePlanner route\n%s", step, g, r)
+				}
+				if rows := ref.SortedStrings(); !sliceEq(rows, want) {
+					t.Fatalf("step %d: certain answers %v, want %v", step, rows, want)
+				}
+			}
+		})
+	}
+}

@@ -23,8 +23,7 @@
 //
 // Suppressions: `// vetcert:ignore <rule>[, <rule>...][: reason]` on
 // the offending line, the comment block above it, or the enclosing
-// function's doc comment. The legacy `astlint:partial` annotation is
-// honored by the migrated exhaustiveness rules.
+// function's doc comment.
 //
 // vetcert owns the lint aggregate exit code: 0 clean, 1 findings,
 // 2 operational error (bad flags, unparseable or untypeable source).

@@ -34,10 +34,10 @@ func init() {
 }
 
 // familyPkgs are the packages whose interfaces form the closed node
-// families: the SQL AST, the algebra, the streaming executor's
-// iterators, and the planner. (Same scope astlint carried; a family is
-// any interface there with at least two in-package implementations.)
-var familyPkgs = []string{"internal/sql", "internal/algebra", evalPkg, planPkg}
+// families: the SQL AST, the algebra and the streaming executor's
+// iterators. (A family is any interface there with at least two
+// in-package implementations.)
+var familyPkgs = []string{"internal/sql", "internal/algebra", evalPkg}
 
 // familyOf returns the concrete package-scope implementations of
 // iface within its defining package when iface is a closed family

@@ -52,10 +52,9 @@ func fullCoverage(c algebra.Cond) int {
 	return -1
 }
 
-// partialWalk: suppressed — the legacy astlint annotation still works
-// on the migrated rules.
+// partialWalk: suppressed — vetcert:ignore on the family rule.
 func partialWalk(c algebra.Cond) int {
-	// astlint:partial — only composite shapes matter here
+	// vetcert:ignore famexhaustive: only composite shapes matter here
 	switch c.(type) {
 	case algebra.And:
 		return 1

@@ -7,10 +7,10 @@ import (
 	"eng/internal/plan"
 )
 
-// Negative cases carried over from the retired tools/astlint tests: the
-// `astlint:partial` annotation on the sentinel and enum rules (fam.go
-// has it on the family rule), a type switch outside every family, and
-// enum constants that appear only in case bodies.
+// Negative cases carried over from the retired tools/astlint tests: a
+// vetcert:ignore suppression on the sentinel and enum rules (fam.go has
+// one on the family rule), a type switch outside every family, and enum
+// constants that appear only in case bodies.
 
 // builtinSwitch: negative — a type switch over builtins is no family.
 func builtinSwitch(x any) int {
@@ -23,9 +23,9 @@ func builtinSwitch(x any) int {
 	return 0
 }
 
-// isBudget: suppressed — astlint:partial on a sentinel dispatch.
+// isBudget: suppressed — vetcert:ignore on a sentinel dispatch.
 func isBudget(err error) bool {
-	// astlint:partial — only the umbrella matters here.
+	// vetcert:ignore sentinelswitch: only the umbrella matters here.
 	switch {
 	case errors.Is(err, guard.ErrBudget):
 		return true
@@ -34,9 +34,9 @@ func isBudget(err error) bool {
 	}
 }
 
-// isRuleA: suppressed — astlint:partial on the strict RuleKind enum.
+// isRuleA: suppressed — vetcert:ignore on the strict RuleKind enum.
 func isRuleA(k plan.RuleKind) bool {
-	// astlint:partial — only the one kind matters here.
+	// vetcert:ignore enumswitch: only the one kind matters here.
 	switch k {
 	case plan.RuleA:
 		return true

@@ -24,9 +24,7 @@
 //	// vetcert:ignore <rule>[, <rule>...][: reason]
 //
 // on the offending line, in the comment block directly above it, or in
-// the doc comment of the enclosing function (a "documented pin"). The
-// legacy `astlint:partial` annotation is honored by the migrated
-// exhaustiveness rules so PR 3-7 annotations keep working.
+// the doc comment of the enclosing function (a "documented pin").
 package vet
 
 import (
@@ -199,8 +197,7 @@ func (p *Pass) suppressedFunc(fd *ast.FuncDecl) bool {
 }
 
 // suppressIndex builds (once per package) the file:line →
-// suppressed-rules map from vetcert:ignore and astlint:partial
-// comments.
+// suppressed-rules map from vetcert:ignore comments.
 func (p *Pass) suppressIndex() map[suppressKey]map[string]bool {
 	if p.state.suppress != nil {
 		return p.state.suppress
@@ -221,16 +218,6 @@ func (p *Pass) suppressIndex() map[suppressKey]map[string]bool {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				text := c.Text
-				// The legacy astlint annotation exempts a switch from the
-				// migrated exhaustiveness rules; it marks the whole comment
-				// group so it may sit anywhere in the block above a switch.
-				if strings.Contains(text, "astlint:partial") {
-					start := p.Fset.Position(cg.Pos())
-					for l := start.Line; l <= p.Fset.Position(cg.End()).Line; l++ {
-						mark(start.Filename, l, "*")
-					}
-					continue
-				}
 				i := strings.Index(text, "vetcert:ignore")
 				if i < 0 {
 					continue
