@@ -110,15 +110,20 @@ bench-fig4:
 # (BenchmarkBuildSide: a 60 000-row side joined, semijoined and
 # antijoined against 2, 500 and 15 000 rows, and as forward controls
 # 15 000 x 500 and a 60 000 x 15 000 semijoin that verifies a residual
-# condition per candidate) and the null-list read of a selection that
+# condition per candidate), Q4's four-leaf join block on its own
+# (BenchmarkJoinBlock: with Q4's filters and with its three edges
+# only, over sf 0.01) and the null-list read of a selection that
 # requires a null (BenchmarkNullScan: null(l_partkey) over sf 0.01
-# lineitem, against the same selection over a full scan) with
-# allocation counts. Advisory like bench-fig4's first half: wall-clock,
-# so its failure is printed and ignored; the exact gates are
-# TestBuildSideEquivalence, TestNullScanMatchesFullScan and
-# TestCostUnitsDirectionIndependent, in `make test`.
+# lineitem, against the same selection over a full scan). -benchmem
+# prints B/op and allocs/op beside the time: a join block copies each
+# output row once, so its B/op is about the output's values. Advisory
+# like bench-fig4's first half: wall-clock, so its failure is printed
+# and ignored; the exact gates are TestBuildSideEquivalence,
+# TestJoinBlockSteps, TestJoinBlockCopiesRowsOnce,
+# TestNullScanMatchesFullScan and TestCostUnitsDirectionIndependent, in
+# `make test`.
 bench-join:
-	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkNullScan' -benchtime 5x -benchmem ./internal/eval
+	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkJoinBlock|BenchmarkNullScan' -benchtime 5x -benchmem ./internal/eval
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
 # detector. 30s per target is the CI smoke setting; for a nightly long

@@ -31,12 +31,18 @@ func (ev *Evaluator) evalGroupBy(e algebra.GroupBy) (*table.Table, error) {
 		}
 		return accs
 	}
-	keys := table.NewIndex(0)
+	keys := ev.newGrownIndex("group-by", 0)
+	defer keys.release()
 	var groups []group // in first-seen order, which Insert numbers them by
-	for _, row := range child.Rows() {
+	for i, row := range child.Rows() {
 		ev.stats.CostUnits++
 		if err := ev.tick("group-by"); err != nil {
 			return nil, err
+		}
+		if i%batchSize == 0 {
+			if err := keys.charge(); err != nil {
+				return nil, err
+			}
 		}
 		gi, fresh := keys.Insert(row, e.Keys)
 		if fresh {
@@ -46,6 +52,9 @@ func (ev *Evaluator) evalGroupBy(e algebra.GroupBy) (*table.Table, error) {
 		for i := range g.accs {
 			g.accs[i].add(row)
 		}
+	}
+	if err := keys.charge(); err != nil {
+		return nil, err
 	}
 	// SQL: a global aggregate (no keys) yields one row even when the
 	// input is empty.

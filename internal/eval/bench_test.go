@@ -193,6 +193,46 @@ func BenchmarkBuildSide(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinBlock times Q4's join block on its own: σ[l_partkey =
+// p_partkey ∧ l_suppkey = s_suppkey ∧ s_nationkey = n_nationkey](lineitem
+// × part × supplier × nation) over the sf 0.01 TPC-H instance at 2 %
+// nulls, with Q4's filters on p_name and n_name ("q4") and without them,
+// where every lineitem row with non-null keys is joined to three leaves
+// ("edges-only"). Run with:
+//
+//	make bench-join
+func BenchmarkJoinBlock(b *testing.B) {
+	db := tpch.Generate(tpch.Config{ScaleFactor: 0.01, Seed: 3, NullRate: 0.02})
+	var leaves []algebra.Expr
+	at := map[string]int{} // attribute -> canonical column
+	for _, name := range []string{"lineitem", "part", "supplier", "nation"} {
+		rel, _ := db.Schema.Relation(name)
+		for _, a := range rel.Attrs {
+			at[a.Name] = len(at)
+		}
+		leaves = append(leaves, algebra.Base{Name: name, Cols: rel.Arity()})
+	}
+	product := leaves[0]
+	for _, l := range leaves[1:] {
+		product = algebra.Product{L: product, R: l}
+	}
+	eq := func(a, b string) algebra.Cond {
+		return algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: at[a]}, R: algebra.Col{Idx: at[b]}}
+	}
+	edges := []algebra.Cond{eq("l_partkey", "p_partkey"), eq("l_suppkey", "s_suppkey"), eq("s_nationkey", "n_nationkey")}
+	filters := []algebra.Cond{
+		algebra.Like{Operand: algebra.Col{Idx: at["p_name"]}, Pattern: algebra.Lit{Val: value.Str("%green%")}},
+		algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: at["n_name"]}, R: algebra.Lit{Val: value.Str("GERMANY")}},
+	}
+	b.Run("q4", func(b *testing.B) {
+		e := algebra.Select{Child: product, Cond: algebra.NewAnd(append(edges, filters...)...)}
+		benchEval(b, db, e, eval.Options{Parallelism: 1})
+	})
+	b.Run("edges-only", func(b *testing.B) {
+		benchEval(b, db, algebra.Select{Child: product, Cond: algebra.NewAnd(edges...)}, eval.Options{Parallelism: 1})
+	})
+}
+
 // BenchmarkNullScan times σ[null(l_partkey)](lineitem) on the sf 0.01
 // TPC-H instance at 2 % nulls, read from the null lists ("served")
 // against the same selection over an identity projection, which scans

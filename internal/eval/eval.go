@@ -224,6 +224,35 @@ func (ev *Evaluator) charge(op string, n int64) error {
 	return ev.gov.ChargeCost(op, n)
 }
 
+// grownIndex charges an index grown by Insert to the memory governor:
+// charge adds its growth since the last call, release returns the whole
+// charge when the operator finishes.
+type grownIndex struct {
+	*table.Index
+	gov     *guard.Governor
+	op      string
+	charged int64
+}
+
+func (ev *Evaluator) newGrownIndex(op string, size int) *grownIndex {
+	return &grownIndex{Index: table.NewIndex(size), gov: ev.gov, op: op}
+}
+
+// charge adds the index's growth since the last call.
+//
+// vetcert:ignore membalance: the owning operator calls release when it
+// finishes, a failed charge too.
+func (x *grownIndex) charge() error {
+	delta := x.EstimatedBytes() - x.charged
+	x.charged += delta // ChargeMem adds before checking; keep release exact
+	return x.gov.ChargeMem(x.op, delta)
+}
+
+func (x *grownIndex) release() {
+	x.gov.ReleaseMem(x.charged)
+	x.charged = 0
+}
+
 // pollEvery is the amortization interval for cancellation polling in
 // hot loops: one O(1) Poll per this many iterations.
 const pollEvery = 64
@@ -368,14 +397,21 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 	}
 }
 
+// productRows returns nL·nR, the size of a product, or a row-budget
+// LimitError when it overflows or exceeds the budget.
+func (ev *Evaluator) productRows(nL, nR int) (int, error) {
+	n := nL * nR
+	if nL != 0 && n/nL != nR {
+		return 0, &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "product",
+			Detail: fmt.Sprintf("product of %d × %d rows overflows", nL, nR)}
+	}
+	return n, ev.gov.CheckRows("product", n)
+}
+
 // product materializes l × r, guarding the row budget.
 func (ev *Evaluator) product(l, r *table.Table) (*table.Table, error) {
-	n := l.Len() * r.Len()
-	if l.Len() != 0 && n/l.Len() != r.Len() {
-		return nil, &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "product",
-			Detail: fmt.Sprintf("product of %d × %d rows overflows", l.Len(), r.Len())}
-	}
-	if err := ev.gov.CheckRows("product", n); err != nil {
+	n, err := ev.productRows(l.Len(), r.Len())
+	if err != nil {
 		return nil, err
 	}
 	out := table.New(l.Arity() + r.Arity())
@@ -458,10 +494,21 @@ func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*
 	}
 	all := rangeInts(l.Arity())
 	rIdx := table.BuildIndex(r.Rows(), all, table.NullsByMark, r.Len(), nil)
-	seen := table.NewIndex(0)
+	mem := rIdx.EstimatedBytes()
+	defer ev.gov.ReleaseMem(mem) // a failed charge too: ChargeMem adds before checking
+	if err := ev.gov.ChargeMem(op, mem); err != nil {
+		return nil, err
+	}
+	seen := ev.newGrownIndex(op, 0)
+	defer seen.release()
 	out := table.New(l.Arity())
 	var key []byte
-	for _, row := range l.Rows() {
+	for i, row := range l.Rows() {
+		if i%batchSize == 0 {
+			if err := seen.charge(); err != nil {
+				return nil, err
+			}
+		}
 		cur := rIdx.Probe(row, all, &key)
 		if _, found := cur.Next(); found != in {
 			continue
@@ -469,6 +516,9 @@ func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*
 		if _, fresh := seen.Insert(row, all); fresh {
 			out.Append(row)
 		}
+	}
+	if err := seen.charge(); err != nil {
+		return nil, err
 	}
 	if err := ev.charge(op, int64(l.Len()+r.Len())); err != nil {
 		return nil, err
@@ -496,11 +546,15 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 	}
 	lAll, rAll := rangeInts(e.L.Arity()), rangeInts(e.R.Arity())
 	var need []table.Row // R's distinct rows
-	distinct := table.NewIndex(r.Len())
+	distinct := ev.newGrownIndex("division", r.Len())
+	defer distinct.release()
 	for _, w := range r.Rows() {
 		if _, fresh := distinct.Insert(w, rAll); fresh {
 			need = append(need, w)
 		}
+	}
+	if err := distinct.charge(); err != nil {
+		return nil, err
 	}
 	// Charge the projected quadratic cost up front so the loop below
 	// degrades with ErrCostBudget instead of hanging; the per-row
@@ -510,14 +564,25 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 		return nil, err
 	}
 	has := table.BuildIndex(l.Rows(), lAll, table.NullsByMark, l.Len(), nil)
-	prefixes := table.NewIndex(0)
+	mem := has.EstimatedBytes()
+	defer ev.gov.ReleaseMem(mem) // a failed charge too: ChargeMem adds before checking
+	if err := ev.gov.ChargeMem("division", mem); err != nil {
+		return nil, err
+	}
+	prefixes := ev.newGrownIndex("division", 0)
+	defer prefixes.release()
 	out := table.New(nPre)
 	row := make(table.Row, e.L.Arity())
 	var key []byte
-	for _, lr := range l.Rows() {
+	for i, lr := range l.Rows() {
 		ev.stats.CostUnits++
 		if err := ev.tick("division"); err != nil {
 			return nil, err
+		}
+		if i%batchSize == 0 {
+			if err := prefixes.charge(); err != nil {
+				return nil, err
+			}
 		}
 		if _, fresh := prefixes.Insert(lr, lAll[:nPre]); !fresh {
 			continue
@@ -535,6 +600,9 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 		if covers {
 			out.Append(append(table.Row{}, lr[:nPre]...))
 		}
+	}
+	if err := prefixes.charge(); err != nil {
+		return nil, err
 	}
 	ev.note("division %d ÷ %d -> %d rows", l.Len(), r.Len(), out.Len())
 	return out, nil

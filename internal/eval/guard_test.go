@@ -3,6 +3,7 @@ package eval_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"certsql/internal/eval"
 	"certsql/internal/guard"
 	"certsql/internal/guard/faultinject"
+	"certsql/internal/schema"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -288,5 +290,60 @@ func TestMemBudgetTripsAtOperatorBoundary(t *testing.T) {
 	}
 	if gov.MemCharged() <= 0 {
 		t.Fatal("memory accounting charged nothing")
+	}
+}
+
+// TestIndexMemCharged plants an index larger than its operator's
+// output: keys of 300-byte strings, against output rows of a few fixed
+// values. With a budget of exactly the output's estimate — all that
+// grouping, DISTINCT, INTERSECT, EXCEPT and division charged while
+// their indexes went uncharged — each must trip ErrMemBudget and leave
+// nothing charged; with room, only the output stays charged once the
+// operator is done.
+func TestIndexMemCharged(t *testing.T) {
+	s := schema.New()
+	for _, name := range []string{"w", "v", "p"} {
+		s.MustAdd(&schema.Relation{Name: name, Attrs: []schema.Attribute{
+			{Name: "s", Type: value.KindString}, {Name: "n", Type: value.KindInt}}})
+	}
+	s.MustAdd(&schema.Relation{Name: "q", Attrs: []schema.Attribute{{Name: "n", Type: value.KindInt}}})
+	db := table.NewDatabase(s)
+	long := func(i int) value.Value { return value.Str(fmt.Sprintf("%0300d", i)) }
+	for i := 0; i < 100; i++ {
+		ins(t, db, "w", table.Row{long(i), value.Int(int64(i % 2))})
+		if i < 50 {
+			ins(t, db, "v", table.Row{long(i), value.Int(int64(i % 2))})
+			ins(t, db, "p", table.Row{long(i), value.Int(0)}, table.Row{long(i), value.Int(1)})
+		}
+	}
+	ins(t, db, "q", table.Row{value.Int(0)}, table.Row{value.Int(1)})
+	w, v := algebra.Base{Name: "w", Cols: 2}, algebra.Base{Name: "v", Cols: 2}
+	for _, c := range []struct {
+		name string
+		e    algebra.Expr
+	}{
+		{"group-by", algebra.GroupBy{Child: w, Keys: []int{0}, Aggs: []algebra.AggSpec{{Func: algebra.AggCount, Col: -1}}}},
+		{"distinct", algebra.Distinct{Child: w}},
+		{"intersect", algebra.Intersect{L: w, R: w}},
+		{"except", algebra.Diff{L: w, R: v}},
+		{"division", algebra.Division{L: algebra.Base{Name: "p", Cols: 2}, R: algebra.Base{Name: "q", Cols: 1}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gov := guard.Background(guard.Limits{})
+			out, err := eval.New(db, eval.Options{Governor: gov}).Eval(c.e)
+			if err != nil || out.Len() == 0 {
+				t.Fatalf("unbudgeted: %v rows, err %v", out, err)
+			}
+			if live, est := gov.MemCharged(), out.EstimatedBytes(); live != est {
+				t.Errorf("%d B charged once done, want the output's %d B", live, est)
+			}
+			gov = guard.Background(guard.Limits{MaxMemBytes: out.EstimatedBytes()})
+			if _, err := eval.New(db, eval.Options{Governor: gov}).Eval(c.e); !errors.Is(err, guard.ErrMemBudget) {
+				t.Fatalf("budget = the output's %d B: err = %v, want ErrMemBudget", out.EstimatedBytes(), err)
+			}
+			if live := gov.MemCharged(); live != 0 {
+				t.Errorf("%d B still charged after the charge failed", live)
+			}
+		})
 	}
 }

@@ -293,13 +293,13 @@ type distinctIter struct {
 	ev       *Evaluator
 	child    iter
 	chargeOp string
-	seen     *table.Index
+	seen     *grownIndex // charged per batch, released by close
 	cols     []int
 }
 
 func (ev *Evaluator) newDistinctIter(child iter, chargeOp string) *distinctIter {
 	return &distinctIter{ev: ev, child: child, chargeOp: chargeOp,
-		seen: table.NewIndex(0), cols: rangeInts(child.arity())}
+		seen: ev.newGrownIndex("distinct", 0), cols: rangeInts(child.arity())}
 }
 
 func (it *distinctIter) next() ([]table.Row, error) {
@@ -319,6 +319,9 @@ func (it *distinctIter) next() ([]table.Row, error) {
 				out = append(out, r)
 			}
 		}
+		if err := it.seen.charge(); err != nil {
+			return nil, err
+		}
 		if len(out) > 0 {
 			return out, nil
 		}
@@ -326,7 +329,7 @@ func (it *distinctIter) next() ([]table.Row, error) {
 }
 
 func (it *distinctIter) arity() int { return it.child.arity() }
-func (it *distinctIter) close()     { it.child.close() }
+func (it *distinctIter) close()     { it.child.close(); it.seen.release() }
 func (it *distinctIter) isIter()    {}
 
 // unionIter concatenates its left child then its right; buildIter

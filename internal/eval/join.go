@@ -24,8 +24,13 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 // shape SELECT-FROM-WHERE blocks compile to — greedily, in the order
 // JoinBlock.Order derives from the filtered leaf sizes: the condition's
 // equality conjuncts become hash equi-joins instead of a materialized
-// product. The output preserves the canonical column order of the
-// product.
+// product. The joined set is late-materialized (joinSet): every step
+// extends tuples of row positions into the filtered leaves, conditions
+// are evaluated on a scratch row gathered from them in canonical column
+// positions, and the output, in the canonical column order of the
+// product, is the one copy of row values the block makes. Every edge is
+// a key of the hash step that joins its second leaf: a leaf with an edge
+// to the joined set is always a hash candidate.
 func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*table.Table, error) {
 	n := len(leaves)
 	arities := make([]int, n)
@@ -55,77 +60,57 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	}
 	steps := jb.Order(func(leaf int) float64 { return float64(filtered[leaf].Len()) })
 
-	cur := filtered[steps[0].Leaf]
-	// pos maps canonical column -> position in cur (-1 when absent).
-	pos := make([]int, totalArity)
-	for i := range pos {
-		pos[i] = -1
-	}
-	appliedEdge := make([]bool, len(jb.edges))
+	s := &joinSet{jb: jb, leaves: filtered}
+	joined := make([]bool, n)
 	appliedRes := make([]bool, len(jb.residuals))
-	// ready reports whether every column of c is in cur or in leaf
-	// (-1: in cur alone).
+	// ready reports whether every column of c is joined or in leaf (-1:
+	// joined alone).
 	ready := func(c algebra.Cond, leaf int) bool {
 		for _, col := range algebra.ColsUsed(c) {
-			if pos[col] < 0 && jb.leafOf(col) != leaf {
+			if l := jb.owner[col]; !joined[l] && l != leaf {
 				return false
 			}
 		}
 		return true
 	}
-	applyResiduals := func() error {
-		for ri, c := range jb.residuals {
-			if appliedRes[ri] || !ready(c, -1) {
-				continue
-			}
-			appliedRes[ri] = true
-			remapped := algebra.MapCols(c, func(col int) int { return pos[col] })
-			f, err := ev.filterTable(cur, remapped)
-			if err != nil {
-				return err
-			}
-			ev.note("residual filter %s -> %d rows", c, f.Len())
-			cur = f
-		}
-		return nil
-	}
 
 	for si, st := range steps {
-		next := st.Leaf
+		next, leaf := st.Leaf, filtered[st.Leaf]
+		var pairs [][2]int // (tuple, row of next), tuple-major
 		var err error
 		switch st.Kind {
 		case JoinStart:
-			// cur is the start leaf already
+			s.tuples = make([]int, leaf.Len()*n)
+			for i := range leaf.Len() {
+				s.tuples[i*n+next] = i
+			}
 		case JoinHash:
 			var curCols, leafCols []int
 			for _, ei := range st.edges {
 				e := jb.edges[ei]
-				appliedEdge[ei] = true
 				if e.leafA == next {
-					leafCols = append(leafCols, e.colA-offsets[next])
-					curCols = append(curCols, pos[e.colB])
+					leafCols, curCols = append(leafCols, e.colA-offsets[next]), append(curCols, e.colB)
 				} else {
-					leafCols = append(leafCols, e.colB-offsets[next])
-					curCols = append(curCols, pos[e.colA])
+					leafCols, curCols = append(leafCols, e.colB-offsets[next]), append(curCols, e.colA)
 				}
 			}
-			nCur, nLeaf := cur.Len(), filtered[next].Len()
-			if cur, err = ev.hashJoin(cur, filtered[next], curCols, leafCols); err != nil {
+			nCur := s.len()
+			if pairs, err = ev.hashStep(s, next, curCols, leafCols); err != nil {
 				return nil, err
 			}
 			ev.stats.HashJoins++
 			if ev.opts.Trace { // Key() renders the whole subtree; don't pay for it untraced
-				side := fmt.Sprintf("build %d rows", nLeaf)
-				if nCur < nLeaf {
-					side = fmt.Sprintf("build-left %d, streamed %d", nCur, nLeaf)
+				side := fmt.Sprintf("build %d rows", leaf.Len())
+				if nCur < leaf.Len() {
+					side = fmt.Sprintf("build-left %d, streamed %d", nCur, leaf.Len())
 				}
-				ev.note("hash join + %s %s -> %d rows", leaves[next].Key(), side, cur.Len())
+				ev.note("hash join + %s %s -> %d rows", leaves[next].Key(), side, len(pairs))
 			}
 		case JoinWildHash:
 			// The edge and every residual this leaf completes are verified
-			// together, per candidate: the step emits only the rows that
+			// together, per candidate: the step emits only the pairs that
 			// survive them all — the rows, in the order, that filtering
-			// the joined table afterwards would leave, without building it.
+			// the joined set afterwards would leave, without building it.
 			conds := []algebra.Cond{jb.residuals[st.unify]}
 			appliedRes[st.unify] = true
 			for ri, c := range jb.residuals {
@@ -134,61 +119,47 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 					conds = append(conds, c)
 				}
 			}
-			curArity := cur.Arity()
-			remapped := algebra.MapCols(algebra.NewAnd(conds...), func(col int) int {
-				if jb.leafOf(col) == next {
-					return curArity + col - offsets[next]
-				}
-				return pos[col]
-			})
-			resolved, err := ev.resolveScalars(remapped)
+			resolved, err := ev.resolveScalars(algebra.NewAnd(conds...))
 			if err != nil {
 				return nil, err
 			}
-			if cur, err = ev.unifyProduct(cur, filtered[next], pos[st.ProbeCol], st.BuildCol-offsets[next], resolved); err != nil {
+			if pairs, err = ev.wildStep(s, st, resolved); err != nil {
 				return nil, err
 			}
 		case JoinProduct:
-			if cur, err = ev.product(cur, filtered[next]); err != nil {
+			if pairs, err = ev.productStep(s, next); err != nil {
 				return nil, err
 			}
 			ev.stats.NestedLoopJoins++
 		}
-		base := cur.Arity() - arities[next]
-		for c := 0; c < arities[next]; c++ {
-			pos[offsets[next]+c] = base + c
-		}
 		if si > 0 {
-			if err := ev.gov.CheckRows("join-block", cur.Len()); err != nil {
+			if err := s.extend(ev.gov, pairs, next); err != nil {
+				return nil, err
+			}
+			if err := ev.gov.CheckRows("join-block", s.len()); err != nil {
 				return nil, err
 			}
 		}
-		if err := applyResiduals(); err != nil {
-			return nil, err
+		joined[next] = true
+		for ri, c := range jb.residuals {
+			if appliedRes[ri] || !ready(c, -1) {
+				continue
+			}
+			appliedRes[ri] = true
+			if err := ev.filterTuples(s, c); err != nil {
+				return nil, err
+			}
+			ev.note("residual filter %s -> %d rows", c, s.len())
 		}
 	}
 
-	// Any edges between leaves that were joined through other paths.
-	for ei, e := range jb.edges {
-		if appliedEdge[ei] {
-			continue
-		}
-		remapped := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: pos[e.colA]}, R: algebra.Col{Idx: pos[e.colB]}}
-		f, err := ev.filterTable(cur, remapped)
-		if err != nil {
-			return nil, err
-		}
-		cur = f
-	}
-
-	// Permute back to canonical column order.
 	out := table.New(totalArity)
-	out.Grow(cur.Len())
-	slab := make([]value.Value, cur.Len()*totalArity)
-	for i, r := range cur.Rows() {
+	out.Grow(s.len())
+	slab := make([]value.Value, s.len()*totalArity)
+	for i := range s.len() {
 		nr := slab[i*totalArity : (i+1)*totalArity : (i+1)*totalArity]
-		for col := 0; col < totalArity; col++ {
-			nr[col] = r[pos[col]]
+		for l, pos := range s.tuple(i) {
+			copy(nr[offsets[l]:], filtered[l].Row(pos))
 		}
 		out.Append(nr)
 	}
@@ -216,49 +187,151 @@ func (ev *Evaluator) passes(fuse algebra.Cond, r table.Row) (bool, error) {
 	return v.IsTrue(), err
 }
 
-// hashJoin joins l and r on equality of the given column lists,
-// indexing whichever input is smaller and streaming the other past the
-// index in parallel partitions: a null key enters neither side, so the
-// side is a free choice, and both directions find the same pairs for
-// the same |L| + |R| + pairs cost units. A shared row counter enforces
-// the budget across partitions and cancels in-flight ones. The index is
-// charged to the memory governor until the join returns.
-func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
+// joinSet is a join block's joined set, late-materialized: flat tuples
+// of row positions, one slot per leaf, holding a row of the filtered
+// leaf once that leaf is joined.
+type joinSet struct {
+	jb     *JoinBlock
+	leaves []*table.Table
+	tuples []int
+}
+
+func (s *joinSet) len() int          { return len(s.tuples) / len(s.leaves) }
+func (s *joinSet) arity() int        { return len(s.jb.owner) }
+func (s *joinSet) tuple(i int) []int { return s.tuples[i*len(s.leaves) : (i+1)*len(s.leaves)] }
+
+// at returns tuple t's value in canonical column c.
+func (s *joinSet) at(t []int, c int) value.Value {
+	l := s.jb.owner[c]
+	return s.leaves[l].Row(t[l])[c-s.jb.offsets[l]]
+}
+
+// probeRow returns a probe over the tuples: tuple i's canonical columns
+// cols, gathered into the chunk's scratch row.
+func (s *joinSet) probeRow(cols []int) func(c *chunk, i int) table.Row {
+	return func(c *chunk, i int) table.Row {
+		row := c.scratch(s.arity())
+		for _, col := range cols {
+			row[col] = s.at(s.tuple(i), col)
+		}
+		return row
+	}
+}
+
+// extend replaces the tuples by the step's (tuple, row of leaf next)
+// pairs, in pair order.
+func (s *joinSet) extend(gov *guard.Governor, pairs [][2]int, next int) error {
+	n := len(s.leaves)
+	out := make([]int, len(pairs)*n)
+	for k, p := range pairs {
+		if k&1023 == 0 { // a drain loop in its own right, as concatChunks is
+			if err := gov.Poll("join-block"); err != nil {
+				return err
+			}
+		}
+		t := out[k*n : (k+1)*n]
+		copy(t, s.tuple(p[0]))
+		t[next] = p[1]
+	}
+	s.tuples = out
+	return nil
+}
+
+// hashStep joins leaf next to the tuples on equality of their canonical
+// curCols with the leaf's leafCols, indexing whichever side is smaller:
+// a null key enters neither side, so both directions find the same
+// pairs for the same |cur| + |leaf| + pairs cost units. The tuples are
+// indexed on gathered rows of their key columns. The index is charged
+// to the memory governor until the step returns.
+func (ev *Evaluator) hashStep(s *joinSet, next int, curCols, leafCols []int) ([][2]int, error) {
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return nil, err
 	}
-	buildLeft := l.Len() < r.Len()
-	build, bCols, probe, pCols := r, rCols, l, lCols
+	leaf, nCur := s.leaves[next], s.len()
+	buildLeft := nCur < leaf.Len()
+	var idx *table.Index
+	probe, n, cols := s.probeRow(curCols), nCur, curCols
 	if buildLeft {
-		build, bCols, probe, pCols = l, lCols, r, rCols
+		k := len(curCols)
+		keys, slab := make([]table.Row, nCur), make([]value.Value, nCur*k)
+		for i := range keys {
+			keys[i] = slab[i*k : (i+1)*k : (i+1)*k]
+			for x, c := range curCols {
+				keys[i][x] = s.at(s.tuple(i), c)
+			}
+		}
+		idx = table.BuildIndex(keys, rangeInts(k), ev.eqNulls(), nCur, nil)
+		rows := leaf.Rows()
+		probe, n, cols = func(_ *chunk, j int) table.Row { return rows[j] }, len(rows), leafCols
+	} else {
+		idx = table.BuildIndex(leaf.Rows(), leafCols, ev.eqNulls(), leaf.Len(), nil)
 	}
-	idx := table.BuildIndex(build.Rows(), bCols, ev.eqNulls(), build.Len(), nil)
 	mem := idx.EstimatedBytes()
 	defer ev.gov.ReleaseMem(mem) // a failed charge too: ChargeMem adds before checking
 	if err := ev.gov.ChargeMem("hash-join", mem); err != nil {
 		return nil, err
 	}
-	pRows := probe.Rows()
-	chunks := make([][][2]int, ev.opts.workers()) // (l, r) positions of the joined pairs
+	pairs, err := ev.probePairs("hash-join", n, idx, cols, probe, nil)
+	if err != nil {
+		return nil, err
+	}
+	if buildLeft {
+		pairs = byTuple(pairs, nCur)
+	}
+	return pairs, ev.charge("hash-join", int64(min(nCur, leaf.Len())))
+}
+
+// byTuple regroups build-left pairs, found leaf-major as (leaf row,
+// tuple), into (tuple, leaf row) pairs by a stable counting sort on the
+// tuple: tuple-major, leaf rows ascending, as probing the leaf finds them.
+func byTuple(pairs [][2]int, nTuples int) [][2]int {
+	at := make([]int, nTuples+1) // at[i]: where tuple i's pairs start
+	for _, p := range pairs {
+		at[p[1]+1]++
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	sorted := make([][2]int, len(pairs))
+	for _, p := range pairs {
+		sorted[at[p[1]]] = [2]int{p[1], p[0]}
+		at[p[1]]++
+	}
+	return sorted
+}
+
+// probePairs streams probe rows 0..n-1 past idx, keyed on cols, in
+// parallel partitions and returns the (probe row, candidate) pairs keep
+// accepts (nil accepts all), probe-major, candidates ascending, for a
+// unit per probe and per candidate. A shared row counter enforces the
+// budget across partitions and cancels in-flight ones.
+func (ev *Evaluator) probePairs(op string, n int, idx *table.Index, cols []int,
+	probe func(c *chunk, i int) table.Row, keep func(c *chunk, j int) (bool, error)) ([][2]int, error) {
+	chunks := make([][][2]int, ev.opts.workers())
 	maxRows := int64(ev.gov.MaxRows())
 	var outRows atomic.Int64
-	err := ev.runChunks(len(pRows), "hash-join", func(c *chunk) error {
+	err := ev.runChunks(n, op, func(c *chunk) error {
 		var out [][2]int
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
 			}
 			c.st.costUnits++
-			cur := idx.Probe(pRows[i], pCols, &c.key)
+			cur := idx.Probe(probe(c, i), cols, &c.key)
 			for j, ok := cur.Next(); ok; j, ok = cur.Next() {
 				c.st.costUnits++
-				if buildLeft {
-					out = append(out, [2]int{j, i})
-				} else {
-					out = append(out, [2]int{i, j})
+				if keep != nil {
+					kept, err := keep(c, j)
+					if err != nil {
+						return err
+					}
+					if !kept {
+						continue
+					}
 				}
+				out = append(out, [2]int{i, j})
 				if outRows.Add(1) > maxRows {
-					return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "hash-join",
+					return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: op,
 						Detail: fmt.Sprintf("result exceeds %d rows", maxRows)}
 				}
 			}
@@ -269,53 +342,64 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 	if err != nil {
 		return nil, err
 	}
-	if err := ev.charge("hash-join", int64(build.Len())); err != nil {
-		return nil, err
-	}
-	return ev.joinPairs(l, r, chunks, buildLeft)
-}
-
-// joinPairs materializes the joined (l, r) pairs l-major, r ascending
-// under each l row — the order probing an index of r with l finds them
-// in. Pairs found streaming r past an index of l arrive r-major instead
-// and are regrouped by a stable counting sort on the l position. The
-// rows are cut from one slab.
-func (ev *Evaluator) joinPairs(l, r *table.Table, chunks [][][2]int, regroup bool) (*table.Table, error) {
 	pairs := chunks[0]
 	for _, c := range chunks[1:] {
 		pairs = append(pairs, c...)
 	}
-	if regroup {
-		at := make([]int, l.Len()+1) // at[i]: where l row i's pairs start
-		for _, p := range pairs {
-			at[p[0]+1]++
-		}
-		for i := 1; i < len(at); i++ {
-			at[i] += at[i-1]
-		}
-		sorted := make([][2]int, len(pairs))
-		for _, p := range pairs {
-			sorted[at[p[0]]] = p
-			at[p[0]]++
-		}
-		pairs = sorted
+	return pairs, nil
+}
+
+// productStep pairs every tuple with every row of leaf next: a
+// Cartesian step, charged |cur|·|leaf| as product charges.
+func (ev *Evaluator) productStep(s *joinSet, next int) ([][2]int, error) {
+	nCur, nLeaf := s.len(), s.leaves[next].Len()
+	n, err := ev.productRows(nCur, nLeaf)
+	if err != nil {
+		return nil, err
 	}
-	nL, arity := l.Arity(), l.Arity()+r.Arity()
-	out := table.New(arity)
-	out.Grow(len(pairs))
-	slab := make([]value.Value, len(pairs)*arity)
-	for k, p := range pairs {
-		if k&1023 == 0 { // a drain loop in its own right, as concatChunks is
-			if err := ev.gov.Poll("hash-join"); err != nil {
-				return nil, err
+	pairs := make([][2]int, 0, n)
+	for i := range nCur {
+		if err := ev.tick("product"); err != nil {
+			return nil, err
+		}
+		for j := range nLeaf {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
+	ev.note("product -> %d rows", n)
+	return pairs, ev.charge("product", int64(n))
+}
+
+// filterTuples keeps the tuples that satisfy cond, in canonical
+// columns, with filterTable's scan and charges.
+func (ev *Evaluator) filterTuples(s *joinSet, cond algebra.Cond) error {
+	cond, err := ev.resolveScalars(cond)
+	if err != nil {
+		return err
+	}
+	probe := s.probeRow(algebra.ColsUsed(cond))
+	keep, err := ev.keep("filter", s.len(), "", func(c *chunk, i int) (bool, error) {
+		c.st.costUnits++
+		v, err := ev.evalCond(cond, probe(c, i))
+		return v.IsTrue(), err
+	})
+	if err != nil {
+		return err
+	}
+	kept := 0
+	for i, k := range keep {
+		if i&1023 == 0 { // a drain loop in its own right, as concatChunks is
+			if err := ev.gov.Poll("concat-chunks"); err != nil {
+				return err
 			}
 		}
-		nr := slab[k*arity : (k+1)*arity : (k+1)*arity]
-		copy(nr, l.Row(p[0]))
-		copy(nr[nL:], r.Row(p[1]))
-		out.Append(nr)
+		if k {
+			copy(s.tuple(kept), s.tuple(i))
+			kept++
+		}
 	}
-	return out, nil
+	s.tuples = s.tuples[:kept*len(s.leaves)]
+	return nil
 }
 
 // semiCond returns a semijoin's condition in NNF.

@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"sort"
-
-	"certsql/internal/algebra"
-)
+import "certsql/internal/algebra"
 
 // JoinBlock is the classified condition of σ_cond(leaf₀ × leaf₁ × …),
 // the shape SELECT-FROM-WHERE blocks compile to: single-leaf conjuncts
@@ -21,6 +17,7 @@ type JoinBlock struct {
 	Singles [][]algebra.Cond
 
 	offsets   []int // each leaf's first canonical column, then the total arity
+	owner     []int // each canonical column's leaf
 	edges     []joinEdge
 	residuals []algebra.Cond
 }
@@ -38,11 +35,14 @@ func ClassifyJoinBlock(arities []int, cond algebra.Cond) *JoinBlock {
 	jb := &JoinBlock{offsets: make([]int, n+1), Singles: make([][]algebra.Cond, n)}
 	for i, a := range arities {
 		jb.offsets[i+1] = jb.offsets[i] + a
+		for range a {
+			jb.owner = append(jb.owner, i)
+		}
 	}
 	for _, c := range algebra.Conjuncts(algebra.NNF(cond)) {
 		touched := map[int]struct{}{}
 		for _, col := range algebra.ColsUsed(c) {
-			touched[jb.leafOf(col)] = struct{}{}
+			touched[jb.owner[col]] = struct{}{}
 		}
 		switch {
 		case len(touched) == 0:
@@ -56,7 +56,7 @@ func ClassifyJoinBlock(arities []int, cond algebra.Cond) *JoinBlock {
 				lc, lok := cmp.L.(algebra.Col)
 				rc, rok := cmp.R.(algebra.Col)
 				if lok && rok && len(touched) == 2 {
-					la, lb := jb.leafOf(lc.Idx), jb.leafOf(rc.Idx)
+					la, lb := jb.owner[lc.Idx], jb.owner[rc.Idx]
 					if la != lb {
 						jb.edges = append(jb.edges, joinEdge{leafA: la, colA: lc.Idx, leafB: lb, colB: rc.Idx})
 						continue
@@ -69,12 +69,6 @@ func ClassifyJoinBlock(arities []int, cond algebra.Cond) *JoinBlock {
 	return jb
 }
 
-// leafOf returns the leaf owning a canonical column.
-func (jb *JoinBlock) leafOf(col int) int {
-	n := len(jb.Singles)
-	return sort.Search(n, func(i int) bool { return jb.offsets[i+1] > col })
-}
-
 // JoinKind names how a step joins its leaf to the leaves before it.
 type JoinKind int
 
@@ -84,7 +78,7 @@ const (
 	// JoinHash is a hash join on the step's equality edges.
 	JoinHash
 	// JoinWildHash runs a residual unification edge on a wild-bucket
-	// index of the leaf (unifyProduct).
+	// index of the leaf (wildStep).
 	JoinWildHash
 	// JoinProduct is a Cartesian step: no edge connects the leaf.
 	JoinProduct
@@ -156,10 +150,10 @@ func (jb *JoinBlock) Order(size func(leaf int) float64) []JoinStep {
 			if !ok {
 				continue
 			}
-			if !joined[jb.leafOf(a)] { // orient: a already joined, b pending
+			if !joined[jb.owner[a]] { // orient: a already joined, b pending
 				a, b = b, a
 			}
-			if joined[jb.leafOf(a)] && jb.leafOf(b) == st.Leaf {
+			if joined[jb.owner[a]] && jb.owner[b] == st.Leaf {
 				st.Kind, st.unify, st.ProbeCol, st.BuildCol = JoinWildHash, ri, a, b
 				break
 			}

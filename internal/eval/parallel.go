@@ -270,14 +270,23 @@ func (ev *Evaluator) resolveScalars(c algebra.Cond) (algebra.Cond, error) {
 
 // keepRows returns the rows for which pred holds, in input order — the
 // one fan-out under every probe-side keep loop, at every Parallelism.
-// Worker w visits the w-th contiguous range of rows; each verdict lands
-// in its row's own slot of keep, so the result and the summed cost
-// units cannot depend on the worker count. pred must obey the worker
-// contract above and counts its own cost units on c. site, when
-// non-empty, fires in each worker as it starts.
+// pred must obey the worker contract above and counts its own cost
+// units on c. site, when non-empty, fires in each worker as it starts.
 func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred func(c *chunk, lr table.Row) (bool, error)) ([]table.Row, error) {
-	keep := make([]bool, len(rows))
-	err := ev.runChunks(len(rows), op, func(c *chunk) error {
+	keep, err := ev.keep(op, len(rows), site, func(c *chunk, i int) (bool, error) { return pred(c, rows[i]) })
+	if err != nil {
+		return nil, err
+	}
+	return keptRows(rows, keep), nil
+}
+
+// keep returns pred's verdict on each of the items 0..n-1. Worker w
+// visits the w-th contiguous range of items; each verdict lands in its
+// item's own slot, so the result and the summed cost units cannot
+// depend on the worker count.
+func (ev *Evaluator) keep(op string, n int, site guard.Site, pred func(c *chunk, i int) (bool, error)) ([]bool, error) {
+	keep := make([]bool, n)
+	err := ev.runChunks(n, op, func(c *chunk) error {
 		if site != "" {
 			if err := c.fault(site); err != nil {
 				return err
@@ -287,7 +296,7 @@ func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred
 			if c.stopped() {
 				return nil
 			}
-			ok, err := pred(c, rows[i])
+			ok, err := pred(c, i)
 			if err != nil {
 				return err
 			}
@@ -298,7 +307,7 @@ func (ev *Evaluator) keepRows(op string, rows []table.Row, site guard.Site, pred
 	if err != nil {
 		return nil, err
 	}
-	return keptRows(rows, keep), nil
+	return keep, nil
 }
 
 // keptRows copies the rows whose verdict is set into a slice allocated
@@ -322,9 +331,9 @@ func keptRows(rows []table.Row, keep []bool) []table.Row {
 }
 
 // filterTable returns the rows of t satisfying cond, scanning
-// partitions of t in parallel. This is the executor's generic filter —
-// the σ fallback of evalSelect, the per-leaf and residual filter stages
-// of planJoinBlock all route through it.
+// partitions of t in parallel: a semijoin's fused build-side filter
+// when no hash key lets it be fused. A join block's residual filters run
+// filterTuples, on positions.
 func (ev *Evaluator) filterTable(t *table.Table, cond algebra.Cond) (*table.Table, error) {
 	cond, err := ev.resolveScalars(cond)
 	if err != nil {

@@ -2,7 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
@@ -26,7 +26,7 @@ import (
 // candidates come in ascending build order, so every consumer emits
 // exactly the rows, in exactly the order, of the nested loop it
 // replaces. The same index
-// serves the join block's Cartesian step (unifyProduct), the
+// serves the join block's Cartesian step (wildStep), the
 // (anti-)semijoin's nested-loop arm (prepSemi) and R ⋉⇑ S
 // (evalUnifySemi), at every Parallelism setting — the worker count
 // splits probe rows and nothing else, so Stats.CostUnits of a
@@ -120,19 +120,18 @@ func (ev *Evaluator) chargeUnifyBuild(op string, rows int) error {
 	return ev.charge(op, int64(rows))
 }
 
-// unifyProduct joins l and r on a unification edge without
-// materializing the Cartesian product: each l row is verified — full
-// cond evaluation, exactly filterTable's — only against the candidates
-// of its key, in ascending r order. The output rows are therefore the
-// product-then-filter rows, in the same order, with no intermediate
-// |L|·|R| table. cond is the edge conjunct — and whatever else the
-// caller wants verified per candidate — remapped to the concatenated
-// row and resolved.
-func (ev *Evaluator) unifyProduct(l, r *table.Table, lCol, rCol int, cond algebra.Cond) (*table.Table, error) {
-	if err := ev.chargeUnifyBuild("unify-product", r.Len()); err != nil {
+// wildStep joins leaf st.Leaf to the tuples on the step's unification
+// edge without materializing the Cartesian product: each tuple verifies
+// cond — the edge and whatever else the step completes, in canonical
+// columns, resolved — exactly as filtering would, but only against the
+// candidates of its key, in ascending leaf order. The pairs are
+// therefore the product-then-filter pairs, in the same order.
+func (ev *Evaluator) wildStep(s *joinSet, st JoinStep, cond algebra.Cond) ([][2]int, error) {
+	leaf, off := s.leaves[st.Leaf], s.jb.offsets[st.Leaf]
+	if err := ev.chargeUnifyBuild("unify-product", leaf.Len()); err != nil {
 		return nil, err
 	}
-	b := table.BuildIndex(r.Rows(), []int{rCol}, table.NullsWild, 0, nil)
+	b := table.BuildIndex(leaf.Rows(), []int{st.BuildCol - off}, table.NullsWild, 0, nil)
 	// Built once, borrowed read-only by every probe partition: charged
 	// once here, at the owner.
 	n := b.EstimatedBytes()
@@ -140,54 +139,21 @@ func (ev *Evaluator) unifyProduct(l, r *table.Table, lCol, rCol int, cond algebr
 	if err := ev.gov.ChargeMem("unify-product", n); err != nil {
 		return nil, err
 	}
-
-	arity := l.Arity() + r.Arity()
-	lRows, rRows := l.Rows(), r.Rows()
-	chunks := make([][]table.Row, ev.opts.workers())
-	maxRows := int64(ev.gov.MaxRows())
-	var outRows atomic.Int64
-	lCols := []int{lCol}
-	err := ev.runChunks(l.Len(), "unify-product", func(c *chunk) error {
-		var out []table.Row
-		row := c.scratch(arity)
-		for i := c.lo; i < c.hi; i++ {
-			if c.stopped() {
-				return nil
-			}
-			lr := lRows[i]
-			copy(row, lr)
-			c.st.costUnits++
-			cur := b.Probe(lr, lCols, &c.key)
-			for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
-				c.st.costUnits++
-				copy(row[len(lr):], rRows[ri])
-				v, err := ev.evalCond(cond, row)
-				if err != nil {
-					return err
-				}
-				if !v.IsTrue() {
-					continue
-				}
-				out = append(out, append(table.Row(nil), row...))
-				if outRows.Add(1) > maxRows {
-					return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "unify-product",
-						Detail: fmt.Sprintf("result exceeds %d rows", maxRows)}
-				}
-			}
-		}
-		chunks[c.part] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := concatChunks(ev.gov, arity, chunks)
+	curCols := slices.DeleteFunc(algebra.ColsUsed(cond), func(c int) bool { return s.jb.owner[c] == st.Leaf })
+	rows := leaf.Rows()
+	pairs, err := ev.probePairs("unify-product", s.len(), b, []int{st.ProbeCol}, s.probeRow(curCols),
+		func(c *chunk, j int) (bool, error) {
+			row := c.scratch(s.arity())
+			copy(row[off:], rows[j])
+			v, err := ev.evalCond(cond, row)
+			return v.IsTrue(), err
+		})
 	if err != nil {
 		return nil, err
 	}
 	ev.note("unify-product %d × %d on #%d ≈ #%d, wild-hash %d keyed / %d wild -> %d rows",
-		l.Len(), r.Len(), lCol, l.Arity()+rCol, b.Keyed(), b.Wild(), out.Len())
-	return out, nil
+		s.len(), leaf.Len(), st.ProbeCol, st.BuildCol, b.Keyed(), b.Wild(), len(pairs))
+	return pairs, nil
 }
 
 // evalUnifySemi executes a unification (anti-)semijoin R ⋉⇑ S: the
