@@ -112,18 +112,24 @@ bench-fig4:
 # 15 000 x 500 and a 60 000 x 15 000 semijoin that verifies a residual
 # condition per candidate), Q4's four-leaf join block on its own
 # (BenchmarkJoinBlock: with Q4's filters and with its three edges
-# only, over sf 0.01) and the null-list read of a selection that
+# only, over sf 0.01), the null-list read of a selection that
 # requires a null (BenchmarkNullScan: null(l_partkey) over sf 0.01
-# lineitem, against the same selection over a full scan). -benchmem
-# prints B/op and allocs/op beside the time: a join block copies each
-# output row once, so its B/op is about the output's values. Advisory
-# like bench-fig4's first half: wall-clock, so its failure is printed
-# and ignored; the exact gates are TestBuildSideEquivalence,
-# TestJoinBlockSteps, TestJoinBlockCopiesRowsOnce,
-# TestNullScanMatchesFullScan and TestCostUnitsDirectionIndependent, in
+# lineitem, against the same selection over a full scan), a drained
+# selection (BenchmarkDrain: l_receiptdate > l_commitdate over sf 0.01
+# lineitem) and a full checkpoint of the sf 0.01 instance
+# (BenchmarkCheckpoint, internal/persist). -benchmem prints B/op and
+# allocs/op beside the time: a join block copies each output row once,
+# a drain allocates its table once at its exact size, and a segment's
+# blocks are encoded in one reused buffer. Advisory like bench-fig4's
+# first half: wall-clock, so its failure is printed and ignored; the
+# exact gates are TestBuildSideEquivalence, TestJoinBlockSteps,
+# TestJoinBlockCopiesRowsOnce, TestDrainCopiesRowsOnce,
+# TestDrainResultDoesNotAliasStorage, TestNullScanMatchesFullScan,
+# TestCostUnitsDirectionIndependent and TestSegmentBytesPinned, in
 # `make test`.
 bench-join:
-	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkJoinBlock|BenchmarkNullScan' -benchtime 5x -benchmem ./internal/eval
+	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkJoinBlock|BenchmarkNullScan|BenchmarkDrain' -benchtime 5x -benchmem ./internal/eval
+	-$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 5x -benchmem ./internal/persist
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
 # detector. 30s per target is the CI smoke setting; for a nightly long

@@ -61,19 +61,20 @@ func (ev *Evaluator) evalGroupBy(e algebra.GroupBy) (*table.Table, error) {
 	if len(e.Keys) == 0 && len(groups) == 0 {
 		groups = append(groups, group{accs: newAccs()})
 	}
-	out := table.New(e.Arity())
-	for _, g := range groups {
-		row := make(table.Row, 0, e.Arity())
+	arity := e.Arity()
+	rows, slab := make([]table.Row, len(groups)), make([]value.Value, len(groups)*arity)
+	for gi, g := range groups {
+		row := slab[gi*arity : gi*arity : (gi+1)*arity]
 		for _, kc := range e.Keys {
 			row = append(row, g.rep[kc])
 		}
 		for i := range g.accs {
 			row = append(row, g.accs[i].result(ev.freshAggNull))
 		}
-		out.Append(row)
+		rows[gi] = row
 	}
-	ev.note("group by %v -> %d groups", e.Keys, out.Len())
-	return out, nil
+	ev.note("group by %v -> %d groups", e.Keys, len(rows))
+	return table.FromRows(arity, rows), nil
 }
 
 // aggAcc accumulates one aggregate over one group.

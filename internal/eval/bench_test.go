@@ -43,6 +43,7 @@ func benchDB(n int, nullRate float64) *table.Database {
 func benchEval(b *testing.B, db *table.Database, e algebra.Expr, opts eval.Options) {
 	b.Helper()
 	b.ReportAllocs()
+	b.ResetTimer() // the instance's generation is set-up, not the operator's
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.New(db, opts).Eval(e); err != nil {
 			b.Fatal(err)
@@ -250,6 +251,18 @@ func BenchmarkNullScan(b *testing.B) {
 		full := algebra.Select{Child: algebra.Project{Child: base, Cols: rangeCols(rel.Arity())}, Cond: cond}
 		benchEval(b, db, full, eval.Options{Parallelism: 1})
 	})
+}
+
+// BenchmarkDrain times a pipeline drained to a table: σ[#12 > #11]
+// (l_receiptdate > l_commitdate) over sf 0.01 lineitem at 2 % nulls,
+// which keeps about six rows in ten. Advisory: -benchmem shows the
+// allocation of the kept rows' pointers, once in the filter's batches
+// and once in the drained table.
+func BenchmarkDrain(b *testing.B) {
+	db := tpch.Generate(tpch.Config{ScaleFactor: 0.01, Seed: 3, NullRate: 0.02})
+	rel, _ := db.Schema.Relation("lineitem")
+	cond := algebra.Cmp{Op: algebra.GT, L: algebra.Col{Idx: 12}, R: algebra.Col{Idx: 11}}
+	benchEval(b, db, algebra.Select{Child: algebra.Base{Name: "lineitem", Cols: rel.Arity()}, Cond: cond}, eval.Options{Parallelism: 1})
 }
 
 func rangeCols(n int) []int {

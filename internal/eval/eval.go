@@ -414,8 +414,7 @@ func (ev *Evaluator) product(l, r *table.Table) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := table.New(l.Arity() + r.Arity())
-	out.Grow(n)
+	rows := make([]table.Row, 0, n)
 	for _, lr := range l.Rows() {
 		if err := ev.tick("product"); err != nil {
 			return nil, err
@@ -424,14 +423,14 @@ func (ev *Evaluator) product(l, r *table.Table) (*table.Table, error) {
 			nr := make(table.Row, 0, len(lr)+len(rr))
 			nr = append(nr, lr...)
 			nr = append(nr, rr...)
-			out.Append(nr)
+			rows = append(rows, nr)
 		}
 	}
 	if err := ev.charge("product", int64(n)); err != nil {
 		return nil, err
 	}
-	ev.note("product -> %d rows", out.Len())
-	return out, nil
+	ev.note("product -> %d rows", len(rows))
+	return table.FromRows(l.Arity()+r.Arity(), rows), nil
 }
 
 // evalAdomPower materializes adomᵏ, the k-fold power of the active
@@ -446,8 +445,7 @@ func (ev *Evaluator) evalAdomPower(e algebra.AdomPower) (*table.Table, error) {
 		}
 		size *= len(dom)
 	}
-	out := table.New(e.K)
-	out.Grow(size)
+	rows := make([]table.Row, 0, size)
 	row := make(table.Row, e.K)
 	var genErr error
 	var gen func(pos int)
@@ -461,7 +459,7 @@ func (ev *Evaluator) evalAdomPower(e algebra.AdomPower) (*table.Table, error) {
 			}
 			nr := make(table.Row, e.K)
 			copy(nr, row)
-			out.Append(nr)
+			rows = append(rows, nr)
 			return
 		}
 		for _, v := range dom {
@@ -476,8 +474,8 @@ func (ev *Evaluator) evalAdomPower(e algebra.AdomPower) (*table.Table, error) {
 	if err := ev.charge("adom-power", int64(size)); err != nil {
 		return nil, err
 	}
-	ev.note("adom^%d -> %d rows", e.K, out.Len())
-	return out, nil
+	ev.note("adom^%d -> %d rows", e.K, len(rows))
+	return table.FromRows(e.K, rows), nil
 }
 
 // evalSetOp executes INTERSECT (in) or EXCEPT (!in): the distinct rows
@@ -501,7 +499,7 @@ func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*
 	}
 	seen := ev.newGrownIndex(op, 0)
 	defer seen.release()
-	out := table.New(l.Arity())
+	var rows []table.Row
 	var key []byte
 	for i, row := range l.Rows() {
 		if i%batchSize == 0 {
@@ -514,7 +512,7 @@ func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*
 			continue
 		}
 		if _, fresh := seen.Insert(row, all); fresh {
-			out.Append(row)
+			rows = append(rows, row)
 		}
 	}
 	if err := seen.charge(); err != nil {
@@ -523,8 +521,8 @@ func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*
 	if err := ev.charge(op, int64(l.Len()+r.Len())); err != nil {
 		return nil, err
 	}
-	ev.note("%s -> %d rows", op, out.Len())
-	return out, nil
+	ev.note("%s -> %d rows", op, len(rows))
+	return table.FromRows(l.Arity(), rows), nil
 }
 
 // evalDivision executes L ÷ R: a prefix of L, in first-seen order, is
@@ -571,7 +569,7 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 	}
 	prefixes := ev.newGrownIndex("division", 0)
 	defer prefixes.release()
-	out := table.New(nPre)
+	var rows []table.Row
 	row := make(table.Row, e.L.Arity())
 	var key []byte
 	for i, lr := range l.Rows() {
@@ -598,14 +596,14 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 			}
 		}
 		if covers {
-			out.Append(append(table.Row{}, lr[:nPre]...))
+			rows = append(rows, append(table.Row{}, lr[:nPre]...))
 		}
 	}
 	if err := prefixes.charge(); err != nil {
 		return nil, err
 	}
-	ev.note("division %d ÷ %d -> %d rows", l.Len(), r.Len(), out.Len())
-	return out, nil
+	ev.note("division %d ÷ %d -> %d rows", l.Len(), r.Len(), len(rows))
+	return table.FromRows(nPre, rows), nil
 }
 
 func rangeInts(n int) []int {

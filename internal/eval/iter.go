@@ -9,6 +9,7 @@ import (
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
 	"certsql/internal/table"
+	"certsql/internal/value"
 )
 
 // The executor's streaming operator family: composable pull-based batch
@@ -25,7 +26,10 @@ import (
 //     exhausted, or an error; after nil or an error the iterator must
 //     not be pulled again.
 //   - batches and their rows are read-only and remain valid after
-//     further next calls (rows are shared, never mutated).
+//     further next calls (rows are shared, never mutated). drain and
+//     the semijoin probe's held batches rely on this: they keep the
+//     batches and concatenate them once, so the executor allocates
+//     each intermediate table once, at its exact size.
 //   - close releases iterator-held resources; it is idempotent and must
 //     be called exactly once by the owner of the pipeline root (parents
 //     close their children).
@@ -183,11 +187,14 @@ func (it *rowsIter) isIter()    {}
 // filterIter applies a selection condition to each pulled batch, row
 // by row on the coordinating goroutine. Scalar subqueries in the
 // condition are resolved at construction, after the child pipeline is
-// built, which fixes the minting order of aggregate-null marks.
+// built, which fixes the minting order of aggregate-null marks. The
+// passing rows are collected in a scratch slice reused across batches
+// and emitted as an exact-size copy.
 type filterIter struct {
-	ev    *Evaluator
-	child iter
-	cond  algebra.Cond
+	ev      *Evaluator
+	child   iter
+	cond    algebra.Cond
+	scratch []table.Row
 }
 
 func (ev *Evaluator) newFilterIter(child iter, cond algebra.Cond) (*filterIter, error) {
@@ -208,18 +215,18 @@ func (it *filterIter) next() ([]table.Row, error) {
 		if err := it.ev.charge("filter", int64(len(batch))); err != nil {
 			return nil, err
 		}
-		var out []table.Row
+		it.scratch = it.scratch[:0]
 		for _, r := range batch {
 			v, err := it.ev.evalCond(it.cond, r)
 			if err != nil {
 				return nil, err
 			}
 			if v.IsTrue() {
-				out = append(out, r)
+				it.scratch = append(it.scratch, r)
 			}
 		}
-		if len(out) > 0 {
-			return out, nil
+		if len(it.scratch) > 0 {
+			return slices.Clone(it.scratch), nil
 		}
 	}
 }
@@ -228,7 +235,8 @@ func (it *filterIter) arity() int { return it.child.arity() }
 func (it *filterIter) close()     { it.child.close() }
 func (it *filterIter) isIter()    {}
 
-// projectIter rewrites each row onto the projection's column list.
+// projectIter rewrites each row onto the projection's column list; a
+// batch's rows share one value slab.
 type projectIter struct {
 	ev    *Evaluator
 	child iter
@@ -243,9 +251,11 @@ func (it *projectIter) next() ([]table.Row, error) {
 	if err := it.ev.charge("project", int64(len(batch))); err != nil {
 		return nil, err
 	}
+	k := len(it.cols)
 	out := make([]table.Row, len(batch))
+	slab := make([]value.Value, len(batch)*k)
 	for i, r := range batch {
-		nr := make(table.Row, len(it.cols))
+		nr := slab[i*k : (i+1)*k : (i+1)*k]
 		for j, c := range it.cols {
 			nr[j] = r[c]
 		}
@@ -288,13 +298,15 @@ func (it *limitIter) isIter()    {}
 // distinctIter deduplicates by mark-aware row identity, keeping first
 // occurrences. chargeOp names the operator charged one cost unit per
 // input row; it is empty when the dedup rides inside a union, which
-// charges its own rows.
+// charges its own rows. Like filterIter it collects into a reused
+// scratch slice and emits an exact-size copy.
 type distinctIter struct {
 	ev       *Evaluator
 	child    iter
 	chargeOp string
 	seen     *grownIndex // charged per batch, released by close
 	cols     []int
+	scratch  []table.Row
 }
 
 func (ev *Evaluator) newDistinctIter(child iter, chargeOp string) *distinctIter {
@@ -313,17 +325,17 @@ func (it *distinctIter) next() ([]table.Row, error) {
 				return nil, err
 			}
 		}
-		var out []table.Row
+		it.scratch = it.scratch[:0]
 		for _, r := range batch {
 			if _, fresh := it.seen.Insert(r, it.cols); fresh {
-				out = append(out, r)
+				it.scratch = append(it.scratch, r)
 			}
 		}
 		if err := it.seen.charge(); err != nil {
 			return nil, err
 		}
-		if len(out) > 0 {
-			return out, nil
+		if len(it.scratch) > 0 {
+			return slices.Clone(it.scratch), nil
 		}
 	}
 }
@@ -393,22 +405,23 @@ func (it *semiProbeIter) choose() error {
 	if err := it.ev.gov.Fault(guard.SiteHashBuild); err != nil { // one build, whichever side
 		return err
 	}
-	var held []table.Row
-	for len(held) < it.p.r.Len() {
+	var held [][]table.Row
+	for n := 0; n < it.p.r.Len(); {
 		batch, err := it.child.next()
 		if err != nil {
 			return err
 		}
 		if batch == nil {
 			it.done = true
-			it.out, err = it.ev.semiBuildLeft(it.p, held)
+			it.out, err = it.ev.semiBuildLeft(it.p, concatRows(held))
 			return err
 		}
-		held = append(held, batch...)
+		held = append(held, batch)
+		n += len(batch)
 	}
 	err := it.ev.buildSemi(it.p)
 	if err == nil {
-		it.out, err = it.ev.probeSemi(it.p, held)
+		it.out, err = it.ev.probeSemi(it.p, concatRows(held))
 	}
 	return err
 }

@@ -153,18 +153,16 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 		}
 	}
 
-	out := table.New(totalArity)
-	out.Grow(s.len())
-	slab := make([]value.Value, s.len()*totalArity)
-	for i := range s.len() {
+	rows, slab := make([]table.Row, s.len()), make([]value.Value, s.len()*totalArity)
+	for i := range rows {
 		nr := slab[i*totalArity : (i+1)*totalArity : (i+1)*totalArity]
 		for l, pos := range s.tuple(i) {
 			copy(nr[offsets[l]:], filtered[l].Row(pos))
 		}
-		out.Append(nr)
+		rows[i] = nr
 	}
-	ev.note("join block (%d leaves) -> %d rows", n, out.Len())
-	return out, nil
+	ev.note("join block (%d leaves) -> %d rows", n, len(rows))
+	return table.FromRows(totalArity, rows), nil
 }
 
 // eqNulls is the null-key policy of an equality key under the
@@ -224,7 +222,7 @@ func (s *joinSet) extend(gov *guard.Governor, pairs [][2]int, next int) error {
 	n := len(s.leaves)
 	out := make([]int, len(pairs)*n)
 	for k, p := range pairs {
-		if k&1023 == 0 { // a drain loop in its own right, as concatChunks is
+		if k&1023 == 0 { // a drain loop in its own right
 			if err := gov.Poll("join-block"); err != nil {
 				return err
 			}
@@ -388,7 +386,7 @@ func (ev *Evaluator) filterTuples(s *joinSet, cond algebra.Cond) error {
 	}
 	kept := 0
 	for i, k := range keep {
-		if i&1023 == 0 { // a drain loop in its own right, as concatChunks is
+		if i&1023 == 0 { // a drain loop in its own right
 			if err := ev.gov.Poll("concat-chunks"); err != nil {
 				return err
 			}

@@ -208,32 +208,16 @@ func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) erro
 }
 
 // concatChunks assembles per-partition row buffers into one table in
-// partition order, preserving the sequential output order exactly. The
-// merge touches every output row after the workers have already
-// finished, so it is a drain loop in its own right: it polls the
-// governor (amortized) so a cancellation that lands between the
-// parallel phase and the merge still stops the query instead of paying
-// for the full assembly.
+// partition order, preserving the sequential output order exactly: a
+// lone buffer is wrapped as it is, several are copied once into a
+// slice of the exact size. It polls the governor first, so a
+// cancellation that lands between the parallel phase and the merge
+// still stops the query.
 func concatChunks(gov *guard.Governor, arity int, chunks [][]table.Row) (*table.Table, error) {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
+	if err := gov.Poll("concat-chunks"); err != nil {
+		return nil, err
 	}
-	out := table.New(arity)
-	out.Grow(n)
-	appended := 0
-	for _, c := range chunks {
-		for _, r := range c {
-			if appended&1023 == 0 {
-				if err := gov.Poll("concat-chunks"); err != nil {
-					return nil, err
-				}
-			}
-			out.Append(r)
-			appended++
-		}
-	}
-	return out, nil
+	return table.FromRows(arity, concatRows(chunks)), nil
 }
 
 // resolveScalars returns cond with every scalar-subquery operand

@@ -267,12 +267,16 @@ func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin) (iter, error) {
 // drain pulls a pipeline to exhaustion into a fresh table. This loop
 // is where per-operator governance became per-batch: every pull polls
 // for cancellation, fires the batch-pull fault site, checks the row
-// budget against the accumulated output, and charges the output's
-// estimated bytes incrementally (table.EstimatedBytes is linear in
-// rows, so the increments sum exactly to the full-table charge). On
-// failure the partial output's charge is returned to the governor.
+// budget against the accumulated output, and charges the batch's
+// estimated bytes (table.EstimatedBytes is linear in rows, so the
+// increments sum exactly to the full-table charge). The batches stay
+// valid after later pulls (the iter contract), so they are kept and
+// concatenated once at the end, into a table allocated at its exact
+// size. On failure the partial output's charge is returned to the
+// governor.
 func (ev *Evaluator) drain(op string, it iter) (t *table.Table, err error) {
-	out := table.New(it.arity())
+	var batches [][]table.Row
+	n, rowBytes := 0, table.EstimatedRowBytes(it.arity())
 	var charged int64
 	defer func() {
 		if err != nil {
@@ -293,21 +297,41 @@ func (ev *Evaluator) drain(op string, it iter) (t *table.Table, err error) {
 		if batch == nil {
 			break
 		}
-		for _, r := range batch {
-			out.Append(r)
-		}
-		if err := ev.gov.CheckRows(op, out.Len()); err != nil {
+		batches = append(batches, batch)
+		n += len(batch)
+		if err := ev.gov.CheckRows(op, n); err != nil {
 			return nil, err
 		}
-		delta := out.EstimatedBytes() - charged
+		delta := int64(len(batch)) * rowBytes
 		charged += delta // ChargeMem adds before checking; keep release exact
 		if err := ev.gov.ChargeMem(op, delta); err != nil {
 			return nil, err
 		}
 	}
+	out := table.FromRows(it.arity(), concatRows(batches))
 	ev.trackMem(out, charged)
 	ev.note("%s ~> %d rows", iterName(it), out.Len())
 	return out, nil
+}
+
+// concatRows returns the rows of batches in order, in one slice
+// allocated at its exact size. A lone batch is returned as it is: a
+// scan's batch then shares the stored relation's array, which
+// FromRows' clipped capacity keeps an Append on the result from
+// writing into.
+func concatRows(batches [][]table.Row) []table.Row {
+	if len(batches) == 1 {
+		return batches[0]
+	}
+	n := 0
+	for _, b := range batches {
+		n += len(b)
+	}
+	rows := make([]table.Row, 0, n)
+	for _, b := range batches {
+		rows = append(rows, b...)
+	}
+	return rows
 }
 
 // pushFrame opens a memory scope: tables charged while it is open are

@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"certsql/internal/algebra"
@@ -157,5 +158,71 @@ func TestBatchPullFaults(t *testing.T) {
 	}
 	if _, err := ev.Eval(baseR); !errors.Is(err, eval.ErrPoisoned) {
 		t.Errorf("evaluator not poisoned after contained panic: %v", err)
+	}
+}
+
+// TestDrainCopiesRowsOnce gates the allocations of a drained pipeline:
+// σ[a < 10 000] over 20 000 stored rows keeps every other row, and may
+// allocate at most 2.5× the kept rows' pointer bytes (24 B a row). The
+// filter's exact-size batches and the drain's one concatenation take
+// 2×; growing the result by append a row at a time takes far more.
+func TestDrainCopiesRowsOnce(t *testing.T) {
+	const rows, kept = 20000, 10000
+	db := newDB(t)
+	for i := 0; i < rows; i++ {
+		a := int64(i / 2) // even positions keep a < kept, odd ones a ≥ kept
+		if i%2 == 1 {
+			a += kept
+		}
+		ins(t, db, "r", table.Row{value.Int(a), value.Int(int64(i))})
+	}
+	e := algebra.Select{Child: baseR, Cond: algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 0}, R: algebra.Lit{Val: value.Int(kept)}}}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := eval.New(db, eval.Options{Parallelism: 1}).Eval(e)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != kept {
+		t.Fatalf("%d rows, want %d", got.Len(), kept)
+	}
+	ptrBytes := uint64(kept * 24)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d B, %.2f× the kept rows' %d pointer bytes", alloc, float64(alloc)/float64(ptrBytes), ptrBytes)
+	if alloc > ptrBytes*5/2 {
+		t.Errorf("allocated %d B, more than 2.5× the kept rows' %d pointer bytes", alloc, ptrBytes)
+	}
+}
+
+// TestDrainResultDoesNotAliasStorage: a LIMIT over a scan drains one
+// batch, which shares the stored relation's array. Appending to the
+// result must not write into that array, and must not change the
+// relation's rows or generation.
+func TestDrainResultDoesNotAliasStorage(t *testing.T) {
+	db := newDB(t)
+	for i := 0; i < 8; i++ {
+		ins(t, db, "r", table.Row{value.Int(int64(i)), value.Int(int64(i))})
+	}
+	stored := db.MustTable("r")
+	gen, want := stored.Generation(), stored.String()
+	res, err := eval.New(db, eval.Options{}).Eval(algebra.Limit{Child: baseR, N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 3 {
+		t.Fatalf("%d rows, want 3", res.Len())
+	}
+	res.Append(table.Row{value.Int(-1), value.Int(-1)})
+	if got := stored.String(); got != want {
+		t.Errorf("appending to the result changed the stored relation:\n%s\nwant\n%s", got, want)
+	}
+	if stored.Generation() != gen {
+		t.Errorf("stored generation %d, want %d", stored.Generation(), gen)
+	}
+	if res.Row(3)[0] != value.Int(-1) || res.Len() != 4 {
+		t.Errorf("result after append: %v", res)
 	}
 }

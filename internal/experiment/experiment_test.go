@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"certsql/internal/eval"
@@ -175,8 +176,15 @@ func TestLegacyBlowup(t *testing.T) {
 		if p.PlusCost >= p.LegacyCost && !p.LegacyFailed {
 			t.Errorf("Q+ cost %d not below legacy cost %d at %d rows", p.PlusCost, p.LegacyCost, p.Rows)
 		}
+		if p.LegacyFailed && p.LegacyCost != 0 {
+			t.Errorf("out-of-budget row at %d rows reports legacy cost %d, want none", p.Rows, p.LegacyCost)
+		}
 	}
-	t.Log("\n" + experiment.RenderLegacy(points))
+	rendered := experiment.RenderLegacy(points)
+	if want := "—    OUT OF BUDGET"; last.LegacyFailed && !strings.Contains(rendered, want) {
+		t.Errorf("rendered table lacks %q for the failed row:\n%s", want, rendered)
+	}
+	t.Log("\n" + rendered)
 }
 
 // TestLegacyOnQ3 checks that the legacy translation of the real Q3 is

@@ -133,12 +133,12 @@ func RenderLegacy(points []LegacyPoint) string {
 	b.WriteString("Section 5 — legacy translation [Libkin TODS'16] vs Q+ on R − S\n")
 	b.WriteString("rows/rel   |adom|   legacy-cost      legacy-time     Q+-cost     Q+-time\n")
 	for _, p := range points {
-		legacyTime := p.LegacyTime.String()
+		legacyCost, legacyTime := fmt.Sprint(p.LegacyCost), p.LegacyTime.String()
 		if p.LegacyFailed {
-			legacyTime = "OUT OF BUDGET"
+			legacyCost, legacyTime = "—", "OUT OF BUDGET"
 		}
-		fmt.Fprintf(&b, "%8d %8d %13d %16s %11d %11s\n",
-			p.Rows, p.AdomSize, p.LegacyCost, legacyTime, p.PlusCost, p.PlusTime)
+		fmt.Fprintf(&b, "%8d %8d %13s %16s %11d %11s\n",
+			p.Rows, p.AdomSize, legacyCost, legacyTime, p.PlusCost, p.PlusTime)
 	}
 	return b.String()
 }

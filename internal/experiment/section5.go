@@ -29,7 +29,9 @@ type LegacyPoint struct {
 	AdomSize int
 	// LegacyTime is the legacy Qt evaluation time; LegacyFailed is set
 	// when it exceeded the row budget (the analogue of the paper's
-	// out-of-memory failures below 10³ tuples).
+	// out-of-memory failures below 10³ tuples). LegacyCost is the cost
+	// units of a completed evaluation, and 0 for a failed one: the
+	// charge a budget trip cuts short is no cost of the query.
 	LegacyTime   time.Duration
 	LegacyFailed bool
 	LegacyCost   int64
@@ -115,12 +117,13 @@ func LegacyBlowup(ctx context.Context, cfg LegacyConfig) ([]LegacyPoint, error) 
 		start := time.Now()
 		_, err := ev.Eval(legacy)
 		pt.LegacyTime = time.Since(start)
-		pt.LegacyCost = ev.Stats().CostUnits
-		if err != nil {
-			if !budgetTripped(err) {
-				return nil, fmt.Errorf("legacy eval: %w", err)
-			}
+		switch {
+		case err == nil:
+			pt.LegacyCost = ev.Stats().CostUnits
+		case budgetTripped(err):
 			pt.LegacyFailed = true
+		default:
+			return nil, fmt.Errorf("legacy eval: %w", err)
 		}
 
 		plus := tr.Plus(q)

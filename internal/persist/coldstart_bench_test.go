@@ -66,3 +66,23 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCheckpoint times a full checkpoint of the sf 0.01 instance
+// (Store.Publish: one segment per relation, a fresh WAL, the manifest
+// rename), fsyncs included. -benchmem shows the encoding's allocations:
+// each segment's blocks are encoded and framed in one reused buffer.
+func BenchmarkCheckpoint(b *testing.B) {
+	db := tpch.Generate(benchConfig)
+	st, err := persist.Open(b.TempDir(), func() (*table.Database, error) { return db, nil }, persist.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Publish(db); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -36,6 +36,30 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// frameHeaderMax is the most bytes a frame header takes: the payload
+// length as a uvarint, then the checksum.
+const frameHeaderMax = binary.MaxVarintLen64 + 4
+
+// reserveFrame and sealFrame build a frame in one buffer, without
+// copying its payload: reserveFrame appends room for the header, the
+// payload is appended after that room, and sealFrame writes the
+// header, whose length is known only then, against the payload and
+// returns the frame — the bytes appendFrame would append.
+func reserveFrame(buf []byte) []byte {
+	return append(buf, make([]byte, frameHeaderMax)...)
+}
+
+// sealFrame closes the frame whose room reserveFrame appended at start.
+func sealFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameHeaderMax:]
+	var hdr [frameHeaderMax]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(len(payload)))
+	h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(payload, castagnoli))
+	at := start + frameHeaderMax - len(h)
+	copy(buf[at:], h)
+	return buf[at:]
+}
+
 // frameErrKind distinguishes how reading a frame failed.
 type frameErrKind uint8
 

@@ -75,7 +75,7 @@ func FuzzSegmentReader(f *testing.F) {
 func FuzzWALScanner(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("CWL1"))
-	f.Add(appendFrame([]byte("CWL1"), encodeWALRecord(2, 5, nil)))
+	f.Add(appendFrame([]byte("CWL1"), encodeWALRecord(nil, 2, 5, nil)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.log")

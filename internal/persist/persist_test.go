@@ -499,7 +499,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}},
 		{Kind: table.OpInsert, Table: "x", Row: table.Row{value.Int(0)}},
 	}
-	payload := encodeWALRecord(901, 1234, ops)
+	payload := encodeWALRecord(nil, 901, 1234, ops)
 	rec, err := decodeWALRecord(payload)
 	if err != nil {
 		t.Fatal(err)

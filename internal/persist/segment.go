@@ -85,15 +85,15 @@ func writeSegment(dir, name, relName string, t *table.Table, hit func(guard.Site
 	}
 	size = int64(len(buf))
 
-	// Row blocks.
+	// Row blocks, each framed in place in the one buffer.
 	rows := t.Rows()
 	for start := 0; start < len(rows); start += segBlockRows {
 		if err := hit(guard.SitePersistSegmentWrite); err != nil {
 			return 0, err
 		}
 		end := min(start+segBlockRows, len(rows))
-		block := encodeBlock(rows[start:end], t.Arity())
-		frame := appendFrame(nil, block)
+		buf = encodeBlock(reserveFrame(buf[:0]), rows[start:end], t.Arity())
+		frame := sealFrame(buf, 0)
 		if _, err := f.Write(frame); err != nil {
 			return 0, fmt.Errorf("persist: %s: %w", tmpPath, err)
 		}
@@ -117,9 +117,9 @@ func writeSegment(dir, name, relName string, t *table.Table, hit func(guard.Site
 	return size, nil
 }
 
-// encodeBlock encodes rows column by column.
-func encodeBlock(rows []table.Row, arity int) []byte {
-	buf := appendUvarint(nil, uint64(len(rows)))
+// encodeBlock appends the encoding of rows, column by column, to buf.
+func encodeBlock(buf []byte, rows []table.Row, arity int) []byte {
+	buf = appendUvarint(buf, uint64(len(rows)))
 	for col := 0; col < arity; col++ {
 		for _, r := range rows {
 			buf = appendValue(buf, r[col])

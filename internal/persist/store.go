@@ -287,7 +287,7 @@ func (s *Store) appendRecord(version uint64, nextNull int64, ops []table.Op) err
 	if s.wal == nil {
 		return errors.New("persist: store has no open WAL")
 	}
-	frame := appendFrame(nil, encodeWALRecord(version, nextNull, ops))
+	frame := sealFrame(encodeWALRecord(reserveFrame(nil), version, nextNull, ops), 0)
 	start, err := s.wal.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("persist: %s: %w", s.walName, err)

@@ -37,9 +37,9 @@ import (
 
 var walMagic = []byte("CWL1")
 
-// encodeWALRecord encodes one record payload (unframed).
-func encodeWALRecord(version uint64, nextNull int64, ops []table.Op) []byte {
-	buf := appendUvarint(nil, version)
+// encodeWALRecord appends one record payload (unframed) to buf.
+func encodeWALRecord(buf []byte, version uint64, nextNull int64, ops []table.Op) []byte {
+	buf = appendUvarint(buf, version)
 	buf = appendVarint(buf, nextNull)
 	buf = appendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {

@@ -5,6 +5,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -47,13 +48,18 @@ type nullList struct {
 // New returns an empty table of the given arity.
 func New(arity int) *Table { return &Table{arity: arity, gen: genCounter.Add(1)} }
 
-// FromRows builds a table from rows, all of which must share the arity.
+// FromRows builds a table of one generation over rows, all of which
+// must share the arity. The table takes rows as its storage, with the
+// capacity clipped to the length, so an Append reallocates rather than
+// writing into an array the caller shares; the caller must not change
+// rows afterwards. It panics on arity mismatch, as Append does.
 func FromRows(arity int, rows []Row) *Table {
-	t := New(arity)
 	for _, r := range rows {
-		t.Append(r)
+		if len(r) != arity {
+			panic(fmt.Sprintf("table: row of arity %d in table of arity %d", len(r), arity))
+		}
 	}
-	return t
+	return &Table{arity: arity, gen: genCounter.Add(1), rows: slices.Clip(rows)}
 }
 
 // Arity returns the number of columns.
@@ -143,7 +149,13 @@ const (
 // size, used by the resource governor for memory accounting at
 // operator boundaries.
 func (t *Table) EstimatedBytes() int64 {
-	return int64(t.Len()) * (rowHeaderBytes + valueBytes*int64(t.arity))
+	return int64(t.Len()) * EstimatedRowBytes(t.arity)
+}
+
+// EstimatedRowBytes is EstimatedBytes' share of one row of the given
+// arity: a table's estimate is its row count times this.
+func EstimatedRowBytes(arity int) int64 {
+	return rowHeaderBytes + valueBytes*int64(arity)
 }
 
 // Grow pre-allocates capacity for n additional rows.
