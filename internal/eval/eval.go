@@ -25,6 +25,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
@@ -408,16 +409,26 @@ func (ev *Evaluator) productRows(nL, nR int) (int, error) {
 	return n, ev.gov.CheckRows("product", n)
 }
 
-// product materializes l × r, guarding the row budget.
+// product materializes l × r, guarding the row budget. It polls before
+// it allocates, and its row slice grows with the rows made, at most
+// doubling and never past n = |l|·|r|: with no row budget a
+// cancellation or deadline is seen before the first row, and at worst
+// pollEvery rows of l after it, not after n row headers exist.
 func (ev *Evaluator) product(l, r *table.Table) (*table.Table, error) {
 	n, err := ev.productRows(l.Len(), r.Len())
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]table.Row, 0, n)
+	if err := ev.gov.Poll("product"); err != nil {
+		return nil, err
+	}
+	var rows []table.Row
 	for _, lr := range l.Rows() {
 		if err := ev.tick("product"); err != nil {
 			return nil, err
+		}
+		if need := len(rows) + r.Len(); need > cap(rows) {
+			rows = slices.Grow(rows, min(max(need, 2*cap(rows)), n)-len(rows))
 		}
 		for _, rr := range r.Rows() {
 			nr := make(table.Row, 0, len(lr)+len(rr))

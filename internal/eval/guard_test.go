@@ -347,3 +347,33 @@ func TestIndexMemCharged(t *testing.T) {
 		})
 	}
 }
+
+// TestProductPollsBeforeAllocating: with no row budget, a product of
+// 2 000 × 1 500 rows under an already-expired deadline fails with
+// ErrDeadline before it allocates its rows. Sized up front, the row
+// headers alone would take 72 MB; the bound here is 1 MiB.
+func TestProductPollsBeforeAllocating(t *testing.T) {
+	column := func(n int) *table.Table {
+		rows := make([]table.Row, n)
+		for i := range rows {
+			rows[i] = table.Row{value.Int(int64(i))}
+		}
+		return table.FromRows(1, rows)
+	}
+	l, r := column(2000), column(1500)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	ev := eval.New(newDB(t), eval.Options{Governor: guard.New(ctx, guard.Limits{MaxRows: -1})})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ev.Product(l, r)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, guard.ErrDeadline) {
+		t.Fatalf("product under an expired deadline: %v, want ErrDeadline", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("product allocated %d B before seeing the deadline", alloc)
+	}
+}

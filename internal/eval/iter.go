@@ -124,10 +124,14 @@ func (ev *Evaluator) scan(e algebra.Base, groups [][]int) (*table.Table, []table
 		return nil, nil, err
 	}
 	rows, read := t.Rows(), []int(nil)
+	fewest := len(rows)
 	for _, g := range groups {
-		if cand := nullCandidates(t, g); read == nil || len(cand) < len(rows) {
-			rows, read = cand, g
+		if n := countNulls(t, g); read == nil || n < fewest {
+			fewest, read = n, g
 		}
+	}
+	if read != nil {
+		rows = nullCandidates(t, read, fewest)
 	}
 	if err := ev.charge("scan", int64(len(rows))); err != nil {
 		return nil, nil, err
@@ -140,21 +144,59 @@ func (ev *Evaluator) scan(e algebra.Base, groups [][]int) (*table.Table, []table
 	return t, rows, nil
 }
 
-// nullCandidates returns the rows of t with a null in one of cols, in
-// ascending position: a column's list as stored, or the lists merged.
-func nullCandidates(t *table.Table, cols []int) []table.Row {
+// nullMerge walks the union of t's ascending null-position lists of
+// some columns in one pass, ascending, each position once.
+type nullMerge [][]int
+
+func mergeNulls(t *table.Table, cols []int) nullMerge {
+	m := make(nullMerge, len(cols))
+	for i, c := range cols {
+		_, m[i] = t.NullRows(c)
+	}
+	return m
+}
+
+// next returns the next position, or ok=false when every list is done.
+func (m nullMerge) next() (pos int, ok bool) {
+	pos = -1
+	for _, l := range m {
+		if len(l) > 0 && (pos < 0 || l[0] < pos) {
+			pos = l[0]
+		}
+	}
+	for i, l := range m {
+		if len(l) > 0 && l[0] == pos {
+			m[i] = l[1:]
+		}
+	}
+	return pos, pos >= 0
+}
+
+// countNulls returns the number of rows of t with a null in one of cols.
+func countNulls(t *table.Table, cols []int) int {
+	if len(cols) == 1 {
+		_, pos := t.NullRows(cols[0])
+		return len(pos)
+	}
+	n := 0
+	for m := mergeNulls(t, cols); ; n++ {
+		if _, ok := m.next(); !ok {
+			return n
+		}
+	}
+}
+
+// nullCandidates returns the n = countNulls(t, cols) rows of t with a
+// null in one of cols, in ascending position: a column's list as
+// stored, or the lists merged into a slice of exactly n rows.
+func nullCandidates(t *table.Table, cols []int, n int) []table.Row {
 	if len(cols) == 1 {
 		rows, _ := t.NullRows(cols[0])
 		return rows
 	}
-	var pos []int
-	for _, c := range cols {
-		_, p := t.NullRows(c)
-		pos = append(pos, p...)
-	}
-	slices.Sort(pos)
-	var rows []table.Row
-	for _, p := range slices.Compact(pos) {
+	rows := make([]table.Row, 0, n)
+	m := mergeNulls(t, cols)
+	for p, ok := m.next(); ok; p, ok = m.next() {
 		rows = append(rows, t.Row(p))
 	}
 	return rows
@@ -406,7 +448,7 @@ func (it *semiProbeIter) choose() error {
 		return err
 	}
 	var held [][]table.Row
-	for n := 0; n < it.p.r.Len(); {
+	for n := 0; n < it.p.r.len(); {
 		batch, err := it.child.next()
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package eval
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"certsql/internal/algebra"
@@ -44,13 +45,17 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	// Select node and evaluated through the subplan cache, so the same
 	// filtered relation appearing in several NOT EXISTS branches is
 	// computed once — the executor-level counterpart of the WITH views
-	// the paper introduces for Q⁺4.
+	// the paper introduces for Q⁺4. A const(x) guard that a comparison
+	// of the block makes redundant (dropGuards) is left out, so Q⁺'s
+	// guarded leaf is the original query's leaf, and shares its entry.
+	strict := jb.strictCols()
+	implied := func(col int) bool { return slices.Contains(strict, col) }
 	filtered := make([]*table.Table, n)
 	for i, leaf := range leaves {
 		src := leaf
-		if len(jb.Singles[i]) > 0 {
+		if singles := ev.dropGuards(jb.Singles[i], implied); len(singles) > 0 {
 			remap := func(col int) int { return col - offsets[i] }
-			src = algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(jb.Singles[i]...), remap)}
+			src = algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(singles...), remap)}
 		}
 		t, err := ev.evalChild(src)
 		if err != nil {
@@ -419,7 +424,7 @@ type semiPlan struct {
 	name    string // "semijoin" or "antijoin"
 	cond    algebra.Cond
 	trivial bool // verify condition is constant true: key presence alone decides
-	r       *table.Table
+	r       buildSide
 	// lCols/rCols are the hash keys on the probe and build side; nil
 	// selects the wild-hash index or the nested loop. fuse is the build
 	// side's fused filter (FuseBuild hint), nil for none.
@@ -469,12 +474,16 @@ func SemiKeys(cond algebra.Cond, nL int) (lCols, rCols []int, residual []algebra
 // substitution must happen on this goroutine). The strategy counter is
 // bumped here — one per operator.
 //
-// Under the FuseBuild hint a Select build side is not materialized:
-// its child is evaluated directly and the selection condition is
-// applied where the build side is read, so the filtered rows are never
-// copied. Fusion is skipped when the select subtree is a shared view —
-// evaluating around it would lose the cache entry other plan
-// occurrences rely on.
+// A Select build side loses the const(x) guards the semijoin's own
+// condition makes redundant (dropGuards): x is the build side's column,
+// and the condition compares it. Under the FuseBuild hint a Select
+// build side is not materialized: its child is evaluated directly and
+// the selection condition is applied where the build side is read, so
+// the filtered rows are never copied — or, when the condition has the
+// shape θ ∨ null(a) ∨ … and this execution has σ[θ] of the same child
+// cached, no condition is applied at all (cachedBuild). Fusion is
+// skipped when the select subtree is a shared view — evaluating around
+// it would lose the cache entry other plan occurrences rely on.
 //
 // vetcert:ignore membalance: the wild-hash index lives as long as the
 // iterator probing it; semiProbeIter.close releases p.mem.
@@ -484,15 +493,46 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	if e.Anti {
 		p.name = "antijoin"
 	}
+	// Extract hash keys, keeping the conjuncts that were NOT consumed as
+	// keys: when the planner's SlimVerify hint applies, the residual
+	// alone is verified per candidate (bucket co-membership already
+	// proves the keys equal).
+	var residual []algebra.Cond
+	if !ev.opts.NoHashJoin {
+		p.lCols, p.rCols, residual = SemiKeys(cond, nL)
+	}
 	rExpr := e.R
+	if sel, ok := e.R.(algebra.Select); ok {
+		strict := strictCols(algebra.Conjuncts(cond))
+		conjs := algebra.Conjuncts(sel.Cond)
+		kept := ev.dropGuards(conjs, func(col int) bool { return slices.Contains(strict, nL+col) })
+		if len(kept) < len(conjs) && !ev.sharedView(e.R) {
+			rExpr = sel.Child
+			if len(kept) > 0 {
+				rExpr = algebra.Select{Child: sel.Child, Cond: algebra.NewAnd(kept...)}
+			}
+		}
+	}
 	if p.hint.FuseBuild {
-		if sel, ok := e.R.(algebra.Select); ok && !ev.sharedView(e.R) {
+		if sel, ok := rExpr.(algebra.Select); ok && !ev.sharedView(rExpr) {
 			rExpr, p.fuse = sel.Child, sel.Cond
 		}
 	}
+	var t *table.Table // the evaluated build side, unless read from the cache
+	var hit bool
 	var err error
-	if p.r, err = ev.evalChild(rExpr); err != nil {
-		return nil, err
+	if p.fuse != nil && len(p.lCols) > 0 {
+		if p.r, hit, err = ev.cachedBuild(rExpr, p.fuse); err != nil {
+			return nil, err
+		}
+	}
+	if hit {
+		p.fuse = nil
+	} else {
+		if t, err = ev.evalChild(rExpr); err != nil {
+			return nil, err
+		}
+		p.r = sideOf(t)
 	}
 	if p.fuse != nil {
 		// The planner only fuses scalar-free conditions; resolving is a
@@ -502,14 +542,6 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		}
 	}
 
-	// Extract hash keys, keeping the conjuncts that were NOT consumed as
-	// keys: when the planner's SlimVerify hint applies, the residual
-	// alone is verified per candidate (bucket co-membership already
-	// proves the keys equal).
-	var residual []algebra.Cond
-	if !ev.opts.NoHashJoin {
-		p.lCols, p.rCols, residual = SemiKeys(cond, nL)
-	}
 	verify := cond
 	if p.hint.SlimVerify && len(p.lCols) > 0 {
 		verify = algebra.NewAnd(residual...)
@@ -528,10 +560,10 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		// No hash keys extracted (hash joins disabled, or the condition
 		// carries none): the loops below scan p.r directly, so the fused
 		// filter must be applied eagerly after all.
-		if p.r, err = ev.filterTable(p.r, p.fuse); err != nil {
+		if t, err = ev.filterTable(t, p.fuse); err != nil {
 			return nil, err
 		}
-		p.fuse = nil
+		p.r, p.fuse = sideOf(t), nil
 	}
 	// No hash key: conditions of the form (A = B OR B IS NULL) defeat
 	// key extraction, per Section 7 of the paper. That very disjunct is a
@@ -539,10 +571,10 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	// nested loop remains for edge-free conditions and under NoHashJoin
 	// (the paper's confused optimizer).
 	if lc, rc, ok := SpanningUnifyEdge(cond, nL); ok && !ev.opts.NoHashJoin {
-		if err := ev.chargeUnifyBuild("semijoin/build", p.r.Len()); err != nil {
+		if err := ev.chargeUnifyBuild("semijoin/build", p.r.len()); err != nil {
 			return nil, err
 		}
-		p.idx = table.BuildIndex(p.r.Rows(), []int{rc}, table.NullsWild, 0, nil)
+		p.idx = table.BuildIndex(t.Rows(), []int{rc}, table.NullsWild, 0, nil)
 		p.probeCols = []int{lc}
 		p.mem = p.idx.EstimatedBytes()
 		if err := ev.gov.ChargeMem("semijoin/build", p.mem); err != nil {
@@ -554,8 +586,77 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		return p, nil
 	}
 	ev.stats.NestedLoopJoins++
-	ev.note("nested-loop %s vs %d rows", p.name, p.r.Len())
+	ev.note("nested-loop %s vs %d rows", p.name, p.r.len())
 	return p, nil
+}
+
+// buildSide is an (anti-)semijoin's build side, read in place: a
+// table's rows, or a cached selection's rows followed by null-list rows
+// (cachedBuild). Position i is head's row i, then tail's.
+type buildSide struct {
+	head, tail []table.Row
+	ar         int
+}
+
+func sideOf(t *table.Table) buildSide { return buildSide{head: t.Rows(), ar: t.Arity()} }
+
+func (b buildSide) len() int { return len(b.head) + len(b.tail) }
+
+func (b buildSide) row(i int) table.Row {
+	if i < len(b.head) {
+		return b.head[i]
+	}
+	return b.tail[i-len(b.head)]
+}
+
+// cachedBuild reads the fused build side σ[fuse](child) in two parts
+// when fuse is θ ∨ null(a) ∨ … over a stored relation, θ compares a, …
+// directly (strictCols), and this execution's view cache holds σ[θ] of
+// the same relation — as it does when θ is a join block's leaf filter,
+// Q⁺1's NOT EXISTS build among them: the cached rows, then the rows on
+// the null lists of a, … ("No More Nulls!": hash the null-free part,
+// scan the part with nulls). Under SQL3VL θ is unknown on a row with a
+// null in a column it compares, so the parts are disjoint and together
+// are exactly the selection; naive semantics keep the fused filter. ok
+// is false, and nothing is read, for any other build side.
+func (ev *Evaluator) cachedBuild(child algebra.Expr, fuse algebra.Cond) (b buildSide, ok bool, err error) {
+	base, isBase := child.(algebra.Base)
+	if !isBase || ev.opts.Semantics != value.SQL3VL || ev.opts.NoSubplanCache {
+		return b, false, nil
+	}
+	var theta []algebra.Cond
+	var nullCols []int
+	for _, d := range algebra.Disjuncts(fuse) {
+		if n, isTest := d.(algebra.NullTest); isTest && !n.Negated {
+			if col, isCol := n.Operand.(algebra.Col); isCol {
+				nullCols = append(nullCols, col.Idx)
+				continue
+			}
+		}
+		theta = append(theta, d)
+	}
+	if len(nullCols) == 0 || len(theta) == 0 {
+		return b, false, nil
+	}
+	sel := algebra.Select{Child: base, Cond: algebra.NewOr(theta...)}
+	strict := strictCols(algebra.Conjuncts(sel.Cond))
+	for _, c := range nullCols {
+		if !slices.Contains(strict, c) {
+			return b, false, nil
+		}
+	}
+	if key := viewKey(sel); key == "" || ev.cache[key] == nil {
+		return b, false, nil
+	}
+	cached, err := ev.evalChild(sel) // the cache hit, counted and traced
+	if err != nil {
+		return b, false, err
+	}
+	_, nulls, err := ev.scan(base, [][]int{nullCols})
+	if err != nil {
+		return b, false, err
+	}
+	return buildSide{head: cached.Rows(), tail: nulls, ar: cached.Arity()}, true, nil
 }
 
 // buildSemi indexes the build side of a hash (anti-)semijoin — the
@@ -564,7 +665,7 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 // vetcert:ignore membalance: the index lives as long as the iterator
 // probing it; semiProbeIter.close releases p.mem, a failed charge too.
 func (ev *Evaluator) buildSemi(p *semiPlan) error {
-	size := p.r.Len()
+	size := p.r.len()
 	if d := p.hint.BuildDistinct; d > 0 && d < int64(size) {
 		size = int(d)
 	}
@@ -577,7 +678,7 @@ func (ev *Evaluator) buildSemi(p *semiPlan) error {
 			return pass
 		}
 	}
-	p.idx, p.probeCols = table.BuildIndex(p.r.Rows(), p.rCols, ev.eqNulls(), size, keep), p.lCols
+	p.idx, p.probeCols = table.BuildIndexParts([][]table.Row{p.r.head, p.r.tail}, p.rCols, ev.eqNulls(), size, keep), p.lCols
 	if fuseErr != nil {
 		return fuseErr
 	}
@@ -586,8 +687,8 @@ func (ev *Evaluator) buildSemi(p *semiPlan) error {
 		return err
 	}
 	ev.note("hash %s [%d keys] build %d rows (slim=%v fused=%v)",
-		p.name, len(p.lCols), p.r.Len(), p.hint.SlimVerify, p.fuse != nil)
-	return ev.charge("semijoin/build", int64(p.r.Len()))
+		p.name, len(p.lCols), p.r.len(), p.hint.SlimVerify, p.fuse != nil)
+	return ev.charge("semijoin/build", int64(p.r.len()))
 }
 
 // semiBuildLeft answers a hash (anti-)semijoin whose whole probe side,
@@ -616,19 +717,19 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 	workers := ev.opts.workers()
 	matched, verified := make([][]bool, workers), make([][]int64, workers)
 	var filtered atomic.Int64 // R rows put through the fused filter, for the trace
-	rRows := p.r.Rows()
-	err := ev.runChunks(len(rRows), "semijoin/probe", func(c *chunk) error {
+	err := ev.runChunks(p.r.len(), "semijoin/probe", func(c *chunk) error {
 		if err := c.fault(guard.SiteSemijoinProbe); err != nil {
 			return err
 		}
 		m, n := make([]bool, len(held)), make([]int64, len(held))
 		matched[c.part], verified[c.part] = m, n
-		row := c.scratch(p.nL + p.r.Arity())
+		row := c.scratch(p.nL + p.r.ar)
 		ran := int64(0)
-		for _, rr := range rRows[c.lo:c.hi] {
+		for ri := c.lo; ri < c.hi; ri++ {
 			if c.stopped() {
 				return nil
 			}
+			rr := p.r.row(ri)
 			c.st.costUnits++
 			passed := false
 			cur := idx.Probe(rr, p.rCols, &c.key)
@@ -681,7 +782,7 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 	if p.fuse != nil {
 		fused = fmt.Sprintf(" (fused filter on %d)", filtered.Load())
 	}
-	ev.note("hash %s [%d keys] build-left %d rows, streamed %d%s", p.name, len(p.lCols), len(held), len(rRows), fused)
+	ev.note("hash %s [%d keys] build-left %d rows, streamed %d%s", p.name, len(p.lCols), len(held), p.r.len(), fused)
 	return keptRows(held, keep), nil
 }
 
@@ -689,7 +790,7 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 // cost counters and its scratch buffers for the key and for candidate
 // verification.
 func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error) {
-	row := c.scratch(p.nL + p.r.Arity())
+	row := c.scratch(p.nL + p.r.ar)
 	if !p.trivial {
 		copy(row, lr)
 	}
@@ -697,7 +798,7 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 	// merged with the wild rows of a unification edge — or, for a null
 	// probe key on one, and for plans without an index, every build row.
 	// The verify condition decides each; the first match ends the walk.
-	cur := table.ScanCursor(p.r.Len())
+	cur := table.ScanCursor(p.r.len())
 	if p.idx != nil {
 		c.st.costUnits++
 		cur = p.idx.Probe(lr, p.probeCols, &c.key)
@@ -707,7 +808,7 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 			return true, nil
 		}
 		c.st.costUnits++
-		copy(row[p.nL:], p.r.Row(ri))
+		copy(row[p.nL:], p.r.row(ri))
 		if v, err := ev.evalCond(p.cond, row); v.IsTrue() || err != nil {
 			return v.IsTrue(), err
 		}

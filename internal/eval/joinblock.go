@@ -69,6 +69,20 @@ func ClassifyJoinBlock(arities []int, cond algebra.Cond) *JoinBlock {
 	return jb
 }
 
+// strictCols returns the canonical columns that a comparison or LIKE
+// conjunct of the block reads directly, the edges' columns included:
+// under SQL3VL none of them is null in a row the block outputs.
+func (jb *JoinBlock) strictCols() []int {
+	cols := strictCols(jb.residuals)
+	for _, s := range jb.Singles {
+		cols = append(cols, strictCols(s)...)
+	}
+	for _, e := range jb.edges {
+		cols = append(cols, e.colA, e.colB)
+	}
+	return cols
+}
+
 // JoinKind names how a step joins its leaf to the leaves before it.
 type JoinKind int
 

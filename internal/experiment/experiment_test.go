@@ -82,6 +82,15 @@ func TestFigure4Shape(t *testing.T) {
 	// The lower end of "near 1" for Q1/Q3. On the default route Q⁺3
 	// measures 0.9997 and 0.9993: just below Q3.
 	nearOne := map[experiment.Route]float64{experiment.PaperRoute: 1, experiment.DefaultRoute: 0.99}
+	// The upper end is 2, but on the default route Q⁺1's NOT EXISTS
+	// build reads Q1's cached lineitem selection and the rows on its two
+	// null lists, not all of lineitem: it measures 1.0138 and 1.0262.
+	ceiling := func(route experiment.Route, q tpch.QueryID) float64 {
+		if route == experiment.DefaultRoute && q == tpch.Q1 {
+			return 1.03
+		}
+		return 2
+	}
 	for _, route := range experiment.Routes {
 		for _, r := range rows {
 			cost := r.RelCost[route]
@@ -89,7 +98,7 @@ func TestFigure4Shape(t *testing.T) {
 				t.Errorf("%s route: Q2 relative cost %.4f at %.0f%%, expected below 1 (the decorrelated branch short-circuits)", route, v, 100*r.NullRate)
 			}
 			for _, q := range []tpch.QueryID{tpch.Q1, tpch.Q3} {
-				if v := cost[q]; v < nearOne[route] || v > 2 {
+				if v := cost[q]; v < nearOne[route] || v > ceiling(route, q) {
 					t.Errorf("%s route: %s relative cost %.4f at %.0f%%, expected near 1", route, q, v, 100*r.NullRate)
 				}
 			}

@@ -29,7 +29,7 @@ func FuzzSegmentReader(f *testing.F) {
 		sch := qgen.Schema(rng, tn)
 		db := qgen.Database(rng, sch, tn)
 		name := sch.Names()[0]
-		if _, err := writeSegment(dir, "seed.seg", name, db.MustTable(name), noHit); err != nil {
+		if _, err := writeSegment(dir, "seed.seg", name, db.MustTable(name), noHit, new([]byte)); err != nil {
 			f.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "seed.seg"))

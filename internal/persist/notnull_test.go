@@ -64,7 +64,7 @@ func TestRecoveryRefusesNullInNotNullSegment(t *testing.T) {
 		if seg.Table != "nation" {
 			continue
 		}
-		if _, err := writeSegment(dir, seg.File, seg.Table, tab, func(guard.Site) error { return nil }); err != nil {
+		if _, err := writeSegment(dir, seg.File, seg.Table, tab, func(guard.Site) error { return nil }, new([]byte)); err != nil {
 			t.Fatal(err)
 		}
 	}

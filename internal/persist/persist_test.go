@@ -536,7 +536,7 @@ func TestSegmentRoundTripQgen(t *testing.T) {
 		dir := t.TempDir()
 		for _, name := range sch.Names() {
 			tab := db.MustTable(name)
-			if _, err := writeSegment(dir, name+".seg", name, tab, noHit); err != nil {
+			if _, err := writeSegment(dir, name+".seg", name, tab, noHit, new([]byte)); err != nil {
 				t.Fatalf("seed %d relation %s: write: %v", seed, name, err)
 			}
 			got, err := readSegment(filepath.Join(dir, name+".seg"))
@@ -567,7 +567,7 @@ func TestSegmentFlipEveryByte(t *testing.T) {
 	name := sch.Names()[0]
 	dir := t.TempDir()
 	noHit := func(guard.Site) error { return nil }
-	if _, err := writeSegment(dir, "t.seg", name, db.MustTable(name), noHit); err != nil {
+	if _, err := writeSegment(dir, "t.seg", name, db.MustTable(name), noHit, new([]byte)); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := os.ReadFile(filepath.Join(dir, "t.seg"))

@@ -44,7 +44,10 @@ const (
 // writeSegment writes the table's rows as the named segment file in
 // dir, via temp file + fsync + rename, and returns the file's size.
 // hit is the durability-seam fault hook (never nil; see Store.hit).
-func writeSegment(dir, name, relName string, t *table.Table, hit func(guard.Site) error) (size int64, err error) {
+// buf is the encoding buffer, carried across the segments of one
+// checkpoint: it starts at 64 KiB and is left grown to the largest
+// block encoded so far.
+func writeSegment(dir, name, relName string, t *table.Table, hit func(guard.Site) error, buf *[]byte) (size int64, err error) {
 	tmpPath := filepath.Join(dir, name+".tmp")
 	f, err := os.Create(tmpPath)
 	if err != nil {
@@ -71,19 +74,21 @@ func writeSegment(dir, name, relName string, t *table.Table, hit func(guard.Site
 		}
 	}()
 
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, segMagic...)
+	if cap(*buf) == 0 {
+		*buf = make([]byte, 0, 1<<16)
+	}
+	b := append((*buf)[:0], segMagic...)
 
 	// Header frame.
 	header := appendUvarint(nil, segFormat)
 	header = appendString(header, relName)
 	header = appendUvarint(header, uint64(t.Arity()))
 	header = appendUvarint(header, uint64(t.Len()))
-	buf = appendFrame(buf, header)
-	if _, err := f.Write(buf); err != nil {
+	b = appendFrame(b, header)
+	if _, err := f.Write(b); err != nil {
 		return 0, fmt.Errorf("persist: %s: %w", tmpPath, err)
 	}
-	size = int64(len(buf))
+	size = int64(len(b))
 
 	// Row blocks, each framed in place in the one buffer.
 	rows := t.Rows()
@@ -92,13 +97,14 @@ func writeSegment(dir, name, relName string, t *table.Table, hit func(guard.Site
 			return 0, err
 		}
 		end := min(start+segBlockRows, len(rows))
-		buf = encodeBlock(reserveFrame(buf[:0]), rows[start:end], t.Arity())
-		frame := sealFrame(buf, 0)
+		b = encodeBlock(reserveFrame(b[:0]), rows[start:end], t.Arity())
+		frame := sealFrame(b, 0)
 		if _, err := f.Write(frame); err != nil {
 			return 0, fmt.Errorf("persist: %s: %w", tmpPath, err)
 		}
 		size += int64(len(frame))
 	}
+	*buf = b[:0]
 
 	if err := hit(guard.SitePersistFsync); err != nil {
 		return 0, err

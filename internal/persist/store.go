@@ -343,10 +343,11 @@ func (s *Store) checkpointLocked(db *table.Database, version uint64) error {
 		SchemaDDL: ddl,
 		WAL:       fmt.Sprintf("wal-%016x.log", version),
 	}
+	var buf []byte // one encoding buffer for every segment
 	for _, name := range db.Schema.Names() {
 		t := db.MustTable(name)
 		segName := fmt.Sprintf("seg-%016x-%s.seg", version, name)
-		size, err := writeSegment(s.dir, segName, name, t, s.hit)
+		size, err := writeSegment(s.dir, segName, name, t, s.hit, &buf)
 		if err != nil {
 			return err
 		}

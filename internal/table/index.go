@@ -83,29 +83,43 @@ const fixedKeyBytes = 9
 // keys, and bounded by the row count when a long string comes first —
 // and grows by appending beyond that.
 func BuildIndex(rows []Row, cols []int, nulls NullKeys, size int, keep func(Row) bool) *Index {
-	x := &Index{nulls: nulls, first: make(map[string]int, size), next: make([]int, len(rows))}
+	return BuildIndexParts([][]Row{rows}, cols, nulls, size, keep)
+}
+
+// BuildIndexParts is BuildIndex over the rows of parts, read in place
+// as one sequence: positions number the first part's rows, then the
+// second's, and so on.
+func BuildIndexParts(parts [][]Row, cols []int, nulls NullKeys, size int, keep func(Row) bool) *Index {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	x := &Index{nulls: nulls, first: make(map[string]int, size), next: make([]int, n)}
 	var arena strings.Builder
 	var key []byte
-	for i, r := range rows { // next[i] is where row i's key starts in the arena, -1 for none
-		x.next[i] = -1
-		if keep != nil && !keep(r) {
-			continue
-		}
-		var null bool
-		if key, null = appendKey(key[:0], r, cols, nulls); !null {
-			if arena.Cap() == 0 {
-				arena.Grow(min(len(key), fixedKeyBytes*len(cols)) * (len(rows) - i))
+	i := 0 // next[i] is where row i's key starts in the arena, -1 for none
+	for _, p := range parts {
+		for _, r := range p {
+			x.next[i] = -1
+			if keep == nil || keep(r) {
+				var null bool
+				if key, null = appendKey(key[:0], r, cols, nulls); !null {
+					if arena.Cap() == 0 {
+						arena.Grow(min(len(key), fixedKeyBytes*len(cols)) * (n - i))
+					}
+					x.next[i] = arena.Len()
+					arena.Write(key)
+				} else if nulls == NullsWild {
+					x.wild = append(x.wild, i)
+				}
 			}
-			x.next[i] = arena.Len()
-			arena.Write(key)
-		} else if nulls == NullsWild {
-			x.wild = append(x.wild, i)
+			i++
 		}
 	}
 	keys := arena.String()
 	x.bytes = len(keys)
 	end := len(keys)
-	for i := len(rows) - 1; i >= 0; i-- { // descending, so every bucket chains ascending
+	for i := n - 1; i >= 0; i-- { // descending, so every bucket chains ascending
 		if start := x.next[i]; start >= 0 {
 			key := keys[start:end]
 			x.next[i] = x.first[key] - 1

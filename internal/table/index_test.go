@@ -91,7 +91,13 @@ func TestIndexPolicies(t *testing.T) {
 			at := 0
 			keep = func(Row) bool { at++; return !out[at-1] }
 		}
-		x := BuildIndex(rows, cols, nulls, rng.Intn(8), keep)
+		// Half the trials read the rows in two parts, cut anywhere.
+		var x *Index
+		if cut := rng.Intn(len(rows) + 1); rng.Intn(2) == 0 {
+			x = BuildIndexParts([][]Row{rows[:cut], rows[cut:]}, cols, nulls, rng.Intn(8), keep)
+		} else {
+			x = BuildIndex(rows, cols, nulls, rng.Intn(8), keep)
+		}
 		probe := keyRows(rng, 1, 3)[0]
 		pKey, pNull := encode(probe, cols)
 		var want []int
