@@ -3,9 +3,10 @@ FUZZTIME ?= 30s
 
 .PHONY: check build vet lint lint-fix test race loc bench bench-build bench-memory bench-plan bench-fig4 bench-join fuzz fuzz-plan fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
-# check is what CI runs: build, vet, lint, and the full test suite under
-# the race detector (the parallel executor must stay race-clean).
-check: build vet lint race
+# check is what CI runs: build, vet, lint, the full test suite under
+# the race detector (the parallel executor must stay race-clean), and
+# the benchmark module built and tested against this checkout.
+check: build vet lint race bench-build
 
 # lint runs the repo-local static checks. vetcert is the type-aware
 # invariant analyzer (tools/vetcert): governance polling on row loops,

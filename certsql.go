@@ -234,25 +234,15 @@ func FromSnapshot(d *table.Database, version uint64, plans *plancache.Cache) *DB
 }
 
 // WithStatsCollector rebinds the view to a shared statistics collector
-// and returns it. The serving layer passes one collector across every
-// snapshot view of a store: statistics are cached per table content
-// generation, so a republish only rescans the tables that changed.
+// and returns it. Only EXPLAIN reads statistics, to price its tree. The
+// serving layer passes one collector across every snapshot view of a
+// store: statistics are cached per table content generation, so a
+// republish only rescans the tables that changed.
 func (db *DB) WithStatsCollector(c *stats.Collector) *DB {
 	if c != nil {
 		db.stats = c
 	}
 	return db
-}
-
-// StatsCollector exposes the view's statistics collector, for catalog
-// and metrics endpoints.
-func (db *DB) StatsCollector() *stats.Collector { return db.stats }
-
-// collectStats returns the current statistics snapshot for planning,
-// rescanning only tables whose content generation changed. The governor
-// carries the stats-collect fault site for chaos testing.
-func (db *DB) collectStats(gov *guard.Governor) (*stats.DBStats, error) {
-	return db.stats.CollectGoverned(gov, db.d)
 }
 
 // CatalogVersion returns the snapshot version this DB view was built
@@ -461,7 +451,7 @@ func takeMode(q *sql.Query) plancache.Mode {
 // runParsed runs an ad-hoc query: the prepared route's plan, compiled
 // for this one execution and not cached.
 func (db *DB) runParsed(gov *guard.Governor, q *sql.Query, params Params, opts Options) (*Result, error) {
-	pl, err := db.compilePlan(q, params, opts)
+	pl, err := db.compilePlan(gov, q, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -608,42 +598,40 @@ func (db *DB) Explain(text string, params Params, opts Options) (string, error) 
 }
 
 // ExplainPlan returns the cost-based planner's EXPLAIN for the query
-// without executing it: the costed operator tree for the expression the
-// chosen mode would evaluate and the rewrite rules that fired. The
-// rewrites rest on the query and the schema alone; statistics only
-// price the tree. With Options.NaivePlanner the tree is costed but
-// unrewritten. The output is deterministic for a fixed database — the
+// without executing it: the costed operator tree of exactly what
+// execution would run (see pick) and the rewrite rules that fired. The
+// plan rests on the query and the schema alone; the statistics
+// collected here only price the tree, and no execution reads them.
+// With Options.NaivePlanner the tree is the unrewritten plan and no
+// rule fired. The output is deterministic for a fixed database — the
 // golden EXPLAIN tests pin it for the paper's appendix queries.
 func (db *DB) ExplainPlan(text string, params Params, opts Options) (string, error) {
 	return db.ExplainPlanContext(context.Background(), text, params, opts)
 }
 
 // ExplainPlanContext is ExplainPlan bounded by ctx: statistics
-// collection and plan optimization are governed work (they scan tables
-// and search the rewrite space), so an EXPLAIN issued on a request path
-// must stop when its request does.
+// collection scans tables, so an EXPLAIN issued on a request path must
+// stop when its request does.
 func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params, opts Options) (string, error) {
 	gov := opts.governor(ctx)
+	if err := gov.Poll("explain"); err != nil {
+		return "", err
+	}
 	q, err := sql.Parse(text)
 	if err != nil {
 		return "", err
 	}
-	pl, err := db.compilePlan(q, params, opts)
+	pl, err := db.compilePlan(gov, q, params, opts)
 	if err != nil {
 		return "", err
 	}
-	expr, _ := pick(pl, pl.Mode)
-	st, err := db.collectStats(gov)
+	o := pick(pl, pl.Mode, opts.NaivePlanner)
+	st, err := db.stats.CollectGoverned(gov, db.d)
 	if err != nil {
 		return "", err
 	}
-	if opts.NaivePlanner {
-		return "plan (naive)\n" + plan.Describe(expr, db.d.Schema, st).Render(), nil
-	}
-	pr, err := plan.Optimize(expr, db.d.Schema, st, gov)
-	if err != nil {
-		return "", err
-	}
+	pr := &plan.Result{Expr: o.Expr, Hints: o.Hints, Fired: o.Fired,
+		Explain: plan.Describe(o.Expr, o.Hints, db.d.Schema, st)}
 	return pr.ExplainText(), nil
 }
 

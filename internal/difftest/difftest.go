@@ -25,7 +25,9 @@
 //     naive planner render byte-identical results on the standard and
 //     certain routes and share plan-cache entries on the prepared path;
 //   - cost audit: the planner's estimates are internally consistent and
-//     its rewrites invent no predicate atoms.
+//     its rewrites invent no predicate atoms;
+//   - plan independence: the planner gives the same plan, hints and
+//     fired rules with the case's statistics and with none.
 //
 // Cases come from internal/qgen and are pure functions of a seed, so a
 // failure is reproduced by its seed alone; Minimize shrinks a failing
@@ -36,6 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 
 	"certsql"
@@ -543,8 +547,11 @@ func routeExprs(db *table.Database, expr algebra.Expr) []routeExpr {
 // checkPlanAudit runs the cost-based planner directly over e and checks
 // the audit invariants: cost estimates are internally consistent
 // (non-negative, finite, monotone over children, covering output
-// cardinality) and the rewritten plan's conditions contain no atom
-// absent from the input plan.
+// cardinality), the rewritten plan's conditions contain no atom absent
+// from the input plan, and the plan is independent of the statistics:
+// planning under st and under none gives the same expression, hints and
+// fired rules, because a cached plan is never re-planned as data
+// changes.
 func checkPlanAudit(rep *Report, db *table.Database, st *stats.DBStats, e algebra.Expr) {
 	pr, err := plan.Optimize(e, db.Schema, st, nil)
 	if err != nil {
@@ -556,6 +563,15 @@ func checkPlanAudit(rep *Report, db *table.Database, st *stats.DBStats, e algebr
 	}
 	if err := plan.AuditConds(e, pr.Expr); err != nil {
 		rep.violate("cost-audit", "%v", err)
+	}
+	bare, err := plan.Optimize(e, db.Schema, nil, nil)
+	if err != nil {
+		rep.violate("plan-independence", "planner failed without statistics: %v", err)
+		return
+	}
+	if bare.Expr.Key() != pr.Expr.Key() || !reflect.DeepEqual(bare.Hints, pr.Hints) || !slices.Equal(bare.Fired, pr.Fired) {
+		rep.violate("plan-independence", "statistics change the plan:\nwith:    %s %v %v\nwithout: %s %v %v",
+			pr.Expr.Key(), pr.Fired, pr.Hints, bare.Expr.Key(), bare.Fired, bare.Hints)
 	}
 }
 

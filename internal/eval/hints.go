@@ -12,8 +12,6 @@ package eval
 //     (value.AppendKey) are equal, which for constants is exactly
 //     value.Compare's equality and for nulls naive semantics' equality
 //     of marks, so every dropped equality is true.
-//   - BuildDistinct/BuildRows pre-size the hash index from the
-//     statistics' cardinality estimates.
 //   - FuseBuild licenses filtering a select-fed build side during the
 //     hash build itself instead of materializing the filtered table
 //     first. The planner only sets it when the selection's child is a
@@ -42,11 +40,6 @@ type SemiHint struct {
 	// It holds on any data, because key encodings are exact: ints and
 	// floats share a bucket only when they are equal, at any magnitude.
 	SlimVerify bool
-	// BuildRows is the estimated build-side row count.
-	BuildRows int64
-	// BuildDistinct is the estimated distinct key count on the build
-	// side — the right pre-size for the hash index.
-	BuildDistinct int64
 	// FuseBuild licenses evaluating a Select build side's child
 	// directly and applying the selection condition inside the index
 	// build loop, skipping the intermediate materialization. The

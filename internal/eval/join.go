@@ -665,10 +665,6 @@ func (ev *Evaluator) cachedBuild(child algebra.Expr, fuse algebra.Cond) (b build
 // vetcert:ignore membalance: the index lives as long as the iterator
 // probing it; semiProbeIter.close releases p.mem, a failed charge too.
 func (ev *Evaluator) buildSemi(p *semiPlan) error {
-	size := p.r.len()
-	if d := p.hint.BuildDistinct; d > 0 && d < int64(size) {
-		size = int(d)
-	}
 	var fuseErr error
 	var keep func(table.Row) bool
 	if p.fuse != nil {
@@ -678,7 +674,7 @@ func (ev *Evaluator) buildSemi(p *semiPlan) error {
 			return pass
 		}
 	}
-	p.idx, p.probeCols = table.BuildIndexParts([][]table.Row{p.r.head, p.r.tail}, p.rCols, ev.eqNulls(), size, keep), p.lCols
+	p.idx, p.probeCols = table.BuildIndexParts([][]table.Row{p.r.head, p.r.tail}, p.rCols, ev.eqNulls(), p.r.len(), keep), p.lCols
 	if fuseErr != nil {
 		return fuseErr
 	}

@@ -140,10 +140,14 @@ const (
 	// brute-force certain-answer oracle.
 	SiteValuation Site = "valuation"
 	// SiteStatsCollect fires when the statistics collector scans a
-	// table whose generation is not in its cache.
+	// table whose generation is not in its cache. Statistics are
+	// collected only for EXPLAIN (under its governor, so this site
+	// fires there) and for the catalog endpoint (ungoverned); query
+	// execution never reaches this site.
 	SiteStatsCollect Site = "stats-collect"
 	// SitePlanRewrite fires when the cost-based planner starts
-	// optimizing a translated plan.
+	// rewriting an expression: once per expression a plan's mode
+	// executes, when the plan is compiled.
 	SitePlanRewrite Site = "plan-rewrite"
 
 	// The persist-* sites instrument every durability seam of the

@@ -149,9 +149,6 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 				if h.SlimVerify {
 					n.Notes = append(n.Notes, "slim-verify")
 				}
-				if h.BuildDistinct > 0 {
-					n.Notes = append(n.Notes, "presize="+strconv.FormatInt(h.BuildDistinct, 10))
-				}
 				if h.FuseBuild {
 					n.Notes = append(n.Notes, "fuse-build")
 				}

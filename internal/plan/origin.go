@@ -13,7 +13,7 @@ import (
 // differences, grouping keys, sorts and limits. It reports !ok for
 // columns that are computed (aggregates), merged from two inputs
 // (unions), or otherwise not attributable to a single stored column —
-// statistics-based rules simply do not fire there.
+// the cost model prices those with its defaults.
 func colOrigin(e algebra.Expr, col int) (tbl string, bcol int, ok bool) {
 	for {
 		if col < 0 || col >= e.Arity() {

@@ -1,8 +1,8 @@
 // Package plan is the cost-based planner. It sits between translation
 // (internal/certain producing Q⁺/Q⋆ algebra) and evaluation
-// (internal/eval), rewriting plans and attaching execution hints using
-// per-table statistics (internal/stats) and nullability inference
-// (internal/analyze).
+// (internal/eval), rewriting plans and attaching execution hints from
+// the schema's nullability (internal/analyze), and pricing the result
+// for EXPLAIN with per-table statistics (internal/stats).
 //
 // The planner's contract is strict: an optimized plan must produce a
 // byte-identical result table to the paper-faithful naive plan, under
@@ -22,8 +22,11 @@
 //   - Rules rely only on the query and the schema, never on the
 //     current data: a plan is sound on every database of the schema,
 //     so a cached plan needs no re-check when the data changes.
-//     Statistics only price a plan (cost estimates and anti-split's
-//     cost gate) and size its hash indexes.
+//   - Rewrite reads nothing else either: anti-split's cost gate prices
+//     both plans with the statistics-free estimates (defaultRows and
+//     default null rates), so the same query and schema always give
+//     the same plan. Statistics only price the EXPLAIN tree (Optimize,
+//     Describe).
 package plan
 
 import (
@@ -64,9 +67,6 @@ const (
 	// semijoin's per-candidate verify condition (bucket co-membership
 	// already proves them).
 	RuleSlimVerify
-	// RuleHashPresize pre-sizes semijoin hash indexes from the
-	// statistics' distinct-value estimates.
-	RuleHashPresize
 	// RuleFuseBuild filters a semijoin's select-fed build side during
 	// the hash build itself, skipping the filtered intermediate.
 	RuleFuseBuild
@@ -75,7 +75,7 @@ const (
 // RuleKinds lists every rule kind, in declaration order.
 var RuleKinds = []RuleKind{
 	RulePushdownSelect, RuleMergeSelect, RuleNullTestElim, RuleAntiSplit,
-	RuleProjectCollapse, RuleSlimVerify, RuleHashPresize, RuleFuseBuild,
+	RuleProjectCollapse, RuleSlimVerify, RuleFuseBuild,
 }
 
 // String returns the rule's stable lower-case name, used in EXPLAIN
@@ -94,8 +94,6 @@ func (k RuleKind) String() string {
 		return "project-collapse"
 	case RuleSlimVerify:
 		return "slim-verify"
-	case RuleHashPresize:
-		return "hash-presize"
 	case RuleFuseBuild:
 		return "fuse-build"
 	default:
@@ -115,8 +113,8 @@ type Premise struct{}
 func CheckPremises([]Premise, *stats.DBStats) bool { return true }
 
 // Result is an optimized plan: the rewritten expression, the execution
-// hints for its operators, the rules that fired, and the costed EXPLAIN
-// tree.
+// hints for its operators, the rules that fired, and (from Optimize)
+// the costed EXPLAIN tree.
 type Result struct {
 	// Expr is the rewritten expression. When Changed is false it is
 	// the input expression unchanged.
@@ -128,38 +126,48 @@ type Result struct {
 	// Fired lists the distinct rule kinds that fired, in declaration
 	// order.
 	Fired []RuleKind
-	// Explain is the costed plan tree for the rewritten expression.
+	// Explain is the costed plan tree for the rewritten expression;
+	// Rewrite leaves it nil.
 	Explain *ExplainNode
 	// Changed reports whether any rewrite or hint was produced.
 	Changed bool
 }
 
-// Optimize rewrites e under the byte-identity contract and attaches
-// execution hints, using sch for types and nullability, st for
-// cardinalities and null rates (nil prices with defaults and leaves
-// hash pre-sizing off), and gov for
-// fault injection at guard.SitePlanRewrite (nil allowed).
-func Optimize(e algebra.Expr, sch *schema.Schema, st *stats.DBStats, gov *guard.Governor) (*Result, error) {
+// Rewrite rewrites e under the byte-identity contract and attaches
+// execution hints. It reads only e and sch (types and nullability);
+// gov carries the fault site guard.SitePlanRewrite (nil allowed).
+// This is the half of planning that execution runs, once per plan.
+func Rewrite(e algebra.Expr, sch *schema.Schema, gov *guard.Governor) (*Result, error) {
 	if err := gov.Fault(guard.SitePlanRewrite); err != nil {
 		return nil, err
 	}
-	o := &optimizer{sch: sch, st: st, fired: map[RuleKind]bool{}}
-	out := o.rewrite(e)
-	hints := o.hints(out)
-	res := &Result{Expr: out, Hints: hints}
+	o := &optimizer{sch: sch, fired: map[RuleKind]bool{}}
+	res := &Result{Expr: o.rewrite(e)}
+	res.Hints = o.hints(res.Expr)
 	for _, k := range RuleKinds {
 		if o.fired[k] {
 			res.Fired = append(res.Fired, k)
 		}
 	}
 	res.Changed = len(res.Fired) > 0
-	res.Explain = o.describe(out, hints)
 	return res, nil
 }
 
-// Describe costs e without rewriting it — the EXPLAIN tree for the
-// naive planner's plan.
-func Describe(e algebra.Expr, sch *schema.Schema, st *stats.DBStats) *ExplainNode {
-	o := &optimizer{sch: sch, st: st, fired: map[RuleKind]bool{}}
-	return o.describe(e, nil)
+// Optimize is Rewrite plus the costed EXPLAIN tree of the rewritten
+// expression, priced with st's cardinalities and null rates (nil prices
+// with defaults). The plan itself does not depend on st.
+func Optimize(e algebra.Expr, sch *schema.Schema, st *stats.DBStats, gov *guard.Governor) (*Result, error) {
+	res, err := Rewrite(e, sch, gov)
+	if err != nil {
+		return nil, err
+	}
+	res.Explain = Describe(res.Expr, res.Hints, sch, st)
+	return res, nil
+}
+
+// Describe costs e, annotated with hints (nil allowed), without
+// rewriting it — the EXPLAIN tree of a planned expression.
+func Describe(e algebra.Expr, hints *eval.PlanHints, sch *schema.Schema, st *stats.DBStats) *ExplainNode {
+	o := &optimizer{sch: sch, st: st}
+	return o.describe(e, hints)
 }

@@ -8,8 +8,9 @@ import (
 	"certsql/internal/stats"
 )
 
-// optimizer is one Optimize invocation's state: the catalog, the
-// statistics snapshot and the rules fired so far.
+// optimizer is one planning pass's state: the catalog, the statistics
+// snapshot that prices the EXPLAIN tree (nil while rewriting) and the
+// rules fired so far.
 type optimizer struct {
 	sch   *schema.Schema
 	st    *stats.DBStats
@@ -196,14 +197,14 @@ func (o *optimizer) rewriteSemi(n algebra.SemiJoin) algebra.Expr {
 // vacuous and dropped; when rest is empty the ρ-part is uncorrelated
 // and short-circuits.
 //
-// The split is kept only when the cost model prices it below the
-// original antijoin. It wins when the unsplit condition has nothing the
-// runtime can index (θ is not an equality, say `LIKE … OR IS NULL`, so
-// the unsplit antijoin nested-loops) or when the ρ-part short-circuits
-// the whole antijoin away; it loses when `rest` already carries
-// extractable hash keys, or θ∨ρ is a unification edge the runtime runs
-// on a wild-bucket index — there splitting only adds a second pass
-// over R.
+// The split is kept only when the cost model, on the statistics-free
+// estimates the rewrite uses, prices it below the original antijoin. It
+// wins when the unsplit condition has nothing the runtime can index (θ
+// is not an equality, say `LIKE … OR IS NULL`, so the unsplit antijoin
+// nested-loops) or when the ρ-part short-circuits the whole antijoin
+// away, which at the default null rate it is expected to do whenever
+// rest is empty; it loses when `rest` already carries extractable hash
+// keys — there splitting only adds a second pass over R.
 func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 	if !sj.Anti || algebra.HasScalar(sj.Cond) {
 		return nil, false
@@ -352,7 +353,7 @@ func hasMinters(e algebra.Expr) bool {
 }
 
 // hints walks the final expression and derives per-operator execution
-// hints: slim verification, hash pre-sizing and fused builds.
+// hints: slim verification and fused builds.
 func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
 	semi := map[string]eval.SemiHint{}
 	algebra.Walk(e, func(x algebra.Expr) {
@@ -372,7 +373,7 @@ func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
 
 // semiHintFor derives the execution hint for one semijoin.
 func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
-	lCols, rCols, _ := eval.SemiKeys(semiNNF(sj), sj.L.Arity())
+	lCols, _, _ := eval.SemiKeys(semiNNF(sj), sj.L.Arity())
 	if len(lCols) == 0 {
 		return eval.SemiHint{}, false
 	}
@@ -381,14 +382,8 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 	// exactly when Compare calls the values equal, for every kind and
 	// across int and float, so that holds for every extracted key pair
 	// on any data.
-	h := eval.SemiHint{SlimVerify: true, BuildRows: clampInt64(o.estimate(sj.R).rows)}
+	h := eval.SemiHint{SlimVerify: true}
 	o.fired[RuleSlimVerify] = true
-	if len(rCols) == 1 {
-		if ts, bcol, ok := originStats(sj.R, o.st, rCols[0]); ok {
-			h.BuildDistinct = ts.Cols[bcol].Distinct
-			o.fired[RuleHashPresize] = true
-		}
-	}
 	// Fused build: a selection directly over a stored relation can be
 	// applied inside the hash build loop, never materializing the
 	// filtered table. Restricted to scalar-free conditions over Base
@@ -405,14 +400,4 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 		}
 	}
 	return h, true
-}
-
-func clampInt64(f float64) int64 {
-	if f < 0 {
-		return 0
-	}
-	if f > 1<<62 {
-		return 1 << 62
-	}
-	return int64(f)
 }

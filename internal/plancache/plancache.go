@@ -3,8 +3,8 @@
 // layer.
 //
 // The expensive part of a certain-answer query is everything *before*
-// evaluation: parsing, compilation to the algebra, the static
-// nullability analysis, and the Q⁺/Q⋆ translations. None of that work
+// evaluation: parsing, compilation to the algebra, the Q⁺/Q⋆
+// translations and the planner's rewrites. None of that work
 // depends on the data — only on the query text, its parameters, the
 // catalog (schema) version, and the translation options. The cache
 // keys a plan by exactly those four components, so Prepare-once /
@@ -96,50 +96,25 @@ type Plan struct {
 	PlusShape *eval.Shape
 	StarShape *eval.Shape
 	// OrigOpt, PlusOpt and StarOpt are the cost-based planner's
-	// optimized variants of the corresponding expressions, built by the
-	// first execution that runs the expression with the planner on (see
-	// Variant) and nil until then. A variant depends only on its
-	// expression and the schema, so it is built once and every later
-	// execution with the planner on runs it, whatever the data; new
-	// statistics could only price it differently.
+	// rewrites of the corresponding expressions, set for exactly the
+	// expressions the plan's mode executes before the plan is Put: a
+	// rewrite depends only on its expression and the schema, so it is
+	// made once, on the cache miss. A cached plan is immutable.
 	OrigOpt *Optimized
 	PlusOpt *Optimized
 	StarOpt *Optimized
-
-	mu sync.Mutex // guards the *Opt fields, which Variant fills in
-}
-
-// Variant returns *slot — one of p's OrigOpt, PlusOpt and StarOpt —
-// building it with build on first use. A failed build stores nothing,
-// so a canceled or faulted execution leaves the plan as it found it.
-// Concurrent first uses may each build; the first result stored wins.
-func (p *Plan) Variant(slot **Optimized, build func() (*Optimized, error)) (*Optimized, error) {
-	p.mu.Lock()
-	o := *slot
-	p.mu.Unlock()
-	if o != nil {
-		return o, nil
-	}
-	o, err := build()
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if *slot == nil {
-		*slot = o
-	}
-	return *slot, nil
 }
 
 // Optimized is one cost-based-planner output cached alongside its
 // baseline expression: the rewritten plan (the baseline itself when no
-// rule fired) and the executor hints. Premises, Shape and Explain are
-// not set or read by the engine; they are kept only because the
-// benchmark module (bench/) sets them.
+// rule fired), the executor hints and the rules that fired, which
+// EXPLAIN lists. Premises, Shape and Explain are not set or read by the
+// engine; they are kept only because the benchmark module (bench/) sets
+// them.
 type Optimized struct {
 	Expr     algebra.Expr
 	Hints    *eval.PlanHints
+	Fired    []plan.RuleKind
 	Premises []plan.Premise
 	Shape    *eval.Shape
 	Explain  string

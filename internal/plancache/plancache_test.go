@@ -1,8 +1,8 @@
 package plancache
 
 import (
-	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -103,42 +103,27 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestVariantBuildsOnFirstUse: a failed build leaves the slot empty,
-// concurrent first uses all get the one stored variant, and a stored
-// variant is returned without building again.
-func TestVariantBuildsOnFirstUse(t *testing.T) {
-	p := &Plan{}
-	errBuild := errors.New("build failed")
-	if _, err := p.Variant(&p.PlusOpt, func() (*Optimized, error) { return nil, errBuild }); !errors.Is(err, errBuild) {
-		t.Fatalf("failed build: err = %v", err)
+// TestPlanImmutableAfterPut: a Plan carries its rewrites from before
+// Put and has no methods and no lock, so nothing can fill or replace a
+// slot afterwards; concurrent Gets all see the very rewrites that were
+// put (run under -race, any later write would show).
+func TestPlanImmutableAfterPut(t *testing.T) {
+	if n := reflect.TypeOf(&Plan{}).NumMethod(); n != 0 {
+		t.Fatalf("Plan has %d methods; a cached plan must be plain data", n)
 	}
-	if p.PlusOpt != nil {
-		t.Fatal("a failed build stored a variant")
-	}
-	got := make([]*Optimized, 8)
+	c := New(0)
+	orig, plus := &Optimized{}, &Optimized{}
+	c.Put(key(1), &Plan{Mode: ModeCertain, OrigOpt: orig, PlusOpt: plus})
 	var wg sync.WaitGroup
-	for i := range got {
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			o, err := p.Variant(&p.PlusOpt, func() (*Optimized, error) { return &Optimized{}, nil })
-			if err != nil {
-				t.Error(err)
+			p, ok := c.Get(key(1))
+			if !ok || p.OrigOpt != orig || p.PlusOpt != plus || p.StarOpt != nil {
+				t.Errorf("Get returned other rewrites than were put: %+v", p)
 			}
-			got[i] = o
-		}(i)
+		}()
 	}
 	wg.Wait()
-	for i, o := range got {
-		if o == nil || o != got[0] {
-			t.Fatalf("first use %d got variant %p, others %p", i, o, got[0])
-		}
-	}
-	o, err := p.Variant(&p.PlusOpt, func() (*Optimized, error) { return nil, errBuild })
-	if err != nil || o != got[0] {
-		t.Fatalf("stored variant rebuilt: %p, %v", o, err)
-	}
-	if p.OrigOpt != nil || p.StarOpt != nil {
-		t.Fatal("building one slot filled another")
-	}
 }

@@ -90,8 +90,8 @@ type gauges struct {
 	recovering   bool
 }
 
-// tableStatsGauge is one relation's row and marked-null counts from the
-// owning session's last statistics collection.
+// tableStatsGauge is one relation's row and marked-null counts in the
+// owning session's current snapshot.
 type tableStatsGauge struct {
 	session, table string
 	rows, nulls    int64

@@ -499,7 +499,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	snap := sess.store.Snapshot()
 	// One collection serves the whole response; the session collector's
 	// generation cache makes this O(1) for tables unchanged since the
-	// last query planned against them.
+	// last catalog or EXPLAIN request collected them.
 	st := sess.stats.Collect(snap.DB)
 	resp := &api.CatalogResponse{Version: snap.Version}
 	for _, name := range snap.DB.Schema.Names() {

@@ -456,8 +456,7 @@ func TestMetricsExposition(t *testing.T) {
 		`certsqld_plan_cache_misses_total 1`,
 		`certsqld_sessions 1`,
 		`certsqld_catalog_version{session="default"} 1`,
-		// The queries above planned against session statistics, so the
-		// collector's snapshot backs the stats gauges.
+		// The stats gauges read the session's snapshot tables.
 		`certsqld_stats_rows{session="default",table="nation"}`,
 		`certsqld_stats_nulls{session="default",table="nation"}`,
 		`certsqld_in_flight 0`,

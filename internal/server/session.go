@@ -37,8 +37,8 @@ type Catalog interface {
 // older plan (it misses and ages out of the LRU) with no cache sweep.
 // The statistics collector is shared across snapshots the same way:
 // its per-table generation cache makes re-collection O(1) on tables a
-// publish did not touch, so every request's planner sees fresh
-// statistics at amortized zero scan cost.
+// publish did not touch. Only EXPLAIN and the catalog endpoint collect;
+// query execution reads no statistics.
 type session struct {
 	name  string
 	store Catalog
@@ -151,24 +151,28 @@ func (ss *sessions) planEntries() int {
 }
 
 // statsGauges reports, per session and relation, the row and total
-// marked-null counts of the most recently collected statistics
-// snapshot, for /metrics. Sessions that never collected statistics
-// report nothing — the metrics endpoint never forces a table scan.
+// marked-null counts of the session's current snapshot, for /metrics:
+// each table's length and the lengths of its nullable columns' null
+// lists, which a table builds once per content generation and then
+// shares with the executor's null-list reads. NOT NULL columns hold no
+// nulls (every write enforces it), so their lists are never built.
 func (ss *sessions) statsGauges() []tableStatsGauge {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	var out []tableStatsGauge
 	for name, s := range ss.byID {
-		st := s.stats.Current()
-		if st == nil {
-			continue
-		}
-		for tbl, ts := range st.Tables {
-			var nulls int64
-			for _, c := range ts.Cols {
-				nulls += c.Nulls
+		db := s.store.Snapshot().DB
+		for _, tbl := range db.Schema.Names() {
+			rel, _ := db.Schema.Relation(tbl)
+			t := db.MustTable(tbl)
+			var nulls int
+			for col, a := range rel.Attrs {
+				if a.Nullable {
+					rows, _ := t.NullRows(col)
+					nulls += len(rows)
+				}
 			}
-			out = append(out, tableStatsGauge{session: name, table: tbl, rows: ts.Rows, nulls: nulls})
+			out = append(out, tableStatsGauge{session: name, table: tbl, rows: int64(t.Len()), nulls: int64(nulls)})
 		}
 	}
 	return out

@@ -109,7 +109,7 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 		if err != nil {
 			return nil, err
 		}
-		if pl, err = p.db.compilePlan(q, params, opts); err != nil {
+		if pl, err = p.db.compilePlan(gov, q, params, opts); err != nil {
 			return nil, err
 		}
 		p.db.plans.Put(key, pl)
@@ -128,12 +128,12 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 
 // compilePlan performs the cacheable, data-independent part of one
 // query: strip the mode, compile, and — for CERTAIN and POSSIBLE —
-// check translatability and translate. Q⁺ serves the certain route and
-// the possible route's degradation ladder, Q⋆ the possible route.
-// Execute caches the result; an ad-hoc query compiles one for a single
-// execution. The planner's variants are built later, by the executions
-// that read them (see variant).
-func (db *DB) compilePlan(q *sql.Query, params Params, opts Options) (pl *plancache.Plan, err error) {
+// check translatability and translate; then rewrite, once, each
+// expression the mode executes. Q⁺ serves the certain route and the
+// possible route's degradation ladder, Q⋆ the possible route. Execute
+// caches the result, immutable from then on; an ad-hoc query compiles
+// one for a single execution. gov carries the planner's fault site.
+func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts Options) (pl *plancache.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pl, err = nil, guard.NewInternalError("certsql/compile-plan", v)
@@ -146,6 +146,9 @@ func (db *DB) compilePlan(q *sql.Query, params Params, opts Options) (pl *planca
 	}
 	pl = &plancache.Plan{Mode: mode, Columns: compiled.Columns, Orig: compiled.Expr}
 	if mode == plancache.ModeStandard {
+		if pl.OrigOpt, err = db.rewrite(gov, pl.Orig); err != nil {
+			return nil, err
+		}
 		return pl, nil
 	}
 	if err := certain.CheckTranslatable(pl.Orig); err != nil {
@@ -153,42 +156,48 @@ func (db *DB) compilePlan(q *sql.Query, params Params, opts Options) (pl *planca
 	}
 	tr := opts.translator(db)
 	pl.Plus = tr.Plus(pl.Orig)
+	if pl.PlusOpt, err = db.rewrite(gov, pl.Plus); err != nil {
+		return nil, err
+	}
 	if mode == plancache.ModePossible {
 		pl.Star = tr.Star(pl.Orig)
+		if pl.StarOpt, err = db.rewrite(gov, pl.Star); err != nil {
+			return nil, err
+		}
 	}
 	return pl, nil
 }
 
-// pick is the route decision, made once for execution and EXPLAIN
-// alike: the expression a query in the given mode runs and the plan's
-// slot for its optimized variant.
-func pick(pl *plancache.Plan, mode plancache.Mode) (algebra.Expr, **plancache.Optimized) {
-	switch mode {
-	case plancache.ModeCertain:
-		return pl.Plus, &pl.PlusOpt
-	case plancache.ModePossible:
-		return pl.Star, &pl.StarOpt
-	default:
-		return pl.Orig, &pl.OrigOpt
+// rewrite is the planner's rewrite of e, which reads only e and the
+// schema.
+func (db *DB) rewrite(gov *guard.Governor, e algebra.Expr) (*plancache.Optimized, error) {
+	pr, err := plan.Rewrite(e, db.d.Schema, gov)
+	if err != nil {
+		return nil, err
 	}
+	return &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Fired: pr.Fired}, nil
 }
 
-// variant returns the plan's optimized variant of e, building it into
-// slot on first use. The planner's rewrites depend only on e and the
-// schema, so a cached variant is never re-validated; the statistics
-// collected for the build only price it.
-func (db *DB) variant(gov *guard.Governor, pl *plancache.Plan, slot **plancache.Optimized, e algebra.Expr) (*plancache.Optimized, error) {
-	return pl.Variant(slot, func() (*plancache.Optimized, error) {
-		st, err := db.collectStats(gov)
-		if err != nil {
-			return nil, err
-		}
-		pr, err := plan.Optimize(e, db.d.Schema, st, gov)
-		if err != nil {
-			return nil, err
-		}
-		return &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints}, nil
-	})
+// pick is the route decision, made once for execution and EXPLAIN
+// alike: what a query in the given mode runs — the planner's rewrite
+// of the mode's expression, or with Options.NaivePlanner that
+// expression exactly as translation produced it. NaivePlanner is read
+// only here, so it shares plan-cache entries with the default.
+func pick(pl *plancache.Plan, mode plancache.Mode, naive bool) *plancache.Optimized {
+	var base algebra.Expr
+	var opt *plancache.Optimized
+	switch mode {
+	case plancache.ModeCertain:
+		base, opt = pl.Plus, pl.PlusOpt
+	case plancache.ModePossible:
+		base, opt = pl.Star, pl.StarOpt
+	default:
+		base, opt = pl.Orig, pl.OrigOpt
+	}
+	if naive {
+		return &plancache.Optimized{Expr: base}
+	}
+	return opt
 }
 
 // runPlan executes a plan in its mode. This is the one route every
@@ -224,22 +233,13 @@ func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (re
 	return res, nil
 }
 
-// runMode evaluates the expression pick chooses for mode: its optimized
-// variant when the planner is on, the baseline otherwise.
-// Options.NaivePlanner is an executor-side choice read only here, so it
-// shares plan-cache entries with the default.
+// runMode evaluates what pick chooses for mode.
 func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
-	expr, slot := pick(pl, mode)
+	o := pick(pl, mode, opts.NaivePlanner)
 	eo := opts.evalOptions(gov)
-	if !opts.NaivePlanner {
-		o, err := db.variant(gov, pl, slot, expr)
-		if err != nil {
-			return nil, err
-		}
-		expr, eo.Hints = o.Expr, o.Hints
-	}
+	eo.Hints = o.Hints
 	ev := eval.New(db.d, eo)
-	t, err := ev.Eval(expr)
+	t, err := ev.Eval(o.Expr)
 	if err != nil {
 		return nil, err
 	}
