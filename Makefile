@@ -117,20 +117,24 @@ bench-fig4:
 # requires a null (BenchmarkNullScan: null(l_partkey) over sf 0.01
 # lineitem, against the same selection over a full scan), a drained
 # selection (BenchmarkDrain: l_receiptdate > l_commitdate over sf 0.01
-# lineitem) and a full checkpoint of the sf 0.01 instance
-# (BenchmarkCheckpoint, internal/persist). -benchmem prints B/op and
-# allocs/op beside the time: a join block copies each output row once,
-# a drain allocates its table once at its exact size, and a segment's
-# blocks are encoded in one reused buffer. Advisory like bench-fig4's
-# first half: wall-clock, so its failure is printed and ignored; the
-# exact gates are TestBuildSideEquivalence, TestJoinBlockSteps,
-# TestJoinBlockCopiesRowsOnce, TestDrainCopiesRowsOnce,
-# TestDrainResultDoesNotAliasStorage, TestNullScanMatchesFullScan,
-# TestCostUnitsDirectionIndependent and TestSegmentBytesPinned, in
-# `make test`.
+# lineitem), a full checkpoint of the sf 0.01 instance
+# (BenchmarkCheckpoint, internal/persist) and the generation of that
+# instance, null injection included (BenchmarkGenerate, internal/tpch).
+# -benchmem prints B/op and allocs/op beside the time: a join block
+# copies each output row once, a drain allocates its table once at its
+# exact size, a segment's blocks are encoded in one reused buffer, and
+# the generator writes each value once, packed in position order.
+# Advisory like bench-fig4's first half: wall-clock, so its failure is
+# printed and ignored; the exact gates are TestBuildSideEquivalence,
+# TestJoinBlockSteps, TestJoinBlockCopiesRowsOnce,
+# TestDrainCopiesRowsOnce, TestDrainResultDoesNotAliasStorage,
+# TestNullScanMatchesFullScan, TestCostUnitsDirectionIndependent,
+# TestSegmentBytesPinned, TestGenerateDigestGolden and the layout tests
+# of internal/table, in `make test`.
 bench-join:
 	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkJoinBlock|BenchmarkNullScan|BenchmarkDrain' -benchtime 5x -benchmem ./internal/eval
 	-$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 5x -benchmem ./internal/persist
+	-$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchtime 5x -benchmem ./internal/tpch
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
 # detector. 30s per target is the CI smoke setting; for a nightly long

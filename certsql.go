@@ -26,7 +26,6 @@ import (
 	"certsql/internal/compile"
 	"certsql/internal/eval"
 	"certsql/internal/guard"
-	"certsql/internal/plan"
 	"certsql/internal/plancache"
 	"certsql/internal/rewrite"
 	"certsql/internal/sql"
@@ -611,7 +610,9 @@ func (db *DB) ExplainPlan(text string, params Params, opts Options) (string, err
 
 // ExplainPlanContext is ExplainPlan bounded by ctx: statistics
 // collection scans tables, so an EXPLAIN issued on a request path must
-// stop when its request does.
+// stop when its request does. A statement that has executed prepared
+// is explained from its cached plan, without compiling it again; one
+// that has not is compiled for the EXPLAIN alone, and not cached.
 func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params, opts Options) (string, error) {
 	gov := opts.governor(ctx)
 	if err := gov.Poll("explain"); err != nil {
@@ -621,18 +622,7 @@ func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params
 	if err != nil {
 		return "", err
 	}
-	pl, err := db.compilePlan(gov, q, params, opts)
-	if err != nil {
-		return "", err
-	}
-	o := pick(pl, pl.Mode, opts.NaivePlanner)
-	st, err := db.stats.CollectGoverned(gov, db.d)
-	if err != nil {
-		return "", err
-	}
-	pr := &plan.Result{Expr: o.Expr, Hints: o.Hints, Fired: o.Fired,
-		Explain: plan.Describe(o.Expr, o.Hints, db.d.Schema, st)}
-	return pr.ExplainText(), nil
+	return db.explain(gov, q.SQL(), q, params, opts) // the canonical text, rendered before compiling strips the mode
 }
 
 // Stats summarizes one execution.

@@ -595,7 +595,8 @@ func checkReference(db *table.Database, route string, e algebra.Expr,
 			violate("reference", "%s: reference evaluator failed: %v", label, err)
 			continue
 		}
-		got, err := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1}).Eval(e)
+		ev := eval.New(db, eval.Options{Semantics: sem, Parallelism: 1})
+		got, err := ev.Eval(e)
 		if err != nil {
 			if budgetErr(err) {
 				skip("reference " + label + ": " + err.Error())
@@ -603,6 +604,12 @@ func checkReference(db *table.Database, route string, e algebra.Expr,
 				violate("reference", "%s: executor failed where the reference evaluator succeeds: %v", label, err)
 			}
 			continue
+		}
+		// A plan whose Views rule out a hit runs without the view cache
+		// on the default route, so the analysis must never miss a hit
+		// the cache (on here: the evaluator has no Views) would serve.
+		if hits := ev.Stats().CacheHits; hits > 0 && eval.PlanViews(e).NoHits {
+			violate("view-hits", "%s: %d view-cache hits on a plan PlanViews rules them out for: %s", label, hits, e.Key())
 		}
 		if !refeval.SameMultiset(got.Rows(), want) {
 			violate("reference", "%s: executor and definitional evaluator differ:\nexecutor:  %v\nreference: %v\nplan: %s",

@@ -257,15 +257,18 @@ func (ev *Evaluator) dropGuards(conjs []algebra.Cond, implied func(col int) bool
 	if ev.opts.Semantics != value.SQL3VL {
 		return conjs
 	}
+	return withoutGuards(conjs, implied)
+}
+
+// withoutGuards is dropGuards under any semantics.
+func withoutGuards(conjs []algebra.Cond, implied func(col int) bool) []algebra.Cond {
 	var out []algebra.Cond
 	for i, c := range conjs {
-		if n, ok := c.(algebra.NullTest); ok && n.Negated {
-			if col, ok := n.Operand.(algebra.Col); ok && implied(col.Idx) {
-				if out == nil {
-					out = append(make([]algebra.Cond, 0, len(conjs)-1), conjs[:i]...)
-				}
-				continue
+		if x, ok := guardCol(c); ok && implied(x) {
+			if out == nil {
+				out = append(make([]algebra.Cond, 0, len(conjs)-1), conjs[:i]...)
 			}
+			continue
 		}
 		if out != nil {
 			out = append(out, c)

@@ -162,7 +162,7 @@ type Evaluator struct {
 	// operator, so popFrame can drop everything a scope consumed.
 	frames [][]*table.Table
 	// shared holds view keys the plan uses more than once; buildIter
-	// buffers those through the view cache (see markShared).
+	// buffers those through the view cache (see Views.Shared).
 	shared map[string]bool
 
 	// poisoned is set when a panic was recovered out of this
@@ -273,6 +273,13 @@ func (ev *Evaluator) tick(op string) error {
 // recovered into a *guard.InternalError carrying the stack, and the
 // evaluator is poisoned: subsequent Eval calls fail with ErrPoisoned
 // instead of serving possibly corrupt cached state.
+//
+// The view cache buffers e's shared subplans (Views.Shared), taken from
+// the plan's Views when its hints carry them and from PlanViews(e)
+// otherwise. A plan whose Views, made by the planner, rule out every
+// hit runs without the cache, as do later roots of the same evaluator;
+// an evaluator not given Views caches every subplan it drains, as
+// callers that count on its materializations expect.
 func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
 	if ev.poisoned {
 		return nil, ErrPoisoned
@@ -288,7 +295,16 @@ func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
 		ev.stats.MemHighWaterBytes = ev.gov.MemHighWater()
 	}()
 	if !ev.opts.NoSubplanCache {
-		ev.markShared(e)
+		views := ev.views()
+		switch {
+		case views == nil:
+			views = PlanViews(e) // for Shared alone: the cache stays on
+		case views.NoHits:
+			ev.opts.NoSubplanCache = true // no hit to lose, no key to render
+		}
+		for _, k := range views.Shared {
+			ev.shared[k] = true
+		}
 	}
 	return ev.drainExpr(e, true)
 }

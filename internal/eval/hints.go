@@ -27,6 +27,10 @@ type PlanHints struct {
 	// Semi maps SemiJoin node keys to their hints.
 	Semi map[string]SemiHint
 
+	// Views is what the view cache can do for the plan (PlanViews),
+	// decided when the plan is made (see Evaluator.Eval).
+	Views *Views
+
 	// Shard is not read by the evaluator. It is kept only because the
 	// benchmark module (bench/) still sets it; see ShardHint.
 	Shard map[string]ShardHint
@@ -63,3 +67,11 @@ func (ev *Evaluator) semiHint(key func() string) SemiHint {
 // benchmark module (bench/) still names it, through PlanHints.Shard and
 // plan.ShardResult.
 type ShardHint struct{}
+
+// views returns the plan's Views, or nil when the evaluator has none.
+func (ev *Evaluator) views() *Views {
+	if ev.opts.Hints == nil {
+		return nil
+	}
+	return ev.opts.Hints.Views
+}

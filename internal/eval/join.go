@@ -21,6 +21,17 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
+// leafFilter is the selection a join block evaluates for a leaf whose
+// columns start at offset in the block: the leaf filtered by singles,
+// or the leaf itself when there are none.
+func leafFilter(leaf algebra.Expr, singles []algebra.Cond, offset int) algebra.Expr {
+	if len(singles) == 0 {
+		return leaf
+	}
+	remap := func(col int) int { return col - offset }
+	return algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(singles...), remap)}
+}
+
 // planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) — the
 // shape SELECT-FROM-WHERE blocks compile to — greedily, in the order
 // JoinBlock.Order derives from the filtered leaf sizes: the condition's
@@ -48,16 +59,9 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	// the paper introduces for Q⁺4. A const(x) guard that a comparison
 	// of the block makes redundant (dropGuards) is left out, so Q⁺'s
 	// guarded leaf is the original query's leaf, and shares its entry.
-	strict := jb.strictCols()
-	implied := func(col int) bool { return slices.Contains(strict, col) }
 	filtered := make([]*table.Table, n)
 	for i, leaf := range leaves {
-		src := leaf
-		if singles := ev.dropGuards(jb.Singles[i], implied); len(singles) > 0 {
-			remap := func(col int) int { return col - offsets[i] }
-			src = algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(singles...), remap)}
-		}
-		t, err := ev.evalChild(src)
+		t, err := ev.evalChild(leafFilter(leaf, ev.dropGuards(jb.Singles[i], jb.implies), offsets[i]))
 		if err != nil {
 			return nil, err
 		}
@@ -475,15 +479,15 @@ func SemiKeys(cond algebra.Cond, nL int) (lCols, rCols []int, residual []algebra
 // bumped here — one per operator.
 //
 // A Select build side loses the const(x) guards the semijoin's own
-// condition makes redundant (dropGuards): x is the build side's column,
-// and the condition compares it. Under the FuseBuild hint a Select
-// build side is not materialized: its child is evaluated directly and
-// the selection condition is applied where the build side is read, so
-// the filtered rows are never copied — or, when the condition has the
-// shape θ ∨ null(a) ∨ … and this execution has σ[θ] of the same child
-// cached, no condition is applied at all (cachedBuild). Fusion is
-// skipped when the select subtree is a shared view — evaluating around
-// it would lose the cache entry other plan occurrences rely on.
+// condition makes redundant (unguardedBuild). A hash-keyed build side
+// σ[θ ∨ null(a) ∨ …] over a stored relation is read as the cached
+// σ[θ] plus the null lists when this execution has σ[θ] cached
+// (cachedBuild), on every route. Otherwise, under the FuseBuild hint,
+// a Select build side is not materialized: its child is evaluated
+// directly and the selection condition is applied where the build side
+// is read, so the filtered rows are never copied. Both are skipped when
+// the select subtree is a shared view — evaluating around it would
+// lose the cache entry other plan occurrences rely on.
 //
 // vetcert:ignore membalance: the wild-hash index lives as long as the
 // iterator probing it; semiProbeIter.close releases p.mem.
@@ -502,33 +506,25 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		p.lCols, p.rCols, residual = SemiKeys(cond, nL)
 	}
 	rExpr := e.R
-	if sel, ok := e.R.(algebra.Select); ok {
-		strict := strictCols(algebra.Conjuncts(cond))
-		conjs := algebra.Conjuncts(sel.Cond)
-		kept := ev.dropGuards(conjs, func(col int) bool { return slices.Contains(strict, nL+col) })
-		if len(kept) < len(conjs) && !ev.sharedView(e.R) {
-			rExpr = sel.Child
-			if len(kept) > 0 {
-				rExpr = algebra.Select{Child: sel.Child, Cond: algebra.NewAnd(kept...)}
-			}
-		}
-	}
-	if p.hint.FuseBuild {
-		if sel, ok := rExpr.(algebra.Select); ok && !ev.sharedView(rExpr) {
-			rExpr, p.fuse = sel.Child, sel.Cond
+	if sel, ok := e.R.(algebra.Select); ok && ev.opts.Semantics == value.SQL3VL {
+		if u, dropped := unguardedBuild(sel, cond, nL); dropped && !ev.sharedView(e.R) {
+			rExpr = u
 		}
 	}
 	var t *table.Table // the evaluated build side, unless read from the cache
 	var hit bool
 	var err error
-	if p.fuse != nil && len(p.lCols) > 0 {
-		if p.r, hit, err = ev.cachedBuild(rExpr, p.fuse); err != nil {
-			return nil, err
+	if sel, ok := rExpr.(algebra.Select); ok && (len(p.lCols) > 0 || p.hint.FuseBuild) && isBase(sel.Child) && !ev.sharedView(rExpr) {
+		if len(p.lCols) > 0 {
+			if p.r, hit, err = ev.cachedBuild(sel.Child, sel.Cond); err != nil {
+				return nil, err
+			}
+		}
+		if !hit && p.hint.FuseBuild {
+			rExpr, p.fuse = sel.Child, sel.Cond
 		}
 	}
-	if hit {
-		p.fuse = nil
-	} else {
+	if !hit {
 		if t, err = ev.evalChild(rExpr); err != nil {
 			return nil, err
 		}
@@ -590,6 +586,57 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	return p, nil
 }
 
+// unguardedBuild is a Select build side sel without the const(x)
+// guards the semijoin condition cond makes redundant (withoutGuards): x
+// is the build side's column, and cond compares it. dropped is false,
+// and the result sel, when there are none; the result is sel's child
+// when nothing else is left.
+func unguardedBuild(sel algebra.Select, cond algebra.Cond, nL int) (e algebra.Expr, dropped bool) {
+	if !hasGuard(sel.Cond) {
+		return sel, false
+	}
+	strict := strictCols(algebra.Conjuncts(cond))
+	conjs := algebra.Conjuncts(sel.Cond)
+	kept := withoutGuards(conjs, func(col int) bool { return slices.Contains(strict, nL+col) })
+	switch {
+	case len(kept) == len(conjs):
+		return sel, false
+	case len(kept) == 0:
+		return sel.Child, true
+	}
+	return algebra.Select{Child: sel.Child, Cond: algebra.NewAnd(kept...)}, true
+}
+
+// hasGuard reports whether c has a const(x) conjunct, the only kind
+// withoutGuards drops.
+func hasGuard(c algebra.Cond) bool {
+	if a, ok := c.(algebra.And); ok {
+		return slices.ContainsFunc(a.Conds, isGuard)
+	}
+	return isGuard(c)
+}
+
+func isGuard(c algebra.Cond) bool {
+	_, ok := guardCol(c)
+	return ok
+}
+
+// guardCol returns x when c is the guard const(x) — x IS NOT NULL on a
+// column x.
+func guardCol(c algebra.Cond) (x int, ok bool) {
+	n, ok := c.(algebra.NullTest)
+	if !ok || !n.Negated {
+		return 0, false
+	}
+	col, ok := n.Operand.(algebra.Col)
+	return col.Idx, ok
+}
+
+func isBase(e algebra.Expr) bool {
+	_, ok := e.(algebra.Base)
+	return ok
+}
+
 // buildSide is an (anti-)semijoin's build side, read in place: a
 // table's rows, or a cached selection's rows followed by null-list rows
 // (cachedBuild). Position i is head's row i, then tail's.
@@ -609,24 +656,49 @@ func (b buildSide) row(i int) table.Row {
 	return b.tail[i-len(b.head)]
 }
 
-// cachedBuild reads the fused build side σ[fuse](child) in two parts
-// when fuse is θ ∨ null(a) ∨ … over a stored relation, θ compares a, …
-// directly (strictCols), and this execution's view cache holds σ[θ] of
-// the same relation — as it does when θ is a join block's leaf filter,
-// Q⁺1's NOT EXISTS build among them: the cached rows, then the rows on
-// the null lists of a, … ("No More Nulls!": hash the null-free part,
-// scan the part with nulls). Under SQL3VL θ is unknown on a row with a
-// null in a column it compares, so the parts are disjoint and together
-// are exactly the selection; naive semantics keep the fused filter. ok
-// is false, and nothing is read, for any other build side.
-func (ev *Evaluator) cachedBuild(child algebra.Expr, fuse algebra.Cond) (b buildSide, ok bool, err error) {
-	base, isBase := child.(algebra.Base)
-	if !isBase || ev.opts.Semantics != value.SQL3VL || ev.opts.NoSubplanCache {
+// cachedBuild reads a build side σ[cond](child) in two parts when cond
+// is θ ∨ null(a) ∨ … over a stored relation, θ compares a, … directly
+// (strictCols), and this execution's view cache holds σ[θ] of the same
+// relation — as it does when θ is a join block's leaf filter, Q⁺1's
+// NOT EXISTS build among them: the cached rows, then the rows on the
+// null lists of a, … ("No More Nulls!": hash the null-free part, scan
+// the part with nulls). Under SQL3VL θ is unknown on a row with a null
+// in a column it compares, so the parts are disjoint and together are
+// exactly the selection; naive semantics evaluate the selection. ok is
+// false, and nothing is read, for any other build side.
+func (ev *Evaluator) cachedBuild(child algebra.Expr, cond algebra.Cond) (b buildSide, ok bool, err error) {
+	if ev.opts.Semantics != value.SQL3VL || ev.opts.NoSubplanCache {
 		return b, false, nil
 	}
+	sel, nullCols, ok := cachedBuildRead(child, cond)
+	if !ok {
+		return b, false, nil
+	}
+	if key := viewKey(sel); key == "" || ev.cache[key] == nil {
+		return b, false, nil
+	}
+	cached, err := ev.evalChild(sel) // the cache hit, counted and traced
+	if err != nil {
+		return b, false, err
+	}
+	_, nulls, err := ev.scan(sel.Child.(algebra.Base), [][]int{nullCols})
+	if err != nil {
+		return b, false, err
+	}
+	return buildSide{head: cached.Rows(), tail: nulls, ar: cached.Arity()}, true, nil
+}
+
+// cachedBuildRead is the selection σ[θ](child) cachedBuild reads from
+// the view cache for σ[cond](child), and the columns a, … of cond's
+// null tests; ok is false when cond or child has another shape.
+func cachedBuildRead(child algebra.Expr, cond algebra.Cond) (sel algebra.Select, nullCols []int, ok bool) {
+	base, isBase := child.(algebra.Base)
+	or, isOr := cond.(algebra.Or)
+	if !isBase || !isOr {
+		return sel, nil, false
+	}
 	var theta []algebra.Cond
-	var nullCols []int
-	for _, d := range algebra.Disjuncts(fuse) {
+	for _, d := range or.Conds {
 		if n, isTest := d.(algebra.NullTest); isTest && !n.Negated {
 			if col, isCol := n.Operand.(algebra.Col); isCol {
 				nullCols = append(nullCols, col.Idx)
@@ -636,27 +708,16 @@ func (ev *Evaluator) cachedBuild(child algebra.Expr, fuse algebra.Cond) (b build
 		theta = append(theta, d)
 	}
 	if len(nullCols) == 0 || len(theta) == 0 {
-		return b, false, nil
+		return sel, nil, false
 	}
-	sel := algebra.Select{Child: base, Cond: algebra.NewOr(theta...)}
+	sel = algebra.Select{Child: base, Cond: algebra.NewOr(theta...)}
 	strict := strictCols(algebra.Conjuncts(sel.Cond))
 	for _, c := range nullCols {
 		if !slices.Contains(strict, c) {
-			return b, false, nil
+			return sel, nil, false
 		}
 	}
-	if key := viewKey(sel); key == "" || ev.cache[key] == nil {
-		return b, false, nil
-	}
-	cached, err := ev.evalChild(sel) // the cache hit, counted and traced
-	if err != nil {
-		return b, false, err
-	}
-	_, nulls, err := ev.scan(base, [][]int{nullCols})
-	if err != nil {
-		return b, false, err
-	}
-	return buildSide{head: cached.Rows(), tail: nulls, ar: cached.Arity()}, true, nil
+	return sel, nullCols, true
 }
 
 // buildSemi indexes the build side of a hash (anti-)semijoin — the

@@ -1,6 +1,10 @@
 package eval
 
-import "certsql/internal/algebra"
+import (
+	"slices"
+
+	"certsql/internal/algebra"
+)
 
 // JoinBlock is the classified condition of σ_cond(leaf₀ × leaf₁ × …),
 // the shape SELECT-FROM-WHERE blocks compile to: single-leaf conjuncts
@@ -20,6 +24,7 @@ type JoinBlock struct {
 	owner     []int // each canonical column's leaf
 	edges     []joinEdge
 	residuals []algebra.Cond
+	strict    []int // strictCols, once implies has asked
 }
 
 // joinEdge is a pure column-to-column equality conjunct usable as a hash
@@ -35,38 +40,56 @@ func ClassifyJoinBlock(arities []int, cond algebra.Cond) *JoinBlock {
 	jb := &JoinBlock{offsets: make([]int, n+1), Singles: make([][]algebra.Cond, n)}
 	for i, a := range arities {
 		jb.offsets[i+1] = jb.offsets[i] + a
+	}
+	jb.owner = make([]int, 0, jb.offsets[n])
+	for i, a := range arities {
 		for range a {
 			jb.owner = append(jb.owner, i)
 		}
 	}
-	for _, c := range algebra.Conjuncts(algebra.NNF(cond)) {
-		touched := map[int]struct{}{}
-		for _, col := range algebra.ColsUsed(c) {
-			touched[jb.owner[col]] = struct{}{}
-		}
-		switch {
-		case len(touched) == 0:
-			jb.residuals = append(jb.residuals, c) // constant or scalar-only condition
-		case len(touched) == 1:
-			for li := range touched {
-				jb.Singles[li] = append(jb.Singles[li], c)
+	if !algebra.NNFIsIdentity(cond) {
+		cond = algebra.NNF(cond)
+	}
+	for _, c := range algebra.Conjuncts(cond) {
+		leaf, many := -1, false // the leaf of c's first column; whether another leaf's column follows
+		algebra.AnyOperand(c, func(o algebra.Operand) bool {
+			if col, ok := o.(algebra.Col); ok {
+				if l := jb.owner[col.Idx]; leaf < 0 {
+					leaf = l
+				} else if l != leaf {
+					many = true
+				}
 			}
+			return many
+		})
+		switch {
+		case leaf < 0:
+			jb.residuals = append(jb.residuals, c) // constant or scalar-only condition
+		case !many:
+			jb.Singles[leaf] = append(jb.Singles[leaf], c)
 		default:
+			// Two column operands of different leaves touch exactly two.
 			if cmp, ok := c.(algebra.Cmp); ok && cmp.Op == algebra.EQ {
 				lc, lok := cmp.L.(algebra.Col)
 				rc, rok := cmp.R.(algebra.Col)
-				if lok && rok && len(touched) == 2 {
-					la, lb := jb.owner[lc.Idx], jb.owner[rc.Idx]
-					if la != lb {
-						jb.edges = append(jb.edges, joinEdge{leafA: la, colA: lc.Idx, leafB: lb, colB: rc.Idx})
-						continue
-					}
+				if lok && rok {
+					jb.edges = append(jb.edges, joinEdge{leafA: jb.owner[lc.Idx], colA: lc.Idx, leafB: jb.owner[rc.Idx], colB: rc.Idx})
+					continue
 				}
 			}
 			jb.residuals = append(jb.residuals, c)
 		}
 	}
 	return jb
+}
+
+// implies reports whether col is one of strictCols, which it computes
+// on first use: only a const(x) guard asks (dropGuards).
+func (jb *JoinBlock) implies(col int) bool {
+	if jb.strict == nil {
+		jb.strict = append(jb.strictCols(), -1) // never a column: marks them computed
+	}
+	return slices.Contains(jb.strict, col)
 }
 
 // strictCols returns the canonical columns that a comparison or LIKE

@@ -31,7 +31,7 @@ func (ev *Evaluator) streamable(e algebra.Expr) bool {
 
 // sharedView reports that e should buffer through the view cache even
 // though it could stream: either its result is already cached, or the
-// shared-subtree analysis (markShared) saw it appear more than once in
+// shared-subtree analysis (Views.Shared) saw it appear more than once in
 // the plan — the WITH-view effect the paper introduces for Q⁺4, which
 // a pure pipeline would otherwise recompute per occurrence. Stored
 // relations are exempt: repeating a scan is free, materializing a copy
@@ -51,28 +51,6 @@ func (ev *Evaluator) sharedView(e algebra.Expr) bool {
 		return true
 	}
 	return ev.shared[key]
-}
-
-// markShared counts cacheable subtrees of e (including scalar-subquery
-// bodies) and records the keys that occur at least twice; buildIter
-// materializes those through the view cache instead of streaming them.
-// It runs once per Eval root and accumulates across roots, matching
-// the cache's evaluator lifetime.
-func (ev *Evaluator) markShared(e algebra.Expr) {
-	counts := map[string]int{}
-	algebra.Walk(e, func(sub algebra.Expr) {
-		if _, n := algebra.Children(sub); n == 0 {
-			return // stored relations and generated powers are never shared views
-		}
-		if k := viewKey(sub); k != "" {
-			counts[k]++
-		}
-	})
-	for k, n := range counts {
-		if n >= 2 {
-			ev.shared[k] = true
-		}
-	}
 }
 
 // drainExpr evaluates e and returns its materialized result. top marks

@@ -1,6 +1,11 @@
 package eval
 
-import "certsql/internal/algebra"
+import (
+	"reflect"
+	"slices"
+
+	"certsql/internal/algebra"
+)
 
 // viewCacheMaxNodes bounds how large a subplan — measured in algebra
 // operators plus condition nodes, scalar-subquery bodies included (see
@@ -26,4 +31,197 @@ func viewKey(e algebra.Expr) string {
 		return ""
 	}
 	return e.Key()
+}
+
+// Views is what the view cache can do for one plan, decided when the
+// plan is made (PlanViews) so that no execution of it walks it again.
+type Views struct {
+	// Shared is the view keys of the plan's subtrees with children
+	// that occur more than once in it, scalar-subquery bodies
+	// included; buildIter buffers those through the cache instead of
+	// streaming them.
+	Shared []string
+	// NoHits records that no subplan of the plan can be served from the
+	// cache: an execution of it caches nothing and renders no view key.
+	NoHits bool
+}
+
+// PlanViews decides Views for e, the one expression an evaluator given
+// them runs. Every subplan the executor drains is cached under its view
+// key, so a hit needs a key drained twice, or drained and read as a
+// cached build (cachedBuild). The subplans that may be drained are e's
+// subtrees other than stored relations, the body of each distinct
+// scalar subquery (a scalar's value is cached under its text, see
+// scalarValue), each join block's filtered leaves and each
+// (anti-)semijoin's build side, both with and without the guards its
+// condition makes redundant. A filtered leaf over a stored relation can
+// only meet another selection over that relation, so leaves are keyed
+// only for relations that carry at least two such selections. NoHits
+// is false whenever a hit is possible under some executor option.
+func PlanViews(e algebra.Expr) *Views {
+	v := &viewScan{keys: map[string]viewUse{}, sites: map[string]int{}}
+	v.visit(e, true)
+	for _, b := range v.blocks {
+		v.joinLeaves(b)
+	}
+	for _, k := range v.reads {
+		v.hit = v.hit || v.keys[k].drained
+	}
+	views := &Views{NoHits: !v.hit}
+	for k, u := range v.keys {
+		if u.count >= 2 {
+			views.Shared = append(views.Shared, k)
+		}
+	}
+	slices.Sort(views.Shared)
+	return views
+}
+
+// viewScan is PlanViews' walk: what it found per view key, the keys
+// cachedBuild may read, the scalars seen, per stored relation the
+// selections over it, and the join blocks to look into.
+type viewScan struct {
+	keys    map[string]viewUse
+	reads   []string
+	scalars []algebra.Scalar
+	sites   map[string]int
+	blocks  []algebra.Select
+	hit     bool
+}
+
+// viewUse is what viewScan found for one view key: how often it occurs
+// as a subtree with children, and whether the executor may drain it.
+type viewUse struct {
+	count   int
+	drained bool
+}
+
+// note records key k (when it is one): counted when it is a subtree
+// with children, drained when the executor may drain it.
+func (v *viewScan) note(k string, counted, drains bool) {
+	if k == "" || !counted && !drains {
+		return
+	}
+	u := v.keys[k]
+	if counted {
+		u.count++
+	}
+	if drains {
+		v.hit = v.hit || u.drained
+		u.drained = true
+	}
+	v.keys[k] = u
+}
+
+func (v *viewScan) drain(x algebra.Expr) { v.note(viewKey(x), false, true) }
+
+// visit walks x as algebra.Walk does, every occurrence of a scalar body
+// included; drains is false inside the repeats of a scalar, which are
+// never evaluated.
+func (v *viewScan) visit(x algebra.Expr, drains bool) {
+	kids, n := algebra.Children(x)
+	switch {
+	case n > 0:
+		v.note(viewKey(x), true, drains)
+	case drains && !isBase(x): // an interior scan is served as the stored relation
+		v.drain(x)
+	}
+	var cond algebra.Cond
+	switch x := x.(type) { // vetcert:ignore famexhaustive: only these build subplans that are not subtrees, or hold scalars
+	case algebra.Select:
+		cond = x.Cond
+		switch _, block := x.Child.(algebra.Product); {
+		case !drains:
+		case block:
+			v.blocks = append(v.blocks, x)
+			for _, l := range flattenProduct(x.Child) {
+				v.site(l)
+			}
+		default:
+			v.site(x.Child)
+		}
+	case algebra.SemiJoin:
+		cond = x.Cond
+		if sel, ok := x.R.(algebra.Select); ok && drains && !v.hit {
+			v.buildSide(sel, semiCond(x), x.L.Arity())
+		}
+	}
+	if cond != nil && algebra.HasScalar(cond) {
+		algebra.AnyOperand(cond, func(o algebra.Operand) bool {
+			if s, ok := o.(algebra.Scalar); ok {
+				// Equal scalars render alike, so this finds no fewer
+				// repeats than scalarValue's cache, without rendering.
+				first := !slices.ContainsFunc(v.scalars, func(t algebra.Scalar) bool { return reflect.DeepEqual(s, t) })
+				if first {
+					v.scalars = append(v.scalars, s)
+				}
+				v.visit(s.Sub, drains && first)
+			}
+			return false
+		})
+	}
+	for _, k := range kids[:n] {
+		v.visit(k, drains)
+	}
+}
+
+// site counts a selection over leaf when leaf is a stored relation.
+func (v *viewScan) site(leaf algebra.Expr) {
+	if b, ok := leaf.(algebra.Base); ok {
+		v.sites[b.Name]++
+	}
+}
+
+// joinLeaves drains the filtered leaves planJoinBlock evaluates for the
+// block sel, both with and without their redundant guards, where one
+// can meet another selection; a leaf without a filter is a subtree,
+// drained by visit.
+func (v *viewScan) joinLeaves(sel algebra.Select) {
+	if v.hit {
+		return // decided; only the Shared counts were still open
+	}
+	leaves := flattenProduct(sel.Child)
+	meets := func(l algebra.Expr) bool {
+		b, ok := l.(algebra.Base)
+		return !ok || v.sites[b.Name] > 1
+	}
+	if !slices.ContainsFunc(leaves, meets) {
+		return
+	}
+	arities := make([]int, len(leaves))
+	for i, l := range leaves {
+		arities[i] = l.Arity()
+	}
+	jb := ClassifyJoinBlock(arities, sel.Cond)
+	for i, leaf := range leaves {
+		singles := jb.Singles[i]
+		if !meets(leaf) || len(singles) == 0 {
+			continue
+		}
+		v.drain(leafFilter(leaf, singles, jb.offsets[i]))
+		if kept := withoutGuards(singles, jb.implies); len(kept) > 0 && len(kept) < len(singles) {
+			v.drain(leafFilter(leaf, kept, jb.offsets[i]))
+		}
+	}
+}
+
+// buildSide drains the guard-free variant of a Select build side (sel
+// itself is a subtree) and notes the selections cachedBuild may read
+// for either, each a selection over the same stored relation.
+func (v *viewScan) buildSide(sel algebra.Select, cond algebra.Cond, nL int) {
+	builds := []algebra.Select{sel}
+	if u, dropped := unguardedBuild(sel, cond, nL); dropped {
+		if s, ok := u.(algebra.Select); ok {
+			v.drain(s)
+			builds = append(builds, s)
+		}
+	}
+	for _, b := range builds {
+		if read, _, ok := cachedBuildRead(b.Child, b.Cond); ok {
+			if k := viewKey(read); k != "" {
+				v.reads = append(v.reads, k)
+				v.site(read.Child)
+			}
+		}
+	}
 }

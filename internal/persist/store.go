@@ -139,10 +139,8 @@ func (s *Store) openRecover() error {
 		if len(data.Rows) != seg.Rows {
 			return fmt.Errorf("persist: %s: segment holds %d rows, manifest expects %d", path, len(data.Rows), seg.Rows)
 		}
-		for i, r := range data.Rows {
-			if err := db.Insert(seg.Table, r); err != nil {
-				return fmt.Errorf("persist: %s: row %d does not conform to the schema: %w", path, i, err)
-			}
+		if err := db.Load(seg.Table, data.Rows); err != nil {
+			return fmt.Errorf("persist: %s: segment does not conform to the schema: %w", path, err)
 		}
 	}
 	db.SetNextNullMark(m.NextNull)

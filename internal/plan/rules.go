@@ -353,7 +353,8 @@ func hasMinters(e algebra.Expr) bool {
 }
 
 // hints walks the final expression and derives per-operator execution
-// hints: slim verification and fused builds.
+// hints — slim verification and fused builds — and what the view cache
+// can do for it.
 func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
 	semi := map[string]eval.SemiHint{}
 	algebra.Walk(e, func(x algebra.Expr) {
@@ -365,10 +366,11 @@ func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
 			semi[sj.Key()] = h
 		}
 	})
-	if len(semi) == 0 {
-		return nil
+	h := &eval.PlanHints{Views: eval.PlanViews(e)}
+	if len(semi) > 0 {
+		h.Semi = semi
 	}
-	return &eval.PlanHints{Semi: semi}
+	return h
 }
 
 // semiHintFor derives the execution hint for one semijoin.

@@ -17,6 +17,43 @@ import (
 // Row is one tuple. Rows are never mutated after insertion.
 type Row = []value.Value
 
+// Slab sizes, in values. A Packer's first slab is small, because the
+// brute-force oracle builds thousands of tiny databases; each later one
+// doubles the last, up to maxSlabValues (2.5 MiB of 40-byte values).
+const (
+	firstSlabValues = 64
+	maxSlabValues   = 1 << 16
+)
+
+// Packer copies rows into slabs it owns, each row's values directly
+// after the previous row's, so rows packed one after another are read
+// in memory order. A packer only ever writes past the rows it has
+// handed out, and no two packers share a slab. The zero value is ready
+// to use.
+type Packer struct{ slab []value.Value }
+
+// Grow makes room for n more values in the current slab, starting a
+// slab of exactly that room when there is not enough.
+func (p *Packer) Grow(n int) {
+	if cap(p.slab)-len(p.slab) < n {
+		p.slab = make([]value.Value, 0, n)
+	}
+}
+
+// Pack returns a copy of r in the packer's current slab, its capacity
+// clipped to its length, so appending to it reallocates.
+func (p *Packer) Pack(r Row) Row {
+	if len(r) == 0 {
+		return Row{}
+	}
+	if cap(p.slab)-len(p.slab) < len(r) {
+		p.Grow(max(min(max(2*cap(p.slab), firstSlabValues), maxSlabValues), len(r)))
+	}
+	start := len(p.slab)
+	p.slab = append(p.slab, r...)
+	return p.slab[start:len(p.slab):len(p.slab)]
+}
+
 // genCounter mints globally unique table generations. Every mutation of
 // any table assigns a fresh generation, so two tables with the same
 // generation are guaranteed to hold identical rows — the property the
@@ -25,11 +62,15 @@ type Row = []value.Value
 // statistics across copy-on-write publishes is sound.
 var genCounter atomic.Uint64
 
-// Table is a bag of rows of a fixed arity.
+// Table is a bag of rows of a fixed arity. A stored relation's values
+// live in slabs the table owns, in row-position order: Append copies
+// each row after the previous one's values, so a scan reads memory in
+// order instead of touching one heap object per row.
 type Table struct {
 	arity int
 	gen   uint64
 	rows  []Row
+	pack  Packer                    // where Append and SetRow copy rows
 	nulls atomic.Pointer[nullLists] // see NullRows
 }
 
@@ -115,25 +156,49 @@ func (t *Table) NullRows(col int) ([]Row, []int) {
 	return c.rows, c.pos
 }
 
-// Append adds a row. It panics on arity mismatch — a programming error.
-func (t *Table) Append(r Row) {
+// Append adds a copy of r, packed after the last row appended, and
+// returns the copy; the caller may reuse r. It panics on arity mismatch
+// — a programming error.
+func (t *Table) Append(r Row) Row {
 	if len(r) != t.arity {
 		panic(fmt.Sprintf("table: appending row of arity %d to table of arity %d", len(r), t.arity))
 	}
-	t.rows = append(t.rows, r)
+	c := t.pack.Pack(r)
+	t.rows = append(t.rows, c)
 	t.gen = genCounter.Add(1)
+	return c
 }
 
-// SetRow replaces the i-th row. It panics on arity mismatch. Replacing
-// (rather than mutating) rows keeps clones of the table independent:
-// Clone copies the row-pointer slice, so replacement is not visible
-// through other clones while in-place mutation would be.
-func (t *Table) SetRow(i int, r Row) {
+// SetRow replaces the i-th row with a copy of r, packed after the last
+// row appended or set, and returns the copy. It panics on arity
+// mismatch. Replacing (rather than mutating) rows keeps clones of the
+// table independent: Clone copies the row-pointer slice, so replacement
+// is not visible through other clones while in-place mutation would be.
+func (t *Table) SetRow(i int, r Row) Row {
 	if len(r) != t.arity {
 		panic(fmt.Sprintf("table: setting row of arity %d in table of arity %d", len(r), t.arity))
 	}
-	t.rows[i] = r
+	c := t.pack.Pack(r)
+	t.rows[i] = c
 	t.gen = genCounter.Add(1)
+	return c
+}
+
+// rewrite returns a new table holding a copy of each of t's rows, in
+// position order and packed into one slab, after edit has changed the
+// copy in place, and the positions of the rows edit reports it changed.
+// edit sees each copy before anyone else does.
+func (t *Table) rewrite(edit func(r Row) bool) (nt *Table, changed []int) {
+	nt = New(t.arity)
+	nt.Grow(len(t.rows))
+	for i, r := range t.rows {
+		c := nt.pack.Pack(r)
+		if edit(c) {
+			changed = append(changed, i)
+		}
+		nt.rows = append(nt.rows, c)
+	}
+	return nt, changed
 }
 
 // Value and row-header sizes used by EstimatedBytes. A value.Value is
@@ -158,20 +223,19 @@ func EstimatedRowBytes(arity int) int64 {
 	return rowHeaderBytes + valueBytes*int64(arity)
 }
 
-// Grow pre-allocates capacity for n additional rows.
+// Grow pre-allocates capacity for n additional rows and their values,
+// the values in one slab.
 func (t *Table) Grow(n int) {
-	if cap(t.rows)-len(t.rows) < n {
-		rows := make([]Row, len(t.rows), len(t.rows)+n)
-		copy(rows, t.rows)
-		t.rows = rows
-	}
+	t.rows = slices.Grow(t.rows, n)
+	t.pack.Grow(n * t.arity)
 }
 
 // Distinct returns a new table with duplicate rows removed (set
 // semantics). Duplicate detection uses the canonical row key, so marked
-// nulls are distinct unless their marks coincide.
+// nulls are distinct unless their marks coincide. The result shares
+// t's rows.
 func (t *Table) Distinct() *Table {
-	out := New(t.arity)
+	var rows []Row
 	seen := make(map[string]struct{}, len(t.rows))
 	for _, r := range t.rows {
 		k := value.RowKey(r)
@@ -179,9 +243,9 @@ func (t *Table) Distinct() *Table {
 			continue
 		}
 		seen[k] = struct{}{}
-		out.Append(r)
+		rows = append(rows, r)
 	}
-	return out
+	return FromRows(t.arity, rows)
 }
 
 // Contains reports whether the table contains a row identical to r:
@@ -355,16 +419,16 @@ func nonNullCheck(rel *schema.Relation, r Row) error {
 	return nil
 }
 
-// Insert appends a row to the named relation, validating arity and
-// column types. A null in a NOT NULL attribute is rejected with a
-// *NotNullViolation.
-func (db *Database) Insert(name string, r Row) error {
+// check validates r as a row of the named relation: its arity, its
+// values' kinds, and no null in a NOT NULL attribute (reported as a
+// *NotNullViolation).
+func (db *Database) check(name string, r Row) (*schema.Relation, error) {
 	rel, ok := db.Schema.Relation(name)
 	if !ok {
-		return fmt.Errorf("table: unknown relation %q", name)
+		return nil, fmt.Errorf("table: unknown relation %q", name)
 	}
 	if len(r) != rel.Arity() {
-		return fmt.Errorf("table: relation %q: row arity %d, want %d", name, len(r), rel.Arity())
+		return nil, fmt.Errorf("table: relation %q: row arity %d, want %d", name, len(r), rel.Arity())
 	}
 	for i, v := range r {
 		if v.IsNull() {
@@ -372,16 +436,53 @@ func (db *Database) Insert(name string, r Row) error {
 		}
 		want := rel.Attrs[i].Type
 		if v.Kind() != want && !(numericKind(v.Kind()) && numericKind(want)) {
-			return fmt.Errorf("table: relation %q attribute %q: value %s has kind %s, want %s",
+			return nil, fmt.Errorf("table: relation %q attribute %q: value %s has kind %s, want %s",
 				name, rel.Attrs[i].Name, v, v.Kind(), want)
 		}
 	}
-	if err := nonNullCheck(rel, r); err != nil {
+	return rel, nonNullCheck(rel, r)
+}
+
+// Insert appends a copy of r to the named relation, validating arity
+// and column types; the caller may reuse r. A null in a NOT NULL
+// attribute is rejected with a *NotNullViolation.
+func (db *Database) Insert(name string, r Row) error {
+	if _, err := db.check(name, r); err != nil {
 		return err
 	}
-	db.tables[strings.ToLower(name)].Append(r)
+	c := db.tables[strings.ToLower(name)].Append(r)
 	if db.recorder != nil {
-		db.recorder(Op{Kind: OpInsert, Table: strings.ToLower(name), Row: r})
+		db.recorder(Op{Kind: OpInsert, Table: strings.ToLower(name), Row: c})
+	}
+	return nil
+}
+
+// Load appends rows to the named relation, each checked as Insert
+// checks it, and takes them as its storage instead of copying them: a
+// loader that already holds its rows packed in position order (with a
+// Packer, say) hands them over whole. The caller must not change rows
+// or their values afterwards. On an error, which names the first row
+// that fails, nothing is appended.
+func (db *Database) Load(name string, rows []Row) error {
+	t, err := db.Table(name)
+	if err != nil {
+		return err
+	}
+	for i, r := range rows {
+		if _, err := db.check(name, r); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	if t.Len() == 0 {
+		t.rows = slices.Clip(rows)
+	} else {
+		t.rows = append(t.rows, rows...)
+	}
+	t.gen = genCounter.Add(1)
+	if db.recorder != nil {
+		for _, r := range rows {
+			db.recorder(Op{Kind: OpInsert, Table: strings.ToLower(name), Row: r})
+		}
 	}
 	return nil
 }
@@ -404,9 +505,37 @@ func (db *Database) ReplaceRow(name string, i int, r Row) error {
 	if err := nonNullCheck(rel, r); err != nil {
 		return err
 	}
-	t.SetRow(i, r)
+	c := t.SetRow(i, r)
 	if db.recorder != nil {
-		db.recorder(Op{Kind: OpReplace, Table: strings.ToLower(name), Index: i, Row: r})
+		db.recorder(Op{Kind: OpReplace, Table: strings.ToLower(name), Index: i, Row: c})
+	}
+	return nil
+}
+
+// Rewrite rebuilds the named relation in one ordered pass: each row is
+// copied, in position order, into one new slab, and edit may change the
+// copy in place, reporting whether it did. A changed row is checked and
+// recorded as ReplaceRow would check and record it; on an error the
+// relation is left as it was. Bulk mutators (null injection) use this
+// instead of one ReplaceRow per row, which would move every replaced
+// row out of position order.
+func (db *Database) Rewrite(name string, edit func(r Row) bool) error {
+	rel, ok := db.Schema.Relation(name)
+	if !ok {
+		return fmt.Errorf("table: unknown relation %q", name)
+	}
+	key := strings.ToLower(name)
+	nt, changed := db.tables[key].rewrite(edit)
+	for _, i := range changed {
+		if err := nonNullCheck(rel, nt.rows[i]); err != nil {
+			return err
+		}
+	}
+	db.tables[key] = nt
+	if db.recorder != nil {
+		for _, i := range changed {
+			db.recorder(Op{Kind: OpReplace, Table: key, Index: i, Row: nt.rows[i]})
+		}
 	}
 	return nil
 }
@@ -495,7 +624,7 @@ func (db *Database) ActiveDomain() []value.Value {
 func (db *Database) Clone() *Database {
 	out := &Database{Schema: db.Schema, tables: map[string]*Table{}, nextNull: db.nextNull}
 	for name, t := range db.tables {
-		nt := New(t.arity)
+		nt := New(t.arity) // no slab: the clone packs its own appends
 		nt.rows = append(nt.rows, t.rows...)
 		nt.gen = t.gen // same content ⇒ same generation (see genCounter)
 		nt.nulls.Store(t.nulls.Load())
@@ -507,25 +636,21 @@ func (db *Database) Clone() *Database {
 // Apply returns the complete database v(D) obtained by replacing every
 // null ⊥ᵢ with valuation[i]. Marks missing from the valuation map are
 // left untouched (callers building full valuations must cover all marks).
+// Each table is rebuilt in one ordered pass into one slab.
 func (db *Database) Apply(valuation map[int64]value.Value) *Database {
 	out := &Database{Schema: db.Schema, tables: map[string]*Table{}, nextNull: db.nextNull}
-	for name, t := range db.tables {
-		nt := New(t.arity)
-		nt.Grow(t.Len())
-		for _, r := range t.rows {
-			nr := make(Row, len(r))
-			for i, v := range r {
-				if v.IsNull() {
-					if c, ok := valuation[v.NullID()]; ok {
-						nr[i] = c
-						continue
-					}
+	apply := func(r Row) bool {
+		for i, v := range r {
+			if v.IsNull() {
+				if c, ok := valuation[v.NullID()]; ok {
+					r[i] = c
 				}
-				nr[i] = v
 			}
-			nt.Append(nr)
 		}
-		out.tables[name] = nt
+		return false
+	}
+	for name, t := range db.tables {
+		out.tables[name], _ = t.rewrite(apply)
 	}
 	return out
 }

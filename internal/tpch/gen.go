@@ -3,8 +3,10 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
+	"certsql/internal/schema"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -56,11 +58,20 @@ func (c Config) Sizes() Sizes {
 // Generate produces a complete (null-free) TPC-H instance, then injects
 // nulls if Config.NullRate is positive. Generation is deterministic in
 // the seed.
+//
+// The generator packs each relation's rows in position order and keeps
+// them until the end, so injection edits them in place — no reader has
+// seen them yet — and the database takes them as its storage (Load):
+// every value is written once, and every relation is read in memory
+// order.
 func Generate(cfg Config) *table.Database {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := table.NewDatabase(Schema())
 	sz := cfg.Sizes()
-	g := &generator{rng: rng, db: db}
+	g := &generator{rng: rng, db: db, staged: map[string]*staged{}}
+	for _, name := range db.Schema.Names() {
+		g.staged[name] = &staged{}
+	}
 
 	g.regions()
 	g.nations()
@@ -70,21 +81,47 @@ func Generate(cfg Config) *table.Database {
 	g.customers(sz.Customers)
 	g.ordersAndLineitems(sz.Orders, sz.Customers, sz.Parts, sz.Suppliers)
 
-	if cfg.NullRate > 0 {
-		InjectNulls(db, cfg.NullRate, rng)
+	for _, name := range db.Schema.Names() {
+		rows := g.staged[name].rows
+		if cfg.NullRate > 0 {
+			rel, _ := db.Schema.Relation(name)
+			for _, r := range rows {
+				nullify(db, rel, r, cfg.NullRate, rng)
+			}
+		}
+		if err := db.Load(name, rows); err != nil {
+			panic(fmt.Sprintf("tpch: generator bug: %v", err))
+		}
 	}
 	return db
 }
 
 type generator struct {
-	rng *rand.Rand
-	db  *table.Database
+	rng    *rand.Rand
+	db     *table.Database
+	staged map[string]*staged
+	items  []item // ordersAndLineitems' per-order buffer
 }
 
+// staged is one relation's generated rows, packed in insertion order.
+type staged struct {
+	rows []table.Row
+	pack table.Packer
+}
+
+// grow makes room for n more rows of rel, so a relation whose size is
+// known up front is packed into one slab.
+func (g *generator) grow(rel string, n int) {
+	s := g.staged[rel]
+	r, _ := g.db.Schema.Relation(rel)
+	s.rows = slices.Grow(s.rows, n)
+	s.pack.Grow(n * r.Arity())
+}
+
+// insert stages a copy of row; the caller may reuse row.
 func (g *generator) insert(rel string, row table.Row) {
-	if err := g.db.Insert(rel, row); err != nil {
-		panic(fmt.Sprintf("tpch: generator bug: %v", err))
-	}
+	s := g.staged[rel]
+	s.rows = append(s.rows, s.pack.Pack(row))
 }
 
 func (g *generator) comment() value.Value {
@@ -112,12 +149,14 @@ var (
 )
 
 func (g *generator) regions() {
+	g.grow("region", len(Regions))
 	for i, name := range Regions {
 		g.insert("region", table.Row{value.Int(int64(i)), value.Str(name), g.comment()})
 	}
 }
 
 func (g *generator) nations() {
+	g.grow("nation", len(Nations))
 	for i, n := range Nations {
 		g.insert("nation", table.Row{
 			value.Int(int64(i)), value.Str(n.Name), value.Int(n.RegionKey), g.comment(),
@@ -126,6 +165,7 @@ func (g *generator) nations() {
 }
 
 func (g *generator) suppliers(n int) {
+	g.grow("supplier", n)
 	for i := 1; i <= n; i++ {
 		nat := int64(g.rng.Intn(len(Nations)))
 		g.insert("supplier", table.Row{
@@ -152,6 +192,7 @@ func (g *generator) partName() value.Value {
 }
 
 func (g *generator) parts(n int) {
+	g.grow("part", n)
 	for i := 1; i <= n; i++ {
 		g.insert("part", table.Row{
 			value.Int(int64(i)),
@@ -171,6 +212,7 @@ func (g *generator) parts(n int) {
 }
 
 func (g *generator) partsupps(parts, suppliers int) {
+	g.grow("partsupp", 4*parts)
 	for p := 1; p <= parts; p++ {
 		for k := 0; k < 4; k++ {
 			s := (p+k*(suppliers/4+1))%suppliers + 1
@@ -186,6 +228,7 @@ func (g *generator) partsupps(parts, suppliers int) {
 }
 
 func (g *generator) customers(n int) {
+	g.grow("customer", n)
 	for i := 1; i <= n; i++ {
 		nat := int64(g.rng.Intn(len(Nations)))
 		g.insert("customer", table.Row{
@@ -201,12 +244,21 @@ func (g *generator) customers(n int) {
 	}
 }
 
+// item is one lineitem of the order being generated.
+type item struct {
+	part, supp          int64
+	qty                 int64
+	price               float64
+	ship, commit, recpt int64
+}
+
 // ordersAndLineitems generates orders with 1–7 lineitems each. A third
 // of customers place no orders (per the TPC-H spec), which matters for
 // Q2 (customers without recent orders). Order status is 'F' (finalized)
 // when every lineitem has been received, mirroring DBGen's derivation.
 func (g *generator) ordersAndLineitems(orders, customers, parts, suppliers int) {
 	today := endDate - 100
+	g.grow("orders", orders)
 	for o := 1; o <= orders; o++ {
 		// Customers with custkey ≡ 0 (mod 3) never place orders.
 		cust := int64(g.rng.Intn(customers) + 1)
@@ -218,13 +270,8 @@ func (g *generator) ordersAndLineitems(orders, customers, parts, suppliers int) 
 		allReceived := true
 		var total float64
 
-		type item struct {
-			part, supp          int64
-			qty                 int64
-			price               float64
-			ship, commit, recpt int64
-		}
-		items := make([]item, nItems)
+		items := slices.Grow(g.items[:0], nItems)[:nItems]
+		g.items = items
 		for i := range items {
 			it := &items[i]
 			it.part = int64(g.rng.Intn(parts) + 1)
@@ -304,7 +351,8 @@ func InjectNulls(db *table.Database, rate float64, rng *rand.Rand) {
 // attributes receive nulls per scenario; restricting injection leaves
 // the remaining tables complete, so their nullable columns stay
 // null-free in the data — the case a statistics-driven planner can
-// prove and exploit.
+// prove and exploit. Each table is rebuilt in one ordered pass
+// (Database.Rewrite), so its rows stay packed in position order.
 func InjectNullsInto(db *table.Database, rate float64, rng *rand.Rand, tables ...string) {
 	names := db.Schema.Names()
 	if len(tables) > 0 {
@@ -312,27 +360,25 @@ func InjectNullsInto(db *table.Database, rate float64, rng *rand.Rand, tables ..
 	}
 	for _, name := range names {
 		rel, _ := db.Schema.Relation(name)
-		t := db.MustTable(name)
-		for ri := 0; ri < t.Len(); ri++ {
-			row := t.Row(ri)
-			var replaced table.Row
-			for i, a := range rel.Attrs {
-				if !a.Nullable || rng.Float64() >= rate {
-					continue
-				}
-				if replaced == nil {
-					replaced = make(table.Row, len(row))
-					copy(replaced, row)
-				}
-				replaced[i] = db.FreshNull()
-			}
-			if replaced != nil {
-				// Route through the database, which rejects a null
-				// in a NOT NULL attribute.
-				if err := db.ReplaceRow(name, ri, replaced); err != nil {
-					panic(err) // only nullable attrs are touched
-				}
-			}
+		// The database rejects a null in a NOT NULL attribute.
+		if err := db.Rewrite(name, func(r table.Row) bool { return nullify(db, rel, r, rate, rng) }); err != nil {
+			panic(err) // only nullable attrs are touched
 		}
 	}
+}
+
+// nullify draws, for each nullable attribute of r in order, whether to
+// replace its value with a fresh marked null (probability rate), and
+// does so in place; it reports whether it replaced any. The draws and
+// the marks are those of the paper's coin-flip procedure, so an
+// instance is determined by its seed.
+func nullify(db *table.Database, rel *schema.Relation, r table.Row, rate float64, rng *rand.Rand) bool {
+	changed := false
+	for i, a := range rel.Attrs {
+		if a.Nullable && rng.Float64() < rate {
+			r[i] = db.FreshNull()
+			changed = true
+		}
+	}
+	return changed
 }

@@ -66,13 +66,17 @@ func (p *Prepared) Rebind(db *DB) *Prepared {
 // compiled algebra, so they are part of what is planned: a statement
 // that references parameters cannot be explained without a binding.
 func (p *Prepared) Explain(params Params, opts Options) (string, error) {
-	return p.db.ExplainPlan(p.text, params, opts)
+	return p.ExplainContext(context.Background(), params, opts)
 }
 
 // ExplainContext is Explain bounded by ctx — the form request paths
 // must use, so an abandoned request stops paying for planning.
 func (p *Prepared) ExplainContext(ctx context.Context, params Params, opts Options) (string, error) {
-	return p.db.ExplainPlanContext(ctx, p.text, params, opts)
+	gov := opts.governor(ctx)
+	if err := gov.Poll("explain"); err != nil {
+		return "", err
+	}
+	return p.db.explain(gov, p.text, nil, params, opts)
 }
 
 // Execute runs the statement with the given parameters.
@@ -97,21 +101,12 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 	if err := gov.Poll("execute"); err != nil {
 		return nil, err
 	}
-	key := plancache.Key{
-		SQL:            p.text,
-		CatalogVersion: p.db.catver,
-		Params:         fingerprintParams(params),
-		Options:        fingerprintPlanOptions(opts),
+	key := p.db.planKey(p.text, params, opts)
+	pl, hit, err := p.db.lookupPlan(gov, key, nil, params, opts)
+	if err != nil {
+		return nil, err
 	}
-	pl, hit := p.db.plans.Get(key)
 	if !hit {
-		q, err := sql.Parse(p.text)
-		if err != nil {
-			return nil, err
-		}
-		if pl, err = p.db.compilePlan(gov, q, params, opts); err != nil {
-			return nil, err
-		}
 		p.db.plans.Put(key, pl)
 	}
 	res, err := p.db.runPlan(gov, pl, opts)
@@ -124,6 +119,53 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 		res.Stats.PlanCacheMisses = 1
 	}
 	return res, nil
+}
+
+// planKey is the plan-cache key of the canonical statement text under
+// params and opts: Execute caches the plans it compiles under it, and
+// EXPLAIN reads them.
+func (db *DB) planKey(text string, params Params, opts Options) plancache.Key {
+	return plancache.Key{
+		SQL:            text,
+		CatalogVersion: db.catver,
+		Params:         fingerprintParams(params),
+		Options:        fingerprintPlanOptions(opts),
+	}
+}
+
+// lookupPlan returns the plan cached under key, or on a miss one
+// compiled from q — parsed from key.SQL when q is nil — and not cached;
+// hit reports which.
+func (db *DB) lookupPlan(gov *guard.Governor, key plancache.Key, q *sql.Query, params Params, opts Options) (pl *plancache.Plan, hit bool, err error) {
+	if pl, hit = db.plans.Get(key); hit {
+		return pl, true, nil
+	}
+	if q == nil {
+		if q, err = sql.Parse(key.SQL); err != nil {
+			return nil, false, err
+		}
+	}
+	pl, err = db.compilePlan(gov, q, params, opts)
+	return pl, false, err
+}
+
+// explain renders the EXPLAIN of the plan Execute would run for the
+// canonical statement text: the cached plan when there is one, else one
+// compiled from q (or text) that is not cached, so that explaining
+// never evicts a plan that executes.
+func (db *DB) explain(gov *guard.Governor, text string, q *sql.Query, params Params, opts Options) (string, error) {
+	pl, _, err := db.lookupPlan(gov, db.planKey(text, params, opts), q, params, opts)
+	if err != nil {
+		return "", err
+	}
+	o := pick(pl, pl.Mode, opts.NaivePlanner)
+	st, err := db.stats.CollectGoverned(gov, db.d)
+	if err != nil {
+		return "", err
+	}
+	pr := &plan.Result{Expr: o.Expr, Hints: o.Hints, Fired: o.Fired,
+		Explain: plan.Describe(o.Expr, o.Hints, db.d.Schema, st)}
+	return pr.ExplainText(), nil
 }
 
 // compilePlan performs the cacheable, data-independent part of one
