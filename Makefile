@@ -125,7 +125,8 @@ bench-fig4:
 # exact size, a segment's blocks are encoded in one reused buffer, and
 # the generator writes each value once, packed in position order.
 # Advisory like bench-fig4's first half: wall-clock, so its failure is
-# printed and ignored; the exact gates are TestBuildSideEquivalence,
+# printed and ignored; the exact gates are TestBuildSideEquivalence
+# (a build side read in two parts, SemiHint.Split, included),
 # TestJoinBlockSteps, TestJoinBlockCopiesRowsOnce,
 # TestDrainCopiesRowsOnce, TestDrainResultDoesNotAliasStorage,
 # TestNullScanMatchesFullScan, TestCostUnitsDirectionIndependent,

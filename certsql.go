@@ -26,6 +26,7 @@ import (
 	"certsql/internal/compile"
 	"certsql/internal/eval"
 	"certsql/internal/guard"
+	"certsql/internal/plan"
 	"certsql/internal/plancache"
 	"certsql/internal/rewrite"
 	"certsql/internal/sql"
@@ -88,13 +89,13 @@ type Options struct {
 	NoViewCache    bool
 	NoShortCircuit bool
 
-	// NaivePlanner disables the cost-based planner and runs the plan
-	// exactly as translation produced it — the paper-faithful greedy
-	// configuration, kept as an ablation. The planner never changes
-	// results (its rewrites are byte-identity-preserving and difftest
-	// enforces that), so this toggle only trades plan quality; it is an
-	// executor-side concern and shares plan-cache entries with the
-	// default configuration.
+	// NaivePlanner disables the cost-based planner's rules and hints and
+	// runs the plan as translation produced it, lowered (plan.Lower) like
+	// every plan — the paper-faithful greedy configuration, kept as an
+	// ablation. The planner never changes results (its rewrites are
+	// byte-identity-preserving and difftest enforces that), so this
+	// toggle only trades plan quality; it shares plan-cache entries with
+	// the default configuration.
 	NaivePlanner bool
 
 	// NoAnalyzerFastPath is not read: SELECT CERTAIN always runs Q⁺. It
@@ -178,6 +179,11 @@ func (o Options) evalOptions(gov *guard.Governor) eval.Options {
 		NoShortCircuit: o.NoShortCircuit,
 		Trace:          o.Trace,
 	}
+}
+
+// physical is what the planner's lowering reads of the options.
+func (o Options) physical() plan.Physical {
+	return plan.Physical{Semantics: o.semantics(), NoViewCache: o.NoViewCache}
 }
 
 func (o Options) translator(db *DB) *certain.Translator {
@@ -450,7 +456,7 @@ func takeMode(q *sql.Query) plancache.Mode {
 // runParsed runs an ad-hoc query: the prepared route's plan, compiled
 // for this one execution and not cached.
 func (db *DB) runParsed(gov *guard.Governor, q *sql.Query, params Params, opts Options) (*Result, error) {
-	pl, err := db.compilePlan(gov, q, params, opts)
+	pl, err := db.compilePlan(gov, q, params, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -601,9 +607,9 @@ func (db *DB) Explain(text string, params Params, opts Options) (string, error) 
 // execution would run (see pick) and the rewrite rules that fired. The
 // plan rests on the query and the schema alone; the statistics
 // collected here only price the tree, and no execution reads them.
-// With Options.NaivePlanner the tree is the unrewritten plan and no
-// rule fired. The output is deterministic for a fixed database — the
-// golden EXPLAIN tests pin it for the paper's appendix queries.
+// With Options.NaivePlanner the tree is the unrewritten plan, lowered,
+// and no rule fired. The output is deterministic for a fixed database —
+// the golden EXPLAIN tests pin it for the paper's appendix queries.
 func (db *DB) ExplainPlan(text string, params Params, opts Options) (string, error) {
 	return db.ExplainPlanContext(context.Background(), text, params, opts)
 }

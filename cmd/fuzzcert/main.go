@@ -73,6 +73,7 @@ func run(args []string, out, errOut io.Writer) int {
 	// evaluator, per route and semantics: Q out of all cases, Q⁺ and Q⋆
 	// out of the translatable ones (fmt prints map keys sorted).
 	fmt.Fprintf(out, "  reference ran: %v of %d (Q) / %d (Q⁺, Q⋆)\n", sum.Reference, sum.Cases, sum.Translatable)
+	fmt.Fprintf(out, "  lowering changed and compared: %v\n", sum.Lowered)
 	if len(sum.Skips) > 0 {
 		fmt.Fprintf(out, "  skipped invariants: %v\n", sum.Skips)
 	}

@@ -22,15 +22,16 @@ var guardsCfg = tpch.Config{ScaleFactor: 0.005, Seed: 1, NullRate: 0.02}
 var antijoinBuild = regexp.MustCompile(`hash antijoin \[1 keys\] (?:build-left \d+ rows, streamed|build) (\d+)`)
 
 // TestQ1PlusReadsCachedBuild: under SQL's three-valued logic the
-// executor drops Q⁺1's const() guards that a comparison in the same
-// conjunction implies, so Q⁺1's lineitem join leaf is Q1's
+// planner's lowering drops Q⁺1's const() guards that a comparison in
+// the same conjunction implies, so Q⁺1's lineitem join leaf is Q1's
 // σ[l_receiptdate > l_commitdate], and its NOT EXISTS build σ[late ∨
-// null(l_receiptdate) ∨ null(l_commitdate)] is that cached leaf
-// followed by the rows on the two null lists. Every count is taken
+// null(l_receiptdate) ∨ null(l_commitdate)] is split into that cached
+// leaf followed by the rows on the two null lists. Every count is taken
 // from the instance:
 //
 //   - the trace reads the cached leaf, then the null lists, and the
-//     antijoin reads exactly those rows;
+//     antijoin reads exactly those rows; EXPLAIN shows the split on
+//     both routes, and no guard;
 //   - Q⁺1 costs at most 2 units per null-list row (scanned, then
 //     streamed) more than Q1, plus one per row with a null l_suppkey,
 //     whose const() guard was dropped;
@@ -38,7 +39,7 @@ var antijoinBuild = regexp.MustCompile(`hash antijoin \[1 keys\] (?:build-left \
 //     paper route (NaivePlanner), at Parallelism 1 and 4;
 //   - under naive semantics, where l_receiptdate > l_commitdate holds on
 //     some rows with a null, every guard stays and nothing is read from
-//     the cache.
+//     the cache, in the trace and in EXPLAIN.
 func TestQ1PlusReadsCachedBuild(t *testing.T) {
 	inst := tpch.Generate(guardsCfg)
 	db := certsql.FromInternal(inst)
@@ -72,9 +73,19 @@ func TestQ1PlusReadsCachedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := fmt.Sprintf("cached algebra.Select -> %d rows\nscan lineitem nulls(#12,#11) -> %d of %d rows\n", late, nullDates, lineitem.Len())
+	read := fmt.Sprintf("cached σ[#12 > #11](lineitem) -> %d rows\nscan lineitem nulls(#12,#11) -> %d of %d rows\n", late, nullDates, lineitem.Len())
 	if !strings.Contains(trace, read) {
 		t.Errorf("Q⁺1's trace does not read its NOT EXISTS build as\n%s\n%s", read, trace)
+	}
+	split := regexp.MustCompile(`select \[#12 > #11 OR null\(#12\) OR null\(#11\)\] .*\{split\}\n *cached \[σ\[#12 > #11\]\(lineitem\)\] .*\n *scan \[lineitem\] .*\{access=nulls\(#12,#11\)\}`)
+	for _, naivePlanner := range []bool{false, true} {
+		plan, err := db.ExplainPlan(certain, params, certsql.Options{NaivePlanner: naivePlanner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !split.MatchString(plan) || strings.Contains(plan, "const(") {
+			t.Errorf("NaivePlanner=%v: Q⁺1's plan keeps a guard or does not split its NOT EXISTS build:\n%s", naivePlanner, plan)
+		}
 	}
 	if m := antijoinBuild.FindStringSubmatch(trace); m == nil || m[1] != strconv.Itoa(late+nullDates) {
 		t.Errorf("Q⁺1's antijoin does not read the %d + %d rows of its build side:\n%s", late, nullDates, trace)
@@ -113,6 +124,11 @@ func TestQ1PlusReadsCachedBuild(t *testing.T) {
 	}
 	if strings.Contains(naive, "cached ") || strings.Contains(naive, "nulls(#12,#11)") {
 		t.Errorf("under naive semantics Q⁺1 read a cached build:\n%s", naive)
+	}
+	if plan, err := db.ExplainPlan(certain, params, certsql.Options{Naive: true}); err != nil {
+		t.Fatal(err)
+	} else if strings.Contains(plan, "{split}") || !strings.Contains(plan, "const(#2)") {
+		t.Errorf("under naive semantics Q⁺1's plan lost a guard or split its build:\n%s", plan)
 	}
 	if !strings.Contains(naive, fmt.Sprintf("filter ~> %d rows", late)) {
 		t.Errorf("under naive semantics Q⁺1's lineitem leaf lost its guards: no filter keeps the %d late rows with both dates (%d without the guards):\n%s",

@@ -27,7 +27,10 @@
 //   - cost audit: the planner's estimates are internally consistent and
 //     its rewrites invent no predicate atoms;
 //   - plan independence: the planner gives the same plan, hints and
-//     fired rules with the case's statistics and with none.
+//     fired rules with the case's statistics and with none;
+//   - lowering: the plan the physical lowering gives for each semantics
+//     (plan.Lower: guards dropped, build sides split) returns the bytes
+//     of the unlowered expression, which the executor runs as written.
 //
 // Cases come from internal/qgen and are pure functions of a seed, so a
 // failure is reproduced by its seed alone; Minimize shrinks a failing
@@ -119,6 +122,9 @@ type Report struct {
 	// …) on which the reference invariant was actually compared — not
 	// skipped — on this case.
 	Reference []string
+	// Lowered lists the route/semantics pairs on which the lowering
+	// invariant compared a plan the lowering changed.
+	Lowered []string
 }
 
 // Failed reports whether any invariant broke.
@@ -262,6 +268,7 @@ func Check(db *table.Database, text string, opts Options) *Report {
 	for _, rt := range routeExprs(db, expr) {
 		checkPlanAudit(rep, db, st, rt.expr)
 		rep.Reference = append(rep.Reference, checkReference(db, rt.name, rt.expr, rep.violate, rep.skip)...)
+		checkLowering(rep, db, rt, opts.parallelism())
 	}
 
 	for name, o := range map[string]certsql.Options{
@@ -572,6 +579,37 @@ func checkPlanAudit(rep *Report, db *table.Database, st *stats.DBStats, e algebr
 	if bare.Expr.Key() != pr.Expr.Key() || !reflect.DeepEqual(bare.Hints, pr.Hints) || !slices.Equal(bare.Fired, pr.Fired) {
 		rep.violate("plan-independence", "statistics change the plan:\nwith:    %s %v %v\nwithout: %s %v %v",
 			pr.Expr.Key(), pr.Fired, pr.Hints, bare.Expr.Key(), bare.Fired, bare.Hints)
+	}
+}
+
+// checkLowering is the lowering invariant on one route: under each
+// semantics, the plan lowered for it returns, hints and all, the bytes
+// of the unlowered expression at Parallelism 1 and par. Once the
+// executor drops and splits nothing itself, the unlowered run is an
+// independent partner of the lowered one. A budget trip on either side
+// skips.
+func checkLowering(rep *Report, db *table.Database, rt routeExpr, par int) {
+	for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
+		label := rt.name + "/" + sem.String()
+		low := plan.Lower(rt.expr, plan.Physical{Semantics: sem})
+		compared := true
+		for _, p := range []int{1, par} {
+			want, werr := eval.New(db, eval.Options{Semantics: sem, Parallelism: p}).Eval(rt.expr)
+			got, gerr := eval.New(db, eval.Options{Semantics: sem, Parallelism: p, Hints: low.Hints}).Eval(low.Expr)
+			switch {
+			case budgetErr(werr) || budgetErr(gerr):
+				rep.skip("lowering " + label + ": budget")
+				compared = false
+			case (werr == nil) != (gerr == nil):
+				rep.violate("lowering", "%s P=%d: unlowered error %v, lowered error %v", label, p, werr, gerr)
+			case werr == nil && got.String() != want.String():
+				rep.violate("lowering", "%s P=%d: the lowered plan changes the bytes:\nunlowered: %s\nlowered:   %s\nplan: %s",
+					label, p, want, got, low.Expr.Key())
+			}
+		}
+		if compared && low.Changed {
+			rep.Lowered = append(rep.Lowered, label)
+		}
 	}
 }
 

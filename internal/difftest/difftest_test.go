@@ -39,6 +39,11 @@ func TestOracleClean(t *testing.T) {
 			t.Errorf("reference check %s compared %d of %d translatable cases", label, ran, sum.Translatable)
 		}
 	}
+	// The lowering invariant is idle unless the lowering changed some
+	// plan it compared: Q⁺'s guards beside a comparison under SQL3VL.
+	if sum.Lowered["Q⁺/sql3vl"] == 0 {
+		t.Errorf("the lowering invariant compared no plan the lowering changed: %v", sum.Lowered)
+	}
 }
 
 func totalRows(db *table.Database) int {

@@ -15,10 +15,11 @@ import (
 // CheckPlannerSeed checks only the planner invariants for one generated
 // case: the cost-based planner and the naive planner must render
 // byte-identical results at sequential and parallel settings, on the
-// standard, certain and possible routes, and the planner's estimates
-// must pass the cost audit. It skips the brute-force ground truth, so
-// thousands of cases run in seconds — this is the planner-ablation
-// smoke check CI runs, and FuzzPlannerAblation's body.
+// standard, certain and possible routes, the planner's estimates must
+// pass the cost audit, and each route's lowered plan must return the
+// bytes of the unlowered one (checkLowering). It skips the brute-force
+// ground truth, so thousands of cases run in seconds — this is the
+// planner-ablation smoke check CI runs, and FuzzPlannerAblation's body.
 func CheckPlannerSeed(seed uint64, tuning qgen.Tuning) *Report {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	db, text := qgen.Case(rng, tuning)
@@ -53,6 +54,7 @@ func CheckPlannerSeed(seed uint64, tuning qgen.Tuning) *Report {
 	st := stats.NewCollector().Collect(db)
 	for _, rt := range routeExprs(db, compiled.Expr) {
 		checkPlanAudit(rep, db, st, rt.expr)
+		checkLowering(rep, db, rt, 4)
 	}
 	return rep
 }

@@ -26,6 +26,9 @@ type RunSummary struct {
 	// cases on which the reference invariant was compared rather than
 	// skipped — a silently idle oracle shows up here as a low count.
 	Reference map[string]int
+	// Lowered counts, per route/semantics pair, the cases on which the
+	// lowering invariant compared a plan the lowering changed.
+	Lowered map[string]int
 	// Skips counts skipped invariants by reason prefix.
 	Skips map[string]int
 }
@@ -42,7 +45,7 @@ func Run(start uint64, cases, workers int, opts Options, progress func(*Report))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sum := RunSummary{Cases: cases, Reference: map[string]int{}, Skips: map[string]int{}}
+	sum := RunSummary{Cases: cases, Reference: map[string]int{}, Lowered: map[string]int{}, Skips: map[string]int{}}
 	reports := make([]*Report, cases)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -91,6 +94,9 @@ func Run(start uint64, cases, workers int, opts Options, progress func(*Report))
 		}
 		for _, label := range rep.Reference {
 			sum.Reference[label]++
+		}
+		for _, label := range rep.Lowered {
+			sum.Lowered[label]++
 		}
 		for _, s := range rep.Skips {
 			if i := strings.IndexByte(s, ':'); i > 0 {

@@ -59,8 +59,9 @@ func buildSideDB(t *testing.T, rng *rand.Rand, nL, nR int) *table.Database {
 // indexed — sizes straddle both directions, |L| = |R| and the empty
 // sides included — and spends the same Stats.CostUnits at every
 // Parallelism, with 1–3 key columns, trivial and residual
-// verify conditions, with and without a fused build-side filter, under
-// both semantics.
+// verify conditions, with and without a fused build-side filter, and
+// with a build side read in two parts (SemiHint.Split, under SQL3VL),
+// under both semantics.
 func TestBuildSideEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	sizes := []int{0, 1, 7, 120, 600}
@@ -92,14 +93,28 @@ func TestBuildSideEquivalence(t *testing.T) {
 			}
 		default:
 			var build algebra.Expr = baseR
-			if rng.Intn(2) == 0 { // a select-fed build side the hint may fuse
-				build = algebra.Select{Child: baseR, Cond: algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 3}, R: algebra.Lit{Val: value.Int(3)}}}
+			var split *eval.SplitBuild
+			lt := func(col int) algebra.Cond {
+				return algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: col}, R: algebra.Lit{Val: value.Int(3)}}
+			}
+			switch rng.Intn(3) {
+			case 0: // a select-fed build side the hint may fuse
+				build = algebra.Select{Child: baseR, Cond: lt(3)}
+			case 1: // one the hint may read in two parts, under SQL3VL
+				build = algebra.Select{Child: baseR, Cond: algebra.NewOr(lt(0), algebra.NullTest{Operand: algebra.Col{Idx: 0}})}
+				split = &eval.SplitBuild{Cached: algebra.Select{Child: baseR, Cond: lt(0)}, Nulls: []int{0}}
 			}
 			semi := algebra.SemiJoin{L: baseL, R: build, Cond: cond, Anti: mode == 2}
-			hints.Semi[semi.Key()] = eval.SemiHint{SlimVerify: rng.Intn(2) == 0, FuseBuild: rng.Intn(2) == 0}
+			hints.Semi[semi.Key()] = eval.SemiHint{SlimVerify: rng.Intn(2) == 0, FuseBuild: rng.Intn(2) == 0, Split: split}
 			e, nested = semi, semi
 		}
 		for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
+			if sem == value.Naive { // a split build is exact under SQL3VL only
+				for k, h := range hints.Semi {
+					h.Split = nil
+					hints.Semi[k] = h
+				}
+			}
 			name := fmt.Sprintf("trial %d (%d × %d, %v, %s)", trial, nL, nR, sem, e.Key())
 			want := run(t, db, nested, eval.Options{Semantics: sem, NoHashJoin: true, Parallelism: 1}).String()
 			var cost int64

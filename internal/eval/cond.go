@@ -221,61 +221,3 @@ func (ev *Evaluator) scalarValue(s algebra.Scalar) (value.Value, error) {
 	ev.scalar[key] = out
 	return out, nil
 }
-
-// Redundant const() guards. Under SQL's three-valued logic a comparison
-// or LIKE with a null operand is unknown, so a conjunction holding one
-// is never true on a row with a null in a column that atom reads
-// directly: a sibling const(x) guard on such a column filters nothing
-// the conjunction would keep. Under naive semantics a comparison on a
-// marked null can hold, so every guard stays.
-
-// strictCols returns the columns that are a direct operand of a
-// comparison or LIKE among conjs.
-func strictCols(conjs []algebra.Cond) []int {
-	var cols []int
-	for _, c := range conjs {
-		var ops [2]algebra.Operand
-		switch c := c.(type) { // vetcert:ignore famexhaustive: only comparisons and LIKE read their operands strictly
-		case algebra.Cmp:
-			ops = [2]algebra.Operand{c.L, c.R}
-		case algebra.Like:
-			ops = [2]algebra.Operand{c.Operand, c.Pattern}
-		}
-		for _, o := range ops {
-			if col, ok := o.(algebra.Col); ok {
-				cols = append(cols, col.Idx)
-			}
-		}
-	}
-	return cols
-}
-
-// dropGuards returns conjs without the const(x) conjuncts for which
-// implied(x) holds, under SQL3VL; conjs itself when nothing is dropped
-// or under naive semantics.
-func (ev *Evaluator) dropGuards(conjs []algebra.Cond, implied func(col int) bool) []algebra.Cond {
-	if ev.opts.Semantics != value.SQL3VL {
-		return conjs
-	}
-	return withoutGuards(conjs, implied)
-}
-
-// withoutGuards is dropGuards under any semantics.
-func withoutGuards(conjs []algebra.Cond, implied func(col int) bool) []algebra.Cond {
-	var out []algebra.Cond
-	for i, c := range conjs {
-		if x, ok := guardCol(c); ok && implied(x) {
-			if out == nil {
-				out = append(make([]algebra.Cond, 0, len(conjs)-1), conjs[:i]...)
-			}
-			continue
-		}
-		if out != nil {
-			out = append(out, c)
-		}
-	}
-	if out == nil {
-		return conjs
-	}
-	return out
-}

@@ -95,9 +95,9 @@ type Options struct {
 	// benchmark module (bench/) still sets it; see Shape.
 	Shape *Shape
 
-	// Hints carries the cost-based planner's per-operator execution
-	// hints (see PlanHints). Nil — the default, and the paper-faithful
-	// naive-planner ablation — runs every operator with its unhinted
+	// Hints carries the per-operator execution hints of a plan the
+	// planner lowered (see PlanHints), for the semantics it was lowered
+	// for. Nil — the default — runs every operator with its unhinted
 	// strategy. Hints never change results, only how they are computed.
 	Hints *PlanHints
 

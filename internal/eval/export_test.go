@@ -2,8 +2,5 @@ package eval
 
 import "certsql/internal/table"
 
-// ViewKey exposes the view-cache key to the external tests.
-var ViewKey = viewKey
-
 // Product runs the buffered product body on two materialized tables.
 func (ev *Evaluator) Product(l, r *table.Table) (*table.Table, error) { return ev.product(l, r) }

@@ -7,16 +7,19 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/plan"
 	"certsql/internal/refeval"
 	"certsql/internal/value"
 )
 
-// TestRedundantGuards holds the const() guards dropped under SQL3VL,
-// and the cached build read they enable, to the answers of the
-// reference evaluator (as a bag) and of a run without the view cache
-// (rows and order), under both semantics at Parallelism 1 and 4. The
-// trace must show each drop and cached read under SQL3VL only, and only
-// on the shapes that license it.
+// TestRedundantGuards holds the plans the physical lowering gives —
+// the const() guards dropped under SQL3VL and the build side it reads
+// in two parts — to the answers of the reference evaluator (as a bag)
+// and of the unlowered expression run without hints (rows and order),
+// under both semantics at Parallelism 1 and 4. Each case is lowered as
+// on the planner's route (plan.Rewrite, with its FuseBuild hints) or on
+// the paper-faithful one (plan.Lower). The trace must show each drop and
+// split read under SQL3VL only, and only on the shapes that license it.
 func TestRedundantGuards(t *testing.T) {
 	db := joinStepsDB(t)
 	base := func(name string) algebra.Expr { return algebra.Base{Name: name, Cols: 3} }
@@ -37,29 +40,24 @@ func TestRedundantGuards(t *testing.T) {
 		return algebra.SemiJoin{Anti: true, L: block, R: algebra.Select{Child: base("b"), Cond: build},
 			Cond: algebra.NewAnd(eq(0, 6), ne(2, 8))}
 	}
-	cached := anti(algebra.NewOr(gt(2, 1), isNull(2), isNull(1)))
-	notStrict := anti(algebra.NewOr(gt(2, 1), isNull(0)))
 	// EXISTS b′ with a.k = b′.k and a.v ≠ b′.v, over σ[const(b′.v)](b):
 	// the semijoin's own comparison implies the guard.
 	semi := algebra.SemiJoin{L: base("a"), R: algebra.Select{Child: base("b"), Cond: isConst(2)},
 		Cond: algebra.NewAnd(eq(0, 3), ne(2, 5))}
-	fused := func(e algebra.SemiJoin) *eval.PlanHints {
-		return &eval.PlanHints{Semi: map[string]eval.SemiHint{e.Key(): {FuseBuild: true}}}
-	}
 	cases := []struct {
-		name  string
-		e     algebra.Expr
-		hints *eval.PlanHints
+		name    string
+		e       algebra.Expr
+		planned bool
 		// filters counts the filter notes under SQL3VL and naive
-		// semantics; cachedRead says the SQL3VL trace reads σ[#2 > #1](b)
+		// semantics; split says the SQL3VL trace reads σ[#2 > #1](b)
 		// from the view cache and b's null lists (naive's never does).
-		filters    [2]int
-		cachedRead bool
+		filters [2]int
+		split   bool
 	}{
-		{"join-leaves", block, nil, [2]int{1, 2}, false},
-		{"cached-build", cached, fused(cached), [2]int{1, 2}, true},
-		{"not-strict", notStrict, fused(notStrict), [2]int{1, 2}, false},
-		{"semi-build", semi, nil, [2]int{0, 1}, false},
+		{"join-leaves", block, false, [2]int{1, 2}, false},
+		{"split-build", anti(algebra.NewOr(gt(2, 1), isNull(2), isNull(1))), true, [2]int{1, 2}, true},
+		{"not-strict", anti(algebra.NewOr(gt(2, 1), isNull(0))), true, [2]int{1, 2}, false},
+		{"semi-build", semi, false, [2]int{0, 1}, false},
 	}
 	for _, c := range cases {
 		for si, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
@@ -68,26 +66,35 @@ func TestRedundantGuards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			uncached := run(t, db, c.e, eval.Options{Semantics: sem, Hints: c.hints, NoSubplanCache: true, Parallelism: 1})
-			if !refeval.SameMultiset(uncached.Rows(), ref) {
-				t.Errorf("%s: %d rows without the view cache, the reference has %d", name, uncached.Len(), len(ref))
+			low := plan.Lower(c.e, plan.Physical{Semantics: sem})
+			if c.planned {
+				if low, err = plan.Rewrite(c.e, db.Schema, plan.Physical{Semantics: sem}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dropped := low.Expr.Key() != c.e.Key(); dropped != (sem == value.SQL3VL) {
+				t.Errorf("%s: lowering dropped guards: %v", name, dropped)
+			}
+			unlowered := run(t, db, c.e, eval.Options{Semantics: sem, Parallelism: 1})
+			if !refeval.SameMultiset(unlowered.Rows(), ref) {
+				t.Errorf("%s: %d rows unlowered, the reference has %d", name, unlowered.Len(), len(ref))
 			}
 			for _, par := range []int{1, 4} {
-				ev := eval.New(db, eval.Options{Semantics: sem, Hints: c.hints, Parallelism: par, Trace: true})
-				got, err := ev.Eval(c.e)
+				ev := eval.New(db, eval.Options{Semantics: sem, Hints: low.Hints, Parallelism: par, Trace: true})
+				got, err := ev.Eval(low.Expr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.String() != uncached.String() {
-					t.Errorf("%s P=%d: rows differ from the run without the view cache", name, par)
+				if got.String() != unlowered.String() {
+					t.Errorf("%s P=%d: rows differ from the unlowered run", name, par)
 				}
 				trace := ev.Trace()
 				if n := strings.Count(trace, "filter ~>"); n != c.filters[si] {
 					t.Errorf("%s P=%d: %d filters, want %d\n%s", name, par, n, c.filters[si], trace)
 				}
-				read := strings.Contains(trace, "cached algebra.Select -> ") && strings.Contains(trace, "scan b nulls(#2,#1) -> ")
-				if want := c.cachedRead && sem == value.SQL3VL; read != want || (!want && strings.Contains(trace, "nulls(")) {
-					t.Errorf("%s P=%d: cached build read %v, want %v\n%s", name, par, read, want, trace)
+				read := strings.Contains(trace, "cached σ[#2 > #1](b) -> ") && strings.Contains(trace, "scan b nulls(#2,#1) -> ")
+				if want := c.split && sem == value.SQL3VL; read != want || (!want && strings.Contains(trace, "nulls(")) {
+					t.Errorf("%s P=%d: split build read %v, want %v\n%s", name, par, read, want, trace)
 				}
 			}
 		}

@@ -1,10 +1,12 @@
 package eval
 
-// PlanHints carry the cost-based planner's per-operator execution
-// hints into the evaluator. Hints never change results — difftest's
-// planner-ablation invariant holds the hinted and unhinted executions
-// to byte-identical outputs — they only license cheaper strategies the
-// planner has proved equivalent:
+import "certsql/internal/algebra"
+
+// PlanHints carry the planner's per-operator execution hints into the
+// evaluator. They are part of the physical plan the planner lowers
+// (plan.Rewrite, plan.Lower) and the executor runs as given: a hinted
+// plan returns the bytes of the same expression run unhinted, under the
+// semantics it was lowered for —
 //
 //   - SlimVerify drops the extracted hash-key equality conjuncts from
 //     a semijoin's per-candidate verify condition. Sound because
@@ -17,8 +19,11 @@ package eval
 //     first. The planner only sets it when the selection's child is a
 //     stored relation and its condition is scalar-free, so the fused
 //     pass sees exactly the rows the standalone filter would emit and
-//     nothing in the skipped subtree can mint marked nulls, and never
-//     on a selection the null lists serve (it would read all of R).
+//     nothing in the skipped subtree can mint marked nulls; never on a
+//     selection the null lists serve (it would read all of R), on one
+//     the view cache serves, or where Split applies.
+//   - Split reads a hash-keyed build side in two parts (SplitBuild),
+//     under SQL3VL only.
 //
 // Hints are keyed by the algebra node's canonical Key() string, so a
 // cached plan's hints survive across executions and structurally
@@ -47,10 +52,23 @@ type SemiHint struct {
 	// FuseBuild licenses evaluating a Select build side's child
 	// directly and applying the selection condition inside the index
 	// build loop, skipping the intermediate materialization. The
-	// runtime ignores the hint when the select subtree is a shared
-	// view (its cached result must still be produced) and falls back
-	// to an eager filter when no hash keys are extracted.
+	// runtime falls back to an eager filter when no hash keys are
+	// extracted.
 	FuseBuild bool
+	// Split, when set, is how a hash-keyed build side is read.
+	Split *SplitBuild
+}
+
+// SplitBuild reads a build side σ[θ ∨ null(a) ∨ …](R) over a stored
+// relation R in two disjoint parts ("No More Nulls!": hash the null-free
+// part, scan the part with nulls): Cached, the selection σ[θ](R), which
+// an earlier operator of the plan drains into the view cache, then R's
+// rows on the null lists of Nulls, the columns a, …. θ compares each of
+// them directly, so under SQL3VL it is unknown on a row with a null in
+// one, and the two parts together are exactly the selection.
+type SplitBuild struct {
+	Cached algebra.Select
+	Nulls  []int
 }
 
 // semiHint returns the hint for a semijoin node, or the zero hint.

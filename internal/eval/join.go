@@ -3,7 +3,6 @@ package eval
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"certsql/internal/algebra"
@@ -19,17 +18,6 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 		return append(flattenProduct(p.L), flattenProduct(p.R)...)
 	}
 	return []algebra.Expr{e}
-}
-
-// leafFilter is the selection a join block evaluates for a leaf whose
-// columns start at offset in the block: the leaf filtered by singles,
-// or the leaf itself when there are none.
-func leafFilter(leaf algebra.Expr, singles []algebra.Cond, offset int) algebra.Expr {
-	if len(singles) == 0 {
-		return leaf
-	}
-	remap := func(col int) int { return col - offset }
-	return algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(singles...), remap)}
 }
 
 // planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) — the
@@ -56,12 +44,10 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	// Select node and evaluated through the subplan cache, so the same
 	// filtered relation appearing in several NOT EXISTS branches is
 	// computed once — the executor-level counterpart of the WITH views
-	// the paper introduces for Q⁺4. A const(x) guard that a comparison
-	// of the block makes redundant (dropGuards) is left out, so Q⁺'s
-	// guarded leaf is the original query's leaf, and shares its entry.
+	// the paper introduces for Q⁺4.
 	filtered := make([]*table.Table, n)
 	for i, leaf := range leaves {
-		t, err := ev.evalChild(leafFilter(leaf, ev.dropGuards(jb.Singles[i], jb.implies), offsets[i]))
+		t, err := ev.evalChild(jb.Leaf(i, leaf))
 		if err != nil {
 			return nil, err
 		}
@@ -478,16 +464,11 @@ func SemiKeys(cond algebra.Cond, nL int) (lCols, rCols []int, residual []algebra
 // substitution must happen on this goroutine). The strategy counter is
 // bumped here — one per operator.
 //
-// A Select build side loses the const(x) guards the semijoin's own
-// condition makes redundant (unguardedBuild). A hash-keyed build side
-// σ[θ ∨ null(a) ∨ …] over a stored relation is read as the cached
-// σ[θ] plus the null lists when this execution has σ[θ] cached
-// (cachedBuild), on every route. Otherwise, under the FuseBuild hint,
-// a Select build side is not materialized: its child is evaluated
-// directly and the selection condition is applied where the build side
-// is read, so the filtered rows are never copied. Both are skipped when
-// the select subtree is a shared view — evaluating around it would
-// lose the cache entry other plan occurrences rely on.
+// A hash-keyed build side is read as the plan's hint says: in two parts
+// (SemiHint.Split), or under FuseBuild not materialized at all — the
+// Select build side's child is evaluated directly and the selection
+// condition is applied where the build side is read, so the filtered
+// rows are never copied.
 //
 // vetcert:ignore membalance: the wild-hash index lives as long as the
 // iterator probing it; semiProbeIter.close releases p.mem.
@@ -506,29 +487,22 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		p.lCols, p.rCols, residual = SemiKeys(cond, nL)
 	}
 	rExpr := e.R
-	if sel, ok := e.R.(algebra.Select); ok && ev.opts.Semantics == value.SQL3VL {
-		if u, dropped := unguardedBuild(sel, cond, nL); dropped && !ev.sharedView(e.R) {
-			rExpr = u
-		}
-	}
-	var t *table.Table // the evaluated build side, unless read from the cache
-	var hit bool
+	var t *table.Table // the evaluated build side, unless read in two parts
 	var err error
-	if sel, ok := rExpr.(algebra.Select); ok && (len(p.lCols) > 0 || p.hint.FuseBuild) && isBase(sel.Child) && !ev.sharedView(rExpr) {
-		if len(p.lCols) > 0 {
-			if p.r, hit, err = ev.cachedBuild(sel.Child, sel.Cond); err != nil {
-				return nil, err
-			}
-		}
-		if !hit && p.hint.FuseBuild {
-			rExpr, p.fuse = sel.Child, sel.Cond
+	sel, isSel := rExpr.(algebra.Select)
+	switch split := p.hint.Split; {
+	case split != nil && len(p.lCols) > 0:
+		p.r, err = ev.splitBuild(split)
+	case isSel && p.hint.FuseBuild:
+		rExpr, p.fuse = sel.Child, sel.Cond
+		fallthrough
+	default:
+		if t, err = ev.evalChild(rExpr); err == nil {
+			p.r = sideOf(t)
 		}
 	}
-	if !hit {
-		if t, err = ev.evalChild(rExpr); err != nil {
-			return nil, err
-		}
-		p.r = sideOf(t)
+	if err != nil {
+		return nil, err
 	}
 	if p.fuse != nil {
 		// The planner only fuses scalar-free conditions; resolving is a
@@ -586,52 +560,6 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	return p, nil
 }
 
-// unguardedBuild is a Select build side sel without the const(x)
-// guards the semijoin condition cond makes redundant (withoutGuards): x
-// is the build side's column, and cond compares it. dropped is false,
-// and the result sel, when there are none; the result is sel's child
-// when nothing else is left.
-func unguardedBuild(sel algebra.Select, cond algebra.Cond, nL int) (e algebra.Expr, dropped bool) {
-	if !hasGuard(sel.Cond) {
-		return sel, false
-	}
-	strict := strictCols(algebra.Conjuncts(cond))
-	conjs := algebra.Conjuncts(sel.Cond)
-	kept := withoutGuards(conjs, func(col int) bool { return slices.Contains(strict, nL+col) })
-	switch {
-	case len(kept) == len(conjs):
-		return sel, false
-	case len(kept) == 0:
-		return sel.Child, true
-	}
-	return algebra.Select{Child: sel.Child, Cond: algebra.NewAnd(kept...)}, true
-}
-
-// hasGuard reports whether c has a const(x) conjunct, the only kind
-// withoutGuards drops.
-func hasGuard(c algebra.Cond) bool {
-	if a, ok := c.(algebra.And); ok {
-		return slices.ContainsFunc(a.Conds, isGuard)
-	}
-	return isGuard(c)
-}
-
-func isGuard(c algebra.Cond) bool {
-	_, ok := guardCol(c)
-	return ok
-}
-
-// guardCol returns x when c is the guard const(x) — x IS NOT NULL on a
-// column x.
-func guardCol(c algebra.Cond) (x int, ok bool) {
-	n, ok := c.(algebra.NullTest)
-	if !ok || !n.Negated {
-		return 0, false
-	}
-	col, ok := n.Operand.(algebra.Col)
-	return col.Idx, ok
-}
-
 func isBase(e algebra.Expr) bool {
 	_, ok := e.(algebra.Base)
 	return ok
@@ -639,7 +567,7 @@ func isBase(e algebra.Expr) bool {
 
 // buildSide is an (anti-)semijoin's build side, read in place: a
 // table's rows, or a cached selection's rows followed by null-list rows
-// (cachedBuild). Position i is head's row i, then tail's.
+// (splitBuild). Position i is head's row i, then tail's.
 type buildSide struct {
 	head, tail []table.Row
 	ar         int
@@ -656,68 +584,16 @@ func (b buildSide) row(i int) table.Row {
 	return b.tail[i-len(b.head)]
 }
 
-// cachedBuild reads a build side σ[cond](child) in two parts when cond
-// is θ ∨ null(a) ∨ … over a stored relation, θ compares a, … directly
-// (strictCols), and this execution's view cache holds σ[θ] of the same
-// relation — as it does when θ is a join block's leaf filter, Q⁺1's
-// NOT EXISTS build among them: the cached rows, then the rows on the
-// null lists of a, … ("No More Nulls!": hash the null-free part, scan
-// the part with nulls). Under SQL3VL θ is unknown on a row with a null
-// in a column it compares, so the parts are disjoint and together are
-// exactly the selection; naive semantics evaluate the selection. ok is
-// false, and nothing is read, for any other build side.
-func (ev *Evaluator) cachedBuild(child algebra.Expr, cond algebra.Cond) (b buildSide, ok bool, err error) {
-	if ev.opts.Semantics != value.SQL3VL || ev.opts.NoSubplanCache {
-		return b, false, nil
-	}
-	sel, nullCols, ok := cachedBuildRead(child, cond)
-	if !ok {
-		return b, false, nil
-	}
-	if key := viewKey(sel); key == "" || ev.cache[key] == nil {
-		return b, false, nil
-	}
-	cached, err := ev.evalChild(sel) // the cache hit, counted and traced
+// splitBuild reads a build side in its two parts: the selection
+// σ[θ](R), which an earlier operator of the plan drained into the view
+// cache, then R's rows on the null lists of the split's columns.
+func (ev *Evaluator) splitBuild(split *SplitBuild) (buildSide, error) {
+	cached, err := ev.evalChild(split.Cached)
 	if err != nil {
-		return b, false, err
+		return buildSide{}, err
 	}
-	_, nulls, err := ev.scan(sel.Child.(algebra.Base), [][]int{nullCols})
-	if err != nil {
-		return b, false, err
-	}
-	return buildSide{head: cached.Rows(), tail: nulls, ar: cached.Arity()}, true, nil
-}
-
-// cachedBuildRead is the selection σ[θ](child) cachedBuild reads from
-// the view cache for σ[cond](child), and the columns a, … of cond's
-// null tests; ok is false when cond or child has another shape.
-func cachedBuildRead(child algebra.Expr, cond algebra.Cond) (sel algebra.Select, nullCols []int, ok bool) {
-	base, isBase := child.(algebra.Base)
-	or, isOr := cond.(algebra.Or)
-	if !isBase || !isOr {
-		return sel, nil, false
-	}
-	var theta []algebra.Cond
-	for _, d := range or.Conds {
-		if n, isTest := d.(algebra.NullTest); isTest && !n.Negated {
-			if col, isCol := n.Operand.(algebra.Col); isCol {
-				nullCols = append(nullCols, col.Idx)
-				continue
-			}
-		}
-		theta = append(theta, d)
-	}
-	if len(nullCols) == 0 || len(theta) == 0 {
-		return sel, nil, false
-	}
-	sel = algebra.Select{Child: base, Cond: algebra.NewOr(theta...)}
-	strict := strictCols(algebra.Conjuncts(sel.Cond))
-	for _, c := range nullCols {
-		if !slices.Contains(strict, c) {
-			return sel, nil, false
-		}
-	}
-	return sel, nullCols, true
+	_, nulls, err := ev.scan(split.Cached.Child.(algebra.Base), [][]int{split.Nulls})
+	return buildSide{head: cached.Rows(), tail: nulls, ar: cached.Arity()}, err
 }
 
 // buildSemi indexes the build side of a hash (anti-)semijoin — the

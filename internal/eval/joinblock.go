@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"slices"
-
-	"certsql/internal/algebra"
-)
+import "certsql/internal/algebra"
 
 // JoinBlock is the classified condition of σ_cond(leaf₀ × leaf₁ × …),
 // the shape SELECT-FROM-WHERE blocks compile to: single-leaf conjuncts
@@ -24,7 +20,6 @@ type JoinBlock struct {
 	owner     []int // each canonical column's leaf
 	edges     []joinEdge
 	residuals []algebra.Cond
-	strict    []int // strictCols, once implies has asked
 }
 
 // joinEdge is a pure column-to-column equality conjunct usable as a hash
@@ -83,27 +78,15 @@ func ClassifyJoinBlock(arities []int, cond algebra.Cond) *JoinBlock {
 	return jb
 }
 
-// implies reports whether col is one of strictCols, which it computes
-// on first use: only a const(x) guard asks (dropGuards).
-func (jb *JoinBlock) implies(col int) bool {
-	if jb.strict == nil {
-		jb.strict = append(jb.strictCols(), -1) // never a column: marks them computed
+// Leaf is the selection the block evaluates for leaf i: the leaf
+// filtered by its single-leaf conjuncts, in the leaf's own columns, or
+// the leaf itself when it has none.
+func (jb *JoinBlock) Leaf(i int, leaf algebra.Expr) algebra.Expr {
+	if len(jb.Singles[i]) == 0 {
+		return leaf
 	}
-	return slices.Contains(jb.strict, col)
-}
-
-// strictCols returns the canonical columns that a comparison or LIKE
-// conjunct of the block reads directly, the edges' columns included:
-// under SQL3VL none of them is null in a row the block outputs.
-func (jb *JoinBlock) strictCols() []int {
-	cols := strictCols(jb.residuals)
-	for _, s := range jb.Singles {
-		cols = append(cols, strictCols(s)...)
-	}
-	for _, e := range jb.edges {
-		cols = append(cols, e.colA, e.colB)
-	}
-	return cols
+	remap := func(col int) int { return col - jb.offsets[i] }
+	return algebra.Select{Child: leaf, Cond: algebra.MapCols(algebra.NewAnd(jb.Singles[i]...), remap)}
 }
 
 // JoinKind names how a step joins its leaf to the leaves before it.

@@ -43,7 +43,7 @@ func (ev *Evaluator) sharedView(e algebra.Expr) bool {
 	if _, ok := e.(algebra.Base); ok {
 		return false
 	}
-	key := viewKey(e)
+	key := ViewKey(e)
 	if key == "" {
 		return false
 	}
@@ -64,10 +64,10 @@ func (ev *Evaluator) drainExpr(e algebra.Expr, top bool) (*table.Table, error) {
 	}
 	key := ""
 	if !ev.opts.NoSubplanCache {
-		key = viewKey(e) // "" for subplans too large to profitably cache
+		key = ViewKey(e) // "" for subplans too large to profitably cache
 		if t, ok := ev.cache[key]; key != "" && ok {
 			ev.stats.CacheHits++
-			ev.note("cached %T -> %d rows", e, t.Len())
+			ev.note("cached %s -> %d rows", key, t.Len())
 			return t, nil
 		}
 	}

@@ -24,9 +24,9 @@ import (
 // that dominated prepared-execution profiles.
 const viewCacheMaxNodes = 24
 
-// viewKey returns the subplan-cache key for e, or "" when e is too
+// ViewKey returns the subplan-cache key for e, or "" when e is too
 // large to participate in the cache.
-func viewKey(e algebra.Expr) string {
+func ViewKey(e algebra.Expr) string {
 	if !algebra.SizeAtMost(e, viewCacheMaxNodes) {
 		return ""
 	}
@@ -47,25 +47,26 @@ type Views struct {
 }
 
 // PlanViews decides Views for e, the one expression an evaluator given
-// them runs. Every subplan the executor drains is cached under its view
-// key, so a hit needs a key drained twice, or drained and read as a
-// cached build (cachedBuild). The subplans that may be drained are e's
-// subtrees other than stored relations, the body of each distinct
-// scalar subquery (a scalar's value is cached under its text, see
-// scalarValue), each join block's filtered leaves and each
-// (anti-)semijoin's build side, both with and without the guards its
-// condition makes redundant. A filtered leaf over a stored relation can
-// only meet another selection over that relation, so leaves are keyed
-// only for relations that carry at least two such selections. NoHits
-// is false whenever a hit is possible under some executor option.
-func PlanViews(e algebra.Expr) *Views {
+// them runs; splits are the cached selections its split build sides
+// read (SemiHint.Split). Every subplan the executor drains
+// is cached under its view key, so a hit needs a key drained twice. The
+// subplans that may be drained are e's subtrees other than stored
+// relations, the body of each distinct scalar subquery (a scalar's
+// value is cached under its text, see scalarValue), each join block's
+// filtered leaves and each split's cached selection, which counts as an
+// occurrence too. A filtered leaf over a stored relation can only meet
+// another selection over that relation, so leaves are keyed only for
+// relations that carry at least two such selections. NoHits is false
+// whenever a hit is possible under some executor option.
+func PlanViews(e algebra.Expr, splits ...algebra.Select) *Views {
 	v := &viewScan{keys: map[string]viewUse{}, sites: map[string]int{}}
 	v.visit(e, true)
+	for _, s := range splits {
+		v.note(ViewKey(s), true, true)
+		v.site(s.Child)
+	}
 	for _, b := range v.blocks {
 		v.joinLeaves(b)
-	}
-	for _, k := range v.reads {
-		v.hit = v.hit || v.keys[k].drained
 	}
 	views := &Views{NoHits: !v.hit}
 	for k, u := range v.keys {
@@ -77,12 +78,11 @@ func PlanViews(e algebra.Expr) *Views {
 	return views
 }
 
-// viewScan is PlanViews' walk: what it found per view key, the keys
-// cachedBuild may read, the scalars seen, per stored relation the
-// selections over it, and the join blocks to look into.
+// viewScan is PlanViews' walk: what it found per view key, the scalars
+// seen, per stored relation the selections over it, and the join blocks
+// to look into.
 type viewScan struct {
 	keys    map[string]viewUse
-	reads   []string
 	scalars []algebra.Scalar
 	sites   map[string]int
 	blocks  []algebra.Select
@@ -113,7 +113,7 @@ func (v *viewScan) note(k string, counted, drains bool) {
 	v.keys[k] = u
 }
 
-func (v *viewScan) drain(x algebra.Expr) { v.note(viewKey(x), false, true) }
+func (v *viewScan) drain(x algebra.Expr) { v.note(ViewKey(x), false, true) }
 
 // visit walks x as algebra.Walk does, every occurrence of a scalar body
 // included; drains is false inside the repeats of a scalar, which are
@@ -122,7 +122,7 @@ func (v *viewScan) visit(x algebra.Expr, drains bool) {
 	kids, n := algebra.Children(x)
 	switch {
 	case n > 0:
-		v.note(viewKey(x), true, drains)
+		v.note(ViewKey(x), true, drains)
 	case drains && !isBase(x): // an interior scan is served as the stored relation
 		v.drain(x)
 	}
@@ -142,9 +142,6 @@ func (v *viewScan) visit(x algebra.Expr, drains bool) {
 		}
 	case algebra.SemiJoin:
 		cond = x.Cond
-		if sel, ok := x.R.(algebra.Select); ok && drains && !v.hit {
-			v.buildSide(sel, semiCond(x), x.L.Arity())
-		}
 	}
 	if cond != nil && algebra.HasScalar(cond) {
 		algebra.AnyOperand(cond, func(o algebra.Operand) bool {
@@ -173,9 +170,8 @@ func (v *viewScan) site(leaf algebra.Expr) {
 }
 
 // joinLeaves drains the filtered leaves planJoinBlock evaluates for the
-// block sel, both with and without their redundant guards, where one
-// can meet another selection; a leaf without a filter is a subtree,
-// drained by visit.
+// block sel, where one can meet another selection; a leaf without a
+// filter is a subtree, drained by visit.
 func (v *viewScan) joinLeaves(sel algebra.Select) {
 	if v.hit {
 		return // decided; only the Shared counts were still open
@@ -194,34 +190,50 @@ func (v *viewScan) joinLeaves(sel algebra.Select) {
 	}
 	jb := ClassifyJoinBlock(arities, sel.Cond)
 	for i, leaf := range leaves {
-		singles := jb.Singles[i]
-		if !meets(leaf) || len(singles) == 0 {
-			continue
-		}
-		v.drain(leafFilter(leaf, singles, jb.offsets[i]))
-		if kept := withoutGuards(singles, jb.implies); len(kept) > 0 && len(kept) < len(singles) {
-			v.drain(leafFilter(leaf, kept, jb.offsets[i]))
+		if meets(leaf) && len(jb.Singles[i]) > 0 {
+			v.drain(jb.Leaf(i, leaf))
 		}
 	}
 }
 
-// buildSide drains the guard-free variant of a Select build side (sel
-// itself is a subtree) and notes the selections cachedBuild may read
-// for either, each a selection over the same stored relation.
-func (v *viewScan) buildSide(sel algebra.Select, cond algebra.Cond, nL int) {
-	builds := []algebra.Select{sel}
-	if u, dropped := unguardedBuild(sel, cond, nL); dropped {
-		if s, ok := u.(algebra.Select); ok {
-			v.drain(s)
-			builds = append(builds, s)
+// Drains counts the places where evaluating e may drain sel into the
+// view cache: its subtrees and, with leaves, its join blocks' filtered
+// leaves equal to sel.
+func Drains(e algebra.Expr, sel algebra.Select, leaves bool) (n int) {
+	algebra.Walk(e, func(x algebra.Expr) {
+		s, ok := x.(algebra.Select)
+		if _, block := s.Child.(algebra.Product); !ok || !block || !leaves {
+			if ok && sameSelect(s, sel) {
+				n++
+			}
+			return
 		}
-	}
-	for _, b := range builds {
-		if read, _, ok := cachedBuildRead(b.Child, b.Cond); ok {
-			if k := viewKey(read); k != "" {
-				v.reads = append(v.reads, k)
-				v.site(read.Child)
+		leaves := flattenProduct(s.Child)
+		if !slices.ContainsFunc(leaves, func(leaf algebra.Expr) bool {
+			b, ok := leaf.(algebra.Base)
+			return !ok || b == sel.Child
+		}) {
+			return // no leaf can be filtered into sel: spare the classification
+		}
+		arities := make([]int, len(leaves))
+		for i, l := range leaves {
+			arities[i] = l.Arity()
+		}
+		jb := ClassifyJoinBlock(arities, s.Cond)
+		for i, leaf := range leaves {
+			if f, ok := jb.Leaf(i, leaf).(algebra.Select); ok && sameSelect(f, sel) {
+				n++
 			}
 		}
+	})
+	return n
+}
+
+// sameSelect reports whether a and b are the same selection, looking at
+// the stored relation they read, if any, first.
+func sameSelect(a, b algebra.Select) bool {
+	if ab, ok := a.Child.(algebra.Base); ok {
+		return ab == b.Child && reflect.DeepEqual(a.Cond, b.Cond)
 	}
+	return reflect.DeepEqual(a, b)
 }

@@ -6,13 +6,17 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
+	"certsql/internal/plan"
 	"certsql/internal/table"
 	"certsql/internal/tpch"
+	"certsql/internal/value"
 )
 
-// TestViewKeyedSubtrees pins how many subtrees of Q⁺1–Q⁺4, under both
-// translations, are small enough to get a view-cache key. The counts
-// move only when the translation or the view cache's size budget does.
+// TestViewKeyedSubtrees pins how many subtrees of the plans Q⁺1–Q⁺4
+// run, under both translations each lowered for its semantics
+// (plan.Lower), are small enough to get a view-cache key. The counts
+// move only when the translation, the lowering or the view cache's size
+// budget does.
 func TestViewKeyedSubtrees(t *testing.T) {
 	db := table.NewDatabase(tpch.Schema())
 	want := map[string]int{
@@ -24,8 +28,12 @@ func TestViewKeyedSubtrees(t *testing.T) {
 	for _, qid := range tpch.AllQueries {
 		for _, naive := range []bool{false, true} {
 			_, plus, _ := prepareQuery(t, db, qid, naive)
+			sem := value.SQL3VL
+			if naive {
+				sem = value.Naive
+			}
 			keyed, total := 0, 0
-			algebra.Walk(plus, func(e algebra.Expr) {
+			algebra.Walk(plan.Lower(plus, plan.Physical{Semantics: sem}).Expr, func(e algebra.Expr) {
 				total++
 				if eval.ViewKey(e) != "" {
 					keyed++

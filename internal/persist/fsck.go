@@ -146,12 +146,10 @@ func Fsck(dir string) (*Report, error) {
 		if db == nil {
 			continue
 		}
-		for i, row := range sd.Rows {
-			if err := db.Insert(seg.Table, row); err != nil {
-				r.Findings = append(r.Findings, Finding{File: seg.File, Offset: -1,
-					Detail: fmt.Sprintf("row %d does not conform to the schema: %v", i, err)})
-				break
-			}
+		// As recovery does: the decoded rows are loaded, not copied.
+		if err := db.Load(seg.Table, sd.Rows); err != nil {
+			r.Findings = append(r.Findings, Finding{File: seg.File, Offset: -1,
+				Detail: fmt.Sprintf("segment does not conform to the schema: %v", err)})
 		}
 	}
 	if db != nil {

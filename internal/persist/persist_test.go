@@ -342,6 +342,51 @@ func TestCorruptSegmentRefused(t *testing.T) {
 	}
 }
 
+// TestFsckReportsNonConformingRow: a segment whose checksums hold but
+// one of whose rows does not fit the schema — a string in an integer
+// column — is refused by recovery and reported by fsck, by the index of
+// that row, against that segment.
+func TestFsckReportsNonConformingRow(t *testing.T) {
+	dir := openStoreWithUpdates(t)
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range m.Segments {
+		if seg.Table != "region" {
+			continue
+		}
+		path := filepath.Join(dir, seg.File)
+		sd, err := readSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const bad = 2
+		sd.Rows[bad][0] = value.Str("two")
+		var buf []byte
+		if _, err := writeSegment(dir, seg.File, sd.Rel, table.FromRows(sd.Arity, sd.Rows),
+			func(guard.Site) error { return nil }, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, noSeed(t), Options{}); err == nil || !strings.Contains(err.Error(), "does not conform") {
+			t.Fatalf("open on a non-conforming segment: err = %v", err)
+		}
+		report, err := Fsck(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, f := range report.Findings {
+			found = found || f.File == seg.File && strings.Contains(f.Detail, fmt.Sprintf("row %d: ", bad))
+		}
+		if !found {
+			t.Fatalf("fsck does not report row %d of %s: %+v", bad, seg.File, report.Findings)
+		}
+		return
+	}
+	t.Fatal("no region segment")
+}
+
 func TestCorruptManifestRefused(t *testing.T) {
 	dir := openStoreWithUpdates(t)
 	path := filepath.Join(dir, manifestName)

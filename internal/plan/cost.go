@@ -76,7 +76,7 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 		case "wild-hash":
 			// The Section 7 shape, `A = B OR B IS NULL`: the executor
 			// indexes the build side on the edge's column.
-			_, bCol, _ := eval.SpanningUnifyEdge(semiNNF(n), n.L.Arity())
+			_, bCol, _ := eval.SpanningUnifyEdge(nnf(n.Cond), n.L.Arity())
 			d, nullRate, ok := o.colInfo(n.R)(bCol)
 			if !ok {
 				d, nullRate = math.Max(1, 0.1*r.rows), 0.1
@@ -276,11 +276,7 @@ func hashConnected(leaves []algebra.Expr, cond algebra.Cond) bool {
 // unification edge connects the next leaf, |cur|·|leaf| twice over — the
 // product and the residual filter behind it — for a Cartesian step.
 func (o *optimizer) unhashedSteps(leaves []algebra.Expr, cond algebra.Cond, info func(int) (float64, float64, bool)) float64 {
-	arities := make([]int, len(leaves))
-	for i, leaf := range leaves {
-		arities[i] = leaf.Arity()
-	}
-	jb := eval.ClassifyJoinBlock(arities, cond)
+	jb := eval.ClassifyJoinBlock(arities(leaves), cond)
 	leafRows := make([]float64, len(leaves))
 	for i, leaf := range leaves {
 		leafRows[i] = o.estimate(leaf).rows * o.selectivity(algebra.NewAnd(jb.Singles[i]...), info)
@@ -308,6 +304,15 @@ func (o *optimizer) unhashedSteps(leaves []algebra.Expr, cond algebra.Cond, info
 	return extra
 }
 
+// arities returns the leaves' arities.
+func arities(leaves []algebra.Expr) []int {
+	out := make([]int, len(leaves))
+	for i, leaf := range leaves {
+		out[i] = leaf.Arity()
+	}
+	return out
+}
+
 // flattenProduct mirrors the evaluator's product-chain flattening.
 func flattenProduct(e algebra.Expr) []algebra.Expr {
 	if p, ok := e.(algebra.Product); ok {
@@ -316,12 +321,12 @@ func flattenProduct(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
-// semiNNF returns a semijoin's condition in NNF, as the evaluator sees it.
-func semiNNF(sj algebra.SemiJoin) algebra.Cond {
-	if algebra.NNFIsIdentity(sj.Cond) {
-		return sj.Cond
+// nnf returns a condition in NNF, as the evaluator sees it.
+func nnf(c algebra.Cond) algebra.Cond {
+	if algebra.NNFIsIdentity(c) {
+		return c
 	}
-	return algebra.NNF(sj.Cond)
+	return algebra.NNF(c)
 }
 
 // semiStrategy names the strategy the evaluator will pick for a
@@ -329,7 +334,7 @@ func semiNNF(sj algebra.SemiJoin) algebra.Cond {
 // equality keys), "wild-hash" (no key, but a unification edge `a = b OR
 // … IS NULL` to index) or "nested-loop".
 func semiStrategy(sj algebra.SemiJoin) string {
-	cond := semiNNF(sj)
+	cond := nnf(sj.Cond)
 	if !algebra.UsesColBelow(cond, sj.L.Arity()) {
 		return "short-circuit"
 	}

@@ -22,7 +22,8 @@ type ExplainNode struct {
 }
 
 // skippedNote marks a subtree expected never to run (skipsLeft); its
-// parent's cost does not include it.
+// parent's cost does not include it. A view-cache hit is a leaf,
+// "cached" with the subplan's view key, priced at its rows.
 const skippedNote = "skipped"
 
 // Render returns the deterministic indented tree used by golden
@@ -97,11 +98,16 @@ func (o *optimizer) describeRead(c *ExplainNode, e algebra.Expr, groups [][]int,
 }
 
 // describe builds the costed EXPLAIN tree for e, annotating semijoins
-// with their strategy and any execution hints.
+// with their strategy and any execution hints. Nodes are described in
+// evaluation order, so a subplan drained before shows as the view-cache
+// hit it is (cached).
 func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode {
+	if c := o.cached(e); c != nil {
+		return c
+	}
 	est := o.estimate(e)
 	n := &ExplainNode{EstRows: est.rows, EstCost: est.cost}
-	var shortCircuit bool // a SemiJoin answered once (semiStrategy)
+	var h eval.SemiHint
 	switch x := e.(type) {
 	case algebra.Base:
 		n.Op, n.Detail = "scan", x.Name
@@ -109,9 +115,14 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 		if isProductChain(x.Child) {
 			n.Op, n.Detail = "join-block", x.Cond.String()
 			groups, off := algebra.NullScans(x.Cond), 0
-			for _, leaf := range flattenProduct(x.Child) {
-				c := o.describe(leaf, hints)
-				c.Notes = append(c.Notes, o.describeRead(c, leaf, groups, off)...)
+			leaves := flattenProduct(x.Child)
+			jb := eval.ClassifyJoinBlock(arities(leaves), x.Cond)
+			for i, leaf := range leaves {
+				c := o.cached(jb.Leaf(i, leaf))
+				if c == nil {
+					c = o.describe(leaf, hints)
+					c.Notes = append(c.Notes, o.describeRead(c, leaf, groups, off)...)
+				}
 				n.Children = append(n.Children, c)
 				off += leaf.Arity()
 			}
@@ -142,18 +153,22 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 		}
 		n.Detail = x.Cond.String()
 		strategy := semiStrategy(x)
-		shortCircuit = strategy == "short-circuit"
+		shortCircuit := strategy == "short-circuit"
 		n.Notes = append(n.Notes, "strategy="+strategy)
 		if hints != nil && hints.Semi != nil {
-			if h, ok := hints.Semi[x.Key()]; ok {
-				if h.SlimVerify {
-					n.Notes = append(n.Notes, "slim-verify")
-				}
-				if h.FuseBuild {
-					n.Notes = append(n.Notes, "fuse-build")
-				}
+			h = hints.Semi[x.Key()]
+			if h.SlimVerify {
+				n.Notes = append(n.Notes, "slim-verify")
+			}
+			if h.FuseBuild {
+				n.Notes = append(n.Notes, "fuse-build")
 			}
 		}
+		n.Children = []*ExplainNode{o.describe(x.L, hints), o.describeBuild(x, h, hints)}
+		if shortCircuit && skipsLeft(x, n.Children[1].EstRows) {
+			n.Children[0].Notes = append(n.Children[0].Notes, skippedNote)
+		}
+		return n
 	case algebra.UnifySemi:
 		n.Op = "unify-semijoin"
 		if x.Anti {
@@ -185,8 +200,44 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 	for _, kid := range kids[:k] {
 		n.Children = append(n.Children, o.describe(kid, hints))
 	}
-	if sj, ok := e.(algebra.SemiJoin); ok && shortCircuit && skipsLeft(sj, n.Children[1].EstRows) {
-		n.Children[0].Notes = append(n.Children[0].Notes, skippedNote)
-	}
 	return n
+}
+
+// describeBuild describes a semijoin's build side, split as h says: the
+// lowering splits only where the probe side, described first, drains
+// the cached part.
+func (o *optimizer) describeBuild(sj algebra.SemiJoin, h eval.SemiHint, hints *eval.PlanHints) *ExplainNode {
+	s := h.Split
+	if s == nil {
+		return o.describe(sj.R, hints)
+	}
+	est, base := o.estimate(sj.R), s.Cached.Child.(algebra.Base)
+	read, _, _ := o.nullRead(base, [][]int{s.Nulls}, 0)
+	nulls := &ExplainNode{Op: "scan", Detail: base.Name, EstRows: min(read.rows, o.estimate(base).rows),
+		Notes: []string{"access=" + eval.NullsAccess(s.Nulls)}}
+	nulls.EstCost = nulls.EstRows + 1
+	return &ExplainNode{Op: "select", Detail: sj.R.(algebra.Select).Cond.String(), EstRows: est.rows, EstCost: est.cost,
+		Notes: []string{"split"}, Children: []*ExplainNode{o.hit(s.Cached, eval.ViewKey(s.Cached)), nulls}}
+}
+
+// cached returns the node of a view-cache hit on e when the walk in
+// evaluation order has drained e before, and otherwise records e as
+// drained. Stored relations are read, not drained.
+func (o *optimizer) cached(e algebra.Expr) *ExplainNode {
+	if _, ok := e.(algebra.Base); ok || o.drained == nil {
+		return nil
+	}
+	k := eval.ViewKey(e)
+	if k == "" || !o.drained[k] {
+		o.drained[k] = k != ""
+		return nil
+	}
+	return o.hit(e, k)
+}
+
+// hit is the node of a view-cache hit on e, whose key is k: its rows,
+// read from the cache.
+func (o *optimizer) hit(e algebra.Expr, k string) *ExplainNode {
+	rows := o.estimate(e).rows
+	return &ExplainNode{Op: "cached", Detail: k, EstRows: rows, EstCost: rows}
 }

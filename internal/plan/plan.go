@@ -1,8 +1,9 @@
 // Package plan is the cost-based planner. It sits between translation
 // (internal/certain producing Q⁺/Q⋆ algebra) and evaluation
-// (internal/eval), rewriting plans and attaching execution hints from
-// the schema's nullability (internal/analyze), and pricing the result
-// for EXPLAIN with per-table statistics (internal/stats).
+// (internal/eval): it rewrites plans from the schema's nullability
+// (internal/analyze), lowers the result to the one physical plan the
+// executor runs, and prices that plan for EXPLAIN with per-table
+// statistics (internal/stats).
 //
 // The planner's contract is strict: an optimized plan must produce a
 // byte-identical result table to the paper-faithful naive plan, under
@@ -27,6 +28,15 @@
 //     default null rates), so the same query and schema always give
 //     the same plan. Statistics only price the EXPLAIN tree (Optimize,
 //     Describe).
+//
+// The physical lowering (Lower, and the last step of Rewrite) runs on
+// both routes and makes the decisions the executor used to make at run
+// time, from the expression, the semantics and whether the view cache
+// is on: it drops the const() guards SQL3VL makes redundant, reads a
+// build side whose null-free part the probe side caches in two parts,
+// and attaches the executor's hints and the view cache's Views. The
+// executor runs the lowered plan as given; difftest's lowering
+// invariant holds it to the bytes of the unlowered expression.
 package plan
 
 import (
@@ -133,31 +143,33 @@ type Result struct {
 	Changed bool
 }
 
-// Rewrite rewrites e under the byte-identity contract and attaches
-// execution hints. It reads only e and sch (types and nullability);
-// gov carries the fault site guard.SitePlanRewrite (nil allowed).
-// This is the half of planning that execution runs, once per plan.
-func Rewrite(e algebra.Expr, sch *schema.Schema, gov *guard.Governor) (*Result, error) {
+// Rewrite rewrites e under the byte-identity contract and lowers the
+// result for ph (Lower): the one physical plan execution runs, with its
+// hints. It reads only e, sch (types and nullability) and ph; gov
+// carries the fault site guard.SitePlanRewrite (nil allowed). This is
+// the half of planning that execution runs, once per plan.
+func Rewrite(e algebra.Expr, sch *schema.Schema, ph Physical, gov *guard.Governor) (*Result, error) {
 	if err := gov.Fault(guard.SitePlanRewrite); err != nil {
 		return nil, err
 	}
 	o := &optimizer{sch: sch, fired: map[RuleKind]bool{}}
-	res := &Result{Expr: o.rewrite(e)}
-	res.Hints = o.hints(res.Expr)
+	rewritten := o.rewrite(e)
+	res := (&lowerer{Physical: ph, root: rewritten, hinted: true, fired: o.fired}).result(rewritten)
 	for _, k := range RuleKinds {
 		if o.fired[k] {
 			res.Fired = append(res.Fired, k)
 		}
 	}
-	res.Changed = len(res.Fired) > 0
+	res.Changed = res.Changed || len(res.Fired) > 0
 	return res, nil
 }
 
-// Optimize is Rewrite plus the costed EXPLAIN tree of the rewritten
-// expression, priced with st's cardinalities and null rates (nil prices
-// with defaults). The plan itself does not depend on st.
+// Optimize is Rewrite for the default setting (SQL3VL, view cache on)
+// plus the costed EXPLAIN tree of the plan, priced with st's
+// cardinalities and null rates (nil prices with defaults). The plan
+// itself does not depend on st.
 func Optimize(e algebra.Expr, sch *schema.Schema, st *stats.DBStats, gov *guard.Governor) (*Result, error) {
-	res, err := Rewrite(e, sch, gov)
+	res, err := Rewrite(e, sch, Physical{}, gov)
 	if err != nil {
 		return nil, err
 	}
@@ -169,5 +181,8 @@ func Optimize(e algebra.Expr, sch *schema.Schema, st *stats.DBStats, gov *guard.
 // rewriting it — the EXPLAIN tree of a planned expression.
 func Describe(e algebra.Expr, hints *eval.PlanHints, sch *schema.Schema, st *stats.DBStats) *ExplainNode {
 	o := &optimizer{sch: sch, st: st}
+	if hints != nil && hints.Views != nil && !hints.Views.NoHits {
+		o.drained = map[string]bool{}
+	}
 	return o.describe(e, hints)
 }

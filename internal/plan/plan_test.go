@@ -135,7 +135,6 @@ func TestAntiSplitShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := collect(db)
 	cond := algebra.NewAnd(
 		algebra.NewOr(
 			algebra.Cmp{Op: algebra.NE, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
@@ -144,7 +143,9 @@ func TestAntiSplitShape(t *testing.T) {
 		algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
 	)
 	e := algebra.SemiJoin{L: algebra.Base{Name: "r", Cols: 2}, R: algebra.Base{Name: "s", Cols: 1}, Cond: cond, Anti: true}
-	res, err := plan.Optimize(e, db.Schema, st, nil)
+	// Under naive semantics the lowering keeps every guard, so the plan
+	// is the rule's output as it is.
+	res, err := plan.Rewrite(e, db.Schema, plan.Physical{Semantics: value.Naive}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +330,9 @@ func TestAuditRejectsTampering(t *testing.T) {
 // TestOptimizeByteIdentity is the planner's core property, checked
 // directly at the eval layer over generated cases: for the compiled
 // query and (when translatable) its Q⁺ and Q⋆ translations, evaluating
-// the optimized plan with its hints renders byte-identical tables to
-// the unoptimized plan, under both semantics, at P=1 and P=4 — and the
-// audits pass.
+// the plan rewritten and lowered for a semantics, with its hints,
+// renders byte-identical tables to the unoptimized plan under that
+// semantics, for both, at P=1 and P=4 — and the audits pass.
 func TestOptimizeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep")
@@ -367,6 +368,10 @@ func TestOptimizeByteIdentity(t *testing.T) {
 				t.Fatalf("seed %d expr %d: %v", seed, ei, err)
 			}
 			for _, sem := range []value.Semantics{value.SQL3VL, value.Naive} {
+				res, err := plan.Rewrite(e, db.Schema, plan.Physical{Semantics: sem}, nil)
+				if err != nil {
+					t.Fatalf("seed %d expr %d: rewrite: %v", seed, ei, err)
+				}
 				for _, par := range []int{1, 4} {
 					naive, nerr := eval.New(db, eval.Options{Semantics: sem, Parallelism: par}).Eval(e)
 					opt, oerr := eval.New(db, eval.Options{Semantics: sem, Parallelism: par,

@@ -3,18 +3,19 @@ package plan
 import (
 	"certsql/internal/algebra"
 	"certsql/internal/analyze"
-	"certsql/internal/eval"
 	"certsql/internal/schema"
 	"certsql/internal/stats"
 )
 
 // optimizer is one planning pass's state: the catalog, the statistics
-// snapshot that prices the EXPLAIN tree (nil while rewriting) and the
-// rules fired so far.
+// snapshot that prices the EXPLAIN tree (nil while rewriting), the
+// rules fired so far and, while describing a plan the view cache serves,
+// the view keys drained so far.
 type optimizer struct {
-	sch   *schema.Schema
-	st    *stats.DBStats
-	fired map[RuleKind]bool
+	sch     *schema.Schema
+	st      *stats.DBStats
+	fired   map[RuleKind]bool
+	drained map[string]bool
 }
 
 // rewrite rebuilds e bottom-up, applying every rewrite rule whose
@@ -350,56 +351,4 @@ func hasMinters(e algebra.Expr) bool {
 		}
 	})
 	return mint
-}
-
-// hints walks the final expression and derives per-operator execution
-// hints — slim verification and fused builds — and what the view cache
-// can do for it.
-func (o *optimizer) hints(e algebra.Expr) *eval.PlanHints {
-	semi := map[string]eval.SemiHint{}
-	algebra.Walk(e, func(x algebra.Expr) {
-		sj, ok := x.(algebra.SemiJoin)
-		if !ok {
-			return
-		}
-		if h, ok := o.semiHintFor(sj); ok {
-			semi[sj.Key()] = h
-		}
-	})
-	h := &eval.PlanHints{Views: eval.PlanViews(e)}
-	if len(semi) > 0 {
-		h.Semi = semi
-	}
-	return h
-}
-
-// semiHintFor derives the execution hint for one semijoin.
-func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
-	lCols, _, _ := eval.SemiKeys(semiNNF(sj), sj.L.Arity())
-	if len(lCols) == 0 {
-		return eval.SemiHint{}, false
-	}
-	// Slim verification: sound when, for every key pair, hash-bucket
-	// equality implies the dropped `=` is true. Key encodings are equal
-	// exactly when Compare calls the values equal, for every kind and
-	// across int and float, so that holds for every extracted key pair
-	// on any data.
-	h := eval.SemiHint{SlimVerify: true}
-	o.fired[RuleSlimVerify] = true
-	// Fused build: a selection directly over a stored relation can be
-	// applied inside the hash build loop, never materializing the
-	// filtered table. Restricted to scalar-free conditions over Base
-	// children, so the fused subtree cannot mint marked nulls and a
-	// lost view-cache entry costs at most a recomputation of identical
-	// bytes (the runtime additionally skips fusion on shared views).
-	// A selection the null lists serve is not fused: fusing would
-	// stream all of R past the filter instead of its rows with nulls.
-	if sel, ok := sj.R.(algebra.Select); ok {
-		if _, isBase := sel.Child.(algebra.Base); isBase && !algebra.HasScalar(sel.Cond) &&
-			len(algebra.NullScans(sel.Cond)) == 0 {
-			h.FuseBuild = true
-			o.fired[RuleFuseBuild] = true
-		}
-	}
-	return h, true
 }

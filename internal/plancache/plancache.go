@@ -65,9 +65,10 @@ type Key struct {
 	// Params is the canonical fingerprint of the bound parameters
 	// (they are folded into the compiled algebra, e.g. IN-lists).
 	Params string
-	// Options fingerprints the translation-affecting options (naive
-	// mode and the ablation toggles). Executor-only options do not
-	// change the plan and are excluded deliberately.
+	// Options fingerprints the options that change the plan: naive
+	// mode, the translation's ablation toggles and the view cache, which
+	// the lowering reads. Other executor options do not change the plan
+	// and are excluded deliberately.
 	Options string
 }
 
@@ -96,13 +97,22 @@ type Plan struct {
 	PlusShape *eval.Shape
 	StarShape *eval.Shape
 	// OrigOpt, PlusOpt and StarOpt are the cost-based planner's
-	// rewrites of the corresponding expressions, set for exactly the
-	// expressions the plan's mode executes before the plan is Put: a
-	// rewrite depends only on its expression and the schema, so it is
-	// made once, on the cache miss. A cached plan is immutable.
+	// rewrites of the corresponding expressions, lowered for the key's
+	// options, set for exactly the expressions the plan's mode executes
+	// before the plan is Put: a rewrite depends only on its expression,
+	// the schema and those options, so it is made once, on the cache
+	// miss. A cached plan is immutable.
 	OrigOpt *Optimized
 	PlusOpt *Optimized
 	StarOpt *Optimized
+	// OrigPaper, PlusPaper and StarPaper are the same expressions as
+	// translation produced them, lowered for the key's options: the
+	// paper-faithful route's plans (Options.NaivePlanner). A plan the
+	// cache keeps has both routes' plans, since the route is not part
+	// of its key; a plan compiled for one execution has its route's.
+	OrigPaper *Optimized
+	PlusPaper *Optimized
+	StarPaper *Optimized
 }
 
 // Optimized is one cost-based-planner output cached alongside its

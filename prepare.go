@@ -145,7 +145,7 @@ func (db *DB) lookupPlan(gov *guard.Governor, key plancache.Key, q *sql.Query, p
 			return nil, false, err
 		}
 	}
-	pl, err = db.compilePlan(gov, q, params, opts)
+	pl, err = db.compilePlan(gov, q, params, opts, true)
 	return pl, false, err
 }
 
@@ -158,7 +158,7 @@ func (db *DB) explain(gov *guard.Governor, text string, q *sql.Query, params Par
 	if err != nil {
 		return "", err
 	}
-	o := pick(pl, pl.Mode, opts.NaivePlanner)
+	o := pick(pl, pl.Mode, opts)
 	st, err := db.stats.CollectGoverned(gov, db.d)
 	if err != nil {
 		return "", err
@@ -170,12 +170,13 @@ func (db *DB) explain(gov *guard.Governor, text string, q *sql.Query, params Par
 
 // compilePlan performs the cacheable, data-independent part of one
 // query: strip the mode, compile, and — for CERTAIN and POSSIBLE —
-// check translatability and translate; then rewrite, once, each
-// expression the mode executes. Q⁺ serves the certain route and the
-// possible route's degradation ladder, Q⋆ the possible route. Execute
-// caches the result, immutable from then on; an ad-hoc query compiles
-// one for a single execution. gov carries the planner's fault site.
-func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts Options) (pl *plancache.Plan, err error) {
+// check translatability and translate; then plan, once, each expression
+// the mode executes, for the route opts selects or, with both, for
+// either route. Q⁺ serves the certain route and the possible route's
+// degradation ladder, Q⋆ the possible route. Execute caches the result,
+// immutable from then on; an ad-hoc query compiles one for a single
+// execution. gov carries the planner's fault site.
+func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts Options, both bool) (pl *plancache.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pl, err = nil, guard.NewInternalError("certsql/compile-plan", v)
@@ -188,56 +189,63 @@ func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts
 	}
 	pl = &plancache.Plan{Mode: mode, Columns: compiled.Columns, Orig: compiled.Expr}
 	if mode == plancache.ModeStandard {
-		if pl.OrigOpt, err = db.rewrite(gov, pl.Orig); err != nil {
-			return nil, err
-		}
-		return pl, nil
+		pl.OrigOpt, pl.OrigPaper, err = db.lower(gov, pl.Orig, opts, both)
+		return pl, err
 	}
 	if err := certain.CheckTranslatable(pl.Orig); err != nil {
 		return nil, err
 	}
 	tr := opts.translator(db)
 	pl.Plus = tr.Plus(pl.Orig)
-	if pl.PlusOpt, err = db.rewrite(gov, pl.Plus); err != nil {
+	if pl.PlusOpt, pl.PlusPaper, err = db.lower(gov, pl.Plus, opts, both); err != nil {
 		return nil, err
 	}
 	if mode == plancache.ModePossible {
 		pl.Star = tr.Star(pl.Orig)
-		if pl.StarOpt, err = db.rewrite(gov, pl.Star); err != nil {
+		if pl.StarOpt, pl.StarPaper, err = db.lower(gov, pl.Star, opts, both); err != nil {
 			return nil, err
 		}
 	}
 	return pl, nil
 }
 
-// rewrite is the planner's rewrite of e, which reads only e and the
-// schema.
-func (db *DB) rewrite(gov *guard.Governor, e algebra.Expr) (*plancache.Optimized, error) {
-	pr, err := plan.Rewrite(e, db.d.Schema, gov)
-	if err != nil {
-		return nil, err
+// lower plans e for the route opts selects, or with both for either: the
+// planner's rewrite of e, lowered (plan.Rewrite), and e as it is,
+// lowered (plan.Lower). Each reads only e, the schema and the options
+// fingerprintPlanOptions keys.
+func (db *DB) lower(gov *guard.Governor, e algebra.Expr, opts Options, both bool) (opt, paper *plancache.Optimized, err error) {
+	if both || !opts.NaivePlanner {
+		pr, err := plan.Rewrite(e, db.d.Schema, opts.physical(), gov)
+		if err != nil {
+			return nil, nil, err
+		}
+		opt = &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Fired: pr.Fired}
 	}
-	return &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Fired: pr.Fired}, nil
+	if both || opts.NaivePlanner {
+		low := plan.Lower(e, opts.physical())
+		paper = &plancache.Optimized{Expr: low.Expr, Hints: low.Hints}
+	}
+	return opt, paper, nil
 }
 
 // pick is the route decision, made once for execution and EXPLAIN
 // alike: what a query in the given mode runs — the planner's rewrite
 // of the mode's expression, or with Options.NaivePlanner that
-// expression exactly as translation produced it. NaivePlanner is read
-// only here, so it shares plan-cache entries with the default.
-func pick(pl *plancache.Plan, mode plancache.Mode, naive bool) *plancache.Optimized {
-	var base algebra.Expr
-	var opt *plancache.Optimized
+// expression as translation produced it, both lowered. NaivePlanner is
+// read only here and in compilePlan, so it shares plan-cache entries
+// with the default.
+func pick(pl *plancache.Plan, mode plancache.Mode, opts Options) *plancache.Optimized {
+	var opt, paper *plancache.Optimized
 	switch mode {
 	case plancache.ModeCertain:
-		base, opt = pl.Plus, pl.PlusOpt
+		opt, paper = pl.PlusOpt, pl.PlusPaper
 	case plancache.ModePossible:
-		base, opt = pl.Star, pl.StarOpt
+		opt, paper = pl.StarOpt, pl.StarPaper
 	default:
-		base, opt = pl.Orig, pl.OrigOpt
+		opt, paper = pl.OrigOpt, pl.OrigPaper
 	}
-	if naive {
-		return &plancache.Optimized{Expr: base}
+	if opts.NaivePlanner {
+		return paper
 	}
 	return opt
 }
@@ -277,7 +285,7 @@ func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (re
 
 // runMode evaluates what pick chooses for mode.
 func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
-	o := pick(pl, mode, opts.NaivePlanner)
+	o := pick(pl, mode, opts)
 	eo := opts.evalOptions(gov)
 	eo.Hints = o.Hints
 	ev := eval.New(db.d, eo)
@@ -309,12 +317,13 @@ func fingerprintParams(params Params) string {
 	return b.String()
 }
 
-// fingerprintPlanOptions encodes the options that change the compiled
-// or translated plan. Executor strategy toggles, budgets and
-// parallelism are runtime concerns and deliberately excluded — varying
-// them reuses the same cached plan.
+// fingerprintPlanOptions encodes the options that change the compiled,
+// translated or lowered plan: the lowering reads the semantics and
+// whether the view cache is on. Other executor strategy toggles, budgets
+// and parallelism are runtime concerns and deliberately excluded —
+// varying them reuses the same cached plan.
 func fingerprintPlanOptions(o Options) string {
-	flags := [...]bool{o.Naive, o.NoOrSplit, o.NoSimplifyNulls, o.NoKeySimplify}
+	flags := [...]bool{o.Naive, o.NoOrSplit, o.NoSimplifyNulls, o.NoKeySimplify, o.NoViewCache}
 	var b [len(flags)]byte
 	for i, f := range flags {
 		if f {

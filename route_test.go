@@ -59,7 +59,7 @@ func routeCases(t *testing.T) []routeCase {
 // mode's expression is the planner's (plan.Optimize, which reads the
 // statistics only to price the tree), and ExplainPlan renders that
 // rewrite with its rules and hints; with NaivePlanner it renders the
-// unrewritten expression.
+// unrewritten expression, lowered (plan.Lower).
 func TestExplainRendersExecutedPlan(t *testing.T) {
 	inst := tpch.Generate(routeCfg)
 	db := FromInternal(inst)
@@ -107,8 +107,9 @@ func TestExplainRendersExecutedPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree := plan.Describe(base, nil, inst.Schema, st).Render(); !strings.HasSuffix(naive, "rules: (none)\n"+tree) {
-			t.Errorf("%s: naive EXPLAIN\n%s\ndoes not render the unrewritten plan\n%s", c.name, naive, tree)
+		low := plan.Lower(base, naiveOpts.physical())
+		if tree := plan.Describe(low.Expr, low.Hints, inst.Schema, st).Render(); !strings.HasSuffix(naive, "rules: (none)\n"+tree) {
+			t.Errorf("%s: naive EXPLAIN\n%s\ndoes not render the lowered unrewritten plan\n%s", c.name, naive, tree)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func TestViewHitsOnAppendixQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if noHits := pick(pl, pl.Mode, false).Hints.Views.NoHits; noHits != (w == 0) {
+		if noHits := pick(pl, pl.Mode, c.opts).Hints.Views.NoHits; noHits != (w == 0) {
 			t.Errorf("%s: Views.NoHits = %v with %d hits", c.name, noHits, w)
 		}
 	}
