@@ -30,7 +30,6 @@ import (
 	"certsql/internal/plancache"
 	"certsql/internal/rewrite"
 	"certsql/internal/sql"
-	"certsql/internal/stats"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -213,12 +212,11 @@ type DB struct {
 	d      *table.Database
 	catver uint64
 	plans  *plancache.Cache
-	stats  *stats.Collector
 }
 
 // wrap adopts an internal database (used by the TPC-H constructors).
 func wrap(d *table.Database) *DB {
-	return &DB{d: d, plans: plancache.New(0), stats: stats.NewCollector()}
+	return &DB{d: d, plans: plancache.New(0)}
 }
 
 // FromInternal adopts an internal database, for in-module drivers such
@@ -235,19 +233,7 @@ func FromSnapshot(d *table.Database, version uint64, plans *plancache.Cache) *DB
 	if plans == nil {
 		plans = plancache.New(0)
 	}
-	return &DB{d: d, catver: version, plans: plans, stats: stats.NewCollector()}
-}
-
-// WithStatsCollector rebinds the view to a shared statistics collector
-// and returns it. Only EXPLAIN reads statistics, to price its tree. The
-// serving layer passes one collector across every snapshot view of a
-// store: statistics are cached per table content generation, so a
-// republish only rescans the tables that changed.
-func (db *DB) WithStatsCollector(c *stats.Collector) *DB {
-	if c != nil {
-		db.stats = c
-	}
-	return db
+	return &DB{d: d, catver: version, plans: plans}
 }
 
 // CatalogVersion returns the snapshot version this DB view was built
@@ -605,8 +591,8 @@ func (db *DB) Explain(text string, params Params, opts Options) (string, error) 
 // ExplainPlan returns the cost-based planner's EXPLAIN for the query
 // without executing it: the costed operator tree of exactly what
 // execution would run (see pick) and the rewrite rules that fired. The
-// plan rests on the query and the schema alone; the statistics
-// collected here only price the tree, and no execution reads them.
+// plan rests on the query and the schema alone; the counts the tables
+// hold only price the tree.
 // With Options.NaivePlanner the tree is the unrewritten plan, lowered,
 // and no rule fired. The output is deterministic for a fixed database —
 // the golden EXPLAIN tests pin it for the paper's appendix queries.
@@ -614,11 +600,11 @@ func (db *DB) ExplainPlan(text string, params Params, opts Options) (string, err
 	return db.ExplainPlanContext(context.Background(), text, params, opts)
 }
 
-// ExplainPlanContext is ExplainPlan bounded by ctx: statistics
-// collection scans tables, so an EXPLAIN issued on a request path must
-// stop when its request does. A statement that has executed prepared
-// is explained from its cached plan, without compiling it again; one
-// that has not is compiled for the EXPLAIN alone, and not cached.
+// ExplainPlanContext is ExplainPlan bounded by ctx: an EXPLAIN issued
+// on a request path stops when its request does. A statement that has
+// executed prepared is explained from its cached plan, without
+// compiling it again; one that has not is compiled for the EXPLAIN
+// alone, and not cached.
 func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params, opts Options) (string, error) {
 	gov := opts.governor(ctx)
 	if err := gov.Poll("explain"); err != nil {

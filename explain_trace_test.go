@@ -3,6 +3,7 @@ package certsql_test
 import (
 	"math/rand"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,5 +119,72 @@ func TestTraceReadsAppearInExplain(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("no trace read by %s: the test compares nothing of that access", k)
 		}
+	}
+}
+
+// TestExplainLeavesAreExact holds EXPLAIN's leaves to the counts the
+// stored tables hold: for Q1–Q4, standard and CERTAIN, on both routes,
+// every full scan of a relation R shows R's rows, and every null-list
+// read shows the rows with a null in one of its columns, counted here
+// from the rows themselves.
+func TestExplainLeavesAreExact(t *testing.T) {
+	db, sizes := goldenDB()
+	inst := db.Internal()
+	nullCols, rows := regexp.MustCompile(`#(\d+)`), regexp.MustCompile(`\(rows=(\S+) `)
+	rng := rand.New(rand.NewSource(7))
+	checked := map[string]int{}
+	for _, q := range tpch.AllQueries {
+		params := q.Params(rng, sizes)
+		for _, mode := range []string{"standard", "certain"} {
+			text, err := certsql.WithMode(q.SQL(), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, naivePlanner := range []bool{false, true} {
+				plan, err := db.ExplainPlan(text, params, certsql.Options{NaivePlanner: naivePlanner})
+				if err != nil {
+					t.Fatal(err)
+				}
+				access := map[int]string{} // as in planReads
+				for _, line := range strings.Split(plan, "\n") {
+					m := planNode.FindStringSubmatch(line)
+					if m == nil {
+						continue
+					}
+					depth, op, detail := len(m[1])/2, m[2], m[3]
+					access[depth] = ""
+					if a := planAccess.FindStringSubmatch(m[4]); a != nil {
+						access[depth] = a[1]
+					}
+					if op != "scan" {
+						continue
+					}
+					a := access[depth]
+					if a == "" && depth > 0 {
+						a = access[depth-1]
+					}
+					tbl, kind := inst.MustTable(detail), "scan"
+					want := tbl.Len()
+					if a != "" {
+						want, kind = 0, "nulls"
+						for _, r := range tbl.Rows() {
+							for _, c := range nullCols.FindAllStringSubmatch(a, -1) {
+								if col, _ := strconv.Atoi(c[1]); r[col].IsNull() {
+									want++
+									break
+								}
+							}
+						}
+					}
+					checked[kind]++
+					if got := rows.FindStringSubmatch(line)[1]; got != strconv.FormatFloat(float64(want), 'g', 4, 64) {
+						t.Errorf("%s/%s NaivePlanner=%v: %q shows %s rows, the table gives %d", q, mode, naivePlanner, strings.TrimSpace(line), got, want)
+					}
+				}
+			}
+		}
+	}
+	if checked["scan"] == 0 || checked["nulls"] == 0 {
+		t.Errorf("checked %v: the test compares nothing of one access", checked)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"certsql/internal/compile"
 	"certsql/internal/qgen"
 	"certsql/internal/sql"
-	"certsql/internal/stats"
 )
 
 // CheckPlannerSeed checks only the planner invariants for one generated
@@ -51,9 +50,8 @@ func CheckPlannerSeed(seed uint64, tuning qgen.Tuning) *Report {
 			})
 		}
 	}
-	st := stats.NewCollector().Collect(db)
 	for _, rt := range routeExprs(db, compiled.Expr) {
-		checkPlanAudit(rep, db, st, rt.expr)
+		checkPlanAudit(rep, db, rt.expr)
 		checkLowering(rep, db, rt, 4)
 	}
 	return rep

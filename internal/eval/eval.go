@@ -298,7 +298,7 @@ func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
 		views := ev.views()
 		switch {
 		case views == nil:
-			views = PlanViews(e) // for Shared alone: the cache stays on
+			views = PlanViews(e, new(JoinBlocks)) // for Shared alone: the cache stays on
 		case views.NoHits:
 			ev.opts.NoSubplanCache = true // no hit to lose, no key to render
 		}

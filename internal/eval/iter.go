@@ -126,7 +126,7 @@ func (ev *Evaluator) scan(e algebra.Base, groups [][]int) (*table.Table, []table
 	rows, read := t.Rows(), []int(nil)
 	fewest := len(rows)
 	for _, g := range groups {
-		if n := countNulls(t, g); read == nil || n < fewest {
+		if n := CountNulls(t, g); read == nil || n < fewest {
 			fewest, read = n, g
 		}
 	}
@@ -172,8 +172,8 @@ func (m nullMerge) next() (pos int, ok bool) {
 	return pos, pos >= 0
 }
 
-// countNulls returns the number of rows of t with a null in one of cols.
-func countNulls(t *table.Table, cols []int) int {
+// CountNulls returns the number of rows of t with a null in one of cols.
+func CountNulls(t *table.Table, cols []int) int {
 	if len(cols) == 1 {
 		_, pos := t.NullRows(cols[0])
 		return len(pos)
@@ -186,7 +186,7 @@ func countNulls(t *table.Table, cols []int) int {
 	}
 }
 
-// nullCandidates returns the n = countNulls(t, cols) rows of t with a
+// nullCandidates returns the n = CountNulls(t, cols) rows of t with a
 // null in one of cols, in ascending position: a column's list as
 // stored, or the lists merged into a slice of exactly n rows.
 func nullCandidates(t *table.Table, cols []int, n int) []table.Row {

@@ -41,7 +41,7 @@ func TestNullCandidatesExactSize(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		n := countNulls(tab, cols)
+		n := CountNulls(tab, cols)
 		got := nullCandidates(tab, cols, n)
 		if n != len(want) || len(got) != len(want) {
 			t.Fatalf("cols %v: counted %d, read %d rows, want %d", cols, n, len(got), len(want))

@@ -56,10 +56,11 @@ type Views struct {
 // filtered leaves and each split's cached selection, which counts as an
 // occurrence too. A filtered leaf over a stored relation can only meet
 // another selection over that relation, so leaves are keyed only for
-// relations that carry at least two such selections. NoHits is false
-// whenever a hit is possible under some executor option.
-func PlanViews(e algebra.Expr, splits ...algebra.Select) *Views {
-	v := &viewScan{keys: map[string]viewUse{}, sites: map[string]int{}}
+// relations that carry at least two such selections; blocks holds the
+// join blocks classified so far. NoHits is false whenever a hit is
+// possible under some executor option.
+func PlanViews(e algebra.Expr, blocks *JoinBlocks, splits ...algebra.Select) *Views {
+	v := &viewScan{keys: map[string]viewUse{}, sites: map[string]int{}, classified: blocks}
 	v.visit(e, true)
 	for _, s := range splits {
 		v.note(ViewKey(s), true, true)
@@ -82,11 +83,12 @@ func PlanViews(e algebra.Expr, splits ...algebra.Select) *Views {
 // seen, per stored relation the selections over it, and the join blocks
 // to look into.
 type viewScan struct {
-	keys    map[string]viewUse
-	scalars []algebra.Scalar
-	sites   map[string]int
-	blocks  []algebra.Select
-	hit     bool
+	keys       map[string]viewUse
+	scalars    []algebra.Scalar
+	sites      map[string]int
+	blocks     []algebra.Select
+	classified *JoinBlocks
+	hit        bool
 }
 
 // viewUse is what viewScan found for one view key: how often it occurs
@@ -184,25 +186,20 @@ func (v *viewScan) joinLeaves(sel algebra.Select) {
 	if !slices.ContainsFunc(leaves, meets) {
 		return
 	}
-	arities := make([]int, len(leaves))
-	for i, l := range leaves {
-		arities[i] = l.Arity()
-	}
-	jb := ClassifyJoinBlock(arities, sel.Cond)
-	for i, leaf := range leaves {
-		if meets(leaf) && len(jb.Singles[i]) > 0 {
-			v.drain(jb.Leaf(i, leaf))
+	for i, c := range v.classified.leafConds(sel.Cond, leaves) {
+		if meets(leaves[i]) && c != nil {
+			v.drain(algebra.Select{Child: leaves[i], Cond: c})
 		}
 	}
 }
 
 // Drains counts the places where evaluating e may drain sel into the
-// view cache: its subtrees and, with leaves, its join blocks' filtered
+// view cache: its subtrees and, given blocks, its join blocks' filtered
 // leaves equal to sel.
-func Drains(e algebra.Expr, sel algebra.Select, leaves bool) (n int) {
+func Drains(e algebra.Expr, sel algebra.Select, blocks *JoinBlocks) (n int) {
 	algebra.Walk(e, func(x algebra.Expr) {
 		s, ok := x.(algebra.Select)
-		if _, block := s.Child.(algebra.Product); !ok || !block || !leaves {
+		if _, block := s.Child.(algebra.Product); !ok || !block || blocks == nil {
 			if ok && sameSelect(s, sel) {
 				n++
 			}
@@ -215,18 +212,57 @@ func Drains(e algebra.Expr, sel algebra.Select, leaves bool) (n int) {
 		}) {
 			return // no leaf can be filtered into sel: spare the classification
 		}
-		arities := make([]int, len(leaves))
-		for i, l := range leaves {
-			arities[i] = l.Arity()
-		}
-		jb := ClassifyJoinBlock(arities, s.Cond)
-		for i, leaf := range leaves {
-			if f, ok := jb.Leaf(i, leaf).(algebra.Select); ok && sameSelect(f, sel) {
+		for i, c := range blocks.leafConds(s.Cond, leaves) {
+			f, ok := leaves[i].(algebra.Select)
+			if c != nil {
+				f, ok = algebra.Select{Child: leaves[i], Cond: c}, true
+			}
+			if ok && sameSelect(f, sel) {
 				n++
 			}
 		}
 	})
 	return n
+}
+
+// JoinBlocks remembers, for the length of one lowering, the filter
+// JoinBlock.Leaf puts on each leaf of the join blocks Drains and
+// PlanViews meet, so that each block is classified once. A block is
+// known by its conjuncts' backing array, which nothing mutates, and its
+// leaves' arities, which is all the classification reads; a condition
+// that is not a conjunction is classified each time.
+type JoinBlocks []classifiedBlock
+
+type classifiedBlock struct {
+	conds   []algebra.Cond
+	arities []int
+	leaf    []algebra.Cond // leaf i's filter in its own columns; nil for none
+}
+
+// leafConds returns the filter of each of leaves in the block σ[cond].
+func (b *JoinBlocks) leafConds(cond algebra.Cond, leaves []algebra.Expr) []algebra.Cond {
+	and, _ := cond.(algebra.And)
+	for _, k := range *b {
+		if len(and.Conds) == len(k.conds) && &k.conds[0] == &and.Conds[0] &&
+			slices.EqualFunc(k.arities, leaves, func(a int, l algebra.Expr) bool { return a == l.Arity() }) {
+			return k.leaf
+		}
+	}
+	arities := make([]int, len(leaves))
+	for i, l := range leaves {
+		arities[i] = l.Arity()
+	}
+	jb := ClassifyJoinBlock(arities, cond)
+	leaf := make([]algebra.Cond, len(leaves))
+	for i, l := range leaves {
+		if len(jb.Singles[i]) > 0 {
+			leaf[i] = jb.Leaf(i, l).(algebra.Select).Cond
+		}
+	}
+	if len(and.Conds) > 0 {
+		*b = append(*b, classifiedBlock{and.Conds, arities, leaf})
+	}
+	return leaf
 }
 
 // sameSelect reports whether a and b are the same selection, looking at

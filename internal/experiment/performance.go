@@ -87,8 +87,7 @@ type Figure4Row struct {
 // instances with null rates 1%–5% and report the ratio of their running
 // times, averaged over instances, parameter draws and repeats, on both
 // routes. Each statement runs once untimed on the default route first,
-// so that the planner's first-use planning and statistics are in
-// neither t nor t⁺; the timed repeats then alternate the routes.
+// so that the planner's first-use planning is in neither t nor t⁺; the timed repeats then alternate the routes.
 // Cancellation or deadline expiry of ctx aborts with a typed error.
 func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Row, error) {
 	cfg.defaults()

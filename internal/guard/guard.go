@@ -139,12 +139,6 @@ const (
 	// SiteValuation fires once per valuation enumerated by the
 	// brute-force certain-answer oracle.
 	SiteValuation Site = "valuation"
-	// SiteStatsCollect fires when the statistics collector scans a
-	// table whose generation is not in its cache. Statistics are
-	// collected only for EXPLAIN (under its governor, so this site
-	// fires there) and for the catalog endpoint (ungoverned); query
-	// execution never reaches this site.
-	SiteStatsCollect Site = "stats-collect"
 	// SitePlanRewrite fires when the cost-based planner starts
 	// rewriting an expression: once per expression a plan's mode
 	// executes, when the plan is compiled.
@@ -181,7 +175,7 @@ const (
 // plans over query evaluation. The durability seams are listed
 // separately in PersistSites: they never fire during evaluation, so
 // mixing them into query chaos plans would only produce no-op faults.
-var Sites = []Site{SiteScan, SiteHashBuild, SiteSemijoinProbe, SiteWorkerSpawn, SiteViewMaterialize, SiteBatchPull, SiteStatsCollect, SitePlanRewrite}
+var Sites = []Site{SiteScan, SiteHashBuild, SiteSemijoinProbe, SiteWorkerSpawn, SiteViewMaterialize, SiteBatchPull, SitePlanRewrite}
 
 // PersistSites lists every durability-seam site of the persistent
 // snapshot store, for crash-recovery fault plans.

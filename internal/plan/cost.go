@@ -2,16 +2,35 @@ package plan
 
 import (
 	"math"
-	"strings"
 
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
-	"certsql/internal/stats"
+	"certsql/internal/schema"
+	"certsql/internal/table"
 )
 
-// defaultRows is the cardinality assumed for a relation with no
-// statistics.
+// defaultRows is the cardinality assumed for a relation with no data.
 const defaultRows = 1000.0
+
+// describer is the cost model and the EXPLAIN tree's builder. Its zero
+// value prices with the data-free defaults Rewrite's gate decides with;
+// given a database (Describe), it refines them with counts the tables
+// hold exactly. drained holds the view keys drained so far while it
+// describes a plan the view cache serves.
+type describer struct {
+	sch     *schema.Schema
+	db      *table.Database
+	drained map[string]bool
+}
+
+// table returns the stored relation name, or nil without data.
+func (d *describer) table(name string) *table.Table {
+	if d.db == nil {
+		return nil
+	}
+	t, _ := d.db.Table(name)
+	return t
+}
 
 // estimate is a per-node cardinality and cumulative cost estimate.
 // Costs are in the evaluator's cost units (elementary row operations);
@@ -21,47 +40,45 @@ type estimate struct {
 	rows, cost float64
 }
 
-// estimate costs e bottom-up from the statistics snapshot.
-func (o *optimizer) estimate(e algebra.Expr) estimate {
+// estimate costs e bottom-up.
+func (d *describer) estimate(e algebra.Expr) estimate {
 	switch n := e.(type) {
 	case algebra.Base:
 		rows := defaultRows
-		if o.st != nil {
-			if ts := o.st.Table(strings.ToLower(n.Name)); ts != nil {
-				rows = float64(ts.Rows)
-			}
+		if t := d.table(n.Name); t != nil {
+			rows = float64(t.Len())
 		}
 		return estimate{rows: rows, cost: rows + 1}
 	case algebra.Select:
 		if isProductChain(n.Child) {
-			return o.joinBlockEstimate(n)
+			return d.joinBlockEstimate(n)
 		}
-		child := o.estimate(n.Child)
-		rows := child.rows * o.selectivity(n.Cond, o.colInfo(n.Child))
+		child := d.estimate(n.Child)
+		rows := child.rows * d.selectivity(n.Cond, d.colInfo(n.Child))
 		if _, isBase := n.Child.(algebra.Base); isBase {
-			if read, _, ok := o.nullRead(n.Child, algebra.NullScans(n.Cond), 0); ok {
+			if read, _, ok := d.nullRead(n.Child, algebra.NullScans(n.Cond), 0); ok {
 				child = read
 			}
 		}
 		return estimate{rows: rows, cost: child.cost + child.rows + 1}
 	case algebra.Project:
-		child := o.estimate(n.Child)
+		child := d.estimate(n.Child)
 		return estimate{rows: child.rows, cost: child.cost + child.rows + 1}
 	case algebra.Product:
-		l, r := o.estimate(n.L), o.estimate(n.R)
+		l, r := d.estimate(n.L), d.estimate(n.R)
 		rows := l.rows * r.rows
 		return estimate{rows: rows, cost: l.cost + r.cost + rows + 1}
 	case algebra.Union:
-		l, r := o.estimate(n.L), o.estimate(n.R)
+		l, r := d.estimate(n.L), d.estimate(n.R)
 		return estimate{rows: l.rows + r.rows, cost: l.cost + r.cost + l.rows + r.rows + 1}
 	case algebra.Intersect:
-		l, r := o.estimate(n.L), o.estimate(n.R)
+		l, r := d.estimate(n.L), d.estimate(n.R)
 		return estimate{rows: 0.5 * math.Min(l.rows, r.rows), cost: l.cost + r.cost + l.rows + r.rows + 1}
 	case algebra.Diff:
-		l, r := o.estimate(n.L), o.estimate(n.R)
+		l, r := d.estimate(n.L), d.estimate(n.R)
 		return estimate{rows: 0.5 * l.rows, cost: l.cost + r.cost + l.rows + r.rows + 1}
 	case algebra.SemiJoin:
-		l, r := o.estimate(n.L), o.estimate(n.R)
+		l, r := d.estimate(n.L), d.estimate(n.R)
 		rows := 0.5 * l.rows
 		var work float64
 		switch semiStrategy(n) {
@@ -77,11 +94,7 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 			// The Section 7 shape, `A = B OR B IS NULL`: the executor
 			// indexes the build side on the edge's column.
 			_, bCol, _ := eval.SpanningUnifyEdge(nnf(n.Cond), n.L.Arity())
-			d, nullRate, ok := o.colInfo(n.R)(bCol)
-			if !ok {
-				d, nullRate = math.Max(1, 0.1*r.rows), 0.1
-			}
-			work = wildHashWork(l.rows, r.rows, d, nullRate)
+			work = indexedWork(l.rows, r.rows, d.colInfo(n.R), bCol)
 		default: // hash
 			work = l.rows + r.rows
 		}
@@ -90,22 +103,23 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 		// R ⋉⇑ S on the full-row wild-bucket index: a build row is wild
 		// when any of its columns is null, its bucket otherwise holds
 		// its duplicates; a probe row with a null scans the build side.
-		l, r := o.estimate(n.L), o.estimate(n.R)
-		work := wildHashWork(l.rows, r.rows, r.rows, o.anyNullRate(n.R)) +
-			o.anyNullRate(n.L)*l.rows*r.rows
+		l, r := d.estimate(n.L), d.estimate(n.R)
+		work := wildHashWork(l.rows, r.rows, r.rows, d.anyNullRate(n.R)) +
+			d.anyNullRate(n.L)*l.rows*r.rows
 		return estimate{rows: 0.5 * l.rows, cost: l.cost + r.cost + work + 1}
 	case algebra.Distinct:
-		child := o.estimate(n.Child)
+		child := d.estimate(n.Child)
 		return estimate{rows: 0.9 * child.rows, cost: child.cost + child.rows + 1}
 	case algebra.Division:
-		l, r := o.estimate(n.L), o.estimate(n.R)
+		l, r := d.estimate(n.L), d.estimate(n.R)
 		return estimate{rows: l.rows / math.Max(r.rows, 1), cost: l.cost + r.cost + l.rows*r.rows + 1}
 	case algebra.AdomPower:
 		adom := defaultRows
-		if o.st != nil {
+		if d.db != nil {
 			total := 0.0
-			for _, ts := range o.st.Tables {
-				total += float64(ts.Rows) * float64(len(ts.Cols))
+			for _, name := range d.db.Schema.Names() {
+				t := d.db.MustTable(name)
+				total += float64(t.Len()) * float64(t.Arity())
 			}
 			if total > 0 {
 				adom = total
@@ -114,17 +128,17 @@ func (o *optimizer) estimate(e algebra.Expr) estimate {
 		rows := math.Min(math.Pow(adom, float64(n.K)), 1e18)
 		return estimate{rows: rows, cost: rows + 1}
 	case algebra.GroupBy:
-		child := o.estimate(n.Child)
+		child := d.estimate(n.Child)
 		rows := math.Max(1, 0.1*child.rows)
 		if len(n.Keys) == 0 {
 			rows = 1
 		}
 		return estimate{rows: rows, cost: child.cost + child.rows + rows + 1}
 	case algebra.Sort:
-		child := o.estimate(n.Child)
+		child := d.estimate(n.Child)
 		return estimate{rows: child.rows, cost: child.cost + child.rows*math.Log2(child.rows+2) + 1}
 	case algebra.Limit:
-		child := o.estimate(n.Child)
+		child := d.estimate(n.Child)
 		return estimate{rows: math.Min(child.rows, float64(n.N)), cost: child.cost + child.rows + 1}
 	default:
 		return estimate{rows: defaultRows, cost: defaultRows + 1}
@@ -140,35 +154,49 @@ func skipsLeft(sj algebra.SemiJoin, rRows float64) bool {
 
 // nullRead prices reading a stored relation e under a selection whose
 // null-test groups (algebra.NullScans) are groups, in columns where e's
-// start at off: of the groups within e, the one with the fewest null
-// counts, summed over a disjunction. It returns the read and the group
+// start at off: of the groups within e, the one whose null lists give
+// the fewest rows, as the executor picks it (eval.CountNulls with data,
+// a default rate per column without). It returns the read and the group
 // in the selection's columns; ok is false for a full scan.
-func (o *optimizer) nullRead(e algebra.Expr, groups [][]int, off int) (read estimate, group []int, ok bool) {
+func (d *describer) nullRead(e algebra.Expr, groups [][]int, off int) (read estimate, group []int, ok bool) {
 	b, isBase := e.(algebra.Base)
 	if !isBase || len(groups) == 0 {
 		return estimate{}, nil, false
 	}
-	var ts *stats.TableStats
-	if o.st != nil {
-		ts = o.st.Table(strings.ToLower(b.Name))
-	}
-	total := o.estimate(b).rows
+	t := d.table(b.Name)
+	total := d.estimate(b).rows
 	for _, g := range groups {
 		n, within := 0.0, true
 		for _, col := range g {
-			col -= off
-			within = within && col >= 0 && col < b.Arity()
-			if ts != nil && within && col < len(ts.Cols) {
-				n += ts.NullRate(col) * total
-			} else {
-				n += 0.1 * total
+			within = within && col >= off && col-off < b.Arity()
+			n += 0.1 * total
+		}
+		if t != nil && within {
+			local := make([]int, len(g))
+			for i, col := range g {
+				local[i] = col - off
 			}
+			n = float64(eval.CountNulls(t, local))
 		}
 		if within && (!ok || n < read.rows) {
 			read, group, ok = estimate{rows: n, cost: n + 1}, g, true
 		}
 	}
 	return read, group, ok
+}
+
+// indexedWork prices a wild-bucket index over rows rows keyed on column
+// col (wildHashWork), with info's distinct count and null rate, else a
+// tenth of the rows and a rate of 0.1.
+func indexedWork(probes, rows float64, info func(int) (float64, float64, bool), col int) float64 {
+	distinct, nullRate, ok := info(col)
+	if !ok {
+		nullRate = 0.1
+	}
+	if distinct == 0 {
+		distinct = math.Max(1, 0.1*rows)
+	}
+	return wildHashWork(probes, rows, distinct, nullRate)
 }
 
 // wildHashWork prices a wild-bucket index: one unit per build row, then
@@ -180,8 +208,8 @@ func wildHashWork(probes, rows, distinct, nullRate float64) float64 {
 
 // anyNullRate estimates the fraction of e's rows holding a null in any
 // column, assuming independent columns.
-func (o *optimizer) anyNullRate(e algebra.Expr) float64 {
-	info := o.colInfo(e)
+func (d *describer) anyNullRate(e algebra.Expr) float64 {
+	info := d.colInfo(e)
 	free := 1.0
 	for col := 0; col < e.Arity(); col++ {
 		if _, rate, ok := info(col); ok {
@@ -196,24 +224,24 @@ func (o *optimizer) anyNullRate(e algebra.Expr) float64 {
 // leaves where hash edges connect them — plus whatever its other steps
 // cost (unhashedSteps) where they do not — and the output is discounted
 // by the condition's selectivity.
-func (o *optimizer) joinBlockEstimate(s algebra.Select) estimate {
+func (d *describer) joinBlockEstimate(s algebra.Select) estimate {
 	leaves := flattenProduct(s.Child)
 	groups := algebra.NullScans(s.Cond)
 	rows, cost, off := 1.0, 1.0, 0
 	for _, leaf := range leaves {
-		le := o.estimate(leaf)
+		le := d.estimate(leaf)
 		rows *= le.rows
 		read := le
-		if r, _, ok := o.nullRead(leaf, groups, off); ok {
+		if r, _, ok := d.nullRead(leaf, groups, off); ok {
 			read = r
 		}
 		cost += read.cost + read.rows
 		off += leaf.Arity()
 	}
-	info := o.colInfo(s.Child)
-	rows *= o.selectivity(s.Cond, info)
+	info := d.colInfo(s.Child)
+	rows *= d.selectivity(s.Cond, info)
 	if !hashConnected(leaves, s.Cond) {
-		cost += o.unhashedSteps(leaves, s.Cond, info)
+		cost += d.unhashedSteps(leaves, s.Cond, info)
 	}
 	return estimate{rows: rows, cost: cost + rows}
 }
@@ -275,11 +303,11 @@ func hashConnected(leaves []algebra.Expr, cond algebra.Cond) bool {
 // from estimated leaf sizes): a wild-bucket index where only a
 // unification edge connects the next leaf, |cur|·|leaf| twice over — the
 // product and the residual filter behind it — for a Cartesian step.
-func (o *optimizer) unhashedSteps(leaves []algebra.Expr, cond algebra.Cond, info func(int) (float64, float64, bool)) float64 {
+func (d *describer) unhashedSteps(leaves []algebra.Expr, cond algebra.Cond, info func(int) (float64, float64, bool)) float64 {
 	jb := eval.ClassifyJoinBlock(arities(leaves), cond)
 	leafRows := make([]float64, len(leaves))
 	for i, leaf := range leaves {
-		leafRows[i] = o.estimate(leaf).rows * o.selectivity(algebra.NewAnd(jb.Singles[i]...), info)
+		leafRows[i] = d.estimate(leaf).rows * d.selectivity(algebra.NewAnd(jb.Singles[i]...), info)
 	}
 	cur, extra := 0.0, 0.0
 	for _, st := range jb.Order(func(leaf int) float64 { return leafRows[leaf] }) {
@@ -291,15 +319,11 @@ func (o *optimizer) unhashedSteps(leaves []algebra.Expr, cond algebra.Cond, info
 		case eval.JoinHash:
 			// linear in the leaves: priced by the caller's per-leaf terms
 		case eval.JoinWildHash:
-			d, nullRate, ok := info(st.BuildCol)
-			if !ok {
-				d, nullRate = math.Max(1, 0.1*lr), 0.1
-			}
-			extra += wildHashWork(cur, lr, d, nullRate)
+			extra += indexedWork(cur, lr, info, st.BuildCol)
 		case eval.JoinProduct:
 			extra += 2 * cur * lr
 		}
-		cur *= lr * o.selectivity(algebra.NewAnd(jb.Conds(st)...), info)
+		cur *= lr * d.selectivity(algebra.NewAnd(jb.Conds(st)...), info)
 	}
 	return extra
 }
@@ -348,32 +372,39 @@ func semiStrategy(sj algebra.SemiJoin) string {
 }
 
 // colInfo returns the selectivity oracle for conditions over e's
-// output columns: per-column distinct counts and null rates from the
-// statistics of the base column each output column traces to.
-func (o *optimizer) colInfo(e algebra.Expr) func(col int) (distinct, nullRate float64, ok bool) {
+// output columns, from the counts of the stored column each traces to
+// (colOrigin): its null rate, exact from the null lists, and its
+// distinct count when it is a single-column primary key (0, unknown,
+// otherwise). ok is false without data or origin.
+func (d *describer) colInfo(e algebra.Expr) func(col int) (distinct, nullRate float64, ok bool) {
 	return func(col int) (float64, float64, bool) {
-		ts, bcol, found := originStats(e, o.st, col)
-		if !found {
+		name, bcol, found := colOrigin(e, col)
+		t := d.table(name)
+		if !found || t == nil {
 			return 0, 0, false
 		}
-		c := ts.Cols[bcol]
-		d := float64(c.Distinct)
-		if d < 1 {
-			d = 1
+		rel, _ := d.sch.Relation(name)
+		rows, distinct, nullRate := float64(t.Len()), 0.0, 0.0
+		if len(rel.Key) == 1 && rel.Key[0] == bcol {
+			distinct = rows
 		}
-		return d, ts.NullRate(bcol), true
+		if rows > 0 && rel.Attrs[bcol].Nullable {
+			_, pos := t.NullRows(bcol)
+			nullRate = float64(len(pos)) / rows
+		}
+		return distinct, nullRate, true
 	}
 }
 
 // selectivity estimates the fraction of rows a condition keeps, using
 // textbook independence assumptions refined with distinct counts and
-// null rates where the operand columns trace to statistics.
-func (o *optimizer) selectivity(c algebra.Cond, info func(int) (float64, float64, bool)) float64 {
-	s := o.rawSelectivity(c, info)
+// null rates where colInfo knows them.
+func (d *describer) selectivity(c algebra.Cond, info func(int) (float64, float64, bool)) float64 {
+	s := d.rawSelectivity(c, info)
 	return math.Min(1, math.Max(0, s))
 }
 
-func (o *optimizer) rawSelectivity(c algebra.Cond, info func(int) (float64, float64, bool)) float64 {
+func (d *describer) rawSelectivity(c algebra.Cond, info func(int) (float64, float64, bool)) float64 {
 	switch c := c.(type) {
 	case algebra.TrueCond:
 		return 1
@@ -382,17 +413,17 @@ func (o *optimizer) rawSelectivity(c algebra.Cond, info func(int) (float64, floa
 	case algebra.And:
 		s := 1.0
 		for _, sub := range c.Conds {
-			s *= o.selectivity(sub, info)
+			s *= d.selectivity(sub, info)
 		}
 		return s
 	case algebra.Or:
 		miss := 1.0
 		for _, sub := range c.Conds {
-			miss *= 1 - o.selectivity(sub, info)
+			miss *= 1 - d.selectivity(sub, info)
 		}
 		return 1 - miss
 	case algebra.Not:
-		return 1 - o.selectivity(c.C, info)
+		return 1 - d.selectivity(c.C, info)
 	case algebra.Cmp:
 		lc, lIsCol := c.L.(algebra.Col)
 		rc, rIsCol := c.R.(algebra.Col)
@@ -400,27 +431,19 @@ func (o *optimizer) rawSelectivity(c algebra.Cond, info func(int) (float64, floa
 		case algebra.EQ:
 			switch {
 			case lIsCol && rIsCol:
-				dl, _, lok := info(lc.Idx)
-				dr, _, rok := info(rc.Idx)
-				switch {
-				case lok && rok:
-					return 1 / math.Max(dl, dr)
-				case lok:
-					return 1 / dl
-				case rok:
-					return 1 / dr
+				dl, _, _ := info(lc.Idx)
+				dr, _, _ := info(rc.Idx)
+				if d := math.Max(dl, dr); d > 0 {
+					return 1 / d
 				}
-				return 0.1
 			case lIsCol:
-				if d, _, ok := info(lc.Idx); ok {
+				if d, _, _ := info(lc.Idx); d > 0 {
 					return 1 / d
 				}
-				return 0.1
 			case rIsCol:
-				if d, _, ok := info(rc.Idx); ok {
+				if d, _, _ := info(rc.Idx); d > 0 {
 					return 1 / d
 				}
-				return 0.1
 			}
 			return 0.1
 		case algebra.NE:

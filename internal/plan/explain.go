@@ -84,8 +84,8 @@ func (r *Result) ExplainText() string {
 // describeRead sets c, e's node, to the rows a selection with null-test
 // groups reads of it (nullRead, e's columns from off) and returns the
 // access note, in e's columns; none for a full scan.
-func (o *optimizer) describeRead(c *ExplainNode, e algebra.Expr, groups [][]int, off int) []string {
-	read, g, ok := o.nullRead(e, groups, off)
+func (d *describer) describeRead(c *ExplainNode, e algebra.Expr, groups [][]int, off int) []string {
+	read, g, ok := d.nullRead(e, groups, off)
 	if !ok {
 		return nil
 	}
@@ -101,11 +101,11 @@ func (o *optimizer) describeRead(c *ExplainNode, e algebra.Expr, groups [][]int,
 // with their strategy and any execution hints. Nodes are described in
 // evaluation order, so a subplan drained before shows as the view-cache
 // hit it is (cached).
-func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode {
-	if c := o.cached(e); c != nil {
+func (d *describer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode {
+	if c := d.cached(e); c != nil {
 		return c
 	}
-	est := o.estimate(e)
+	est := d.estimate(e)
 	n := &ExplainNode{EstRows: est.rows, EstCost: est.cost}
 	var h eval.SemiHint
 	switch x := e.(type) {
@@ -118,10 +118,10 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 			leaves := flattenProduct(x.Child)
 			jb := eval.ClassifyJoinBlock(arities(leaves), x.Cond)
 			for i, leaf := range leaves {
-				c := o.cached(jb.Leaf(i, leaf))
+				c := d.cached(jb.Leaf(i, leaf))
 				if c == nil {
-					c = o.describe(leaf, hints)
-					c.Notes = append(c.Notes, o.describeRead(c, leaf, groups, off)...)
+					c = d.describe(leaf, hints)
+					c.Notes = append(c.Notes, d.describeRead(c, leaf, groups, off)...)
 				}
 				n.Children = append(n.Children, c)
 				off += leaf.Arity()
@@ -129,8 +129,8 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 			return n
 		}
 		n.Op, n.Detail = "select", x.Cond.String()
-		c := o.describe(x.Child, hints)
-		n.Notes, n.Children = o.describeRead(c, x.Child, algebra.NullScans(x.Cond), 0), []*ExplainNode{c}
+		c := d.describe(x.Child, hints)
+		n.Notes, n.Children = d.describeRead(c, x.Child, algebra.NullScans(x.Cond), 0), []*ExplainNode{c}
 		return n
 	case algebra.Project:
 		cols := make([]string, len(x.Cols))
@@ -164,7 +164,7 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 				n.Notes = append(n.Notes, "fuse-build")
 			}
 		}
-		n.Children = []*ExplainNode{o.describe(x.L, hints), o.describeBuild(x, h, hints)}
+		n.Children = []*ExplainNode{d.describe(x.L, hints), d.describeBuild(x, h, hints)}
 		if shortCircuit && skipsLeft(x, n.Children[1].EstRows) {
 			n.Children[0].Notes = append(n.Children[0].Notes, skippedNote)
 		}
@@ -198,7 +198,7 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 	}
 	kids, k := algebra.Children(e)
 	for _, kid := range kids[:k] {
-		n.Children = append(n.Children, o.describe(kid, hints))
+		n.Children = append(n.Children, d.describe(kid, hints))
 	}
 	return n
 }
@@ -206,38 +206,38 @@ func (o *optimizer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 // describeBuild describes a semijoin's build side, split as h says: the
 // lowering splits only where the probe side, described first, drains
 // the cached part.
-func (o *optimizer) describeBuild(sj algebra.SemiJoin, h eval.SemiHint, hints *eval.PlanHints) *ExplainNode {
+func (d *describer) describeBuild(sj algebra.SemiJoin, h eval.SemiHint, hints *eval.PlanHints) *ExplainNode {
 	s := h.Split
 	if s == nil {
-		return o.describe(sj.R, hints)
+		return d.describe(sj.R, hints)
 	}
-	est, base := o.estimate(sj.R), s.Cached.Child.(algebra.Base)
-	read, _, _ := o.nullRead(base, [][]int{s.Nulls}, 0)
-	nulls := &ExplainNode{Op: "scan", Detail: base.Name, EstRows: min(read.rows, o.estimate(base).rows),
+	est, base := d.estimate(sj.R), s.Cached.Child.(algebra.Base)
+	read, _, _ := d.nullRead(base, [][]int{s.Nulls}, 0)
+	nulls := &ExplainNode{Op: "scan", Detail: base.Name, EstRows: min(read.rows, d.estimate(base).rows),
 		Notes: []string{"access=" + eval.NullsAccess(s.Nulls)}}
 	nulls.EstCost = nulls.EstRows + 1
 	return &ExplainNode{Op: "select", Detail: sj.R.(algebra.Select).Cond.String(), EstRows: est.rows, EstCost: est.cost,
-		Notes: []string{"split"}, Children: []*ExplainNode{o.hit(s.Cached, eval.ViewKey(s.Cached)), nulls}}
+		Notes: []string{"split"}, Children: []*ExplainNode{d.hit(s.Cached, eval.ViewKey(s.Cached)), nulls}}
 }
 
 // cached returns the node of a view-cache hit on e when the walk in
 // evaluation order has drained e before, and otherwise records e as
 // drained. Stored relations are read, not drained.
-func (o *optimizer) cached(e algebra.Expr) *ExplainNode {
-	if _, ok := e.(algebra.Base); ok || o.drained == nil {
+func (d *describer) cached(e algebra.Expr) *ExplainNode {
+	if _, ok := e.(algebra.Base); ok || d.drained == nil {
 		return nil
 	}
 	k := eval.ViewKey(e)
-	if k == "" || !o.drained[k] {
-		o.drained[k] = k != ""
+	if k == "" || !d.drained[k] {
+		d.drained[k] = k != ""
 		return nil
 	}
-	return o.hit(e, k)
+	return d.hit(e, k)
 }
 
 // hit is the node of a view-cache hit on e, whose key is k: its rows,
 // read from the cache.
-func (o *optimizer) hit(e algebra.Expr, k string) *ExplainNode {
-	rows := o.estimate(e).rows
+func (d *describer) hit(e algebra.Expr, k string) *ExplainNode {
+	rows := d.estimate(e).rows
 	return &ExplainNode{Op: "cached", Detail: k, EstRows: rows, EstCost: rows}
 }

@@ -39,6 +39,7 @@ type lowerer struct {
 	fired  map[RuleKind]bool
 	semi   map[string]eval.SemiHint
 	splits []algebra.Select
+	blocks eval.JoinBlocks
 }
 
 // result lowers e and decides what the view cache can do for it.
@@ -46,7 +47,7 @@ func (l *lowerer) result(e algebra.Expr) *Result {
 	out, changed := l.lower(e)
 	res := &Result{Expr: out, Hints: &eval.PlanHints{Semi: l.semi, Views: &eval.Views{NoHits: true}}}
 	if !l.NoViewCache {
-		res.Hints.Views = eval.PlanViews(out, l.splits...)
+		res.Hints.Views = eval.PlanViews(out, &l.blocks, l.splits...)
 	}
 	res.Changed = changed || len(l.semi) > 0
 	return res
@@ -92,7 +93,7 @@ func (l *lowerer) lowerSemi(sj algebra.SemiJoin, changed bool) (algebra.Expr, bo
 	isServed := func() bool {
 		if !known {
 			known = true
-			served = !l.NoViewCache && (eval.Drains(l.root, sel, false) > 1 || eval.Drains(sj.L, sel, true) > 0)
+			served = !l.NoViewCache && (eval.Drains(l.root, sel, nil) > 1 || eval.Drains(sj.L, sel, &l.blocks) > 0)
 		}
 		return served
 	}
@@ -107,7 +108,7 @@ func (l *lowerer) lowerSemi(sj algebra.SemiJoin, changed bool) (algebra.Expr, bo
 			sel, isSel = sj.R.(algebra.Select)
 		}
 		if read, nulls, ok := splitRead(sel); ok && isSel && len(keys) > 0 && !l.NoViewCache &&
-			eval.ViewKey(read) != "" && !isServed() && eval.Drains(sj.L, read, true) > 0 {
+			eval.ViewKey(read) != "" && !isServed() && eval.Drains(sj.L, read, &l.blocks) > 0 {
 			h.Split = &eval.SplitBuild{Cached: read, Nulls: nulls}
 			l.splits = append(l.splits, read)
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"certsql/internal/algebra"
-	"certsql/internal/stats"
 )
 
 // colOrigin traces output column col of e back to a base-table column
@@ -58,18 +57,4 @@ func colOrigin(e algebra.Expr, col int) (tbl string, bcol int, ok bool) {
 			return "", 0, false
 		}
 	}
-}
-
-// originStats returns the statistics of the base column that output
-// column col of e traces to.
-func originStats(e algebra.Expr, st *stats.DBStats, col int) (*stats.TableStats, int, bool) {
-	tbl, bcol, ok := colOrigin(e, col)
-	if !ok || st == nil {
-		return nil, 0, false
-	}
-	ts := st.Table(tbl)
-	if ts == nil || bcol >= len(ts.Cols) {
-		return nil, 0, false
-	}
-	return ts, bcol, true
 }

@@ -2,8 +2,8 @@
 // (internal/certain producing Q⁺/Q⋆ algebra) and evaluation
 // (internal/eval): it rewrites plans from the schema's nullability
 // (internal/analyze), lowers the result to the one physical plan the
-// executor runs, and prices that plan for EXPLAIN with per-table
-// statistics (internal/stats).
+// executor runs, and prices that plan for EXPLAIN with the counts the
+// tables hold (Describe).
 //
 // The planner's contract is strict: an optimized plan must produce a
 // byte-identical result table to the paper-faithful naive plan, under
@@ -24,10 +24,11 @@
 //     current data: a plan is sound on every database of the schema,
 //     so a cached plan needs no re-check when the data changes.
 //   - Rewrite reads nothing else either: anti-split's cost gate prices
-//     both plans with the statistics-free estimates (defaultRows and
-//     default null rates), so the same query and schema always give
-//     the same plan. Statistics only price the EXPLAIN tree (Optimize,
-//     Describe).
+//     both plans with the data-free estimates (defaultRows and default
+//     null rates), so the same query and schema always give the same
+//     plan. This holds by type: the optimizer has no field that reaches
+//     a table. Only Describe, which prices the EXPLAIN tree, is handed
+//     the database.
 //
 // The physical lowering (Lower, and the last step of Rewrite) runs on
 // both routes and makes the decisions the executor used to make at run
@@ -45,6 +46,7 @@ import (
 	"certsql/internal/guard"
 	"certsql/internal/schema"
 	"certsql/internal/stats"
+	"certsql/internal/table"
 )
 
 // RuleKind identifies one planner rule. tools/vetcert checks that any
@@ -111,15 +113,13 @@ func (k RuleKind) String() string {
 	}
 }
 
-// Premise is not built or read by the planner: plans depend only on
-// the query and the schema, so there is no data-dependent fact to
-// record. It is kept only because the benchmark module (bench/) still
-// names it, through Result.Premises, ShardResult.Premises and
-// plancache.Optimized.Premises.
+// Premise is never built: plans depend only on the query and the
+// schema. It is kept only because bench/ names it; ROADMAP item 1
+// deletes it.
 type Premise struct{}
 
-// CheckPremises returns true. It is kept only because the benchmark
-// module (bench/) still calls it; see Premise.
+// CheckPremises returns true. It is kept only because bench/ names it;
+// ROADMAP item 1 deletes it.
 func CheckPremises([]Premise, *stats.DBStats) bool { return true }
 
 // Result is an optimized plan: the rewritten expression, the execution
@@ -165,24 +165,26 @@ func Rewrite(e algebra.Expr, sch *schema.Schema, ph Physical, gov *guard.Governo
 }
 
 // Optimize is Rewrite for the default setting (SQL3VL, view cache on)
-// plus the costed EXPLAIN tree of the plan, priced with st's
-// cardinalities and null rates (nil prices with defaults). The plan
-// itself does not depend on st.
+// plus the plan's EXPLAIN tree, described with no data. It ignores st,
+// and is kept only because bench/ names it; ROADMAP item 1 deletes it.
 func Optimize(e algebra.Expr, sch *schema.Schema, st *stats.DBStats, gov *guard.Governor) (*Result, error) {
 	res, err := Rewrite(e, sch, Physical{}, gov)
 	if err != nil {
 		return nil, err
 	}
-	res.Explain = Describe(res.Expr, res.Hints, sch, st)
+	res.Explain = Describe(res.Expr, res.Hints, sch, nil)
 	return res, nil
 }
 
 // Describe costs e, annotated with hints (nil allowed), without
-// rewriting it — the EXPLAIN tree of a planned expression.
-func Describe(e algebra.Expr, hints *eval.PlanHints, sch *schema.Schema, st *stats.DBStats) *ExplainNode {
-	o := &optimizer{sch: sch, st: st}
+// rewriting it — the EXPLAIN tree of a planned expression. It prices
+// with Rewrite's data-free estimates, refined by what db's tables hold
+// exactly (nil db: none): a relation's rows, a stored column's null
+// lists, and a single-column primary key's rows as its distinct count.
+func Describe(e algebra.Expr, hints *eval.PlanHints, sch *schema.Schema, db *table.Database) *ExplainNode {
+	d := &describer{sch: sch, db: db}
 	if hints != nil && hints.Views != nil && !hints.Views.NoHits {
-		o.drained = map[string]bool{}
+		d.drained = map[string]bool{}
 	}
-	return o.describe(e, hints)
+	return d.describe(e, hints)
 }

@@ -14,7 +14,6 @@ import (
 	"certsql/internal/qgen"
 	"certsql/internal/schema"
 	"certsql/internal/sql"
-	"certsql/internal/stats"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -53,8 +52,15 @@ func planDB(t *testing.T) *table.Database {
 	return db
 }
 
-func collect(db *table.Database) *stats.DBStats {
-	return stats.NewCollector().Collect(db)
+// optimize plans e for the default setting and prices its EXPLAIN tree
+// with db's counts, as the facade's EXPLAIN does.
+func optimize(e algebra.Expr, db *table.Database) (*plan.Result, error) {
+	res, err := plan.Rewrite(e, db.Schema, plan.Physical{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Explain = plan.Describe(res.Expr, res.Hints, db.Schema, db)
+	return res, nil
 }
 
 // TestRuleFamily checks the rule kinds' names, which EXPLAIN's rules:
@@ -76,18 +82,17 @@ func TestRuleFamily(t *testing.T) {
 
 // TestNullTestElimKeepsNullableTest checks that null-test elimination
 // rests on the schema alone: r.a is nullable, so a filter on it stays
-// although the statistics show the column holds no nulls today.
+// although the column holds no nulls today.
 func TestNullTestElimKeepsNullableTest(t *testing.T) {
 	db := planDB(t)
-	st := collect(db)
-	if n := st.Table("r").Cols[0].Nulls; n != 0 {
-		t.Fatalf("r.a holds %d nulls, want 0", n)
+	if rows, _ := db.MustTable("r").NullRows(0); len(rows) != 0 {
+		t.Fatalf("r.a holds %d nulls, want 0", len(rows))
 	}
 	e := algebra.Select{
 		Child: algebra.Base{Name: "r", Cols: 2},
 		Cond:  algebra.NullTest{Operand: algebra.Col{Idx: 0}, Negated: true},
 	}
-	res, err := plan.Optimize(e, db.Schema, st, nil)
+	res, err := optimize(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestNullTestElimLeavesServedSelect(t *testing.T) {
 		Child: algebra.Base{Name: "r", Cols: 2},
 		Cond:  algebra.NullTest{Operand: algebra.Col{Idx: 0}},
 	}
-	res, err := plan.Optimize(e, db.Schema, collect(db), nil)
+	res, err := optimize(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +195,6 @@ func TestAntiSplitShape(t *testing.T) {
 // build pass and the planner must refuse it.
 func TestAntiSplitCostGate(t *testing.T) {
 	db := planDB(t)
-	st := collect(db)
 	cond := algebra.NewAnd(
 		algebra.NewOr(
 			algebra.Cmp{Op: algebra.NE, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
@@ -199,7 +203,7 @@ func TestAntiSplitCostGate(t *testing.T) {
 		algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
 	)
 	e := algebra.SemiJoin{L: algebra.Base{Name: "r", Cols: 2}, R: algebra.Base{Name: "s", Cols: 1}, Cond: cond, Anti: true}
-	res, err := plan.Optimize(e, db.Schema, st, nil)
+	res, err := optimize(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func TestWildHashStrategy(t *testing.T) {
 	)
 	e := algebra.SemiJoin{L: algebra.Base{Name: "r", Cols: 2}, R: algebra.Base{Name: "s", Cols: 1}, Cond: edge, Anti: true}
 
-	naive := plan.Describe(e, nil, db.Schema, collect(db))
+	naive := plan.Describe(e, nil, db.Schema, db)
 	if text := naive.Render(); !strings.Contains(text, "strategy=wild-hash") {
 		t.Fatalf("EXPLAIN does not name the strategy:\n%s", text)
 	}
@@ -255,7 +259,7 @@ func TestWildHashStrategy(t *testing.T) {
 		e.L = l
 		var plans []string
 		for _, d := range []*table.Database{db, clean} {
-			res, err := plan.Optimize(e, d.Schema, collect(d), nil)
+			res, err := optimize(e, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,13 +279,12 @@ func TestWildHashStrategy(t *testing.T) {
 // exact.
 func TestSemiHints(t *testing.T) {
 	db := planDB(t)
-	st := collect(db)
 	e := algebra.SemiJoin{
 		L:    algebra.Base{Name: "r", Cols: 2},
 		R:    algebra.Base{Name: "s", Cols: 1},
 		Cond: algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
 	}
-	res, err := plan.Optimize(e, db.Schema, st, nil)
+	res, err := optimize(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,9 +358,8 @@ func TestOptimizeByteIdentity(t *testing.T) {
 				SimplifyNulls: true, SplitOrs: true, KeySimplify: true}
 			exprs = append(exprs, tr.Plus(compiled.Expr), tr.Star(compiled.Expr))
 		}
-		st := collect(db)
 		for ei, e := range exprs {
-			res, err := plan.Optimize(e, db.Schema, st, nil)
+			res, err := optimize(e, db)
 			if err != nil {
 				t.Fatalf("seed %d expr %d: optimize: %v", seed, ei, err)
 			}
@@ -394,21 +396,20 @@ func TestOptimizeByteIdentity(t *testing.T) {
 }
 
 // TestExplainDeterministic pins the EXPLAIN rendering contract: two
-// optimizations of the same expression over the same statistics render
-// identical text, and the header names the fired rules — here
-// null-test-elim, dropping a test on the NOT NULL column r.b.
+// optimizations of the same expression render identical text, and the
+// header names the fired rules — here null-test-elim, dropping a test
+// on the NOT NULL column r.b.
 func TestExplainDeterministic(t *testing.T) {
 	db := planDB(t)
-	st := collect(db)
 	e := algebra.Select{
 		Child: algebra.Base{Name: "r", Cols: 2},
 		Cond:  algebra.NullTest{Operand: algebra.Col{Idx: 1}, Negated: true},
 	}
-	r1, err := plan.Optimize(e, db.Schema, st, nil)
+	r1, err := optimize(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plan.Optimize(e, db.Schema, st, nil)
+	r2, err := optimize(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}

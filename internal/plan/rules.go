@@ -4,18 +4,14 @@ import (
 	"certsql/internal/algebra"
 	"certsql/internal/analyze"
 	"certsql/internal/schema"
-	"certsql/internal/stats"
 )
 
-// optimizer is one planning pass's state: the catalog, the statistics
-// snapshot that prices the EXPLAIN tree (nil while rewriting), the
-// rules fired so far and, while describing a plan the view cache serves,
-// the view keys drained so far.
+// optimizer is one rewrite pass's state: the catalog and the rules fired
+// so far. It reaches no data: its cost gate prices with the zero
+// describer's data-free defaults.
 type optimizer struct {
-	sch     *schema.Schema
-	st      *stats.DBStats
-	fired   map[RuleKind]bool
-	drained map[string]bool
+	sch   *schema.Schema
+	fired map[RuleKind]bool
 }
 
 // rewrite rebuilds e bottom-up, applying every rewrite rule whose
@@ -198,7 +194,7 @@ func (o *optimizer) rewriteSemi(n algebra.SemiJoin) algebra.Expr {
 // vacuous and dropped; when rest is empty the ρ-part is uncorrelated
 // and short-circuits.
 //
-// The split is kept only when the cost model, on the statistics-free
+// The split is kept only when the cost model, on the data-free
 // estimates the rewrite uses, prices it below the original antijoin. It
 // wins when the unsplit condition has nothing the runtime can index (θ
 // is not an equality, say `LIKE … OR IS NULL`, so the unsplit antijoin
@@ -255,44 +251,28 @@ func (o *optimizer) antiSplit(sj algebra.SemiJoin) (algebra.Expr, bool) {
 		if hasMinters(sj.L) && thetaCond != nil && !algebra.UsesColBelow(thetaCond, nL) {
 			return nil, false
 		}
+		rhoPart := func(l algebra.Expr) algebra.Expr {
+			return algebra.SemiJoin{L: l, R: algebra.Select{Child: sj.R, Cond: algebra.NewOr(rho...)},
+				Cond: algebra.NewAnd(rest...), Anti: true}
+		}
+		thetaPart := func(l algebra.Expr) algebra.Expr {
+			return algebra.SemiJoin{L: l, R: algebra.Select{Child: sj.R, Cond: algebra.NewAnd(rhoNeg...)},
+				Cond: thetaCond, Anti: true}
+		}
 		var split algebra.Expr
-		if thetaCond == nil {
-			split = algebra.SemiJoin{
-				L:    sj.L,
-				R:    algebra.Select{Child: sj.R, Cond: algebra.NewOr(rho...)},
-				Cond: algebra.NewAnd(rest...),
-				Anti: true,
-			}
-		} else if hasMinters(sj.L) {
+		switch {
+		case thetaCond == nil:
+			split = rhoPart(sj.L)
+		case hasMinters(sj.L):
 			// θ-part innermost: the correlated antijoin pins L's single
 			// evaluation; the uncorrelated ρ-part then filters its rows.
-			split = algebra.SemiJoin{
-				L: algebra.SemiJoin{
-					L:    sj.L,
-					R:    algebra.Select{Child: sj.R, Cond: algebra.NewAnd(rhoNeg...)},
-					Cond: thetaCond,
-					Anti: true,
-				},
-				R:    algebra.Select{Child: sj.R, Cond: algebra.NewOr(rho...)},
-				Cond: algebra.NewAnd(rest...),
-				Anti: true,
-			}
-		} else {
+			split = rhoPart(thetaPart(sj.L))
+		default:
 			// ρ-part innermost: when any ρ∧rest row exists the inner
 			// antijoin can empty the pipeline before the θ-part builds.
-			split = algebra.SemiJoin{
-				L: algebra.SemiJoin{
-					L:    sj.L,
-					R:    algebra.Select{Child: sj.R, Cond: algebra.NewOr(rho...)},
-					Cond: algebra.NewAnd(rest...),
-					Anti: true,
-				},
-				R:    algebra.Select{Child: sj.R, Cond: algebra.NewAnd(rhoNeg...)},
-				Cond: thetaCond,
-				Anti: true,
-			}
+			split = thetaPart(rhoPart(sj.L))
 		}
-		if o.estimate(split).cost >= o.estimate(sj).cost {
+		if d := (&describer{}); d.estimate(split).cost >= d.estimate(sj).cost {
 			continue // splitting this disjunction doesn't pay
 		}
 		return split, true

@@ -546,13 +546,46 @@ func (g *gen) conjunct(cols, outer []colInfo, depth int) sql.Expr {
 }
 
 // existsConjunct draws [NOT] EXISTS (SELECT * FROM …), usually
-// correlated with the enclosing block through one comparison.
+// correlated with the enclosing block through one comparison, and in a
+// fifth of the draws with that comparison's inner column guarded
+// (guardedSub).
 func (g *gen) existsConjunct(cols []colInfo, depth int) sql.Expr {
-	sub := g.selectStmt(selOpts{star: true, depth: depth - 1, outer: cols})
+	var sub *sql.SelectStmt
+	if g.rng.Float64() < 0.2 {
+		sub = g.guardedSub(cols)
+	}
+	if sub == nil {
+		sub = g.selectStmt(selOpts{star: true, depth: depth - 1, outer: cols})
+	}
 	return sql.ExistsExpr{
 		Sub:     &sql.Query{Body: sub},
 		Negated: g.rng.Intn(2) == 0,
 	}
+}
+
+// guardedSub draws SELECT * FROM R t WHERE t.a = o AND t.a IS NOT
+// NULL, where o is a column of the enclosing block and a its attribute
+// of relation R, or returns nil when a is NOT NULL. Under SQL3VL the
+// guard is redundant beside the comparison, which is unknown on a null,
+// and the planner drops it; under naive semantics a marked null equals
+// itself, so the guard must stay: an outer row whose o holds a mark
+// meets the inner row holding it.
+func (g *gen) guardedSub(outer []colInfo) *sql.SelectStmt {
+	o := outer[g.rng.Intn(len(outer))]
+	for _, name := range g.sch.Names() {
+		rel, _ := g.sch.Relation(name)
+		for _, a := range rel.Attrs {
+			if a.Name == o.name && a.Nullable {
+				g.aliasID++
+				alias := fmt.Sprintf("t%d", g.aliasID)
+				c := sql.ColRef{Qualifier: alias, Name: a.Name}
+				return &sql.SelectStmt{Star: true, From: []sql.TableRef{{Table: name, Alias: alias}},
+					Where: sql.AndExpr{L: sql.CmpExpr{Op: "=", L: c, R: sql.ColRef{Qualifier: o.qual, Name: o.name}},
+						R: sql.IsNullExpr{E: c, Negated: true}}}
+			}
+		}
+	}
+	return nil
 }
 
 // inSubConjunct draws E [NOT] IN (SELECT col FROM …) with matching

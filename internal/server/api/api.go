@@ -161,8 +161,10 @@ type TableInfo struct {
 	Columns []ColumnInfo `json:"columns"`
 }
 
-// ColumnInfo describes one attribute, including the planner's current
-// statistics for it.
+// ColumnInfo describes one attribute: its declaration and, from the
+// snapshot the response reads, the fraction of its rows holding a
+// marked null. It carries no distinct count: an exact one would hash
+// every column on every request, and no plan reads one.
 type ColumnInfo struct {
 	Name     string `json:"name"`
 	Type     string `json:"type"`
@@ -170,11 +172,6 @@ type ColumnInfo struct {
 	// NullRate is the fraction of rows whose value is a marked null
 	// (0 on an empty table).
 	NullRate float64 `json:"null_rate"`
-	// Distinct estimates the number of distinct non-null values;
-	// DistinctExact reports whether it is an exact count rather than a
-	// sketch estimate.
-	Distinct      int64 `json:"distinct"`
-	DistinctExact bool  `json:"distinct_exact"`
 }
 
 // Error is the body of every non-2xx response.

@@ -497,21 +497,18 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	}
 	sess := s.sessions().get(r.URL.Query().Get("session"))
 	snap := sess.store.Snapshot()
-	// One collection serves the whole response; the session collector's
-	// generation cache makes this O(1) for tables unchanged since the
-	// last catalog or EXPLAIN request collected them.
-	st := sess.stats.Collect(snap.DB)
 	resp := &api.CatalogResponse{Version: snap.Version}
 	for _, name := range snap.DB.Schema.Names() {
 		rel, _ := snap.DB.Schema.Relation(name)
-		info := api.TableInfo{Name: name, Rows: snap.DB.MustTable(name).Len()}
-		ts := st.Table(name)
+		t := snap.DB.MustTable(name)
+		info := api.TableInfo{Name: name, Rows: t.Len()}
 		for i, a := range rel.Attrs {
 			ci := api.ColumnInfo{Name: a.Name, Type: a.Type.String(), Nullable: a.Nullable}
-			if ts != nil && i < len(ts.Cols) {
-				ci.NullRate = ts.NullRate(i)
-				ci.Distinct = ts.Cols[i].Distinct
-				ci.DistinctExact = ts.Cols[i].DistinctExact
+			// The null lists are built once per table generation and
+			// shared with the executor; a NOT NULL column holds none.
+			if a.Nullable && t.Len() > 0 {
+				rows, _ := t.NullRows(i)
+				ci.NullRate = float64(len(rows)) / float64(t.Len())
 			}
 			info.Columns = append(info.Columns, ci)
 		}

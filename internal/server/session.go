@@ -6,7 +6,6 @@ import (
 
 	"certsql"
 	"certsql/internal/plancache"
-	"certsql/internal/stats"
 	"certsql/internal/table"
 )
 
@@ -35,15 +34,10 @@ type Catalog interface {
 // The plan cache is shared across versions on purpose — plans are
 // keyed by catalog version, so a publish implicitly invalidates every
 // older plan (it misses and ages out of the LRU) with no cache sweep.
-// The statistics collector is shared across snapshots the same way:
-// its per-table generation cache makes re-collection O(1) on tables a
-// publish did not touch. Only EXPLAIN and the catalog endpoint collect;
-// query execution reads no statistics.
 type session struct {
 	name  string
 	store Catalog
 	plans *plancache.Cache
-	stats *stats.Collector
 
 	mu       sync.Mutex
 	prepared map[string]*certsql.Prepared
@@ -55,7 +49,7 @@ type session struct {
 // internally consistent and immutable.
 func (s *session) view() *certsql.DB {
 	snap := s.store.Snapshot()
-	return certsql.FromSnapshot(snap.DB, snap.Version, s.plans).WithStatsCollector(s.stats)
+	return certsql.FromSnapshot(snap.DB, snap.Version, s.plans)
 }
 
 // register stores a prepared statement and returns its handle.
@@ -119,7 +113,6 @@ func (ss *sessions) get(name string) *session {
 			name:     name,
 			store:    store,
 			plans:    plancache.New(0),
-			stats:    stats.NewCollector(),
 			prepared: map[string]*certsql.Prepared{},
 		}
 		ss.byID[name] = s

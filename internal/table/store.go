@@ -43,8 +43,7 @@ type Store struct {
 // or successful Update), under the publisher mutex and in registration
 // order, with the just-published snapshot. Hooks therefore observe
 // every version exactly once and in order; a slow hook delays later
-// publishers but never readers. The statistics collector uses this to
-// keep per-table statistics fresh incrementally.
+// publishers but never readers.
 func (s *Store) OnPublish(fn func(*Snapshot)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -52,13 +51,12 @@ func (s *Store) OnPublish(fn func(*Snapshot)) {
 }
 
 // notify runs the publish hooks; the caller holds s.mu. Each hook runs
-// under its own panic containment: a subscriber that panics (a buggy
-// statistics collector, a broken replication hook) must not kill the
-// writer whose Update triggered the publish, and must not starve the
-// hooks registered after it — the snapshot is already published at
-// this point, so aborting mid-notify would leave later subscribers
-// permanently behind the version sequence. Contained panics are
-// counted (HookPanics) so tests and operators can see them.
+// under its own panic containment: a subscriber that panics must not
+// kill the writer whose Update triggered the publish, and must not
+// starve the hooks registered after it — the snapshot is already
+// published at this point, so aborting mid-notify would leave later
+// subscribers permanently behind the version sequence. Contained panics
+// are counted (HookPanics) so tests and operators can see them.
 func (s *Store) notify(snap *Snapshot) {
 	for _, fn := range s.onPublish {
 		s.notifyOne(fn, snap)

@@ -57,9 +57,9 @@ func (p *Packer) Pack(r Row) Row {
 // genCounter mints globally unique table generations. Every mutation of
 // any table assigns a fresh generation, so two tables with the same
 // generation are guaranteed to hold identical rows — the property the
-// statistics collector's cache keys on. Clone deliberately copies the
-// generation: a clone has the same content, so sharing cached per-table
-// statistics across copy-on-write publishes is sound.
+// null lists (NullRows) key on. Clone deliberately copies the
+// generation: a clone has the same content, so sharing its null lists
+// across copy-on-write publishes is sound.
 var genCounter atomic.Uint64
 
 // Table is a bag of rows of a fixed arity. A stored relation's values
@@ -115,8 +115,8 @@ func (t *Table) Rows() []Row { return t.rows }
 // Generation returns the table's content generation: a globally unique
 // id reassigned on every mutation. Equal generations imply identical
 // content (Clone preserves the generation; mutation always changes it),
-// so caches of content-derived artifacts — per-table statistics — can
-// key on (relation name, generation).
+// so caches of content-derived artifacts can key on (relation name,
+// generation).
 func (t *Table) Generation() uint64 { return t.gen }
 
 // Row returns the i-th row.

@@ -350,8 +350,8 @@ func InjectNulls(db *table.Database, rate float64, rng *rand.Rand) {
 // tables when none are named). The paper's experiments choose which
 // attributes receive nulls per scenario; restricting injection leaves
 // the remaining tables complete, so their nullable columns stay
-// null-free in the data — the case a statistics-driven planner can
-// prove and exploit. Each table is rebuilt in one ordered pass
+// null-free in the data, which only a plan that read the data could
+// exploit. Each table is rebuilt in one ordered pass
 // (Database.Rewrite), so its rows stay packed in position order.
 func InjectNullsInto(db *table.Database, rate float64, rng *rand.Rand, tables ...string) {
 	names := db.Schema.Names()

@@ -56,9 +56,8 @@ const keyPrime uint64 = 1099511628211
 // FoldKey folds v's canonical encoding into the running FNV-1a state h,
 // byte for byte, without materializing the encoding: folding a row's
 // values in order yields exactly FNV-1a over AppendKey's concatenated
-// bytes (a property test pins this). Its callers are the statistics'
-// distinct-value hash, which counts values under this one identity,
-// and shard.HashRow, which the benchmark module still times.
+// bytes (a property test pins this). Its caller is shard.HashRow, which
+// the benchmark module still times.
 func FoldKey(h uint64, v Value) uint64 {
 	switch v.kind {
 	case KindNull:

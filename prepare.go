@@ -159,12 +159,8 @@ func (db *DB) explain(gov *guard.Governor, text string, q *sql.Query, params Par
 		return "", err
 	}
 	o := pick(pl, pl.Mode, opts)
-	st, err := db.stats.CollectGoverned(gov, db.d)
-	if err != nil {
-		return "", err
-	}
 	pr := &plan.Result{Expr: o.Expr, Hints: o.Hints, Fired: o.Fired,
-		Explain: plan.Describe(o.Expr, o.Hints, db.d.Schema, st)}
+		Explain: plan.Describe(o.Expr, o.Hints, db.d.Schema, db.d)}
 	return pr.ExplainText(), nil
 }
 

@@ -1,18 +1,14 @@
 package certsql
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"certsql/internal/algebra"
-	"certsql/internal/guard"
-	"certsql/internal/guard/faultinject"
 	"certsql/internal/plan"
 	"certsql/internal/plancache"
-	"certsql/internal/stats"
 	"certsql/internal/tpch"
 )
 
@@ -56,14 +52,13 @@ func routeCases(t *testing.T) []routeCase {
 
 // TestExplainRendersExecutedPlan: EXPLAIN shows exactly what Execute
 // runs. After a prepared execution, the cached plan's rewrite of the
-// mode's expression is the planner's (plan.Optimize, which reads the
-// statistics only to price the tree), and ExplainPlan renders that
-// rewrite with its rules and hints; with NaivePlanner it renders the
+// mode's expression is the planner's (plan.Rewrite), and ExplainPlan
+// renders that rewrite with its rules and hints, priced with the
+// database's counts (plan.Describe); with NaivePlanner it renders the
 // unrewritten expression, lowered (plan.Lower).
 func TestExplainRendersExecutedPlan(t *testing.T) {
 	inst := tpch.Generate(routeCfg)
 	db := FromInternal(inst)
-	st := stats.NewCollector().Collect(inst)
 	for _, c := range routeCases(t) {
 		p, err := db.Prepare(c.text)
 		if err != nil {
@@ -87,10 +82,11 @@ func TestExplainRendersExecutedPlan(t *testing.T) {
 		default:
 			base, ran = pl.Orig, pl.OrigOpt
 		}
-		want, err := plan.Optimize(base, inst.Schema, st, nil)
+		want, err := plan.Rewrite(base, inst.Schema, c.opts.physical(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want.Explain = plan.Describe(want.Expr, want.Hints, inst.Schema, inst)
 		if ran.Expr.Key() != want.Expr.Key() || !reflect.DeepEqual(ran.Hints, want.Hints) {
 			t.Errorf("%s: Execute ran\n%s\nthe planner gives\n%s", c.name, ran.Expr.Key(), want.Expr.Key())
 		}
@@ -108,49 +104,8 @@ func TestExplainRendersExecutedPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		low := plan.Lower(base, naiveOpts.physical())
-		if tree := plan.Describe(low.Expr, low.Hints, inst.Schema, st).Render(); !strings.HasSuffix(naive, "rules: (none)\n"+tree) {
+		if tree := plan.Describe(low.Expr, low.Hints, inst.Schema, inst).Render(); !strings.HasSuffix(naive, "rules: (none)\n"+tree) {
 			t.Errorf("%s: naive EXPLAIN\n%s\ndoes not render the lowered unrewritten plan\n%s", c.name, naive, tree)
-		}
-	}
-}
-
-// TestExecutionReadsNoStatistics: a fault armed at the statistics
-// collector's first table scan never fires on Query or on a prepared
-// statement's cold and warm Execute, in any mode, on either planner
-// route — on a fresh DB, whose collector has scanned nothing. EXPLAIN,
-// which prices its tree with statistics, is the control: the same fault
-// fails it.
-func TestExecutionReadsNoStatistics(t *testing.T) {
-	inst := tpch.Generate(routeCfg)
-	armed := func(opts Options) (Options, *faultinject.Injector) {
-		inj := faultinject.New(faultinject.Fault{Site: guard.SiteStatsCollect, Kind: faultinject.KindError, HitNumber: 1})
-		opts.Guard = guard.Background(guard.Limits{})
-		opts.Guard.SetFaultHook(inj)
-		return opts, inj
-	}
-	for _, c := range routeCases(t) {
-		for _, naive := range []bool{false, true} {
-			db := FromInternal(inst)
-			c.opts.NaivePlanner = naive
-			opts, inj := armed(c.opts)
-			if _, err := db.QueryWithOptions(c.text, c.params, opts); err != nil {
-				t.Fatalf("%s naive-planner=%v: Query: %v", c.name, naive, err)
-			}
-			p, err := db.Prepare(c.text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for run := 0; run < 2; run++ {
-				if _, err := p.ExecuteWithOptions(c.params, opts); err != nil {
-					t.Fatalf("%s naive-planner=%v: Execute %d: %v", c.name, naive, run, err)
-				}
-			}
-			if n := inj.Hits(guard.SiteStatsCollect); n != 0 {
-				t.Errorf("%s naive-planner=%v: execution reached the statistics collector %d time(s)", c.name, naive, n)
-			}
-			if _, err := db.ExplainPlan(c.text, c.params, opts); !errors.Is(err, faultinject.ErrInjected) {
-				t.Errorf("%s naive-planner=%v: EXPLAIN under the armed fault: err = %v, want the injected fault", c.name, naive, err)
-			}
 		}
 	}
 }
