@@ -60,12 +60,12 @@ race:
 # routing, the rows with their hash index, the values with their key
 # encoding, the translations with brute force, the definitional
 # oracle, the differential tests, the experiment runners, the TPC-H
-# substrate with its detectors and the server — then the non-test Go
-# lines outside bench/ and all Go lines outside bench/, so a deletion
-# claim is regenerated rather than pasted.
+# substrate with its detectors, the server and the durable store — then
+# the non-test Go lines outside bench/ and all Go lines outside bench/,
+# so a deletion claim is regenerated rather than pasted.
 loc:
 	@printf '%-26s %s\n' 'facade (root)' "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@for d in internal/algebra internal/plancache internal/eval internal/plan internal/stats internal/analyze internal/shard internal/table internal/value internal/guard internal/certain internal/refeval internal/difftest internal/experiment internal/tpch internal/server tools; do \
+	@for d in internal/algebra internal/plancache internal/eval internal/plan internal/stats internal/analyze internal/shard internal/table internal/value internal/guard internal/certain internal/refeval internal/difftest internal/experiment internal/tpch internal/server internal/persist tools; do \
 		printf '%-26s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; done
 	@printf '%-26s %s\n' 'non-test Go outside bench/' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf '%-26s %s\n' 'all Go outside bench/' "$$(find . -name '*.go' ! -path './bench/*' | xargs cat | wc -l)"
@@ -198,8 +198,10 @@ chaos-crash:
 # serve-smoke is the end-to-end check of the serving layer: build
 # certsqld and the shell, start the server on a random port, run the
 # paper's Q1-Q4 twice each through the remote client, assert from
-# /metrics that the plan cache served repeats and that no request ended
-# in a 5xx, then SIGTERM and require a clean drain (exit 0).
+# /metrics that the plan cache served repeats, load one row and run
+# Q1-Q4 again with no new plan-cache miss at catalog version 2, assert
+# that no request ended in a 5xx, then SIGTERM and require a clean
+# drain (exit 0).
 serve-smoke:
 	GO=$(GO) ./scripts/serve_smoke.sh
 

@@ -93,8 +93,8 @@ type Options struct {
 	// every plan — the paper-faithful greedy configuration, kept as an
 	// ablation. The planner never changes results (its rewrites are
 	// byte-identity-preserving and difftest enforces that), so this
-	// toggle only trades plan quality; it shares plan-cache entries with
-	// the default configuration.
+	// toggle only trades plan quality. It is part of the plan-cache key:
+	// a cached plan holds one route's plans.
 	NaivePlanner bool
 
 	// NoAnalyzerFastPath is not read: SELECT CERTAIN always runs Q⁺. It
@@ -201,13 +201,12 @@ func (o Options) translator(db *DB) *certain.Translator {
 
 // DB is an in-memory incomplete database.
 //
-// A DB also carries the state the prepared-execution path needs: a
-// plan cache (see Prepare) and the catalog version the cache keys on.
-// A standalone DB stays at version 0 for its lifetime — its schema
-// never changes, so its cached plans never go stale. The serving
-// layer instead builds a DB view per published snapshot with
-// FromSnapshot, sharing one cache across versions so a catalog swap
-// implicitly invalidates every older plan.
+// A DB also carries the plan cache the prepared-execution path reads
+// (see Prepare). A plan is keyed on the schema it was compiled against,
+// not on the data, so it stays valid however the data changes. The
+// serving layer builds a DB view per published snapshot with
+// FromSnapshot, sharing one cache across views: every snapshot of a
+// catalog shares its schema, so a publish reuses every cached plan.
 type DB struct {
 	d      *table.Database
 	catver uint64
@@ -225,9 +224,9 @@ func FromInternal(d *table.Database) *DB { return wrap(d) }
 
 // FromSnapshot adopts one published snapshot of a table.Store: a
 // read-only view of d at the given catalog version, whose prepared
-// executions key into the shared plan cache under that version. Plans
-// compiled against earlier versions miss and age out of the LRU — the
-// snapshot swap is the cache invalidation. A nil cache allocates a
+// executions key into the shared plan cache under d's schema. Plans
+// compiled against any snapshot of the same catalog hit; the version
+// only labels results (CatalogVersion). A nil cache allocates a
 // private one (useful in tests).
 func FromSnapshot(d *table.Database, version uint64, plans *plancache.Cache) *DB {
 	if plans == nil {
@@ -442,7 +441,7 @@ func takeMode(q *sql.Query) plancache.Mode {
 // runParsed runs an ad-hoc query: the prepared route's plan, compiled
 // for this one execution and not cached.
 func (db *DB) runParsed(gov *guard.Governor, q *sql.Query, params Params, opts Options) (*Result, error) {
-	pl, err := db.compilePlan(gov, q, params, opts, false)
+	pl, err := db.compilePlan(gov, q, params, opts)
 	if err != nil {
 		return nil, err
 	}

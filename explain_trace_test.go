@@ -1,8 +1,10 @@
 package certsql_test
 
 import (
+	"math"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,7 +128,8 @@ func TestTraceReadsAppearInExplain(t *testing.T) {
 // stored tables hold: for Q1–Q4, standard and CERTAIN, on both routes,
 // every full scan of a relation R shows R's rows, and every null-list
 // read shows the rows with a null in one of its columns, counted here
-// from the rows themselves.
+// from the rows themselves. A split build side ({split}) is read as its
+// two parts, so it shows the sum of their rows.
 func TestExplainLeavesAreExact(t *testing.T) {
 	db, sizes := goldenDB()
 	inst := db.Internal()
@@ -146,12 +149,30 @@ func TestExplainLeavesAreExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				access := map[int]string{} // as in planReads
+				split, splitRows, partRows := -1, 0.0, 0.0
+				checkSplit := func(depth int) {
+					if split >= 0 && depth <= split {
+						checked["split"]++
+						if math.Abs(splitRows-partRows) > 1e-3*partRows {
+							t.Errorf("%s/%s NaivePlanner=%v: a {split} build shows %g rows, its parts %g", q, mode, naivePlanner, splitRows, partRows)
+						}
+						split = -1
+					}
+				}
 				for _, line := range strings.Split(plan, "\n") {
 					m := planNode.FindStringSubmatch(line)
 					if m == nil {
 						continue
 					}
 					depth, op, detail := len(m[1])/2, m[2], m[3]
+					checkSplit(depth)
+					n, _ := strconv.ParseFloat(rows.FindStringSubmatch(line)[1], 64)
+					switch {
+					case split >= 0 && depth == split+1:
+						partRows += n
+					case split < 0 && slices.Contains(strings.Split(m[4], ", "), "split"):
+						split, splitRows, partRows = depth, n, 0
+					}
 					access[depth] = ""
 					if a := planAccess.FindStringSubmatch(m[4]); a != nil {
 						access[depth] = a[1]
@@ -181,10 +202,11 @@ func TestExplainLeavesAreExact(t *testing.T) {
 						t.Errorf("%s/%s NaivePlanner=%v: %q shows %s rows, the table gives %d", q, mode, naivePlanner, strings.TrimSpace(line), got, want)
 					}
 				}
+				checkSplit(0)
 			}
 		}
 	}
-	if checked["scan"] == 0 || checked["nulls"] == 0 {
+	if checked["scan"] == 0 || checked["nulls"] == 0 || checked["split"] == 0 {
 		t.Errorf("checked %v: the test compares nothing of one access", checked)
 	}
 }

@@ -329,9 +329,9 @@ func Check(db *table.Database, text string, opts Options) *Report {
 	}
 
 	// Prepared-statement reuse: Prepare on the certain-forced text and
-	// Execute twice — the first execution compiles exactly one plan, the
-	// second must serve it from the plan cache, and both must agree
-	// byte-for-byte with the ad-hoc Q⁺ evaluation. The serving layer
+	// Execute twice on each route — the first execution compiles exactly
+	// one plan, the second must serve it from the plan cache, and it must
+	// agree byte-for-byte with the ad-hoc Q⁺ evaluation. The serving layer
 	// leans on this invariant: every certsqld query (ad-hoc included)
 	// runs through the prepared path.
 	checkPreparedReuse(rep, fdb, text, plus)
@@ -431,11 +431,10 @@ func Check(db *table.Database, text string, opts Options) *Report {
 	return rep
 }
 
-// queryCertainWithOptions is QueryCertain with explicit options (the
-// facade couples the two only through the query text).
 // checkPreparedReuse verifies the plan-cache contract: a prepared
-// certain-answer query compiles once, hits the cache on re-execution,
-// and the cached plan's answer is byte-identical to ad-hoc evaluation.
+// certain-answer query compiles once per route, hits the cache on
+// re-execution, and the cached plan's answer is byte-identical to
+// ad-hoc evaluation.
 func checkPreparedReuse(rep *Report, fdb *certsql.DB, text string, plus *certsql.Result) {
 	q, err := sql.Parse(text)
 	if err != nil {
@@ -452,8 +451,8 @@ func checkPreparedReuse(rep *Report, fdb *certsql.DB, text string, plus *certsql
 		rep.violate("prepared-reuse", "Prepare failed on certain-forced text: %v", err)
 		return
 	}
-	exec := func(which string) *certsql.Result {
-		res, err := prep.Execute(nil)
+	exec := func(which string, opts certsql.Options) *certsql.Result {
+		res, err := prep.ExecuteWithOptions(nil, opts)
 		if err != nil {
 			if budgetErr(err) {
 				rep.skip("prepared-reuse: " + err.Error())
@@ -464,41 +463,34 @@ func checkPreparedReuse(rep *Report, fdb *certsql.DB, text string, plus *certsql
 		}
 		return res
 	}
-	r1 := exec("first")
-	if r1 == nil {
-		return
-	}
-	r2 := exec("second")
-	if r2 == nil {
-		return
-	}
-	if r1.Stats.PlanCacheMisses != 1 || r1.Stats.PlanCacheHits != 0 {
-		rep.violate("prepared-reuse", "first execution should compile exactly one plan, stats %+v", r1.Stats)
-	}
-	if r2.Stats.PlanCacheHits != 1 || r2.Stats.PlanCacheMisses != 0 {
-		rep.violate("prepared-reuse", "second execution should reuse the cached plan, stats %+v", r2.Stats)
-	}
-	if got, want := r2.Table().String(), plus.Table().String(); got != want {
-		rep.violate("prepared-reuse", "cached-plan result differs from ad-hoc Q⁺:\nad-hoc: %s\ncached: %s", want, got)
-	}
-	// NaivePlanner shares the same cache entry (it is an executor-side
-	// toggle, excluded from the plan fingerprint) and must fall back to
-	// the baseline expression with byte-identical results.
-	r3, err := prep.ExecuteWithOptions(nil, certsql.Options{NaivePlanner: true})
-	if err != nil {
-		if !budgetErr(err) {
-			rep.violate("prepared-reuse", "naive-planner Execute failed: %v", err)
+	// The paper-faithful route (NaivePlanner) is part of the plan key:
+	// it compiles its own plan once, then hits it like the default.
+	for _, route := range []struct {
+		name string
+		opts certsql.Options
+	}{{"default", certsql.Options{}}, {"naive-planner", certsql.Options{NaivePlanner: true}}} {
+		r1 := exec(route.name+" first", route.opts)
+		if r1 == nil {
+			return
 		}
-		return
-	}
-	if r3.Stats.PlanCacheHits != 1 || r3.Stats.PlanCacheMisses != 0 {
-		rep.violate("prepared-reuse", "naive-planner execution should reuse the cached plan, stats %+v", r3.Stats)
-	}
-	if got, want := r3.Table().String(), plus.Table().String(); got != want {
-		rep.violate("prepared-reuse", "naive-planner cached-plan result differs:\ndefault: %s\nnaive:   %s", want, got)
+		r2 := exec(route.name+" second", route.opts)
+		if r2 == nil {
+			return
+		}
+		if r1.Stats.PlanCacheMisses != 1 || r1.Stats.PlanCacheHits != 0 {
+			rep.violate("prepared-reuse", "%s: first execution should compile exactly one plan, stats %+v", route.name, r1.Stats)
+		}
+		if r2.Stats.PlanCacheHits != 1 || r2.Stats.PlanCacheMisses != 0 {
+			rep.violate("prepared-reuse", "%s: second execution should reuse the cached plan, stats %+v", route.name, r2.Stats)
+		}
+		if got, want := r2.Table().String(), plus.Table().String(); got != want {
+			rep.violate("prepared-reuse", "%s: cached-plan result differs from ad-hoc Q⁺:\nad-hoc: %s\ncached: %s", route.name, want, got)
+		}
 	}
 }
 
+// queryCertainWithOptions is QueryCertain with explicit options (the
+// facade couples the two only through the query text).
 func queryCertainWithOptions(fdb *certsql.DB, text string, o certsql.Options) (*certsql.Result, error) {
 	q, err := sql.Parse(text)
 	if err != nil {

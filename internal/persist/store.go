@@ -200,9 +200,6 @@ func (s *Store) Snapshot() *table.Snapshot { return s.mem.Snapshot() }
 // Version returns the current published version.
 func (s *Store) Version() uint64 { return s.mem.Version() }
 
-// OnPublish registers a publish hook (see table.Store.OnPublish).
-func (s *Store) OnPublish(fn func(*table.Snapshot)) { s.mem.OnPublish(fn) }
-
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.dir }
 

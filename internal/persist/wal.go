@@ -132,12 +132,9 @@ type walScan struct {
 	GoodEnd int64
 	// Problem describes the frame that stopped the scan (nil when the
 	// file ends cleanly). Problem.Kind == frameTorn is the recoverable
-	// crash signature; frameCorrupt is damage.
+	// crash signature; frameCorrupt is damage, including a structurally
+	// sound frame whose payload does not decode.
 	Problem *frameError
-	// ProblemDetail carries a decode failure on a structurally sound
-	// frame (checksum passed but the payload does not parse) — always
-	// corruption, never a crash artifact.
-	ProblemDetail string
 }
 
 // scanWAL reads a WAL file, verifying every frame and decoding every
@@ -179,7 +176,6 @@ func scanWAL(path string) (*walScan, error) {
 		rec, derr := decodeWALRecord(payload)
 		if derr != nil {
 			scan.Problem = &frameError{Kind: frameCorrupt, Offset: scan.GoodEnd, Detail: derr.Error()}
-			scan.ProblemDetail = derr.Error()
 			return scan, nil
 		}
 		rec.Off = scan.GoodEnd

@@ -205,19 +205,22 @@ func (d *describer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 
 // describeBuild describes a semijoin's build side, split as h says: the
 // lowering splits only where the probe side, described first, drains
-// the cached part.
+// the cached part. A split build is read as its two parts, so it is
+// priced as their sum.
 func (d *describer) describeBuild(sj algebra.SemiJoin, h eval.SemiHint, hints *eval.PlanHints) *ExplainNode {
 	s := h.Split
 	if s == nil {
 		return d.describe(sj.R, hints)
 	}
-	est, base := d.estimate(sj.R), s.Cached.Child.(algebra.Base)
+	base := s.Cached.Child.(algebra.Base)
 	read, _, _ := d.nullRead(base, [][]int{s.Nulls}, 0)
 	nulls := &ExplainNode{Op: "scan", Detail: base.Name, EstRows: min(read.rows, d.estimate(base).rows),
 		Notes: []string{"access=" + eval.NullsAccess(s.Nulls)}}
 	nulls.EstCost = nulls.EstRows + 1
-	return &ExplainNode{Op: "select", Detail: sj.R.(algebra.Select).Cond.String(), EstRows: est.rows, EstCost: est.cost,
-		Notes: []string{"split"}, Children: []*ExplainNode{d.hit(s.Cached, eval.ViewKey(s.Cached)), nulls}}
+	cached := d.hit(s.Cached, eval.ViewKey(s.Cached))
+	return &ExplainNode{Op: "select", Detail: sj.R.(algebra.Select).Cond.String(),
+		EstRows: cached.EstRows + nulls.EstRows, EstCost: cached.EstCost + nulls.EstCost,
+		Notes: []string{"split"}, Children: []*ExplainNode{cached, nulls}}
 }
 
 // cached returns the node of a view-cache hit on e when the walk in

@@ -4,14 +4,12 @@
 //
 // The expensive part of a certain-answer query is everything *before*
 // evaluation: parsing, compilation to the algebra, the Q⁺/Q⋆
-// translations and the planner's rewrites. None of that work
-// depends on the data — only on the query text, its parameters, the
-// catalog (schema) version, and the translation options. The cache
-// keys a plan by exactly those four components, so Prepare-once /
-// Execute-many workloads skip straight to evaluation, and a catalog
-// swap (a new published snapshot) implicitly invalidates every older
-// plan: its entries key under the old version, never hit again, and
-// age out of the LRU.
+// translations and the planner's rewrites. None of that work depends
+// on the data — only on the query text, its parameters, the plan
+// options and the schema. The cache keys a plan by exactly those, so
+// Prepare-once / Execute-many workloads skip straight to evaluation,
+// and a plan stays valid across every snapshot of its catalog: a
+// publish changes the data, not the schema, and invalidates nothing.
 //
 // The cache is safe for concurrent use; all operations are O(1).
 package plancache
@@ -23,6 +21,7 @@ import (
 	"certsql/internal/algebra"
 	"certsql/internal/eval"
 	"certsql/internal/plan"
+	"certsql/internal/schema"
 )
 
 // DefaultSize is the entry bound used when New is given max <= 0.
@@ -54,21 +53,26 @@ func (m Mode) String() string {
 }
 
 // Key identifies one compiled plan. Two executions share a plan iff
-// all four components agree.
+// all of its components agree.
 type Key struct {
 	// SQL is the canonical query text: the parse → render fixpoint,
 	// which normalizes whitespace, comments, and keyword case.
 	SQL string
-	// CatalogVersion is the published snapshot version the plan was
-	// compiled against. Version bumps make stale plans unreachable.
+	// Schema is the schema the plan was compiled against, by identity:
+	// every snapshot of a catalog shares its schema, so a plan serves
+	// them all, and a database over another schema misses.
+	Schema *schema.Schema
+	// CatalogVersion is not set or read by the engine. It is kept only
+	// because the benchmark module (bench/replica.go:151) sets it;
+	// ROADMAP item 1 deletes it.
 	CatalogVersion uint64
 	// Params is the canonical fingerprint of the bound parameters
 	// (they are folded into the compiled algebra, e.g. IN-lists).
 	Params string
-	// Options fingerprints the options that change the plan: naive
-	// mode, the translation's ablation toggles and the view cache, which
-	// the lowering reads. Other executor options do not change the plan
-	// and are excluded deliberately.
+	// Options fingerprints the options that change the plan: the route,
+	// naive mode, the translation's ablation toggles and the view cache,
+	// which the lowering reads. Other executor options do not change the
+	// plan and are excluded deliberately.
 	Options string
 }
 
@@ -96,31 +100,25 @@ type Plan struct {
 	OrigShape *eval.Shape
 	PlusShape *eval.Shape
 	StarShape *eval.Shape
-	// OrigOpt, PlusOpt and StarOpt are the cost-based planner's
-	// rewrites of the corresponding expressions, lowered for the key's
-	// options, set for exactly the expressions the plan's mode executes
-	// before the plan is Put: a rewrite depends only on its expression,
-	// the schema and those options, so it is made once, on the cache
-	// miss. A cached plan is immutable.
+	// OrigOpt, PlusOpt and StarOpt are the corresponding expressions
+	// planned for the route the key's options select, set for exactly
+	// the expressions the plan's mode executes before the plan is Put:
+	// the cost-based planner's rewrite, lowered, or with
+	// Options.NaivePlanner the expression as translation produced it,
+	// lowered. A plan depends only on its expression, the schema and
+	// those options, so it is made once, on the cache miss. A cached
+	// plan is immutable.
 	OrigOpt *Optimized
 	PlusOpt *Optimized
 	StarOpt *Optimized
-	// OrigPaper, PlusPaper and StarPaper are the same expressions as
-	// translation produced them, lowered for the key's options: the
-	// paper-faithful route's plans (Options.NaivePlanner). A plan the
-	// cache keeps has both routes' plans, since the route is not part
-	// of its key; a plan compiled for one execution has its route's.
-	OrigPaper *Optimized
-	PlusPaper *Optimized
-	StarPaper *Optimized
 }
 
-// Optimized is one cost-based-planner output cached alongside its
-// baseline expression: the rewritten plan (the baseline itself when no
-// rule fired), the executor hints and the rules that fired, which
-// EXPLAIN lists. Premises, Shape and Explain are not set or read by the
-// engine; they are kept only because the benchmark module (bench/) sets
-// them.
+// Optimized is one planned expression cached alongside its baseline:
+// the lowered plan (the planner's rewrite, or the baseline itself when
+// no rule fired or the route is NaivePlanner's), the executor hints and
+// the rules that fired, which EXPLAIN lists. Premises, Shape and
+// Explain are not set or read by the engine; they are kept only because
+// the benchmark module (bench/) sets them.
 type Optimized struct {
 	Expr     algebra.Expr
 	Hints    *eval.PlanHints

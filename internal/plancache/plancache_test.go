@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"certsql/internal/schema"
 )
 
-func key(i int) Key { return Key{SQL: fmt.Sprintf("SELECT %d", i), CatalogVersion: 1} }
+func key(i int) Key { return Key{SQL: fmt.Sprintf("SELECT %d", i)} }
 
 func TestHitMissAndLRUEviction(t *testing.T) {
 	c := New(2)
@@ -35,14 +37,15 @@ func TestHitMissAndLRUEviction(t *testing.T) {
 
 func TestKeyComponentsDistinguishPlans(t *testing.T) {
 	c := New(0)
-	base := Key{SQL: "SELECT a FROM t", CatalogVersion: 1, Params: "", Options: ""}
+	sch := schema.New()
+	base := Key{SQL: "SELECT a FROM t", Schema: sch, Params: "", Options: ""}
 	want := &Plan{Mode: ModeCertain}
 	c.Put(base, want)
 	for name, k := range map[string]Key{
-		"catalog version": {SQL: base.SQL, CatalogVersion: 2},
-		"params":          {SQL: base.SQL, CatalogVersion: 1, Params: "x=1"},
-		"options":         {SQL: base.SQL, CatalogVersion: 1, Options: "naive"},
-		"sql":             {SQL: "SELECT b FROM t", CatalogVersion: 1},
+		"schema":  {SQL: base.SQL, Schema: schema.New()},
+		"params":  {SQL: base.SQL, Schema: sch, Params: "x=1"},
+		"options": {SQL: base.SQL, Schema: sch, Options: "naive"},
+		"sql":     {SQL: "SELECT b FROM t", Schema: sch},
 	} {
 		if _, ok := c.Get(k); ok {
 			t.Errorf("key differing in %s hit the cached plan", name)

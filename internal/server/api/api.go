@@ -134,8 +134,8 @@ type ExecuteRequest struct {
 
 // LoadRequest is the body of POST /v1/load: rows to append to one
 // table of the session catalog. The load publishes a new snapshot —
-// concurrent readers keep their version; cached plans for older
-// versions miss from then on.
+// concurrent readers keep their version, and cached plans, keyed on the
+// schema, keep serving.
 type LoadRequest struct {
 	Table   string  `json:"table"`
 	Rows    [][]any `json:"rows"`

@@ -6,7 +6,8 @@
 // The request path is deliberately thin over the library:
 //
 //	admission (bounded queue) → session snapshot pin → Prepare/Execute
-//	(plan cache keyed by canonical SQL + catalog version) → wire encode
+//	(one plan cache per server, keyed by canonical SQL + schema) → wire
+//	encode
 //
 // Every failure surfaces as a typed guard/certain error, and errmap.go
 // translates that taxonomy onto HTTP statuses — the server never maps
@@ -26,6 +27,7 @@ import (
 
 	"certsql"
 	"certsql/internal/guard"
+	"certsql/internal/plancache"
 	"certsql/internal/server/api"
 	"certsql/internal/table"
 )
@@ -95,6 +97,7 @@ func (c Config) maxQueue() int {
 type Server struct {
 	cfg        Config
 	sess       atomic.Pointer[sessions] // nil while recovering
+	plans      *plancache.Cache
 	adm        *admission
 	metrics    *metrics
 	mux        *http.ServeMux
@@ -164,6 +167,7 @@ func newServer(cfg Config) *Server {
 		cfg:     cfg,
 		adm:     newAdmission(cfg.maxConcurrent(), cfg.maxQueue()),
 		metrics: newMetrics(),
+		plans:   plancache.New(0),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.instrument("/v1/query", s.handleQuery))
@@ -327,9 +331,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions().get(req.Session)
 	// Ad-hoc queries run through the prepared path too: Prepare is one
 	// parse + canonical render, and everything after it — compile,
-	// analysis, translation — is served from the session's plan cache
+	// analysis, translation — is served from the server's plan cache
 	// on repeat, which is where a serving workload spends its life.
-	view := sess.view()
+	view := sess.view(s.plans)
 	stmt, err := view.Prepare(text)
 	if err != nil {
 		writeErr(w, err)
@@ -360,7 +364,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sess := s.sessions().get(req.Session)
-	stmt, err := sess.view().Prepare(text)
+	stmt, err := sess.view(s.plans).Prepare(text)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -394,9 +398,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Rebind to the freshest snapshot: the statement text is immutable,
-	// but each execution pins the catalog current at arrival and keys
-	// the plan cache under that snapshot's version.
-	view := sess.view()
+	// but each execution pins the catalog current at arrival; its plan,
+	// keyed on the schema, serves every snapshot.
+	view := sess.view(s.plans)
 	s.execute(w, r, req.Params, req.Options, stmt.Rebind(view), view.CatalogVersion())
 }
 
@@ -534,11 +538,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g := gauges{
 		queueDepth:   s.adm.queueDepth(),
 		inFlight:     s.adm.inFlight(),
+		planEntries:  s.plans.Len(),
 		shuttingDown: s.draining.Load(),
 	}
 	if ss := s.sessions(); ss != nil {
 		g.sessions = ss.count()
-		g.planEntries = ss.planEntries()
 		g.catalogVers = ss.snapshotVersions()
 		g.tableStats = ss.statsGauges()
 	} else {

@@ -117,10 +117,10 @@ func TestPrepareExecuteFlow(t *testing.T) {
 	}
 }
 
-// TestLoadPublishesVersionAndInvalidatesPlans: a load bumps the
-// snapshot version, queries observe the new rows, and cached plans for
-// the old version miss (version is part of the cache key).
-func TestLoadPublishesVersionAndInvalidatesPlans(t *testing.T) {
+// TestLoadPublishesVersionAndKeepsPlans: a load bumps the snapshot
+// version and queries observe the new rows, from the plan cached before
+// the load: a plan is keyed on the schema, which a load does not change.
+func TestLoadPublishesVersionAndKeepsPlans(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	const q = `SELECT CERTAIN n_name FROM nation WHERE n_nationkey = 99`
@@ -153,15 +153,47 @@ func TestLoadPublishesVersionAndInvalidatesPlans(t *testing.T) {
 	if len(r2.Rows) != 1 || r2.Rows[0][0].AsString() != "ATLANTIS" {
 		t.Errorf("post-load rows: %v", r2.SortedStrings())
 	}
-	// Old-version plan exists in the cache, but the new version must
-	// compile its own plan: a miss, not a stale hit.
-	if r2.Stats.PlanCacheMisses != 1 || r2.Stats.PlanCacheHits != 0 {
-		t.Errorf("post-load stats: %+v (stale plan served?)", r2.Stats)
+	// The plan compiled at version 1 serves version 2 and reads its rows.
+	if r2.Stats.PlanCacheHits != 1 || r2.Stats.PlanCacheMisses != 0 {
+		t.Errorf("post-load stats: %+v, want the pre-load plan reused", r2.Stats)
 	}
 
 	// Loading a row that violates the schema is a client error.
 	if _, err := c.Load(ctx, "nation", [][]value.Value{{value.Int(1)}}); err == nil {
 		t.Errorf("short row: want error")
+	}
+}
+
+// TestSessionsShareThePlanCache: the server keeps one plan cache, keyed
+// on the schema, so a statement compiled in one session hits in a
+// second session started from the same seed, and reads that session's
+// own data.
+func TestSessionsShareThePlanCache(t *testing.T) {
+	ts, a := newTestServer(t, Config{})
+	b := client.New(ts.URL, client.WithHTTPClient(ts.Client()), client.WithSession("second"))
+	ctx := context.Background()
+	const q = `SELECT CERTAIN n_name FROM nation WHERE n_nationkey = 99`
+	if _, err := b.Load(ctx, "nation", [][]value.Value{
+		{value.Int(99), value.Str("ATLANTIS"), value.Int(1), value.Str("sunk")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ra, err := a.Query(ctx, q, nil, "", client.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.Stats.PlanCacheMisses != 1 || len(ra.Rows) != 0 {
+		t.Fatalf("default session: stats %+v, rows %v; want a compile and no rows", ra.Stats, ra.SortedStrings())
+	}
+	rb, err := b.Query(ctx, q, nil, "", client.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Stats.PlanCacheHits != 1 || rb.Stats.PlanCacheMisses != 0 {
+		t.Errorf("second session: stats %+v, want the default session's plan", rb.Stats)
+	}
+	if len(rb.Rows) != 1 || rb.Rows[0][0].AsString() != "ATLANTIS" {
+		t.Errorf("second session rows: %v, want its own load", rb.SortedStrings())
 	}
 }
 

@@ -24,32 +24,30 @@ type Catalog interface {
 	Update(mutate func(db *table.Database) error) (uint64, error)
 }
 
-// session is one named catalog: a snapshot store, the plan cache
-// shared by every snapshot version of the catalog, and the prepared
+// session is one named catalog: a snapshot store and the prepared
 // statements clients registered against it.
 //
 // The store gives readers lock-free consistent views: each request
 // pins the current snapshot once and evaluates entirely against it,
 // so a concurrent load republishing the catalog never tears a result.
-// The plan cache is shared across versions on purpose — plans are
-// keyed by catalog version, so a publish implicitly invalidates every
-// older plan (it misses and ages out of the LRU) with no cache sweep.
+// Plans live in the server's one plan cache, keyed on the schema, which
+// every snapshot of every session started from the seed shares: a load
+// publishes new data under the same schema, so it invalidates nothing.
 type session struct {
 	name  string
 	store Catalog
-	plans *plancache.Cache
 
 	mu       sync.Mutex
 	prepared map[string]*certsql.Prepared
 	nextID   int
 }
 
-// view builds the certsql facade over the current published snapshot.
-// Two requests racing a publish may get different views; each view is
-// internally consistent and immutable.
-func (s *session) view() *certsql.DB {
+// view builds the certsql facade over the current published snapshot,
+// keying into plans. Two requests racing a publish may get different
+// views; each view is internally consistent and immutable.
+func (s *session) view(plans *plancache.Cache) *certsql.DB {
 	snap := s.store.Snapshot()
-	return certsql.FromSnapshot(snap.DB, snap.Version, s.plans)
+	return certsql.FromSnapshot(snap.DB, snap.Version, plans)
 }
 
 // register stores a prepared statement and returns its handle.
@@ -112,7 +110,6 @@ func (ss *sessions) get(name string) *session {
 		s = &session{
 			name:     name,
 			store:    store,
-			plans:    plancache.New(0),
 			prepared: map[string]*certsql.Prepared{},
 		}
 		ss.byID[name] = s
@@ -130,17 +127,6 @@ func (ss *sessions) snapshotVersions() map[string]uint64 {
 		out[name] = s.store.Version()
 	}
 	return out
-}
-
-// planEntries sums the plan-cache sizes across sessions.
-func (ss *sessions) planEntries() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	n := 0
-	for _, s := range ss.byID {
-		n += s.plans.Len()
-	}
-	return n
 }
 
 // statsGauges reports, per session and relation, the row and total

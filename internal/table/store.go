@@ -7,10 +7,10 @@ import (
 
 // Snapshot is one published, immutable version of a database. The
 // version is a monotonically increasing catalog/data version: every
-// publish — a load, a DDL change, any mutation — produces a new
-// snapshot under a new version, and plan caches key on the version so
-// stale plans miss instead of serving against a schema or dataset they
-// were not compiled for.
+// publish — a load, any mutation — produces a new snapshot under a new
+// version, which labels results and the durable log. Plans do not key
+// on it: they read only the schema, which every snapshot of a store
+// shares (Database.Clone keeps it).
 type Snapshot struct {
 	// DB is the database at this version. It is immutable by contract:
 	// neither the publisher nor any reader may mutate it after publish.
@@ -33,49 +33,9 @@ type Snapshot struct {
 // version N's tables; it sees exactly the old or exactly the new
 // version, never a mix.
 type Store struct {
-	mu         sync.Mutex // serializes publishers
-	cur        atomic.Pointer[Snapshot]
-	onPublish  []func(*Snapshot)
-	hookPanics atomic.Uint64
+	mu  sync.Mutex // serializes publishers
+	cur atomic.Pointer[Snapshot]
 }
-
-// OnPublish registers fn to run after every subsequent publish (Publish
-// or successful Update), under the publisher mutex and in registration
-// order, with the just-published snapshot. Hooks therefore observe
-// every version exactly once and in order; a slow hook delays later
-// publishers but never readers.
-func (s *Store) OnPublish(fn func(*Snapshot)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onPublish = append(s.onPublish, fn)
-}
-
-// notify runs the publish hooks; the caller holds s.mu. Each hook runs
-// under its own panic containment: a subscriber that panics must not
-// kill the writer whose Update triggered the publish, and must not
-// starve the hooks registered after it — the snapshot is already
-// published at this point, so aborting mid-notify would leave later
-// subscribers permanently behind the version sequence. Contained panics
-// are counted (HookPanics) so tests and operators can see them.
-func (s *Store) notify(snap *Snapshot) {
-	for _, fn := range s.onPublish {
-		s.notifyOne(fn, snap)
-	}
-}
-
-// notifyOne runs one hook, converting a panic into a counter bump.
-func (s *Store) notifyOne(fn func(*Snapshot), snap *Snapshot) {
-	defer func() {
-		if recover() != nil {
-			s.hookPanics.Add(1)
-		}
-	}()
-	fn(snap)
-}
-
-// HookPanics reports how many OnPublish hook invocations panicked and
-// were contained since the store was created.
-func (s *Store) HookPanics() uint64 { return s.hookPanics.Load() }
 
 // NewStore returns a store whose first published snapshot is db, at
 // version 1. The caller hands over ownership: db must not be mutated
@@ -85,9 +45,9 @@ func NewStore(db *Database) *Store { return NewStoreAt(db, 1) }
 // NewStoreAt returns a store whose first published snapshot is db at
 // the given version (≥ 1). The persistent store uses it after
 // recovery, so the version sequence continues where the previous
-// process stopped instead of restarting from 1 — plan caches and
-// clients key on the version, and a restart must never reissue an
-// already-published version number for different data.
+// process stopped instead of restarting from 1 — clients and the
+// durable log label data by version, and a restart must never reissue
+// an already-published version number for different data.
 func NewStoreAt(db *Database, version uint64) *Store {
 	if version < 1 {
 		version = 1
@@ -112,9 +72,7 @@ func (s *Store) Publish(db *Database) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.cur.Load().Version + 1
-	snap := &Snapshot{DB: db, Version: v}
-	s.cur.Store(snap)
-	s.notify(snap)
+	s.cur.Store(&Snapshot{DB: db, Version: v})
 	return v
 }
 
@@ -132,8 +90,6 @@ func (s *Store) Update(mutate func(db *Database) error) (uint64, error) {
 		return cur.Version, err
 	}
 	v := cur.Version + 1
-	snap := &Snapshot{DB: clone, Version: v}
-	s.cur.Store(snap)
-	s.notify(snap)
+	s.cur.Store(&Snapshot{DB: clone, Version: v})
 	return v, nil
 }

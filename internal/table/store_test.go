@@ -129,37 +129,3 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 		t.Fatalf("readers never observed a published update (last version %d)", lastSeen.Load())
 	}
 }
-
-// TestNotifyPanicContainment: one bad OnPublish subscriber must not
-// kill the writer whose Update triggered the publish, must not starve
-// subscribers registered after it, and must be visible in HookPanics.
-func TestNotifyPanicContainment(t *testing.T) {
-	st := NewStore(NewDatabase(storeSchema(t)))
-	var after atomic.Uint64
-	st.OnPublish(func(snap *Snapshot) { panic("buggy subscriber") })
-	st.OnPublish(func(snap *Snapshot) { after.Store(snap.Version) })
-
-	v, err := st.Update(func(d *Database) error {
-		return d.Insert("t", Row{value.Int(1), value.Int(2)})
-	})
-	if err != nil || v != 2 {
-		t.Fatalf("update through a panicking hook: version %d, err %v", v, err)
-	}
-	if got := after.Load(); got != 2 {
-		t.Errorf("hook after the panicking one saw version %d, want 2", got)
-	}
-	if got := st.HookPanics(); got != 1 {
-		t.Errorf("HookPanics = %d, want 1", got)
-	}
-
-	// Publish goes through the same notify path.
-	if v := st.Publish(NewDatabase(storeSchema(t))); v != 3 {
-		t.Fatalf("publish: version %d, want 3", v)
-	}
-	if got, want := after.Load(), uint64(3); got != want {
-		t.Errorf("after publish, second hook saw version %d, want %d", got, want)
-	}
-	if got := st.HookPanics(); got != 2 {
-		t.Errorf("HookPanics after publish = %d, want 2", got)
-	}
-}

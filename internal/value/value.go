@@ -203,15 +203,6 @@ func (v Value) SQLString() string {
 	return v.String()
 }
 
-// Comparable reports whether two constant kinds can be ordered against
-// each other. Numeric kinds (int, float) are mutually comparable.
-func Comparable(a, b Kind) bool {
-	if a == b {
-		return a != KindNull
-	}
-	return numeric(a) && numeric(b)
-}
-
 func numeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
 // Compare orders two constants. It returns a negative number, zero, or a

@@ -22,10 +22,11 @@ import (
 // looks the full plan up in the DB's plan cache — on a hit the parse,
 // compile, static analysis and Q⁺/Q⋆ translation are all skipped and
 // evaluation starts immediately (Stats.PlanCacheHits reports which
-// route a result took). Plans are keyed by canonical text, catalog
-// version, parameter fingerprint and translation options, so reuse
-// can never change an answer: a different parameter binding or a
-// republished catalog simply compiles (and caches) a fresh plan.
+// route a result took). Plans are keyed by canonical text, schema,
+// parameter fingerprint and plan options — everything a plan reads —
+// so reuse can never change an answer: a different parameter binding,
+// route or schema compiles (and caches) a fresh plan, and a
+// republished snapshot of the same catalog reuses the plans it has.
 //
 // A Prepared is safe for concurrent use; it is a value object holding
 // no per-execution state.
@@ -55,8 +56,9 @@ func (p *Prepared) Mode() plancache.Mode { return p.mode }
 
 // Rebind returns the same statement bound to another DB view, without
 // re-parsing. The serving layer uses it to point session statements at
-// the newest published snapshot: the rebound statement keys into that
-// view's plan cache under its catalog version.
+// the newest published snapshot: the rebound statement runs on that
+// view's data and keys into its plan cache under its schema, so a
+// snapshot of the same catalog reuses the plan.
 func (p *Prepared) Rebind(db *DB) *Prepared {
 	return &Prepared{db: db, text: p.text, mode: p.mode}
 }
@@ -126,10 +128,10 @@ func (p *Prepared) ExecuteWithOptionsContext(ctx context.Context, params Params,
 // EXPLAIN reads them.
 func (db *DB) planKey(text string, params Params, opts Options) plancache.Key {
 	return plancache.Key{
-		SQL:            text,
-		CatalogVersion: db.catver,
-		Params:         fingerprintParams(params),
-		Options:        fingerprintPlanOptions(opts),
+		SQL:     text,
+		Schema:  db.d.Schema,
+		Params:  fingerprintParams(params),
+		Options: fingerprintPlanOptions(opts),
 	}
 }
 
@@ -145,7 +147,7 @@ func (db *DB) lookupPlan(gov *guard.Governor, key plancache.Key, q *sql.Query, p
 			return nil, false, err
 		}
 	}
-	pl, err = db.compilePlan(gov, q, params, opts, true)
+	pl, err = db.compilePlan(gov, q, params, opts)
 	return pl, false, err
 }
 
@@ -158,7 +160,7 @@ func (db *DB) explain(gov *guard.Governor, text string, q *sql.Query, params Par
 	if err != nil {
 		return "", err
 	}
-	o := pick(pl, pl.Mode, opts)
+	o := pick(pl, pl.Mode)
 	pr := &plan.Result{Expr: o.Expr, Hints: o.Hints, Fired: o.Fired,
 		Explain: plan.Describe(o.Expr, o.Hints, db.d.Schema, db.d)}
 	return pr.ExplainText(), nil
@@ -167,12 +169,12 @@ func (db *DB) explain(gov *guard.Governor, text string, q *sql.Query, params Par
 // compilePlan performs the cacheable, data-independent part of one
 // query: strip the mode, compile, and — for CERTAIN and POSSIBLE —
 // check translatability and translate; then plan, once, each expression
-// the mode executes, for the route opts selects or, with both, for
-// either route. Q⁺ serves the certain route and the possible route's
-// degradation ladder, Q⋆ the possible route. Execute caches the result,
-// immutable from then on; an ad-hoc query compiles one for a single
-// execution. gov carries the planner's fault site.
-func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts Options, both bool) (pl *plancache.Plan, err error) {
+// the mode executes, for the route opts selects. Q⁺ serves the certain
+// route and the possible route's degradation ladder, Q⋆ the possible
+// route. Execute caches the result, immutable from then on; an ad-hoc
+// query compiles one for a single execution. gov carries the planner's
+// fault site.
+func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts Options) (pl *plancache.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pl, err = nil, guard.NewInternalError("certsql/compile-plan", v)
@@ -185,7 +187,7 @@ func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts
 	}
 	pl = &plancache.Plan{Mode: mode, Columns: compiled.Columns, Orig: compiled.Expr}
 	if mode == plancache.ModeStandard {
-		pl.OrigOpt, pl.OrigPaper, err = db.lower(gov, pl.Orig, opts, both)
+		pl.OrigOpt, err = db.lower(gov, pl.Orig, opts)
 		return pl, err
 	}
 	if err := certain.CheckTranslatable(pl.Orig); err != nil {
@@ -193,57 +195,45 @@ func (db *DB) compilePlan(gov *guard.Governor, q *sql.Query, params Params, opts
 	}
 	tr := opts.translator(db)
 	pl.Plus = tr.Plus(pl.Orig)
-	if pl.PlusOpt, pl.PlusPaper, err = db.lower(gov, pl.Plus, opts, both); err != nil {
+	if pl.PlusOpt, err = db.lower(gov, pl.Plus, opts); err != nil {
 		return nil, err
 	}
 	if mode == plancache.ModePossible {
 		pl.Star = tr.Star(pl.Orig)
-		if pl.StarOpt, pl.StarPaper, err = db.lower(gov, pl.Star, opts, both); err != nil {
+		if pl.StarOpt, err = db.lower(gov, pl.Star, opts); err != nil {
 			return nil, err
 		}
 	}
 	return pl, nil
 }
 
-// lower plans e for the route opts selects, or with both for either: the
-// planner's rewrite of e, lowered (plan.Rewrite), and e as it is,
-// lowered (plan.Lower). Each reads only e, the schema and the options
+// lower plans e for the route opts selects: the planner's rewrite of
+// e, lowered (plan.Rewrite), or with Options.NaivePlanner e as it is,
+// lowered (plan.Lower). Either reads only e, the schema and the options
 // fingerprintPlanOptions keys.
-func (db *DB) lower(gov *guard.Governor, e algebra.Expr, opts Options, both bool) (opt, paper *plancache.Optimized, err error) {
-	if both || !opts.NaivePlanner {
-		pr, err := plan.Rewrite(e, db.d.Schema, opts.physical(), gov)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt = &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Fired: pr.Fired}
-	}
-	if both || opts.NaivePlanner {
+func (db *DB) lower(gov *guard.Governor, e algebra.Expr, opts Options) (*plancache.Optimized, error) {
+	if opts.NaivePlanner {
 		low := plan.Lower(e, opts.physical())
-		paper = &plancache.Optimized{Expr: low.Expr, Hints: low.Hints}
+		return &plancache.Optimized{Expr: low.Expr, Hints: low.Hints}, nil
 	}
-	return opt, paper, nil
+	pr, err := plan.Rewrite(e, db.d.Schema, opts.physical(), gov)
+	if err != nil {
+		return nil, err
+	}
+	return &plancache.Optimized{Expr: pr.Expr, Hints: pr.Hints, Fired: pr.Fired}, nil
 }
 
-// pick is the route decision, made once for execution and EXPLAIN
-// alike: what a query in the given mode runs — the planner's rewrite
-// of the mode's expression, or with Options.NaivePlanner that
-// expression as translation produced it, both lowered. NaivePlanner is
-// read only here and in compilePlan, so it shares plan-cache entries
-// with the default.
-func pick(pl *plancache.Plan, mode plancache.Mode, opts Options) *plancache.Optimized {
-	var opt, paper *plancache.Optimized
+// pick is what a query in the given mode runs, for execution and
+// EXPLAIN alike: the plan of the mode's expression.
+func pick(pl *plancache.Plan, mode plancache.Mode) *plancache.Optimized {
 	switch mode {
 	case plancache.ModeCertain:
-		opt, paper = pl.PlusOpt, pl.PlusPaper
+		return pl.PlusOpt
 	case plancache.ModePossible:
-		opt, paper = pl.StarOpt, pl.StarPaper
+		return pl.StarOpt
 	default:
-		opt, paper = pl.OrigOpt, pl.OrigPaper
+		return pl.OrigOpt
 	}
-	if opts.NaivePlanner {
-		return paper
-	}
-	return opt
 }
 
 // runPlan executes a plan in its mode. This is the one route every
@@ -281,7 +271,7 @@ func (db *DB) runPlan(gov *guard.Governor, pl *plancache.Plan, opts Options) (re
 
 // runMode evaluates what pick chooses for mode.
 func (db *DB) runMode(gov *guard.Governor, pl *plancache.Plan, mode plancache.Mode, opts Options) (*Result, error) {
-	o := pick(pl, mode, opts)
+	o := pick(pl, mode)
 	eo := opts.evalOptions(gov)
 	eo.Hints = o.Hints
 	ev := eval.New(db.d, eo)
@@ -314,12 +304,14 @@ func fingerprintParams(params Params) string {
 }
 
 // fingerprintPlanOptions encodes the options that change the compiled,
-// translated or lowered plan: the lowering reads the semantics and
-// whether the view cache is on. Other executor strategy toggles, budgets
-// and parallelism are runtime concerns and deliberately excluded —
-// varying them reuses the same cached plan.
+// translated or lowered plan: the route, and what translation and
+// lowering read (the semantics, the ablation toggles and whether the
+// view cache is on). Other executor strategy toggles, budgets and
+// parallelism are runtime concerns and deliberately excluded — varying
+// them reuses the same cached plan. TestPlanKeyComplete holds every
+// option that changes a plan to this key.
 func fingerprintPlanOptions(o Options) string {
-	flags := [...]bool{o.Naive, o.NoOrSplit, o.NoSimplifyNulls, o.NoKeySimplify, o.NoViewCache}
+	flags := [...]bool{o.Naive, o.NoOrSplit, o.NoSimplifyNulls, o.NoKeySimplify, o.NoViewCache, o.NaivePlanner}
 	var b [len(flags)]byte
 	for i, f := range flags {
 		if f {

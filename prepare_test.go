@@ -19,9 +19,8 @@ func prepDB(t testing.TB) *certsql.DB {
 
 // TestPreparedMatchesAdHoc: an ad-hoc query is the prepared route with
 // an uncached plan. For every appendix query in every mode, under the
-// default options and the executor-side ones that share a cache entry
-// (NaivePlanner and Degrade under a cost budget
-// the Q⋆ route trips), Prepare + Execute twice must byte-match the
+// default options, the paper-faithful route (NaivePlanner) and Degrade
+// under a cost budget the Q⋆ route trips, Prepare + Execute twice must byte-match the
 // ad-hoc result with equal Stats apart from the plan-cache counters,
 // which ad-hoc results leave at zero, and the second execution must
 // come from the plan cache.
@@ -148,39 +147,48 @@ func TestPreparedKeyedByParamsAndOptions(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionInvalidatesPlans: two DB views sharing one cache
-// under different catalog versions must not share plans.
-func TestSnapshotVersionInvalidatesPlans(t *testing.T) {
+// TestSnapshotVersionsSharePlans: a plan is keyed on the schema it was
+// compiled against, not on the snapshot version. Two snapshot versions
+// of one catalog share one cached plan, and a database over another
+// schema compiles its own.
+func TestSnapshotVersionsSharePlans(t *testing.T) {
 	base := prepDB(t)
 	cache := plancache.New(0)
 	v1 := certsql.FromSnapshot(base.Internal(), 1, cache)
-	v2 := certsql.FromSnapshot(base.Internal(), 2, cache)
+	v2 := certsql.FromSnapshot(base.Internal().Clone(), 2, cache)
+	other := certsql.FromSnapshot(prepDB(t).Internal(), 1, cache)
 
 	const q = `SELECT CERTAIN n_name FROM nation WHERE n_nationkey = 3`
 	p1, err := v1.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p1.Execute(nil); err != nil {
-		t.Fatal(err)
-	}
-	r, err := p1.Execute(nil)
+	r1, err := p1.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.PlanCacheHits != 1 {
-		t.Fatalf("same-version re-execution should hit, stats %+v", r.Stats)
+	if r1.Stats.PlanCacheMisses != 1 {
+		t.Fatalf("first execution should compile, stats %+v", r1.Stats)
 	}
-	rebound := p1.Rebind(v2)
-	r2, err := rebound.Execute(nil)
+	r2, err := p1.Rebind(v2).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Stats.PlanCacheMisses != 1 {
-		t.Fatalf("stale plan leaked across a version bump, stats %+v", r2.Stats)
+	if r2.Stats.PlanCacheHits != 1 || r2.Stats.PlanCacheMisses != 0 {
+		t.Fatalf("a new snapshot version of the same schema should reuse the plan, stats %+v", r2.Stats)
+	}
+	if got, want := r2.Table().String(), r1.Table().String(); got != want {
+		t.Fatalf("shared plan changed the answer:\nv1: %s\nv2: %s", want, got)
+	}
+	r3, err := p1.Rebind(other).Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.Stats.PlanCacheMisses != 1 || r3.Stats.PlanCacheHits != 0 {
+		t.Fatalf("a database over another schema must compile its own plan, stats %+v", r3.Stats)
 	}
 	if cache.Stats().Len != 2 {
-		t.Fatalf("expected two version-keyed plans, cache %+v", cache.Stats())
+		t.Fatalf("expected one plan per schema, cache %+v", cache.Stats())
 	}
 }
 

@@ -67,8 +67,7 @@ func TestExplainRendersExecutedPlan(t *testing.T) {
 		if _, err := p.ExecuteWithOptions(c.params, c.opts); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		pl, ok := db.plans.Get(plancache.Key{SQL: p.text, CatalogVersion: db.catver,
-			Params: fingerprintParams(c.params), Options: fingerprintPlanOptions(c.opts)})
+		pl, ok := db.plans.Get(db.planKey(p.text, c.params, c.opts))
 		if !ok {
 			t.Fatalf("%s: Execute cached no plan", c.name)
 		}

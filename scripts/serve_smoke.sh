@@ -7,6 +7,9 @@
 # what exercises the plan cache), then asserts from /metrics that:
 #
 #   - at least one query was served from the plan cache,
+#   - after a one-row /v1/load, a third run of Q1–Q4 compiles nothing
+#     (plans key on the schema, which a load does not change) and the
+#     default session reads catalog version 2,
 #   - no request ended in a 5xx (every failure must map to a typed
 #     4xx/507 status — a 500 means an unmapped error escaped),
 #   - the admission gauges are exposed,
@@ -75,6 +78,34 @@ if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
     exit 1
 fi
 echo "serve-smoke: plan cache hits: $hits"
+
+# A load publishes version 2 of the default session's catalog. Plans
+# are keyed on the schema, not the version, so Q1–Q4 run once more must
+# all hit: the miss counter may not move.
+misses=$(awk '$1 == "certsqld_plan_cache_misses_total" {print $2}' "$workdir/metrics.txt")
+curl -fsS "$url/v1/load" -d '{"table":"nation","rows":[[99,"ATLANTIS",1,"sunk"]]}' >/dev/null
+for q in 1 2 3 4; do
+    if ! "$workdir/certsql" -remote "$url" -tpchq "$q" -mode certain -maxrows 3 \
+        >>"$workdir/queries.log" 2>&1; then
+        echo "serve-smoke: FAIL — Q$q after the load failed:" >&2
+        tail -n 20 "$workdir/queries.log" >&2
+        exit 1
+    fi
+done
+curl -fsS "$url/metrics" >"$workdir/metrics.txt"
+after=$(awk '$1 == "certsqld_plan_cache_misses_total" {print $2}' "$workdir/metrics.txt")
+if [ -z "$misses" ] || [ "$after" != "$misses" ]; then
+    echo "serve-smoke: FAIL — plan-cache misses went from '${misses:-none}' to '${after:-none}' across a load" >&2
+    cat "$workdir/metrics.txt" >&2
+    exit 1
+fi
+version=$(awk '$1 == "certsqld_catalog_version{session=\"default\"}" {print $2}' "$workdir/metrics.txt")
+if [ "$version" != "2" ]; then
+    echo "serve-smoke: FAIL — default session at catalog version '${version:-none}' after one load, want 2" >&2
+    cat "$workdir/metrics.txt" >&2
+    exit 1
+fi
+echo "serve-smoke: a load (catalog version 2) recompiled nothing: $after misses"
 
 if grep -E 'certsqld_requests_total\{[^}]*status="5[0-9]{2}"' "$workdir/metrics.txt"; then
     echo "serve-smoke: FAIL — 5xx responses recorded (unmapped error escaped)" >&2
