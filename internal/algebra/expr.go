@@ -43,6 +43,25 @@ type Product struct {
 	L, R Expr
 }
 
+// Leaves returns the leaves of the product chain e, left to right, or
+// e alone when it is not a product.
+func Leaves(e Expr) []Expr {
+	if p, ok := e.(Product); ok {
+		return append(Leaves(p.L), Leaves(p.R)...)
+	}
+	return []Expr{e}
+}
+
+// ProductOf is the left-deep product chain ((l₀ × l₁) × …) of leaves,
+// of which there is at least one.
+func ProductOf(leaves []Expr) Expr {
+	e := leaves[0]
+	for _, l := range leaves[1:] {
+		e = Product{L: e, R: l}
+	}
+	return e
+}
+
 // Union, Intersect and Diff are the set operations (duplicate-
 // eliminating, as in relational algebra; the SQL fragment studied in the
 // paper is evaluated under set semantics).

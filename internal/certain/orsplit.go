@@ -141,14 +141,8 @@ func (t *Translator) splitOrs(e algebra.Expr) algebra.Expr {
 // and it is what keeps the branch from computing a Cartesian product of
 // lineitem with the disconnected part side.
 func buildCubeAntiJoin(l algebra.Expr, inner algebra.Expr, nL int, conj []algebra.Cond) algebra.Expr {
-	leaves, offs := innerLeaves(inner)
-	leafOf := func(innerCol int) int {
-		g := 0
-		for g+1 < len(offs) && offs[g+1] <= innerCol {
-			g++
-		}
-		return g
-	}
+	leaves := algebra.Leaves(inner)
+	offs := leafOffsets(leaves)
 
 	// Union-find over {outer} ∪ leaves; conjuncts link what they touch.
 	// Node 0 is the outer side; node g+1 is leaf g.
@@ -179,7 +173,7 @@ func buildCubeAntiJoin(l algebra.Expr, inner algebra.Expr, nL int, conj []algebr
 				info.outer = true
 				continue
 			}
-			g := leafOf(col - nL)
+			g := leafAt(offs, col-nL)
 			if !seen[g] {
 				seen[g] = true
 				info.groups = append(info.groups, g)
@@ -244,10 +238,10 @@ func buildCubeAntiJoin(l algebra.Expr, inner algebra.Expr, nL int, conj []algebr
 
 	// Assemble the body: connected product, its filter, then one
 	// uncorrelated existence semijoin per disconnected component.
-	body := productChain(connLeaves)
+	body := algebra.ProductOf(connLeaves)
 	if len(connConds) > 0 {
 		local := algebra.MapCols(algebra.NewAnd(connConds...), func(c int) int {
-			g := leafOf(c - nL)
+			g := leafAt(offs, c-nL)
 			return newOff[g] + (c - nL - offs[g])
 		})
 		body = algebra.Select{Child: body, Cond: local}
@@ -273,10 +267,10 @@ func buildCubeAntiJoin(l algebra.Expr, inner algebra.Expr, nL int, conj []algebr
 				connected[h] = true // consume
 			}
 		}
-		comp := productChain(compLeaves)
+		comp := algebra.ProductOf(compLeaves)
 		if conds := compConds[root]; len(conds) > 0 {
 			local := algebra.MapCols(algebra.NewAnd(conds...), func(c int) int {
-				h := leafOf(c - nL)
+				h := leafAt(offs, c-nL)
 				return compOff[h] + (c - nL - offs[h])
 			})
 			comp = algebra.Select{Child: comp, Cond: local}
@@ -288,68 +282,41 @@ func buildCubeAntiJoin(l algebra.Expr, inner algebra.Expr, nL int, conj []algebr
 		if c < nL {
 			return c
 		}
-		g := leafOf(c - nL)
+		g := leafAt(offs, c-nL)
 		return nL + newOff[g] + (c - nL - offs[g])
 	})
 	return algebra.SemiJoin{L: l, R: body, Cond: cross, Anti: true}
 }
 
-// innerLeaves flattens a product chain into its leaves and their
-// starting column offsets.
-func innerLeaves(e algebra.Expr) ([]algebra.Expr, []int) {
-	var leaves []algebra.Expr
-	var offs []int
-	pos := 0
-	var walk func(algebra.Expr)
-	walk = func(e algebra.Expr) {
-		if p, ok := e.(algebra.Product); ok {
-			walk(p.L)
-			walk(p.R)
-			return
-		}
-		leaves = append(leaves, e)
-		offs = append(offs, pos)
-		pos += e.Arity()
+// leafOffsets returns the first column of each leaf of a product chain.
+func leafOffsets(leaves []algebra.Expr) []int {
+	offs := make([]int, len(leaves))
+	for i := 1; i < len(leaves); i++ {
+		offs[i] = offs[i-1] + leaves[i-1].Arity()
 	}
-	walk(e)
-	return leaves, offs
+	return offs
 }
 
-func productChain(leaves []algebra.Expr) algebra.Expr {
-	e := leaves[0]
-	for _, l := range leaves[1:] {
-		e = algebra.Product{L: e, R: l}
+// leafAt returns the leaf holding column c of the chain whose leaves
+// start at offs.
+func leafAt(offs []int, c int) int {
+	g := 0
+	for g+1 < len(offs) && offs[g+1] <= c {
+		g++
 	}
-	return e
+	return g
 }
 
 // groupOf maps semijoin-coordinate columns to relation occurrences: the
 // outer side is group -1; each leaf of the inner product chain is its
 // own group.
 func groupOf(inner algebra.Expr, nL int) func(col int) int {
-	var offsets []int
-	pos := 0
-	var walk func(e algebra.Expr)
-	walk = func(e algebra.Expr) {
-		if p, ok := e.(algebra.Product); ok {
-			walk(p.L)
-			walk(p.R)
-			return
-		}
-		offsets = append(offsets, pos)
-		pos += e.Arity()
-	}
-	walk(inner)
+	offs := leafOffsets(algebra.Leaves(inner))
 	return func(col int) int {
 		if col < nL {
 			return -1
 		}
-		c := col - nL
-		g := 0
-		for g+1 < len(offsets) && offsets[g+1] <= c {
-			g++
-		}
-		return g
+		return leafAt(offs, col-nL)
 	}
 }
 

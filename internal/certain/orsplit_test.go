@@ -11,7 +11,7 @@ import (
 // columns #0–#1 and inner leaves r (#2–#3), s (#4–#5), k (#6–#7).
 func TestShouldSplit(t *testing.T) {
 	base := func(name string) algebra.Expr { return algebra.Base{Name: name, Cols: 2} }
-	group := groupOf(productChain([]algebra.Expr{base("r"), base("s"), base("k")}), 2)
+	group := groupOf(algebra.ProductOf([]algebra.Expr{base("r"), base("s"), base("k")}), 2)
 	eqOrNull := func(a, b int) algebra.Cond {
 		return algebra.NewOr(
 			algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: a}, R: algebra.Col{Idx: b}},

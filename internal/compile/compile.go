@@ -503,7 +503,7 @@ func (c *compiler) compileBlock(s *sql.SelectStmt, outer *scope, offset int) (*b
 		leaves = append(leaves, leafExpr)
 		pos += leafExpr.Arity()
 	}
-	expr := productOf(leaves)
+	expr := algebra.ProductOf(leaves)
 	arity := pos - offset
 
 	// Split WHERE into plain conjuncts and subquery conjuncts.
@@ -710,17 +710,6 @@ func noDecoration(sel *sql.SelectStmt, where string) error {
 		return fmt.Errorf("compile: LIMIT is not supported in a %s", where)
 	}
 	return nil
-}
-
-func productOf(leaves []algebra.Expr) algebra.Expr {
-	if len(leaves) == 0 {
-		panic("compile: empty FROM")
-	}
-	e := leaves[0]
-	for _, l := range leaves[1:] {
-		e = algebra.Product{L: e, R: l}
-	}
-	return e
 }
 
 // fromItem resolves a FROM entry to a base relation or a compiled view.

@@ -436,17 +436,11 @@ func Check(db *table.Database, text string, opts Options) *Report {
 // re-execution, and the cached plan's answer is byte-identical to
 // ad-hoc evaluation.
 func checkPreparedReuse(rep *Report, fdb *certsql.DB, text string, plus *certsql.Result) {
-	q, err := sql.Parse(text)
+	certain, err := certsql.WithMode(text, "certain")
 	if err != nil {
 		return // the roundtrip invariant already reports parse failures
 	}
-	sel := leadSelect(q.Body)
-	if sel == nil {
-		return
-	}
-	sel.Certain = true
-	sel.Possible = false
-	prep, err := fdb.Prepare(q.SQL())
+	prep, err := fdb.Prepare(certain)
 	if err != nil {
 		rep.violate("prepared-reuse", "Prepare failed on certain-forced text: %v", err)
 		return
@@ -492,30 +486,11 @@ func checkPreparedReuse(rep *Report, fdb *certsql.DB, text string, plus *certsql
 // queryCertainWithOptions is QueryCertain with explicit options (the
 // facade couples the two only through the query text).
 func queryCertainWithOptions(fdb *certsql.DB, text string, o certsql.Options) (*certsql.Result, error) {
-	q, err := sql.Parse(text)
+	certain, err := certsql.WithMode(text, "certain")
 	if err != nil {
 		return nil, err
 	}
-	sel := leadSelect(q.Body)
-	if sel == nil {
-		return nil, fmt.Errorf("difftest: no select statement in %q", text)
-	}
-	sel.Certain = true
-	sel.Possible = false
-	return fdb.QueryWithOptions(q.SQL(), nil, o)
-}
-
-func leadSelect(body sql.QueryExpr) *sql.SelectStmt {
-	for {
-		switch b := body.(type) {
-		case *sql.SelectStmt:
-			return b
-		case sql.SetOp:
-			body = b.L
-		default:
-			return nil
-		}
-	}
+	return fdb.QueryWithOptions(certain, nil, o)
 }
 
 // routeExpr is one algebra-level route of a case: the compiled query

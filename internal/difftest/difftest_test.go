@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"certsql"
 	"certsql/internal/certain"
 	"certsql/internal/compile"
 	"certsql/internal/eval"
@@ -164,13 +165,16 @@ func TestCheckInvalidText(t *testing.T) {
 // actually evaluate the translation (regression for the facade ignoring
 // the flags on non-SelectStmt bodies).
 func TestSetOpCertainForcing(t *testing.T) {
-	q, err := sql.Parse("SELECT CERTAIN a FROM r0 EXCEPT SELECT a FROM r0")
+	text, err := certsql.WithMode("SELECT a FROM r0 EXCEPT SELECT a FROM r0", "certain")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := leadSelect(q.Body)
-	if sel == nil || !sel.Certain {
-		t.Fatal("CERTAIN flag not reachable on a set-op body")
+	q, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op, ok := q.Body.(sql.SetOp); !ok || !op.L.(*sql.SelectStmt).Certain {
+		t.Fatalf("CERTAIN flag not set on a set-op body: %s", text)
 	}
 }
 

@@ -378,7 +378,7 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 	case algebra.Select:
 		// Only a SELECT-FROM-WHERE block buffers: a selection over fewer
 		// than two product leaves (or with hash joins off) streams.
-		return ev.planJoinBlock(flattenProduct(e.Child), e.Cond)
+		return ev.planJoinBlock(algebra.Leaves(e.Child), e.Cond)
 
 	case algebra.Product:
 		l, err := ev.evalChild(e.L)

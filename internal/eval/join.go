@@ -11,15 +11,6 @@ import (
 	"certsql/internal/value"
 )
 
-// flattenProduct returns the leaves of a left-to-right product chain, or
-// a single-element slice when e is not a product.
-func flattenProduct(e algebra.Expr) []algebra.Expr {
-	if p, ok := e.(algebra.Product); ok {
-		return append(flattenProduct(p.L), flattenProduct(p.R)...)
-	}
-	return []algebra.Expr{e}
-}
-
 // planJoinBlock plans and executes σ_cond(leaf₀ × leaf₁ × …) — the
 // shape SELECT-FROM-WHERE blocks compile to — greedily, in the order
 // JoinBlock.Order derives from the filtered leaf sizes: the condition's

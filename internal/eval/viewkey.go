@@ -136,7 +136,7 @@ func (v *viewScan) visit(x algebra.Expr, drains bool) {
 		case !drains:
 		case block:
 			v.blocks = append(v.blocks, x)
-			for _, l := range flattenProduct(x.Child) {
+			for _, l := range algebra.Leaves(x.Child) {
 				v.site(l)
 			}
 		default:
@@ -178,7 +178,7 @@ func (v *viewScan) joinLeaves(sel algebra.Select) {
 	if v.hit {
 		return // decided; only the Shared counts were still open
 	}
-	leaves := flattenProduct(sel.Child)
+	leaves := algebra.Leaves(sel.Child)
 	meets := func(l algebra.Expr) bool {
 		b, ok := l.(algebra.Base)
 		return !ok || v.sites[b.Name] > 1
@@ -205,7 +205,7 @@ func Drains(e algebra.Expr, sel algebra.Select, blocks *JoinBlocks) (n int) {
 			}
 			return
 		}
-		leaves := flattenProduct(s.Child)
+		leaves := algebra.Leaves(s.Child)
 		if !slices.ContainsFunc(leaves, func(leaf algebra.Expr) bool {
 			b, ok := leaf.(algebra.Base)
 			return !ok || b == sel.Child

@@ -90,7 +90,12 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) bytes(n uint64) ([]byte, error) {
+// raw decodes a length-prefixed byte string, aliasing d's buffer.
+func (d *decoder) raw() ([]byte, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
 	if n > uint64(len(d.buf)-d.off) {
 		return nil, d.errf("declared length %d exceeds remaining %d bytes", n, len(d.buf)-d.off)
 	}
@@ -100,15 +105,8 @@ func (d *decoder) bytes(n uint64) ([]byte, error) {
 }
 
 func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := d.raw()
+	return string(b), err
 }
 
 func (d *decoder) done() bool { return d.off >= len(d.buf) }

@@ -15,6 +15,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,14 +94,21 @@ func (e *frameError) Error() string {
 type frameReader struct {
 	r   *bufio.Reader
 	off int64
+	buf []byte // the payload buffer, reused from frame to frame
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 1<<16)}
+// newFrameReader returns a reader of the frames that follow magic at
+// the start of r, and whether r does start with magic.
+func newFrameReader(r io.Reader, magic []byte) (*frameReader, bool) {
+	fr := &frameReader{r: bufio.NewReaderSize(r, 1<<16), off: int64(len(magic))}
+	got := make([]byte, len(magic))
+	_, err := io.ReadFull(fr.r, got)
+	return fr, err == nil && bytes.Equal(got, magic)
 }
 
-// readByte reads one byte, advancing the offset.
-func (fr *frameReader) readByte() (byte, error) {
+// ReadByte reads one byte, advancing the offset (io.ByteReader, for
+// binary.ReadUvarint).
+func (fr *frameReader) ReadByte() (byte, error) {
 	b, err := fr.r.ReadByte()
 	if err == nil {
 		fr.off++
@@ -110,48 +118,38 @@ func (fr *frameReader) readByte() (byte, error) {
 
 // next reads one frame. It returns io.EOF (and no frame) at a clean
 // end of file; any other failure is a *frameError positioned at the
-// frame's start.
+// frame's start. The payload holds until the next call.
 func (fr *frameReader) next() ([]byte, error) {
 	start := fr.off
 	// Length prefix. A clean EOF before the first byte ends the file;
 	// an EOF mid-varint is a torn frame.
-	first := true
-	var length uint64
-	var shift uint
-	for {
-		b, err := fr.readByte()
-		if err != nil {
-			if first && errors.Is(err, io.EOF) {
-				return nil, io.EOF
-			}
-			return nil, &frameError{Kind: frameTorn, Offset: start, Detail: "file ends inside the length prefix"}
-		}
-		first = false
-		if shift >= 64 {
-			return nil, &frameError{Kind: frameCorrupt, Offset: start, Detail: "length prefix overflows"}
-		}
-		length |= uint64(b&0x7f) << shift
-		shift += 7
-		if b&0x80 == 0 {
-			break
-		}
+	length, err := binary.ReadUvarint(fr)
+	switch {
+	case err == io.EOF:
+		return nil, io.EOF
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, &frameError{Kind: frameTorn, Offset: start, Detail: "file ends inside the length prefix"}
+	case err != nil:
+		return nil, &frameError{Kind: frameCorrupt, Offset: start, Detail: "length prefix: " + err.Error()}
 	}
 	if length > maxFramePayload {
 		return nil, &frameError{Kind: frameCorrupt, Offset: start, Detail: fmt.Sprintf("implausible payload length %d", length)}
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(fr.r, crcBuf[:]); err != nil {
+	// The checksum and the payload are read in one go into the buffer.
+	if uint64(cap(fr.buf)) < 4+length {
+		fr.buf = make([]byte, 4+length)
+	}
+	buf := fr.buf[:4+length]
+	n, err := io.ReadFull(fr.r, buf)
+	fr.off += int64(n)
+	if err != nil && n < 4 {
 		return nil, &frameError{Kind: frameTorn, Offset: start, Detail: "file ends inside the checksum"}
 	}
-	fr.off += 4
-	payload := make([]byte, length)
-	n, err := io.ReadFull(fr.r, payload)
-	fr.off += int64(n)
 	if err != nil {
 		return nil, &frameError{Kind: frameTorn, Offset: start,
-			Detail: fmt.Sprintf("file ends inside the payload (%d of %d bytes)", n, length)}
+			Detail: fmt.Sprintf("file ends inside the payload (%d of %d bytes)", n-4, length)}
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
+	want, payload := binary.LittleEndian.Uint32(buf), buf[4:]
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, &frameError{Kind: frameCorrupt, Offset: start,
 			Detail: fmt.Sprintf("checksum mismatch: stored %08x, computed %08x", want, got)}

@@ -1,27 +1,20 @@
 package persist
 
-// fsck.go — offline integrity checking of a data directory. Fsck never
-// writes: it walks the manifest, every referenced segment, and the WAL,
-// verifying each checksum and every cross-reference, and reports each
+// fsck.go — offline integrity checking of a data directory. Fsck runs
+// the reader recovery runs (load.go) and reports what it found, each
 // problem with file and offset so an operator can see exactly which
 // bytes stopped being trustworthy. A torn WAL tail is reported as
-// recoverable (Open truncates it); everything else is damage Open will
-// refuse to load.
+// recoverable (Open truncates it); everything else is damage Open
+// refuses, with the error of its first such finding.
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
-
-	"certsql/internal/schema"
-	"certsql/internal/table"
 )
 
-// Finding is one problem fsck found.
+// Finding is one problem the reader found.
 type Finding struct {
-	// File is the offending file's path relative to the data dir (or
-	// "" for directory-level problems).
+	// File is the offending file's path relative to the data dir.
 	File string
 	// Offset is the byte offset of the first untrusted byte, or -1
 	// when the problem is not positional.
@@ -30,13 +23,18 @@ type Finding struct {
 	// Recoverable marks damage Open repairs on its own (today: a torn
 	// WAL tail, the signature of a crash mid-append).
 	Recoverable bool
+	// err is the error the finding came from; Open wraps it.
+	err error
+}
+
+// refusal is Open's error for an unrecoverable finding in dir: it names
+// the file and wraps the finding's error.
+func (f Finding) refusal(dir string) error {
+	return fmt.Errorf("persist: %s: %w; run `certsql fsck %s` for a full report", filepath.Join(dir, f.File), f.err, dir)
 }
 
 func (f Finding) String() string {
 	where := f.File
-	if where == "" {
-		where = "."
-	}
 	if f.Offset >= 0 {
 		where = fmt.Sprintf("%s:%d", where, f.Offset)
 	}
@@ -71,139 +69,30 @@ func (r *Report) Clean() bool { return len(r.Findings) == 0 }
 
 // Healthy reports whether Open would succeed: no findings beyond
 // recoverable ones.
-func (r *Report) Healthy() bool {
-	for _, f := range r.Findings {
-		if !f.Recoverable {
-			return false
+func (r *Report) Healthy() bool { return r.damage() == nil }
+
+// damage returns the first unrecoverable finding, the one Open refuses
+// the directory on, or nil.
+func (r *Report) damage() *Finding {
+	for i := range r.Findings {
+		if !r.Findings[i].Recoverable {
+			return &r.Findings[i]
 		}
 	}
-	return true
+	return nil
 }
 
 // Fsck verifies the data directory and reports every problem it can
-// find. It returns an error only when the directory itself cannot be
-// examined; in-file damage is reported in the Report, not as an error.
+// find: it runs recovery's own reader (load), which never writes, and
+// lists the orphans Open would sweep. It returns an error only when
+// the directory itself cannot be examined; in-file damage is reported
+// in the Report, not as an error.
 func Fsck(dir string) (*Report, error) {
-	r := &Report{Dir: dir}
-	entries, err := os.ReadDir(dir)
+	m, _, r := load(dir)
+	orph, err := orphans(dir, m.files())
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	referenced := map[string]bool{manifestName: true}
-
-	// Manifest.
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		r.Findings = append(r.Findings, Finding{File: manifestName, Offset: -1,
-			Detail: fmt.Sprintf("cannot read manifest: %v", err)})
-		r.noteOrphans(entries, referenced)
-		return r, nil
-	}
-	m, err := decodeManifest(data)
-	if err != nil {
-		r.Findings = append(r.Findings, Finding{File: manifestName, Offset: -1, Detail: err.Error()})
-		r.noteOrphans(entries, referenced)
-		return r, nil
-	}
-	r.Checkpoint = m.Version
-	r.Version = m.Version
-
-	// Schema.
-	sch, err := schema.ParseDDL(m.SchemaDDL)
-	if err != nil {
-		r.Findings = append(r.Findings, Finding{File: manifestName, Offset: -1,
-			Detail: fmt.Sprintf("manifest schema does not parse: %v", err)})
-	}
-
-	// Segments: full read, checksum verification, and (when the schema
-	// parsed) kind-vs-schema validation of every row via a scratch
-	// database.
-	var db *table.Database
-	if sch != nil {
-		db = table.NewDatabase(sch)
-	}
-	for _, seg := range m.Segments {
-		referenced[seg.File] = true
-		path := filepath.Join(dir, seg.File)
-		sd, err := readSegment(path)
-		if err != nil {
-			r.Findings = append(r.Findings, Finding{File: seg.File, Offset: -1,
-				Detail: strings.TrimPrefix(err.Error(), "persist: "+path+": ")})
-			continue
-		}
-		if !strings.EqualFold(sd.Rel, seg.Table) {
-			r.Findings = append(r.Findings, Finding{File: seg.File, Offset: -1,
-				Detail: fmt.Sprintf("segment holds relation %q, manifest expects %q", sd.Rel, seg.Table)})
-			continue
-		}
-		if len(sd.Rows) != seg.Rows {
-			r.Findings = append(r.Findings, Finding{File: seg.File, Offset: -1,
-				Detail: fmt.Sprintf("segment holds %d rows, manifest expects %d", len(sd.Rows), seg.Rows)})
-			continue
-		}
-		r.Tables++
-		r.Rows += len(sd.Rows)
-		if db == nil {
-			continue
-		}
-		// As recovery does: the decoded rows are loaded, not copied.
-		if err := db.Load(seg.Table, sd.Rows); err != nil {
-			r.Findings = append(r.Findings, Finding{File: seg.File, Offset: -1,
-				Detail: fmt.Sprintf("segment does not conform to the schema: %v", err)})
-		}
-	}
-	if db != nil {
-		db.SetNextNullMark(m.NextNull)
-	}
-
-	// WAL: frame verification, record decoding, version continuity,
-	// and (when the catalog rebuilt) replayability of every op.
-	referenced[m.WAL] = true
-	walPath := filepath.Join(dir, m.WAL)
-	if _, err := os.Stat(walPath); err != nil {
-		r.Findings = append(r.Findings, Finding{File: m.WAL, Offset: -1,
-			Detail: fmt.Sprintf("manifest references a missing WAL: %v", err)})
-	} else if scan, err := scanWAL(walPath); err != nil {
-		r.Findings = append(r.Findings, Finding{File: m.WAL, Offset: -1, Detail: err.Error()})
-	} else {
-		version := m.Version
-		for i, rec := range scan.Records {
-			if rec.Version != version+1 {
-				r.Findings = append(r.Findings, Finding{File: m.WAL, Offset: rec.Off,
-					Detail: fmt.Sprintf("record %d publishes version %d, want %d", i, rec.Version, version+1)})
-				break
-			}
-			if db != nil {
-				if err := applyOps(db, rec.Ops); err != nil {
-					r.Findings = append(r.Findings, Finding{File: m.WAL, Offset: rec.Off,
-						Detail: fmt.Sprintf("record %d does not replay: %v", i, err)})
-					break
-				}
-				db.SetNextNullMark(rec.NextNull)
-			}
-			version = rec.Version
-			r.WALRecords++
-		}
-		r.Version = version
-		if scan.Problem != nil {
-			r.Findings = append(r.Findings, Finding{File: m.WAL, Offset: scan.Problem.Offset,
-				Detail: scan.Problem.Detail, Recoverable: scan.Problem.Kind == frameTorn})
-		}
-	}
-
-	r.noteOrphans(entries, referenced)
+	r.Orphans = orph
 	return r, nil
-}
-
-// noteOrphans records unreferenced persistence files.
-func (r *Report) noteOrphans(entries []os.DirEntry, referenced map[string]bool) {
-	for _, e := range entries {
-		name := e.Name()
-		if referenced[name] {
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, "seg-") || strings.HasPrefix(name, "wal-") {
-			r.Orphans = append(r.Orphans, name)
-		}
-	}
 }

@@ -82,7 +82,7 @@ func FuzzWALScanner(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		scan, err := scanWAL(path)
+		scan, err := scanWAL(path, func(*walRecord) {})
 		if err != nil {
 			t.Fatalf("scanWAL returned an I/O error for in-file bytes: %v", err)
 		}

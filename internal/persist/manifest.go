@@ -106,16 +106,11 @@ func decodeManifest(data []byte) (*manifest, error) {
 
 // readManifest loads and verifies dir's MANIFEST.
 func readManifest(dir string) (*manifest, error) {
-	path := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, fmt.Errorf("cannot read manifest: %w", err)
 	}
-	m, err := decodeManifest(data)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %s: %w", path, err)
-	}
-	return m, nil
+	return decodeManifest(data)
 }
 
 // writeManifest atomically publishes m as dir's MANIFEST: the bytes go

@@ -545,8 +545,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Kind: table.OpInsert, Table: "x", Row: table.Row{value.Int(0)}},
 	}
 	payload := encodeWALRecord(nil, 901, 1234, ops)
-	rec, err := decodeWALRecord(payload)
-	if err != nil {
+	rec := &walRecord{}
+	if err := decodeWALRecord(payload, rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Version != 901 || rec.NextNull != 1234 || len(rec.Ops) != len(ops) {

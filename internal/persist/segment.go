@@ -21,6 +21,7 @@ package persist
 // one missing tail blocks.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -142,50 +143,40 @@ type segmentData struct {
 }
 
 // readSegment reads and verifies a segment file. Every failure is
-// positioned: the returned error names the file and the offset of the
-// frame (or byte within it) that could not be trusted.
+// positioned: the returned error names the offset of the frame (or
+// byte within it) that could not be trusted; the caller names the file.
 func readSegment(path string) (*segmentData, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, err
 	}
 	defer func() {
 		// vetcert:ignore durawrite: read-only handle — close cannot lose data.
 		f.Close()
 	}()
 
-	fr := newFrameReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(fr.r, magic[:]); err != nil || string(magic[:]) != string(segMagic) {
-		return nil, fmt.Errorf("persist: %s: offset 0: not a segment file (bad magic)", path)
+	fr, ok := newFrameReader(f, segMagic)
+	if !ok {
+		return nil, errors.New("offset 0: not a segment file (bad magic)")
 	}
-	fr.off = 4
 
 	header, err := fr.next()
 	if err != nil {
-		return nil, fmt.Errorf("persist: %s: header: %w", path, err)
+		return nil, fmt.Errorf("header: %w", err)
 	}
 	hd := &decoder{buf: header}
-	format, err := hd.uvarint()
-	if err == nil && format != segFormat {
-		err = fmt.Errorf("unsupported segment format %d", format)
+	format, ferr := hd.uvarint()
+	if ferr == nil && format != segFormat {
+		ferr = fmt.Errorf("unsupported segment format %d", format)
 	}
-	var rel string
-	var arity, total uint64
-	if err == nil {
-		rel, err = hd.str()
-	}
-	if err == nil {
-		arity, err = hd.uvarint()
-	}
-	if err == nil {
-		total, err = hd.uvarint()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: %s: header: %w", path, err)
+	rel, rerr := hd.str()
+	arity, aerr := hd.uvarint()
+	total, terr := hd.uvarint()
+	if err := cmp.Or(ferr, rerr, aerr, terr); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
 	}
 	if arity == 0 || arity > 1<<16 {
-		return nil, fmt.Errorf("persist: %s: header: implausible arity %d", path, arity)
+		return nil, fmt.Errorf("header: implausible arity %d", arity)
 	}
 
 	seg := &segmentData{Rel: rel, Arity: int(arity), Rows: make([]table.Row, 0, total)}
@@ -196,17 +187,17 @@ func readSegment(path string) (*segmentData, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("persist: %s: %w", path, err)
+			return nil, err
 		}
 		rows, err := decodeBlock(payload, int(arity))
 		if err != nil {
-			return nil, fmt.Errorf("persist: %s: block at offset %d: %w", path, blockOff, err)
+			return nil, fmt.Errorf("block at offset %d: %w", blockOff, err)
 		}
 		seg.Rows = append(seg.Rows, rows...)
 	}
 	if uint64(len(seg.Rows)) != total {
-		return nil, fmt.Errorf("persist: %s: row count mismatch: header declares %d rows, file holds %d (missing tail blocks?)",
-			path, total, len(seg.Rows))
+		return nil, fmt.Errorf("row count mismatch: header declares %d rows, file holds %d (missing tail blocks?)",
+			total, len(seg.Rows))
 	}
 	return seg, nil
 }

@@ -11,7 +11,8 @@
 // most work that was never acknowledged; recovery replays the WAL past
 // the last checkpoint, truncates a torn tail record (the only damage a
 // clean crash can cause), verifies every checksum, and resumes the
-// version sequence exactly where the previous process stopped.
+// version sequence exactly where the previous process stopped. Recovery
+// and Fsck run one reader (load.go), so fsck's verdict is what Open does.
 //
 // Everything is stdlib-only and append-only: segments and WAL files
 // are never rewritten in place, and the manifest rename is the single
@@ -24,11 +25,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"certsql/internal/guard"
-	"certsql/internal/schema"
 	"certsql/internal/table"
 )
 
@@ -113,69 +112,28 @@ func (s *Store) openFresh(seed func() (*table.Database, error)) error {
 	return nil
 }
 
-// openRecover rebuilds the catalog from the manifest, segments, and
-// WAL.
+// openRecover rebuilds the catalog with the reader Fsck runs and
+// refuses the directory on its first unrecoverable finding.
 func (s *Store) openRecover() error {
-	m, err := readManifest(s.dir)
-	if err != nil {
-		return fmt.Errorf("%w; run `certsql fsck %s` for a full report", err, s.dir)
+	m, db, rep := load(s.dir)
+	if f := rep.damage(); f != nil {
+		return f.refusal(s.dir)
 	}
-	sch, err := schema.ParseDDL(m.SchemaDDL)
-	if err != nil {
-		return fmt.Errorf("persist: %s: manifest schema does not parse: %w", s.dir, err)
-	}
-	db := table.NewDatabase(sch)
-	keep := map[string]bool{m.WAL: true}
-	for _, seg := range m.Segments {
-		keep[seg.File] = true
-		path := filepath.Join(s.dir, seg.File)
-		data, err := readSegment(path)
-		if err != nil {
-			return fmt.Errorf("%w; run `certsql fsck %s` for a full report", err, s.dir)
-		}
-		if !strings.EqualFold(data.Rel, seg.Table) {
-			return fmt.Errorf("persist: %s: segment holds relation %q, manifest expects %q", path, data.Rel, seg.Table)
-		}
-		if len(data.Rows) != seg.Rows {
-			return fmt.Errorf("persist: %s: segment holds %d rows, manifest expects %d", path, len(data.Rows), seg.Rows)
-		}
-		if err := db.Load(seg.Table, data.Rows); err != nil {
-			return fmt.Errorf("persist: %s: segment does not conform to the schema: %w", path, err)
-		}
-	}
-	db.SetNextNullMark(m.NextNull)
 
+	// Reopen the WAL for appending, truncating a torn tail first (the
+	// one recoverable finding) at the start of its frame, just past the
+	// last verified record: the torn bytes are the remains of a record
+	// that was never acknowledged, so dropping them loses nothing that
+	// was promised.
 	walPath := filepath.Join(s.dir, m.WAL)
-	scan, err := scanWAL(walPath)
-	if err != nil {
-		return err
-	}
-	if scan.Problem != nil && scan.Problem.Kind != frameTorn {
-		return fmt.Errorf("persist: %s: %s; run `certsql fsck %s` for a full report", walPath, scan.Problem, s.dir)
-	}
-	version := m.Version
-	for i, rec := range scan.Records {
-		if rec.Version != version+1 {
-			return fmt.Errorf("persist: %s: record %d at offset %d publishes version %d, want %d; run `certsql fsck %s`",
-				walPath, i, rec.Off, rec.Version, version+1, s.dir)
-		}
-		if err := applyOps(db, rec.Ops); err != nil {
-			return fmt.Errorf("persist: %s: record %d at offset %d does not replay: %w", walPath, i, rec.Off, err)
-		}
-		db.SetNextNullMark(rec.NextNull)
-		version = rec.Version
-	}
-
-	// Reopen the WAL for appending, truncating a torn tail first: the
-	// torn bytes are the remains of a record that was never
-	// acknowledged, so dropping them loses nothing that was promised.
 	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if scan.Problem != nil {
-		s.logf("persist: %s: truncating torn WAL tail (%s)", walPath, scan.Problem)
-		if err := wal.Truncate(scan.GoodEnd); err != nil {
+	if len(rep.Findings) > 0 {
+		torn := rep.Findings[0]
+		s.logf("persist: %s: truncating torn WAL tail (%s)", walPath, torn)
+		if err := wal.Truncate(torn.Offset); err != nil {
 			// vetcert:ignore durawrite: abort path — open failed, handle is dead.
 			wal.Close()
 			return fmt.Errorf("persist: truncating %s: %w", walPath, err)
@@ -186,11 +144,11 @@ func (s *Store) openRecover() error {
 			return fmt.Errorf("persist: sync %s: %w", walPath, err)
 		}
 	}
-	s.wal, s.walName, s.walRecords = wal, m.WAL, len(scan.Records)
-	s.mem = table.NewStoreAt(db, version)
-	s.sweepOrphans(keep)
+	s.wal, s.walName, s.walRecords = wal, m.WAL, rep.WALRecords
+	s.mem = table.NewStoreAt(db, rep.Version)
+	s.sweepOrphans(m.files())
 	s.logf("persist: %s: recovered to version %d (checkpoint %d + %d WAL records)",
-		s.dir, version, m.Version, len(scan.Records))
+		s.dir, rep.Version, rep.Checkpoint, rep.WALRecords)
 	return nil
 }
 
@@ -199,9 +157,6 @@ func (s *Store) Snapshot() *table.Snapshot { return s.mem.Snapshot() }
 
 // Version returns the current published version.
 func (s *Store) Version() uint64 { return s.mem.Version() }
-
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Update clones the current database, applies mutate, syncs the delta
 // to the WAL, and only then publishes the new version to in-memory
@@ -372,29 +327,19 @@ func (s *Store) checkpointLocked(db *table.Database, version uint64) error {
 		s.wal.Close()
 	}
 	s.wal, s.walName, s.walRecords = wal, m.WAL, 0
-	keep := map[string]bool{m.WAL: true}
-	for _, seg := range m.Segments {
-		keep[seg.File] = true
-	}
-	s.sweepOrphans(keep)
+	s.sweepOrphans(m.files())
 	return nil
 }
 
-// sweepOrphans removes temp files and seg-*/wal-* files not in keep
-// (keep nil means "keep none"). Best-effort: failures are logged.
+// sweepOrphans removes the files orphans lists (keep nil means "keep
+// none"). Best-effort: failures are logged.
 func (s *Store) sweepOrphans(keep map[string]bool) {
-	entries, err := os.ReadDir(s.dir)
+	names, err := orphans(s.dir, keep)
 	if err != nil {
 		s.logf("persist: %s: orphan sweep: %v", s.dir, err)
 		return
 	}
-	for _, e := range entries {
-		name := e.Name()
-		orphan := strings.HasSuffix(name, ".tmp") ||
-			((strings.HasPrefix(name, "seg-") || strings.HasPrefix(name, "wal-")) && !keep[name])
-		if !orphan {
-			continue
-		}
+	for _, name := range names {
 		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 			s.logf("persist: %s: removing orphan %s: %v", s.dir, name, err)
 		} else {
@@ -476,25 +421,6 @@ func verifyCaptured(pre, post *table.Database, ops []table.Op) error {
 		if got != want {
 			return fmt.Errorf("persist: relation %q: mutation bypassed the delta recorder (%d rows appeared, %d recorded); mutate only via Database.Insert/ReplaceRow",
 				name, got-pre.MustTable(name).Len(), inserts[name])
-		}
-	}
-	return nil
-}
-
-// applyOps replays recorded ops against db.
-func applyOps(db *table.Database, ops []table.Op) error {
-	for i, op := range ops {
-		var err error
-		switch op.Kind {
-		case table.OpInsert:
-			err = db.Insert(op.Table, op.Row)
-		case table.OpReplace:
-			err = db.ReplaceRow(op.Table, op.Index, op.Row)
-		default:
-			err = fmt.Errorf("unknown op kind %d", op.Kind)
-		}
-		if err != nil {
-			return fmt.Errorf("op %d: %w", i, err)
 		}
 	}
 	return nil

@@ -27,12 +27,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"certsql/internal/guard"
 	"certsql/internal/table"
+	"certsql/internal/value"
 )
 
 var walMagic = []byte("CWL1")
@@ -56,77 +56,89 @@ func encodeWALRecord(buf []byte, version uint64, nextNull int64, ops []table.Op)
 	return buf
 }
 
-// walRecord is one decoded WAL record plus its file offset.
+// walRecord is one decoded WAL record plus its file offset. Decoding
+// into a record reuses its op slice and row buffer, so its ops' rows
+// hold only until the next decode into it: replay copies them into the
+// table (Database.Insert and ReplaceRow do).
 type walRecord struct {
 	Version  uint64
 	NextNull int64
 	Ops      []table.Op
 	Off      int64
+	vals     []value.Value // the backing of the ops' rows
+	// rel is the last op's relation name, kept while the names repeat,
+	// so a run of updates to one relation allocates it once.
+	rel string
 }
 
-// decodeWALRecord decodes one record payload.
-func decodeWALRecord(payload []byte) (*walRecord, error) {
+// decodeWALRecord decodes one record payload into rec.
+func decodeWALRecord(payload []byte, rec *walRecord) error {
 	d := &decoder{buf: payload}
-	version, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	var err error
+	if rec.Version, err = d.uvarint(); err != nil {
+		return err
 	}
-	nextNull, err := d.varint()
-	if err != nil {
-		return nil, err
+	if rec.NextNull, err = d.varint(); err != nil {
+		return err
 	}
 	nops, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nops > uint64(len(payload)) {
-		return nil, d.errf("implausible op count %d", nops)
+		return d.errf("implausible op count %d", nops)
 	}
-	rec := &walRecord{Version: version, NextNull: nextNull, Ops: make([]table.Op, 0, nops)}
+	rec.Ops, rec.vals = rec.Ops[:0], rec.vals[:0]
 	for i := uint64(0); i < nops; i++ {
 		kind, err := d.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if table.OpKind(kind) != table.OpInsert && table.OpKind(kind) != table.OpReplace {
-			return nil, d.errf("op %d: unknown op kind %d", i, kind)
+			return d.errf("op %d: unknown op kind %d", i, kind)
 		}
 		op := table.Op{Kind: table.OpKind(kind)}
-		if op.Table, err = d.str(); err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
+		b, err := d.raw()
+		if err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
 		}
+		if string(b) != rec.rel {
+			rec.rel = string(b)
+		}
+		op.Table = rec.rel
 		if op.Kind == table.OpReplace {
 			idx, err := d.uvarint()
 			if err != nil {
-				return nil, fmt.Errorf("op %d: %w", i, err)
+				return fmt.Errorf("op %d: %w", i, err)
 			}
 			op.Index = int(idx)
 		}
 		arity, err := d.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
+			return fmt.Errorf("op %d: %w", i, err)
 		}
 		if arity > 1<<16 {
-			return nil, d.errf("op %d: implausible arity %d", i, arity)
+			return d.errf("op %d: implausible arity %d", i, arity)
 		}
-		op.Row = make(table.Row, arity)
-		for c := range op.Row {
-			if op.Row[c], err = d.val(); err != nil {
-				return nil, fmt.Errorf("op %d column %d: %w", i, c, err)
+		start := len(rec.vals)
+		for c := uint64(0); c < arity; c++ {
+			v, err := d.val()
+			if err != nil {
+				return fmt.Errorf("op %d column %d: %w", i, c, err)
 			}
+			rec.vals = append(rec.vals, v)
 		}
+		op.Row = rec.vals[start:len(rec.vals):len(rec.vals)]
 		rec.Ops = append(rec.Ops, op)
 	}
 	if !d.done() {
-		return nil, d.errf("%d trailing bytes after the last op", len(payload)-d.off)
+		return d.errf("%d trailing bytes after the last op", len(payload)-d.off)
 	}
-	return rec, nil
+	return nil
 }
 
 // walScan is the result of scanning one WAL file.
 type walScan struct {
-	// Records are the verified records, in file order.
-	Records []*walRecord
 	// GoodEnd is the offset just past the last verified record — the
 	// truncation point when the tail is torn.
 	GoodEnd int64
@@ -137,14 +149,15 @@ type walScan struct {
 	Problem *frameError
 }
 
-// scanWAL reads a WAL file, verifying every frame and decoding every
-// record. It never returns an error for in-file damage — that is
-// reported in the scan so recovery and fsck can classify it — only for
-// I/O-level failures (unreadable file).
-func scanWAL(path string) (*walScan, error) {
+// scanWAL reads a WAL file, verifying every frame, decoding every
+// record, and handing each verified record to each, in file order; the
+// record is reused for the next one. It never returns an error for
+// in-file damage — that is reported in the scan so the reader can
+// classify it — only for I/O-level failures (unreadable file).
+func scanWAL(path string, each func(*walRecord)) (*walScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, err
 	}
 	defer func() {
 		// vetcert:ignore durawrite: read-only handle — close cannot lose data.
@@ -152,34 +165,25 @@ func scanWAL(path string) (*walScan, error) {
 	}()
 
 	scan := &walScan{}
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != string(walMagic) {
+	fr, ok := newFrameReader(f, walMagic)
+	if !ok {
 		scan.Problem = &frameError{Kind: frameCorrupt, Offset: 0, Detail: "not a WAL file (bad magic)"}
 		return scan, nil
 	}
-	fr := newFrameReader(f)
-	fr.off = 4
-	scan.GoodEnd = 4
+	scan.GoodEnd = fr.off
+	var rec walRecord
 	for {
 		payload, err := fr.next()
-		if errors.Is(err, io.EOF) {
-			return scan, nil
-		}
-		var fe *frameError
-		if errors.As(err, &fe) {
-			scan.Problem = fe
-			return scan, nil
-		}
 		if err != nil {
-			return nil, fmt.Errorf("persist: %s: %w", path, err)
+			errors.As(err, &scan.Problem) // none at a clean end of file
+			return scan, nil
 		}
-		rec, derr := decodeWALRecord(payload)
-		if derr != nil {
+		if derr := decodeWALRecord(payload, &rec); derr != nil {
 			scan.Problem = &frameError{Kind: frameCorrupt, Offset: scan.GoodEnd, Detail: derr.Error()}
 			return scan, nil
 		}
 		rec.Off = scan.GoodEnd
-		scan.Records = append(scan.Records, rec)
+		each(&rec)
 		scan.GoodEnd = fr.off
 	}
 }

@@ -225,7 +225,7 @@ func (d *describer) anyNullRate(e algebra.Expr) float64 {
 // cost (unhashedSteps) where they do not — and the output is discounted
 // by the condition's selectivity.
 func (d *describer) joinBlockEstimate(s algebra.Select) estimate {
-	leaves := flattenProduct(s.Child)
+	leaves := algebra.Leaves(s.Child)
 	groups := algebra.NullScans(s.Cond)
 	rows, cost, off := 1.0, 1.0, 0
 	for _, leaf := range leaves {
@@ -335,14 +335,6 @@ func arities(leaves []algebra.Expr) []int {
 		out[i] = leaf.Arity()
 	}
 	return out
-}
-
-// flattenProduct mirrors the evaluator's product-chain flattening.
-func flattenProduct(e algebra.Expr) []algebra.Expr {
-	if p, ok := e.(algebra.Product); ok {
-		return append(flattenProduct(p.L), flattenProduct(p.R)...)
-	}
-	return []algebra.Expr{e}
 }
 
 // nnf returns a condition in NNF, as the evaluator sees it.

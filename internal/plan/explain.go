@@ -115,7 +115,7 @@ func (d *describer) describe(e algebra.Expr, hints *eval.PlanHints) *ExplainNode
 		if isProductChain(x.Child) {
 			n.Op, n.Detail = "join-block", x.Cond.String()
 			groups, off := algebra.NullScans(x.Cond), 0
-			leaves := flattenProduct(x.Child)
+			leaves := algebra.Leaves(x.Child)
 			jb := eval.ClassifyJoinBlock(arities(leaves), x.Cond)
 			for i, leaf := range leaves {
 				c := d.cached(jb.Leaf(i, leaf))

@@ -10,8 +10,10 @@
 # for recovery to finish (healthz flips 503 "recovering" → 200), push
 # acknowledged loads through /v1/load, fire one more load and SIGKILL
 # the server while it may still be in flight. After every kill the
-# invariants are checked on restart:
+# invariants are checked, first by `certsql fsck` and then on restart:
 #
+#   - fsck exits 0 or reports recoverable damage only (a torn WAL
+#     tail): its verdict is what the restart's recovery does,
 #   - the server recovers (healthz reaches 200),
 #   - the catalog version is monotone: >= the last acknowledged version
 #     (WAL-ahead publish: an acked load is a durable load),
@@ -124,9 +126,22 @@ for round in $(seq 1 "$ROUNDS"); do
         >/dev/null 2>&1 &
     racer=$!
     kill -9 "$pid"
+    wait "$pid" 2>/dev/null || true
     pid=""
     wait "$racer" 2>/dev/null || true
     echo "crash-smoke: killed -9 after $acked_rows acked loads (v$acked_version)"
+
+    # fsck runs recovery's own reader: on what a kill leaves it must
+    # find the directory clean or report recoverable damage only (a
+    # torn WAL tail), and the restart that follows must recover.
+    fsck_status=0
+    fsck_out=$("$workdir/certsql" fsck "$datadir") || fsck_status=$?
+    if [ "$fsck_status" -ne 0 ] && ! grep -q "recoverable damage only" <<<"$fsck_out"; then
+        echo "crash-smoke: FAIL — fsck after kill -9 exited $fsck_status:" >&2
+        echo "$fsck_out" >&2
+        exit 1
+    fi
+    echo "crash-smoke: fsck after kill: $(tail -n 1 <<<"$fsck_out")"
 done
 
 # Final round: recover once more, verify, shut down cleanly, fsck.
@@ -153,4 +168,4 @@ if ! "$workdir/certsql" fsck "$datadir"; then
     exit 1
 fi
 
-echo "crash-smoke: PASS ($ROUNDS kills, $acked_rows acked loads, fsck clean)"
+echo "crash-smoke: PASS ($ROUNDS kills, each fsck-checked, $acked_rows acked loads, fsck clean)"
