@@ -137,21 +137,27 @@ func BenchmarkJoinBlockPlanner(b *testing.B) {
 // and two forward controls, where the build side already is the smaller
 // one: 15 000 rows antijoined against 500, and 60 000 rows semijoined
 // against 15 000 under a residual condition that verifies every
-// candidate. Run with:
+// candidate. The "-wide" cases stream "wide", big's 60 000 keys and
+// values followed by 14 more columns: a 16-column row, like lineitem's,
+// spans eight cache lines where big's fits in one, and the stream
+// reads only the columns it uses, from their copies. Run with:
 //
 //	make bench-join
 func BenchmarkBuildSide(b *testing.B) {
 	s := schema.New()
-	for _, name := range []string{"tiny", "small", "mid", "big"} {
-		s.MustAdd(&schema.Relation{Name: name, Attrs: []schema.Attribute{
-			{Name: "k", Type: value.KindInt, Nullable: true},
-			{Name: "v", Type: value.KindInt, Nullable: true},
-		}})
+	arity := map[string]int{"tiny": 2, "small": 2, "mid": 2, "big": 2, "wide": 16}
+	for _, name := range []string{"tiny", "small", "mid", "big", "wide"} {
+		attrs := make([]schema.Attribute, arity[name])
+		for c := range attrs {
+			attrs[c] = schema.Attribute{Name: fmt.Sprintf("c%d", c), Type: value.KindInt, Nullable: true}
+		}
+		s.MustAdd(&schema.Relation{Name: name, Attrs: attrs})
 	}
 	db := table.NewDatabase(s)
 	rng := rand.New(rand.NewSource(24))
-	for rel, n := range map[string]int{"tiny": 2, "small": 500, "mid": 15000, "big": 60000} {
-		for i := 0; i < n; i++ {
+	rows := map[string]int{"tiny": 2, "small": 500, "mid": 15000, "big": 60000} // wide extends big's rows
+	for _, rel := range []string{"tiny", "small", "mid", "big"} {
+		for i := 0; i < rows[rel]; i++ {
 			row := table.Row{value.Int(int64(rng.Intn(15000))), value.Int(int64(rng.Intn(8)))}
 			if rng.Float64() < 0.02 {
 				row[0] = db.FreshNull()
@@ -159,9 +165,17 @@ func BenchmarkBuildSide(b *testing.B) {
 			if err := db.Insert(rel, row); err != nil {
 				b.Fatal(err)
 			}
+			if rel == "big" {
+				for c := 2; c < arity["wide"]; c++ {
+					row = append(row, value.Int(int64(rng.Intn(1000))))
+				}
+				if err := db.Insert("wide", row); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
-	base := func(name string) algebra.Expr { return algebra.Base{Name: name, Cols: 2} }
+	base := func(name string) algebra.Expr { return algebra.Base{Name: name, Cols: arity[name]} }
 	keyEq := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}}
 	join := func(l, r string) algebra.Expr {
 		return algebra.Select{Child: algebra.Product{L: base(l), R: base(r)}, Cond: keyEq}
@@ -185,6 +199,8 @@ func BenchmarkBuildSide(b *testing.B) {
 		{"semi-fused/500x60000", semi("small", "big", keyEq, false, true)},
 		{"anti-fused/500x60000", semi("small", "big", keyEq, true, true)},
 		{"anti/15000x60000", semi("mid", "big", keyEq, true, false)},
+		{"semi-fused/500x60000-wide", semi("small", "wide", keyEq, false, true)},
+		{"anti/15000x60000-wide", semi("mid", "wide", keyEq, true, false)},
 		{"anti-forward/15000x500", semi("mid", "small", keyEq, true, false)},
 		{"semi-forward-residual/60000x15000", semi("big", "mid", residual, false, false)},
 	} {

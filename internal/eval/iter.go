@@ -95,7 +95,8 @@ func iterName(it iter) string {
 type rowsIter struct {
 	rows     []table.Row
 	ar, off  int
-	buffered bool // a materialized table, not a stored relation
+	buffered bool         // a materialized table, not a stored relation
+	stored   *table.Table // the stored relation, when rows are all of it
 }
 
 // newScanIter streams the rows scan reads, charged at construction.
@@ -104,7 +105,11 @@ func (ev *Evaluator) newScanIter(e algebra.Base, groups [][]int) (*rowsIter, err
 	if err != nil {
 		return nil, err
 	}
-	return &rowsIter{rows: rows, ar: t.Arity()}, nil
+	it := &rowsIter{rows: rows, ar: t.Arity()}
+	if len(rows) == t.Len() { // a null-list read returns a subset, in order
+		it.stored = t
+	}
+	return it, nil
 }
 
 // newBufferedIter streams a materialized table.
@@ -226,16 +231,55 @@ func (it *rowsIter) arity() int { return it.ar }
 func (it *rowsIter) close()     {}
 func (it *rowsIter) isIter()    {}
 
+// gather reads the columns an operator uses of row i of its input:
+// over a stored relation read in full, from the relation's column
+// copies (table.Column) into a scratch row, so the scan touches only
+// those columns' memory; over any other input, from the row itself.
+type gather struct {
+	cols   []int
+	copies [][]value.Value // copies[j] holds column cols[j]; nil reads rows
+}
+
+// newGather prepares reading cols, sorted, of t's rows, or of the input
+// rows when t is nil or some col is not t's. It takes t's copies, so it
+// runs on the coordinating goroutine.
+func newGather(t *table.Table, cols []int) gather {
+	if t == nil || len(cols) > 0 && (cols[0] < 0 || cols[len(cols)-1] >= t.Arity()) {
+		return gather{}
+	}
+	g := gather{cols: cols, copies: make([][]value.Value, len(cols))}
+	for j, c := range cols {
+		g.copies[j] = t.Column(c)
+	}
+	return g
+}
+
+// row returns the input's row i, r, as the operator reads it: r, or
+// dst, of r's arity, holding r's values in the gathered columns.
+func (g gather) row(dst table.Row, i int, r table.Row) table.Row {
+	if g.copies == nil {
+		return r
+	}
+	for j, c := range g.cols {
+		dst[c] = g.copies[j][i]
+	}
+	return dst
+}
+
 // filterIter applies a selection condition to each pulled batch, row
-// by row on the coordinating goroutine. Scalar subqueries in the
-// condition are resolved at construction, after the child pipeline is
-// built, which fixes the minting order of aggregate-null marks. The
-// passing rows are collected in a scratch slice reused across batches
-// and emitted as an exact-size copy.
+// by row on the coordinating goroutine, reading the condition's columns
+// through a gather. Scalar subqueries in the condition are resolved at
+// construction, after the child pipeline is built, which fixes the
+// minting order of aggregate-null marks. The passing rows are collected
+// in a scratch slice reused across batches and emitted as an exact-size
+// copy.
 type filterIter struct {
 	ev      *Evaluator
 	child   iter
 	cond    algebra.Cond
+	read    gather
+	pos     int       // the input position of the next batch's first row
+	row     table.Row // read's scratch row
 	scratch []table.Row
 }
 
@@ -245,7 +289,12 @@ func (ev *Evaluator) newFilterIter(child iter, cond algebra.Cond) (*filterIter, 
 		child.close()
 		return nil, err
 	}
-	return &filterIter{ev: ev, child: child, cond: cond}, nil
+	var stored *table.Table
+	if s, ok := child.(*rowsIter); ok {
+		stored = s.stored
+	}
+	return &filterIter{ev: ev, child: child, cond: cond, read: newGather(stored, algebra.ColsUsed(cond)),
+		row: make(table.Row, child.arity())}, nil
 }
 
 func (it *filterIter) next() ([]table.Row, error) {
@@ -258,8 +307,8 @@ func (it *filterIter) next() ([]table.Row, error) {
 			return nil, err
 		}
 		it.scratch = it.scratch[:0]
-		for _, r := range batch {
-			v, err := it.ev.evalCond(it.cond, r)
+		for i, r := range batch {
+			v, err := it.ev.evalCond(it.cond, it.read.row(it.row, it.pos+i, r))
 			if err != nil {
 				return nil, err
 			}
@@ -267,6 +316,7 @@ func (it *filterIter) next() ([]table.Row, error) {
 				it.scratch = append(it.scratch, r)
 			}
 		}
+		it.pos += len(batch)
 		if len(it.scratch) > 0 {
 			return slices.Clone(it.scratch), nil
 		}

@@ -3,6 +3,7 @@ package eval
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"certsql/internal/algebra"
@@ -490,6 +491,9 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	default:
 		if t, err = ev.evalChild(rExpr); err == nil {
 			p.r = sideOf(t)
+			if isBase(rExpr) {
+				p.r.stored = t
+			}
 		}
 	}
 	if err != nil {
@@ -562,6 +566,7 @@ func isBase(e algebra.Expr) bool {
 type buildSide struct {
 	head, tail []table.Row
 	ar         int
+	stored     *table.Table // the stored relation head is, if it is one
 }
 
 func sideOf(t *table.Table) buildSide { return buildSide{head: t.Rows(), ar: t.Arity()} }
@@ -638,6 +643,19 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 	if err := ev.charge("semijoin/build", int64(len(held))); err != nil {
 		return nil, err
 	}
+	// Each R row is read through a gather of the columns the key, the
+	// fused filter and the verify condition's build side use.
+	cols := slices.Clone(p.rCols)
+	for _, c := range algebra.ColsUsed(p.cond) {
+		if c >= p.nL {
+			cols = append(cols, c-p.nL)
+		}
+	}
+	if p.fuse != nil {
+		cols = append(cols, algebra.ColsUsed(p.fuse)...)
+	}
+	slices.Sort(cols)
+	read := newGather(p.r.stored, slices.Compact(cols))
 	workers := ev.opts.workers()
 	matched, verified := make([][]bool, workers), make([][]int64, workers)
 	var filtered atomic.Int64 // R rows put through the fused filter, for the trace
@@ -653,7 +671,7 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 			if c.stopped() {
 				return nil
 			}
-			rr := p.r.row(ri)
+			rr := read.row(row[p.nL:], ri, p.r.row(ri))
 			c.st.costUnits++
 			passed := false
 			cur := idx.Probe(rr, p.rCols, &c.key)

@@ -165,7 +165,10 @@ func TestBatchPullFaults(t *testing.T) {
 // σ[a < 10 000] over 20 000 stored rows keeps every other row, and may
 // allocate at most 2.5× the kept rows' pointer bytes (24 B a row). The
 // filter's exact-size batches and the drain's one concatenation take
-// 2×; growing the result by append a row at a time takes far more.
+// 2×; growing the result by append a row at a time takes far more. The
+// filter reads column a from the relation's copy, which belongs to the
+// relation's generation, not to the drain: an unmeasured first run
+// builds it (table's TestColumnBuildAllocs bounds that build).
 func TestDrainCopiesRowsOnce(t *testing.T) {
 	const rows, kept = 20000, 10000
 	db := newDB(t)
@@ -178,6 +181,9 @@ func TestDrainCopiesRowsOnce(t *testing.T) {
 	}
 	e := algebra.Select{Child: baseR, Cond: algebra.Cmp{Op: algebra.LT, L: algebra.Col{Idx: 0}, R: algebra.Lit{Val: value.Int(kept)}}}
 
+	if _, err := eval.New(db, eval.Options{Parallelism: 1}).Eval(e); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

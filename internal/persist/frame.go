@@ -140,12 +140,16 @@ func (fr *frameReader) next() ([]byte, error) {
 		fr.buf = make([]byte, 4+length)
 	}
 	buf := fr.buf[:4+length]
+	// Only an end of file is a crashed append's signature: any other
+	// read error must not let recovery truncate acknowledged records.
 	n, err := io.ReadFull(fr.r, buf)
 	fr.off += int64(n)
-	if err != nil && n < 4 {
+	switch {
+	case err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, &frameError{Kind: frameCorrupt, Offset: start, Detail: "reading the frame: " + err.Error()}
+	case err != nil && n < 4:
 		return nil, &frameError{Kind: frameTorn, Offset: start, Detail: "file ends inside the checksum"}
-	}
-	if err != nil {
+	case err != nil:
 		return nil, &frameError{Kind: frameTorn, Offset: start,
 			Detail: fmt.Sprintf("file ends inside the payload (%d of %d bytes)", n-4, length)}
 	}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"certsql/internal/schema"
 	"certsql/internal/value"
@@ -19,7 +20,7 @@ type Row = []value.Value
 
 // Slab sizes, in values. A Packer's first slab is small, because the
 // brute-force oracle builds thousands of tiny databases; each later one
-// doubles the last, up to maxSlabValues (2.5 MiB of 40-byte values).
+// doubles the last, up to maxSlabValues (2 MiB of 32-byte values).
 const (
 	firstSlabValues = 64
 	maxSlabValues   = 1 << 16
@@ -57,9 +58,9 @@ func (p *Packer) Pack(r Row) Row {
 // genCounter mints globally unique table generations. Every mutation of
 // any table assigns a fresh generation, so two tables with the same
 // generation are guaranteed to hold identical rows — the property the
-// null lists (NullRows) key on. Clone deliberately copies the
-// generation: a clone has the same content, so sharing its null lists
-// across copy-on-write publishes is sound.
+// null lists (NullRows) and column copies (Column) key on. Clone
+// deliberately copies the generation: a clone has the same content, so
+// sharing them across copy-on-write publishes is sound.
 var genCounter atomic.Uint64
 
 // Table is a bag of rows of a fixed arity. A stored relation's values
@@ -67,18 +68,22 @@ var genCounter atomic.Uint64
 // each row after the previous one's values, so a scan reads memory in
 // order instead of touching one heap object per row.
 type Table struct {
-	arity int
-	gen   uint64
-	rows  []Row
-	pack  Packer                    // where Append and SetRow copy rows
-	nulls atomic.Pointer[nullLists] // see NullRows
+	arity   int
+	gen     uint64
+	base    uint64 // the generation of the last change that was not an append
+	rows    []Row
+	pack    Packer                  // where Append and SetRow copy rows
+	derived atomic.Pointer[derived] // see NullRows and Column
 }
 
-// nullLists is NullRows' cache for generation gen: per column, built
-// on first use, the rows with a null there and their positions.
-type nullLists struct {
-	gen  uint64
-	cols []atomic.Pointer[nullList]
+// derived is what NullRows and Column derive from generation gen's
+// rows, per column, each part built on first use and shared by
+// goroutines and clones. A later generation with the same base only
+// appended rows, so it starts from these column copies.
+type derived struct {
+	gen, base uint64
+	nulls     []atomic.Pointer[nullList]
+	cols      []atomic.Pointer[column]
 }
 
 type nullList struct {
@@ -86,8 +91,20 @@ type nullList struct {
 	pos  []int
 }
 
+// column is a copy of one column. claimed, shared by every copy held
+// in the same array, is how far into it some copy has written: a copy
+// is extended in place only by whoever claims the room after it first,
+// the way append extends a slice no one else appends to.
+type column struct {
+	vals    []value.Value
+	claimed *atomic.Int64
+}
+
 // New returns an empty table of the given arity.
-func New(arity int) *Table { return &Table{arity: arity, gen: genCounter.Add(1)} }
+func New(arity int) *Table {
+	g := genCounter.Add(1)
+	return &Table{arity: arity, gen: g, base: g}
+}
 
 // FromRows builds a table of one generation over rows, all of which
 // must share the arity. The table takes rows as its storage, with the
@@ -100,7 +117,9 @@ func FromRows(arity int, rows []Row) *Table {
 			panic(fmt.Sprintf("table: row of arity %d in table of arity %d", len(r), arity))
 		}
 	}
-	return &Table{arity: arity, gen: genCounter.Add(1), rows: slices.Clip(rows)}
+	t := New(arity)
+	t.rows = slices.Clip(rows)
+	return t
 }
 
 // Arity returns the number of columns.
@@ -129,15 +148,8 @@ func (t *Table) Row(i int) Row { return t.rows[i] }
 // any goroutine or a clone, share them, and a mutation's new generation
 // makes the next call rebuild them.
 func (t *Table) NullRows(col int) ([]Row, []int) {
-	l := t.nulls.Load()
-	if l == nil || l.gen != t.gen {
-		fresh := &nullLists{gen: t.gen, cols: make([]atomic.Pointer[nullList], t.arity)}
-		if !t.nulls.CompareAndSwap(l, fresh) {
-			fresh = t.nulls.Load() // a concurrent first use won; share its lists
-		}
-		l = fresh
-	}
-	c := l.cols[col].Load()
+	l := t.current()
+	c := l.nulls[col].Load()
 	if c == nil {
 		n := 0
 		for _, r := range t.rows {
@@ -151,9 +163,70 @@ func (t *Table) NullRows(col int) ([]Row, []int) {
 				c.rows, c.pos = append(c.rows, r), append(c.pos, i)
 			}
 		}
-		l.cols[col].Store(c)
+		l.nulls[col].Store(c)
 	}
 	return c.rows, c.pos
+}
+
+// Column returns column col of t's rows as a dense copy, position for
+// position; callers must not mutate it. Like the null lists it is built
+// on first use per generation and shared by goroutines and clones, and
+// a generation that only appended rows extends its predecessor's copy.
+func (t *Table) Column(col int) []value.Value {
+	d := t.current()
+	c := d.cols[col].Load()
+	if c != nil && len(c.vals) == len(t.rows) {
+		return c.vals
+	}
+	fresh := c.extend(t.rows, col)
+	if !d.cols[col].CompareAndSwap(c, fresh) {
+		fresh = d.cols[col].Load() // a concurrent first use won; share its copy
+	}
+	return fresh.vals
+}
+
+// current returns the derived data of t's generation, started on first
+// use: empty, but after appends alone with the previous one's copies.
+func (t *Table) current() *derived {
+	d := t.derived.Load()
+	if d != nil && d.gen == t.gen {
+		return d
+	}
+	fresh := &derived{gen: t.gen, base: t.base,
+		nulls: make([]atomic.Pointer[nullList], t.arity), cols: make([]atomic.Pointer[column], t.arity)}
+	if d != nil && d.base == t.base { // appends alone since d: its copies are a prefix
+		for i := range fresh.cols {
+			fresh.cols[i].Store(d.cols[i].Load())
+		}
+	}
+	if !t.derived.CompareAndSwap(d, fresh) {
+		fresh = t.derived.Load() // a concurrent first use won; share its data
+	}
+	return fresh
+}
+
+// extend returns a copy of column col of rows, of which c (nil for
+// none) copies a prefix: in c's array if c's room is claimed here, else
+// in a new one that append grows.
+func (c *column) extend(rows []Row, col int) *column {
+	claimed := c != nil && cap(c.vals) >= len(rows) &&
+		c.claimed.CompareAndSwap(int64(len(c.vals)), int64(len(rows)))
+	out := &column{claimed: new(atomic.Int64)}
+	switch {
+	case claimed:
+		out.vals, out.claimed = c.vals, c.claimed
+	case c != nil:
+		out.vals = slices.Clip(c.vals) // the room after it is another copy's
+	default:
+		out.vals = make([]value.Value, 0, len(rows))
+	}
+	for _, r := range rows[len(out.vals):] {
+		out.vals = append(out.vals, r[col])
+	}
+	if !claimed {
+		out.claimed.Store(int64(len(out.vals)))
+	}
+	return out
 }
 
 // Append adds a copy of r, packed after the last row appended, and
@@ -181,6 +254,7 @@ func (t *Table) SetRow(i int, r Row) Row {
 	c := t.pack.Pack(r)
 	t.rows[i] = c
 	t.gen = genCounter.Add(1)
+	t.base = t.gen
 	return c
 }
 
@@ -201,12 +275,12 @@ func (t *Table) rewrite(edit func(r Row) bool) (nt *Table, changed []int) {
 	return nt, changed
 }
 
-// Value and row-header sizes used by EstimatedBytes. A value.Value is
-// a 40-byte struct (kind + three payload fields); each row adds a
-// slice header. String payloads are not counted — the estimate is
-// deliberately coarse and monotone in row count and arity.
+// Value and row-header sizes used by EstimatedBytes: a value.Value's
+// own size, and a slice header per row. String payloads are not counted
+// — the estimate is deliberately coarse and monotone in row count and
+// arity.
 const (
-	valueBytes     = 40
+	valueBytes     = int64(unsafe.Sizeof(value.Value{}))
 	rowHeaderBytes = 24
 )
 
@@ -626,8 +700,8 @@ func (db *Database) Clone() *Database {
 	for name, t := range db.tables {
 		nt := New(t.arity) // no slab: the clone packs its own appends
 		nt.rows = append(nt.rows, t.rows...)
-		nt.gen = t.gen // same content ⇒ same generation (see genCounter)
-		nt.nulls.Store(t.nulls.Load())
+		nt.gen, nt.base = t.gen, t.base // same content ⇒ same generation (see genCounter)
+		nt.derived.Store(t.derived.Load())
 		out.tables[name] = nt
 	}
 	return out

@@ -22,7 +22,7 @@ func AppendKey(b []byte, v Value) []byte {
 		b = append(b, 1)
 		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
 	case KindFloat:
-		tag, x := floatKey(v.f)
+		tag, x := floatKey(v.float())
 		b = append(b, tag)
 		b = binary.BigEndian.AppendUint64(b, x)
 	case KindString:
@@ -67,7 +67,7 @@ func FoldKey(h uint64, v Value) uint64 {
 		h = (h ^ 1) * keyPrime
 		h = fold64(h, uint64(v.i))
 	case KindFloat:
-		tag, x := floatKey(v.f)
+		tag, x := floatKey(v.float())
 		h = (h ^ uint64(tag)) * keyPrime
 		h = fold64(h, x)
 	case KindString:

@@ -59,21 +59,21 @@ func (k Kind) String() string {
 }
 
 // Value is a single database entry: a typed constant or a marked null.
-// Values are comparable with == (all fields are comparable), which makes
-// them directly usable as map keys; note that == is *identity* of the
-// representation, not SQL equality.
+// == on Values (usable as map keys) is *identity* of the representation,
+// not SQL equality: a float is held as its IEEE bits, so Float(-0.0) !=
+// Float(0.0) and a NaN == itself, unlike under Compare.
 type Value struct {
 	kind Kind
-	i    int64 // int payload, date (days since 1970-01-01), bool (0/1), null id
-	f    float64
+	i    int64 // int payload, float bits, date (days since 1970-01-01), bool (0/1), null id
 	s    string
 }
 
 // Int returns an integer constant.
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
-// Float returns a floating-point constant.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+// Float returns a floating-point constant; float reads its payload back.
+func Float(v float64) Value    { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns a string constant.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
@@ -120,7 +120,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
 		return float64(v.i)
 	default:
@@ -180,7 +180,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return "'" + v.s + "'"
 	case KindDate:
@@ -221,11 +221,11 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		case a.kind == KindInt && b.kind == KindInt:
 			return cmpInt64(a.i, b.i), true
 		case a.kind == KindFloat && b.kind == KindFloat:
-			return cmpFloat(a.f, b.f), true
+			return cmpFloat(a.float(), b.float()), true
 		case a.kind == KindInt:
-			return cmpIntFloat(a.i, b.f), true
+			return cmpIntFloat(a.i, b.float()), true
 		default:
-			return -cmpIntFloat(b.i, a.f), true
+			return -cmpIntFloat(b.i, a.float()), true
 		}
 	}
 	if a.kind != b.kind {
