@@ -119,23 +119,29 @@ bench-fig4:
 # requires a null (BenchmarkNullScan: null(l_partkey) over sf 0.01
 # lineitem, against the same selection over a full scan), a drained
 # selection (BenchmarkDrain: l_receiptdate > l_commitdate over sf 0.01
-# lineitem), a full checkpoint of the sf 0.01 instance
-# (BenchmarkCheckpoint, internal/persist) and the generation of that
-# instance, null injection included (BenchmarkGenerate, internal/tpch).
+# lineitem), the hash index on its own (BenchmarkIndex, internal/table:
+# build, and probes that all hit or all miss, on one and two int key
+# columns, a string key and a NullsWild key), a full checkpoint of the
+# sf 0.01 instance (BenchmarkCheckpoint, internal/persist) and the
+# generation of that instance, null injection included
+# (BenchmarkGenerate, internal/tpch).
 # -benchmem prints B/op and allocs/op beside the time: a join block
 # copies each output row once, a drain allocates its table once at its
-# exact size, a segment's blocks are encoded in one reused buffer, and
+# exact size, an index build allocates a fixed number of objects and a
+# probe none, a segment's blocks are encoded in one reused buffer, and
 # the generator writes each value once, packed in position order.
 # Advisory like bench-fig4's first half: wall-clock, so its failure is
 # printed and ignored; the exact gates are TestBuildSideEquivalence
 # (a build side read in two parts, SemiHint.Split, included),
 # TestJoinBlockSteps, TestJoinBlockCopiesRowsOnce,
 # TestDrainCopiesRowsOnce, TestDrainResultDoesNotAliasStorage,
+# TestIndexBuildAllocs,
 # TestNullScanMatchesFullScan, TestCostUnitsDirectionIndependent,
 # TestSegmentBytesPinned, TestGenerateDigestGolden and the layout tests
 # of internal/table, in `make test`.
 bench-join:
 	-$(GO) test -run '^$$' -bench 'BenchmarkBuildSide|BenchmarkJoinBlock|BenchmarkNullScan|BenchmarkDrain' -benchtime 5x -benchmem ./internal/eval
+	-$(GO) test -run '^$$' -bench 'BenchmarkIndex' -benchtime 5x -benchmem ./internal/table
 	-$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 5x -benchmem ./internal/persist
 	-$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchtime 5x -benchmem ./internal/tpch
 
@@ -152,6 +158,9 @@ fuzz:
 	$(GO) test -race -run='^$$' -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/sql
 	$(GO) test -race -run='^$$' -fuzz=FuzzLike -fuzztime=$(FUZZTIME) ./internal/value
 	$(GO) test -race -run='^$$' -fuzz=FuzzUnifyTuples -fuzztime=$(FUZZTIME) ./internal/value
+	$(GO) test -race -run='^$$' -fuzz=FuzzKeyEqual -fuzztime=$(FUZZTIME) ./internal/value
+	$(GO) test -race -run='^$$' -fuzz=FuzzSegmentReader -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -race -run='^$$' -fuzz=FuzzWALScanner -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -race -run='^$$' -fuzz=FuzzCertainPipeline -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -race -run='^$$' -fuzz=FuzzCompileEval -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -race -run='^$$' -fuzz=FuzzAnalyzerSoundness -fuzztime=$(FUZZTIME) ./internal/difftest

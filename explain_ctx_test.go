@@ -9,7 +9,7 @@ import (
 )
 
 // These pin the context-threading fixes surfaced by the vetcert ctxflow
-// rule: EXPLAIN plans statistics collection and rewrite search under a
+// rule: EXPLAIN runs its rewrite search and prices the plan under a
 // governor, so the planning work must stop with the caller's context —
 // previously ExplainPlan always governed itself with
 // context.Background(), and the server's prepare handler planned

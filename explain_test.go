@@ -22,8 +22,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden EXPLAIN files")
 
 // goldenDB is the fixed micro TPC-H instance the golden EXPLAIN files
 // are pinned to. Everything is deterministic: the generator is seeded,
-// parameter draws are seeded, statistics collection is deterministic
-// (the distinct sketch uses a fixed hash), and the planner is pure.
+// parameter draws are seeded, the counts EXPLAIN prices with (row
+// counts and null-list lengths) are exact, and the planner is pure.
 func goldenDB() (*certsql.DB, tpch.Sizes) {
 	cfg := certsql.TPCHConfig{ScaleFactor: 0.002, Seed: 42, NullRate: 0.05}
 	return certsql.OpenTPCH(cfg), cfg.Sizes()
@@ -32,8 +32,8 @@ func goldenDB() (*certsql.DB, tpch.Sizes) {
 // TestGoldenExplain pins the cost-based planner's EXPLAIN output for
 // the certain-answer translations Q⁺1–Q⁺4 of the paper's appendix
 // queries. Any change to the cost model, the rewrite rules, or the
-// statistics that shifts a plan choice shows up as a readable diff
-// here — plan regressions are reviewed, not discovered.
+// table counts it prices with that shifts a plan choice shows up as a
+// readable diff here — plan regressions are reviewed, not discovered.
 func TestGoldenExplain(t *testing.T) {
 	db, sizes := goldenDB()
 	rng := rand.New(rand.NewSource(7))

@@ -527,14 +527,13 @@ func (ev *Evaluator) evalSetOp(op string, lExpr, rExpr algebra.Expr, in bool) (*
 	seen := ev.newGrownIndex(op, 0)
 	defer seen.release()
 	var rows []table.Row
-	var key []byte
 	for i, row := range l.Rows() {
 		if i%batchSize == 0 {
 			if err := seen.charge(); err != nil {
 				return nil, err
 			}
 		}
-		cur := rIdx.Probe(row, all, &key)
+		cur := rIdx.Probe(row, all)
 		if _, found := cur.Next(); found != in {
 			continue
 		}
@@ -598,7 +597,6 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 	defer prefixes.release()
 	var rows []table.Row
 	row := make(table.Row, e.L.Arity())
-	var key []byte
 	for i, lr := range l.Rows() {
 		ev.stats.CostUnits++
 		if err := ev.tick("division"); err != nil {
@@ -617,7 +615,7 @@ func (ev *Evaluator) evalDivision(e algebra.Division) (*table.Table, error) {
 		for _, w := range need {
 			ev.stats.CostUnits++
 			copy(row[nPre:], w)
-			cur := has.Probe(row, lAll, &key)
+			cur := has.Probe(row, lAll)
 			if _, covers = cur.Next(); !covers {
 				break
 			}

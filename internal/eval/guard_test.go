@@ -293,38 +293,46 @@ func TestMemBudgetTripsAtOperatorBoundary(t *testing.T) {
 	}
 }
 
-// TestIndexMemCharged plants an index larger than its operator's
-// output: keys of 300-byte strings, against output rows of a few fixed
-// values. With a budget of exactly the output's estimate — all that
+// TestIndexMemCharged plants indexes that the output's estimate does
+// not cover. With a budget of exactly the output's estimate — all that
 // grouping, DISTINCT, INTERSECT, EXCEPT and division charged while
 // their indexes went uncharged — each must trip ErrMemBudget and leave
 // nothing charged; with room, only the output stays charged once the
-// operator is done.
+// operator is done. An index holds its smallest table (64 B) and an
+// Insert-grown one each key's values, so grouping w on its one-valued
+// column outweighs its one output row, and DISTINCT's index is charged
+// beside the rows it has streamed. INTERSECT and EXCEPT keep four rows
+// against a four-row build side, so that neither of their two indexes
+// exceeds the output but the two together do; division's index over p
+// and its index of p's prefixes likewise.
 func TestIndexMemCharged(t *testing.T) {
 	s := schema.New()
-	for _, name := range []string{"w", "v", "p"} {
+	for _, name := range []string{"w", "u", "v", "p"} {
 		s.MustAdd(&schema.Relation{Name: name, Attrs: []schema.Attribute{
 			{Name: "s", Type: value.KindString}, {Name: "n", Type: value.KindInt}}})
 	}
 	s.MustAdd(&schema.Relation{Name: "q", Attrs: []schema.Attribute{{Name: "n", Type: value.KindInt}}})
 	db := table.NewDatabase(s)
-	long := func(i int) value.Value { return value.Str(fmt.Sprintf("%0300d", i)) }
+	str := func(i int) value.Value { return value.Str(fmt.Sprint(i)) }
 	for i := 0; i < 100; i++ {
-		ins(t, db, "w", table.Row{long(i), value.Int(int64(i % 2))})
+		ins(t, db, "w", table.Row{value.Str("k"), value.Int(int64(i % 4))})
+		if i < 4 {
+			ins(t, db, "u", table.Row{value.Str("k"), value.Int(int64(i))})
+			ins(t, db, "v", table.Row{value.Str("v"), value.Int(int64(i))})
+		}
 		if i < 50 {
-			ins(t, db, "v", table.Row{long(i), value.Int(int64(i % 2))})
-			ins(t, db, "p", table.Row{long(i), value.Int(0)}, table.Row{long(i), value.Int(1)})
+			ins(t, db, "p", table.Row{str(i), value.Int(0)}, table.Row{str(i), value.Int(1)})
 		}
 	}
 	ins(t, db, "q", table.Row{value.Int(0)}, table.Row{value.Int(1)})
-	w, v := algebra.Base{Name: "w", Cols: 2}, algebra.Base{Name: "v", Cols: 2}
+	w, u, v := algebra.Base{Name: "w", Cols: 2}, algebra.Base{Name: "u", Cols: 2}, algebra.Base{Name: "v", Cols: 2}
 	for _, c := range []struct {
 		name string
 		e    algebra.Expr
 	}{
 		{"group-by", algebra.GroupBy{Child: w, Keys: []int{0}, Aggs: []algebra.AggSpec{{Func: algebra.AggCount, Col: -1}}}},
 		{"distinct", algebra.Distinct{Child: w}},
-		{"intersect", algebra.Intersect{L: w, R: w}},
+		{"intersect", algebra.Intersect{L: w, R: u}},
 		{"except", algebra.Diff{L: w, R: v}},
 		{"division", algebra.Division{L: algebra.Base{Name: "p", Cols: 2}, R: algebra.Base{Name: "q", Cols: 1}}},
 	} {
@@ -345,6 +353,44 @@ func TestIndexMemCharged(t *testing.T) {
 				t.Errorf("%d B still charged after the charge failed", live)
 			}
 		})
+	}
+}
+
+// TestDivisionChargesItsDivisorIndex: division charges its index of
+// R's distinct rows, which TestIndexMemCharged cannot single out (L's
+// two indexes alone exceed the output's estimate). Two divisors of 40
+// rows, 40 distinct values and one value, leave the inputs' estimates,
+// L's indexes and the answer alike, so the peak charges differ by
+// exactly what the two divisor indexes do.
+func TestDivisionChargesItsDivisorIndex(t *testing.T) {
+	s := schema.New()
+	s.MustAdd(&schema.Relation{Name: "p", Attrs: []schema.Attribute{
+		{Name: "s", Type: value.KindString}, {Name: "n", Type: value.KindInt}}})
+	for _, name := range []string{"many", "one"} {
+		s.MustAdd(&schema.Relation{Name: name, Attrs: []schema.Attribute{{Name: "n", Type: value.KindInt}}})
+	}
+	db := table.NewDatabase(s)
+	many, one := table.NewIndex(40), table.NewIndex(40)
+	for i := 0; i < 40; i++ {
+		ins(t, db, "many", table.Row{value.Int(int64(i))})
+		ins(t, db, "one", table.Row{value.Int(0)})
+		many.Insert(table.Row{value.Int(int64(i))}, []int{0})
+		one.Insert(table.Row{value.Int(0)}, []int{0})
+		for _, pre := range []string{"a", "b", "c"} {
+			ins(t, db, "p", table.Row{value.Str(pre), value.Int(int64(i))})
+		}
+	}
+	peak := func(r string) int64 {
+		gov := guard.Background(guard.Limits{})
+		e := algebra.Division{L: algebra.Base{Name: "p", Cols: 2}, R: algebra.Base{Name: r, Cols: 1}}
+		out, err := eval.New(db, eval.Options{Governor: gov}).Eval(e)
+		if err != nil || out.Len() != 3 {
+			t.Fatalf("p ÷ %s: %v, err %v; want the 3 prefixes", r, out, err)
+		}
+		return gov.MemHighWater()
+	}
+	if got, want := peak("many")-peak("one"), many.EstimatedBytes()-one.EstimatedBytes(); got != want || want <= 0 {
+		t.Fatalf("p ÷ many peaks %d B above p ÷ one, want the divisor indexes' difference, %d B", got, want)
 	}
 }
 

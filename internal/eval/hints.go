@@ -10,8 +10,8 @@ import "certsql/internal/algebra"
 //
 //   - SlimVerify drops the extracted hash-key equality conjuncts from
 //     a semijoin's per-candidate verify condition. Sound because
-//     candidates share a bucket exactly when their key encodings
-//     (value.AppendKey) are equal, which for constants is exactly
+//     candidates share a bucket exactly when their keys are
+//     value.KeyEqual (equal value.AppendKey encodings): for constants
 //     value.Compare's equality and for nulls naive semantics' equality
 //     of marks, so every dropped equality is true.
 //   - FuseBuild licenses filtering a select-fed build side during the

@@ -302,7 +302,7 @@ func (ev *Evaluator) probePairs(op string, n int, idx *table.Index, cols []int,
 				return nil
 			}
 			c.st.costUnits++
-			cur := idx.Probe(probe(c, i), cols, &c.key)
+			cur := idx.Probe(probe(c, i), cols)
 			for j, ok := cur.Next(); ok; j, ok = cur.Next() {
 				c.st.costUnits++
 				if keep != nil {
@@ -674,7 +674,7 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 			rr := read.row(row[p.nL:], ri, p.r.row(ri))
 			c.st.costUnits++
 			passed := false
-			cur := idx.Probe(rr, p.rCols, &c.key)
+			cur := idx.Probe(rr, p.rCols)
 			for i, ok := cur.Next(); ok; i, ok = cur.Next() {
 				if m[i] {
 					continue
@@ -729,8 +729,7 @@ func (ev *Evaluator) semiBuildLeft(p *semiPlan, held []table.Row) ([]table.Row, 
 }
 
 // semiMatch probes one row against the plan. c supplies the worker's
-// cost counters and its scratch buffers for the key and for candidate
-// verification.
+// cost counters and its scratch row for candidate verification.
 func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error) {
 	row := c.scratch(p.nL + p.r.ar)
 	if !p.trivial {
@@ -743,7 +742,7 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, lr table.Row) (bool, error
 	cur := table.ScanCursor(p.r.len())
 	if p.idx != nil {
 		c.st.costUnits++
-		cur = p.idx.Probe(lr, p.probeCols, &c.key)
+		cur = p.idx.Probe(lr, p.probeCols)
 	}
 	for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
 		if p.trivial { // slim verify with empty residual: key presence alone decides

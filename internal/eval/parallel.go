@@ -70,7 +70,6 @@ type chunk struct {
 	err          error // cancellation or budget trip observed by stopped
 	charged      int64 // st.costUnits already flushed to the governor
 	row          table.Row
-	key          []byte // reusable hash-key buffer: m[string(key)] does not allocate
 }
 
 // scratch returns the chunk's reusable row buffer of the given arity,

@@ -195,7 +195,7 @@ func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
 		cur := table.ScanCursor(len(rRows))
 		if b != nil {
 			c.st.costUnits++
-			cur = b.Probe(lr, all, &c.key)
+			cur = b.Probe(lr, all)
 		}
 		for ri, ok := cur.Next(); ok; ri, ok = cur.Next() {
 			c.st.costUnits++

@@ -108,6 +108,14 @@ func (e *InternalError) Error() string {
 	return fmt.Sprintf("guard: internal error in %s: %v", e.Op, e.Value)
 }
 
+// Unwrap returns the panic value when it is an error, so that a typed
+// refusal raised as a panic (table.ErrIndexSize) still matches
+// errors.Is.
+func (e *InternalError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // NewInternalError captures the current stack around a recovered panic
 // value. Call it from inside the deferred recover handler.
 func NewInternalError(op string, v any) *InternalError {

@@ -153,4 +153,12 @@ func TestInternalError(t *testing.T) {
 		}()
 		panic("boom")
 	}()
+	// A panic with an error value unwraps to it; any other value to nil.
+	refusal := errors.New("refused")
+	if ie := NewInternalError("build", refusal); !errors.Is(ie, refusal) {
+		t.Errorf("InternalError of a panicked error does not match it: %v", ie)
+	}
+	if ie := NewInternalError("build", "boom"); ie.Unwrap() != nil {
+		t.Errorf("InternalError of a string unwraps to %v", ie.Unwrap())
+	}
 }

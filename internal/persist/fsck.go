@@ -20,8 +20,9 @@ type Finding struct {
 	// when the problem is not positional.
 	Offset int64
 	Detail string
-	// Recoverable marks damage Open repairs on its own (today: a torn
-	// WAL tail, the signature of a crash mid-append).
+	// Recoverable marks damage Open repairs on its own: a torn WAL
+	// tail, the signature of a crash mid-append, and the files of a
+	// first checkpoint that crashed before its manifest was published.
 	Recoverable bool
 	// err is the error the finding came from; Open wraps it.
 	err error
@@ -58,7 +59,7 @@ type Report struct {
 	// Tables and Rows count the relations and rows verified.
 	Tables, Rows int
 	// Orphans lists unreferenced seg-*/wal-*/*.tmp files — leaked disk,
-	// not damage (Open sweeps them).
+	// not damage — when Open would sweep them: in a healthy directory.
 	Orphans []string
 	// Findings lists every problem, in discovery order.
 	Findings []Finding
@@ -93,6 +94,8 @@ func Fsck(dir string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	r.Orphans = orph
+	if r.Healthy() { // a refused directory keeps them
+		r.Orphans = orph
+	}
 	return r, nil
 }

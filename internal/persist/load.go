@@ -27,6 +27,10 @@ func load(dir string) (*manifest, *table.Database, *Report) {
 	var db *table.Database
 	r := &Report{Dir: dir}
 	m, err := readManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		unpublished(dir, r)
+		return nil, nil, r
+	}
 	if err != nil {
 		r.note(manifestName, -1, err)
 		return nil, nil, r
@@ -94,6 +98,49 @@ func load(dir string) (*manifest, *table.Database, *Report) {
 			Detail: scan.Problem.Detail, Recoverable: scan.Problem.Kind == frameTorn, err: scan.Problem})
 	}
 	return m, db, r
+}
+
+// unpublished vets a directory with no MANIFEST. Open seeds it afresh
+// only when it holds none of the store's files (seg-*, wal-*,
+// MANIFEST*), or only what a first checkpoint leaves when it crashes
+// before its manifest rename: version 1's segments and their temp
+// files, version 1's WAL holding nothing past its header, and the
+// manifest's temp file. Those are noted as one recoverable finding.
+// Any other file of the store's may hold acknowledged data, which the
+// fresh path's sweep would delete: the first one is noted as
+// unrecoverable, so Open refuses the directory.
+func unpublished(dir string, r *Report) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		r.note(manifestName, -1, err)
+		return
+	}
+	debris := false
+	firstSegs := strings.TrimSuffix(segFile(1, ""), ".seg") // every version 1 segment's name starts so
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case strings.HasPrefix(name, firstSegs), name == manifestName+".tmp":
+			debris = true
+		case name == walFile(1):
+			info, err := e.Info()
+			if err == nil && info.Size() > int64(len(walMagic)) {
+				err = fmt.Errorf("WAL holds %d bytes past its header, but there is no %s", info.Size()-int64(len(walMagic)), manifestName)
+			}
+			if err != nil {
+				r.note(name, -1, err)
+				return
+			}
+			debris = true
+		case strings.HasPrefix(name, "seg-"), strings.HasPrefix(name, "wal-"), strings.HasPrefix(name, manifestName):
+			r.note(name, -1, fmt.Errorf("there is no %s, and a crashed first checkpoint leaves no such file: it may hold acknowledged data", manifestName))
+			return
+		}
+	}
+	if debris {
+		r.Findings = append(r.Findings, Finding{File: manifestName, Offset: -1, Recoverable: true,
+			Detail: "no manifest: what is here is a first checkpoint that crashed before publishing; open sweeps it and seeds a fresh catalog"})
+	}
 }
 
 // note records an unrecoverable finding whose detail is err.

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,10 +62,16 @@ func TestFsckAgreesWithOpen(t *testing.T) {
 		}
 		return info.Size()
 	}
+	removeManifest := func(t *testing.T, dir string) {
+		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		plant   func(t *testing.T, dir string)
 		healthy bool
+		fresh   bool // Open seeds a fresh catalog
 	}{
 		{"manifest byte", func(t *testing.T, dir string) {
 			path := filepath.Join(dir, manifestName)
@@ -73,15 +80,15 @@ func TestFsckAgreesWithOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			flipByte(t, path, info.Size()/2)
-		}, false},
+		}, false, false},
 		{"segment header byte", func(t *testing.T, dir string) {
 			// Past the magic, the header frame's length and checksum.
 			flipByte(t, filepath.Join(dir, segmentOf(t, dir, "region").File), 10)
-		}, false},
+		}, false, false},
 		{"segment block byte", func(t *testing.T, dir string) {
 			seg := segmentOf(t, dir, "")
 			flipByte(t, filepath.Join(dir, seg.File), seg.Bytes/2)
-		}, false},
+		}, false, false},
 		{"non-conforming segment row", func(t *testing.T, dir string) {
 			seg := segmentOf(t, dir, "region")
 			sd, err := readSegment(filepath.Join(dir, seg.File))
@@ -92,25 +99,44 @@ func TestFsckAgreesWithOpen(t *testing.T) {
 			if _, err := writeSegment(dir, seg.File, sd.Rel, table.FromRows(sd.Arity, sd.Rows), noHit, new([]byte)); err != nil {
 				t.Fatal(err)
 			}
-		}, false},
+		}, false, false},
 		{"interior WAL byte", func(t *testing.T, dir string) {
 			flipByte(t, currentWAL(t, dir), 4+(walSize(t, dir)-4)/2)
-		}, false},
+		}, false, false},
 		{"WAL torn inside its last record", func(t *testing.T, dir string) {
 			if err := os.Truncate(currentWAL(t, dir), walSize(t, dir)-3); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}, true, false},
 		{"deleted WAL", func(t *testing.T, dir string) {
 			if err := os.Remove(currentWAL(t, dir)); err != nil {
 				t.Fatal(err)
 			}
-		}, false},
+		}, false, false},
 		{"WAL record skipping a version", func(t *testing.T, dir string) {
 			// The directory holds versions 1 to 4; the next record must
 			// publish 5.
 			appendWALFrames(t, dir, encodeWALRecord(nil, 6, 0, nil))
-		}, false},
+		}, false, false},
+		{"no manifest, WAL with records", removeManifest, false, false},
+		{"no manifest, first checkpoint crashed", func(t *testing.T, dir string) {
+			// A store opened and closed with no update leaves version 1's
+			// segments and an empty WAL; before the rename, its manifest
+			// was MANIFEST.tmp.
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, tinySeed, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(filepath.Join(dir, manifestName), filepath.Join(dir, manifestName+".tmp")); err != nil {
+				t.Fatal(err)
+			}
+		}, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := openStoreWithUpdates(t)
@@ -122,13 +148,21 @@ func TestFsckAgreesWithOpen(t *testing.T) {
 			if report.Healthy() != tc.healthy {
 				t.Fatalf("fsck healthy = %v, want %v: %+v", report.Healthy(), tc.healthy, report.Findings)
 			}
-			s, err := Open(dir, noSeed(t), Options{})
+			files := dirFiles(t, dir)
+			seed := noSeed(t)
+			if tc.fresh {
+				seed = tinySeed
+			}
+			s, err := Open(dir, seed, Options{})
 			if report.Healthy() {
 				if err != nil {
 					t.Fatalf("fsck calls the directory healthy, Open refuses it: %v", err)
 				}
 				s.Close()
 				return
+			}
+			if after := dirFiles(t, dir); after != files {
+				t.Errorf("Open refused the directory but changed its files:\n%s\nbecame\n%s", files, after)
 			}
 			if err == nil {
 				s.Close()
@@ -145,6 +179,24 @@ func TestFsckAgreesWithOpen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dirFiles lists dir's files with their sizes.
+func dirFiles(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d\n", e.Name(), info.Size())
+	}
+	return b.String()
 }
 
 // TestWALReplayAllocs: replay decodes each record into one reused

@@ -76,27 +76,32 @@ type Store struct {
 // Open opens (or creates) the data directory. When dir holds a
 // published manifest, the catalog is recovered from it: segments are
 // read and checksum-verified, the WAL is replayed past the checkpoint,
-// and a torn tail record is truncated. Otherwise seed is called for
-// the initial database and version 1 is checkpointed before Open
-// returns, so a crash after Open can always recover without the seed.
+// and a torn tail record is truncated. When it holds none of the
+// store's files, or only what a first checkpoint that crashed before
+// its manifest rename leaves, seed is called for the initial database
+// and version 1 is checkpointed before Open returns, so a crash after
+// Open can always recover without the seed. Any other directory is
+// refused, with the error of fsck's first unrecoverable finding.
 func Open(dir string, seed func() (*table.Database, error), opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	s := &Store{dir: dir, opts: opts}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, os.ErrNotExist) {
-		return s, s.openFresh(seed)
-	} else if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+	m, db, rep := load(dir)
+	if f := rep.damage(); f != nil {
+		return nil, f.refusal(dir)
 	}
-	return s, s.openRecover()
+	if m == nil {
+		return s, s.openFresh(seed)
+	}
+	return s, s.openRecover(m, db, rep)
 }
 
 // openFresh seeds and checkpoints version 1.
 func (s *Store) openFresh(seed func() (*table.Database, error)) error {
 	// A crash during a previous first checkpoint may have left temp
-	// files or renamed-but-unpublished segments; with no manifest they
-	// are all garbage.
+	// files or renamed-but-unpublished segments; load vetted them, and
+	// with no manifest they are all garbage.
 	s.sweepOrphans(nil)
 	db, err := seed()
 	if err != nil {
@@ -112,14 +117,9 @@ func (s *Store) openFresh(seed func() (*table.Database, error)) error {
 	return nil
 }
 
-// openRecover rebuilds the catalog with the reader Fsck runs and
-// refuses the directory on its first unrecoverable finding.
-func (s *Store) openRecover() error {
-	m, db, rep := load(s.dir)
-	if f := rep.damage(); f != nil {
-		return f.refusal(s.dir)
-	}
-
+// openRecover takes up the catalog load rebuilt from m, whose report
+// has no unrecoverable finding.
+func (s *Store) openRecover(m *manifest, db *table.Database, rep *Report) error {
 	// Reopen the WAL for appending, truncating a torn tail first (the
 	// one recoverable finding) at the start of its frame, just past the
 	// last verified record: the torn bytes are the remains of a record
@@ -291,12 +291,12 @@ func (s *Store) checkpointLocked(db *table.Database, version uint64) error {
 		Version:   version,
 		NextNull:  db.NextNullMark(),
 		SchemaDDL: ddl,
-		WAL:       fmt.Sprintf("wal-%016x.log", version),
+		WAL:       walFile(version),
 	}
 	var buf []byte // one encoding buffer for every segment
 	for _, name := range db.Schema.Names() {
 		t := db.MustTable(name)
-		segName := fmt.Sprintf("seg-%016x-%s.seg", version, name)
+		segName := segFile(version, name)
 		size, err := writeSegment(s.dir, segName, name, t, s.hit, &buf)
 		if err != nil {
 			return err
@@ -330,6 +330,10 @@ func (s *Store) checkpointLocked(db *table.Database, version uint64) error {
 	s.sweepOrphans(m.files())
 	return nil
 }
+
+// segFile and walFile name a checkpoint's files.
+func segFile(version uint64, rel string) string { return fmt.Sprintf("seg-%016x-%s.seg", version, rel) }
+func walFile(version uint64) string             { return fmt.Sprintf("wal-%016x.log", version) }
 
 // sweepOrphans removes the files orphans lists (keep nil means "keep
 // none"). Best-effort: failures are logged.

@@ -1,10 +1,12 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"certsql/internal/value"
@@ -111,13 +113,12 @@ func TestIndexPolicies(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		var buf []byte
-		got := drain(t, x.Probe(probe, cols, &buf))
+		got := drain(t, x.Probe(probe, cols))
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d, policy %d, cols %v, probe %v over %v:\n got %v\nwant %v", trial, nulls, cols, probe, rows, got, want)
 		}
-		if n := x.EstimatedBytes(); n < int64(8*len(rows)) {
-			t.Fatalf("EstimatedBytes = %d for %d rows", n, len(rows))
+		if n := x.EstimatedBytes(); n < int64(4*len(rows)+8*minSlots) {
+			t.Fatalf("EstimatedBytes = %d for %d rows: less than an int32 per row and the smallest table", n, len(rows))
 		}
 	}
 }
@@ -158,27 +159,116 @@ func TestIndexInsert(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		x.Insert(Row{value.Int(int64(i % 3))}, []int{0})
 	}
-	if n := x.EstimatedBytes(); n > 3*(32+9) {
-		t.Fatalf("10 000 inserts of 3 keys: EstimatedBytes = %d, want state for 3 keys", n)
+	if n := x.EstimatedBytes(); n > 8*minSlots+3*valueBytes {
+		t.Fatalf("10 000 inserts of 3 keys: EstimatedBytes = %d, want state for 3 keys: the smallest table and 3 key values", n)
 	}
 }
 
-// TestIndexArenaFollowsKeyBytes builds an index whose first key is a
-// 32 KiB string and whose other 1 000 keys are integers: the build must
-// allocate in proportion to the key bytes, not to the first key's width
-// times the row count.
-func TestIndexArenaFollowsKeyBytes(t *testing.T) {
-	rows := []Row{{value.Str(strings.Repeat("x", 32<<10))}}
-	for i := 0; i < 1000; i++ {
-		rows = append(rows, Row{value.Int(int64(i))})
+// TestIndexBuildAllocs: a build sized for its keys allocates the same
+// number of objects at 10 and at 10 000 rows, on a one- and a
+// two-column int key and on 300-byte string keys — the rows are read in
+// place, not encoded — and a probe, hit or miss, allocates nothing.
+func TestIndexBuildAllocs(t *testing.T) {
+	long := strings.Repeat("x", 300)
+	keys := map[string]func(i int) Row{
+		"int":     func(i int) Row { return Row{value.Int(int64(i))} },
+		"int,int": func(i int) Row { return Row{value.Int(int64(i)), value.Int(int64(i % 7))} },
+		"string":  func(i int) Row { return Row{value.Str(fmt.Sprint(i, long))} },
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	x := BuildIndex(rows, []int{0}, NullsSkip, len(rows), nil)
-	runtime.ReadMemStats(&after)
-	keyBytes := int64(5 + 32<<10 + 9*1000)
-	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > 4*x.EstimatedBytes()+4*keyBytes {
-		t.Fatalf("build allocated %d B for %d B of keys (estimate %d B)", alloc, keyBytes, x.EstimatedBytes())
+	for name, key := range keys {
+		build := func(n int) (float64, *Index, []Row) {
+			rows := make([]Row, n)
+			for i := range rows {
+				rows[i] = key(i)
+			}
+			cols := rangeCols(len(rows[0]))
+			var x *Index
+			allocs := testing.AllocsPerRun(5, func() { x = BuildIndex(rows, cols, NullsSkip, n, nil) })
+			return allocs, x, rows
+		}
+		small, _, _ := build(10)
+		large, x, rows := build(10000)
+		if large != small {
+			t.Errorf("%s key: a build allocates %v objects at 10 000 rows, %v at 10", name, large, small)
+		}
+		cols := rangeCols(len(rows[0]))
+		miss := key(-1)
+		if n := testing.AllocsPerRun(100, func() {
+			for _, r := range []Row{rows[5000], miss} {
+				c := x.Probe(r, cols)
+				for _, ok := c.Next(); ok; _, ok = c.Next() {
+				}
+			}
+		}); n != 0 {
+			t.Errorf("%s key: Probe allocates %v times", name, n)
+		}
+	}
+}
+
+func rangeCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// TestIndexSizeRefused: a build over 2³¹−1 positions or more panics
+// with ErrIndexSize before it allocates the chain: the parts here repeat
+// one 64 Ki-row slice 32 Ki times and are never read.
+func TestIndexSizeRefused(t *testing.T) {
+	part := make([]Row, 1<<16)
+	parts := make([][]Row, 1<<15)
+	for i := range parts {
+		parts[i] = part
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, ErrIndexSize) {
+			t.Fatalf("a build over 2³¹ positions: recovered %v, want ErrIndexSize", err)
+		}
+	}()
+	BuildIndexParts(parts, []int{0}, NullsSkip, 0, nil)
+}
+
+// TestIndexConcurrentProbes probes one built index from two goroutines
+// at once, as the executor's partition workers do, and checks each
+// probe against the answer a single goroutine got; run under -race it
+// also checks that probing writes nothing shared.
+func TestIndexConcurrentProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rows := keyRows(rng, 500, 2)
+	cols := []int{0, 1}
+	x := BuildIndex(rows, cols, NullsWild, len(rows), nil)
+	probes := keyRows(rng, 200, 2)
+	want := make([][]int, len(probes))
+	for i, p := range probes {
+		want[i] = drain(t, x.Probe(p, cols))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for i, p := range probes {
+					var got []int
+					c := x.Probe(p, cols)
+					for j, ok := c.Next(); ok; j, ok = c.Next() {
+						got = append(got, j)
+					}
+					if !slices.Equal(got, want[i]) {
+						errs <- fmt.Sprintf("probe %v: %v, want %v", p, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
@@ -200,9 +290,8 @@ func TestIndexWildCandidates(t *testing.T) {
 			t.Fatalf("%d keyed + %d wild rows, want %d in all", x.Keyed(), x.Wild(), len(rows))
 		}
 		probe := Row{keyVal(rng)}
-		var buf []byte
 		got := map[int]bool{}
-		for _, i := range drain(t, x.Probe(probe, []int{0}, &buf)) {
+		for _, i := range drain(t, x.Probe(probe, []int{0})) {
 			got[i] = true
 		}
 		for i, r := range rows {
@@ -227,9 +316,8 @@ func TestIndexRowCandidates(t *testing.T) {
 		}
 		x := BuildIndex(rows, all, NullsWild, len(rows), nil)
 		probe := Row{value.Int(rng.Int63n(4)), keyVal(rng)}
-		var buf []byte
 		got := map[int]bool{}
-		for _, i := range drain(t, x.Probe(probe, all, &buf)) {
+		for _, i := range drain(t, x.Probe(probe, all)) {
 			got[i] = true
 		}
 		for i, r := range rows {
@@ -244,24 +332,23 @@ func TestIndexRowCandidates(t *testing.T) {
 // distinct integers beyond 2⁵³, which round to one float64 but not to
 // one key: 2⁵³+1 stays out of 2⁵³'s bucket.
 func TestIndexEdges(t *testing.T) {
-	var buf []byte
 	one := []int{0}
-	if got := drain(t, BuildIndex(nil, one, NullsWild, 0, nil).Probe(Row{value.Int(1)}, one, &buf)); len(got) != 0 {
+	if got := drain(t, BuildIndex(nil, one, NullsWild, 0, nil).Probe(Row{value.Int(1)}, one)); len(got) != 0 {
 		t.Fatalf("empty build yields candidates: %v", got)
 	}
 	wild := []Row{{value.Null(1)}, {value.Null(2)}, {value.Null(1)}}
-	if got := drain(t, BuildIndex(wild, one, NullsWild, 0, nil).Probe(Row{value.Int(1)}, one, &buf)); len(got) != 3 {
+	if got := drain(t, BuildIndex(wild, one, NullsWild, 0, nil).Probe(Row{value.Int(1)}, one)); len(got) != 3 {
 		t.Fatalf("all-wild build: candidates %v, want all 3", got)
 	}
-	if got := drain(t, BuildIndex(wild, one, NullsSkip, 0, nil).Probe(Row{value.Null(1)}, one, &buf)); len(got) != 0 {
+	if got := drain(t, BuildIndex(wild, one, NullsSkip, 0, nil).Probe(Row{value.Null(1)}, one)); len(got) != 0 {
 		t.Fatalf("NullsSkip: a null probe finds %v", got)
 	}
-	if got := drain(t, BuildIndex(wild, one, NullsByMark, 0, nil).Probe(Row{value.Null(1)}, one, &buf)); fmt.Sprint(got) != "[0 2]" {
+	if got := drain(t, BuildIndex(wild, one, NullsByMark, 0, nil).Probe(Row{value.Null(1)}, one)); fmt.Sprint(got) != "[0 2]" {
 		t.Fatalf("NullsByMark: mark 1 finds %v, want [0 2]", got)
 	}
 	big := int64(1) << 53
 	rows := []Row{{value.Int(big)}, {value.Int(7)}, {value.Int(big + 1)}, {value.Null(3)}}
-	if got := drain(t, BuildIndex(rows, one, NullsWild, 0, nil).Probe(Row{value.Int(big)}, one, &buf)); fmt.Sprint(got) != "[0 3]" {
+	if got := drain(t, BuildIndex(rows, one, NullsWild, 0, nil).Probe(Row{value.Int(big)}, one)); fmt.Sprint(got) != "[0 3]" {
 		t.Fatalf("ints beyond 2⁵³: candidates %v, want [0 3]", got)
 	}
 	if got := drain(t, ScanCursor(3)); fmt.Sprint(got) != "[0 1 2]" {

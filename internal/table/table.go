@@ -323,24 +323,11 @@ func (t *Table) Distinct() *Table {
 }
 
 // Contains reports whether the table contains a row identical to r:
-// one whose key encoding, marks included, is r's. Every stored row is
-// encoded into the same reused buffer.
+// one whose values are value.KeyEqual to r's, marks included.
 func (t *Table) Contains(r Row) bool {
-	if len(r) != t.arity {
-		return false // every value encodes to at least one byte: no row of another arity matches
-	}
-	all := make([]int, t.arity)
-	for i := range all {
-		all[i] = i
-	}
-	want, _ := appendKey(nil, r, all, NullsByMark)
-	var buf []byte
-	for _, s := range t.rows {
-		if buf, _ = appendKey(buf[:0], s, all, NullsByMark); string(buf) == string(want) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(t.rows, func(s Row) bool {
+		return slices.EqualFunc(s, r, value.KeyEqual)
+	})
 }
 
 // KeySet returns the set of canonical row keys, for set operations.

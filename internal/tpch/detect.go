@@ -49,8 +49,7 @@ func DetectorFor(q QueryID) func(db *table.Database, params compile.Params) Dete
 func withKey(rows []table.Row, col int) func(k value.Value, p func(r table.Row) bool) bool {
 	idx := table.BuildIndex(rows, []int{col}, table.NullsSkip, len(rows), nil)
 	return func(k value.Value, p func(r table.Row) bool) bool {
-		var key []byte
-		c := idx.Probe(table.Row{k}, []int{0}, &key)
+		c := idx.Probe(table.Row{k}, []int{0})
 		for i, ok := c.Next(); ok; i, ok = c.Next() {
 			if r := rows[i]; sameConst(r[col], k) && p(r) {
 				return true

@@ -2,7 +2,9 @@ package value
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
+	"math/bits"
 )
 
 // AppendKey appends a canonical binary encoding of v to b, suitable for
@@ -14,28 +16,16 @@ import (
 // that int64; every other float as its IEEE bits under a tag of its
 // own, which no int shares.
 func AppendKey(b []byte, v Value) []byte {
+	tag, x := keyWord(v)
+	b = append(b, tag)
 	switch v.kind {
-	case KindNull:
-		b = append(b, 0)
-		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
-	case KindInt:
-		b = append(b, 1)
-		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
-	case KindFloat:
-		tag, x := floatKey(v.float())
-		b = append(b, tag)
-		b = binary.BigEndian.AppendUint64(b, x)
 	case KindString:
-		b = append(b, 2)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(v.s)))
-		b = append(b, v.s...)
-	case KindDate:
-		b = append(b, 3)
-		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
+		return append(binary.BigEndian.AppendUint32(b, uint32(len(v.s))), v.s...)
 	case KindBool:
-		b = append(b, 4, byte(v.i))
+		return append(b, byte(x))
+	default:
+		return binary.BigEndian.AppendUint64(b, x)
 	}
-	return b
 }
 
 // RowKey builds a canonical string key for an entire row.
@@ -59,31 +49,63 @@ const keyPrime uint64 = 1099511628211
 // bytes (a property test pins this). Its caller is shard.HashRow, which
 // the benchmark module still times.
 func FoldKey(h uint64, v Value) uint64 {
+	tag, x := keyWord(v)
+	h = (h ^ uint64(tag)) * keyPrime
 	switch v.kind {
-	case KindNull:
-		h = (h ^ 0) * keyPrime
-		h = fold64(h, uint64(v.i))
-	case KindInt:
-		h = (h ^ 1) * keyPrime
-		h = fold64(h, uint64(v.i))
-	case KindFloat:
-		tag, x := floatKey(v.float())
-		h = (h ^ uint64(tag)) * keyPrime
-		h = fold64(h, x)
 	case KindString:
-		h = (h ^ 2) * keyPrime
 		h = fold32(h, uint32(len(v.s)))
 		for i := 0; i < len(v.s); i++ {
 			h = (h ^ uint64(v.s[i])) * keyPrime
 		}
-	case KindDate:
-		h = (h ^ 3) * keyPrime
-		h = fold64(h, uint64(v.i))
+		return h
 	case KindBool:
-		h = (h ^ 4) * keyPrime
-		h = (h ^ uint64(byte(v.i))) * keyPrime
+		return (h ^ x) * keyPrime
+	default:
+		return fold64(h, x)
 	}
-	return h
+}
+
+// KeyEqual reports whether a and b have the same AppendKey encoding,
+// without encoding either. Encodings are prefix-free, so keys of
+// several columns encode alike exactly when each column is KeyEqual.
+func KeyEqual(a, b Value) bool {
+	if a.kind == b.kind && a.kind != KindFloat {
+		return a.i == b.i && a.s == b.s
+	}
+	ta, xa := keyWord(a)
+	tb, xb := keyWord(b)
+	return ta == tb && xa == xb
+}
+
+// KeyHash folds v into the hash h (from KeySeed) so that KeyEqual values
+// fold alike; it hashes strings with a seed drawn per process.
+func KeyHash(h uint64, v Value) uint64 {
+	tag, x := keyWord(v)
+	if v.kind == KindString {
+		x = maphash.String(stringSeed, v.s)
+	}
+	hi, lo := bits.Mul64(h^x, 0x9e3779b97f4a7c15^uint64(tag))
+	return hi ^ lo
+}
+
+var stringSeed = maphash.MakeSeed()
+
+// keyWord is v's AppendKey tag and payload (a string's bytes aside).
+func keyWord(v Value) (tag byte, x uint64) {
+	switch v.kind {
+	case KindFloat:
+		return floatKey(v.float())
+	case KindInt:
+		return 1, uint64(v.i)
+	case KindString:
+		return 2, 0
+	case KindDate:
+		return 3, uint64(v.i)
+	case KindBool:
+		return 4, uint64(byte(v.i))
+	default: // a null's mark
+		return 0, uint64(v.i)
+	}
 }
 
 // floatKey is the key encoding's view of a float: the int tag and the

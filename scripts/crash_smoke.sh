@@ -20,7 +20,9 @@
 #   - every previously acknowledged row is still countable via SQL.
 #
 # The final round shuts down cleanly (SIGTERM) and runs `certsql fsck`,
-# which must report the directory clean (exit 0).
+# which must report the directory clean (exit 0). Last, a copy of the
+# directory with its MANIFEST deleted must be refused by both fsck and
+# certsqld, which must leave its files as they were.
 #
 # Run via `make chaos-crash`; CI runs it on every push.
 set -euo pipefail
@@ -168,4 +170,34 @@ if ! "$workdir/certsql" fsck "$datadir"; then
     exit 1
 fi
 
-echo "crash-smoke: PASS ($ROUNDS kills, each fsck-checked, $acked_rows acked loads, fsck clean)"
+# The same directory with its MANIFEST deleted holds acknowledged loads
+# that nothing references: fsck must call it unrecoverable, and
+# certsqld must refuse it — exit non-zero — and remove nothing.
+nomanifest="$workdir/nomanifest"
+cp -r "$datadir" "$nomanifest"
+rm "$nomanifest/MANIFEST"
+files_before=$(ls -l "$nomanifest")
+fsck_status=0
+fsck_out=$("$workdir/certsql" fsck "$nomanifest") || fsck_status=$?
+if [ "$fsck_status" -ne 1 ] || ! grep -q "unrecoverable damage" <<<"$fsck_out"; then
+    echo "crash-smoke: FAIL — fsck of a directory without its manifest exited $fsck_status:" >&2
+    echo "$fsck_out" >&2
+    exit 1
+fi
+status=0
+timeout 60 "$workdir/certsqld" -addr 127.0.0.1:0 -sf 0.0005 -nullrate 0.03 -seed 1 \
+    -data-dir "$nomanifest" >/dev/null 2>"$workdir/nomanifest.log" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "crash-smoke: FAIL — certsqld on a directory without its manifest exited $status, want a refusal" >&2
+    cat "$workdir/nomanifest.log" >&2
+    exit 1
+fi
+if [ "$(ls -l "$nomanifest")" != "$files_before" ]; then
+    echo "crash-smoke: FAIL — certsqld changed a directory it refused:" >&2
+    echo "$files_before" >&2
+    ls -l "$nomanifest" >&2
+    exit 1
+fi
+echo "crash-smoke: no manifest: fsck and certsqld refuse, nothing removed ($(grep -m1 'recovery failed' "$workdir/nomanifest.log"))"
+
+echo "crash-smoke: PASS ($ROUNDS kills, each fsck-checked, $acked_rows acked loads, fsck clean, manifest-less directory refused)"
